@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -36,36 +35,6 @@ from .productform import (
 )
 
 REPORT_SCHEMA = "spectralforge-report/1"
-
-
-@dataclass
-class RunConfig:
-    """Shared knobs; identical config and seed give byte-identical reports."""
-
-    tolerance: float = 1e-9
-    depth: int = 24
-    grid: int = 64
-    window: int = 128
-    seed: int = 0
-    output: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InputError(f"tolerance must be positive, got {self.tolerance}")
-        if self.depth < 1:
-            raise InputError(f"depth must be >= 1, got {self.depth}")
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(
-            tolerance=getattr(args, "tolerance", 1e-9),
-            depth=getattr(args, "depth", 24),
-            grid=getattr(args, "grid", 64),
-            window=getattr(args, "window", 128),
-            seed=getattr(args, "seed", 0),
-            output=getattr(args, "output", None),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="also write the JSON report here")
 
     p = sub.add_parser("check-hadamard", help="exact verification of a triple")
@@ -748,7 +716,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config = RunConfig.from_args(args)
+        if not args.tolerance > 0:
+            raise InputError(f"tolerance must be positive, got {args.tolerance}")
+        if getattr(args, "depth", 1) < 1:
+            raise InputError(f"depth must be >= 1, got {args.depth}")
         return args.fn(args)
     except InputError as exc:
         note(f"input error: {exc}")

@@ -27,11 +27,12 @@ from .cyclotomic import (
     KernelData,
     MaskPolynomial,
     divides,
+    factorize,
     fold_mod,
     has_cyclotomic_factor,
     kernel_polynomial,
 )
-from .digitsets import DigitSet, direct_sum_digits
+from .digitsets import DigitSet, _expand_layers, direct_sum_digits
 from .errors import (
     CMConditionFailure,
     InvalidVariantParams,
@@ -46,30 +47,19 @@ from .productform import KStageForm, ValidationReport, as_layer, validate_k_stag
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m, p = n, 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    out = [1]
+    for p, a in factorize(n):
+        out = [d * p**i for d in out for i in range(a + 1)]
+    return sorted(out)
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _factorize(n) == {n: 1}
+    return factorize(n) == ((n, 1),)
 
 
 def _prime_power_base(s: int) -> int | None:
-    f = _factorize(s)
-    return next(iter(f)) if len(f) == 1 else None
+    f = factorize(s)
+    return f[0][0] if len(f) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +176,8 @@ def tile_complement(a: DigitSet, n: int) -> tuple[int, ...] | None:
     """Exhaustive search for C with A (+) C == Z_N; None when there is none.
 
     Depth-first over the lowest uncovered residue, with a memo of dead
-    cover states; bitmask arithmetic keeps states cheap.
+    cover states; bitmask arithmetic keeps states cheap.  The search keeps
+    its own stack, since a complement can hold N/|A| translates.
     """
     residues = sorted({d % n for d in a.digits})
     if n % len(residues):
@@ -200,24 +191,32 @@ def tile_complement(a: DigitSet, n: int) -> tuple[int, ...] | None:
     full = (1 << n) - 1
     dead: set[int] = set()
 
-    def rec(used: int, chosen: tuple[int, ...]):
-        if used == full:
-            return chosen
-        if used in dead:
-            return None
-        # lowest uncovered residue
+    def frame(used: int):
+        # translates covering the lowest uncovered residue, in increasing order
         r = ((~used) & -(~used)).bit_length() - 1
-        for c in sorted({(r - x) % n for x in residues}):
-            m = masks[c]
-            if m & used:
-                continue
-            hit = rec(used | m, chosen + (c,))
-            if hit is not None:
-                return hit
-        dead.add(used)
-        return None
+        return used, iter(sorted({(r - x) % n for x in residues}))
 
-    return rec(0, ())
+    stack = [frame(0)]
+    chosen: list[int] = []
+    while stack:
+        used, todo = stack[-1]
+        for c in todo:
+            if masks[c] & used:
+                continue
+            nxt = used | masks[c]
+            if nxt == full:
+                return tuple(chosen) + (c,)
+            if nxt in dead:
+                continue
+            chosen.append(c)
+            stack.append(frame(nxt))
+            break
+        else:
+            dead.add(used)
+            stack.pop()
+            if chosen:
+                chosen.pop()
+    return None
 
 
 def check_tile_zn(a: DigitSet, n: int, exhaustive_bound: int = 10_000) -> TileVerdict:
@@ -304,24 +303,26 @@ def spec_kernels(spec: ModuloProductFormSpec) -> tuple[KernelData, ...]:
     )
 
 
+def _modulo_stages(spec: ModuloProductFormSpec, kernels: Sequence[KernelData]):
+    """Stages (j, N^(l_1+..+l_j), E_j) for the layered expansion, where
+    E_j(d) = {e + m_j * z(j, d, e) : e in E_j}."""
+    stages = []
+    total = 0
+    for j in range(1, spec.stages + 1):
+        total += spec.ells[j - 1]
+
+        def layer(d, j=j, m_j=kernels[j].m_j):
+            return tuple(e + m_j * spec.z(j, d, e) for e in spec.parts[j].digits)
+
+        stages.append((j, spec.base**total, layer))
+    return stages
+
+
 def generate_modulo_product_form(spec: ModuloProductFormSpec) -> DigitSet:
     """Iterate D_j = D_(j-1) + N^(l_1+..+l_j) * (E_j + m_j * z) and certify
     that the top kernel polynomial divides the mask of the result."""
     kernels = spec_kernels(spec)
-    digits = list(spec.parts[0].digits)
-    total = 0
-    for j in range(1, spec.stages + 1):
-        total += spec.ells[j - 1]
-        scale = spec.base**total
-        m_j = kernels[j].m_j
-        seen: dict[int, tuple[int, int]] = {}
-        for d in digits:
-            for e in spec.parts[j].digits:
-                x = d + scale * (e + m_j * spec.z(j, d, e))
-                if x in seen:
-                    raise OverlapError(x, seen[x], (d, e), stage=j)
-                seen[x] = (d, e)
-        digits = sorted(seen)
+    digits, _ = _expand_layers(spec.parts[0].digits, _modulo_stages(spec, kernels))
     low = min(digits)
     mask = MaskPolynomial.from_digits(tuple(x - low for x in digits))
     top = kernels[spec.stages]
@@ -357,23 +358,14 @@ def modulo_to_k_stage(
     if len(spectra) != len(spec.parts):
         raise ValueError("need one spectrum per factor set")
 
-    digits = list(spec.parts[0].digits)
+    stages = _modulo_stages(spec, kernels)
+    _, witnesses = _expand_layers(spec.parts[0].digits, stages)
+    parents = [spec.parts[0].digits] + [sorted(seen) for seen in witnesses[:-1]]
     layers: list = []
-    total = 0
-    for j in range(1, spec.stages + 1):
-        total += spec.ells[j - 1]
-        scale = spec.base**total
-        m_j = kernels[j].m_j
-        this_layer: dict[int, DigitSet] = {}
-        nxt = []
-        constant = True
-        for d in digits:
-            shifted = tuple(e + m_j * spec.z(j, d, e) for e in spec.parts[j].digits)
-            this_layer[d] = DigitSet(spec.base, shifted)
-            constant = constant and tuple(sorted(shifted)) == spec.parts[j].digits
-            nxt.extend(d + scale * e for e in shifted)
+    for (j, _, layer), level in zip(stages, parents):
+        this_layer = {d: DigitSet(spec.base, layer(d)) for d in level}
+        constant = all(part.digits == spec.parts[j].digits for part in this_layer.values())
         layers.append(spec.parts[j] if constant else as_layer(this_layer))
-        digits = sorted(nxt)
     form = KStageForm(
         base=spec.base,
         ells=spec.ells,

@@ -309,26 +309,25 @@ def gcd_z(a: MaskPolynomial, b: MaskPolynomial) -> MaskPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization ((p, a), ...) of n, primes increasing; () for n < 2."""
     out = []
-    m = n
-    p = 2
+    m, p = n, 2
     while p * p <= m:
         if m % p == 0:
-            out.append(p)
+            a = 0
             while m % p == 0:
                 m //= p
+                a += 1
+            out.append((p, a))
         p += 1 if p == 2 else 2
     if m > 1:
-        out.append(m)
+        out.append((m, 1))
     return tuple(out)
 
 
 def _radical(n: int) -> int:
-    r = 1
-    for p in _prime_factors(n):
-        r *= p
-    return r
+    return math.prod(p for p, _ in factorize(n))
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +354,7 @@ def cyclotomic_poly(d: int) -> MaskPolynomial:
 
 def euler_phi(n: int) -> int:
     out = n
-    for p in _prime_factors(n):
+    for p, _ in factorize(n):
         out -= out // p
     return out
 
@@ -370,11 +369,8 @@ def compose_cyclotomic_indices(d: int, s: int) -> dict[int, int]:
     if d < 1 or s < 1:
         raise ValueError("indices must be positive")
     current = {d: 1}
-    rest = s
-    p = 2
-    while rest > 1:
-        if rest % p == 0:
-            rest //= p
+    for p, a in factorize(s):
+        for _ in range(a):
             nxt: dict[int, int] = {}
             for e, m in current.items():
                 if e % p == 0:
@@ -382,10 +378,7 @@ def compose_cyclotomic_indices(d: int, s: int) -> dict[int, int]:
                 else:
                     nxt[e] = nxt.get(e, 0) + m
                     nxt[e * p] = nxt.get(e * p, 0) + m
-        else:
-            p += 1 if p == 2 else 2
-            continue
-        current = nxt
+            current = nxt
     return current
 
 
@@ -418,18 +411,7 @@ def _crt_layout(n: int):
     flattening permutation r -> tensor position, and per-axis (p, a)."""
     import numpy as np
 
-    fac: list[tuple[int, int]] = []
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            fac.append((p, a))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        fac.append((m, 1))
+    fac = factorize(n)
     shape = tuple(p**a for p, a in fac)
     r = np.arange(n, dtype=np.int64)
     flat = np.zeros(n, dtype=np.int64)
@@ -437,7 +419,7 @@ def _crt_layout(n: int):
     for size in reversed(shape):
         flat += (r % size) * stride
         stride *= size
-    return shape, tuple(fac), flat
+    return shape, fac, flat
 
 
 def _counts_vanish(counts, n: int) -> bool:

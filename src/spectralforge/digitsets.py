@@ -177,6 +177,29 @@ def direct_sum_digits(*sets: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(acc))
 
 
+def _expand_layers(start: Iterable[int], stages) -> tuple[list[int], list[dict]]:
+    """Layered expansion x = d + scale * e over the digits d of each level.
+
+    ``stages`` lists (label, scale, layer) with ``layer(d)`` giving the
+    layer digits e attached to the parent d.  Returns the sorted digits of
+    the top level and, per stage, the witness map {x: (d, e)}.  The first
+    repeated digit raises OverlapError naming the stage's label.
+    """
+    current = sorted(start)
+    witnesses: list[dict[int, tuple[int, int]]] = []
+    for label, scale, layer in stages:
+        seen: dict[int, tuple[int, int]] = {}
+        for d in current:
+            for e in layer(d):
+                x = d + scale * e
+                if x in seen:
+                    raise OverlapError(x, seen[x], (d, e), stage=label)
+                seen[x] = (d, e)
+        witnesses.append(seen)
+        current = sorted(seen)
+    return current, witnesses
+
+
 def sumset(*sets: Iterable[int]) -> tuple[int, ...]:
     """Plain sumset A + B + ... (collisions collapse silently)."""
     acc = {0}

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cyclotomic import vanishing_sum_test
-from .digitsets import DigitSet, direct_sum_digits
-from .errors import HadamardFailure
+from .digitsets import DigitSet, _expand_layers, direct_sum_digits
+from .errors import HadamardFailure, OverlapError
 
 
 @dataclass(frozen=True)
@@ -177,20 +177,14 @@ def lifted_triple(
     c0, _ = layers[0]
     if not isinstance(c0, DigitSet):
         raise ValueError("level 0 must be a plain digit set")
-    digits = list(c0.digits)
-    for j, (cj, _) in enumerate(layers[1:], start=1):
-        scale = n**j
-        nxt = []
-        seen = {}
-        for a in digits:
-            part = cj[a] if isinstance(cj, Mapping) else cj
-            for e in part.digits:
-                x = a + scale * e
-                if x in seen:
-                    raise ValueError(f"lift collision at level {j}: digit {x}")
-                seen[x] = (a, e)
-                nxt.append(x)
-        digits = nxt
+    stages = [
+        (j, n**j, lambda a, cj=cj: (cj[a] if isinstance(cj, Mapping) else cj).digits)
+        for j, (cj, _) in enumerate(layers[1:], start=1)
+    ]
+    try:
+        digits, _ = _expand_layers(c0.digits, stages)
+    except OverlapError as exc:
+        raise ValueError(f"lift collision at level {exc.stage}: digit {exc.digit}") from exc
     k_top = len(layers) - 1
     spectrum = direct_sum_digits(
         *[[n ** (k_top - j) * l for l in lj.digits] for j, (_, lj) in enumerate(layers)]
@@ -198,6 +192,6 @@ def lifted_triple(
     big_n = n ** (k_top + 1)
     return verify_triple(
         big_n,
-        DigitSet(big_n, tuple(sorted(digits))),
+        DigitSet(big_n, tuple(digits)),
         DigitSet(big_n, spectrum),
     )

@@ -14,16 +14,13 @@ Two evaluation paths coexist:
   rationals for that reason.
 
 Sums over candidate points are accumulated with math.fsum in a fixed order,
-so repeated runs (and the optional thread pool, capped by
-SPECTRAL_FORGE_THREADS) give identical results.
+so repeated runs give identical results.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -35,23 +32,6 @@ from .errors import ShiftSearchFailure, TailBoundUnavailable
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
 TWO_PI = 2.0 * math.pi
-
-
-def thread_count() -> int:
-    raw = os.environ.get("SPECTRAL_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +394,7 @@ def jp_sum(
     use_depth = max(auto_depth(base, digits, height, depth_target), depth or 1)
     trunc = TruncatedMeasure(base, digits, use_depth)
 
-    def one(idx_x):
-        idx, x = idx_x
+    def one(idx, x):
         total = math.fsum(
             abs(trunc.mu_hat_rational((x + p).numerator, (x + p).denominator)) ** 2
             for p in pts
@@ -423,7 +402,7 @@ def jp_sum(
         tgt = target[idx] if isinstance(target, (list, tuple)) else float(target)
         return JPRow(float(x), len(pts), total, tgt)
 
-    return _parallel_map(one, enumerate(xs))
+    return [one(idx, x) for idx, x in enumerate(xs)]
 
 
 def candidate_jp_rows(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .digitsets import DigitSet, direct_sum_digits
+from .digitsets import DigitSet, _expand_layers, direct_sum_digits
 from .errors import OverlapError, ValidationFailure
 from .hadamard import check_triple
 
@@ -124,15 +124,10 @@ def one_stage_form(
 
 def expand_one_stage(form: OneStageForm) -> DigitSet:
     """Union of a + N^r * B_a; a digit collision is a hard error."""
-    scale = form.base**form.r
-    seen: dict[int, tuple[int, int]] = {}
-    for a, b_set in form.b_sets:
-        for b in b_set.digits:
-            x = a + scale * b
-            if x in seen:
-                raise OverlapError(x, seen[x], (a, b))
-            seen[x] = (a, b)
-    return DigitSet(form.base, tuple(sorted(seen)))
+    b_map = form.b_map
+    stage = (None, form.base**form.r, lambda a: b_map[a].digits)
+    digits, _ = _expand_layers(form.a_set.digits, [stage])
+    return DigitSet(form.base, tuple(digits))
 
 
 def validate_one_stage(form: OneStageForm) -> ValidationReport:
@@ -345,26 +340,12 @@ def expand_k_stage(form: KStageForm) -> DigitSet:
 
 def _expand_with_witness(form: KStageForm):
     """Returns (digit list of D^(k), {digit: (parent, e)} witnesses per stage)."""
-    n = form.base
-    current = list(form.e0.digits)
-    if len(set(current)) != len(current):
-        raise OverlapError(current[0], (), (), stage=0)
-    parents: list[dict[int, tuple[int, int]]] = []
+    stages = []
     total = 0
     for j, (ell, layer) in enumerate(zip(form.ells, form.layers), start=1):
         total += ell
-        scale = n**total
-        seen: dict[int, tuple[int, int]] = {}
-        for d in current:
-            part = layer_lookup(layer, d)
-            for e in part.digits:
-                x = d + scale * e
-                if x in seen:
-                    raise OverlapError(x, seen[x], (d, e), stage=j)
-                seen[x] = (d, e)
-        parents.append(seen)
-        current = sorted(seen)
-    return current, parents
+        stages.append((j, form.base**total, lambda d, layer=layer: layer_lookup(layer, d).digits))
+    return _expand_layers(form.e0.digits, stages)
 
 
 def _paths(form: KStageForm):
@@ -506,20 +487,8 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     zero = (0,)
 
     # D^(j) for j = 0..k; D^(j) = D^(k) beyond the top, {0} below 0.
-    stagewise: list[tuple[int, ...]] = [norm.e0.digits]
-    current = norm.e0.digits
-    for j in range(1, k + 1):
-        scale = n**j
-        seen: dict[int, tuple[int, int]] = {}
-        for d in current:
-            part = layer_lookup(norm.layers[j - 1], d)
-            for e in part.digits:
-                x = d + scale * e
-                if x in seen:
-                    raise OverlapError(x, seen[x], (d, e), stage=j)
-                seen[x] = (d, e)
-        current = tuple(sorted(seen))
-        stagewise.append(current)
+    _, parents = _expand_with_witness(norm)
+    stagewise = [norm.e0.digits] + [tuple(sorted(seen)) for seen in parents]
 
     def level(j: int) -> tuple[int, ...]:
         if j < 0:

@@ -116,7 +116,7 @@ def test_residueclass_json_roundtrip():
 def test_verify_jp_deterministic(tmp_path, capsys):
     mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
-    argv = ["verify-jp", "--form", spec, "--levels", "2", "--grid", "3", "--scale", "3", "--seed", "7"]
+    argv = ["verify-jp", "--form", spec, "--levels", "2", "--grid", "3", "--scale", "3"]
     assert _run(argv) == 0
     first = capsys.readouterr().out
     assert _run(argv) == 0
@@ -161,8 +161,11 @@ def test_output_file_written(tmp_path, capsys):
     assert on_disk["schema"].startswith("spectralforge-report/")
 
 
-def test_bad_common_options_are_input_errors(capsys):
+def test_bad_common_options_are_input_errors(tmp_path, capsys):
     assert _run(["run-all-fixtures", "--tolerance", "-1"]) == 2
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    assert _run(["verify-jp", "--form", spec, "--levels", "1", "--grid", "1", "--depth", "0"]) == 2
     capsys.readouterr()
 
 

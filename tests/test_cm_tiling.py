@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,14 +14,17 @@ from spectralforge.cm_tiling import (
     modulo_spec,
     modulo_to_k_stage,
     paq_type_generator,
+    _divisors,
+    is_prime,
     spec_kernels,
     tile_complement,
 )
-from spectralforge.cyclotomic import MaskPolynomial, divides
+from spectralforge.cyclotomic import MaskPolynomial, divides, euler_phi, factorize
 from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import (
     InvalidVariantParams,
     NotCompleteResidues,
+    OverlapError,
     SpectrumUnavailable,
 )
 from spectralforge.hadamard import check_triple
@@ -76,6 +80,24 @@ def test_check_tile_examples():
     assert sorted(x % 72 for x in got) == list(range(72))
 
 
+def test_tile_complement_deep_search():
+    # 2000 translates deep: beyond the interpreter's recursion limit
+    v = check_tile_zn(DigitSet(4000, (0, 1)), 4000)
+    assert v.witness.digits == tuple(range(0, 4000, 2))
+
+
+def test_factorization_helpers_match_brute_force():
+    for n in range(1, 2001):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert _divisors(n) == divisors
+        assert is_prime(n) == (divisors == [1, n])
+        fac = factorize(n)
+        assert math.prod(p**a for p, a in fac) == n
+        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+        assert all(a >= 1 and _divisors(p) == [1, p] for p, a in fac)
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
 def test_exhaustive_agrees_with_conditions_small_sweep():
     """All 0-anchored subsets with |A| dividing N, small N: the sufficient
     verdicts never contradict the exhaustive search."""
@@ -113,6 +135,13 @@ def test_generate_modulo_product_form_examples():
 
     spec0 = modulo_spec(4, [(0, 1, 2, 3)], [2, 4], [])
     assert generate_modulo_product_form(spec0).digits == (0, 1, 2, 3)
+
+    # {0,4} (+) {0,1} is direct, but 4 + 4*0 == 0 + 4*1 once stage 1 is scaled
+    clash = modulo_spec(4, [(0, 4), (0, 1)], [2], [1])
+    for build in (generate_modulo_product_form, modulo_to_k_stage):
+        with pytest.raises(OverlapError) as err:
+            build(clash)
+        assert (err.value.digit, err.value.first, err.value.second, err.value.stage) == (4, (0, 1), (4, 0), 1)
 
 
 def test_modulo_form_with_zero_shifts_equals_direct_expansion():

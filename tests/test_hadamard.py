@@ -199,6 +199,13 @@ def test_lifted_triple_examples():
     triv = lifted_triple(6, [(DigitSet(6, (0,)), DigitSet(6, (0,)))], replicate=3)
     assert triv.digits.digits == (0,) and triv.spectrum.digits == (0,)
 
+    clash = [
+        (DigitSet(4, (0, 4)), DigitSet(4, (0, 2))),
+        ({0: DigitSet(4, (0, 1)), 4: DigitSet(4, (0, 1))}, DigitSet(4, (0, 2))),
+    ]
+    with pytest.raises(ValueError, match=r"^lift collision at level 1: digit 4$"):
+        lifted_triple(4, clash)
+
 
 def test_lifted_triple_random_stacks():
     """Stacks of verified layers lift to verified triples over N^k."""

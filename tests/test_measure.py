@@ -215,18 +215,6 @@ def test_weakly_periodic_examples():
     assert rep.excluded > 0
 
 
-def test_thread_cap_env_var_changes_nothing(monkeypatch):
-    d = DigitSet(4, (0, 2))
-    pts = [Fraction(j) for j in range(6)]
-    base_rows = jp_sum(d, 4, pts, [0.0, 0.3, 0.7])
-    monkeypatch.setenv("SPECTRAL_FORGE_THREADS", "4")
-    rows = jp_sum(d, 4, pts, [0.0, 0.3, 0.7])
-    assert [(r.xi, r.q_t) for r in rows] == [(r.xi, r.q_t) for r in base_rows]
-    monkeypatch.setenv("SPECTRAL_FORGE_THREADS", "not-a-number")
-    rows = jp_sum(d, 4, pts, [0.0])
-    assert rows[0].q_t == base_rows[0].q_t
-
-
 def test_weakly_periodic_zero_never_member():
     # xi = 0 has mask energy 1, so it is always in the scanned region
     rep = weakly_periodic_check(_form23(), integer_window=8, resolution=64)

@@ -46,8 +46,10 @@ def test_expand_one_stage_examples():
 
 def test_expand_overlap_error():
     f = one_stage_form(4, 1, (0, 4), {0: DigitSet(4, (0, 1)), 4: DigitSet(4, (0, 1))}, (0, 1), (0, 2))
-    with pytest.raises(OverlapError):
+    with pytest.raises(OverlapError) as err:
         expand_one_stage(f)
+    assert (err.value.digit, err.value.first, err.value.second) == (4, (0, 1), (4, 0))
+    assert err.value.stage is None and "stage" not in str(err.value)
 
 
 def test_validate_one_stage():
@@ -136,6 +138,10 @@ def test_k_stage_collision_reports_stage():
     with pytest.raises(OverlapError) as err:
         expand_k_stage(ks)
     assert err.value.stage == 1
+    assert (err.value.digit, err.value.first, err.value.second) == (4, (0, 1), (4, 0))
+    with pytest.raises(OverlapError) as err:
+        k_stage_to_one_stage(ks)
+    assert err.value.stage == 1 and err.value.digit == 4
 
 
 def test_k_stage_to_one_stage_identity_k1():
