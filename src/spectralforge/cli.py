@@ -200,7 +200,10 @@ def cmd_check_hadamard(args) -> int:
 
 def cmd_find_spectrum(args) -> int:
     d = load_digitset(args.digits, args.base)
-    found = find_spectra(args.base, d, limit=args.limit)
+    try:
+        found = find_spectra(args.base, d, limit=args.limit)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     emit(
         {
             "command": "find-spectrum",
@@ -335,19 +338,21 @@ def cmd_factor_mask(args) -> int:
     d = load_digitset(args.digits, None if args.base is None else args.base)
     low = d.digits[0]
     mask = MaskPolynomial.from_digits(tuple(x - low for x in d.digits))
-    fac = cyclotomic_factorization(mask)
+    try:
+        fac = cyclotomic_factorization(mask)
+    except ValueError as exc:  # the degree limit of the index search
+        raise InputError(str(exc)) from exc
+    emit(
+        {
+            "command": "factor-mask",
+            "factors": [[idx, mult] for idx, mult in fac.factors],
+            "residual": dict((str(e), c) for e, c in fac.residual.terms),
+        },
+        args.output,
+    )
     for idx, mult in fac.factors:
-        print(f"Phi_{idx} ^ {mult}")
-    print(f"residual: {fac.residual}")
-    if args.output:
-        emit(
-            {
-                "command": "factor-mask",
-                "factors": [[idx, mult] for idx, mult in fac.factors],
-                "residual": dict((str(e), c) for e, c in fac.residual.terms),
-            },
-            args.output,
-        )
+        note(f"Phi_{idx} ^ {mult}")
+    note(f"residual: {fac.residual}")
     note(f"{len(fac.factors)} cyclotomic factor(s)")
     return 0
 
@@ -618,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--output", help="also write the JSON report here")
 
     p = sub.add_parser("check-hadamard", help="exact verification of a triple")
@@ -688,6 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--window", type=int, default=128)
     p.add_argument("--scale", default=None, help="rational scale, e.g. 3 or 1/2")
+    p.add_argument("--tolerance", type=float, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_verify_jp)
 
@@ -695,6 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--tolerance", type=float, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_check_lemma42)
 
@@ -716,8 +722,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not args.tolerance > 0:
+        if not getattr(args, "tolerance", 1.0) > 0:
             raise InputError(f"tolerance must be positive, got {args.tolerance}")
+        if getattr(args, "base", None) is not None and args.base < 2:
+            raise InputError(f"base must be >= 2, got {args.base}")
         if getattr(args, "depth", 1) < 1:
             raise InputError(f"depth must be >= 1, got {args.depth}")
         return args.fn(args)

@@ -26,9 +26,7 @@ from typing import Mapping, Sequence
 from .cyclotomic import (
     KernelData,
     MaskPolynomial,
-    divides,
     factorize,
-    fold_mod,
     has_cyclotomic_factor,
     kernel_polynomial,
 )
@@ -325,11 +323,10 @@ def generate_modulo_product_form(spec: ModuloProductFormSpec) -> DigitSet:
     digits, _ = _expand_layers(spec.parts[0].digits, _modulo_stages(spec, kernels))
     low = min(digits)
     mask = MaskPolynomial.from_digits(tuple(x - low for x in digits))
+    # K^(k) is a product of pairwise coprime powers Phi_e^m, so it divides
+    # the mask iff each of them does
     top = kernels[spec.stages]
-    # K^(k) divides x^(n_k) - 1, so folding the mask mod n_k preserves the
-    # divisibility question while keeping the division small
-    folded = fold_mod(mask, top.n_j)
-    if not (folded.is_zero or divides(top.poly, folded)):
+    if not all(has_cyclotomic_factor(mask, e, m) for e, m in top.cyclotomic_indices):
         raise KernelDivisibilityFailure(
             "kernel polynomial does not divide the generated mask; invalid spec or bug"
         )

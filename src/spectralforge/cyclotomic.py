@@ -2,10 +2,11 @@
 
 Mask polynomials P_A(x) = sum of x^a over a digit set A are kept sparse
 (exponent -> coefficient); digit sets sitting near N^(2k) have huge degree
-but only a handful of terms.  Everything that decides something (vanishing
-sums, cyclotomic divisibility, kernel divisibility) is exact integer
-arithmetic; floating point appears only as a sound pre-screen that may
-reject candidates whose value is provably far from zero.
+but only a handful of terms.  Every decision (vanishing sums, cyclotomic
+divisibility with multiplicity, kernel divisibility, factorization) is
+exact integer arithmetic with no floating-point step: each comes down to
+whether an integer combination of n-th roots of unity vanishes, decided
+by one tensor-basis reduction (``_vanishes``).
 
 Phi_d denotes the d-th cyclotomic polynomial, the minimal polynomial of
 exp(2*pi*i/d) over the rationals.
@@ -386,70 +387,55 @@ def compose_cyclotomic_indices(d: int, s: int) -> dict[int, int]:
 # Vanishing sums of roots of unity.
 
 
-def fold_mod(poly: MaskPolynomial, n: int) -> MaskPolynomial:
-    """Reduce exponents mod n (reduction mod x^n - 1)."""
-    acc: dict[int, int] = {}
-    for e, c in poly.terms:
-        r = e % n
-        acc[r] = acc.get(r, 0) + c
-    return MaskPolynomial(tuple(acc.items()))
-
-
-def has_cyclotomic_factor(poly: MaskPolynomial, d: int) -> bool:
-    """Exact test Phi_d | poly, via folding mod x^d - 1 first."""
-    if poly.is_zero:
-        return True
-    folded = fold_mod(poly, d) if poly.degree >= d else poly
-    if folded.is_zero:
-        return True
-    return divides(cyclotomic_poly(d), folded)
-
-
-@lru_cache(maxsize=None)
-def _crt_layout(n: int):
-    """CRT tensor layout of Z_n: shape over the prime-power factors, the
-    flattening permutation r -> tensor position, and per-axis (p, a)."""
-    import numpy as np
-
-    fac = factorize(n)
-    shape = tuple(p**a for p, a in fac)
-    r = np.arange(n, dtype=np.int64)
-    flat = np.zeros(n, dtype=np.int64)
-    stride = 1
-    for size in reversed(shape):
-        flat += (r % size) * stride
-        stride *= size
-    return shape, fac, flat
-
-
-def _counts_vanish(counts, n: int) -> bool:
+def _vanishes(counts: dict[int, int], n: int) -> bool:
     """Exact test: sum of counts[r] * zeta_n^r == 0.
 
     Writes the value in the tensor power basis of Q(zeta_n) as the tensor
-    product over prime powers p^a of Q(zeta_{p^a}); along each axis the
-    only relation is that the p slices indexed by v in r = u + v*p^(a-1)
-    sum against 1 + eta + ... + eta^(p-1) = 0, so subtracting the top
-    slice from the others expresses the value in an actual basis.  The sum
-    vanishes iff every resulting entry is zero.  Integer arithmetic
-    throughout; equivalent to Phi_n dividing the folded polynomial (the
-    equivalence is cross-checked against exact division in the test suite).
+    product over prime powers p^a of Q(zeta_{p^a}), keyed by the CRT
+    coordinates (r mod p^a, ...).  Along each axis the only relation is
+    that the p coordinates u + v*p^(a-1), v < p, sum against
+    1 + eta + ... + eta^(p-1) = 0, so moving each top coordinate
+    (v = p - 1) onto the other p - 1 expresses the value in an actual
+    basis; it vanishes iff every resulting coefficient is zero.  The dict
+    holds only nonzero terms and Python ints, so the cost follows the
+    number of terms, not n, and nothing overflows.
     """
-    import numpy as np
-
-    shape, fac, flat = _crt_layout(n)
-    tensor = np.zeros(len(flat), dtype=np.int64)
-    tensor[flat] = counts  # flat is a bijection of Z_n
-    tensor = tensor.reshape(shape)
+    fac = factorize(n)
+    moduli = [p**a for p, a in fac]
+    tensor: dict[tuple[int, ...], int] = {}
+    for r, c in counts.items():
+        key = tuple(r % m for m in moduli)
+        tensor[key] = tensor.get(key, 0) + c
     for axis, (p, a) in enumerate(fac):
         sub = p ** (a - 1)
-        new_shape = tensor.shape[:axis] + (p, sub) + tensor.shape[axis + 1 :]
-        view = tensor.reshape(new_shape)
-        index_top = (slice(None),) * axis + (slice(p - 1, p),)
-        index_rest = (slice(None),) * axis + (slice(0, p - 1),)
-        tensor = view[index_rest] - view[index_top]
-        flat_axis = tensor.shape[: axis] + ((p - 1) * sub,) + tensor.shape[axis + 2 :]
-        tensor = tensor.reshape(flat_axis)
-    return not np.any(tensor)
+        top = (p - 1) * sub
+        reduced: dict[tuple[int, ...], int] = {}
+        for key, c in tensor.items():
+            if not c:
+                continue
+            u = key[axis]
+            if u < top:
+                reduced[key] = reduced.get(key, 0) + c
+                continue
+            for v in range(p - 1):
+                moved = key[:axis] + (u - top + v * sub,) + key[axis + 1 :]
+                reduced[moved] = reduced.get(moved, 0) - c
+        tensor = reduced
+    return not any(tensor.values())
+
+
+def has_cyclotomic_factor(poly: MaskPolynomial, d: int, multiplicity: int = 1) -> bool:
+    """Exact test Phi_d^m | poly for m = multiplicity.
+
+    Phi_d is irreducible, so this holds iff zeta_d is a root of poly of
+    multiplicity >= m, i.e. iff (x d/dx)^j poly = sum of c * e^j * x^e
+    vanishes at zeta_d for every j < m.  Each value is decided by the
+    tensor-basis test, which reads exponents mod d itself, so no fold or
+    division is needed whatever the degree.
+    """
+    return all(
+        _vanishes({e: c * e**j for e, c in poly.terms}, d) for j in range(multiplicity)
+    )
 
 
 def vanishing_sum_test(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:
@@ -457,16 +443,18 @@ def vanishing_sum_test(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:
 
     The sum is S(zeta_n) for S(x) = sum x^(d*t mod n); it vanishes iff the
     minimal polynomial Phi_n divides S.  The decision runs in the tensor
-    power basis (integer arithmetic, linear in n); ``vanishing_by_division``
-    is the direct divisibility form, kept as the independent oracle.
+    power basis (integer arithmetic over the nonzero terms only);
+    ``vanishing_by_division`` is the direct divisibility form, kept as the
+    independent oracle.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     digits = d_set.digits if isinstance(d_set, DigitSet) else tuple(d_set)
-    counts = [0] * n
+    counts: dict[int, int] = {}
     for d in digits:
-        counts[(d * t) % n] += 1
-    return _counts_vanish(counts, n)
+        r = (d * t) % n
+        counts[r] = counts.get(r, 0) + 1
+    return _vanishes(counts, n)
 
 
 def vanishing_by_division(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:
@@ -509,12 +497,30 @@ class CyclotomicFactorization:
 def _candidate_indices(max_phi: int) -> list[int]:
     """All d >= 1 with phi(d) <= max_phi.
 
-    phi(d) >= sqrt(d/2), so d <= 2*max_phi^2 is a safe enumeration bound.
-    A totient sieve keeps this linear-ish even for degrees in the thousands.
+    Rosser-Schoenfeld (Illinois J. Math. 6 (1962)): phi(d) > g(d) =
+    d / (e^gamma * ln ln d + 3 / ln ln d) for d >= 3, and g increases on
+    d >= 3.  So the first d >= 3 with g(d) >= max_phi + 1 (the margin covers
+    rounding in g) bounds every candidate; the search for it stays inside
+    the elementary bound phi(d) >= sqrt(d/2), i.e. d <= 2*max_phi^2 + 1.
+    A totient sieve up to that bound lists the candidates.
     """
     if max_phi < 1:
         return [1]
-    bound = 2 * max_phi * max_phi + 1
+
+    e_gamma = 1.7810724179901979  # e^gamma, gamma = Euler's constant
+
+    def g(d: int) -> float:
+        lnln = math.log(math.log(d))
+        return d / (e_gamma * lnln + 3 / lnln)
+
+    lo, hi = 3, 2 * max_phi * max_phi + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if g(mid) >= max_phi + 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    bound = lo
     phi = list(range(bound + 1))
     for p in range(2, bound + 1):
         if phi[p] == p:  # p prime
@@ -527,45 +533,28 @@ def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
     """Split off every cyclotomic factor Phi_d (with multiplicity).
 
     Only d with phi(d) <= deg poly can divide, so the candidate list is
-    finite.  A double-precision evaluation at a primitive d-th root screens
-    out candidates whose value is provably nonzero (forward error is far
-    below the rejection threshold); survivors are confirmed by exact
-    division.
+    finite.  Each candidate is decided by the exact tensor-basis test
+    ``has_cyclotomic_factor``; for those that divide, repeated exact
+    division yields the multiplicity and the residual.
     """
     if poly.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if poly.degree > 10_000:
         raise ValueError(
-            "degree too large for the complete index search "
-            "(the candidate bound grows with degree^2); fold mod x^n - 1 first"
+            f"degree {poly.degree} is above the limit 10,000 of the complete index search"
         )
     work = poly
     found: list[tuple[int, int]] = []
     for d in _candidate_indices(poly.degree):
-        if work.degree < euler_phi(d):
+        if work.degree < euler_phi(d) or not has_cyclotomic_factor(work, d):
             continue
-        if d > 1:
-            val = work.evaluate_unit(1, d)
-            # |computed - true| <= ~ mass * 1e-14; anything above the
-            # threshold is certainly a nonzero value, so skipping is sound.
-            mass = sum(abs(c) for _, c in work.terms)
-            if abs(val) > 1e-7 * max(mass, 1):
-                continue
-        mult = 0
-        phi_d = cyclotomic_poly(d)
-        while True:
-            try:
-                q, r = divmod_exact(work, phi_d)
-            except ValueError:
-                break
-            if not r.is_zero:
-                break
-            work = q
-            mult += 1
-            if work.degree < euler_phi(d):
-                break
-        if mult:
-            found.append((d, mult))
+        # Phi_d is monic, so every division is integral
+        phi_d, mult = cyclotomic_poly(d), 0
+        q, r = divmod_exact(work, phi_d)
+        while r.is_zero:
+            work, mult = q, mult + 1
+            q, r = divmod_exact(work, phi_d)
+        found.append((d, mult))
     return CyclotomicFactorization(tuple(found), work, poly)
 
 

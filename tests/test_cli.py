@@ -90,9 +90,9 @@ def test_check_t1t2_reports(tmp_path, capsys):
 def test_factor_mask_output(tmp_path, capsys):
     d24 = _write(tmp_path, "d24.json", {"base": 24, "digits": ["0", "1", "16", "17"]})
     code = _run(["factor-mask", "--digits", d24])
-    out = capsys.readouterr().out
+    out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert "Phi_2 ^ 1" in out and "Phi_32 ^ 1" in out and "residual: 1" in out
+    assert out["factors"] == [[2, 1], [32, 1]] and out["residual"] == {"0": 1}
 
 
 def test_validate_and_reduce_roundtrip(tmp_path, capsys):
@@ -162,10 +162,23 @@ def test_output_file_written(tmp_path, capsys):
 
 
 def test_bad_common_options_are_input_errors(tmp_path, capsys):
-    assert _run(["run-all-fixtures", "--tolerance", "-1"]) == 2
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    assert _run(["check-lemma42", "--form", spec, "--tolerance", "-1"]) == 2
     assert _run(["verify-jp", "--form", spec, "--levels", "1", "--grid", "1", "--depth", "0"]) == 2
+    d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
+    l = _write(tmp_path, "l.json", {"base": 4, "digits": ["0", "1"]})
+    d04 = _write(tmp_path, "d04.json", {"base": 4, "digits": ["0", "4"]})
+    for argv in (
+        ["check-tile", "--base", "0", "--digits", d],
+        ["check-hadamard", "--base", "0", "--digits", d, "--spectrum", l],
+        ["find-spectrum", "--base", "4", "--digits", d04],
+        ["check-t1t2", "--base", "1", "--digits", d],
+        ["find-spectrum", "--base", "-3", "--digits", d],
+        ["factor-mask", "--base", "0", "--digits", d],
+        ["factor-mask", "--digits", _write(tmp_path, "big.json", {"base": 2, "digits": ["0", "20001"]})],
+    ):
+        assert _run(argv) == 2, argv
     capsys.readouterr()
 
 

@@ -136,6 +136,12 @@ def test_generate_modulo_product_form_examples():
     spec0 = modulo_spec(4, [(0, 1, 2, 3)], [2, 4], [])
     assert generate_modulo_product_form(spec0).digits == (0, 1, 2, 3)
 
+    # kernel Phi_4^2 divides the mask (1+x^2)(1+x^6), though not its fold
+    # mod x^4 - 1, which is 2 + 2x^2
+    repeated = modulo_spec(2, [(0, 2), (0, 3)], [2, 4], [1])
+    assert spec_kernels(repeated)[-1].cyclotomic_indices == ((4, 2),)
+    assert generate_modulo_product_form(repeated).digits == (0, 2, 6, 8)
+
     # {0,4} (+) {0,1} is direct, but 4 + 4*0 == 0 + 4*1 once stage 1 is scaled
     clash = modulo_spec(4, [(0, 4), (0, 1)], [2], [1])
     for build in (generate_modulo_product_form, modulo_to_k_stage):

@@ -14,7 +14,9 @@ from spectralforge.cyclotomic import (
     divmod_exact,
     euler_phi,
     exact_quotient,
+    _candidate_indices,
     gcd_z,
+    has_cyclotomic_factor,
     kernel_polynomial,
     vanishing_by_division,
     vanishing_sum_test,
@@ -146,6 +148,21 @@ def test_vanishing_sum_against_division_route():
                     t,
                     n,
                 )
+    # Phi_d^m | P by the same tensor-basis test against exact division, on
+    # 0/1 masks, signed polynomials and products with known repeated factors
+    polys = [MaskPolynomial.from_digits((0, 2, 6, 8))]
+    for _ in range(8):
+        digits = {0} | {rng.randrange(1, 30) for _ in range(rng.randrange(1, 6))}
+        signed = [rng.randrange(-2, 3) for _ in range(rng.randrange(0, 10))] + [rng.choice((1, -1))]
+        for mask in (MaskPolynomial.from_digits(digits), MaskPolynomial.from_dense(signed)):
+            a, b = rng.randrange(1, 41), rng.randrange(1, 41)
+            polys.append(mask)
+            polys.append(cyclotomic_poly(a) ** rng.randrange(1, 4) * cyclotomic_poly(b) ** rng.randrange(1, 3) * mask)
+    for poly in polys:
+        for d in range(1, 41):
+            for m in range(1, 5):
+                want = divides(cyclotomic_poly(d) ** m, poly)
+                assert has_cyclotomic_factor(poly, d, m) == want, (str(poly), d, m)
 
 
 def test_factorization_examples_and_roundtrip():
@@ -173,6 +190,13 @@ def test_factorization_examples_and_roundtrip():
         for d in range(1, 2 * fac.residual.degree**2 + 2):
             if fac.residual.degree >= euler_phi(d):
                 assert not divides(cyclotomic_poly(d), fac.residual)
+
+
+def test_candidate_indices_match_totient_bound():
+    # phi(d) >= sqrt(d/2) makes d <= 2*m^2 + 1 a complete range to compare with
+    phi = [0] + [euler_phi(d) for d in range(1, 2 * 150 * 150 + 2)]
+    for m in range(1, 151):
+        assert _candidate_indices(m) == [d for d in range(1, 2 * m * m + 2) if phi[d] <= m], m
 
 
 def test_common_zero_factorization_examples():
