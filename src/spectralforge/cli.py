@@ -3,8 +3,8 @@
 One binary, many subcommands; every command reads/writes JSON (digits as
 decimal strings, so arbitrary-precision values survive the round trip),
 prints a machine-readable report to stdout, and keeps the human summary on
-stderr.  Exit codes: 0 pass/valid/found, 1 fail/invalid/none, 2 input
-error.
+stderr.  Exit codes: 0 pass/valid/found, 1 fail/invalid/none or an error in
+the package, 2 input error; an error gets a report too, naming it.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Any, Sequence
 
 from . import cm_tiling, measure
 from .cyclotomic import cyclotomic_factorization, MaskPolynomial
 from .digitsets import DigitSet
-from .errors import HadamardFailure, InputError, SpectralForgeError
+from .errors import InputError, SpectralForgeError
 from .hadamard import check_triple, find_spectra
 from .productform import (
     KStageForm,
@@ -46,10 +47,7 @@ def _digits_to_json(ds: Sequence[int]) -> list[str]:
 
 
 def _digits_from_json(raw) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in raw)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad digit list: {raw!r}") from exc
+    return tuple(int(x) for x in raw)
 
 
 def digitset_to_json(d: DigitSet) -> dict:
@@ -137,30 +135,43 @@ def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+
+
+# Anything a file can hold makes one of these when the package builds its
+# objects from it: a missing key, a wrong type, or a value the constructors
+# reject (base < 2, no digits, repeated digits, ...).
+_BUILD_ERRORS = (SpectralForgeError, LookupError, TypeError, ValueError, AttributeError)
+
+
+def _load(path: str, what: str, build):
+    """build(obj) on the JSON in ``path``; a failure to build is an input error."""
+    obj = load_json(path)
+    try:
+        return build(obj)
+    except _BUILD_ERRORS as exc:
+        raise InputError(f"{path}: bad {what}: {exc}") from exc
+
+
+def _form_from_json(obj) -> OneStageForm | KStageForm:
+    if not isinstance(obj, dict):
+        raise InputError("expected an object")
+    return k_stage_from_json(obj) if "ells" in obj else one_stage_from_json(obj)
 
 
 def load_form(path: str) -> OneStageForm | KStageForm:
-    obj = load_json(path)
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: expected an object")
-    try:
-        if "ells" in obj:
-            return k_stage_from_json(obj)
-        return one_stage_from_json(obj)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{path}: bad form: {exc}") from exc
+    return _load(path, "form", _form_from_json)
 
 
 def load_digitset(path: str, base: int | None) -> DigitSet:
-    obj = load_json(path)
-    try:
-        return digitset_from_json(obj, base)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"{path}: bad digit set: {exc}") from exc
+    return _load(path, "digit set", lambda obj: digitset_from_json(obj, base))
+
+
+def _zshifts_from_json(raw) -> dict:
+    return {(int(r["stage"]), int(r["parent"]), int(r["e"])): int(r["z"]) for r in raw}
 
 
 def emit(report: dict, output: str | None):
@@ -177,137 +188,106 @@ def note(msg: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns the exit code.
+# Subcommand handlers.  Each returns (passed, report fields, summary); main()
+# turns that into the report, the summary on stderr and the exit code.
+
+Outcome = tuple[bool, dict, str]
 
 
-def cmd_check_hadamard(args) -> int:
+def cmd_check_hadamard(args) -> Outcome:
     d = load_digitset(args.digits, args.base)
     l = load_digitset(args.spectrum, args.base)
     rep = check_triple(args.base, d, l)
     ok = rep is None
-    emit(
-        {
-            "command": "check-hadamard",
-            "base": args.base,
-            "valid": ok,
-            "failure": None if ok else {"kind": rep.kind, "detail": str(rep)},
-        },
-        args.output,
-    )
-    note("valid Hadamard triple" if ok else f"invalid: {rep}")
-    return 0 if ok else 1
+    fields = {
+        "base": args.base,
+        "valid": ok,
+        "failure": None if ok else {"kind": rep.kind, "detail": str(rep)},
+    }
+    return ok, fields, "valid Hadamard triple" if ok else f"invalid: {rep}"
 
 
-def cmd_find_spectrum(args) -> int:
+def cmd_find_spectrum(args) -> Outcome:
     d = load_digitset(args.digits, args.base)
     try:
         found = find_spectra(args.base, d, limit=args.limit)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    emit(
-        {
-            "command": "find-spectrum",
-            "base": args.base,
-            "count": len(found),
-            "spectra": [_digits_to_json(s.digits) for s in found],
-        },
-        args.output,
-    )
-    note(f"{len(found)} spectrum (spectra) found")
-    return 0 if found else 1
+    fields = {
+        "base": args.base,
+        "count": len(found),
+        "spectra": [_digits_to_json(s.digits) for s in found],
+    }
+    return bool(found), fields, f"{len(found)} spectrum (spectra) found"
 
 
-def cmd_validate_form(args) -> int:
+def cmd_validate_form(args) -> Outcome:
     form = load_form(args.spec)
-    if isinstance(form, OneStageForm):
-        report = validate_one_stage(form)
-    else:
-        report = validate_k_stage(form)
-    emit(
-        {
-            "command": "validate-form",
-            "kind": "one-stage" if isinstance(form, OneStageForm) else "k-stage",
-            "ok": report.ok,
-            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks],
-        },
-        args.output,
-    )
-    note(str(report))
-    return 0 if report.ok else 1
+    one = isinstance(form, OneStageForm)
+    report = validate_one_stage(form) if one else validate_k_stage(form)
+    fields = {
+        "kind": "one-stage" if one else "k-stage",
+        "ok": report.ok,
+        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks],
+    }
+    return report.ok, fields, str(report)
 
 
-def cmd_gen_product_form(args) -> int:
+def cmd_gen_product_form(args) -> Outcome:
     form = load_form(args.spec)
     digits = expand_one_stage(form) if isinstance(form, OneStageForm) else expand_k_stage(form)
-    payload = {"command": "gen-product-form", "digits": digitset_to_json(digits)}
+    fields = {"digits": digitset_to_json(digits)}
     if args.expand:
-        payload["count"] = len(digits)
-    emit(payload, args.output)
-    note(f"expanded to {len(digits)} digits")
-    return 0
+        fields["count"] = len(digits)
+    return True, fields, f"expanded to {len(digits)} digits"
 
 
-def cmd_reduce_kstage(args) -> int:
+def cmd_reduce_kstage(args) -> Outcome:
     form = load_form(args.spec)
     if not isinstance(form, KStageForm):
         raise InputError("reduce-kstage expects a staged form (with 'ells')")
-    one = k_stage_to_one_stage(form, k_target=args.k)
-    emit(
-        {"command": "reduce-kstage", "one_stage": one_stage_to_json(one)},
-        args.output,
-    )
-    note(f"reduced to a one-stage form over base {one.base}")
-    return 0
+    try:
+        one = k_stage_to_one_stage(form, k_target=args.k)
+    except ValueError as exc:  # --k below the form's own stage count
+        raise InputError(str(exc)) from exc
+    summary = f"reduced to a one-stage form over base {one.base}"
+    return True, {"one_stage": one_stage_to_json(one)}, summary
 
 
-def cmd_check_t1t2(args) -> int:
+def cmd_check_t1t2(args) -> Outcome:
     d = load_digitset(args.digits, args.base)
     prof = cm_tiling.cm_profile(d, args.base)
-    emit(
-        {
-            "command": "check-t1t2",
-            "base": args.base,
-            "prime_power_indices": list(prof.s_indices),
-            "t1": prof.t1,
-            "t2": prof.t2,
-            "t1_detail": prof.t1_detail,
-            "t2_detail": prof.t2_detail,
-            "spectrum": None
-            if prof.tiling_spectrum is None
-            else _digits_to_json(prof.tiling_spectrum.digits),
-        },
-        args.output,
-    )
+    fields = {
+        "base": args.base,
+        "prime_power_indices": list(prof.s_indices),
+        "t1": prof.t1,
+        "t2": prof.t2,
+        "t1_detail": prof.t1_detail,
+        "t2_detail": prof.t2_detail,
+        "spectrum": None
+        if prof.tiling_spectrum is None
+        else _digits_to_json(prof.tiling_spectrum.digits),
+    }
     if prof.t1 and prof.t2:
-        note("both tiling conditions hold; spectrum emitted")
-        return 0
-    note("T1 failure" if not prof.t1 else "T2 failure")
-    return 1
+        return True, fields, "both tiling conditions hold; spectrum emitted"
+    return False, fields, "T1 failure" if not prof.t1 else "T2 failure"
 
 
-def cmd_check_tile(args) -> int:
+def cmd_check_tile(args) -> Outcome:
     d = load_digitset(args.digits, args.base)
     bound = max(10_000, args.base if args.exhaustive else 0)
     verdict = cm_tiling.check_tile_zn(d, args.base, exhaustive_bound=bound)
-    emit(
-        {
-            "command": "check-tile",
-            "base": args.base,
-            "verdict": verdict.verdict,
-            "tiles": verdict.tiles,
-            "witness": None if verdict.witness is None else _digits_to_json(verdict.witness.digits),
-        },
-        args.output,
-    )
-    note(f"{verdict.verdict}; tiles={verdict.tiles}")
-    return 0 if verdict.tiles else 1
+    fields = {
+        "base": args.base,
+        "verdict": verdict.verdict,
+        "tiles": verdict.tiles,
+        "witness": None if verdict.witness is None else _digits_to_json(verdict.witness.digits),
+    }
+    return verdict.tiles, fields, f"{verdict.verdict}; tiles={verdict.tiles}"
 
 
-def cmd_classify_paq(args) -> int:
-    zshifts = None
-    if args.zshifts:
-        raw = load_json(args.zshifts)
-        zshifts = {(int(r["stage"]), int(r["parent"]), int(r["e"])): int(r["z"]) for r in raw}
+def cmd_classify_paq(args) -> Outcome:
+    zshifts = _load(args.zshifts, "zshifts", _zshifts_from_json) if args.zshifts else None
     res = cm_tiling.paq_type_generator(
         args.p,
         args.q,
@@ -316,67 +296,56 @@ def cmd_classify_paq(args) -> int:
         m_values=args.params,
         zshifts=zshifts,
     )
-    emit(
-        {
-            "command": "classify-paq",
-            "multiplier": res.multiplier,
-            "digits": digitset_to_json(res.digits),
-            "generated": digitset_to_json(res.generated),
-            "form": k_stage_to_json(res.form),
-            "form_ok": res.report.ok,
-            "congruences": [
-                {"label": c.label, "ok": c.ok} for c in res.congruences
-            ],
-        },
-        args.output,
-    )
-    note(f"generated {len(res.digits)} digits, multiplier {res.multiplier}")
-    return 0 if res.report.ok else 1
+    fields = {
+        "multiplier": res.multiplier,
+        "digits": digitset_to_json(res.digits),
+        "generated": digitset_to_json(res.generated),
+        "form": k_stage_to_json(res.form),
+        "form_ok": res.report.ok,
+        "congruences": [
+            {"label": c.label, "ok": c.ok} for c in res.congruences
+        ],
+    }
+    return res.report.ok, fields, f"generated {len(res.digits)} digits, multiplier {res.multiplier}"
 
 
-def cmd_factor_mask(args) -> int:
-    d = load_digitset(args.digits, None if args.base is None else args.base)
+def cmd_factor_mask(args) -> Outcome:
+    d = load_digitset(args.digits, args.base)
     low = d.digits[0]
     mask = MaskPolynomial.from_digits(tuple(x - low for x in d.digits))
     try:
         fac = cyclotomic_factorization(mask)
     except ValueError as exc:  # the degree limit of the index search
         raise InputError(str(exc)) from exc
-    emit(
-        {
-            "command": "factor-mask",
-            "factors": [[idx, mult] for idx, mult in fac.factors],
-            "residual": dict((str(e), c) for e, c in fac.residual.terms),
-        },
-        args.output,
-    )
-    for idx, mult in fac.factors:
-        note(f"Phi_{idx} ^ {mult}")
-    note(f"residual: {fac.residual}")
-    note(f"{len(fac.factors)} cyclotomic factor(s)")
-    return 0
+    fields = {
+        "factors": [[idx, mult] for idx, mult in fac.factors],
+        "residual": dict((str(e), c) for e, c in fac.residual.terms),
+    }
+    lines = [f"Phi_{idx} ^ {mult}" for idx, mult in fac.factors]
+    lines += [f"residual: {fac.residual}", f"{len(fac.factors)} cyclotomic factor(s)"]
+    return True, fields, "\n".join(lines)
 
 
-def cmd_verify_jp(args) -> int:
+def cmd_verify_jp(args) -> Outcome:
     form = load_form(args.form)
     if not isinstance(form, OneStageForm):
         raise InputError("verify-jp expects a one-stage form")
-    scale = Fraction(args.scale) if args.scale else Fraction(1)
-    cand = measure.build_spectrum(
-        form, levels=args.levels, search_window=args.window, scale=scale
-    )
+    scale = args.scale
+    try:
+        cand = measure.build_spectrum(
+            form, levels=args.levels, search_window=args.window, scale=scale
+        )
+    except ValueError as exc:  # a negative --levels, or a form that is not normalized
+        raise InputError(str(exc)) from exc
     # candidate points scale by s, so they target the measure whose digits
     # are the expansion divided by s
     d_form = expand_one_stage(form)
-    if scale != 1:
-        if any((x * scale.denominator) % scale.numerator for x in d_form.digits):
-            raise InputError(f"expansion digits are not divisible by the scale {scale}")
-        d_interest = DigitSet(
-            form.base,
-            tuple(x * scale.denominator // scale.numerator for x in d_form.digits),
-        )
-    else:
-        d_interest = d_form
+    if any((x * scale.denominator) % scale.numerator for x in d_form.digits):
+        raise InputError(f"expansion digits are not divisible by the scale {scale}")
+    d_interest = DigitSet(
+        form.base,
+        tuple(x * scale.denominator // scale.numerator for x in d_form.digits),
+    )
     xi = [0.0] + measure.chebyshev_grid(args.grid - 1)[: args.grid - 1]
     rows_by_level = []
     ok = True
@@ -388,65 +357,55 @@ def cmd_verify_jp(args) -> int:
     for prev, nxt in zip(rows_by_level, rows_by_level[1:]):
         for a, b in zip(prev, nxt):
             ok = ok and b.q_t >= a.q_t - 1e-12
-    emit(
-        {
-            "command": "verify-jp",
-            "levels": args.levels,
-            "scale": str(scale),
-            "bessel_and_monotone": ok,
-            "rows": [
-                {
-                    "level": k,
-                    "xi": r.xi,
-                    "Q_T": r.q_t,
-                    "target": r.target,
-                    "deficiency": r.deficiency,
-                }
-                for k, rows in enumerate(rows_by_level)
-                for r in rows
-            ],
-        },
-        args.output,
-    )
-    note("Bessel bound and monotone growth hold" if ok else "violation found")
-    return 0 if ok else 1
+    fields = {
+        "levels": args.levels,
+        "scale": str(scale),
+        "bessel_and_monotone": ok,
+        "rows": [
+            {
+                "level": k,
+                "xi": r.xi,
+                "Q_T": r.q_t,
+                "target": r.target,
+                "deficiency": r.deficiency,
+            }
+            for k, rows in enumerate(rows_by_level)
+            for r in rows
+        ],
+    }
+    return ok, fields, "Bessel bound and monotone growth hold" if ok else "violation found"
 
 
-def cmd_check_lemma42(args) -> int:
+def cmd_check_lemma42(args) -> Outcome:
     form = load_form(args.form)
     if not isinstance(form, OneStageForm):
         raise InputError("check-lemma42 expects a one-stage form")
     worst = 0.0
     for p in range(1, args.p + 1):
-        dev = measure.finite_level_identity_check(form, p, measure.chebyshev_grid(args.grid))
+        try:
+            dev = measure.finite_level_identity_check(form, p, measure.chebyshev_grid(args.grid))
+        except ValueError as exc:  # a form that is not normalized
+            raise InputError(str(exc)) from exc
         worst = max(worst, dev)
-    emit(
-        {"command": "check-lemma42", "max_p": args.p, "max_deviation": worst},
-        args.output,
-    )
-    note(f"max deviation {worst:.3e}")
-    return 0 if worst < args.tolerance else 1
+    fields = {"max_p": args.p, "max_deviation": worst}
+    return worst < args.tolerance, fields, f"max deviation {worst:.3e}"
 
 
-def cmd_weakly_periodic(args) -> int:
+def cmd_weakly_periodic(args) -> Outcome:
     form = load_form(args.form)
     if not isinstance(form, OneStageForm):
         raise InputError("weakly-periodic expects a one-stage form")
     rep = measure.weakly_periodic_check(
         form, integer_window=args.window, resolution=args.resolution
     )
-    emit(
-        {
-            "command": "weakly-periodic",
-            "min_max": rep.min_max,
-            "argmin_xi": rep.argmin_xi,
-            "flagged": list(rep.flagged),
-            "excluded": rep.excluded,
-        },
-        args.output,
-    )
-    note(f"min over the grid of the windowed max: {rep.min_max:.3e}")
-    return 0 if rep.positive and not rep.flagged else 1
+    fields = {
+        "min_max": rep.min_max,
+        "argmin_xi": rep.argmin_xi,
+        "flagged": list(rep.flagged),
+        "excluded": rep.excluded,
+    }
+    passed = rep.positive and not rep.flagged
+    return passed, fields, f"min over the grid of the windowed max: {rep.min_max:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -583,39 +542,62 @@ def fixtures() -> list[dict]:
     return [{k: f[k] for k in ("id", "note", "expect")} for f in FIXTURES]
 
 
-def cmd_run_all_fixtures(args) -> int:
+def cmd_run_all_fixtures(args) -> Outcome:
     t0 = time.time()
     results = []
-    all_ok = True
+    lines = []
     for f in FIXTURES:
         start = time.time()
         try:
             ok = bool(f["run"]())
         except SpectralForgeError as exc:
             ok = False
-            note(f"{f['id']}: error {exc}")
+            lines.append(f"{f['id']}: error {exc}")
         took = time.time() - start
         results.append({"id": f["id"], "ok": ok, "seconds": round(took, 3)})
-        print(f"[{'PASS' if ok else 'FAIL'}] {f['id']} ({took:.2f}s)", file=sys.stderr)
-        all_ok = all_ok and ok
-    emit(
-        {
-            "command": "run-all-fixtures",
-            "ok": all_ok,
-            "total_seconds": round(time.time() - t0, 3),
-            "results": results,
-        },
-        args.output,
-    )
-    return 0 if all_ok else 1
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] {f['id']} ({took:.2f}s)")
+    all_ok = all(r["ok"] for r in results)
+    fields = {
+        "ok": all_ok,
+        "total_seconds": round(time.time() - t0, 3),
+        "results": results,
+    }
+    return all_ok, fields, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Parser.
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so main() reports them like any other."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):  # 'abc', '1/0'
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
+_BASE = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_TOLERANCE = _checked(float, lambda v: v > 0, "a positive number")  # rejects nan
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="spectralforge",
         description="exact product-form Hadamard triples, tiling conditions, and "
         "numerical spectrum verification",
@@ -626,14 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="also write the JSON report here")
 
     p = sub.add_parser("check-hadamard", help="exact verification of a triple")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_BASE, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--spectrum", required=True)
     common(p)
     p.set_defaults(fn=cmd_check_hadamard)
 
     p = sub.add_parser("find-spectrum", help="exhaustive spectrum search in Z_N")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_BASE, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--limit", type=int, default=None)
     common(p)
@@ -657,13 +639,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reduce_kstage)
 
     p = sub.add_parser("check-t1t2", help="tiling conditions and spectrum")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_BASE, required=True)
     p.add_argument("--digits", required=True)
     common(p)
     p.set_defaults(fn=cmd_check_t1t2)
 
     p = sub.add_parser("check-tile", help="does the set tile Z_N")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_BASE, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--exhaustive", action="store_true")
     common(p)
@@ -681,18 +663,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor-mask", help="cyclotomic factorization of a mask")
     p.add_argument("--digits", required=True)
-    p.add_argument("--base", type=int, default=None)
+    p.add_argument("--base", type=_BASE, default=None)
     common(p)
     p.set_defaults(fn=cmd_factor_mask)
 
     p = sub.add_parser("verify-jp", help="partial frame sums of a built spectrum")
     p.add_argument("--form", required=True)
     p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--depth", type=int, default=24)
+    p.add_argument("--depth", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=24)
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--window", type=int, default=128)
-    p.add_argument("--scale", default=None, help="rational scale, e.g. 3 or 1/2")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument(
+        "--scale",
+        type=_checked(Fraction, lambda v: v > 0, "a positive rational"),
+        default=Fraction(1),
+        help="rational scale, e.g. 3 or 1/2",
+    )
+    p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_verify_jp)
 
@@ -700,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_check_lemma42)
 
@@ -719,22 +706,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; print its JSON report, or an error report, and
+    return 0 (pass), 1 (fail, or an error in the package) or 2 (bad input)."""
+    command = output = None
     try:
-        if not getattr(args, "tolerance", 1.0) > 0:
-            raise InputError(f"tolerance must be positive, got {args.tolerance}")
-        if getattr(args, "base", None) is not None and args.base < 2:
-            raise InputError(f"base must be >= 2, got {args.base}")
-        if getattr(args, "depth", 1) < 1:
-            raise InputError(f"depth must be >= 1, got {args.depth}")
-        return args.fn(args)
-    except InputError as exc:
-        note(f"input error: {exc}")
-        return 2
-    except (HadamardFailure, SpectralForgeError) as exc:
-        note(f"error: {exc}")
-        return 1
+        args = build_parser().parse_args(argv)
+        command = args.command
+        if args.output:
+            try:  # fail before the work, and without truncating an input file
+                open(args.output, "a", encoding="utf-8").close()
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
+            output = args.output
+        passed, fields, summary = args.fn(args)
+        code = 0 if passed else 1
+    except Exception as exc:  # every outcome ends in a JSON report, never a traceback
+        code = 2 if isinstance(exc, InputError) else 1
+        fields = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        summary = f"{'input error' if code == 2 else 'error'}: {exc}"
+        if not isinstance(exc, SpectralForgeError):  # a bug in the package: say where
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            summary += f" ({type(exc).__name__} at {frame.filename}:{frame.lineno})"
+    emit({"command": command, **fields}, output)
+    note(summary)
+    return code
 
 
 if __name__ == "__main__":

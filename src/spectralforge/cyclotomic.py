@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
@@ -215,45 +214,22 @@ def _divmod_dense(num: list[int], den: list[int]) -> tuple[list[int], list[int]]
 
 
 def divmod_exact(g: MaskPolynomial, f: MaskPolynomial) -> tuple[MaskPolynomial, MaskPolynomial]:
-    """Quotient and remainder of g by f over the rationals, demanding that
-    both come out integral; raises ValueError otherwise."""
+    """Quotient and remainder of g by f, demanding that both come out
+    integral; raises ValueError otherwise.
+
+    Long division fixes each quotient digit as (leading coefficient) / lead(f),
+    the same over Z as over Q, so a first non-integral digit means the
+    quotient over Q is not integral either.
+    """
     if f.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if g.is_zero:
         return MaskPolynomial.zero(), MaskPolynomial.zero()
     res = _divmod_dense(g.to_dense(), f.to_dense())
     if res is None:
-        # Redo over Q to give a correct remainder-based answer.
-        q, r = _divmod_fraction(g, f)
-        if all(x.denominator == 1 for x in q) and all(x.denominator == 1 for x in r):
-            return (
-                MaskPolynomial.from_dense([int(x) for x in q]),
-                MaskPolynomial.from_dense([int(x) for x in r]),
-            )
         raise ValueError("quotient/remainder not integral")
     quot, rem = res
     return MaskPolynomial.from_dense(quot), MaskPolynomial.from_dense(rem)
-
-
-def _divmod_fraction(g: MaskPolynomial, f: MaskPolynomial):
-    num = [Fraction(c) for c in g.to_dense()]
-    den = [Fraction(c) for c in f.to_dense()]
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q = c / lead
-        quot[i - dn] = q
-        for j, d in enumerate(den):
-            num[i - dn + j] -= q * d
-    while num and num[-1] == 0:
-        num.pop()
-    while quot and quot[-1] == 0:
-        quot.pop()
-    return quot, num
 
 
 def divides(f: MaskPolynomial, g: MaskPolynomial) -> bool:

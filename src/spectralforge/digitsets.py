@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BaseTooSmall,
@@ -175,6 +175,11 @@ def direct_sum_digits(*sets: Iterable[int]) -> tuple[int, ...]:
                 nxt[t] = how + (x,)
         acc = nxt
     return tuple(sorted(acc))
+
+
+def stacked_digits(digits: Sequence[int], base: int, count: int) -> tuple[int, ...]:
+    """D + N*D + ... + N^(count-1)*D as a direct sum."""
+    return direct_sum_digits(*[[base**j * x for x in digits] for j in range(count)])
 
 
 def _expand_layers(start: Iterable[int], stages) -> tuple[list[int], list[dict]]:

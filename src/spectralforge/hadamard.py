@@ -106,6 +106,8 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     bound with a most-constrained vertex order; N here stays small enough
     that plain Python bitsets win.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     if not d.distinct_mod(n):
         raise ValueError("digit set must have distinct residues mod N")
     size = len(d)

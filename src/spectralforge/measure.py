@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digitsets import DigitSet, direct_sum_digits
+from .digitsets import DigitSet, direct_sum_digits, stacked_digits
 from .errors import ShiftSearchFailure, TailBoundUnavailable
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
@@ -163,11 +163,6 @@ def rational_grid(base: int) -> list[Fraction]:
 # Finite-level identity.
 
 
-def _gamma_digits(l_digits: Sequence[int], base: int, p: int) -> tuple[int, ...]:
-    """L + N*L + ... + N^(p-1)*L as a direct sum."""
-    return direct_sum_digits(*[[base**i * x for x in l_digits] for i in range(p)])
-
-
 def _anchored_spectrum(form: OneStageForm) -> tuple[int, ...]:
     """L1 (+) L2 reduced mod N and re-anchored at 0 (a shift keeps it a spectrum)."""
     n = form.base
@@ -195,7 +190,7 @@ def finite_level_identity_check(
         raise ValueError("identity check needs a normalized form (0 in B_s, gcd 1)")
     n = form.base
     d_set = expand_one_stage(form)
-    gamma = _gamma_digits(_anchored_spectrum(form), n, p)
+    gamma = stacked_digits(_anchored_spectrum(form), n, p)
     if tilde_shifts is not None:
         if len(tilde_shifts) != len(gamma):
             raise ValueError("one shift per aggregate element")
@@ -301,7 +296,7 @@ def build_spectrum(
     lam: tuple[int, ...] = (0,)
     q = 0
     for p_k in schedule:
-        gamma = _gamma_digits(l_anchored, n, p_k)
+        gamma = stacked_digits(l_anchored, n, p_k)
         den = n**p_k
         depth = auto_depth(n, d_set, search_window + 2.0)
         trunc = TruncatedMeasure(n, d_set, depth)
@@ -331,7 +326,7 @@ def build_spectrum(
         q += p_k
         built.append(SpectrumLevel(p_k, tuple(shifts), lam))
         # exact congruence with the plain aggregate mod N^q
-        plain = _gamma_digits(l_anchored, n, q)
+        plain = stacked_digits(l_anchored, n, q)
         if {x % n**q for x in lam} != {x % n**q for x in plain}:
             raise AssertionError("integer set drifted off the aggregate lattice")
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .digitsets import DigitSet, _expand_layers, direct_sum_digits
+from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
 from .errors import OverlapError, ValidationFailure
 from .hadamard import check_triple
 
@@ -216,12 +216,11 @@ def reduce_r_to_1(form: OneStageForm) -> OneStageForm:
             raise OverlapError(a_new, combo, combo)
         new_pairs[a_new] = b_new
 
-    l1_new = DigitSet(big, direct_sum_digits(*[[n**j * x for x in form.l1.digits] for j in range(r)]))
-    l2_new = DigitSet(big, direct_sum_digits(*[[n**j * x for x in form.l2.digits] for j in range(r)]))
+    l1_new = DigitSet(big, stacked_digits(form.l1.digits, n, r))
+    l2_new = DigitSet(big, stacked_digits(form.l2.digits, n, r))
     a_new_set = DigitSet(big, tuple(sorted(new_pairs)))
     out = OneStageForm(big, 1, a_new_set, tuple(sorted(new_pairs.items())), l1_new, l2_new)
-    d_r = expand_one_stage(form).digits
-    stacked = direct_sum_digits(*[[n**j * x for x in d_r] for j in range(r)])
+    stacked = stacked_digits(expand_one_stage(form).digits, n, r)
     if expand_one_stage(out).digits != stacked:
         raise AssertionError("reduced form must expand to the stacked digit set")
     return require_valid_one_stage(out)
@@ -435,13 +434,6 @@ def _short(seq) -> str:
     return f"[{body}]"
 
 
-def require_valid_k_stage(form: KStageForm) -> KStageForm:
-    report = validate_k_stage(form)
-    if not report.ok:
-        raise ValidationFailure(report)
-    return form
-
-
 # ---------------------------------------------------------------------------
 # Reduction of a k-stage form to a one-stage form over base N^k.
 
@@ -502,8 +494,7 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
 
     a_digits = aggregate(k - 1)
     d_big = aggregate(2 * k - 1)
-    stacked = direct_sum_digits(*[[n**j * d for d in stagewise[k]] for j in range(k)])
-    if d_big != stacked:
+    if d_big != stacked_digits(stagewise[k], n, k):
         raise AssertionError("aggregate(2k-1) must equal D + N*D + ... + N^(k-1)*D")
 
     big = n**k

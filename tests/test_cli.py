@@ -202,3 +202,80 @@ def test_run_all_fixtures_subprocess():
     assert report["ok"] is True
     assert report["total_seconds"] < 60
     assert len(report["results"]) == len(FIXTURES)
+
+
+def _malformed_inputs(tmp_path):
+    """(name, argv) pairs that must each end with exit 2 and a JSON error report."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    form = one_stage_to_json(f83)
+    spec = _write(tmp_path, "f83.json", form)
+    bs_list = _write(tmp_path, "bs-list.json", {**form, "Bs": list(form["Bs"].values())})
+    staged = k_stage_to_json(paq_type_generator(2, 3, 2, "i").form)
+    assert sum(staged["ells"]) == 2
+    staged_path = _write(tmp_path, "staged.json", staged)
+    str_layer = _write(tmp_path, "str-layer.json",
+                       {**staged, "layers": ["abc", *staged["layers"][1:]]})
+    zshifts = _write(tmp_path, "zshifts.json", [{"stage": 1, "e": 0, "z": 1}])
+    d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
+    return [
+        ("list-Bs", ["validate-form", "--spec", bs_list]),
+        ("string-layer", ["validate-form", "--spec", str_layer]),
+        ("scale-abc", ["verify-jp", "--form", spec, "--scale", "abc"]),
+        ("scale-0", ["verify-jp", "--form", spec, "--scale", "0"]),
+        ("levels-negative", ["verify-jp", "--form", spec, "--levels", "-1"]),
+        ("k-below-stages", ["reduce-kstage", "--spec", staged_path, "--k", "0"]),
+        ("zshift-no-parent", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2",
+                              "--variant", "i", "--zshifts", zshifts]),
+        ("output-missing-dir", ["check-hadamard", "--base", "4", "--digits", d, "--spectrum", d,
+                                "--output", str(tmp_path / "missing" / "report.json")]),
+        ("usage-error", ["check-tile", "--base", "4"]),
+        ("file-base-1", ["check-t1t2", "--base", "4", "--digits",
+                         _write(tmp_path, "b1.json", {"base": 1, "digits": ["0", "1"]})]),
+        ("file-no-digits", ["check-t1t2", "--base", "4", "--digits",
+                            _write(tmp_path, "empty.json", {"base": 4, "digits": []})]),
+    ]
+
+
+def test_malformed_input_is_a_json_input_error(tmp_path, capsys):
+    for name, argv in _malformed_inputs(tmp_path):
+        code = _run(argv)
+        captured = capsys.readouterr()
+        assert code == 2, name
+        report = json.loads(captured.out)  # exactly one JSON document
+        assert {"schema", "command", "error"} <= set(report), name
+        assert report["error"]["type"] == "InputError" and report["error"]["message"], name
+        assert "Traceback" not in captured.err, name
+
+
+def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):
+    from spectralforge import cm_tiling
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cm_tiling, "check_tile_zn", boom)
+    d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
+    out_path = tmp_path / "report.json"
+    code = _run(["check-tile", "--base", "4", "--digits", d, "--output", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["command"] == "check-tile"
+    assert report["error"] == {"type": "RuntimeError", "message": "injected"}
+    assert json.loads(out_path.read_text()) == report
+    assert "Traceback" not in captured.err
+
+
+def test_malformed_form_subprocess_has_no_traceback(tmp_path):
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    form = one_stage_to_json(f83)
+    spec = _write(tmp_path, "bs-list.json", {**form, "Bs": list(form["Bs"].values())})
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectralforge.cli", "validate-form", "--spec", spec],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "InputError"
+    assert "Traceback" not in proc.stderr

@@ -91,6 +91,10 @@ def test_divides_examples():
     assert exact_quotient(g, f).to_dense() == [1] + [0] * 7 + [1]
     assert divides(f, MaskPolynomial.zero())
     assert not divides(cyclotomic_poly(3), f)
+    # 1 + x over 1 + 2x needs the quotient digit 1/2
+    with pytest.raises(ValueError):
+        divmod_exact(f, MaskPolynomial.from_dense([1, 2]))
+    assert not divides(MaskPolynomial.from_dense([1, 2]), f)
 
 
 def test_divmod_exact_random_roundtrip():

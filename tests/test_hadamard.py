@@ -74,6 +74,8 @@ def test_find_spectra_limit():
     assert [s.digits for s in full] == [(0, 1), (0, 3), (0, 5), (0, 7)]
     capped = find_spectra(8, DigitSet(8, (0, 4)), limit=2)
     assert len(capped) == 2
+    with pytest.raises(ValueError):
+        find_spectra(8, DigitSet(8, (0, 4)), limit=0)
 
 
 def test_find_spectra_complete_residue_system():
