@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 import traceback
@@ -20,7 +21,7 @@ from typing import Any, Sequence
 from . import cm_tiling, measure
 from .cyclotomic import cyclotomic_factorization, MaskPolynomial
 from .digitsets import DigitSet
-from .errors import InputError, SpectralForgeError
+from .errors import InputError, InvalidVariantParams, SpectralForgeError
 from .hadamard import check_triple, find_spectra
 from .productform import (
     KStageForm,
@@ -46,8 +47,20 @@ def _digits_to_json(ds: Sequence[int]) -> list[str]:
     return [str(d) for d in ds]
 
 
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(raw) -> int:
+    """A JSON integer (not a bool) or a decimal string; ValueError otherwise."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and _INT_TEXT.fullmatch(raw):
+        return int(raw)
+    raise ValueError(f"expected an integer, got {raw!r}")
+
+
 def _digits_from_json(raw) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw)
+    return tuple(_int(x) for x in raw)
 
 
 def digitset_to_json(d: DigitSet) -> dict:
@@ -56,7 +69,7 @@ def digitset_to_json(d: DigitSet) -> dict:
 
 def digitset_from_json(obj, base: int | None = None) -> DigitSet:
     if isinstance(obj, dict):
-        b = int(obj.get("base", base or 0))
+        b = _int(obj.get("base", base or 0))
         return DigitSet(b, _digits_from_json(obj["digits"]))
     # bare digit lists fall back to base 2 for base-free commands
     return DigitSet(base if base is not None else 2, _digits_from_json(obj))
@@ -69,7 +82,7 @@ def residueclass_to_json(r) -> dict:
 def residueclass_from_json(obj: dict):
     from .digitsets import ResidueClassSet
 
-    return ResidueClassSet(int(obj["modulus"]), _digits_from_json(obj["residues"]))
+    return ResidueClassSet(_int(obj["modulus"]), _digits_from_json(obj["residues"]))
 
 
 def one_stage_to_json(f: OneStageForm) -> dict:
@@ -84,11 +97,11 @@ def one_stage_to_json(f: OneStageForm) -> dict:
 
 
 def one_stage_from_json(obj: dict) -> OneStageForm:
-    base = int(obj["base"])
-    b_map = {int(k): DigitSet(base, _digits_from_json(v)) for k, v in obj["Bs"].items()}
+    base = _int(obj["base"])
+    b_map = {_int(k): DigitSet(base, _digits_from_json(v)) for k, v in obj["Bs"].items()}
     return one_stage_form(
         base,
-        int(obj.get("r", 1)),
+        _int(obj.get("r", 1)),
         _digits_from_json(obj["A"]),
         b_map,
         _digits_from_json(obj["L1"]),
@@ -113,18 +126,18 @@ def k_stage_to_json(f: KStageForm) -> dict:
 
 
 def k_stage_from_json(obj: dict) -> KStageForm:
-    base = int(obj["base"])
+    base = _int(obj["base"])
     layers = []
     for layer in obj["layers"]:
         if "constant" in layer:
             layers.append(DigitSet(base, _digits_from_json(layer["constant"])))
         else:
             layers.append(
-                {int(k): DigitSet(base, _digits_from_json(v)) for k, v in layer["map"].items()}
+                {_int(k): DigitSet(base, _digits_from_json(v)) for k, v in layer["map"].items()}
             )
     return k_stage_form(
         base,
-        [int(e) for e in obj["ells"]],
+        [_int(e) for e in obj["ells"]],
         _digits_from_json(obj["E0"]),
         layers,
         [_digits_from_json(s) for s in obj["Ls"]],
@@ -171,7 +184,7 @@ def load_digitset(path: str, base: int | None) -> DigitSet:
 
 
 def _zshifts_from_json(raw) -> dict:
-    return {(int(r["stage"]), int(r["parent"]), int(r["e"])): int(r["z"]) for r in raw}
+    return {(_int(r["stage"]), _int(r["parent"]), _int(r["e"])): _int(r["z"]) for r in raw}
 
 
 def emit(report: dict, output: str | None):
@@ -275,8 +288,7 @@ def cmd_check_t1t2(args) -> Outcome:
 
 def cmd_check_tile(args) -> Outcome:
     d = load_digitset(args.digits, args.base)
-    bound = max(10_000, args.base if args.exhaustive else 0)
-    verdict = cm_tiling.check_tile_zn(d, args.base, exhaustive_bound=bound)
+    verdict = cm_tiling.check_tile_zn(d, args.base)
     fields = {
         "base": args.base,
         "verdict": verdict.verdict,
@@ -288,14 +300,17 @@ def cmd_check_tile(args) -> Outcome:
 
 def cmd_classify_paq(args) -> Outcome:
     zshifts = _load(args.zshifts, "zshifts", _zshifts_from_json) if args.zshifts else None
-    res = cm_tiling.paq_type_generator(
-        args.p,
-        args.q,
-        args.alpha,
-        args.variant,
-        m_values=args.params,
-        zshifts=zshifts,
-    )
+    try:
+        res = cm_tiling.paq_type_generator(
+            args.p,
+            args.q,
+            args.alpha,
+            args.variant,
+            m_values=args.params,
+            zshifts=zshifts,
+        )
+    except InvalidVariantParams as exc:
+        raise InputError(str(exc)) from exc
     fields = {
         "multiplier": res.multiplier,
         "digits": digitset_to_json(res.digits),
@@ -335,7 +350,7 @@ def cmd_verify_jp(args) -> Outcome:
         cand = measure.build_spectrum(
             form, levels=args.levels, search_window=args.window, scale=scale
         )
-    except ValueError as exc:  # a negative --levels, or a form that is not normalized
+    except ValueError as exc:  # a form that is not normalized
         raise InputError(str(exc)) from exc
     # candidate points scale by s, so they target the measure whose digits
     # are the expansion divided by s
@@ -350,7 +365,7 @@ def cmd_verify_jp(args) -> Outcome:
     rows_by_level = []
     ok = True
     for k in range(0, args.levels + 1):
-        rows = measure.jp_sum(d_interest, form.base, cand.points(k), xi, depth=args.depth)
+        rows = measure.jp_sum(d_interest, form.base, cand.points(k), xi)
         for r in rows:
             ok = ok and r.q_t <= 1 + args.tolerance
         rows_by_level.append(rows)
@@ -593,6 +608,8 @@ def _checked(convert, ok, what: str):
 
 
 _BASE = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _TOLERANCE = _checked(float, lambda v: v > 0, "a positive number")  # rejects nan
 
 
@@ -647,7 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-tile", help="does the set tile Z_N")
     p.add_argument("--base", type=_BASE, required=True)
     p.add_argument("--digits", required=True)
-    p.add_argument("--exhaustive", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_check_tile)
 
@@ -669,10 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-jp", help="partial frame sums of a built spectrum")
     p.add_argument("--form", required=True)
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--depth", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=24)
-    p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--window", type=int, default=128)
+    p.add_argument("--levels", type=_COUNT, default=4)
+    p.add_argument("--grid", type=_POSITIVE, default=8)
+    p.add_argument("--window", type=_COUNT, default=128)
     p.add_argument(
         "--scale",
         type=_checked(Fraction, lambda v: v > 0, "a positive rational"),
@@ -685,16 +700,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lemma42", help="finite-level averaged mask identity")
     p.add_argument("--form", required=True)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--p", type=_POSITIVE, default=2)
+    p.add_argument("--grid", type=_POSITIVE, default=64)
     p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_check_lemma42)
 
     p = sub.add_parser("weakly-periodic", help="scan for all-integer-translate zeros")
     p.add_argument("--form", required=True)
-    p.add_argument("--window", type=int, default=64)
-    p.add_argument("--resolution", type=int, default=4096)
+    p.add_argument("--window", type=_COUNT, default=64)
+    p.add_argument("--resolution", type=_POSITIVE, default=4096)
     common(p)
     p.set_defaults(fn=cmd_weakly_periodic)
 

@@ -217,8 +217,14 @@ def tile_complement(a: DigitSet, n: int) -> tuple[int, ...] | None:
     return None
 
 
-def check_tile_zn(a: DigitSet, n: int, exhaustive_bound: int = 10_000) -> TileVerdict:
-    """Condition-based verdict, with exhaustive ground truth for small N.
+# The exhaustive search runs for N up to this; its table of per-translate
+# bitmasks takes N^2/8 bytes.
+EXHAUSTIVE_LIMIT = 10_000
+
+
+def check_tile_zn(a: DigitSet, n: int) -> TileVerdict:
+    """Condition-based verdict, with exhaustive ground truth for N up to
+    EXHAUSTIVE_LIMIT.
 
     When both searches run their answers are cross-checked: a certified
     tiler must be found by the search and a size-condition failure must
@@ -233,7 +239,7 @@ def check_tile_zn(a: DigitSet, n: int, exhaustive_bound: int = 10_000) -> TileVe
         verdict = "Unknown"
     exhaustive = None
     witness = None
-    if n <= exhaustive_bound:
+    if n <= EXHAUSTIVE_LIMIT:
         comp = tile_complement(a, n)
         exhaustive = comp is not None
         if comp is not None:

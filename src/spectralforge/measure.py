@@ -7,11 +7,13 @@ multiplicative tail bound.
 
 Two evaluation paths coexist:
 
-* a vectorized double-precision path (numpy) for grid sweeps over [0, 1];
+* a double-precision path (numpy) for float xi, scalar or array;
 * an exact-phase path for rational points: the phase d*xi/N^j is reduced
   mod 1 in integer arithmetic before hitting the unit circle, so points at
   height 1e8 lose nothing.  Spectrum candidates are stored as exact
   rationals for that reason.
+
+Every truncation depth comes from the tail bound (auto_depth).
 
 Sums over candidate points are accumulated with math.fsum in a fixed order,
 so repeated runs give identical results.
@@ -39,7 +41,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def mask_value(digits: DigitSet | Sequence[int], xi, prec: int | None = None):
-    """M_D(xi) = (1/|D|) * sum of e(-d*xi); scalar or numpy array xi.
+    """M_D(xi) = (1/|D|) * sum of e(-d*xi); a numpy array for an array xi,
+    else a Python complex.
 
     ``prec`` switches to mpmath with that many decimal digits (scalar only),
     used by the cross-check oracles.
@@ -53,12 +56,12 @@ def mask_value(digits: DigitSet | Sequence[int], xi, prec: int | None = None):
             for d in ds:
                 total += mpmath.e ** (-2j * mpmath.pi * d * mpmath.mpf(xi))
             return total / len(ds)
-    if isinstance(xi, np.ndarray):
-        acc = np.zeros_like(xi, dtype=complex)
-        for d in ds:
-            acc += np.exp(-2j * np.pi * float(d) * xi)
-        return acc / len(ds)
-    return sum(cmath.exp(-2j * math.pi * d * xi) for d in ds) / len(ds)
+    x = np.asarray(xi, dtype=float)
+    acc = np.zeros(x.shape, dtype=complex)
+    for d in ds:
+        acc += np.exp(-2j * np.pi * float(d) * x)
+    acc /= len(ds)
+    return acc if isinstance(xi, np.ndarray) else complex(acc)
 
 
 def mask_value_rational(digits: DigitSet | Sequence[int], num: int, den: int):
@@ -77,10 +80,11 @@ def digit_mass(digits: DigitSet | Sequence[int]) -> float:
 
 
 def auto_depth(base: int, digits, xi_max: float, target: float = 1e-14) -> int:
-    """Smallest depth p with the tail multiplier provably within ~target of 1."""
-    c = digit_mass(digits)
+    """Smallest depth p whose tail sum at height xi_max is below target."""
+    if not math.isfinite(xi_max):
+        raise TailBoundUnavailable(f"no depth bounds the tail at height {xi_max}")
     p = 1
-    while c * xi_max / (base**p * (base - 1)) >= target and p < 4096:
+    while TruncatedMeasure(base, digits, p).tail_sum(xi_max) >= target:
         p += 1
     return p
 
@@ -98,16 +102,13 @@ class TruncatedMeasure:
             raise ValueError("depth must be >= 1")
 
     def mu_hat(self, xi):
-        """Truncated transform, scalar or array; exact 1 at xi = 0."""
-        if isinstance(xi, np.ndarray):
-            acc = np.ones_like(xi, dtype=complex)
-            for j in range(1, self.depth + 1):
-                acc *= mask_value(self.digits, xi / float(self.base) ** j)
-            return acc
-        acc = 1.0 + 0.0j
+        """Truncated transform, an array for an array xi, else a Python
+        complex; exact 1 at xi = 0."""
+        x = np.asarray(xi, dtype=float)
+        acc = np.ones(x.shape, dtype=complex)
         for j in range(1, self.depth + 1):
-            acc *= mask_value(self.digits, xi / self.base**j)
-        return acc
+            acc *= mask_value(self.digits, x / float(self.base) ** j)
+        return acc if isinstance(xi, np.ndarray) else complex(acc)
 
     def mu_hat_rational(self, num: int, den: int) -> complex:
         acc = 1.0 + 0.0j
@@ -130,7 +131,7 @@ def mu_hat_truncated(m: TruncatedMeasure, xi) -> tuple[complex, float]:
     Raises TailBoundUnavailable when the linearization behind the bound is
     useless at this depth; the caller should raise the depth.
     """
-    xi_max = float(np.max(np.abs(xi))) if isinstance(xi, np.ndarray) else abs(float(xi))
+    xi_max = float(np.max(np.abs(xi)))
     s = m.tail_sum(xi_max)
     if s >= 0.7:
         raise TailBoundUnavailable(f"tail sum {s:.3f} too large at depth {m.depth}")
@@ -216,9 +217,8 @@ def finite_level_identity_check(
 
 @dataclass(frozen=True)
 class SpectrumLevel:
-    """One stage of the nested integer sets: p_k and the accepted shifts."""
+    """One stage of the nested integer sets: the accepted shifts."""
 
-    p_k: int
     shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift)
     lam: tuple[int, ...]  # the full integer set after this stage
 
@@ -227,8 +227,8 @@ class SpectrumLevel:
 class SpectrumCandidate:
     """scale * ((1/N) L2 + Lambda) with Lambda built level by level.
 
-    ``levels[k].lam`` are nested, each containing 0 and congruent to the
-    plain aggregate mod N^(q_k) (checked at build time).
+    ``levels[k - 1].lam`` are nested, each containing 0 and congruent to
+    the plain aggregate mod N^k (checked at build time).
     """
 
     base: int
@@ -237,9 +237,6 @@ class SpectrumCandidate:
     levels: tuple[SpectrumLevel, ...]
     l_digits: tuple[int, ...]
     search_window: int = field(default=0, compare=False)
-
-    def q_k(self, k: int) -> int:
-        return sum(level.p_k for level in self.levels[:k])
 
     def lambdas(self, k: int | None = None) -> tuple[int, ...]:
         if k is None:
@@ -265,66 +262,61 @@ def _shift_ratio(trunc: TruncatedMeasure, num: int, den: int, target: float) -> 
 def build_spectrum(
     form: OneStageForm,
     levels: int,
-    pk_schedule: Sequence[int] | None = None,
     search_window: int = 128,
     ratio_threshold: float = 1e-4,
     scale: Fraction = Fraction(1),
 ) -> SpectrumCandidate:
     """Greedy construction of the candidate spectrum for a normalized form.
 
-    Every aggregate element gamma of each stage receives an integer shift k
-    chosen as the first k in 0, 1, -1, 2, ... whose transform magnitude at
-    gamma/N^p + k clears ``ratio_threshold`` times the averaged B-mask
+    Every element gamma of the anchored spectrum receives an integer shift
+    k chosen as the first k in 0, 1, -1, 2, ... whose transform magnitude
+    at gamma/N + k clears ``ratio_threshold`` times the averaged B-mask
     energy there.  gamma = 0 always keeps shift 0.  A window exhausted
     without an acceptable shift raises ShiftSearchFailure: either the
     window is too small or the form genuinely fails equi-positivity there;
-    the failure is reported, never papered over.
+    the failure is reported, never papered over.  Level q (at depth q)
+    adds N^(q-1) times the shifted elements to the set of level q - 1;
+    every level uses the same shifts.
     """
     if form.r != 1:
         raise ValueError("spectrum construction needs a form with r = 1")
     if not is_normalized(form):
         raise ValueError("spectrum construction needs a normalized form")
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     n = form.base
     d_set = expand_one_stage(form)
     l_anchored = _anchored_spectrum(form)
     b_list = form.b_list()
-    schedule = list(pk_schedule) if pk_schedule is not None else [1] * levels
-    if len(schedule) != levels or any(p < 1 for p in schedule):
-        raise ValueError("schedule must list a positive p_k per level")
+    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
+
+    shifts: list[tuple[int, int]] = []
+    for g in l_anchored if levels else ():  # level 0 needs no shifts
+        if g == 0:
+            shifts.append((0, 0))
+            continue
+        target = sum(abs(mask_value_rational(b, g, n)) ** 2 for b in b_list) / len(b_list)
+        if target < 1e-12:
+            shifts.append((g, 0))
+            continue
+        accepted = None
+        best = 0.0
+        for k in _spiral(search_window):
+            ratio = _shift_ratio(trunc, g + k * n, n, target)
+            best = max(best, ratio)
+            if ratio >= ratio_threshold:
+                accepted = k
+                break
+        if accepted is None:
+            raise ShiftSearchFailure(g, search_window, best)
+        shifts.append((g, accepted))
+    tilde = [g + n * k for g, k in shifts]
 
     built: list[SpectrumLevel] = []
     lam: tuple[int, ...] = (0,)
-    q = 0
-    for p_k in schedule:
-        gamma = stacked_digits(l_anchored, n, p_k)
-        den = n**p_k
-        depth = auto_depth(n, d_set, search_window + 2.0)
-        trunc = TruncatedMeasure(n, d_set, depth)
-        shifts: list[tuple[int, int]] = []
-        for g in gamma:
-            if g == 0:
-                shifts.append((0, 0))
-                continue
-            target = sum(abs(mask_value_rational(b, g, den)) ** 2 for b in b_list) / len(b_list)
-            if target < 1e-12:
-                shifts.append((g, 0))
-                continue
-            accepted = None
-            best = 0.0
-            for k in _spiral(search_window):
-                ratio = _shift_ratio(trunc, g + k * den, den, target)
-                best = max(best, ratio)
-                if ratio >= ratio_threshold:
-                    accepted = k
-                    break
-            if accepted is None:
-                raise ShiftSearchFailure(g, search_window, best)
-            shifts.append((g, accepted))
-        tilde = [g + den * k for g, k in shifts]
-        scale_prev = n**q
-        lam = tuple(sorted(a + scale_prev * t for a in lam for t in tilde))
-        q += p_k
-        built.append(SpectrumLevel(p_k, tuple(shifts), lam))
+    for q in range(1, levels + 1):
+        lam = tuple(sorted(a + n ** (q - 1) * t for a in lam for t in tilde))
+        built.append(SpectrumLevel(tuple(shifts), lam))
         # exact congruence with the plain aggregate mod N^q
         plain = stacked_digits(l_anchored, n, q)
         if {x % n**q for x in lam} != {x % n**q for x in plain}:
@@ -371,23 +363,21 @@ def jp_sum(
     xi_samples: Sequence[float | Fraction],
     truncation_radius: float | None = None,
     target: float | Sequence[float] = 1.0,
-    depth_target: float = 1e-14,
-    depth: int | None = None,
 ) -> list[JPRow]:
     """Partial sums Q_T(xi) = sum over points within the radius of
     |mu_hat(xi + point)|^2, with exact rational evaluation throughout.
 
     ``target`` is what Q_T should approach: 1.0 for a full candidate, or a
     per-xi sequence (e.g. the averaged B-mask energy for integer-only sums).
-    ``depth`` raises the automatic truncation depth when given.
+    The truncation depth is the smallest whose tail sum at the largest
+    point height is below 1e-14.
     """
     pts = sorted(set(Fraction(p) for p in points))
     if truncation_radius is not None:
         pts = [p for p in pts if abs(p) <= truncation_radius]
     xs = [Fraction(x).limit_denominator(10**12) if not isinstance(x, Fraction) else x for x in xi_samples]
     height = max((abs(float(p)) for p in pts), default=0.0) + 2.0
-    use_depth = max(auto_depth(base, digits, height, depth_target), depth or 1)
-    trunc = TruncatedMeasure(base, digits, use_depth)
+    trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))
 
     def one(idx, x):
         total = math.fsum(
@@ -400,19 +390,13 @@ def jp_sum(
     return [one(idx, x) for idx, x in enumerate(xs)]
 
 
-def candidate_jp_rows(
-    digits: DigitSet,
-    base: int,
-    candidate: SpectrumCandidate,
-    xi_samples: Sequence[float | Fraction],
-    level: int | None = None,
-    truncation_radius: float | None = None,
-) -> list[JPRow]:
-    return jp_sum(digits, base, candidate.points(level), xi_samples, truncation_radius)
-
-
 # ---------------------------------------------------------------------------
 # Weakly periodic set check.
+
+# Grid points with averaged B-mask energy at or below this are outside the
+# scanned region; a windowed maximum below FLAG_THRESHOLD flags its point.
+MEMBERSHIP_THRESHOLD = 1e-6
+FLAG_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -433,8 +417,6 @@ def weakly_periodic_check(
     form: OneStageForm,
     integer_window: int = 64,
     resolution: int = 4096,
-    membership_threshold: float = 1e-6,
-    flag_threshold: float = 1e-3,
 ) -> WeaklyPeriodicReport:
     """Scan for grid points whose whole integer translate class nearly kills
     the transform.
@@ -455,7 +437,7 @@ def weakly_periodic_check(
     for b in b_list:
         energy += np.abs(mask_value(b, grid)) ** 2
     energy /= len(b_list)
-    keep = energy > membership_threshold
+    keep = energy > MEMBERSHIP_THRESHOLD
     excluded = int(np.sum(~keep))
     xs = grid[keep]
     if xs.size == 0:
@@ -465,7 +447,7 @@ def weakly_periodic_check(
     for k in range(-integer_window, integer_window + 1):
         running = np.maximum(running, np.abs(trunc.mu_hat(xs + float(k))))
     idx = int(np.argmin(running))
-    flagged = tuple(float(x) for x in xs[running < flag_threshold])
+    flagged = tuple(float(x) for x in xs[running < FLAG_THRESHOLD])
     return WeaklyPeriodicReport(
         min_max=float(running[idx]),
         argmin_xi=float(xs[idx]),
@@ -484,23 +466,17 @@ def weakly_periodic_check(
 class TailTermReport:
     per_level: tuple[float, ...]
     c_empirical: float
-    required: float | None
-
-    @property
-    def ok(self) -> bool:
-        return self.required is None or self.c_empirical >= self.required
 
 
 def tail_term_check(
     form: OneStageForm,
     candidate: SpectrumCandidate,
-    c_required: float | None = None,
     xi_grid: int = 32,
 ) -> TailTermReport:
     """Empirical equi-positivity constant for a built candidate.
 
     For every stored level k and integer lambda, over a xi grid, compares
-    the tail |mu_hat((xi+lambda)/N^q_k)|^2 against the averaged B-mask
+    the tail |mu_hat((xi+lambda)/N^k)|^2 against the averaged B-mask
     energy at the same rescaled point; the report carries the smallest
     ratio (the constant the construction actually achieved).
     """
@@ -510,13 +486,12 @@ def tail_term_check(
     xs = chebyshev_grid(xi_grid)
     per_level: list[float] = []
     overall = math.inf
-    # level 0 holds the single point 0 at depth q_0 = 0, so the condition is
+    # level 0 holds the single point 0 at depth 0, so the condition is
     # just the transform against the averaged mask energy on the grid
     for k in range(0, len(candidate.levels) + 1):
-        q = candidate.q_k(k)
-        den = n**q
+        den = n**k
         level_min = math.inf
-        for lam in candidate.lambdas(k) if k else (0,):
+        for lam in candidate.lambdas(k):
             for xi in xs:
                 num = Fraction(xi).limit_denominator(10**9) + lam
                 point = num / den
@@ -531,4 +506,4 @@ def tail_term_check(
                 level_min = min(level_min, ratio)
         per_level.append(level_min)
         overall = min(overall, level_min)
-    return TailTermReport(tuple(per_level), overall, c_required)
+    return TailTermReport(tuple(per_level), overall)

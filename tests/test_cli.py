@@ -165,7 +165,7 @@ def test_bad_common_options_are_input_errors(tmp_path, capsys):
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
     assert _run(["check-lemma42", "--form", spec, "--tolerance", "-1"]) == 2
-    assert _run(["verify-jp", "--form", spec, "--levels", "1", "--grid", "1", "--depth", "0"]) == 2
+    assert _run(["verify-jp", "--form", spec, "--levels", "1", "--grid", "0"]) == 2
     d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
     l = _write(tmp_path, "l.json", {"base": 4, "digits": ["0", "1"]})
     d04 = _write(tmp_path, "d04.json", {"base": 4, "digits": ["0", "4"]})
@@ -233,6 +233,27 @@ def _malformed_inputs(tmp_path):
                          _write(tmp_path, "b1.json", {"base": 1, "digits": ["0", "1"]})]),
         ("file-no-digits", ["check-t1t2", "--base", "4", "--digits",
                             _write(tmp_path, "empty.json", {"base": 4, "digits": []})]),
+        # counts that would empty or invert a check
+        ("lemma42-p-0", ["check-lemma42", "--form", spec, "--p", "0"]),
+        ("lemma42-grid-0", ["check-lemma42", "--form", spec, "--grid", "0"]),
+        ("resolution-0", ["weakly-periodic", "--form", spec, "--resolution", "0", "--window", "1"]),
+        ("periodic-window-negative", ["weakly-periodic", "--form", spec, "--window", "-1",
+                                      "--resolution", "16"]),
+        ("jp-grid-0", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "0"]),
+        ("jp-window-negative", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "2",
+                                "--window", "-1"]),
+        # generator parameters that name no tile
+        ("paq-alpha-0", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "0", "--variant", "i"]),
+        ("paq-p-equals-q", ["classify-paq", "--p", "2", "--q", "2", "--alpha", "1", "--variant", "i"]),
+        ("paq-params-count", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2",
+                              "--variant", "ii", "--params", "1", "1"]),
+        # file values that are not integers
+        ("form-r-fraction", ["validate-form", "--spec",
+                             _write(tmp_path, "r-frac.json", {**form, "r": 2.5})]),
+        ("file-base-fraction", ["factor-mask", "--digits",
+                                _write(tmp_path, "base-frac.json", {"base": 2.5, "digits": ["0", "1"]})]),
+        ("digit-true", ["factor-mask", "--digits",
+                        _write(tmp_path, "digit-true.json", {"base": 4, "digits": ["0", True]})]),
     ]
 
 

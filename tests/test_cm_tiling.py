@@ -106,7 +106,7 @@ def test_exhaustive_agrees_with_conditions_small_sweep():
         for k in sizes:
             for rest in itertools.combinations(range(1, n), k - 1):
                 a = DigitSet(max(n, 2), (0,) + rest)
-                verdict = check_tile_zn(a, n, exhaustive_bound=n)
+                verdict = check_tile_zn(a, n)
                 if verdict.verdict == "TilesByT1T2":
                     assert verdict.exhaustive is True
                 elif verdict.verdict == "NotTileByT1Failure":
@@ -119,7 +119,7 @@ def test_sampled_agreement_larger_bases():
         n = rng.randrange(13, 21)
         k = rng.choice([k for k in (2, 3, 4, 5, 6) if n % k == 0] or [1])
         digits = (0,) + tuple(sorted(rng.sample(range(1, n), k - 1)))
-        verdict = check_tile_zn(DigitSet(max(n, 2), digits), n, exhaustive_bound=n)
+        verdict = check_tile_zn(DigitSet(max(n, 2), digits), n)
         if verdict.verdict == "TilesByT1T2":
             assert verdict.exhaustive is True
         if verdict.verdict == "NotTileByT1Failure":

@@ -13,7 +13,6 @@ from spectralforge.measure import (
     TruncatedMeasure,
     auto_depth,
     build_spectrum,
-    candidate_jp_rows,
     chebyshev_grid,
     finite_level_identity_check,
     jp_sum,
@@ -104,6 +103,11 @@ def test_auto_depth_controls_tail():
     assert tm.tail_sum(100.0) < 1e-13
 
 
+def test_auto_depth_rejects_infinite_height():
+    with pytest.raises(TailBoundUnavailable):
+        auto_depth(4, DigitSet(4, (0, 2)), math.inf)
+
+
 def test_finite_level_identity_examples():
     for f in (_form14(), _form23()):
         for p in (1, 2, 3):
@@ -168,11 +172,32 @@ def test_jp_rows_bessel_monotone_and_targets():
     for xi in (0.0, 0.3, 0.7):
         prev = 0.0
         for k in range(0, 5):
-            row = candidate_jp_rows(d83, 24, cand, [xi], level=k)[0]
+            row = jp_sum(d83, 24, cand.points(k), [xi])[0]
             assert row.q_t <= 1 + 1e-9
             assert row.q_t >= prev - 1e-12
             prev = row.q_t
         assert 1.0 - prev < 2e-4
+
+
+def test_jp_derived_depth_matches_deeper_truncation():
+    """jp_sum truncates where the tail bound says the dropped factors no
+    longer matter: eight more factors move no Q_T by 1e-13."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    cases = [
+        (DigitSet(24, (0, 1, 16, 17)), 24, build_spectrum(f83, levels=3, scale=Fraction(3))),
+        (DigitSet(4, (0, 1, 8, 25)), 4, build_spectrum(_form14(), levels=3)),
+    ]
+    for digits, base, cand in cases:
+        pts = cand.points(3)
+        auto = auto_depth(base, digits, max(abs(float(p)) for p in pts) + 2.0)
+        deeper = TruncatedMeasure(base, digits, auto + 8)
+        for xi in (Fraction(0), Fraction(3, 10), Fraction(7, 10)):
+            q_t = jp_sum(digits, base, pts, [xi])[0].q_t
+            ref = math.fsum(
+                abs(deeper.mu_hat_rational((xi + p).numerator, (xi + p).denominator)) ** 2
+                for p in pts
+            )
+            assert abs(q_t - ref) < 1e-13, (base, xi, q_t - ref)
 
 
 def test_jp_integer_part_bounded_by_mask_energy():
@@ -226,7 +251,6 @@ def test_tail_term_check_positive():
     cand = build_spectrum(f83, levels=2, scale=Fraction(3))
     rep = tail_term_check(f83, cand, xi_grid=8)
     assert rep.c_empirical > 0.5
-    assert rep.ok
     assert len(rep.per_level) == 3  # includes the level-0 row
 
 
@@ -244,7 +268,7 @@ def test_tail_term_check_flags_bad_shift():
     norm = _normalized_plain()
     cand = build_spectrum(norm, levels=1)
     # gamma = 0 shifted by 2 lattice steps: lambda = 8, and mu_hat(8/4) = 0
-    bad_level = SpectrumLevel(p_k=1, shifts=((0, 2), (2, 0)), lam=(2, 8))
+    bad_level = SpectrumLevel(shifts=((0, 2), (2, 0)), lam=(2, 8))
     bad = SpectrumCandidate(
         base=cand.base,
         scale=cand.scale,
