@@ -75,16 +75,6 @@ def digitset_from_json(obj, base: int | None = None) -> DigitSet:
     return DigitSet(base if base is not None else 2, _digits_from_json(obj))
 
 
-def residueclass_to_json(r) -> dict:
-    return {"modulus": r.modulus, "residues": _digits_to_json(r.residues)}
-
-
-def residueclass_from_json(obj: dict):
-    from .digitsets import ResidueClassSet
-
-    return ResidueClassSet(_int(obj["modulus"]), _digits_from_json(obj["residues"]))
-
-
 def one_stage_to_json(f: OneStageForm) -> dict:
     return {
         "base": f.base,

@@ -472,7 +472,11 @@ def paq_type_generator(
         if alpha < 2:
             raise InvalidVariantParams("variant ii needs alpha >= 2")
         ms = list(m_values) if m_values is not None else [1] * (alpha - 1)
-        if len(ms) != alpha - 1 or any(m < 0 for m in ms):
+        if len(ms) != alpha - 1:
+            raise InvalidVariantParams(
+                f"variant ii needs alpha-1 = {alpha - 1} shift exponents, got {len(ms)}"
+            )
+        if any(m < 0 for m in ms):
             raise InvalidVariantParams("variant ii needs alpha-1 shift exponents >= 0")
         big_m = max(ms)
         k_idx = max(j for j in range(1, alpha) if ms[j - 1] == big_m)

@@ -52,10 +52,6 @@ class MaskPolynomial:
         return MaskPolynomial(((0, 1),))
 
     @staticmethod
-    def monomial(e: int, c: int = 1) -> "MaskPolynomial":
-        return MaskPolynomial(((e, c),))
-
-    @staticmethod
     def from_digits(digits: Iterable[int]) -> "MaskPolynomial":
         ds = list(digits)
         if not ds:

@@ -217,9 +217,8 @@ def finite_level_identity_check(
 
 @dataclass(frozen=True)
 class SpectrumLevel:
-    """One stage of the nested integer sets: the accepted shifts."""
+    """One stage of the nested integer sets."""
 
-    shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift)
     lam: tuple[int, ...]  # the full integer set after this stage
 
 
@@ -234,6 +233,7 @@ class SpectrumCandidate:
     base: int
     scale: Fraction
     frac_shifts: tuple[Fraction, ...]
+    shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift), shared by every level
     levels: tuple[SpectrumLevel, ...]
     l_digits: tuple[int, ...]
     search_window: int = field(default=0, compare=False)
@@ -316,7 +316,7 @@ def build_spectrum(
     lam: tuple[int, ...] = (0,)
     for q in range(1, levels + 1):
         lam = tuple(sorted(a + n ** (q - 1) * t for a in lam for t in tilde))
-        built.append(SpectrumLevel(tuple(shifts), lam))
+        built.append(SpectrumLevel(lam))
         # exact congruence with the plain aggregate mod N^q
         plain = stacked_digits(l_anchored, n, q)
         if {x % n**q for x in lam} != {x % n**q for x in plain}:
@@ -327,6 +327,7 @@ def build_spectrum(
         base=n,
         scale=scale,
         frac_shifts=frac,
+        shifts=tuple(shifts),
         levels=tuple(built),
         l_digits=l_anchored,
         search_window=search_window,

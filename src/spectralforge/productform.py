@@ -91,14 +91,6 @@ class OneStageForm:
     def b_map(self) -> dict[int, DigitSet]:
         return dict(self.b_sets)
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.a_set)
-
-    @property
-    def m_cardinality(self) -> int:
-        return len(self.b_sets[0][1])
-
     def b_list(self) -> list[DigitSet]:
         return [b for _, b in self.b_sets]
 
@@ -192,47 +184,20 @@ def require_valid_one_stage(form: OneStageForm) -> OneStageForm:
 def reduce_r_to_1(form: OneStageForm) -> OneStageForm:
     """Rewrite a form with r >= 2 over the base N^r with r = 1.
 
-    New A-digits are the r-fold mixed-radix sums of old ones; the B-set
-    attached to such a digit is the direct sum of the B's picked by its
-    radix digits, scaled by powers of N.  The measure generated by the old
-    and new digits is the same, which the caller can confirm through the
-    expansion identity (tested in the suite).
+    New A-digits are the r-fold mixed-radix sums sum_j N^j * a_(i_j) of old
+    ones; the B-set attached to such a digit is the direct sum of the B's
+    picked by its radix digits, sum_j N^j * B_(a_(i_j)), and L1, L2 become
+    L + N*L + ... + N^(r-1)*L.  This is ``k_stage_to_one_stage`` applied to
+    the form read as a k-stage form with one stage at scale r (r - 1 empty
+    levels below B), so the result is validated exactly and expands to
+    D + N*D + ... + N^(r-1)*D.
     """
     if form.r == 1:
         return form
     if form.r < 1:
         raise ValueError("reduction needs r >= 1")
-    n, r = form.base, form.r
-    big = n**r
-    a_digits = form.a_set.digits
-    b_map = form.b_map
-
-    new_pairs: dict[int, DigitSet] = {}
-    for combo in _tuples(len(a_digits), r):
-        a_new = sum(n**j * a_digits[i] for j, i in enumerate(combo))
-        parts = [[n**j * b for b in b_map[a_digits[i]].digits] for j, i in enumerate(combo)]
-        b_new = DigitSet(big, direct_sum_digits(*parts))
-        if a_new in new_pairs:
-            raise OverlapError(a_new, combo, combo)
-        new_pairs[a_new] = b_new
-
-    l1_new = DigitSet(big, stacked_digits(form.l1.digits, n, r))
-    l2_new = DigitSet(big, stacked_digits(form.l2.digits, n, r))
-    a_new_set = DigitSet(big, tuple(sorted(new_pairs)))
-    out = OneStageForm(big, 1, a_new_set, tuple(sorted(new_pairs.items())), l1_new, l2_new)
-    stacked = stacked_digits(expand_one_stage(form).digits, n, r)
-    if expand_one_stage(out).digits != stacked:
-        raise AssertionError("reduced form must expand to the stacked digit set")
-    return require_valid_one_stage(out)
-
-
-def _tuples(n: int, r: int):
-    if r == 0:
-        yield ()
-        return
-    for rest in _tuples(n, r - 1):
-        for i in range(n):
-            yield (i,) + rest
+    staged = KStageForm(form.base, (form.r,), form.a_set, (form.b_sets,), (form.l1, form.l2))
+    return k_stage_to_one_stage(staged)
 
 
 def translate_and_gcd_normalize(
@@ -347,18 +312,6 @@ def _expand_with_witness(form: KStageForm):
     return _expand_layers(form.e0.digits, stages)
 
 
-def _paths(form: KStageForm):
-    """Digit of D^(k) -> the chain [d_0, d_1, ..., d_k] that produced it."""
-    final, parents = _expand_with_witness(form)
-    chains: dict[int, list[int]] = {}
-    for x in final:
-        chain = [x]
-        for level in reversed(parents):
-            chain.append(level[chain[-1]][0])
-        chains[x] = list(reversed(chain))
-    return chains
-
-
 def validate_k_stage(form: KStageForm) -> ValidationReport:
     """Exact check of every per-level triple and every prefix/suffix product.
 
@@ -372,19 +325,21 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
     checks.append(CheckResult("level-0 triple (N, E0, L0)", rep is None, str(rep or "")))
 
     try:
-        chains = _paths(form)
+        _, parents = _expand_with_witness(form)
     except OverlapError as exc:
         checks.append(CheckResult("expansion collision-free", False, str(exc)))
         return ValidationReport(tuple(checks))
     checks.append(CheckResult("expansion collision-free", True))
 
-    k = form.stages
-    # (i) each layer set used at stage j forms a triple with L_j
-    for j in range(1, k + 1):
+    # digit -> the layer sets on its path, E_1(d_0) ... E_j(d_(j-1))
+    paths: dict[int, tuple[tuple[int, ...], ...]] = {d: () for d in form.e0.digits}
+    for j, (layer, witness) in enumerate(zip(form.layers, parents), start=1):
+        # (i) each layer set used at stage j forms a triple with L_j
         seen_sets = set()
-        parents_at_j = {chain[j - 1] for chain in chains.values()}
-        for d in sorted(parents_at_j):
-            part = layer_lookup(form.layers[j - 1], d)
+        extended = {}
+        for d in sorted(paths):
+            part = layer_lookup(layer, d)
+            extended[d] = paths[d] + (part.digits,)
             if part.digits in seen_sets:
                 continue
             seen_sets.add(part.digits)
@@ -392,13 +347,8 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
             checks.append(
                 CheckResult(f"stage-{j} triple (N, E_{j}({d}), L_{j})", rep is None, str(rep or ""))
             )
-
-    # path -> the list of layer sets it used, E_1(d_0) ... E_k(d_{k-1})
-    used: set[tuple[tuple[int, ...], ...]] = set()
-    for chain in chains.values():
-        used.add(
-            tuple(layer_lookup(form.layers[j], chain[j]).digits for j in range(k))
-        )
+        paths = {x: extended[d] for x, (d, _) in witness.items()}
+    used = set(paths.values())
 
     def _check_product(tag: str, parts: list[tuple[int, ...]], spectra: list[DigitSet]):
         try:
@@ -410,7 +360,7 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
         rep = check_triple(n, s, ls)
         checks.append(CheckResult(tag, rep is None, str(rep or "")))
 
-    for m in range(1, k + 1):
+    for m in range(1, form.stages + 1):
         prefix_sets = {seq[:m] for seq in used}
         for seq in sorted(prefix_sets):
             _check_product(
@@ -467,51 +417,38 @@ def _normalized_levels(form: KStageForm, k_target: int | None):
 def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneStageForm:
     """Rebuild the k-stage digits as a one-stage form over base N^k.
 
-    The new A is the middle aggregate of the stacked digit sets
-    D + N*D + ... + N^(k-1)*D, the new B's are read off along residues mod
-    N^k, and the two lifted spectra come from the stacked per-level direct
-    sums.  The result is validated exactly; the error names the failing
-    aggregate (A-triple, B-triple, or product).
+    With D^(j) the digits after stage j and D = D^(k), the stacked set
+    D + N*D + ... + N^(k-1)*D is A (+) N^k * B_a, where the new A is the
+    middle aggregate D^(k-1) + N*D^(k-2) + ... + N^(k-1)*D^(0) and each B_a
+    is read off the stacked digits congruent to a mod N^k.  The two lifted
+    spectra come from the stacked per-level direct sums.  The result is
+    validated exactly; the error names the failing aggregate (A-triple,
+    B-triple, or product).
     """
     norm = _normalized_levels(form, k_target)
     n = norm.base
     k = norm.stages
-    zero = (0,)
+    big = n**k
 
-    # D^(j) for j = 0..k; D^(j) = D^(k) beyond the top, {0} below 0.
+    # D^(j) for j = 0..k
     _, parents = _expand_with_witness(norm)
     stagewise = [norm.e0.digits] + [tuple(sorted(seen)) for seen in parents]
+    a_digits = direct_sum_digits(*[[n**j * d for d in stagewise[k - 1 - j]] for j in range(k)])
+    d_big = stacked_digits(stagewise[k], n, k)
 
-    def level(j: int) -> tuple[int, ...]:
-        if j < 0:
-            return zero
-        if j >= k:
-            return stagewise[k]
-        return stagewise[j]
-
-    def aggregate(m: int) -> tuple[int, ...]:
-        return direct_sum_digits(*[[n**j * d for d in level(m - j)] for j in range(k)])
-
-    a_digits = aggregate(k - 1)
-    d_big = aggregate(2 * k - 1)
-    if d_big != stacked_digits(stagewise[k], n, k):
-        raise AssertionError("aggregate(2k-1) must equal D + N*D + ... + N^(k-1)*D")
-
-    big = n**k
+    over: dict[int, list[int]] = {}
+    for x in d_big:
+        over.setdefault(x % big, []).append(x)
     b_map: dict[int, DigitSet] = {}
-    leftovers = set(d_big)
     for a in a_digits:
-        picks = sorted((x - a) // big for x in d_big if (x - a) % big == 0)
+        picks = over.get(a % big)
         if not picks:
             raise ValidationFailure(
                 ValidationReport(
                     (CheckResult("B-extraction", False, f"no digits over a={a}"),)
                 )
             )
-        b_map[a] = DigitSet(big, tuple(picks))
-        leftovers -= {a + big * b for b in picks}
-    if leftovers:
-        raise AssertionError("B-extraction did not partition the stacked digits")
+        b_map[a] = DigitSet(big, tuple((x - a) // big for x in picks))
 
     cumulative: list[tuple[int, ...]] = []
     acc = norm.spectra[0].digits

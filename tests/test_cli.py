@@ -105,14 +105,6 @@ def test_validate_and_reduce_roundtrip(tmp_path, capsys):
     assert out["one_stage"]["base"] == 144
 
 
-def test_residueclass_json_roundtrip():
-    from spectralforge.cli import residueclass_from_json, residueclass_to_json
-    from spectralforge.digitsets import ResidueClassSet
-
-    r = ResidueClassSet(72, (0, 5, 9, 33))
-    assert residueclass_from_json(residueclass_to_json(r)).residues == r.residues
-
-
 def test_verify_jp_deterministic(tmp_path, capsys):
     mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))

@@ -279,6 +279,17 @@ def test_variant_ii_multiplier_exponent_discrepancy():
         paq_type_generator(2, 3, 2, "ii", q_multiplier_exponent=0, m_values=[1])
 
 
+def test_variant_ii_shift_exponent_messages():
+    """A wrong count names the expected and the given count; a negative
+    exponent names the sign condition."""
+    with pytest.raises(InvalidVariantParams) as err:
+        paq_type_generator(2, 3, 2, "ii", m_values=[1, 1])
+    assert str(err.value) == "variant ii needs alpha-1 = 1 shift exponents, got 2"
+    with pytest.raises(InvalidVariantParams) as err:
+        paq_type_generator(2, 3, 2, "ii", m_values=[-1])
+    assert str(err.value) == "variant ii needs alpha-1 shift exponents >= 0"
+
+
 def test_scaled_modulus_identity_flags():
     """The lcm-of-kernel-indices modulus always divides m_j * N^L; the two
     agree on the canonical complete shapes but not on the nested ones."""

@@ -140,7 +140,7 @@ def test_build_spectrum_classical():
     norm = _normalized_plain()
     cand = build_spectrum(norm, levels=4, scale=Fraction(1, 2))
     # all shifts zero; the scaled points are the classical pattern
-    assert {s for lev in cand.levels for _, s in lev.shifts} == {0}
+    assert {s for _, s in cand.shifts} == {0}
     assert cand.points(2)[:4] == [Fraction(0), Fraction(1), Fraction(4), Fraction(5)]
     # nested and anchored
     for k in range(1, 5):
@@ -268,12 +268,12 @@ def test_tail_term_check_flags_bad_shift():
     norm = _normalized_plain()
     cand = build_spectrum(norm, levels=1)
     # gamma = 0 shifted by 2 lattice steps: lambda = 8, and mu_hat(8/4) = 0
-    bad_level = SpectrumLevel(shifts=((0, 2), (2, 0)), lam=(2, 8))
     bad = SpectrumCandidate(
         base=cand.base,
         scale=cand.scale,
         frac_shifts=cand.frac_shifts,
-        levels=(bad_level,),
+        shifts=((0, 2), (2, 0)),
+        levels=(SpectrumLevel(lam=(2, 8)),),
         l_digits=cand.l_digits,
     )
     good = tail_term_check(norm, cand, xi_grid=9)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from spectralforge.digitsets import DigitSet, direct_sum_digits
+from spectralforge.digitsets import DigitSet, direct_sum_digits, stacked_digits
 from spectralforge.errors import (
     InvalidVariantParams,
     OverlapError,
@@ -88,6 +89,53 @@ def test_reduce_r_to_1_expansion_identity():
         stacked = direct_sum_digits(*[[f.base**j * x for x in d_r] for j in range(f.r)])
         red = reduce_r_to_1(f)
         assert expand_one_stage(red).digits == stacked
+
+
+def test_reduce_r_to_1_collision_names_two_sums():
+    # 1 + 4*1 = 5 + 4*0: the stacked A is not a direct sum
+    f = one_stage_form(4, 2, (0, 1, 5), {a: DigitSet(4, (0, 2)) for a in (0, 1, 5)}, (0, 2), (0, 1))
+    with pytest.raises(OverlapError) as err:
+        reduce_r_to_1(f)
+    assert err.value.digit == 5
+    assert err.value.first != err.value.second
+    assert sum(err.value.first) == sum(err.value.second) == 5
+
+
+def _random_valid_one_stage(rng, r):
+    """A over a complete residue system mod m1, B_a = m1*{0..m2-1} up to
+    multiples of m1*m2, and L1, L2 the matching dual sets up to multiples
+    of N: every triple of the form holds by construction."""
+    m1_max, size_max = (3, 6) if r == 2 else (2, 4)  # |A|^r products to check
+    shapes = [(n, m1, m2) for n in (4, 6, 8, 9, 12) for m1 in range(2, m1_max + 1)
+              for m2 in range(1, n + 1) if n % (m1 * m2) == 0 and m1 * m2 <= size_max]
+    n, m1, m2 = rng.choice(shapes)
+    a_digits = [i + m1 * rng.randrange(n // m1) for i in range(m1)]
+    b_map = {a: DigitSet(n, tuple(m1 * j + m1 * m2 * rng.randrange(3) for j in range(m2)))
+             for a in a_digits}
+    l1 = [n // m1 * j + n * rng.randrange(2) for j in range(m1)]
+    l2 = [n // (m1 * m2) * j + n * rng.randrange(2) for j in range(m2)]
+    return one_stage_form(n, r, a_digits, b_map, l1, l2)
+
+
+def test_reduce_r_to_1_random_sweep():
+    """The reduced form is the stacked construction of the docstring:
+    A, L1, L2 stack r times, and the B over sum_j N^j a_(i_j) is
+    sum_j N^j B_(a_(i_j))."""
+    rng = random.Random(6)
+    for trial in range(24):
+        f = _random_valid_one_stage(rng, 2 + trial % 2)
+        assert validate_one_stage(f).ok
+        n, r = f.base, f.r
+        red = reduce_r_to_1(f)
+        assert (red.base, red.r) == (n**r, 1)
+        assert red.a_set.digits == stacked_digits(f.a_set.digits, n, r)
+        assert red.l1.digits == stacked_digits(f.l1.digits, n, r)
+        assert red.l2.digits == stacked_digits(f.l2.digits, n, r)
+        b_new = red.b_map
+        for combo in itertools.product(f.a_set.digits, repeat=r):
+            a_new = sum(n**j * a for j, a in enumerate(combo))
+            parts = [[n**j * b for b in f.b_map[a].digits] for j, a in enumerate(combo)]
+            assert b_new[a_new].digits == direct_sum_digits(*parts)
 
 
 def test_translate_and_gcd_normalize():
