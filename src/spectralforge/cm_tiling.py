@@ -278,11 +278,10 @@ class ModuloProductFormSpec:
     def stages(self) -> int:
         return len(self.parts) - 1
 
-    def z(self, stage: int, parent: int, e: int) -> int:
-        for key, val in self.zshifts:
-            if key == (stage, parent, e):
-                return val
-        return 0
+    def z(self, stage: int) -> dict[tuple[int, int], int]:
+        """The shifts z(stage, parent, e) of one stage, keyed (parent, e);
+        an absent key means 0."""
+        return {(parent, e): val for (j, parent, e), val in self.zshifts if j == stage}
 
 
 def modulo_spec(base, parts, t_indices, ells, zshifts=None) -> ModuloProductFormSpec:
@@ -315,8 +314,8 @@ def _modulo_stages(spec: ModuloProductFormSpec, kernels: Sequence[KernelData]):
     for j in range(1, spec.stages + 1):
         total += spec.ells[j - 1]
 
-        def layer(d, j=j, m_j=kernels[j].m_j):
-            return tuple(e + m_j * spec.z(j, d, e) for e in spec.parts[j].digits)
+        def layer(d, part=spec.parts[j].digits, m_j=kernels[j].m_j, z=spec.z(j)):
+            return tuple(e + m_j * z.get((d, e), 0) for e in part)
 
         stages.append((j, spec.base**total, layer))
     return stages
@@ -430,7 +429,6 @@ def paq_type_generator(
     m_values: Sequence[int] | None = None,
     ells: Sequence[int] | None = None,
     zshifts=None,
-    q_multiplier_exponent: int | None = None,
 ) -> PaqResult:
     """Generate a tile digit set of N = p^alpha * q of the given shape.
 
@@ -445,10 +443,6 @@ def paq_type_generator(
     Hadamard triple; the form validation re-checks all products.  For
     variant ii the defining residue congruences of the q^M scaling are
     checked exactly and returned.
-
-    ``q_multiplier_exponent`` overrides the exponent M of the variant-ii
-    multiplier (exploration hook; values other than M are expected to break
-    the first-order completeness check and raise NotCompleteResidues).
     """
     if not (is_prime(p) and is_prime(q)) or p == q:
         raise InvalidVariantParams("p, q must be distinct primes")
@@ -480,7 +474,7 @@ def paq_type_generator(
             raise InvalidVariantParams("variant ii needs alpha-1 shift exponents >= 0")
         big_m = max(ms)
         k_idx = max(j for j in range(1, alpha) if ms[j - 1] == big_m)
-        return _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts, q_multiplier_exponent)
+        return _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts)
     else:
         raise InvalidVariantParams(f"unknown variant {variant!r}")
 
@@ -503,7 +497,7 @@ def paq_type_generator(
     )
 
 
-def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts, q_exp):
+def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts):
     n = p**alpha * q
     base_ells = list(ells) if ells is not None else [1] * alpha
 
@@ -519,18 +513,15 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts, q_exp):
     spec_orig = modulo_spec(n, parts_orig, sorted(t_orig), base_ells)
     d_orig = generate_modulo_product_form(spec_orig)
 
-    mult_exp = big_m if q_exp is None else q_exp
-    if mult_exp < big_m:
-        raise InvalidVariantParams("multiplier exponent below the maximum shift exponent")
-    mult = q**mult_exp
+    mult = q**big_m
 
-    # Multiplied first-order shape.  Multiplying the nested digits by q^X
+    # Multiplied first-order shape.  Multiplying the nested digits by q^M
     # turns each p-power factor into N^(fixed shift) times a residue-level
     # factor; the cumulative stage scales below absorb the N powers.
     staged = [
         (
             sum(base_ells[:1]) + big_m,
-            _scaled(n, q ** (mult_exp - big_m) * p ** (alpha + k_idx), q),
+            _scaled(n, p ** (alpha + k_idx), q),
             _scaled(n, 1, q),
         )
     ]
@@ -538,7 +529,7 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts, q_exp):
         staged.append(
             (
                 sum(base_ells[: j + 1]) + ms[j - 1],
-                _scaled(n, q ** (mult_exp - ms[j - 1]) * p**j, p),
+                _scaled(n, q ** (big_m - ms[j - 1]) * p**j, p),
                 _scaled(n, p ** (alpha - j - 1) * q, p),
             )
         )
@@ -551,7 +542,7 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts, q_exp):
             spec_l = DigitSet(n, direct_sum_digits(prev_l.digits, spec_l.digits))
             exp = prev_exp
         merged.append((exp, part, spec_l))
-    parts = [_scaled(n, q**mult_exp, p)] + [part for _, part, _ in merged]
+    parts = [_scaled(n, mult, p)] + [part for _, part, _ in merged]
     spectra = [_scaled(n, p ** (alpha - 1) * q, p)] + [l for _, _, l in merged]
     exps = [exp for exp, _, _ in merged]
     new_ells = [exps[0]] + [b - a for a, b in zip(exps, exps[1:])]
@@ -560,7 +551,7 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts, q_exp):
     if sorted({x % n for x in total}) != list(range(n)):
         raise NotCompleteResidues(
             f"multiplied factor sets are not a complete residue system mod {n} "
-            f"(multiplier exponent {mult_exp})"
+            f"(multiplier exponent {big_m})"
         )
 
     t_first = sorted(d for d in _divisors(n) if d > 1)

@@ -162,19 +162,11 @@ def is_complete_residue_system(s: ResidueClassSet) -> bool:
 
 
 def direct_sum_digits(*sets: Iterable[int]) -> tuple[int, ...]:
-    """Direct sum over the integers; raises OverlapError on a repeated sum."""
-    acc: dict[int, tuple] = {0: ()}
-    for part in sets:
-        nxt: dict[int, tuple] = {}
-        part = list(part)
-        for s, how in acc.items():
-            for x in part:
-                t = s + x
-                if t in nxt:
-                    raise OverlapError(t, nxt[t], how + (x,))
-                nxt[t] = how + (x,)
-        acc = nxt
-    return tuple(sorted(acc))
+    """Direct sum over the integers; raises OverlapError on a repeated sum,
+    naming the (partial sum, summand) pair of each production."""
+    stages = [(None, 1, lambda d, part=tuple(part): part) for part in sets]
+    digits, _ = _expand_layers((0,), stages)
+    return tuple(digits)
 
 
 def stacked_digits(digits: Sequence[int], base: int, count: int) -> tuple[int, ...]:

@@ -104,7 +104,8 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     candidates form a Cayley graph on Z_N whose connection set is the zero
     set of the mask; spectra are its |D|-cliques through 0.  Branch and
     bound with a most-constrained vertex order; N here stays small enough
-    that plain Python bitsets win.
+    that plain Python bitsets win.  The search keeps its own stack, since a
+    clique can hold |D| vertices.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -126,25 +127,28 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
             m |= 1 << ((v + t) % n)
         adj[v] = m
     results: list[DigitSet] = []
-
-    def extend(clique: list[int], cand: int):
-        if len(clique) == size:
-            results.append(DigitSet(max(n, 2), tuple(sorted(clique))))
-            return
+    # cands[i] holds the vertices still to try after clique[: i + 1]
+    clique = [0]
+    cands = [adj[0] & ~1]
+    while cands:
+        cand = cands[-1]
         need = size - len(clique)
-        while cand:
-            if bin(cand).count("1") < need:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            # cand now holds only vertices above v, so each clique is
-            # produced exactly once, in increasing vertex order.
-            extend(clique + [v], cand & adj[v])
+        if bin(cand).count("1") < need:
+            cands.pop()
+            clique.pop()
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        # cand ^ low holds only vertices above v, so each clique is
+        # produced exactly once, in increasing vertex order.
+        cands[-1] = cand ^ low
+        if need == 1:
+            results.append(DigitSet(max(n, 2), tuple(clique) + (v,)))
             if limit is not None and len(results) >= limit:
-                return
-
-    extend([0], adj[0] & ~1)
+                break
+            continue
+        clique.append(v)
+        cands.append((cand ^ low) & adj[v])
     return sorted(results, key=lambda s: s.digits)
 
 
@@ -159,7 +163,6 @@ LayerSets = DigitSet | Mapping[int, DigitSet]
 def lifted_triple(
     n: int,
     layers: Sequence[tuple[LayerSets, DigitSet]],
-    replicate: int | None = None,
 ) -> HadamardTriple:
     """Stack per-level triples (N, C_j, L_j) into one triple over N^(K+1).
 
@@ -167,13 +170,7 @@ def lifted_triple(
     parent digit (pass a mapping keyed by parent).  The lifted spectrum is
     the direct sum of N^(K-j) * L_j.  The result is re-verified exactly,
     never assumed.
-
-    ``replicate`` repeats a single (C, L) layer that many times.
     """
-    if replicate is not None:
-        if len(layers) != 1:
-            raise ValueError("replicate expects exactly one base layer")
-        layers = list(layers) * replicate
     if not layers:
         raise ValueError("need at least one layer")
     c0, _ = layers[0]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -216,34 +216,26 @@ def finite_level_identity_check(
 
 
 @dataclass(frozen=True)
-class SpectrumLevel:
-    """One stage of the nested integer sets."""
-
-    lam: tuple[int, ...]  # the full integer set after this stage
-
-
-@dataclass(frozen=True)
 class SpectrumCandidate:
     """scale * ((1/N) L2 + Lambda) with Lambda built level by level.
 
-    ``levels[k - 1].lam`` are nested, each containing 0 and congruent to
-    the plain aggregate mod N^k (checked at build time).
+    ``levels[k - 1]`` is the direct sum T + N*T + ... + N^(k-1)*T of the
+    shifted elements T; the levels are nested and each contains 0.
     """
 
     base: int
     scale: Fraction
     frac_shifts: tuple[Fraction, ...]
     shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift), shared by every level
-    levels: tuple[SpectrumLevel, ...]
+    levels: tuple[tuple[int, ...], ...]
     l_digits: tuple[int, ...]
-    search_window: int = field(default=0, compare=False)
 
     def lambdas(self, k: int | None = None) -> tuple[int, ...]:
         if k is None:
             k = len(self.levels)
         if k == 0:
             return (0,)
-        return self.levels[k - 1].lam
+        return self.levels[k - 1]
 
     def points(self, k: int | None = None) -> list[Fraction]:
         out = [
@@ -274,9 +266,9 @@ def build_spectrum(
     energy there.  gamma = 0 always keeps shift 0.  A window exhausted
     without an acceptable shift raises ShiftSearchFailure: either the
     window is too small or the form genuinely fails equi-positivity there;
-    the failure is reported, never papered over.  Level q (at depth q)
-    adds N^(q-1) times the shifted elements to the set of level q - 1;
-    every level uses the same shifts.
+    the failure is reported, never papered over.  Level q is the direct
+    sum of N^j times the shifted elements for j < q; every level uses the
+    same shifts.
     """
     if form.r != 1:
         raise ValueError("spectrum construction needs a form with r = 1")
@@ -312,25 +304,14 @@ def build_spectrum(
         shifts.append((g, accepted))
     tilde = [g + n * k for g, k in shifts]
 
-    built: list[SpectrumLevel] = []
-    lam: tuple[int, ...] = (0,)
-    for q in range(1, levels + 1):
-        lam = tuple(sorted(a + n ** (q - 1) * t for a in lam for t in tilde))
-        built.append(SpectrumLevel(lam))
-        # exact congruence with the plain aggregate mod N^q
-        plain = stacked_digits(l_anchored, n, q)
-        if {x % n**q for x in lam} != {x % n**q for x in plain}:
-            raise AssertionError("integer set drifted off the aggregate lattice")
-
     frac = tuple(sorted({Fraction(x, n) for x in form.l2.digits}))
     return SpectrumCandidate(
         base=n,
         scale=scale,
         frac_shifts=frac,
         shifts=tuple(shifts),
-        levels=tuple(built),
+        levels=tuple(stacked_digits(tilde, n, q) for q in range(1, levels + 1)),
         l_digits=l_anchored,
-        search_window=search_window,
     )
 
 
@@ -382,8 +363,8 @@ def jp_sum(
 
     def one(idx, x):
         total = math.fsum(
-            abs(trunc.mu_hat_rational((x + p).numerator, (x + p).denominator)) ** 2
-            for p in pts
+            abs(trunc.mu_hat_rational(s.numerator, s.denominator)) ** 2
+            for s in (x + p for p in pts)
         )
         tgt = target[idx] if isinstance(target, (list, tuple)) else float(target)
         return JPRow(float(x), len(pts), total, tgt)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
 from .errors import OverlapError, ValidationFailure
@@ -24,13 +24,18 @@ from .hadamard import check_triple
 LayerSpec = Union[DigitSet, tuple[tuple[int, DigitSet], ...]]
 
 
-def layer_lookup(layer: LayerSpec, parent: int) -> DigitSet:
+def layer_lookup(layer: LayerSpec) -> Callable[[int], DigitSet]:
+    """parent -> layer set, read through one dict built per call."""
     if isinstance(layer, DigitSet):
-        return layer
-    for key, value in layer:
-        if key == parent:
-            return value
-    raise KeyError(f"layer has no entry for parent digit {parent}")
+        return lambda parent: layer
+    table = dict(layer)
+
+    def lookup(parent: int) -> DigitSet:
+        if parent not in table:
+            raise KeyError(f"layer has no entry for parent digit {parent}")
+        return table[parent]
+
+    return lookup
 
 
 def as_layer(spec: LayerSpec | Mapping[int, DigitSet]) -> LayerSpec:
@@ -308,7 +313,7 @@ def _expand_with_witness(form: KStageForm):
     total = 0
     for j, (ell, layer) in enumerate(zip(form.ells, form.layers), start=1):
         total += ell
-        stages.append((j, form.base**total, lambda d, layer=layer: layer_lookup(layer, d).digits))
+        stages.append((j, form.base**total, lambda d, lookup=layer_lookup(layer): lookup(d).digits))
     return _expand_layers(form.e0.digits, stages)
 
 
@@ -337,8 +342,9 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
         # (i) each layer set used at stage j forms a triple with L_j
         seen_sets = set()
         extended = {}
+        lookup = layer_lookup(layer)
         for d in sorted(paths):
-            part = layer_lookup(layer, d)
+            part = lookup(d)
             extended[d] = paths[d] + (part.digits,)
             if part.digits in seen_sets:
                 continue
@@ -421,9 +427,9 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     D + N*D + ... + N^(k-1)*D is A (+) N^k * B_a, where the new A is the
     middle aggregate D^(k-1) + N*D^(k-2) + ... + N^(k-1)*D^(0) and each B_a
     is read off the stacked digits congruent to a mod N^k.  The two lifted
-    spectra come from the stacked per-level direct sums.  The result is
-    validated exactly; the error names the failing aggregate (A-triple,
-    B-triple, or product).
+    spectra are direct sums of the scaled level spectra N^(k-1-m) * L_i.
+    The result is validated exactly; the error names the failing aggregate
+    (A-triple, B-triple, or product).
     """
     norm = _normalized_levels(form, k_target)
     n = norm.base
@@ -450,21 +456,15 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
             )
         b_map[a] = DigitSet(big, tuple((x - a) // big for x in picks))
 
-    cumulative: list[tuple[int, ...]] = []
-    acc = norm.spectra[0].digits
-    cumulative.append(acc)
-    for j in range(1, k + 1):
-        acc = direct_sum_digits(acc, norm.spectra[j].digits)
-        cumulative.append(acc)
-    l1 = direct_sum_digits(*[[n ** (k - m - 1) * x for x in cumulative[m]] for m in range(k)])
+    # L1 = sum over m < k of N^(k-1-m) * (L_0 (+) ... (+) L_m) and
+    # L2 = sum over m < k of N^(k-1-m) * (L_(m+1) (+) ... (+) L_k)
+    def lifted(pairs):
+        return direct_sum_digits(
+            *[[n ** (k - 1 - m) * x for x in norm.spectra[i].digits] for m, i in pairs]
+        )
 
-    reversed_cumulative: list[tuple[int, ...]] = [norm.spectra[k].digits]
-    for j in range(k - 1, 0, -1):
-        reversed_cumulative.insert(0, direct_sum_digits(reversed_cumulative[0], norm.spectra[j].digits))
-    # reversed_cumulative[m] = L_k (+) ... (+) L_{m+1} for m = 0..k-1
-    l2 = direct_sum_digits(
-        *[[n ** (k - m - 1) * x for x in reversed_cumulative[m]] for m in range(k)]
-    )
+    l1 = lifted((m, i) for m in range(k) for i in range(m + 1))
+    l2 = lifted((m, i) for m in range(k) for i in range(m + 1, k + 1))
 
     out = OneStageForm(
         big,

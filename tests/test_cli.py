@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from spectralforge import measure
 from spectralforge.cli import (
     FIXTURES,
     digitset_from_json,
@@ -103,6 +104,17 @@ def test_validate_and_reduce_roundtrip(tmp_path, capsys):
     assert _run(["reduce-kstage", "--spec", spec]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["one_stage"]["base"] == 144
+
+
+def test_verify_jp_accepts_a_nonzero_shift(tmp_path, capsys):
+    """gamma = 7 needs the lattice shift 1, which moves the levels off the
+    plain aggregate mod N^q; the candidate is still a valid one."""
+    obj = {"base": 8, "r": 1, "A": ["0", "4"], "Bs": {"0": ["0", "23"], "4": ["0", "23"]},
+           "L1": ["0", "3"], "L2": ["0", "4"]}
+    assert measure.build_spectrum(one_stage_from_json(obj), levels=3).shifts[-1] == (7, 1)
+    spec = _write(tmp_path, "f8.json", obj)
+    assert _run(["verify-jp", "--form", spec, "--levels", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["bessel_and_monotone"] is True
 
 
 def test_verify_jp_deterministic(tmp_path, capsys):

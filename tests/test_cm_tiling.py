@@ -270,15 +270,6 @@ def test_variant_ii_congruences_and_multiplier():
         assert c.ok, c.label
 
 
-def test_variant_ii_multiplier_exponent_discrepancy():
-    """One extra power of q makes every factor divisible by q, so the
-    multiplied decomposition cannot cover all residues."""
-    with pytest.raises(NotCompleteResidues):
-        paq_type_generator(2, 3, 2, "ii", q_multiplier_exponent=2)
-    with pytest.raises(InvalidVariantParams):
-        paq_type_generator(2, 3, 2, "ii", q_multiplier_exponent=0, m_values=[1])
-
-
 def test_variant_ii_shift_exponent_messages():
     """A wrong count names the expected and the given count; a negative
     exponent names the sign condition."""

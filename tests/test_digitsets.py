@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -123,6 +124,38 @@ def test_digit_tuple_helpers():
     with pytest.raises(OverlapError):
         direct_sum_digits((0, 2), (0, 2))
     assert sumset((0, 2), (0, 2)) == (0, 2, 4)
+    # two-set witnesses are the (first, second) summand pairs
+    with pytest.raises(OverlapError) as err:
+        direct_sum_digits([0, 1], [0, 1])
+    assert str(err.value) == "digit collision: 1 produced by (0, 1) and (1, 0)"
+    with pytest.raises(OverlapError) as err:
+        direct_sum_digits([0, 2, 5], [0, 3, 4])
+    assert str(err.value) == "digit collision: 5 produced by (2, 3) and (5, 0)"
+
+
+def test_direct_sum_overlap_witnesses():
+    """A planted repeated sum among 2-4 sets is reported with two distinct
+    (partial sum, summand) witnesses, each adding up to the digit."""
+    rng = random.Random(8)
+    for _ in range(200):
+        sets = [rng.sample(range(-20, 40), rng.randrange(1, 5)) for _ in range(rng.randrange(2, 5))]
+        sets[0].append(max(sets[0]) + 1)  # two choices in at least one set
+        # plant x' with p' + x' == p + y, for two choices p, p' of the other sets
+        picks = [rng.sample(s, 2) if len(s) > 1 else [s[0], s[0]] for s in sets[:-1]]
+        p = sum(a for a, _ in picks)
+        p2 = sum(b for _, b in picks)
+        y = rng.choice(sets[-1])
+        sets[-1] = sorted(set(sets[-1]) | {p + y - p2})
+        with pytest.raises(OverlapError) as err:
+            direct_sum_digits(*[sorted(s) for s in sets])
+        exc = err.value
+        # the digit repeats among the sums of some leading sets
+        assert any(
+            sum(sum(c) == exc.digit for c in itertools.product(*sets[:m])) >= 2
+            for m in range(2, len(sets) + 1)
+        )
+        assert exc.first != exc.second
+        assert sum(exc.first) == sum(exc.second) == exc.digit
 
 
 def test_digitset_rejects_multisets():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -82,6 +83,21 @@ def test_find_spectra_complete_residue_system():
     # a complete system's only spectrum of full size is the whole group
     got = find_spectra(6, DigitSet(6, (0, 1, 2, 3, 4, 5)))
     assert [s.digits for s in got] == [(0, 1, 2, 3, 4, 5)]
+
+
+def test_find_spectra_needs_no_recursion():
+    """A clique of 120 vertices is found with only 60 frames to spare."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    d = DigitSet(240, tuple(range(0, 240, 2)))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        got = find_spectra(240, d, limit=1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert [s.digits for s in got] == [tuple(range(120))]
 
 
 def test_find_spectra_against_bruteforce():
@@ -193,12 +209,12 @@ def test_verify_equivalent_pairs():
 
 
 def test_lifted_triple_examples():
-    t = lifted_triple(4, [(DigitSet(4, (0, 2)), DigitSet(4, (0, 1)))], replicate=2)
+    t = lifted_triple(4, [(DigitSet(4, (0, 2)), DigitSet(4, (0, 1)))] * 2)
     assert t.base == 16
     assert t.digits.digits == (0, 2, 8, 10)
     assert set(t.spectrum.digits) == {0, 1, 4, 5}
 
-    triv = lifted_triple(6, [(DigitSet(6, (0,)), DigitSet(6, (0,)))], replicate=3)
+    triv = lifted_triple(6, [(DigitSet(6, (0,)), DigitSet(6, (0,)))] * 3)
     assert triv.digits.digits == (0,) and triv.spectrum.digits == (0,)
 
     clash = [

@@ -9,7 +9,6 @@ from spectralforge.digitsets import DigitSet
 from spectralforge.errors import TailBoundUnavailable
 from spectralforge.measure import (
     SpectrumCandidate,
-    SpectrumLevel,
     TruncatedMeasure,
     auto_depth,
     build_spectrum,
@@ -273,7 +272,7 @@ def test_tail_term_check_flags_bad_shift():
         scale=cand.scale,
         frac_shifts=cand.frac_shifts,
         shifts=((0, 2), (2, 0)),
-        levels=(SpectrumLevel(lam=(2, 8)),),
+        levels=((2, 8),),
         l_digits=cand.l_digits,
     )
     good = tail_term_check(norm, cand, xi_grid=9)

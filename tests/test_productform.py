@@ -192,6 +192,14 @@ def test_k_stage_collision_reports_stage():
     assert err.value.stage == 1 and err.value.digit == 4
 
 
+def test_keyed_layer_without_parent_names_it():
+    ks = k_stage_form(4, (1,), (0, 1), [{0: DigitSet(4, (0, 2))}], [(0, 2), (0, 1)])
+    with pytest.raises(KeyError, match="layer has no entry for parent digit 1"):
+        expand_k_stage(ks)
+    with pytest.raises(KeyError, match="layer has no entry for parent digit 1"):
+        k_stage_to_one_stage(ks)
+
+
 def test_k_stage_to_one_stage_identity_k1():
     ks = k_stage_form(
         4, (1,), (0, 1), [{0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 6))}], [(0, 2), (0, 1)]
