@@ -27,6 +27,7 @@ from .productform import (
     KStageForm,
     OneStageForm,
     build_four_digit_form,
+    check_layer_keys,
     expand_k_stage,
     expand_one_stage,
     k_stage_form,
@@ -125,13 +126,15 @@ def k_stage_from_json(obj: dict) -> KStageForm:
             layers.append(
                 {_int(k): DigitSet(base, _digits_from_json(v)) for k, v in layer["map"].items()}
             )
-    return k_stage_form(
+    form = k_stage_form(
         base,
         [_int(e) for e in obj["ells"]],
         _digits_from_json(obj["E0"]),
         layers,
         [_digits_from_json(s) for s in obj["Ls"]],
     )
+    check_layer_keys(form)
+    return form
 
 
 def load_json(path: str) -> Any:

@@ -5,18 +5,27 @@ D/N^j, so its Fourier transform is the infinite product of digit masks
 M_D(xi/N^j).  Everything here works with truncated products plus a rigorous
 multiplicative tail bound.
 
-Two evaluation paths coexist:
+Three evaluation paths coexist:
 
 * a double-precision path (numpy) for float xi, scalar or array;
 * an exact-phase path for rational points: the phase d*xi/N^j is reduced
   mod 1 in integer arithmetic before hitting the unit circle, so points at
   height 1e8 lose nothing.  Spectrum candidates are stored as exact
   rationals for that reason.
+* a split-phase kernel for the transform at every sum a + b of a short row
+  list and a long column list (frame sums, weakly-periodic scans).  It uses
+  e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j): per level it takes one
+  exponential per (digit, entry) on each side, each with the phase of the
+  path above that its side needs (exact for rationals, float for a float
+  grid), and forms the level factor as (1/|D|) * sum over d of
+  row_d (x) col_d.  It works in tiles of at most _TILE_PAIRS pairs, so its
+  memory does not grow with the lists.
 
 Every truncation depth comes from the tail bound (auto_depth).
 
-Sums over candidate points are accumulated with math.fsum in a fixed order,
-so repeated runs give identical results.
+Sums over candidate points are accumulated with math.fsum, and the digit sums
+with elementwise numpy operations in digit order, so repeated runs give
+identical results.
 """
 
 from __future__ import annotations
@@ -143,6 +152,89 @@ def mu_hat_point(base: int, digits: DigitSet, point: Fraction, target: float = 1
     depth = auto_depth(base, digits, abs(float(point)) + 1.0, target)
     m = TruncatedMeasure(base, digits, depth)
     return m.mu_hat_rational(point.numerator, point.denominator)
+
+
+# ---------------------------------------------------------------------------
+# Split-phase kernel: the truncated transform at every sum row + column.
+
+# Most (row, column) pairs in one tile; a tile's three complex work arrays
+# take 48 bytes per pair.
+_TILE_PAIRS = 1 << 13
+_INT64_LIMIT = 2**63
+
+
+class _RationalSide:
+    """Exact rationals, as integer numerators over one common denominator."""
+
+    def __init__(self, values: Sequence[Fraction | int]):
+        self.den = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (self.den // v.denominator) for v in values]
+        self.bound = max(max(map(abs, nums), default=0), 1)
+        self.nums = np.array(nums, dtype=np.int64 if self.bound < _INT64_LIMIT else object)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def units(self, base: int, j: int, d: int, part: slice) -> np.ndarray:
+        """e(-d*v/N^j) with the phase (d*num mod den*N^j)/(den*N^j) exact
+        before its final rounding."""
+        m = self.den * base**j
+        x = self.nums[part]
+        if max(abs(d), 1) * self.bound < _INT64_LIMIT:
+            prod = d * x
+            # past int64, |d*num| < m: the phase is already reduced, up to
+            # a sign the period absorbs
+            phase = (prod % m) / m if m < _INT64_LIMIT else prod / float(m)
+        else:
+            phase = np.array([(d * v) % m / m for v in x.tolist()], dtype=float)
+        return np.exp(-2j * np.pi * phase)
+
+
+class _FloatSide:
+    """Float entries, with the float phases of mask_value."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def units(self, base: int, j: int, d: int, part: slice) -> np.ndarray:
+        return np.exp(-2j * np.pi * float(d) * (self.values[part] / float(base) ** j))
+
+
+def _tiles(n_rows: int, n_cols: int):
+    """Row-major (row slice, column slice) blocks of at most _TILE_PAIRS
+    pairs, near square unless one side is short."""
+    if not (n_rows and n_cols):
+        return
+    rows = min(n_rows, max(math.isqrt(_TILE_PAIRS), _TILE_PAIRS // n_cols))
+    cols = _TILE_PAIRS // rows
+    for r0 in range(0, n_rows, rows):
+        for c0 in range(0, n_cols, cols):
+            yield slice(r0, min(r0 + rows, n_rows)), slice(c0, min(c0 + cols, n_cols))
+
+
+def _split_phase_abs(m: TruncatedMeasure, rows, cols):
+    """Yields (row slice, column slice, |m.mu_hat(a + b)|) over the tiles of
+    rows x cols, rows outermost."""
+    ds = m.digits.digits
+    for rs, cs in _tiles(len(rows), len(cols)):
+        shape = (rs.stop - rs.start, cs.stop - cs.start)
+        prod = np.ones(shape, dtype=complex)
+        level = np.empty(shape, dtype=complex)
+        term = np.empty(shape, dtype=complex)
+        for j in range(1, m.depth + 1):
+            for i, d in enumerate(ds):
+                out = term if i else level
+                np.multiply.outer(rows.units(m.base, j, d, rs), cols.units(m.base, j, d, cs), out=out)
+                if i:
+                    level += term
+            # the parts one by one: what complex / int gives, without the
+            # cost of numpy's complex division
+            level.view(float)[...] /= len(ds)
+            prod *= level
+        yield rs, cs, np.abs(prod)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +453,18 @@ def jp_sum(
     height = max((abs(float(p)) for p in pts), default=0.0) + 2.0
     trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))
 
-    def one(idx, x):
-        total = math.fsum(
-            abs(trunc.mu_hat_rational(s.numerator, s.denominator)) ** 2
-            for s in (x + p for p in pts)
-        )
-        tgt = target[idx] if isinstance(target, (list, tuple)) else float(target)
-        return JPRow(float(x), len(pts), total, tgt)
+    totals = [0.0] * len(xs)
+    for rs, cs, mag in _split_phase_abs(trunc, _RationalSide(xs), _RationalSide(pts)):
+        if cs.start == 0:
+            sq = np.empty((rs.stop - rs.start, len(pts)))
+        np.square(mag, out=sq[:, cs])
+        if cs.stop == len(pts):
+            totals[rs] = [math.fsum(row.tolist()) for row in sq]
 
-    return [one(idx, x) for idx, x in enumerate(xs)]
+    def target_at(idx):
+        return target[idx] if isinstance(target, (list, tuple)) else float(target)
+
+    return [JPRow(float(x), len(pts), totals[idx], target_at(idx)) for idx, x in enumerate(xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +521,9 @@ def weakly_periodic_check(
         return WeaklyPeriodicReport(math.inf, 0.0, (), excluded, len(grid), integer_window)
 
     running = np.zeros_like(xs)
-    for k in range(-integer_window, integer_window + 1):
-        running = np.maximum(running, np.abs(trunc.mu_hat(xs + float(k))))
+    shifts = _RationalSide(range(-integer_window, integer_window + 1))
+    for _, cs, mag in _split_phase_abs(trunc, shifts, _FloatSide(xs)):
+        np.maximum(running[cs], mag.max(axis=0), out=running[cs])
     idx = int(np.argmin(running))
     flagged = tuple(float(x) for x in xs[running < FLAG_THRESHOLD])
     return WeaklyPeriodicReport(

@@ -302,6 +302,23 @@ def k_stage_form(base, ells, e0, layers, spectra) -> KStageForm:
     return KStageForm(base, tuple(ells), e0, fixed, specs)
 
 
+def check_layer_keys(form: KStageForm) -> None:
+    """Raise ValueError if a keyed layer has no entry for a digit of the
+    level it extends, naming the stage and the smallest such digit."""
+    last_keyed = max((j for j, l in enumerate(form.layers, 1) if not isinstance(l, DigitSet)), default=0)
+    parents = set(form.e0.digits)
+    total = 0
+    for j, (ell, layer) in enumerate(zip(form.ells, form.layers[:last_keyed]), start=1):
+        if not isinstance(layer, DigitSet):
+            missing = parents.difference(key for key, _ in layer)
+            if missing:
+                raise ValueError(f"stage-{j} layer has no entry for parent digit {min(missing)}")
+        if j < last_keyed:
+            total += ell
+            lookup = layer_lookup(layer)
+            parents = {d + form.base**total * e for d in parents for e in lookup(d).digits}
+
+
 def expand_k_stage(form: KStageForm) -> DigitSet:
     digits, _ = _expand_with_witness(form)
     return DigitSet(form.base, tuple(sorted(digits)))

@@ -130,6 +130,16 @@ def test_verify_jp_deterministic(tmp_path, capsys):
     assert report["bessel_and_monotone"] is True
 
 
+def test_weakly_periodic_deterministic(tmp_path, capsys):
+    mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    argv = ["weakly-periodic", "--form", spec, "--resolution", "256", "--window", "16"]
+    assert _run(argv) == 0
+    first = capsys.readouterr().out
+    assert _run(argv) == 0
+    assert capsys.readouterr().out == first  # byte-identical report for identical config
+
+
 def test_check_lemma42_cli(tmp_path, capsys):
     f = {
         "base": 4,
@@ -221,9 +231,15 @@ def _malformed_inputs(tmp_path):
                        {**staged, "layers": ["abc", *staged["layers"][1:]]})
     zshifts = _write(tmp_path, "zshifts.json", [{"stage": 1, "e": 0, "z": 1}])
     d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
+    no_parent = _write(tmp_path, "no-parent.json", {
+        "base": 4, "ells": [1], "E0": ["0", "1"], "layers": [{"map": {"0": ["0", "2"]}}],
+        "Ls": [["0", "2"], ["0", "1"]],
+    })
     return [
         ("list-Bs", ["validate-form", "--spec", bs_list]),
         ("string-layer", ["validate-form", "--spec", str_layer]),
+        ("layer-no-parent", ["validate-form", "--spec", no_parent]),
+        ("layer-no-parent-reduce", ["reduce-kstage", "--spec", no_parent]),
         ("scale-abc", ["verify-jp", "--form", spec, "--scale", "abc"]),
         ("scale-0", ["verify-jp", "--form", spec, "--scale", "0"]),
         ("levels-negative", ["verify-jp", "--form", spec, "--levels", "-1"]),

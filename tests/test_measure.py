@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from spectralforge.digitsets import DigitSet
 from spectralforge.errors import TailBoundUnavailable
 from spectralforge.measure import (
+    FLAG_THRESHOLD,
+    MEMBERSHIP_THRESHOLD,
     SpectrumCandidate,
     TruncatedMeasure,
     auto_depth,
@@ -25,6 +28,7 @@ from spectralforge.measure import (
 )
 from spectralforge.productform import (
     build_four_digit_form,
+    expand_one_stage,
     one_stage_form,
     translate_and_gcd_normalize,
 )
@@ -230,6 +234,107 @@ def test_truncation_radius_filters_points():
     d = DigitSet(4, (0, 2))
     rows = jp_sum(d, 4, [Fraction(0), Fraction(1), Fraction(100)], [0.0], truncation_radius=10.0)
     assert rows[0].count == 2
+
+
+def _jp_reference(digits, base, points, xi_samples):
+    """Q_T per sample as one exact-phase transform per (sample, point) pair."""
+    pts = sorted(set(points))
+    height = max((abs(float(p)) for p in pts), default=0.0) + 2.0
+    trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))
+    out = []
+    for x in xi_samples:
+        x = x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10**12)
+        out.append(math.fsum(
+            abs(trunc.mu_hat_rational((x + p).numerator, (x + p).denominator)) ** 2 for p in pts
+        ))
+    return out
+
+
+def _assert_jp_matches_reference(digits, base, points, xi_samples):
+    rows = jp_sum(digits, base, points, xi_samples)
+    ref = _jp_reference(digits, base, points, xi_samples)
+    assert [r.count for r in rows] == [len(set(points))] * len(xi_samples)
+    for row, q in zip(rows, ref):
+        assert abs(row.q_t - q) <= 1e-14, (base, row.xi, row.q_t - q)
+
+
+def test_jp_sum_matches_pointwise_oracle_on_random_points():
+    rng = random.Random(9)
+    for base in (3, 4, 7):
+        digits = DigitSet(base, tuple(sorted(rng.sample(range(-10, 30), 3))))
+        points = [Fraction(rng.randrange(-300, 300), rng.choice((1, 2, 3, 6, 12))) for _ in range(150)]
+        _assert_jp_matches_reference(digits, base, points, [0.0, 0.13, Fraction(2, 7), 0.91, -0.4])
+
+
+def test_jp_sum_matches_pointwise_oracle_on_scaled_candidates():
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    expansion = (0, 3, 48, 51)
+    for scale in (Fraction(1, 3), Fraction(3)):
+        digits = DigitSet(24, tuple(x * scale.denominator // scale.numerator for x in expansion))
+        cand = build_spectrum(f83, levels=3, scale=scale)
+        _assert_jp_matches_reference(digits, 24, cand.points(3), chebyshev_grid(5))
+
+
+def test_jp_sum_matches_pointwise_oracle_at_height_1e8():
+    """den * N^j leaves int64 here, for the points (den 72) and the samples.
+
+    Near t * 24^6 (about 1.9e8 * t) the transform is about |mu_hat(t)|, not
+    small, so float phases would show: their first factor is off by about 1e-8.
+    """
+    digits = DigitSet(24, (0, 1, 16, 17))
+    points = [s * (24**6 * t + Fraction(k, 72)) for s in (1, -1) for t in (1, 2) for k in range(0, 72, 9)]
+    assert 72 * 24 ** auto_depth(24, digits, 4e8) > 2**63
+    _assert_jp_matches_reference(digits, 24, points, [0.0, 0.37, Fraction(5, 9)])
+    # a common denominator whose numerators leave int64 on their own
+    points = [24**6 + Fraction(k, 10**12 + 39) for k in range(0, 10**12, 10**11)]
+    _assert_jp_matches_reference(digits, 24, points, [0.21])
+
+
+def test_jp_sum_one_sample_and_no_points():
+    digits = DigitSet(4, (0, 1, 8, 25))
+    _assert_jp_matches_reference(digits, 4, [Fraction(-3, 2), Fraction(5)], [0.3])
+    rows = jp_sum(digits, 4, [], [0.3, 0.6])
+    assert [(r.count, r.q_t) for r in rows] == [(0, 0.0), (0, 0.0)]
+    assert jp_sum(digits, 4, [Fraction(1)], []) == []
+
+
+def _weakly_periodic_reference(form, integer_window, resolution):
+    """(min_max, flagged, excluded) with one float transform per shift."""
+    n = form.base
+    d_set = expand_one_stage(form)
+    b_list = form.b_list()
+    grid = np.array(sorted(set(chebyshev_grid(resolution)) | {float(f) for f in rational_grid(n)}))
+    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, integer_window + 2.0, 1e-12))
+    energy = sum(np.abs(mask_value(b, grid)) ** 2 for b in b_list) / len(b_list)
+    keep = energy > MEMBERSHIP_THRESHOLD
+    xs = grid[keep]
+    running = np.zeros_like(xs)
+    for k in range(-integer_window, integer_window + 1):
+        running = np.maximum(running, np.abs(trunc.mu_hat(xs + float(k))))
+    flagged = tuple(float(x) for x in xs[running < FLAG_THRESHOLD])
+    return float(running.min()), flagged, int(np.sum(~keep))
+
+
+def test_weakly_periodic_matches_per_shift_oracle():
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    for form, window in ((_form14(), 40), (f83, 12)):
+        rep = weakly_periodic_check(form, integer_window=window, resolution=64)
+        min_max, flagged, excluded = _weakly_periodic_reference(form, window, 64)
+        assert abs(rep.min_max - min_max) <= 1e-14
+        assert rep.flagged == flagged and rep.excluded == excluded
+
+
+def test_weakly_periodic_memory_is_tiled():
+    """40,001 shifts: holding every shift's unit table at once would take
+    tens of MB."""
+    tracemalloc.start()
+    try:
+        rep = weakly_periodic_check(_normalized_plain(), integer_window=20000, resolution=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.positive
+    assert peak < 8 * 2**20, peak
 
 
 def test_weakly_periodic_examples():

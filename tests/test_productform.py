@@ -13,6 +13,7 @@ from spectralforge.errors import (
 from spectralforge.hadamard import check_triple, find_spectra
 from spectralforge.productform import (
     build_four_digit_form,
+    check_layer_keys,
     expand_k_stage,
     expand_one_stage,
     k_stage_form,
@@ -198,6 +199,19 @@ def test_keyed_layer_without_parent_names_it():
         expand_k_stage(ks)
     with pytest.raises(KeyError, match="layer has no entry for parent digit 1"):
         k_stage_to_one_stage(ks)
+
+
+def test_check_layer_keys_names_first_missing_parent():
+    ks = k_stage_form(4, (1,), (0, 1), [{0: DigitSet(4, (0, 2))}], [(0, 2), (0, 1)])
+    with pytest.raises(ValueError, match="stage-1 layer has no entry for parent digit 1"):
+        check_layer_keys(ks)
+    # stage 2 extends the level-1 digits {0, 1, 8, 9}
+    layer2 = {d: DigitSet(4, (0, 1)) for d in (0, 1, 8)}
+    ks = k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], [(0, 2), (0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="stage-2 layer has no entry for parent digit 9"):
+        check_layer_keys(ks)
+    layer2[9] = DigitSet(4, (0, 1))
+    check_layer_keys(k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], [(0, 2), (0, 1), (0, 2)]))
 
 
 def test_k_stage_to_one_stage_identity_k1():
