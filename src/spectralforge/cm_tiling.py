@@ -325,7 +325,7 @@ def generate_modulo_product_form(spec: ModuloProductFormSpec) -> DigitSet:
     """Iterate D_j = D_(j-1) + N^(l_1+..+l_j) * (E_j + m_j * z) and certify
     that the top kernel polynomial divides the mask of the result."""
     kernels = spec_kernels(spec)
-    digits, _ = _expand_layers(spec.parts[0].digits, _modulo_stages(spec, kernels))
+    digits = _expand_layers(spec.parts[0].digits, _modulo_stages(spec, kernels))[-1]
     low = min(digits)
     mask = MaskPolynomial.from_digits(tuple(x - low for x in digits))
     # K^(k) is a product of pairwise coprime powers Phi_e^m, so it divides
@@ -361,8 +361,7 @@ def modulo_to_k_stage(
         raise ValueError("need one spectrum per factor set")
 
     stages = _modulo_stages(spec, kernels)
-    _, witnesses = _expand_layers(spec.parts[0].digits, stages)
-    parents = [spec.parts[0].digits] + [sorted(seen) for seen in witnesses[:-1]]
+    parents = _expand_layers(spec.parts[0].digits, stages)[:-1]
     layers: list = []
     for (j, _, layer), level in zip(stages, parents):
         this_layer = {d: DigitSet(spec.base, layer(d)) for d in level}

@@ -358,6 +358,9 @@ def compose_cyclotomic_indices(d: int, s: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Vanishing sums of roots of unity.
 
+# Entries of the (digits, root order) verdict memo of vanishing_sum_test.
+_ORDER_MEMO_SIZE = 1024
+
 
 def _vanishes(counts: dict[int, int], n: int) -> bool:
     """Exact test: sum of counts[r] * zeta_n^r == 0.
@@ -413,20 +416,30 @@ def has_cyclotomic_factor(poly: MaskPolynomial, d: int, multiplicity: int = 1) -
 def vanishing_sum_test(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:
     """Decide exactly whether sum over d in D of e(2*pi*i*d*t/n) vanishes.
 
-    The sum is S(zeta_n) for S(x) = sum x^(d*t mod n); it vanishes iff the
-    minimal polynomial Phi_n divides S.  The decision runs in the tensor
-    power basis (integer arithmetic over the nonzero terms only);
+    zeta_n^t is a primitive m-th root of unity for m = n / gcd(t, n), say
+    zeta_m^u with u a unit mod m.  So the sum is D(zeta_m^u), the Galois
+    conjugate sigma_u(D(zeta_m)); sigma_u is a field automorphism, so the
+    sum vanishes iff D(zeta_m) = sum of zeta_m^(d mod m) does.  The verdict
+    depends on (D, m) alone and is decided once per pair by the
+    tensor-basis test, in a bounded memo keyed on the full digit tuple.
+    t = 0 (mod n) gives m = 1, where the sum is |D|; an empty D vanishes.
     ``vanishing_by_division`` is the direct divisibility form, kept as the
     independent oracle.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     digits = d_set.digits if isinstance(d_set, DigitSet) else tuple(d_set)
+    return _vanishes_at_order(digits, n // math.gcd(t, n))
+
+
+@lru_cache(maxsize=_ORDER_MEMO_SIZE)
+def _vanishes_at_order(digits: tuple[int, ...], m: int) -> bool:
+    """sum over d in digits of zeta_m^d == 0, exactly."""
     counts: dict[int, int] = {}
     for d in digits:
-        r = (d * t) % n
+        r = d % m
         counts[r] = counts.get(r, 0) + 1
-    return _vanishes(counts, n)
+    return _vanishes(counts, m)
 
 
 def vanishing_by_division(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:

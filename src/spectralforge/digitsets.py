@@ -165,8 +165,7 @@ def direct_sum_digits(*sets: Iterable[int]) -> tuple[int, ...]:
     """Direct sum over the integers; raises OverlapError on a repeated sum,
     naming the (partial sum, summand) pair of each production."""
     stages = [(None, 1, lambda d, part=tuple(part): part) for part in sets]
-    digits, _ = _expand_layers((0,), stages)
-    return tuple(digits)
+    return tuple(_expand_layers((0,), stages)[-1])
 
 
 def stacked_digits(digits: Sequence[int], base: int, count: int) -> tuple[int, ...]:
@@ -174,27 +173,40 @@ def stacked_digits(digits: Sequence[int], base: int, count: int) -> tuple[int, .
     return direct_sum_digits(*[[base**j * x for x in digits] for j in range(count)])
 
 
-def _expand_layers(start: Iterable[int], stages) -> tuple[list[int], list[dict]]:
+def _expand_layers(start: Iterable[int], stages) -> list[list[int]]:
     """Layered expansion x = d + scale * e over the digits d of each level.
 
     ``stages`` lists (label, scale, layer) with ``layer(d)`` giving the
     layer digits e attached to the parent d.  Returns the sorted digits of
-    the top level and, per stage, the witness map {x: (d, e)}.  The first
-    repeated digit raises OverlapError naming the stage's label.
+    every level, ``start`` first.  A stage is checked by counting its sums;
+    only when some repeat does ``_stage_witnesses`` run, to raise the
+    OverlapError that names the stage's label and the first repeated digit.
     """
-    current = sorted(start)
-    witnesses: list[dict[int, tuple[int, int]]] = []
-    for label, scale, layer in stages:
-        seen: dict[int, tuple[int, int]] = {}
-        for d in current:
-            for e in layer(d):
-                x = d + scale * e
-                if x in seen:
-                    raise OverlapError(x, seen[x], (d, e), stage=label)
-                seen[x] = (d, e)
-        witnesses.append(seen)
-        current = sorted(seen)
-    return current, witnesses
+    levels = [sorted(start)]
+    for stage in stages:
+        _, scale, layer = stage
+        current = levels[-1]
+        sums = [d + scale * e for d in current for e in layer(d)]
+        distinct = set(sums)
+        if len(distinct) != len(sums):
+            _stage_witnesses(current, stage)
+        levels.append(sorted(distinct))
+    return levels
+
+
+def _stage_witnesses(current: Sequence[int], stage) -> dict[int, tuple[int, int]]:
+    """The witness map {x: (d, e)} of one ``_expand_layers`` stage over the
+    level ``current``; the first repeated x raises OverlapError naming its
+    two productions."""
+    label, scale, layer = stage
+    seen: dict[int, tuple[int, int]] = {}
+    for d in current:
+        for e in layer(d):
+            x = d + scale * e
+            if x in seen:
+                raise OverlapError(x, seen[x], (d, e), stage=label)
+            seen[x] = (d, e)
+    return seen
 
 
 def sumset(*sets: Iterable[int]) -> tuple[int, ...]:

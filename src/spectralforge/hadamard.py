@@ -44,6 +44,9 @@ class HadamardTriple:
 
 
 def _duplicate_residue(digits: Sequence[int], n: int):
+    """The first pair of digits congruent mod n, or None."""
+    if len({d % n for d in digits}) == len(digits):
+        return None
     seen: dict[int, int] = {}
     for d in digits:
         r = d % n
@@ -181,7 +184,7 @@ def lifted_triple(
         for j, (cj, _) in enumerate(layers[1:], start=1)
     ]
     try:
-        digits, _ = _expand_layers(c0.digits, stages)
+        digits = _expand_layers(c0.digits, stages)[-1]
     except OverlapError as exc:
         raise ValueError(f"lift collision at level {exc.stage}: digit {exc.digit}") from exc
     k_top = len(layers) - 1

@@ -163,6 +163,15 @@ _TILE_PAIRS = 1 << 13
 _INT64_LIMIT = 2**63
 
 
+def _sorted_points(values: Iterable[Fraction | int | float]) -> list[Fraction]:
+    """The distinct values in increasing order, sorted as integer
+    numerators over their common denominator."""
+    fracs = [v if isinstance(v, (Fraction, int)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in fracs))
+    nums = sorted({v.numerator * (den // v.denominator) for v in fracs})
+    return [Fraction(x, den) for x in nums]
+
+
 class _RationalSide:
     """Exact rationals, as integer numerators over one common denominator."""
 
@@ -330,12 +339,9 @@ class SpectrumCandidate:
         return self.levels[k - 1]
 
     def points(self, k: int | None = None) -> list[Fraction]:
-        out = [
-            self.scale * (fs + lam)
-            for lam in self.lambdas(k)
-            for fs in self.frac_shifts
-        ]
-        return sorted(set(out))
+        return _sorted_points(
+            self.scale * (fs + lam) for lam in self.lambdas(k) for fs in self.frac_shifts
+        )
 
 
 def _shift_ratio(trunc: TruncatedMeasure, num: int, den: int, target: float) -> float:
@@ -446,7 +452,7 @@ def jp_sum(
     The truncation depth is the smallest whose tail sum at the largest
     point height is below 1e-14.
     """
-    pts = sorted(set(Fraction(p) for p in points))
+    pts = _sorted_points(points)
     if truncation_radius is not None:
         pts = [p for p in pts if abs(p) <= truncation_radius]
     xs = [Fraction(x).limit_denominator(10**12) if not isinstance(x, Fraction) else x for x in xi_samples]

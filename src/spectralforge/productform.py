@@ -17,9 +17,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
+from .digitsets import (
+    DigitSet,
+    _expand_layers,
+    _stage_witnesses,
+    direct_sum_digits,
+    stacked_digits,
+)
 from .errors import OverlapError, ValidationFailure
-from .hadamard import check_triple
+from .hadamard import _duplicate_residue, check_triple
 
 LayerSpec = Union[DigitSet, tuple[tuple[int, DigitSet], ...]]
 
@@ -123,7 +129,7 @@ def expand_one_stage(form: OneStageForm) -> DigitSet:
     """Union of a + N^r * B_a; a digit collision is a hard error."""
     b_map = form.b_map
     stage = (None, form.base**form.r, lambda a: b_map[a].digits)
-    digits, _ = _expand_layers(form.a_set.digits, [stage])
+    digits = _expand_layers(form.a_set.digits, [stage])[-1]
     return DigitSet(form.base, tuple(digits))
 
 
@@ -320,18 +326,17 @@ def check_layer_keys(form: KStageForm) -> None:
 
 
 def expand_k_stage(form: KStageForm) -> DigitSet:
-    digits, _ = _expand_with_witness(form)
-    return DigitSet(form.base, tuple(sorted(digits)))
+    return DigitSet(form.base, tuple(_expand_layers(form.e0.digits, _k_stages(form))[-1]))
 
 
-def _expand_with_witness(form: KStageForm):
-    """Returns (digit list of D^(k), {digit: (parent, e)} witnesses per stage)."""
+def _k_stages(form: KStageForm) -> list:
+    """The ``_expand_layers`` stages of a k-stage form, labelled 1..k."""
     stages = []
     total = 0
     for j, (ell, layer) in enumerate(zip(form.ells, form.layers), start=1):
         total += ell
         stages.append((j, form.base**total, lambda d, lookup=layer_lookup(layer): lookup(d).digits))
-    return _expand_layers(form.e0.digits, stages)
+    return stages
 
 
 def validate_k_stage(form: KStageForm) -> ValidationReport:
@@ -346,8 +351,9 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
     rep = check_triple(n, form.e0, form.spectra[0])
     checks.append(CheckResult("level-0 triple (N, E0, L0)", rep is None, str(rep or "")))
 
+    stages = _k_stages(form)
     try:
-        _, parents = _expand_with_witness(form)
+        levels = _expand_layers(form.e0.digits, stages)
     except OverlapError as exc:
         checks.append(CheckResult("expansion collision-free", False, str(exc)))
         return ValidationReport(tuple(checks))
@@ -355,7 +361,7 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
 
     # digit -> the layer sets on its path, E_1(d_0) ... E_j(d_(j-1))
     paths: dict[int, tuple[tuple[int, ...], ...]] = {d: () for d in form.e0.digits}
-    for j, (layer, witness) in enumerate(zip(form.layers, parents), start=1):
+    for j, (layer, level, stage) in enumerate(zip(form.layers, levels, stages), start=1):
         # (i) each layer set used at stage j forms a triple with L_j
         seen_sets = set()
         extended = {}
@@ -370,7 +376,7 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
             checks.append(
                 CheckResult(f"stage-{j} triple (N, E_{j}({d}), L_{j})", rep is None, str(rep or ""))
             )
-        paths = {x: extended[d] for x, (d, _) in witness.items()}
+        paths = {x: extended[d] for x, (d, _) in _stage_witnesses(level, stage).items()}
     used = set(paths.values())
 
     def _check_product(tag: str, parts: list[tuple[int, ...]], spectra: list[DigitSet]):
@@ -454,43 +460,44 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     big = n**k
 
     # D^(j) for j = 0..k
-    _, parents = _expand_with_witness(norm)
-    stagewise = [norm.e0.digits] + [tuple(sorted(seen)) for seen in parents]
+    stagewise = _expand_layers(norm.e0.digits, _k_stages(norm))
     a_digits = direct_sum_digits(*[[n**j * d for d in stagewise[k - 1 - j]] for j in range(k)])
     d_big = stacked_digits(stagewise[k], n, k)
-
-    over: dict[int, list[int]] = {}
-    for x in d_big:
-        over.setdefault(x % big, []).append(x)
-    b_map: dict[int, DigitSet] = {}
-    for a in a_digits:
-        picks = over.get(a % big)
-        if not picks:
-            raise ValidationFailure(
-                ValidationReport(
-                    (CheckResult("B-extraction", False, f"no digits over a={a}"),)
-                )
-            )
-        b_map[a] = DigitSet(big, tuple((x - a) // big for x in picks))
 
     # L1 = sum over m < k of N^(k-1-m) * (L_0 (+) ... (+) L_m) and
     # L2 = sum over m < k of N^(k-1-m) * (L_(m+1) (+) ... (+) L_k)
     def lifted(pairs):
-        return direct_sum_digits(
-            *[[n ** (k - 1 - m) * x for x in norm.spectra[i].digits] for m, i in pairs]
-        )
+        parts = [[n ** (k - 1 - m) * x for x in norm.spectra[i].digits] for m, i in pairs]
+        return DigitSet(big, direct_sum_digits(*parts))
 
     l1 = lifted((m, i) for m in range(k) for i in range(m + 1))
     l2 = lifted((m, i) for m in range(k) for i in range(m + 1, k + 1))
+    a_set = DigitSet(big, a_digits)
 
-    out = OneStageForm(
-        big,
-        1,
-        DigitSet(big, a_digits),
-        tuple(sorted(b_map.items())),
-        DigitSet(big, l1),
-        DigitSet(big, l2),
-    )
+    # two new A digits in one class mod N^k would each read the whole class
+    # as their B, so the A-triple failure is reported alone
+    dup = _duplicate_residue(a_digits, big)
+    if dup is not None:
+        rep = check_triple(big, a_set, l1)
+        raise ValidationFailure(
+            ValidationReport(
+                (
+                    CheckResult("A-triple (N, A, L1)", False, str(rep)),
+                    CheckResult(
+                        "B-extraction", False, f"new A digits {dup[0]} == {dup[1]} (mod {big})"
+                    ),
+                )
+            )
+        )
+
+    # every class of A has stacked digits over it: a digit of D^(i) extends
+    # to D^(k) by layer digits at scales N^(i+1) and up
+    over: dict[int, list[int]] = {}
+    for x in d_big:
+        over.setdefault(x % big, []).append(x)
+    b_sets = tuple((a, DigitSet(big, tuple((x - a) // big for x in over[a % big]))) for a in a_digits)
+
+    out = OneStageForm(big, 1, a_set, b_sets, l1, l2)
     report = validate_one_stage(out)
     if not report.ok:
         raise ValidationFailure(report)

@@ -4,6 +4,8 @@ import random
 import mpmath
 import pytest
 
+from spectralforge import cyclotomic
+from spectralforge.cm_tiling import cm_regular_product_triple
 from spectralforge.cyclotomic import (
     MaskPolynomial,
     common_zero_factorization,
@@ -167,6 +169,41 @@ def test_vanishing_sum_against_division_route():
             for m in range(1, 5):
                 want = divides(cyclotomic_poly(d) ** m, poly)
                 assert has_cyclotomic_factor(poly, d, m) == want, (str(poly), d, m)
+
+
+def test_order_memo_matches_division():
+    """The verdict at t depends only on the order n / gcd(t, n) of zeta_n^t:
+    the memoized test agrees with exact division at every t in -2n..2n, on
+    sets with many vanishing sums and on random sets and multisets."""
+    a84, b84 = (0, 8, 16, 18, 26, 34), (0, 5, 6, 9, 12, 29, 33, 36, 42, 48, 53, 57)
+    form = cm_regular_product_triple(72, [DigitSet(72, a84), DigitSet(72, b84)])
+    cases = [(a84, 72), (b84, 72), (form.e0.digits, 72), (form.layers[0].digits, 72)]
+    # {0, s, ..., (p-1)s} vanishes at every t whose order m has m / gcd(m, s) == p
+    cases += [(tuple(range(0, p * s, s)), p * s * q) for p in (2, 3, 5, 7) for s in (1, 4) for q in (1, 3)]
+    rng = random.Random(63)
+    for _ in range(12):
+        n = rng.randrange(2, 50)
+        digits = [rng.randrange(-2 * n, 3 * n) for _ in range(rng.randrange(1, 7))]
+        cases.append((digits, n))  # a list, repeats allowed
+        cases.append(([], n))
+    cyclotomic._vanishes_at_order.cache_clear()
+    vanishing = 0
+    for digits, n in cases:
+        for t in range(-2 * n, 2 * n + 1):
+            got = vanishing_sum_test(digits, t, n)
+            assert got == vanishing_by_division(digits, t, n), (digits, t, n)
+            assert vanishing_sum_test(list(reversed(digits)), t, n) == got
+            vanishing += got
+    assert vanishing > 1000
+    assert cyclotomic._vanishes_at_order.cache_info().hits > 0
+
+
+def test_order_memo_stays_bounded():
+    size = cyclotomic._ORDER_MEMO_SIZE
+    for k in range(size + 50):
+        assert not vanishing_sum_test((0, k, 2 * k), 0, 5)
+    info = cyclotomic._vanishes_at_order.cache_info()
+    assert info.maxsize == size and info.currsize <= size
 
 
 def test_factorization_examples_and_roundtrip():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from spectralforge import cyclotomic
 from spectralforge.digitsets import DigitSet, direct_sum_digits, stacked_digits
 from spectralforge.errors import (
     InvalidVariantParams,
@@ -100,6 +101,40 @@ def test_reduce_r_to_1_collision_names_two_sums():
     assert err.value.digit == 5
     assert err.value.first != err.value.second
     assert sum(err.value.first) == sum(err.value.second) == 5
+
+
+def test_reduce_r_to_1_congruent_new_a_digits():
+    """The new A digits 0 + 4*3 = 12 and 0 + 4*11 = 44 agree mod 16: the
+    reduction stops before reading B-sets off the stacked digits, so no
+    B-triple row reports a fault that the form does not have."""
+    b_map = {0: DigitSet(4, (0, 2)), 3: DigitSet(4, (2, 3)), 11: DigitSet(4, (4, 6))}
+    f = one_stage_form(4, 2, (0, 3, 11), b_map, (1, 2, 3), (1, 2))
+    with pytest.raises(ValidationFailure) as err:
+        reduce_r_to_1(f)
+    assert [str(c) for c in err.value.report.checks] == [
+        "[FAIL] A-triple (N, A, L1) -- duplicate residue in digits: 12 == 44 (mod 16)",
+        "[FAIL] B-extraction -- new A digits 12 == 44 (mod 16)",
+    ]
+
+
+def test_invalid_k_stage_form_decides_each_root_order_once(monkeypatch):
+    """Thousands of vanishing tests over base 20,736 reach few (digits,
+    root order) keys, and each is decided once."""
+    real = cyclotomic._vanishes
+    orders = []
+    monkeypatch.setattr(cyclotomic, "_vanishes", lambda counts, m: orders.append(m) or real(counts, m))
+    cyclotomic._vanishes_at_order.cache_clear()
+    ks = k_stage_form(
+        12,
+        (2, 2),
+        (1, 2, 6, 11, 15, 16),
+        [DigitSet(12, (12, 18)), DigitSet(12, (0,))],
+        [(2, 4, 10, 12, 18, 20), (0, 1), (1, 3)],
+    )
+    with pytest.raises(ValidationFailure) as err:
+        k_stage_to_one_stage(ks)
+    assert "L1 (+) L2 direct" in {c.name for c in err.value.report.failures()}
+    assert 0 < len(orders) <= 100
 
 
 def _random_valid_one_stage(rng, r):
