@@ -545,11 +545,6 @@ FIXTURES = [
 ]
 
 
-def fixtures() -> list[dict]:
-    """The bundled corpus: id, human note, expected verdict."""
-    return [{k: f[k] for k in ("id", "note", "expect")} for f in FIXTURES]
-
-
 def cmd_run_all_fixtures(args) -> Outcome:
     t0 = time.time()
     results = []
@@ -713,12 +708,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# The parser main() builds on its first call and reuses after that.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; print its JSON report, or an error report, and
     return 0 (pass), 1 (fail, or an error in the package) or 2 (bad input)."""
+    global _parser
     command = output = None
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         command = args.command
         if args.output:
             try:  # fail before the work, and without truncating an input file

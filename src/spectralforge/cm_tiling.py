@@ -66,13 +66,10 @@ def _prime_power_base(s: int) -> int | None:
 
 @dataclass(frozen=True)
 class CMProfile:
-    digits: DigitSet
-    modulus: int
     s_indices: tuple[int, ...]
     t1: bool
     t2: bool
     tiling_spectrum: DigitSet | None
-    distinct_mod: bool
     t1_detail: str = ""
     t2_detail: str = ""
 
@@ -86,7 +83,6 @@ def cm_profile(a: DigitSet, n: int) -> CMProfile:
     conditions hold.  The spectrum is certified through verify_triple before
     being emitted; emission without certification is a bug, not an option.
     """
-    distinct = a.distinct_mod(n)
     residues = tuple(sorted({d % n for d in a.digits}))
     mask = MaskPolynomial.from_digits(residues)
     s_indices = tuple(
@@ -124,13 +120,10 @@ def cm_profile(a: DigitSet, n: int) -> CMProfile:
         spectrum = explicit_tiling_spectrum(s_indices, n)
         verify_triple(n, DigitSet(max(n, 2), residues), spectrum)
     return CMProfile(
-        digits=a,
-        modulus=n,
         s_indices=s_indices,
         t1=t1,
         t2=t2,
         tiling_spectrum=spectrum,
-        distinct_mod=distinct,
         t1_detail=t1_detail,
         t2_detail=t2_detail,
     )
@@ -155,7 +148,6 @@ def explicit_tiling_spectrum(s_indices: Sequence[int], n: int) -> DigitSet:
 @dataclass(frozen=True)
 class TileVerdict:
     verdict: str  # TilesByT1T2 | NotTileByT1Failure | Unknown
-    profile: CMProfile
     exhaustive: bool | None  # exact answer when the search ran
     witness: DigitSet | None  # complement with A (+) C == Z_N
 
@@ -248,7 +240,7 @@ def check_tile_zn(a: DigitSet, n: int) -> TileVerdict:
             raise AssertionError("certified tiler rejected by exhaustive search")
         if verdict == "NotTileByT1Failure" and exhaustive:
             raise AssertionError("size-condition failure contradicted by a found tiling")
-    return TileVerdict(verdict, profile, exhaustive, witness)
+    return TileVerdict(verdict, exhaustive, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,6 @@ def paq_type_generator(
     alpha: int,
     variant: str,
     m_values: Sequence[int] | None = None,
-    ells: Sequence[int] | None = None,
     zshifts=None,
 ) -> PaqResult:
     """Generate a tile digit set of N = p^alpha * q of the given shape.
@@ -447,6 +438,8 @@ def paq_type_generator(
         raise InvalidVariantParams("p, q must be distinct primes")
     if alpha < 1:
         raise InvalidVariantParams("alpha must be >= 1")
+    if m_values is not None and variant != "ii":
+        raise InvalidVariantParams(f"shift exponents apply to variant ii only, not {variant!r}")
     n = p**alpha * q
     ep = _range_set(p)
     eq = _range_set(q)
@@ -473,13 +466,12 @@ def paq_type_generator(
             raise InvalidVariantParams("variant ii needs alpha-1 shift exponents >= 0")
         big_m = max(ms)
         k_idx = max(j for j in range(1, alpha) if ms[j - 1] == big_m)
-        return _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts)
+        return _variant_ii(p, q, alpha, ms, big_m, k_idx, zshifts)
     else:
         raise InvalidVariantParams(f"unknown variant {variant!r}")
 
-    base_ells = list(ells) if ells is not None else [1] * (len(parts) - 1)
     t_indices = sorted(d for d in _divisors(n) if d > 1)
-    spec = modulo_spec(n, parts, t_indices, base_ells, zshifts)
+    spec = modulo_spec(n, parts, t_indices, [1] * (len(parts) - 1), zshifts)
     generated = generate_modulo_product_form(spec)
     form, report = modulo_to_k_stage(spec, spectra=spectra)
     if not report.ok:
@@ -496,9 +488,8 @@ def paq_type_generator(
     )
 
 
-def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts):
+def _variant_ii(p, q, alpha, ms, big_m, k_idx, zshifts):
     n = p**alpha * q
-    base_ells = list(ells) if ells is not None else [1] * alpha
 
     # nested shape (gcd 1); its own kernel certificate is checked on
     # generation below
@@ -509,7 +500,7 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts):
     t_orig |= _scaled_prime_indices(q, p ** (alpha * (big_m + 1) + k_idx))
     for j in range(1, alpha):
         t_orig |= _scaled_prime_indices(p, p ** (alpha * ms[j - 1] + j))
-    spec_orig = modulo_spec(n, parts_orig, sorted(t_orig), base_ells)
+    spec_orig = modulo_spec(n, parts_orig, sorted(t_orig), [1] * alpha)
     d_orig = generate_modulo_product_form(spec_orig)
 
     mult = q**big_m
@@ -519,7 +510,7 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts):
     # factor; the cumulative stage scales below absorb the N powers.
     staged = [
         (
-            sum(base_ells[:1]) + big_m,
+            1 + big_m,
             _scaled(n, p ** (alpha + k_idx), q),
             _scaled(n, 1, q),
         )
@@ -527,7 +518,7 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, ells, zshifts):
     for j in range(1, alpha):
         staged.append(
             (
-                sum(base_ells[: j + 1]) + ms[j - 1],
+                j + 1 + ms[j - 1],
                 _scaled(n, q ** (big_m - ms[j - 1]) * p**j, p),
                 _scaled(n, p ** (alpha - j - 1) * q, p),
             )

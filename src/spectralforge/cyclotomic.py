@@ -14,10 +14,9 @@ exp(2*pi*i/d) over the rationals.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .digitsets import DigitSet
@@ -92,9 +91,6 @@ class MaskPolynomial:
     def is_one(self) -> bool:
         return self.terms == ((0, 1),)
 
-    def leading_coefficient(self) -> int:
-        return self.terms[-1][1] if self.terms else 0
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "MaskPolynomial") -> "MaskPolynomial":
@@ -102,15 +98,6 @@ class MaskPolynomial:
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
         return MaskPolynomial(tuple(acc.items()))
-
-    def __sub__(self, other: "MaskPolynomial") -> "MaskPolynomial":
-        acc = self.as_dict()
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) - c
-        return MaskPolynomial(tuple(acc.items()))
-
-    def __neg__(self) -> "MaskPolynomial":
-        return MaskPolynomial(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other: "MaskPolynomial") -> "MaskPolynomial":
         acc: dict[int, int] = {}
@@ -140,27 +127,6 @@ class MaskPolynomial:
 
     def evaluate_int(self, x: int) -> int:
         return sum(c * x**e for e, c in self.terms)
-
-    def evaluate_unit(self, theta_num: int, theta_den: int) -> complex:
-        """Value at exp(-2*pi*i * theta_num/theta_den), double precision."""
-        total = 0.0 + 0.0j
-        for e, c in self.terms:
-            ph = (e * theta_num) % theta_den
-            total += c * cmath.exp(-2j * cmath.pi * ph / theta_den)
-        return total
-
-    def content(self) -> int:
-        g = 0
-        for _, c in self.terms:
-            g = math.gcd(g, c)
-        return g
-
-    def primitive_part(self) -> "MaskPolynomial":
-        g = self.content()
-        if g <= 1:
-            return self if self.leading_coefficient() >= 0 else -self
-        p = MaskPolynomial(tuple((e, c // g) for e, c in self.terms))
-        return p if p.leading_coefficient() >= 0 else -p
 
     def __str__(self) -> str:
         if not self.terms:
@@ -248,33 +214,6 @@ def exact_quotient(g: MaskPolynomial, f: MaskPolynomial) -> MaskPolynomial:
     if not r.is_zero:
         raise ValueError("not divisible")
     return q
-
-
-def gcd_z(a: MaskPolynomial, b: MaskPolynomial) -> MaskPolynomial:
-    """Gcd in Z[x], primitive with positive leading coefficient.
-
-    Primitive pseudo-remainder sequence; fine at the sizes that show up in
-    common-zero factorizations.
-    """
-    if a.is_zero:
-        return b.primitive_part()
-    if b.is_zero:
-        return a.primitive_part()
-    ca, cb = a.content(), b.content()
-    f, g = a.primitive_part(), b.primitive_part()
-    if f.degree < g.degree:
-        f, g = g, f
-    while not g.is_zero:
-        # pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g
-        k = f.degree - g.degree + 1
-        lead = g.leading_coefficient()
-        scaled = MaskPolynomial(tuple((e, c * lead**k) for e, c in f.terms))
-        _, rem = divmod_exact(scaled, g)
-        f, g = g, rem.primitive_part() if not rem.is_zero else MaskPolynomial.zero()
-    cg = math.gcd(ca, cb)
-    if cg > 1:
-        f = MaskPolynomial(tuple((e, c * cg) for e, c in f.terms))
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -544,56 +483,7 @@ def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
 
 
 # ---------------------------------------------------------------------------
-# Common-zero factorization P_{B_s} = F * Q_s.
-
-
-def common_zero_factorization(
-    bs: Sequence[DigitSet],
-) -> tuple[MaskPolynomial, list[MaskPolynomial], MaskPolynomial | None]:
-    """Largest monic F dividing every P_{B_s}; returns (F, quotients, extra).
-
-    F collects each common cyclotomic factor to its minimal multiplicity
-    across the sets.  Any additional non-cyclotomic common factor (possible
-    in principle for integer polynomials) is caught by a full Z[x] gcd of
-    the quotients and folded into F; it is also returned separately in
-    ``extra`` so callers can flag it.  By construction the quotients share
-    no root anywhere, in particular at no root of unity.
-    """
-    if not bs:
-        raise EmptyDigitSet("need at least one digit set")
-    for b in bs:
-        if 0 not in b.digits:
-            raise ValueError("common-zero factorization expects 0 in every set")
-    masks = [MaskPolynomial.from_digits(b.digits) for b in bs]
-    facts = [cyclotomic_factorization(m) for m in masks]
-    common: dict[int, int] = dict(facts[0].factors)
-    for f in facts[1:]:
-        d_map = dict(f.factors)
-        common = {d: min(m, d_map[d]) for d, m in common.items() if d in d_map}
-    f_poly = MaskPolynomial.one()
-    for d, m in sorted(common.items()):
-        f_poly = f_poly * cyclotomic_poly(d) ** m
-    quotients = [exact_quotient(m, f_poly) for m in masks]
-    extra: MaskPolynomial | None = None
-    g = reduce(gcd_z, quotients)
-    if g.degree > 0:
-        extra = g
-        f_poly = f_poly * g
-        quotients = [exact_quotient(q, g) for q in quotients]
-    for m, q in zip(masks, quotients):
-        assert f_poly * q == m
-    return f_poly, quotients, extra
-
-
-# ---------------------------------------------------------------------------
 # Kernel polynomials for modulo product-forms.
-
-
-def _lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -611,7 +501,6 @@ class KernelData:
     n_j: int
     n_j_scaled: int
     m_j: int
-    index_sets: tuple[tuple[int, ...], ...]  # S_0 .. S_j
     cyclotomic_indices: tuple[tuple[int, int], ...]  # factorization of K^(j)
 
     @property
@@ -660,8 +549,8 @@ def kernel_polynomial(
             poly = poly * cyclotomic_poly(d).compose_power(scale)
             for e, m in compose_cyclotomic_indices(d, scale).items():
                 indices[e] = indices.get(e, 0) + m
-    n_j_structural = _lcm(e for e in indices if e > 1) if indices else 1
-    m_j = _lcm(d for i in range(j + 1) for d in s_sets[i]) if any(s_sets[: j + 1]) else 1
+    n_j_structural = math.lcm(*(e for e in indices if e > 1))
+    m_j = math.lcm(*(d for i in range(j + 1) for d in s_sets[i]))
     n_j_scaled = m_j * n ** sum(ells[:j])
     if n_j_scaled % n_j_structural:
         raise AssertionError(
@@ -673,6 +562,5 @@ def kernel_polynomial(
         n_j=n_j_structural,
         n_j_scaled=n_j_scaled,
         m_j=m_j,
-        index_sets=tuple(s_sets[: j + 1]),
         cyclotomic_indices=tuple(sorted(indices.items())),
     )

@@ -65,11 +65,6 @@ class DigitSet:
     def shifted(self, c: int) -> "DigitSet":
         return DigitSet(self.base, tuple(d + c for d in self.digits))
 
-    def scaled(self, m: int) -> "DigitSet":
-        if m == 0:
-            raise ValueError("scale must be nonzero")
-        return DigitSet(self.base, tuple(d * m for d in self.digits))
-
     def residues(self, modulus: int | None = None) -> "ResidueClassSet":
         """Reduce mod ``modulus`` (default: the base). Collisions collapse."""
         m = self.base if modulus is None else modulus
@@ -152,10 +147,6 @@ def direct_sum(a: ResidueClassSet, b: ResidueClassSet) -> ResidueClassSet:
     return ResidueClassSet(m, tuple(sorted(seen)))
 
 
-def is_complete_residue_system(s: ResidueClassSet) -> bool:
-    return len(s.residues) == s.modulus
-
-
 # ---------------------------------------------------------------------------
 # Plain integer-tuple helpers.  The product-form machinery builds lots of
 # direct sums of raw digit lists before wrapping them in DigitSet.
@@ -207,12 +198,3 @@ def _stage_witnesses(current: Sequence[int], stage) -> dict[int, tuple[int, int]
                 raise OverlapError(x, seen[x], (d, e), stage=label)
             seen[x] = (d, e)
     return seen
-
-
-def sumset(*sets: Iterable[int]) -> tuple[int, ...]:
-    """Plain sumset A + B + ... (collisions collapse silently)."""
-    acc = {0}
-    for part in sets:
-        part = list(part)
-        acc = {s + x for s in acc for x in part}
-    return tuple(sorted(acc))

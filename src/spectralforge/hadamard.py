@@ -11,11 +11,11 @@ never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cyclotomic import vanishing_sum_test
-from .digitsets import DigitSet, _expand_layers, direct_sum_digits
-from .errors import HadamardFailure, OverlapError
+from .digitsets import DigitSet
+from .errors import HadamardFailure
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ def verify_triple(n: int, d: DigitSet, l: DigitSet) -> HadamardTriple:
     return HadamardTriple(n, d, l)
 
 
-def is_hadamard_triple(n: int, d: DigitSet, l: DigitSet) -> bool:
-    return check_triple(n, d, l) is None
-
-
 def zero_set(d: DigitSet, n: int) -> frozenset[int]:
     """Residues t (1 <= t < n) where the exponential sum over D vanishes."""
     return frozenset(t for t in range(1, n) if vanishing_sum_test(d, t, n))
@@ -153,47 +149,3 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
         clique.append(v)
         cands.append((cand ^ low) & adj[v])
     return sorted(results, key=lambda s: s.digits)
-
-
-def verify_equivalent_pairs(n: int, bs: Sequence[DigitSet], l2: DigitSet) -> bool:
-    """True iff every (n, B_s, l2) verifies; the pairs then share l2."""
-    return all(is_hadamard_triple(n, b, l2) for b in bs)
-
-
-LayerSets = DigitSet | Mapping[int, DigitSet]
-
-
-def lifted_triple(
-    n: int,
-    layers: Sequence[tuple[LayerSets, DigitSet]],
-) -> HadamardTriple:
-    """Stack per-level triples (N, C_j, L_j) into one triple over N^(K+1).
-
-    Level j contributes digits at scale N^j; layer sets may depend on the
-    parent digit (pass a mapping keyed by parent).  The lifted spectrum is
-    the direct sum of N^(K-j) * L_j.  The result is re-verified exactly,
-    never assumed.
-    """
-    if not layers:
-        raise ValueError("need at least one layer")
-    c0, _ = layers[0]
-    if not isinstance(c0, DigitSet):
-        raise ValueError("level 0 must be a plain digit set")
-    stages = [
-        (j, n**j, lambda a, cj=cj: (cj[a] if isinstance(cj, Mapping) else cj).digits)
-        for j, (cj, _) in enumerate(layers[1:], start=1)
-    ]
-    try:
-        digits = _expand_layers(c0.digits, stages)[-1]
-    except OverlapError as exc:
-        raise ValueError(f"lift collision at level {exc.stage}: digit {exc.digit}") from exc
-    k_top = len(layers) - 1
-    spectrum = direct_sum_digits(
-        *[[n ** (k_top - j) * l for l in lj.digits] for j, (_, lj) in enumerate(layers)]
-    )
-    big_n = n ** (k_top + 1)
-    return verify_triple(
-        big_n,
-        DigitSet(big_n, tuple(digits)),
-        DigitSet(big_n, spectrum),
-    )

@@ -134,26 +134,6 @@ class TruncatedMeasure:
         return digit_mass(self.digits) * xi_max / (self.base**self.depth * (self.base - 1))
 
 
-def mu_hat_truncated(m: TruncatedMeasure, xi) -> tuple[complex, float]:
-    """(truncated value, tail half-width h): |mu_hat(xi) - value| <= |value|*h.
-
-    Raises TailBoundUnavailable when the linearization behind the bound is
-    useless at this depth; the caller should raise the depth.
-    """
-    xi_max = float(np.max(np.abs(xi)))
-    s = m.tail_sum(xi_max)
-    if s >= 0.7:
-        raise TailBoundUnavailable(f"tail sum {s:.3f} too large at depth {m.depth}")
-    return m.mu_hat(xi), math.expm1(s)
-
-
-def mu_hat_point(base: int, digits: DigitSet, point: Fraction, target: float = 1e-14) -> complex:
-    """Full transform at an exact rational point, auto-truncated."""
-    depth = auto_depth(base, digits, abs(float(point)) + 1.0, target)
-    m = TruncatedMeasure(base, digits, depth)
-    return m.mu_hat_rational(point.numerator, point.denominator)
-
-
 # ---------------------------------------------------------------------------
 # Split-phase kernel: the truncated transform at every sum row + column.
 
@@ -329,7 +309,6 @@ class SpectrumCandidate:
     frac_shifts: tuple[Fraction, ...]
     shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift), shared by every level
     levels: tuple[tuple[int, ...], ...]
-    l_digits: tuple[int, ...]
 
     def lambdas(self, k: int | None = None) -> tuple[int, ...]:
         if k is None:
@@ -349,18 +328,22 @@ def _shift_ratio(trunc: TruncatedMeasure, num: int, den: int, target: float) -> 
     return val / (target + 1e-300)
 
 
+# build_spectrum accepts a shift once the transform magnitude clears this
+# share of the averaged B-mask energy.
+SHIFT_RATIO_THRESHOLD = 1e-4
+
+
 def build_spectrum(
     form: OneStageForm,
     levels: int,
     search_window: int = 128,
-    ratio_threshold: float = 1e-4,
     scale: Fraction = Fraction(1),
 ) -> SpectrumCandidate:
     """Greedy construction of the candidate spectrum for a normalized form.
 
     Every element gamma of the anchored spectrum receives an integer shift
     k chosen as the first k in 0, 1, -1, 2, ... whose transform magnitude
-    at gamma/N + k clears ``ratio_threshold`` times the averaged B-mask
+    at gamma/N + k clears SHIFT_RATIO_THRESHOLD times the averaged B-mask
     energy there.  gamma = 0 always keeps shift 0.  A window exhausted
     without an acceptable shift raises ShiftSearchFailure: either the
     window is too small or the form genuinely fails equi-positivity there;
@@ -376,12 +359,11 @@ def build_spectrum(
         raise ValueError("levels must be >= 0")
     n = form.base
     d_set = expand_one_stage(form)
-    l_anchored = _anchored_spectrum(form)
     b_list = form.b_list()
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
 
     shifts: list[tuple[int, int]] = []
-    for g in l_anchored if levels else ():  # level 0 needs no shifts
+    for g in _anchored_spectrum(form) if levels else ():  # level 0 needs no shifts
         if g == 0:
             shifts.append((0, 0))
             continue
@@ -394,7 +376,7 @@ def build_spectrum(
         for k in _spiral(search_window):
             ratio = _shift_ratio(trunc, g + k * n, n, target)
             best = max(best, ratio)
-            if ratio >= ratio_threshold:
+            if ratio >= SHIFT_RATIO_THRESHOLD:
                 accepted = k
                 break
         if accepted is None:
@@ -409,7 +391,6 @@ def build_spectrum(
         frac_shifts=frac,
         shifts=tuple(shifts),
         levels=tuple(stacked_digits(tilde, n, q) for q in range(1, levels + 1)),
-        l_digits=l_anchored,
     )
 
 
@@ -429,7 +410,7 @@ class JPRow:
     xi: float
     count: int
     q_t: float
-    target: float
+    target = 1.0  # what Q_T approaches for a full candidate; not a field
 
     @property
     def deficiency(self) -> float:
@@ -441,20 +422,14 @@ def jp_sum(
     base: int,
     points: Iterable[Fraction],
     xi_samples: Sequence[float | Fraction],
-    truncation_radius: float | None = None,
-    target: float | Sequence[float] = 1.0,
 ) -> list[JPRow]:
-    """Partial sums Q_T(xi) = sum over points within the radius of
-    |mu_hat(xi + point)|^2, with exact rational evaluation throughout.
+    """Partial sums Q_T(xi) = sum over the points of |mu_hat(xi + point)|^2,
+    with exact rational evaluation throughout.
 
-    ``target`` is what Q_T should approach: 1.0 for a full candidate, or a
-    per-xi sequence (e.g. the averaged B-mask energy for integer-only sums).
     The truncation depth is the smallest whose tail sum at the largest
     point height is below 1e-14.
     """
     pts = _sorted_points(points)
-    if truncation_radius is not None:
-        pts = [p for p in pts if abs(p) <= truncation_radius]
     xs = [Fraction(x).limit_denominator(10**12) if not isinstance(x, Fraction) else x for x in xi_samples]
     height = max((abs(float(p)) for p in pts), default=0.0) + 2.0
     trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))
@@ -467,10 +442,7 @@ def jp_sum(
         if cs.stop == len(pts):
             totals[rs] = [math.fsum(row.tolist()) for row in sq]
 
-    def target_at(idx):
-        return target[idx] if isinstance(target, (list, tuple)) else float(target)
-
-    return [JPRow(float(x), len(pts), totals[idx], target_at(idx)) for idx, x in enumerate(xs)]
+    return [JPRow(float(x), len(pts), totals[idx]) for idx, x in enumerate(xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +460,6 @@ class WeaklyPeriodicReport:
     argmin_xi: float
     flagged: tuple[float, ...]
     excluded: int
-    grid_size: int
-    window: int
 
     @property
     def positive(self) -> bool:
@@ -506,7 +476,8 @@ def weakly_periodic_check(
 
     Over points xi with averaged B-mask energy above the membership
     threshold, computes max over |k| <= window of |mu_hat(xi + k)| and
-    reports the minimum of those maxima.  A healthy form reports a clearly
+    reports the minimum of those maxima, with the smallest xi that comes
+    within a relative 1e-9 of it.  A healthy form reports a clearly
     positive value; near-zero points are listed for re-examination.
     """
     n = form.base
@@ -524,70 +495,20 @@ def weakly_periodic_check(
     excluded = int(np.sum(~keep))
     xs = grid[keep]
     if xs.size == 0:
-        return WeaklyPeriodicReport(math.inf, 0.0, (), excluded, len(grid), integer_window)
+        return WeaklyPeriodicReport(math.inf, 0.0, (), excluded)
 
     running = np.zeros_like(xs)
     shifts = _RationalSide(range(-integer_window, integer_window + 1))
     for _, cs, mag in _split_phase_abs(trunc, shifts, _FloatSide(xs)):
         np.maximum(running[cs], mag.max(axis=0), out=running[cs])
-    idx = int(np.argmin(running))
+    lowest = float(running.min())
+    # mirror points xi and 1 - xi agree to rounding, so the reported point
+    # is the smallest xi within a relative 1e-9 of the minimum
+    first = int(np.argmax(running <= lowest * (1 + 1e-9)))
     flagged = tuple(float(x) for x in xs[running < FLAG_THRESHOLD])
     return WeaklyPeriodicReport(
-        min_max=float(running[idx]),
-        argmin_xi=float(xs[idx]),
+        min_max=lowest,
+        argmin_xi=float(xs[first]),
         flagged=flagged,
         excluded=excluded,
-        grid_size=len(grid),
-        window=integer_window,
     )
-
-
-# ---------------------------------------------------------------------------
-# Tail-term condition.
-
-
-@dataclass(frozen=True)
-class TailTermReport:
-    per_level: tuple[float, ...]
-    c_empirical: float
-
-
-def tail_term_check(
-    form: OneStageForm,
-    candidate: SpectrumCandidate,
-    xi_grid: int = 32,
-) -> TailTermReport:
-    """Empirical equi-positivity constant for a built candidate.
-
-    For every stored level k and integer lambda, over a xi grid, compares
-    the tail |mu_hat((xi+lambda)/N^k)|^2 against the averaged B-mask
-    energy at the same rescaled point; the report carries the smallest
-    ratio (the constant the construction actually achieved).
-    """
-    n = form.base
-    d_set = expand_one_stage(form)
-    b_list = form.b_list()
-    xs = chebyshev_grid(xi_grid)
-    per_level: list[float] = []
-    overall = math.inf
-    # level 0 holds the single point 0 at depth 0, so the condition is
-    # just the transform against the averaged mask energy on the grid
-    for k in range(0, len(candidate.levels) + 1):
-        den = n**k
-        level_min = math.inf
-        for lam in candidate.lambdas(k):
-            for xi in xs:
-                num = Fraction(xi).limit_denominator(10**9) + lam
-                point = num / den
-                denom = sum(
-                    abs(mask_value_rational(b, point.numerator, point.denominator)) ** 2
-                    for b in b_list
-                ) / len(b_list)
-                if denom < 1e-12:
-                    continue
-                val = abs(mu_hat_point(n, d_set, point)) ** 2
-                ratio = val / denom
-                level_min = min(level_min, ratio)
-        per_level.append(level_min)
-        overall = min(overall, level_min)
-    return TailTermReport(tuple(per_level), overall)

@@ -189,26 +189,7 @@ def require_valid_one_stage(form: OneStageForm) -> OneStageForm:
 
 
 # ---------------------------------------------------------------------------
-# Reductions of one-stage forms.
-
-
-def reduce_r_to_1(form: OneStageForm) -> OneStageForm:
-    """Rewrite a form with r >= 2 over the base N^r with r = 1.
-
-    New A-digits are the r-fold mixed-radix sums sum_j N^j * a_(i_j) of old
-    ones; the B-set attached to such a digit is the direct sum of the B's
-    picked by its radix digits, sum_j N^j * B_(a_(i_j)), and L1, L2 become
-    L + N*L + ... + N^(r-1)*L.  This is ``k_stage_to_one_stage`` applied to
-    the form read as a k-stage form with one stage at scale r (r - 1 empty
-    levels below B), so the result is validated exactly and expands to
-    D + N*D + ... + N^(r-1)*D.
-    """
-    if form.r == 1:
-        return form
-    if form.r < 1:
-        raise ValueError("reduction needs r >= 1")
-    staged = KStageForm(form.base, (form.r,), form.a_set, (form.b_sets,), (form.l1, form.l2))
-    return k_stage_to_one_stage(staged)
+# Normal form of one-stage forms.
 
 
 def translate_and_gcd_normalize(

@@ -9,7 +9,6 @@ from spectralforge.cli import (
     FIXTURES,
     digitset_from_json,
     digitset_to_json,
-    fixtures,
     k_stage_from_json,
     k_stage_to_json,
     main,
@@ -197,7 +196,7 @@ def test_bad_common_options_are_input_errors(tmp_path, capsys):
 
 
 def test_fixture_corpus_shape():
-    listing = fixtures()
+    listing = FIXTURES
     assert len(listing) >= 6
     assert all({"id", "note", "expect"} <= set(f) for f in listing)
     ids = [f["id"] for f in listing]
@@ -267,6 +266,8 @@ def _malformed_inputs(tmp_path):
         ("paq-p-equals-q", ["classify-paq", "--p", "2", "--q", "2", "--alpha", "1", "--variant", "i"]),
         ("paq-params-count", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2",
                               "--variant", "ii", "--params", "1", "1"]),
+        ("paq-params-variant-iii", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2",
+                                    "--variant", "iii", "--params", "1"]),
         # file values that are not integers
         ("form-r-fraction", ["validate-form", "--spec",
                              _write(tmp_path, "r-frac.json", {**form, "r": 2.5})]),
@@ -305,6 +306,43 @@ def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):
     assert report["error"] == {"type": "RuntimeError", "message": "injected"}
     assert json.loads(out_path.read_text()) == report
     assert "Traceback" not in captured.err
+
+
+_CALLS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from spectralforge.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path):
+    """main() builds its parser once per process: a usage error and then a
+    valid command give the exit codes, usage text and reports of two fresh
+    processes."""
+    d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
+    calls = [["check-tile", "--base", "4"], ["check-tile", "--base", "4", "--digits", d]]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectralforge.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        fresh.append([proc.returncode, proc.stdout, proc.stderr])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CALLS_IN_ONE_PROCESS, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == fresh
+    assert [code for code, _, _ in fresh] == [2, 0]
+    assert fresh[0][2].startswith("usage: spectralforge check-tile")
 
 
 def test_malformed_form_subprocess_has_no_traceback(tmp_path):

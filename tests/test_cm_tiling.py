@@ -227,14 +227,6 @@ def test_variant_ii_tied_scales_merge():
         assert c.ok, c.label
 
 
-def test_paq_custom_stage_scales():
-    res = paq_type_generator(2, 3, 2, "i", ells=[2, 1])
-    assert res.report.ok
-    # scale exponents show up in the expansion: stage 1 sits at N^2
-    assert any(x >= 144 for x in res.digits.digits)
-    assert len(res.digits) == 12
-
-
 def test_kernel_certificate_wider_prime_range():
     # primes up to 5 in both roles (certificates re-checked inside generate)
     for (p, q, alpha, variant) in (

@@ -8,7 +8,6 @@ from spectralforge import cyclotomic
 from spectralforge.cm_tiling import cm_regular_product_triple
 from spectralforge.cyclotomic import (
     MaskPolynomial,
-    common_zero_factorization,
     compose_cyclotomic_indices,
     cyclotomic_factorization,
     cyclotomic_poly,
@@ -17,7 +16,6 @@ from spectralforge.cyclotomic import (
     euler_phi,
     exact_quotient,
     _candidate_indices,
-    gcd_z,
     has_cyclotomic_factor,
     kernel_polynomial,
     vanishing_by_division,
@@ -240,44 +238,6 @@ def test_candidate_indices_match_totient_bound():
         assert _candidate_indices(m) == [d for d in range(1, 2 * m * m + 2) if phi[d] <= m], m
 
 
-def test_common_zero_factorization_examples():
-    f, qs, extra = common_zero_factorization([DigitSet(4, (0, 2)), DigitSet(4, (0, 6))])
-    assert f.to_dense() == [1, 0, 1]
-    assert qs[0].is_one
-    assert qs[1].to_dense() == [1, 0, -1, 0, 1]
-    assert extra is None
-
-    f, qs, _ = common_zero_factorization([DigitSet(4, (0, 1))])
-    assert f.to_dense() == [1, 1] and qs[0].is_one
-
-    f, qs, _ = common_zero_factorization([DigitSet(4, (0, 1)), DigitSet(4, (0, 2))])
-    assert f.is_one
-    assert [q.to_dense() for q in qs] == [[1, 1], [1, 0, 1]]
-
-
-def test_common_zero_no_shared_rational_zero():
-    # on rationals t/n with n <= 16, the quotients never vanish together
-    f, qs, _ = common_zero_factorization(
-        [DigitSet(4, (0, 2)), DigitSet(4, (0, 6)), DigitSet(4, (0, 2, 4, 6))]
-    )
-    for n in range(1, 17):
-        for t in range(n):
-            total = sum(abs(q.evaluate_unit(t, n)) ** 2 for q in qs)
-            assert total > 1e-9
-
-
-def test_gcd_z():
-    x_plus_1 = MaskPolynomial.from_dense([1, 1])
-    a = x_plus_1 * MaskPolynomial.from_dense([1, 0, 1])
-    b = x_plus_1 * MaskPolynomial.from_dense([1, 0, 0, 1])
-    g = gcd_z(a, b)
-    # 1+x^3 = (1+x)(1-x+x^2), so the only common factor is 1+x
-    assert g == x_plus_1
-    assert gcd_z(MaskPolynomial.from_dense([2, 2]), MaskPolynomial.from_dense([4, 4])) == (
-        MaskPolynomial.from_dense([2, 2])
-    )
-
-
 def test_compose_cyclotomic_indices():
     assert compose_cyclotomic_indices(4, 4) == {16: 1}
     assert compose_cyclotomic_indices(3, 2) == {3: 1, 6: 1}
@@ -312,7 +272,7 @@ def test_mask_polynomial_basics():
     p = MaskPolynomial.from_digits((0, 2, 5))
     assert p.evaluate_int(1) == 3
     assert (p * MaskPolynomial.one()) == p
-    assert (p - p).is_zero
+    assert (p * MaskPolynomial.zero()).is_zero
     assert p.compose_power(3).degree == 15
     from spectralforge.errors import EmptyDigitSet
 

@@ -10,8 +10,6 @@ from spectralforge.digitsets import (
     direct_sum,
     direct_sum_digits,
     gcd_normalize,
-    is_complete_residue_system,
-    sumset,
 )
 from spectralforge.errors import (
     BaseTooSmall,
@@ -76,7 +74,6 @@ def test_direct_sum_examples():
     b = ResidueClassSet(4, (0, 2))
     s = direct_sum(a, b)
     assert s.residues == (0, 1, 2, 3)
-    assert is_complete_residue_system(s)
 
     x = ResidueClassSet(7, (0, 3, 5))
     zero = ResidueClassSet(7, (0,))
@@ -89,16 +86,16 @@ def test_direct_sum_examples():
 
 
 def test_complete_residue_examples():
-    assert is_complete_residue_system(ResidueClassSet(4, (0, 1, 2, 3)))
+    assert len(ResidueClassSet(4, (0, 1, 2, 3))) == 4
     reduced = DigitSet(4, (0, 1, 8, 9)).residues(4)
     assert reduced.residues == (0, 1)
-    assert not is_complete_residue_system(reduced)
+    assert len(reduced) < reduced.modulus
 
 
 def test_72_complement_pair_is_complete():
     a = DigitSet(72, (0, 8, 16, 18, 26, 34)).residues(72)
     b = DigitSet(72, (0, 5, 6, 9, 12, 29, 33, 36, 42, 48, 53, 57)).residues(72)
-    assert is_complete_residue_system(direct_sum(a, b))
+    assert direct_sum(a, b).residues == tuple(range(72))
 
 
 def test_direct_sum_cardinality_law():
@@ -116,14 +113,13 @@ def test_direct_sum_cardinality_law():
         assert len(s) == len(a) * len(b)
         # brute-force cover check
         cover = {(x + y) % m for x in a for y in b}
-        assert is_complete_residue_system(s) == (cover == set(range(m)))
+        assert (len(s) == m) == (cover == set(range(m)))
 
 
 def test_digit_tuple_helpers():
     assert direct_sum_digits((0, 1), (0, 4)) == (0, 1, 4, 5)
     with pytest.raises(OverlapError):
         direct_sum_digits((0, 2), (0, 2))
-    assert sumset((0, 2), (0, 2)) == (0, 2, 4)
     # two-set witnesses are the (first, second) summand pairs
     with pytest.raises(OverlapError) as err:
         direct_sum_digits([0, 1], [0, 1])

@@ -12,9 +12,6 @@ from spectralforge.errors import HadamardFailure
 from spectralforge.hadamard import (
     check_triple,
     find_spectra,
-    is_hadamard_triple,
-    lifted_triple,
-    verify_equivalent_pairs,
     verify_triple,
     zero_set,
 )
@@ -24,7 +21,7 @@ from spectralforge.measure import mask_value
 def test_verify_triple_examples():
     t = verify_triple(4, DigitSet(4, (0, 2)), DigitSet(4, (0, 1)))
     assert t.base == 4
-    assert is_hadamard_triple(100, DigitSet(100, (0,)), DigitSet(100, (0,)))
+    assert check_triple(100, DigitSet(100, (0,)), DigitSet(100, (0,))) is None
     rep = check_triple(4, DigitSet(4, (0, 1, 8, 9)), DigitSet(4, (0, 1, 2, 3)))
     assert rep is not None and rep.kind == "DuplicateResidue"
     with pytest.raises(HadamardFailure):
@@ -196,58 +193,3 @@ def test_zero_set_symmetry():
         assert all((n - t) % n in zs for t in zs)
         for t in list(zs)[:5]:
             assert vanishing_by_division(digits, t, n)
-
-
-def test_verify_equivalent_pairs():
-    assert verify_equivalent_pairs(
-        4, [DigitSet(4, (0, 2)), DigitSet(4, (0, 6))], DigitSet(4, (0, 1))
-    )
-    assert not verify_equivalent_pairs(
-        4, [DigitSet(4, (0, 2)), DigitSet(4, (0, 1))], DigitSet(4, (0, 1))
-    )
-    assert verify_equivalent_pairs(5, [DigitSet(5, (0,))], DigitSet(5, (0,)))
-
-
-def test_lifted_triple_examples():
-    t = lifted_triple(4, [(DigitSet(4, (0, 2)), DigitSet(4, (0, 1)))] * 2)
-    assert t.base == 16
-    assert t.digits.digits == (0, 2, 8, 10)
-    assert set(t.spectrum.digits) == {0, 1, 4, 5}
-
-    triv = lifted_triple(6, [(DigitSet(6, (0,)), DigitSet(6, (0,)))] * 3)
-    assert triv.digits.digits == (0,) and triv.spectrum.digits == (0,)
-
-    clash = [
-        (DigitSet(4, (0, 4)), DigitSet(4, (0, 2))),
-        ({0: DigitSet(4, (0, 1)), 4: DigitSet(4, (0, 1))}, DigitSet(4, (0, 2))),
-    ]
-    with pytest.raises(ValueError, match=r"^lift collision at level 1: digit 4$"):
-        lifted_triple(4, clash)
-
-
-def test_lifted_triple_random_stacks():
-    """Stacks of verified layers lift to verified triples over N^k."""
-    rng = random.Random(99)
-    built = 0
-    while built < 100:
-        n = rng.randrange(2, 13)
-        k = rng.randrange(1, 4)
-        layers = []
-        ok = True
-        for _ in range(k):
-            size = rng.choice((1, 2, 3))
-            if size > n:
-                ok = False
-                break
-            digits = tuple(sorted(rng.sample(range(n), size)))
-            d = DigitSet(max(n, 2), digits)
-            spectra = find_spectra(n, d, limit=3)
-            if not spectra:
-                ok = False
-                break
-            layers.append((d, rng.choice(spectra)))
-        if not ok:
-            continue
-        lifted = lifted_triple(n, layers)  # raises on failure
-        assert lifted.base == n ** len(layers)
-        built += 1
