@@ -288,7 +288,8 @@ def cmd_check_tile(args) -> Outcome:
         "tiles": verdict.tiles,
         "witness": None if verdict.witness is None else _digits_to_json(verdict.witness.digits),
     }
-    return verdict.tiles, fields, f"{verdict.verdict}; tiles={verdict.tiles}"
+    summary = f"{verdict.verdict}; tiles={verdict.tiles}"
+    return verdict.tiles, fields, f"{summary} ({verdict.detail})" if verdict.detail else summary
 
 
 def cmd_classify_paq(args) -> Outcome:

@@ -8,11 +8,14 @@ The two divisibility conditions on a finite A in Z_N:
 * product condition: for prime powers s_1..s_k of pairwise distinct primes
   drawn from that set, Phi_{s_1...s_k} | P_A.
 
-Together they certify that A tiles Z_N and carries the explicit spectrum
-{sum over s of eps_s * N/s}.  Failure of the size condition certifies that
-A does not tile Z_N.  Nothing is assumed: every emitted spectrum is pushed
-through the exact Hadamard checker, and small groups get an exhaustive
-complement search as ground truth.
+Together they certify that A tiles Z_N, with the Coven-Meyerowitz
+complement, and carries the explicit spectrum {sum over s of eps_s * N/s}.
+Failure of the size condition certifies that A does not tile Z_N, and so
+does failure of the product condition when |A| has at most two prime
+factors.  Nothing is assumed: every emitted spectrum is pushed through the
+exact Hadamard checker and every complement is checked by counting.  Only
+sets that no theorem decides get the exhaustive complement search, under
+an explicit cap on its states.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     KernelDivisibilityFailure,
     NotCompleteResidues,
     OverlapError,
+    SearchLimitReached,
     SpectrumUnavailable,
     ValidationFailure,
 )
@@ -147,19 +151,24 @@ def explicit_tiling_spectrum(s_indices: Sequence[int], n: int) -> DigitSet:
 
 @dataclass(frozen=True)
 class TileVerdict:
-    verdict: str  # TilesByT1T2 | NotTileByT1Failure | Unknown
-    exhaustive: bool | None  # exact answer when the search ran
-    witness: DigitSet | None  # complement with A (+) C == Z_N
+    """Whether A tiles Z_N, and the result that decided it.
 
-    @property
-    def tiles(self) -> bool | None:
-        if self.exhaustive is not None:
-            return self.exhaustive
-        if self.verdict == "TilesByT1T2":
-            return True
-        if self.verdict == "NotTileByT1Failure":
-            return False
-        return None
+    ``tiles`` is None only when the search of a set no theorem decides
+    stopped at SEARCH_STATE_CAP.  ``witness`` is a complement C with
+    A (+) C == Z_N, checked by counting, whenever ``tiles`` is True.
+    ``detail`` names the failed condition, the congruent pair or the cap.
+    """
+
+    # TilesByT1T2 | NotTileByT1Failure | NotTileByCMB2 | NotTileByCongruentDigits | Unknown
+    verdict: str
+    tiles: bool | None
+    witness: DigitSet | None
+    detail: str = ""
+
+
+# States tile_complement visits before it gives up; its memo of dead states
+# then holds at most this many N-bit masks.
+SEARCH_STATE_CAP = 100_000
 
 
 def tile_complement(a: DigitSet, n: int) -> tuple[int, ...] | None:
@@ -167,37 +176,43 @@ def tile_complement(a: DigitSet, n: int) -> tuple[int, ...] | None:
 
     Depth-first over the lowest uncovered residue, with a memo of dead
     cover states; bitmask arithmetic keeps states cheap.  The search keeps
-    its own stack, since a complement can hold N/|A| translates.
+    its own stack, since a complement can hold N/|A| translates.  Visiting
+    more than SEARCH_STATE_CAP states raises SearchLimitReached.
     """
     residues = sorted({d % n for d in a.digits})
     if n % len(residues):
         return None
-    masks = []
-    for c in range(n):
-        m = 0
-        for r in residues:
-            m |= 1 << ((r + c) % n)
-        masks.append(m)
     full = (1 << n) - 1
-    dead: set[int] = set()
+    shape = sum(1 << r for r in residues)
+
+    def translate(c: int) -> int:  # the mask of A + c
+        x = shape << c
+        return (x | x >> n) & full
 
     def frame(used: int):
         # translates covering the lowest uncovered residue, in increasing order
         r = ((~used) & -(~used)).bit_length() - 1
         return used, iter(sorted({(r - x) % n for x in residues}))
 
+    cap = SEARCH_STATE_CAP
+    visited = 1
     stack = [frame(0)]
     chosen: list[int] = []
+    dead: set[int] = set()
     while stack:
         used, todo = stack[-1]
         for c in todo:
-            if masks[c] & used:
+            mask = translate(c)
+            if mask & used:
                 continue
-            nxt = used | masks[c]
+            nxt = used | mask
             if nxt == full:
                 return tuple(chosen) + (c,)
             if nxt in dead:
                 continue
+            visited += 1
+            if visited > cap:
+                raise SearchLimitReached(f"search stopped at SEARCH_STATE_CAP = {cap} states")
             chosen.append(c)
             stack.append(frame(nxt))
             break
@@ -209,38 +224,91 @@ def tile_complement(a: DigitSet, n: int) -> tuple[int, ...] | None:
     return None
 
 
-# The exhaustive search runs for N up to this; its table of per-translate
-# bitmasks takes N^2/8 bytes.
-EXHAUSTIVE_LIMIT = 10_000
+def cm_complement(s_indices: Sequence[int], n: int) -> tuple[int, ...]:
+    """The Coven-Meyerowitz complement of a set whose prime-power indices
+    S_A = ``s_indices`` satisfy T1 and T2, as residues mod N.
+
+    With M = lcm(S_A), B(x) = prod Phi_s(x^t(s)) over the prime powers
+    s | M outside S_A, t(s) the largest divisor of M prime to s, and
+    C = B (+) M*{0..N/M-1}.  Phi_(p^e)(x^t) is the mask of
+    t*p^(e-1)*{0..p-1}.
+    """
+    m = math.lcm(*s_indices)
+    members = set(s_indices)
+    c = [0]
+    for p, k in factorize(m):
+        t = m // p**k
+        for e in range(1, k + 1):
+            if p**e not in members:
+                step = t * p ** (e - 1)
+                c = [x + i * step for x in c for i in range(p)]
+    return tuple((x + y) % n for x in c for y in range(0, n, m))
+
+
+def _checked_witness(residues: Sequence[int], complement: Sequence[int], n: int) -> DigitSet:
+    """C as a witness, after counting that A (+) C == Z_N."""
+    if len(residues) * len(complement) != n or len(
+        {(x + y) % n for x in residues for y in complement}
+    ) != n:
+        raise AssertionError(f"complement {sorted(complement)} does not tile Z_{n} with the set")
+    return DigitSet(max(n, 2), tuple(complement))
 
 
 def check_tile_zn(a: DigitSet, n: int) -> TileVerdict:
-    """Condition-based verdict, with exhaustive ground truth for N up to
-    EXHAUSTIVE_LIMIT.
+    """Does A tile Z_N?  A theorem decides wherever one applies; the
+    exhaustive search runs only where the theory is silent.
 
-    When both searches run their answers are cross-checked: a certified
-    tiler must be found by the search and a size-condition failure must
-    not; disagreement raises, since it would falsify the certificates.
+    S_A is the set of prime powers s | N with Phi_s dividing the mask of
+    the residues of A, and T1, T2 are the two conditions over S_A, as
+    ``cm_profile`` computes them.  In order:
+
+    * Two digits congruent mod N: not a tile, since A (+) C needs |A|
+      distinct residues.
+    * T1 fails: not a tile.  This is Coven-Meyerowitz (J. Algebra 212
+      (1999)) Theorem B1, and the restriction to s | N is sound: from
+      A (+) C = Z_N, every prime power s | N has Phi_s dividing A(x) or
+      C(x).  As Phi_s(1) = p, the product of the primes over S_A divides
+      |A|, and likewise for C.  The primes of all prime powers s | N
+      multiply to N = |A||C|, so both divisibilities are equalities.
+    * T1 and T2 hold: a tile (CM Theorem A), and ``cm_complement`` builds
+      the complement of Lemma 2.5.  With M = lcm(S_A), which divides N,
+      the proof shows that Phi_d divides A(x)B(x) for every d | M, d > 1,
+      and |A||B| = M; only prime powers of M, which divide N, enter it.
+      So A (+) B = Z_M and A (+) C = Z_N.  The complement is checked by
+      counting before it is returned; a failed count raises.  Laba
+      (J. London Math. Soc. 65 (2002)) shows the set is also spectral.
+    * T1 holds, T2 fails and |A| has at most two prime factors: not a
+      tile (CM Theorem B2: a tile of Z of such a size satisfies T2).  A
+      tile of Z_N tiles Z with C + NZ, and a T2 failure over s | N is one
+      over all prime powers.
+    * Otherwise no theorem applies, and ``tile_complement`` decides.  A
+      search that reaches SEARCH_STATE_CAP gives tiles None.
     """
+    first: dict[int, int] = {}
+    for d in a.digits:
+        r = d % n
+        if r in first:
+            return TileVerdict(
+                "NotTileByCongruentDigits", False, None,
+                f"digits {first[r]} and {d} are congruent mod {n}",
+            )
+        first[r] = d
+    residues = sorted(first)
     profile = cm_profile(a, n)
-    if profile.tiles_certified:
-        verdict = "TilesByT1T2"
-    elif not profile.t1:
-        verdict = "NotTileByT1Failure"
-    else:
-        verdict = "Unknown"
-    exhaustive = None
-    witness = None
-    if n <= EXHAUSTIVE_LIMIT:
+    if not profile.t1:
+        return TileVerdict("NotTileByT1Failure", False, None, profile.t1_detail)
+    if profile.t2:
+        witness = _checked_witness(residues, cm_complement(profile.s_indices, n), n)
+        return TileVerdict("TilesByT1T2", True, witness)
+    if len(factorize(len(residues))) <= 2:
+        return TileVerdict("NotTileByCMB2", False, None, profile.t2_detail)
+    try:
         comp = tile_complement(a, n)
-        exhaustive = comp is not None
-        if comp is not None:
-            witness = DigitSet(max(n, 2), tuple(sorted(set(comp))))
-        if verdict == "TilesByT1T2" and not exhaustive:
-            raise AssertionError("certified tiler rejected by exhaustive search")
-        if verdict == "NotTileByT1Failure" and exhaustive:
-            raise AssertionError("size-condition failure contradicted by a found tiling")
-    return TileVerdict(verdict, exhaustive, witness)
+    except SearchLimitReached as exc:
+        return TileVerdict("Unknown", None, None, str(exc))
+    if comp is None:
+        return TileVerdict("Unknown", False, None, profile.t2_detail)
+    return TileVerdict("Unknown", True, _checked_witness(residues, comp, n), profile.t2_detail)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +475,6 @@ class PaqResult:
     report: ValidationReport
     generated: DigitSet  # expansion of the factor data the form came from
     spec_generated: ModuloProductFormSpec
-    spec_original: ModuloProductFormSpec | None = None
-    original_digits: DigitSet | None = None
     congruences: tuple[CongruenceCheck, ...] = ()
 
 
@@ -483,8 +549,6 @@ def paq_type_generator(
         report=report,
         generated=generated,
         spec_generated=spec,
-        spec_original=spec,
-        original_digits=generated,
     )
 
 
@@ -588,8 +652,6 @@ def _variant_ii(p, q, alpha, ms, big_m, k_idx, zshifts):
         report=report,
         generated=generated,
         spec_generated=spec_first,
-        spec_original=spec_orig,
-        original_digits=d_orig,
         congruences=tuple(congruences),
     )
 

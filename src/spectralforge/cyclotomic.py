@@ -67,9 +67,6 @@ class MaskPolynomial:
 
     # -- views -------------------------------------------------------------
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def to_dense(self) -> list[int]:
         if not self.terms:
             return []
@@ -92,12 +89,6 @@ class MaskPolynomial:
         return self.terms == ((0, 1),)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "MaskPolynomial") -> "MaskPolynomial":
-        acc = self.as_dict()
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return MaskPolynomial(tuple(acc.items()))
 
     def __mul__(self, other: "MaskPolynomial") -> "MaskPolynomial":
         acc: dict[int, int] = {}
@@ -502,10 +493,6 @@ class KernelData:
     n_j_scaled: int
     m_j: int
     cyclotomic_indices: tuple[tuple[int, int], ...]  # factorization of K^(j)
-
-    @property
-    def scaled_identity_holds(self) -> bool:
-        return self.n_j == self.n_j_scaled
 
 
 def kernel_polynomial(

@@ -123,3 +123,7 @@ class CMConditionFailure(SpectralForgeError):
         self.which = which
         self.condition = condition
         super().__init__(f"{condition} fails for {which}")
+
+
+class SearchLimitReached(SpectralForgeError):
+    """An exhaustive search reached its module cap before it could decide."""

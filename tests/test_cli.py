@@ -160,6 +160,36 @@ def test_weakly_periodic_cli(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_tile_congruent_digits(tmp_path, capsys):
+    """Digits congruent mod N cannot sit in a direct sum: {0, 4} does not
+    tile Z_4, and the summary names the pair."""
+    d = _write(tmp_path, "d04.json", {"base": 4, "digits": ["0", "4"]})
+    assert _run(["check-tile", "--base", "4", "--digits", d]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["verdict"], report["tiles"], report["witness"]) == (
+        "NotTileByCongruentDigits", False, None
+    )
+    assert "digits 0 and 4 are congruent mod 4" in captured.err
+
+
+def test_check_tile_search_cap_is_reported(tmp_path, capsys, monkeypatch):
+    from spectralforge import cm_tiling
+
+    d15 = (0, 1, 6, 7, 8, 13, 14, 15, 21, 22, 23, 29, 30, 37, 44)
+    digits = [str(x) for x in d15 + tuple(x + 45 for x in d15)]
+    d = _write(tmp_path, "d90.json", {"base": 90, "digits": digits})
+    assert _run(["check-tile", "--base", "90", "--digits", d]) == 1
+    assert json.loads(capsys.readouterr().out)["tiles"] is False
+
+    monkeypatch.setattr(cm_tiling, "SEARCH_STATE_CAP", 2)
+    assert _run(["check-tile", "--base", "90", "--digits", d]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["verdict"], report["tiles"], report["witness"]) == ("Unknown", None, None)
+    assert "SEARCH_STATE_CAP = 2" in captured.err
+
+
 def test_output_file_written(tmp_path, capsys):
     d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
     l = _write(tmp_path, "l.json", {"base": 4, "digits": ["0", "1"]})

@@ -25,6 +25,7 @@ from spectralforge.errors import (
     InvalidVariantParams,
     NotCompleteResidues,
     OverlapError,
+    SearchLimitReached,
     SpectrumUnavailable,
 )
 from spectralforge.hadamard import check_triple
@@ -65,23 +66,39 @@ def test_tiling_spectrum_shape():
         explicit_tiling_spectrum((6,), 72)  # not a prime power
 
 
+def _tiles_by_count(digits, complement, n):
+    return len(digits) * len(complement) == n and len(
+        {(a + c) % n for a in digits for c in complement}
+    ) == n
+
+
 def test_check_tile_examples():
     v = check_tile_zn(DigitSet(4, (0, 2)), 4)
-    assert v.verdict == "TilesByT1T2" and v.exhaustive is True
+    assert (v.verdict, v.tiles) == ("TilesByT1T2", True)
+    assert tile_complement(DigitSet(4, (0, 2)), 4) is not None
     assert v.witness.digits == (0, 1)
 
     v83 = check_tile_zn(DigitSet(24, (0, 1, 16, 17)), 24)
-    assert v83.verdict == "NotTileByT1Failure" and v83.exhaustive is False
+    assert (v83.verdict, v83.tiles, v83.witness) == ("NotTileByT1Failure", False, None)
+    assert tile_complement(DigitSet(24, (0, 1, 16, 17)), 24) is None
 
     # direct-sum completeness gives an exact tiling of Z_72 with witness B
     comp = tile_complement(A84, 72)
     assert comp is not None
     got = direct_sum_digits(A84.digits, comp)
     assert sorted(x % 72 for x in got) == list(range(72))
+    # S_A = {3, 4}, M = 12; 2 is the one prime power of M outside S_A and
+    # t(2) = 3, so B = {0, 3} and C = B (+) 12*{0..5}
+    v84 = check_tile_zn(A84, 72)
+    assert v84.verdict == "TilesByT1T2"
+    assert v84.witness.digits == tuple(sorted(b + 12 * k for b in (0, 3) for k in range(6)))
+    assert _tiles_by_count(A84.digits, v84.witness.digits, 72)
 
 
 def test_tile_complement_deep_search():
     # 2000 translates deep: beyond the interpreter's recursion limit
+    comp = tile_complement(DigitSet(4000, (0, 1)), 4000)
+    assert sorted(comp) == list(range(0, 4000, 2))
     v = check_tile_zn(DigitSet(4000, (0, 1)), 4000)
     assert v.witness.digits == tuple(range(0, 4000, 2))
 
@@ -99,18 +116,25 @@ def test_factorization_helpers_match_brute_force():
 
 
 def test_exhaustive_agrees_with_conditions_small_sweep():
-    """All 0-anchored subsets with |A| dividing N, small N: the sufficient
-    verdicts never contradict the exhaustive search."""
-    for n in range(2, 13):
-        sizes = [k for k in (1, 2, 3, 4) if n % k == 0]
-        for k in sizes:
+    """All 0-anchored sets with N <= 24 and |A| in {1, 2, 3, 4} dividing N,
+    and with |A| = 6 for N <= 18 (where the B2 sets are): the verdict
+    agrees with the exhaustive search, and every witness tiles by
+    counting."""
+    verdicts = set()
+    for n in range(2, 25):
+        for k in (1, 2, 3, 4, 6):
+            if n % k or (k == 6 and n > 18):
+                continue
             for rest in itertools.combinations(range(1, n), k - 1):
-                a = DigitSet(max(n, 2), (0,) + rest)
+                a = DigitSet(n, (0,) + rest)
                 verdict = check_tile_zn(a, n)
-                if verdict.verdict == "TilesByT1T2":
-                    assert verdict.exhaustive is True
-                elif verdict.verdict == "NotTileByT1Failure":
-                    assert verdict.exhaustive is False
+                verdicts.add(verdict.verdict)
+                assert verdict.tiles == (tile_complement(a, n) is not None), (n, a.digits)
+                if verdict.tiles:
+                    assert _tiles_by_count(a.digits, verdict.witness.digits, n), (n, a.digits)
+                else:
+                    assert verdict.witness is None
+    assert verdicts == {"TilesByT1T2", "NotTileByT1Failure", "NotTileByCMB2"}
 
 
 def test_sampled_agreement_larger_bases():
@@ -120,10 +144,32 @@ def test_sampled_agreement_larger_bases():
         k = rng.choice([k for k in (2, 3, 4, 5, 6) if n % k == 0] or [1])
         digits = (0,) + tuple(sorted(rng.sample(range(1, n), k - 1)))
         verdict = check_tile_zn(DigitSet(max(n, 2), digits), n)
-        if verdict.verdict == "TilesByT1T2":
-            assert verdict.exhaustive is True
-        if verdict.verdict == "NotTileByT1Failure":
-            assert verdict.exhaustive is False
+        assert verdict.tiles == (tile_complement(DigitSet(n, digits), n) is not None), (n, digits)
+
+
+# |A| = 30 = 2*3*5 with S_A = {2, 3, 5} mod 90 (T1), but Phi_15 does not
+# divide the mask (T2 fails): no theorem decides, so the search runs.
+# D is balanced mod 3 and mod 5 without vanishing at a primitive 15th root;
+# A = D (+) {0, 45}.
+_D15 = (0, 1, 6, 7, 8, 13, 14, 15, 21, 22, 23, 29, 30, 37, 44)
+UNDECIDED90 = DigitSet(90, _D15 + tuple(x + 45 for x in _D15))
+
+
+def test_undecided_set_is_searched_under_the_cap(monkeypatch):
+    from spectralforge import cm_tiling
+
+    prof = cm_profile(UNDECIDED90, 90)
+    assert prof.s_indices == (2, 3, 5) and prof.t1 and not prof.t2
+    v = check_tile_zn(UNDECIDED90, 90)
+    assert (v.verdict, v.tiles, v.witness) == ("Unknown", False, None)
+    assert tile_complement(UNDECIDED90, 90) is None
+
+    monkeypatch.setattr(cm_tiling, "SEARCH_STATE_CAP", 2)
+    capped = check_tile_zn(UNDECIDED90, 90)
+    assert (capped.verdict, capped.tiles, capped.witness) == ("Unknown", None, None)
+    assert "SEARCH_STATE_CAP = 2" in capped.detail
+    with pytest.raises(SearchLimitReached):
+        tile_complement(UNDECIDED90, 90)
 
 
 def test_generate_modulo_product_form_examples():
@@ -248,13 +294,24 @@ def test_variant_ii_congruences_and_multiplier():
     assert len(res.congruences) == 3
     for c in res.congruences:
         assert c.ok, c.label
+    # the nested shape E_p (+) p^(alpha(M+1)+k)*E_q (+) p^(alpha*M_1+1)*E_p,
+    # here M = M_1 = k = 1, with the indices of each scaled factor's mask
+    scaled = ((2, 1), (3, 2**5), (2, 2**3))
+    nested_spec = modulo_spec(
+        12,
+        [[s * e for e in range(r)] for r, s in scaled],
+        sorted({d for r, s in scaled for d in _divisors(r * s) if s % d}),
+        [1, 1],
+    )
+    nested = generate_modulo_product_form(nested_spec)
     # the nested shape's own kernel certificate also holds
-    kernel = spec_kernels(res.spec_original)[-1].poly
-    low = min(res.original_digits.digits)
-    mask = MaskPolynomial.from_digits(tuple(x - low for x in res.original_digits.digits))
+    kernel = spec_kernels(nested_spec)[-1].poly
+    low = min(nested.digits)
+    mask = MaskPolynomial.from_digits(tuple(x - low for x in nested.digits))
     assert divides(kernel, mask)
     # multiplied digits == multiplier * nested digits when no shifts are used
-    assert res.generated.digits == tuple(3 * x for x in res.original_digits.digits)
+    assert res.digits.digits == nested.digits
+    assert res.generated.digits == tuple(3 * x for x in nested.digits)
 
     res32 = paq_type_generator(3, 2, 2, "ii")
     assert res32.multiplier == 2
@@ -278,12 +335,12 @@ def test_scaled_modulus_identity_flags():
     agree on the canonical complete shapes but not on the nested ones."""
     res_i = paq_type_generator(2, 3, 2, "i")
     for kd in spec_kernels(res_i.spec_generated):
-        assert kd.scaled_identity_holds
+        assert kd.n_j == kd.n_j_scaled
 
     res_ii = paq_type_generator(2, 3, 2, "ii")
     kernels = spec_kernels(res_ii.spec_generated)
     assert all(kd.n_j_scaled % kd.n_j == 0 for kd in kernels)
-    assert not kernels[-1].scaled_identity_holds  # documented counterexample
+    assert kernels[-1].n_j != kernels[-1].n_j_scaled  # documented counterexample
 
 
 def test_variant_i_form_spectra_verify_per_level():

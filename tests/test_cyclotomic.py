@@ -36,6 +36,15 @@ def _dense_mul(a, b):
     return out
 
 
+def _dense_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
 def _dense_divmod(num, den):
     num = list(num)
     q = [0] * max(len(num) - len(den) + 1, 1)
@@ -103,9 +112,11 @@ def test_divmod_exact_random_roundtrip():
         f = MaskPolynomial.from_dense([rng.randrange(-4, 5) for _ in range(rng.randrange(1, 6))] + [1])
         q = MaskPolynomial.from_dense([rng.randrange(-4, 5) for _ in range(rng.randrange(1, 7))] + [rng.choice((1, 2, -1))])
         r = MaskPolynomial.from_dense([rng.randrange(-3, 4) for _ in range(f.degree)]) if f.degree else MaskPolynomial.zero()
-        g = f * q + r
-        qq, rr = divmod_exact(g, f)
-        assert f * qq + rr == g
+        g = _dense_add(_dense_mul(f.to_dense(), q.to_dense()), r.to_dense())
+        qq, rr = divmod_exact(MaskPolynomial.from_dense(g), f)
+        assert MaskPolynomial.from_dense(
+            _dense_add(_dense_mul(f.to_dense(), qq.to_dense()), rr.to_dense())
+        ) == MaskPolynomial.from_dense(g)
         assert rr.degree < f.degree
 
 
