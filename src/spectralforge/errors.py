@@ -127,3 +127,7 @@ class CMConditionFailure(SpectralForgeError):
 
 class SearchLimitReached(SpectralForgeError):
     """An exhaustive search reached its module cap before it could decide."""
+
+
+class PointLimitExceeded(SpectralForgeError):
+    """A point set would be larger than its module limit allows."""

@@ -19,7 +19,10 @@ Three evaluation paths coexist:
   path above that its side needs (exact for rationals, float for a float
   grid), and forms the level factor as (1/|D|) * sum over d of
   row_d (x) col_d.  It works in tiles of at most _TILE_PAIRS pairs, so its
-  memory does not grow with the lists.
+  memory does not grow with the lists.  Each pair's value depends on that
+  pair alone, so a subset of rows or columns gives the same values bit for
+  bit: the weakly-periodic scan uses that to give its far shifts only to the
+  points whose lower bound from a near window leaves them in contention.
 
 Every truncation depth comes from the tail bound (auto_depth).
 
@@ -31,6 +34,7 @@ identical results.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .digitsets import DigitSet, direct_sum_digits, stacked_digits
-from .errors import ShiftSearchFailure, TailBoundUnavailable
+from .errors import PointLimitExceeded, ShiftSearchFailure, TailBoundUnavailable
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
 TWO_PI = 2.0 * math.pi
@@ -164,6 +168,13 @@ class _RationalSide:
     def __len__(self) -> int:
         return len(self.nums)
 
+    def __getitem__(self, part: slice) -> _RationalSide:
+        """The entries in ``part``, over the same denominator and bound, so
+        each keeps its unit values bit for bit."""
+        sub = copy.copy(self)
+        sub.nums = self.nums[part]
+        return sub
+
     def units(self, base: int, j: int, d: int, part: slice) -> np.ndarray:
         """e(-d*v/N^j) with the phase (d*num mod den*N^j)/(den*N^j) exact
         before its final rounding."""
@@ -244,6 +255,20 @@ def rational_grid(base: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # Finite-level identity.
 
+# Most points a level-p aggregate (|T|^p) or a built spectrum's top level
+# (|L2| * |T|^levels) may hold, T the anchored spectrum.  Both grow as powers
+# of |T|: on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42 --p 8 takes
+# 9 s and --p 9 48 s, verify-jp --levels 8 4 s and --levels 9 15 s.
+POINT_LIMIT = 1 << 17
+
+
+def _refuse_above_point_limit(what: str, t: int, exp: int, factor: int = 1) -> None:
+    """Raise PointLimitExceeded if factor * t^exp points exceed POINT_LIMIT;
+    the power is capped first, so a huge exp costs nothing."""
+    if factor * t ** min(exp, POINT_LIMIT.bit_length()) > POINT_LIMIT:
+        size = f"{factor} * {t}^{exp}" if factor > 1 else f"{t}^{exp}"
+        raise PointLimitExceeded(f"{what} would hold {size} points, above POINT_LIMIT = {POINT_LIMIT}")
+
 
 def _anchored_spectrum(form: OneStageForm) -> tuple[int, ...]:
     """L1 (+) L2 reduced mod N and re-anchored at 0 (a shift keeps it a spectrum)."""
@@ -264,15 +289,18 @@ def finite_level_identity_check(
     For a normalized one-stage form and any lattice-shift variant of the
     level-p spectrum aggregate, the weighted truncated-transform sum over
     the aggregate must equal the averaged squared masks of the B-sets at
-    the base point, for every s.  Returns max |LHS - RHS|.
+    the base point, for every s.  Returns max |LHS - RHS|.  An aggregate of
+    more than POINT_LIMIT points raises PointLimitExceeded before any work.
     """
     if form.r != 1:
         raise ValueError("identity check needs a form with r = 1")
     if not is_normalized(form):
         raise ValueError("identity check needs a normalized form (0 in B_s, gcd 1)")
     n = form.base
+    anchored = _anchored_spectrum(form)
+    _refuse_above_point_limit(f"the level-{p} aggregate", len(anchored), p)
     d_set = expand_one_stage(form)
-    gamma = stacked_digits(_anchored_spectrum(form), n, p)
+    gamma = stacked_digits(anchored, n, p)
     if tilde_shifts is not None:
         if len(tilde_shifts) != len(gamma):
             raise ValueError("one shift per aggregate element")
@@ -349,7 +377,8 @@ def build_spectrum(
     window is too small or the form genuinely fails equi-positivity there;
     the failure is reported, never papered over.  Level q is the direct
     sum of N^j times the shifted elements for j < q; every level uses the
-    same shifts.
+    same shifts.  A top level of more than POINT_LIMIT points raises
+    PointLimitExceeded before the search.
     """
     if form.r != 1:
         raise ValueError("spectrum construction needs a form with r = 1")
@@ -358,12 +387,14 @@ def build_spectrum(
     if levels < 0:
         raise ValueError("levels must be >= 0")
     n = form.base
+    anchored = _anchored_spectrum(form)
+    _refuse_above_point_limit(f"the level-{levels} candidate", len(anchored), levels, len(form.l2))
     d_set = expand_one_stage(form)
     b_list = form.b_list()
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
 
     shifts: list[tuple[int, int]] = []
-    for g in _anchored_spectrum(form) if levels else ():  # level 0 needs no shifts
+    for g in anchored if levels else ():  # level 0 needs no shifts
         if g == 0:
             shifts.append((0, 0))
             continue
@@ -452,6 +483,10 @@ def jp_sum(
 # scanned region; a windowed maximum below FLAG_THRESHOLD flags its point.
 MEMBERSHIP_THRESHOLD = 1e-6
 FLAG_THRESHOLD = 1e-3
+# Every kept point is scanned over the shifts |k| <= _NEAR_WINDOW first; the
+# rest of the window goes only to points that can still matter.  With 2, two
+# points of each frame-sums form get the rest.
+_NEAR_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -464,6 +499,14 @@ class WeaklyPeriodicReport:
     @property
     def positive(self) -> bool:
         return self.min_max > 0.0
+
+
+def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: np.ndarray) -> np.ndarray:
+    """max over the shifts k of |m.mu_hat(x + k)| for each x, 0 with no shifts."""
+    out = np.zeros_like(xs)
+    for _, cs, mag in _split_phase_abs(m, shifts, _FloatSide(xs)):
+        np.maximum(out[cs], mag.max(axis=0), out=out[cs])
+    return out
 
 
 def weakly_periodic_check(
@@ -479,6 +522,16 @@ def weakly_periodic_check(
     reports the minimum of those maxima, with the smallest xi that comes
     within a relative 1e-9 of it.  A healthy form reports a clearly
     positive value; near-zero points are listed for re-examination.
+
+    The scan is best first.  Every point gets the near window |k| <=
+    _NEAR_WINDOW, whose maximum is a lower bound on its full maximum.  In
+    increasing order of that bound, points get the rest of the window until
+    the bound exceeds both the relative 1e-9 band of the smallest full
+    maximum found so far and FLAG_THRESHOLD.  No point past that can be the
+    minimum, the reported xi or flagged, and the kernel is elementwise per
+    (shift, point) pair, so the report equals that of the full scan bit for
+    bit.  On the frame-sums forms two points of 4,200 to 6,400 need the
+    far shifts.
     """
     n = form.base
     d_set = expand_one_stage(form)
@@ -494,13 +547,23 @@ def weakly_periodic_check(
     keep = energy > MEMBERSHIP_THRESHOLD
     excluded = int(np.sum(~keep))
     xs = grid[keep]
-    if xs.size == 0:
-        return WeaklyPeriodicReport(math.inf, 0.0, (), excluded)
 
-    running = np.zeros_like(xs)
-    shifts = _RationalSide(range(-integer_window, integer_window + 1))
-    for _, cs, mag in _split_phase_abs(trunc, shifts, _FloatSide(xs)):
-        np.maximum(running[cs], mag.max(axis=0), out=running[cs])
+    # nearest shifts first, so the near window is a prefix
+    shifts = _RationalSide(sorted(range(-integer_window, integer_window + 1), key=abs))
+    near = 2 * min(integer_window, _NEAR_WINDOW) + 1
+    running = _window_max(trunc, shifts[:near], xs)
+    # best first, in batches that double: one point at a time when two
+    # points matter, full tiles when thousands are flagged
+    order = np.argsort(running, kind="stable")
+    best, done = math.inf, 0
+    while done < len(order):
+        batch = order[done : 2 * done + 1]
+        batch = batch[running[batch] <= max(best * (1 + 1e-9), FLAG_THRESHOLD)]
+        if not batch.size:
+            break
+        running[batch] = np.maximum(running[batch], _window_max(trunc, shifts[near:], xs[batch]))
+        best = min(best, running[batch].min())
+        done += len(batch)
     lowest = float(running.min())
     # mirror points xi and 1 - xi agree to rounding, so the reported point
     # is the smallest xi within a relative 1e-9 of the minimum

@@ -319,6 +319,37 @@ def test_malformed_input_is_a_json_input_error(tmp_path, capsys):
         assert "Traceback" not in captured.err, name
 
 
+def _over_limit_inputs(tmp_path):
+    """(name, argv, size) triples whose point sets exceed measure.POINT_LIMIT:
+    each must end with exit 1 and a JSON error report naming the size."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)  # |L1 (+) L2| = 4, |L2| = 2
+    spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    return [
+        ("lemma42-p-10", ["check-lemma42", "--form", spec, "--p", "10"], "4^10"),
+        ("lemma42-p-huge", ["check-lemma42", "--form", spec, "--p", str(10**9)], f"4^{10**9}"),
+        ("jp-levels-9", ["verify-jp", "--form", spec, "--levels", "9"], "2 * 4^9"),
+        ("jp-levels-huge", ["verify-jp", "--form", spec, "--levels", str(10**9)], f"2 * 4^{10**9}"),
+    ]
+
+
+def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("transform evaluated")
+
+    monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat", no_work)
+    monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat_rational", no_work)
+    for name, argv, size in _over_limit_inputs(tmp_path):
+        code = _run(argv)
+        captured = capsys.readouterr()
+        assert code == 1, name
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "PointLimitExceeded", name
+        assert f" {size} points" in error["message"], name
+        assert f"POINT_LIMIT = {measure.POINT_LIMIT}" in error["message"], name
+    # the frame-sums benchmark inputs (--p 3, --levels 5) stay far below
+    assert 64 * 2 * 4**5 <= measure.POINT_LIMIT
+
+
 def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):
     from spectralforge import cm_tiling
 

@@ -275,8 +275,8 @@ def test_jp_sum_one_sample_and_no_points():
     assert jp_sum(digits, 4, [Fraction(1)], []) == []
 
 
-def _weakly_periodic_reference(form, integer_window, resolution):
-    """(min_max, flagged, excluded) with one float transform per shift."""
+def _scanned_points(form, integer_window, resolution):
+    """(truncated measure, kept grid points, excluded count) of a scan."""
     n = form.base
     d_set = expand_one_stage(form)
     b_list = form.b_list()
@@ -284,12 +284,17 @@ def _weakly_periodic_reference(form, integer_window, resolution):
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, integer_window + 2.0, 1e-12))
     energy = sum(np.abs(mask_value(b, grid)) ** 2 for b in b_list) / len(b_list)
     keep = energy > MEMBERSHIP_THRESHOLD
-    xs = grid[keep]
+    return trunc, grid[keep], int(np.sum(~keep))
+
+
+def _weakly_periodic_reference(form, integer_window, resolution):
+    """(min_max, flagged, excluded) with one float transform per shift."""
+    trunc, xs, excluded = _scanned_points(form, integer_window, resolution)
     running = np.zeros_like(xs)
     for k in range(-integer_window, integer_window + 1):
         running = np.maximum(running, np.abs(trunc.mu_hat(xs + float(k))))
     flagged = tuple(float(x) for x in xs[running < FLAG_THRESHOLD])
-    return float(running.min()), flagged, int(np.sum(~keep))
+    return float(running.min()), flagged, excluded
 
 
 def test_weakly_periodic_matches_per_shift_oracle():
@@ -303,15 +308,100 @@ def test_weakly_periodic_matches_per_shift_oracle():
 
 def test_weakly_periodic_memory_is_tiled():
     """40,001 shifts: holding every shift's unit table at once would take
-    tens of MB."""
-    tracemalloc.start()
-    try:
-        rep = weakly_periodic_check(_normalized_plain(), integer_window=20000, resolution=64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.positive
-    assert peak < 8 * 2**20, peak
+    tens of MB.  The scan gives the far shifts to few points, so the second
+    case runs the full window over 64 points: 2.56 M pairs, 123 MB untiled."""
+    form = _normalized_plain()
+    d_set = expand_one_stage(form)
+    trunc = TruncatedMeasure(4, d_set, auto_depth(4, d_set, 20002.0, 1e-12))
+    shifts = measure._RationalSide(range(-20000, 20001))
+    xs = np.array(chebyshev_grid(64))
+    for scan in (
+        lambda: weakly_periodic_check(form, integer_window=20000, resolution=64).positive,
+        lambda: measure._window_max(trunc, shifts, xs).min() > 0,
+    ):
+        tracemalloc.start()
+        try:
+            ok = scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 8 * 2**20, peak
+
+
+def _full_window_report(form, integer_window, resolution):
+    """The report of a scan that gives every point every shift."""
+    trunc, xs, excluded = _scanned_points(form, integer_window, resolution)
+    running = np.zeros_like(xs)
+    shifts = measure._RationalSide(range(-integer_window, integer_window + 1))
+    for _, cs, mag in measure._split_phase_abs(trunc, shifts, measure._FloatSide(xs)):
+        np.maximum(running[cs], mag.max(axis=0), out=running[cs])
+    lowest = float(running.min())
+    return measure.WeaklyPeriodicReport(
+        min_max=lowest,
+        argmin_xi=float(xs[np.argmax(running <= lowest * (1 + 1e-9))]),
+        flagged=tuple(float(x) for x in xs[running < measure.FLAG_THRESHOLD]),
+        excluded=excluded,
+    )
+
+
+def _frame_sums_forms():
+    forms = [
+        build_four_digit_form(*args)[1]
+        for args in ((24, 1, 4, 1, 1), (24, 3, 5, 1, 3), (40, 1, 4, 1, 1), (12, 1, 3, 1, 1),
+                     (48, 1, 5, 1, 1), (48, 5, 6, 3, 1), (20, 1, 3, 1, 1))
+    ]
+    return forms + [
+        one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, b1)}, (0, 2), (0, 1))
+        for b1 in ((0, 6), (0, 2))
+    ]
+
+
+def _flagged_forms():
+    """B = {0, N}: whole integer translate classes of mu_hat nearly vanish."""
+    return [
+        one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 4)), 1: DigitSet(4, (0, 4))}, (0, 1), (0, 1)),
+        one_stage_form(6, 1, (0, 2), {0: DigitSet(6, (0, 6)), 2: DigitSet(6, (0, 6))}, (0, 1), (0, 1)),
+    ]
+
+
+def test_weakly_periodic_best_first_equals_full_window_scan(monkeypatch):
+    """Bit for bit: the near window only orders the points, and every value
+    the report reads is the same kernel value as in the full scan.  At a
+    flag threshold of 0.2, two points of fd24-3-5-1-3 at window 12 have
+    near maxima below it and full maxima above."""
+    near = measure._NEAR_WINDOW
+    cases = [(f, res) for f, res in zip(_frame_sums_forms(), (64, 96, 128, 160, 192, 224, 256, 64, 128))]
+    cases += [(f, 128) for f in _flagged_forms()]
+    for threshold in (FLAG_THRESHOLD, 0.2):
+        monkeypatch.setattr(measure, "FLAG_THRESHOLD", threshold)
+        flagged = 0
+        for form, resolution in cases:
+            for window in (0, 1, near, near + 1, 12):
+                rep = weakly_periodic_check(form, integer_window=window, resolution=resolution)
+                assert rep == _full_window_report(form, window, resolution), (form, window, threshold)
+                flagged += len(rep.flagged)
+        assert flagged > 0
+
+
+def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
+    """fd24-1-4-1-1 keeps 4,668 points; only the candidates for the minimum
+    get the shifts past the near window."""
+    calls = []
+    kernel = measure._split_phase_abs
+
+    def counted(m, rows, cols):
+        calls.append((len(rows), len(cols)))
+        return kernel(m, rows, cols)
+
+    monkeypatch.setattr(measure, "_split_phase_abs", counted)
+    _, form = build_four_digit_form(24, 1, 4, 1, 1)
+    rep = weakly_periodic_check(form, integer_window=64)
+    near = 2 * measure._NEAR_WINDOW + 1
+    assert calls[0] == (near, 4668)
+    far_points = sum(cols for rows, cols in calls[1:] if rows == 129 - near)
+    assert 1 <= far_points <= 4, calls
+    assert rep.min_max > FLAG_THRESHOLD
 
 
 def test_weakly_periodic_examples():
