@@ -44,7 +44,7 @@ from .errors import (
     SpectrumUnavailable,
     ValidationFailure,
 )
-from .hadamard import verify_triple
+from .hadamard import _duplicate_residue, verify_triple
 from .productform import KStageForm, ValidationReport, as_layer, validate_k_stage
 
 
@@ -284,16 +284,13 @@ def check_tile_zn(a: DigitSet, n: int) -> TileVerdict:
     * Otherwise no theorem applies, and ``tile_complement`` decides.  A
       search that reaches SEARCH_STATE_CAP gives tiles None.
     """
-    first: dict[int, int] = {}
-    for d in a.digits:
-        r = d % n
-        if r in first:
-            return TileVerdict(
-                "NotTileByCongruentDigits", False, None,
-                f"digits {first[r]} and {d} are congruent mod {n}",
-            )
-        first[r] = d
-    residues = sorted(first)
+    dup = _duplicate_residue(a.digits, n)
+    if dup:
+        return TileVerdict(
+            "NotTileByCongruentDigits", False, None,
+            f"digits {dup[0]} and {dup[1]} are congruent mod {n}",
+        )
+    residues = sorted(d % n for d in a.digits)
     profile = cm_profile(a, n)
     if not profile.t1:
         return TileVerdict("NotTileByT1Failure", False, None, profile.t1_detail)

@@ -410,47 +410,36 @@ class CyclotomicFactorization:
 
 
 def _candidate_indices(max_phi: int) -> list[int]:
-    """All d >= 1 with phi(d) <= max_phi.
-
-    Rosser-Schoenfeld (Illinois J. Math. 6 (1962)): phi(d) > g(d) =
-    d / (e^gamma * ln ln d + 3 / ln ln d) for d >= 3, and g increases on
-    d >= 3.  So the first d >= 3 with g(d) >= max_phi + 1 (the margin covers
-    rounding in g) bounds every candidate; the search for it stays inside
-    the elementary bound phi(d) >= sqrt(d/2), i.e. d <= 2*max_phi^2 + 1.
-    A totient sieve up to that bound lists the candidates.
-    """
-    if max_phi < 1:
-        return [1]
-
-    e_gamma = 1.7810724179901979  # e^gamma, gamma = Euler's constant
-
-    def g(d: int) -> float:
-        lnln = math.log(math.log(d))
-        return d / (e_gamma * lnln + 3 / lnln)
-
-    lo, hi = 3, 2 * max_phi * max_phi + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if g(mid) >= max_phi + 1:
-            hi = mid
-        else:
-            lo = mid + 1
-    bound = lo
-    phi = list(range(bound + 1))
-    for p in range(2, bound + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, bound + 1, p):
-                phi[m] -= phi[m] // p
-    return [d for d in range(1, bound + 1) if phi[d] <= max_phi]
+    """All d >= 1 with phi(d) <= max_phi, increasing ([1] at 0).  phi(d)
+    is the product of p^(a-1) * (p - 1) over p^a exactly dividing d, so each
+    such d is built once from powers of increasing primes p <= max_phi + 1."""
+    sieve = bytearray([1]) * (max_phi + 2)
+    for p in range(2, math.isqrt(max_phi + 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+    primes = [p for p in range(2, max_phi + 2) if sieve[p]]
+    found, stack = [1], [(1, 1, 0)]  # (d, phi(d), index of its next prime)
+    while stack:
+        d, phi, start = stack.pop()
+        for i in range(start, len(primes)):
+            p = primes[i]
+            d_p, phi_p = d * p, phi * (p - 1)
+            if phi_p > max_phi:
+                break  # and so for every larger prime
+            while phi_p <= max_phi:
+                found.append(d_p)
+                stack.append((d_p, phi_p, i + 1))
+                d_p, phi_p = d_p * p, phi_p * p
+    return sorted(found)
 
 
 def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
     """Split off every cyclotomic factor Phi_d (with multiplicity).
 
-    Only d with phi(d) <= deg poly can divide, so the candidate list is
-    finite.  Each candidate is decided by the exact tensor-basis test
-    ``has_cyclotomic_factor``; for those that divide, repeated exact
-    division yields the multiplicity and the residual.
+    The Phi_d are pairwise coprime, so the factors' degrees add up to at
+    most deg poly.  Each multiplicity is decided on the sparse input by the
+    exact test ``has_cyclotomic_factor``, within what is left of that
+    budget; one exact division per factor then gives the residual.
     """
     if poly.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -458,19 +447,19 @@ def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
         raise ValueError(
             f"degree {poly.degree} is above the limit 10,000 of the complete index search"
         )
-    work = poly
+    budget = poly.degree
     found: list[tuple[int, int]] = []
     for d in _candidate_indices(poly.degree):
-        if work.degree < euler_phi(d) or not has_cyclotomic_factor(work, d):
-            continue
-        # Phi_d is monic, so every division is integral
-        phi_d, mult = cyclotomic_poly(d), 0
-        q, r = divmod_exact(work, phi_d)
-        while r.is_zero:
-            work, mult = q, mult + 1
-            q, r = divmod_exact(work, phi_d)
-        found.append((d, mult))
-    return CyclotomicFactorization(tuple(found), work, poly)
+        phi_d, mult = euler_phi(d), 0
+        while (mult + 1) * phi_d <= budget and has_cyclotomic_factor(poly, d, mult + 1):
+            mult += 1
+        if mult:
+            found.append((d, mult))
+            budget -= mult * phi_d
+    residual = poly
+    for d, mult in found:
+        residual = exact_quotient(residual, cyclotomic_poly(d) ** mult)
+    return CyclotomicFactorization(tuple(found), residual, poly)
 
 
 # ---------------------------------------------------------------------------

@@ -5,24 +5,19 @@ D/N^j, so its Fourier transform is the infinite product of digit masks
 M_D(xi/N^j).  Everything here works with truncated products plus a rigorous
 multiplicative tail bound.
 
-Three evaluation paths coexist:
-
-* a double-precision path (numpy) for float xi, scalar or array;
-* an exact-phase path for rational points: the phase d*xi/N^j is reduced
-  mod 1 in integer arithmetic before hitting the unit circle, so points at
-  height 1e8 lose nothing.  Spectrum candidates are stored as exact
-  rationals for that reason.
-* a split-phase kernel for the transform at every sum a + b of a short row
-  list and a long column list (frame sums, weakly-periodic scans).  It uses
-  e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j): per level it takes one
-  exponential per (digit, entry) on each side, each with the phase of the
-  path above that its side needs (exact for rationals, float for a float
-  grid), and forms the level factor as (1/|D|) * sum over d of
-  row_d (x) col_d.  It works in tiles of at most _TILE_PAIRS pairs, so its
-  memory does not grow with the lists.  Each pair's value depends on that
-  pair alone, so a subset of rows or columns gives the same values bit for
-  bit: the weakly-periodic scan uses that to give its far shifts only to the
-  points whose lower bound from a near window leaves them in contention.
+The finite-level identity, the frame sums and the weakly-periodic scan all
+run on one split-phase kernel: the transform at every sum a + b of a row
+list and a column list, from e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j), so
+each level takes one exponential per (digit, entry) on each side.  A side
+of rationals (spectrum points, aggregates) reduces the phase d*v/N^j mod 1
+in integer arithmetic first, so points at height 1e8 lose nothing; a side
+of floats uses the float phase.  The kernel works in tiles of at most
+_TILE_PAIRS pairs, so its memory does not grow with the lists, and each
+pair's value depends on that pair alone: the weakly-periodic scan gives its
+far shifts only to the points still in contention, bit for bit.  The scalar
+exact-phase ``mu_hat_rational`` serves the shift search of build_spectrum,
+which stops at its first accepted shift; the float ``mu_hat`` is the tests'
+reference.
 
 Every truncation depth comes from the tail bound (auto_depth).
 
@@ -87,6 +82,12 @@ def mask_value_rational(digits: DigitSet | Sequence[int], num: int, den: int):
     return total / len(ds)
 
 
+def _b_energy(b_list: Sequence[DigitSet], mask) -> float | np.ndarray:
+    """(1/|b_list|) * sum over B of |mask(B)|^2, mask(B) being M_B at a point
+    or an array of points: the averaged B-mask energy."""
+    return sum(abs(mask(b)) ** 2 for b in b_list) / len(b_list)
+
+
 def digit_mass(digits: DigitSet | Sequence[int]) -> float:
     ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
     return TWO_PI * sum(abs(d) for d in ds) / len(ds)
@@ -116,7 +117,7 @@ class TruncatedMeasure:
 
     def mu_hat(self, xi):
         """Truncated transform, an array for an array xi, else a Python
-        complex; exact 1 at xi = 0."""
+        complex; exact 1 at xi = 0.  The tests' float reference."""
         x = np.asarray(xi, dtype=float)
         acc = np.ones(x.shape, dtype=complex)
         for j in range(1, self.depth + 1):
@@ -199,6 +200,9 @@ class _FloatSide:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __getitem__(self, part: slice) -> _FloatSide:
+        return _FloatSide(self.values[part])
+
     def units(self, base: int, j: int, d: int, part: slice) -> np.ndarray:
         return np.exp(-2j * np.pi * float(d) * (self.values[part] / float(base) ** j))
 
@@ -237,6 +241,27 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols):
         yield rs, cs, np.abs(prod)
 
 
+# Most squared products _row_sums holds while a band of rows is open.
+_ROW_BAND = 1 << 19
+
+
+def _row_sums(measures: Sequence[TruncatedMeasure], rows, cols) -> list[float]:
+    """For each row a, the math.fsum over the columns b of the product over
+    the measures m of |m.mu_hat(a + b)|^2.  The kernels' tiles are read side
+    by side, for bands of at most _ROW_BAND products (a row at the least)."""
+    band = max(1, _ROW_BAND // max(len(cols), 1))
+    sq = np.empty((min(band, len(rows)), len(cols)))
+    sums: list[float] = []
+    for r0 in range(0, len(rows), band):
+        part = rows[r0 : r0 + band]
+        for (rs, cs, mag), *others in zip(*(_split_phase_abs(m, part, cols) for m in measures)):
+            block = np.square(mag, out=sq[rs, cs])
+            for _, _, other in others:
+                block *= np.square(other)
+        sums += [math.fsum(row.tolist()) for row in sq[: len(part)]]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Sampling grids.
 
@@ -258,7 +283,7 @@ def rational_grid(base: int) -> list[Fraction]:
 # Most points a level-p aggregate (|T|^p) or a built spectrum's top level
 # (|L2| * |T|^levels) may hold, T the anchored spectrum.  Both grow as powers
 # of |T|: on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42 --p 8 takes
-# 9 s and --p 9 48 s, verify-jp --levels 8 4 s and --levels 9 15 s.
+# 2.4 s and --p 9 18 s, verify-jp --levels 8 4 s and --levels 9 15 s.
 POINT_LIMIT = 1 << 17
 
 
@@ -291,6 +316,8 @@ def finite_level_identity_check(
     the aggregate must equal the averaged squared masks of the B-sets at
     the base point, for every s.  Returns max |LHS - RHS|.  An aggregate of
     more than POINT_LIMIT points raises PointLimitExceeded before any work.
+    The samples are the kernel's float rows, the aggregate its exact columns,
+    and M_B((xi + gamma)/N^p) the transform of the depth-1 measure (N^p, B).
     """
     if form.r != 1:
         raise ValueError("identity check needs a form with r = 1")
@@ -305,18 +332,15 @@ def finite_level_identity_check(
         if len(tilde_shifts) != len(gamma):
             raise ValueError("one shift per aggregate element")
         gamma = tuple(g + n**p * s for g, s in zip(gamma, tilde_shifts))
-    lam = np.array([float(g) for g in gamma])
+    xs = _FloatSide(np.array([float(xi) for xi in xi_samples]))
+    aggregate = _RationalSide(gamma)
     trunc = TruncatedMeasure(n, d_set, p)
     b_list = form.b_list()
+    rhs = _b_energy(b_list, lambda b: mask_value(b, xs.values))
     worst = 0.0
-    for xi in xi_samples:
-        x = float(xi) + lam
-        mu_p = trunc.mu_hat(x)
-        weight = np.abs(mu_p) ** 2
-        rhs = sum(abs(mask_value(b, float(xi))) ** 2 for b in b_list) / len(b_list)
-        for b in b_list:
-            lhs = float(np.sum(weight * np.abs(mask_value(b, x / float(n) ** p)) ** 2))
-            worst = max(worst, abs(lhs - rhs))
+    for b in dict.fromkeys(b_list):  # equal B-sets give equal sums
+        lhs = _row_sums([trunc, TruncatedMeasure(n**p, b, 1)], xs, aggregate)
+        worst = max(worst, float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0)))
     return worst
 
 
@@ -398,7 +422,7 @@ def build_spectrum(
         if g == 0:
             shifts.append((0, 0))
             continue
-        target = sum(abs(mask_value_rational(b, g, n)) ** 2 for b in b_list) / len(b_list)
+        target = _b_energy(b_list, lambda b: mask_value_rational(b, g, n))
         if target < 1e-12:
             shifts.append((g, 0))
             continue
@@ -465,15 +489,8 @@ def jp_sum(
     height = max((abs(float(p)) for p in pts), default=0.0) + 2.0
     trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))
 
-    totals = [0.0] * len(xs)
-    for rs, cs, mag in _split_phase_abs(trunc, _RationalSide(xs), _RationalSide(pts)):
-        if cs.start == 0:
-            sq = np.empty((rs.stop - rs.start, len(pts)))
-        np.square(mag, out=sq[:, cs])
-        if cs.stop == len(pts):
-            totals[rs] = [math.fsum(row.tolist()) for row in sq]
-
-    return [JPRow(float(x), len(pts), totals[idx]) for idx, x in enumerate(xs)]
+    totals = _row_sums([trunc], _RationalSide(xs), _RationalSide(pts))
+    return [JPRow(float(x), len(pts), q_t) for x, q_t in zip(xs, totals)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +557,7 @@ def weakly_periodic_check(
     depth = auto_depth(n, d_set, integer_window + 2.0, 1e-12)
     trunc = TruncatedMeasure(n, d_set, depth)
 
-    energy = np.zeros_like(grid)
-    for b in b_list:
-        energy += np.abs(mask_value(b, grid)) ** 2
-    energy /= len(b_list)
+    energy = _b_energy(b_list, lambda b: mask_value(b, grid))
     keep = energy > MEMBERSHIP_THRESHOLD
     excluded = int(np.sum(~keep))
     xs = grid[keep]

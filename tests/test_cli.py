@@ -338,6 +338,7 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
 
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat", no_work)
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat_rational", no_work)
+    monkeypatch.setattr(measure, "_split_phase_abs", no_work)
     for name, argv, size in _over_limit_inputs(tmp_path):
         code = _run(argv)
         captured = capsys.readouterr()

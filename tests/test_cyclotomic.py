@@ -242,6 +242,22 @@ def test_factorization_examples_and_roundtrip():
                 assert not divides(cyclotomic_poly(d), fac.residual)
 
 
+def test_factorization_tests_only_the_sparse_input(monkeypatch):
+    """1 + x^461 = Phi_2 * Phi_922: its quotient by Phi_2 has 461 terms, and
+    no candidate is tested on it."""
+    sizes = []
+    test = cyclotomic.has_cyclotomic_factor
+
+    def recorded(poly, d, multiplicity=1):
+        sizes.append(len(poly.terms))
+        return test(poly, d, multiplicity)
+
+    monkeypatch.setattr(cyclotomic, "has_cyclotomic_factor", recorded)
+    fac = cyclotomic_factorization(MaskPolynomial.from_digits((0, 461)))
+    assert dict(fac.factors) == {2: 1, 922: 1} and fac.residual.is_one
+    assert sizes and max(sizes) <= 2
+
+
 def test_candidate_indices_match_totient_bound():
     # phi(d) >= sqrt(d/2) makes d <= 2*m^2 + 1 a complete range to compare with
     phi = [0] + [euler_phi(d) for d in range(1, 2 * 150 * 150 + 2)]

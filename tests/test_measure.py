@@ -114,6 +114,14 @@ def test_finite_level_identity_examples():
     assert finite_level_identity_check(norm, 2, chebyshev_grid(16)) < 1e-10
 
 
+def test_finite_level_identity_is_accurate():
+    """The aggregate's phases are exact on the kernel; a float transform at
+    xi + gamma gave 1.25e-11 and 1.06e-11 on these two forms."""
+    for args in ((24, 3, 5, 1, 3), (48, 5, 6, 3, 1)):
+        _, form = build_four_digit_form(*args)
+        assert finite_level_identity_check(form, 3, chebyshev_grid(64)) < 1e-13
+
+
 def test_finite_level_identity_with_lattice_shifts():
     f = _form14()
     rng = random.Random(4)
@@ -309,15 +317,19 @@ def test_weakly_periodic_matches_per_shift_oracle():
 def test_weakly_periodic_memory_is_tiled():
     """40,001 shifts: holding every shift's unit table at once would take
     tens of MB.  The scan gives the far shifts to few points, so the second
-    case runs the full window over 64 points: 2.56 M pairs, 123 MB untiled."""
+    case runs the full window over 64 points: 2.56 M pairs, 123 MB untiled.
+    The third sums 24 samples over a level-7 aggregate of 16,384 points:
+    393,216 pairs for each of two kernels, 18.9 MB each untiled."""
     form = _normalized_plain()
     d_set = expand_one_stage(form)
     trunc = TruncatedMeasure(4, d_set, auto_depth(4, d_set, 20002.0, 1e-12))
     shifts = measure._RationalSide(range(-20000, 20001))
     xs = np.array(chebyshev_grid(64))
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     for scan in (
         lambda: weakly_periodic_check(form, integer_window=20000, resolution=64).positive,
         lambda: measure._window_max(trunc, shifts, xs).min() > 0,
+        lambda: finite_level_identity_check(f83, 7, chebyshev_grid(24)) < 1e-13,
     ):
         tracemalloc.start()
         try:
