@@ -77,10 +77,6 @@ class CMProfile:
     t1_detail: str = ""
     t2_detail: str = ""
 
-    @property
-    def tiles_certified(self) -> bool:
-        return self.t1 and self.t2
-
 
 def cm_profile(a: DigitSet, n: int) -> CMProfile:
     """Divisibility profile of A mod N with the explicit spectrum when both

@@ -65,14 +65,6 @@ class DigitSet:
     def shifted(self, c: int) -> "DigitSet":
         return DigitSet(self.base, tuple(d + c for d in self.digits))
 
-    def residues(self, modulus: int | None = None) -> "ResidueClassSet":
-        """Reduce mod ``modulus`` (default: the base). Collisions collapse."""
-        m = self.base if modulus is None else modulus
-        return ResidueClassSet(m, tuple(sorted({d % m for d in self.digits})))
-
-    def distinct_mod(self, modulus: int | None = None) -> bool:
-        m = self.base if modulus is None else modulus
-        return len({d % m for d in self.digits}) == len(self.digits)
 
 
 def canonicalize(raw: Iterable[int], base: int) -> DigitSet:

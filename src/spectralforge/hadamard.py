@@ -108,7 +108,7 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    if not d.distinct_mod(n):
+    if _duplicate_residue(d.digits, n) is not None:
         raise ValueError("digit set must have distinct residues mod N")
     size = len(d)
     if size == 1:

@@ -8,11 +8,12 @@ multiplicative tail bound.
 The finite-level identity, the frame sums and the weakly-periodic scan all
 run on one split-phase kernel: the transform at every sum a + b of a row
 list and a column list, from e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j), so
-each level takes one exponential per (digit, entry) on each side.  A side
-of rationals (spectrum points, aggregates) reduces the phase d*v/N^j mod 1
-in integer arithmetic first, so points at height 1e8 lose nothing; a side
-of floats uses the float phase.  The kernel works in tiles of at most
-_TILE_PAIRS pairs, so its memory does not grow with the lists, and each
+each level takes one exponential per (digit, entry) on each side.  Exact
+points (spectrum points, aggregates, samples) enter it through _RationalSide
+alone, as integer numerators over one common denominator, whose phase
+d*v/N^j mod 1 is reduced in integer arithmetic, so points at height 1e8
+lose nothing; a side of floats uses the float phase.  The kernel works in
+tiles of at most _TILE_PAIRS pairs, so its memory does not grow, and each
 pair's value depends on that pair alone: the weakly-periodic scan gives its
 far shifts only to the points still in contention, bit for bit.  The scalar
 exact-phase ``mu_hat_rational`` serves the shift search of build_spectrum,
@@ -148,30 +149,22 @@ _TILE_PAIRS = 1 << 13
 _INT64_LIMIT = 2**63
 
 
-def _sorted_points(values: Iterable[Fraction | int | float]) -> list[Fraction]:
-    """The distinct values in increasing order, sorted as integer
-    numerators over their common denominator."""
-    fracs = [v if isinstance(v, (Fraction, int)) else Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in fracs))
-    nums = sorted({v.numerator * (den // v.denominator) for v in fracs})
-    return [Fraction(x, den) for x in nums]
-
-
 class _RationalSide:
-    """Exact rationals, as integer numerators over one common denominator."""
+    """Exact rationals, as integer numerators over one common denominator:
+    the one place where exact points become integers for the kernel."""
 
     def __init__(self, values: Sequence[Fraction | int]):
         self.den = math.lcm(*(v.denominator for v in values))
         nums = [v.numerator * (self.den // v.denominator) for v in values]
-        self.bound = max(max(map(abs, nums), default=0), 1)
+        self.bound = max(map(abs, nums), default=0)
         self.nums = np.array(nums, dtype=np.int64 if self.bound < _INT64_LIMIT else object)
 
     def __len__(self) -> int:
         return len(self.nums)
 
-    def __getitem__(self, part: slice) -> _RationalSide:
-        """The entries in ``part``, over the same denominator and bound, so
-        each keeps its unit values bit for bit."""
+    def __getitem__(self, part: slice | np.ndarray) -> _RationalSide:
+        """The entries in ``part`` (a slice or an index array), over the same
+        denominator and bound, so each keeps its unit values bit for bit."""
         sub = copy.copy(self)
         sub.nums = self.nums[part]
         return sub
@@ -370,9 +363,13 @@ class SpectrumCandidate:
         return self.levels[k - 1]
 
     def points(self, k: int | None = None) -> list[Fraction]:
-        return _sorted_points(
-            self.scale * (fs + lam) for lam in self.lambdas(k) for fs in self.frac_shifts
-        )
+        """The distinct points in increasing order: the integers
+        s.num * (l2 + N*lam) over s.den * N, one Fraction per point."""
+        n, s = self.base, self.scale
+        l2 = [fs.numerator * (n // fs.denominator) for fs in self.frac_shifts]
+        nums = sorted({s.numerator * (x + n * lam) for lam in self.lambdas(k) for x in l2})
+        den = s.denominator * n
+        return [Fraction(x, den) for x in nums]
 
 
 def _shift_ratio(trunc: TruncatedMeasure, num: int, den: int, target: float) -> float:
@@ -481,16 +478,18 @@ def jp_sum(
     """Partial sums Q_T(xi) = sum over the points of |mu_hat(xi + point)|^2,
     with exact rational evaluation throughout.
 
-    The truncation depth is the smallest whose tail sum at the largest
-    point height is below 1e-14.
+    Each distinct point counts once.  The truncation depth is the smallest
+    whose tail sum at the largest point height is below 1e-14.
     """
-    pts = _sorted_points(points)
+    cols = _RationalSide(list(points))
+    cols = cols[np.unique(cols.nums, return_index=True)[1]]
     xs = [Fraction(x).limit_denominator(10**12) if not isinstance(x, Fraction) else x for x in xi_samples]
-    height = max((abs(float(p)) for p in pts), default=0.0) + 2.0
+    # int / int rounds once, to the double nearest the exact height
+    height = cols.bound / cols.den + 2.0
     trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))
 
-    totals = _row_sums([trunc], _RationalSide(xs), _RationalSide(pts))
-    return [JPRow(float(x), len(pts), q_t) for x, q_t in zip(xs, totals)]
+    totals = _row_sums([trunc], _RationalSide(xs), cols)
+    return [JPRow(float(x), len(cols), q_t) for x, q_t in zip(xs, totals)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from spectralforge import measure
+from spectralforge import measure, productform
 from spectralforge.cli import (
     FIXTURES,
     digitset_from_json,
@@ -320,35 +321,50 @@ def test_malformed_input_is_a_json_input_error(tmp_path, capsys):
 
 
 def _over_limit_inputs(tmp_path):
-    """(name, argv, size) triples whose point sets exceed measure.POINT_LIMIT:
-    each must end with exit 1 and a JSON error report naming the size."""
+    """(name, argv, size, limit) rows whose point or digit sets exceed a
+    module limit: each must end with exit 1 and a JSON error report naming
+    the size and the limit."""
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)  # |L1 (+) L2| = 4, |L2| = 2
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    # 24 digits per stage over 5 levels; classify-paq emits this form
+    paq = _write(tmp_path, "paq.json", k_stage_to_json(paq_type_generator(2, 3, 3, "ii", (1, 2)).form))
+    small = _write(tmp_path, "k.json", k_stage_to_json(paq_type_generator(2, 3, 2, "i").form))
+    points = f"POINT_LIMIT = {measure.POINT_LIMIT}"
+    digits = f"DIGIT_LIMIT = {productform.DIGIT_LIMIT}"
     return [
-        ("lemma42-p-10", ["check-lemma42", "--form", spec, "--p", "10"], "4^10"),
-        ("lemma42-p-huge", ["check-lemma42", "--form", spec, "--p", str(10**9)], f"4^{10**9}"),
-        ("jp-levels-9", ["verify-jp", "--form", spec, "--levels", "9"], "2 * 4^9"),
-        ("jp-levels-huge", ["verify-jp", "--form", spec, "--levels", str(10**9)], f"2 * 4^{10**9}"),
+        ("lemma42-p-10", ["check-lemma42", "--form", spec, "--p", "10"], "4^10 points", points),
+        ("lemma42-p-huge", ["check-lemma42", "--form", spec, "--p", str(10**9)], f"4^{10**9} points", points),
+        ("jp-levels-9", ["verify-jp", "--form", spec, "--levels", "9"], "2 * 4^9 points", points),
+        ("jp-levels-huge", ["verify-jp", "--form", spec, "--levels", str(10**9)], f"2 * 4^{10**9} points", points),
+        ("reduce-paq-ii-1-2", ["reduce-kstage", "--spec", paq], "24^5 digits", digits),
+        ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
     ]
 
 
 def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("transform evaluated")
+        raise AssertionError("work started before the size check")
 
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat", no_work)
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat_rational", no_work)
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
-    for name, argv, size in _over_limit_inputs(tmp_path):
+    monkeypatch.setattr(productform, "_normalized_levels", no_work)
+    for name, argv, size, limit in _over_limit_inputs(tmp_path):
+        t0 = time.perf_counter()
         code = _run(argv)
+        took = time.perf_counter() - t0
         captured = capsys.readouterr()
         assert code == 1, name
         error = json.loads(captured.out)["error"]
         assert error["type"] == "PointLimitExceeded", name
-        assert f" {size} points" in error["message"], name
-        assert f"POINT_LIMIT = {measure.POINT_LIMIT}" in error["message"], name
+        assert f" {size}" in error["message"], name
+        assert limit in error["message"], name
+        assert took < 1.0, (name, took)
     # the frame-sums benchmark inputs (--p 3, --levels 5) stay far below
     assert 64 * 2 * 4**5 <= measure.POINT_LIMIT
+    # and so do the benchmark's and acceptance 6's reductions (Z_72 at k = 2)
+    # and the invalid N = 12 form of the tier-1 tests (12^4 digits)
+    assert 72**2 < 12**4 <= productform.DIGIT_LIMIT
 
 
 def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):

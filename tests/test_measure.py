@@ -154,6 +154,36 @@ def test_build_spectrum_classical():
     assert build_spectrum(norm, levels=0).lambdas() == (0,)
 
 
+def test_candidate_points_match_fraction_arithmetic():
+    """points(k) builds integer numerators over one denominator; it must
+    give the distinct values scale * (fs + lam) of Fraction arithmetic."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    for form in (f83, _form14()):
+        for scale in (Fraction(1), Fraction(3), Fraction(1, 2), Fraction(3, 2)):
+            cand = build_spectrum(form, levels=3, scale=scale)
+            for k in range(4):
+                want = sorted({scale * (fs + lam) for lam in cand.lambdas(k) for fs in cand.frac_shifts})
+                got = cand.points(k)
+                assert got == want, (form.base, scale, k)
+                assert all(type(p) is Fraction for p in got)
+
+
+def test_jp_sum_counts_each_distinct_point_once():
+    """Shuffled points with repeats give the rows of the sorted distinct
+    points bit for bit."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    cand = build_spectrum(f83, levels=2, scale=Fraction(3))
+    digits = DigitSet(24, (0, 1, 16, 17))
+    pts = cand.points(2)
+    rng = random.Random(5)
+    messy = pts + rng.sample(pts, 7) + [p * 1 for p in pts[:3]]
+    rng.shuffle(messy)
+    xis = [0.0, 0.3, Fraction(5, 9)]
+    rows, again = jp_sum(digits, 24, pts, xis), jp_sum(digits, 24, messy, xis)
+    assert [r.count for r in again] == [len(set(messy))] * len(xis) == [len(pts)] * len(xis)
+    assert [(r.xi.hex(), r.q_t.hex()) for r in again] == [(r.xi.hex(), r.q_t.hex()) for r in rows]
+
+
 def test_build_spectrum_83_candidate_orthogonality():
     mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     cand = build_spectrum(f83, levels=3, scale=Fraction(3))

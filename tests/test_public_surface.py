@@ -1,10 +1,15 @@
-"""Every public top-level def or class in ``src/spectralforge`` is reached
-from the package, the benchmark or the acceptance suite, or is exported.
+"""Every public top-level def or class in ``src/spectralforge``, and every
+public method or property of a public class, is reached from the package,
+the benchmark or the acceptance suite, or is exported.
 
 The files are read with ``ast``, never imported, so the check stays fast.
-A name counts as reached when some file names it (as a variable or an
-attribute) outside its own definition; the unit tests do not count, since
-a name that only its own test calls reaches no user.
+A top-level name counts as reached when some file names it (as a variable
+or an attribute) outside its own definition; a method or property, when
+some file names it as an attribute outside its own definition.  The unit
+tests do not count, since a name that only its own test calls reaches no
+user.  The check goes by name alone: a member whose name some other
+reached attribute shares passes it (``DigitSet.residues``, say, would pass
+through ``ResidueClassSet.residues``).
 """
 
 import ast
@@ -14,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spectralforge"
 
 # Reached only by the tests that compare the fast path against them.
-ORACLES = ("vanishing_by_division",)
+ORACLES = ("vanishing_by_division", "TruncatedMeasure.mu_hat")
 
 
 def _sources() -> list[Path]:
@@ -43,21 +48,45 @@ def _names(node: ast.AST) -> set[str]:
     }
 
 
+def _attributes(node: ast.AST) -> set[str]:
+    """Every attribute name used under ``node``."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
 def unreached() -> list[str]:
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _sources()}
     exported = set().union(*map(_exported, trees.values()))
-    # the names each top-level statement of every file uses
+    # the names each top-level statement of every file uses, and the
+    # attribute names each statement uses, a class body split into its own
     uses = [(node, _names(node)) for tree in trees.values() for node in tree.body]
+    member_uses = [
+        (stmt, _attributes(stmt))
+        for tree in trees.values()
+        for node in tree.body
+        for stmt in (node.body if isinstance(node, ast.ClassDef) else [node])
+    ]
     missing = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not _public(node.name):
                 continue
             name = node.name
-            if name.startswith("_") or name in exported or name in ORACLES:
+            if name not in exported and name not in ORACLES:
+                if not any(name in names for other, names in uses if other is not node):
+                    missing.append(f"{path.stem}.{name}")
+            if not isinstance(node, ast.ClassDef):
                 continue
-            if not any(name in names for other, names in uses if other is not node):
-                missing.append(f"{path.stem}.{name}")
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef) or not _public(member.name):
+                    continue
+                if f"{name}.{member.name}" in ORACLES:
+                    continue
+                if not any(member.name in attrs for other, attrs in member_uses if other is not member):
+                    missing.append(f"{path.stem}.{name}.{member.name}")
     return missing
 
 
