@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -186,7 +187,7 @@ def emit(report: dict, output: str | None):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    print(text, flush=True)
 
 
 def note(msg: str):
@@ -242,9 +243,7 @@ def cmd_validate_form(args) -> Outcome:
 def cmd_gen_product_form(args) -> Outcome:
     form = load_form(args.spec)
     digits = expand_one_stage(form) if isinstance(form, OneStageForm) else expand_k_stage(form)
-    fields = {"digits": digitset_to_json(digits)}
-    if args.expand:
-        fields["count"] = len(digits)
+    fields = {"digits": digitset_to_json(digits), "count": len(digits)}
     return True, fields, f"expanded to {len(digits)} digits"
 
 
@@ -636,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-product-form", help="expand a form to its digit set")
     p.add_argument("--spec", required=True)
-    p.add_argument("--expand", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_gen_product_form)
 
@@ -740,7 +738,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not isinstance(exc, SpectralForgeError):  # a bug in the package: say where
             frame = traceback.extract_tb(exc.__traceback__)[-1]
             summary += f" ({type(exc).__name__} at {frame.filename}:{frame.lineno})"
-    emit({"command": command, **fields}, output)
+    try:
+        emit({"command": command, **fields}, output)
+    except BrokenPipeError:  # stdout closed early, as by `| head`: end quietly
+        with open(os.devnull, "w") as devnull:  # so the flush at exit does not raise again
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     note(summary)
     return code
 

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cyclotomic import (
     KernelData,
@@ -40,8 +40,8 @@ from .errors import (
     KernelDivisibilityFailure,
     NotCompleteResidues,
     OverlapError,
+    PointLimitExceeded,
     SearchLimitReached,
-    SpectrumUnavailable,
     ValidationFailure,
 )
 from .hadamard import _duplicate_residue, verify_triple
@@ -338,10 +338,9 @@ class ModuloProductFormSpec:
 
 
 def modulo_spec(base, parts, t_indices, ells, zshifts=None) -> ModuloProductFormSpec:
+    """The spec of ``parts``; ``zshifts`` maps (stage, parent, e) to z, or is None."""
     fixed = tuple(p if isinstance(p, DigitSet) else DigitSet(base, tuple(p)) for p in parts)
-    zs = tuple(sorted((tuple(k), v) for k, v in (zshifts or {}).items())) if isinstance(
-        zshifts, Mapping
-    ) else tuple(zshifts or ())
+    zs = tuple(sorted((tuple(k), v) for k, v in (zshifts or {}).items()))
     return ModuloProductFormSpec(base, fixed, tuple(t_indices), tuple(ells), zs)
 
 
@@ -392,24 +391,12 @@ def generate_modulo_product_form(spec: ModuloProductFormSpec) -> DigitSet:
 
 
 def modulo_to_k_stage(
-    spec: ModuloProductFormSpec,
-    spectra: Sequence[DigitSet] | None = None,
+    spec: ModuloProductFormSpec, spectra: Sequence[DigitSet]
 ) -> tuple[KStageForm, ValidationReport]:
-    """Parent-keyed layer tree E_j(d) = {e + m_j * z(d,e)} with spectra.
-
-    Spectra default to the explicit tiling spectra of the factor sets; a
-    factor failing the tiling conditions raises SpectrumUnavailable.  The
-    resulting form is validated exactly and the report returned; failures
-    are reported, never patched.
-    """
+    """Parent-keyed layer tree E_j(d) = {e + m_j * z(d,e)} with one given
+    spectrum per factor set, validated exactly; failures are reported in the
+    returned report, never patched."""
     kernels = spec_kernels(spec)
-    if spectra is None:
-        spectra = []
-        for idx, part in enumerate(spec.parts):
-            prof = cm_profile(part, spec.base)
-            if prof.tiling_spectrum is None:
-                raise SpectrumUnavailable(idx, prof.t1_detail or prof.t2_detail)
-            spectra.append(prof.tiling_spectrum)
     if len(spectra) != len(spec.parts):
         raise ValueError("need one spectrum per factor set")
 
@@ -434,18 +421,8 @@ def modulo_to_k_stage(
 # p^alpha * q generators.
 
 
-def _range_set(p: int) -> tuple[int, ...]:
-    return tuple(range(p))
-
-
 def _scaled(base: int, s: int, p: int) -> DigitSet:
     return DigitSet(base, tuple(s * e for e in range(p)))
-
-
-def _scaled_prime_indices(r: int, s: int) -> set[int]:
-    """Cyclotomic indices of the mask of s*{0..r-1}: divisors of r*s not
-    dividing s."""
-    return {d for d in _divisors(r * s) if s % d}
 
 
 @dataclass(frozen=True)
@@ -471,6 +448,13 @@ class PaqResult:
     congruences: tuple[CongruenceCheck, ...] = ()
 
 
+# Largest N = p^alpha * q that paq_type_generator builds.  Whole processes on
+# a 2-core x86 container: variant i with p = 2, q = 3 takes 1.3 s at
+# N = 3,072, 4.1 s at N = 6,144 and 12.9 s at N = 12,288; large primes cost
+# more per digit, as variant ii at p = 2, q = 1021, N = 4,084 takes 6.5 s.
+PAQ_LIMIT = 1 << 12
+
+
 def paq_type_generator(
     p: int,
     q: int,
@@ -488,10 +472,13 @@ def paq_type_generator(
             scaling turns the nested shape into a first-order one
       iii : E_q (+) p^j*q*E_p for j = 0..alpha-1
 
-    Spectra attached per level make every stage an exactly verified
+    Each variant only names its staged factor sets, their spectra and a
+    multiplier; one staged builder, ``_staged_tile``, makes and checks all
+    three.  Spectra attached per level make every stage an exactly verified
     Hadamard triple; the form validation re-checks all products.  For
     variant ii the defining residue congruences of the q^M scaling are
-    checked exactly and returned.
+    checked exactly and returned.  N above PAQ_LIMIT raises
+    PointLimitExceeded before any work.
     """
     if not (is_prime(p) and is_prime(q)) or p == q:
         raise InvalidVariantParams("p, q must be distinct primes")
@@ -499,154 +486,120 @@ def paq_type_generator(
         raise InvalidVariantParams("alpha must be >= 1")
     if m_values is not None and variant != "ii":
         raise InvalidVariantParams(f"shift exponents apply to variant ii only, not {variant!r}")
-    n = p**alpha * q
-    ep = _range_set(p)
-    eq = _range_set(q)
-
-    if variant == "i":
-        parts = [DigitSet(n, ep), _scaled(n, p, q)]
-        parts += [_scaled(n, p**j * q, p) for j in range(1, alpha)]
-        spectra = [_scaled(n, p ** (alpha - 1) * q, p), _scaled(n, p ** (alpha - 1), q)]
-        spectra += [_scaled(n, p ** (alpha - j), p) for j in range(2, alpha + 1)]
-    elif variant == "iii":
-        parts = [DigitSet(n, eq)]
-        parts += [_scaled(n, p**j * q, p) for j in range(0, alpha)]
-        spectra = [_scaled(n, p**alpha, q)]
-        spectra += [_scaled(n, p ** (alpha - j), p) for j in range(1, alpha + 1)]
-    elif variant == "ii":
+    if variant not in ("i", "ii", "iii"):
+        raise InvalidVariantParams(f"unknown variant {variant!r}")
+    if variant == "ii":
         if alpha < 2:
             raise InvalidVariantParams("variant ii needs alpha >= 2")
-        ms = list(m_values) if m_values is not None else [1] * (alpha - 1)
-        if len(ms) != alpha - 1:
+        if m_values is not None and len(m_values) != alpha - 1:
             raise InvalidVariantParams(
-                f"variant ii needs alpha-1 = {alpha - 1} shift exponents, got {len(ms)}"
+                f"variant ii needs alpha-1 = {alpha - 1} shift exponents, got {len(m_values)}"
             )
-        if any(m < 0 for m in ms):
+        if any(m < 0 for m in m_values or ()):
             raise InvalidVariantParams("variant ii needs alpha-1 shift exponents >= 0")
-        big_m = max(ms)
-        k_idx = max(j for j in range(1, alpha) if ms[j - 1] == big_m)
-        return _variant_ii(p, q, alpha, ms, big_m, k_idx, zshifts)
-    else:
-        raise InvalidVariantParams(f"unknown variant {variant!r}")
+    # the power is capped first, so a huge alpha costs nothing
+    if p ** min(alpha, PAQ_LIMIT.bit_length()) * q > PAQ_LIMIT:
+        raise PointLimitExceeded(
+            f"the tile digit set would hold {p}^{alpha} * {q} digits, above PAQ_LIMIT = {PAQ_LIMIT}"
+        )
+    n = p**alpha * q
 
-    t_indices = sorted(d for d in _divisors(n) if d > 1)
-    spec = modulo_spec(n, parts, t_indices, [1] * (len(parts) - 1), zshifts)
-    generated = generate_modulo_product_form(spec)
-    form, report = modulo_to_k_stage(spec, spectra=spectra)
-    if not report.ok:
-        raise ValidationFailure(report)
-    return PaqResult(
-        multiplier=1,
-        digits=generated,
-        form=form,
-        report=report,
-        generated=generated,
-        spec_generated=spec,
+    def stage(exp: int, s: int, r: int, t: int):  # s*E_r at N^exp, with spectrum t*E_r
+        return exp, _scaled(n, s, r), _scaled(n, t, r)
+
+    if variant == "i":
+        stages = [stage(0, 1, p, p ** (alpha - 1) * q), stage(1, p, q, p ** (alpha - 1))]
+        stages += [stage(j + 1, p**j * q, p, p ** (alpha - j - 1)) for j in range(1, alpha)]
+        return _staged_tile(n, 1, stages, zshifts)
+    if variant == "iii":
+        stages = [stage(0, 1, q, p**alpha)]
+        stages += [stage(j + 1, p**j * q, p, p ** (alpha - j - 1)) for j in range(alpha)]
+        return _staged_tile(n, 1, stages, zshifts)
+
+    ms = list(m_values) if m_values is not None else [1] * (alpha - 1)
+    big_m = max(ms)
+    k_idx = max(j for j in range(1, alpha) if ms[j - 1] == big_m)
+    nested = _variant_ii_nested(p, q, alpha, ms, big_m, k_idx)
+    # Multiplying the nested digits by q^M turns each p-power factor into
+    # N^(fixed shift) times a residue-level factor; the stage exponents
+    # absorb the N powers.
+    mult = q**big_m
+    stages = [stage(0, mult, p, p ** (alpha - 1) * q), stage(1 + big_m, p ** (alpha + k_idx), q, 1)]
+    stages += [
+        stage(j + 1 + ms[j - 1], q ** (big_m - ms[j - 1]) * p**j, p, p ** (alpha - j - 1) * q)
+        for j in range(1, alpha)
+    ]
+    congruences = _variant_ii_congruences(p, q, alpha, ms, big_m, k_idx)
+    res = _staged_tile(n, mult, stages, zshifts, f" (multiplier exponent {big_m})", congruences)
+    if not zshifts and res.digits.digits != nested.digits:
+        raise AssertionError("multiplied first-order expansion must match the nested shape")
+    return res
+
+
+def _variant_ii_nested(p, q, alpha, ms, big_m, k_idx) -> DigitSet:
+    """Variant ii's nested shape (gcd 1), generated under its own kernel
+    certificate: the indices of a factor s*{0..r-1} are the divisors of r*s
+    not dividing s."""
+    n = p**alpha * q
+    scales = [(p, 1), (q, p ** (alpha * (big_m + 1) + k_idx))]
+    scales += [(p, p ** (alpha * ms[j - 1] + j)) for j in range(1, alpha)]
+    parts = [_scaled(n, s, r) for r, s in scales]
+    t_indices = sorted({d for r, s in scales for d in _divisors(r * s) if s % d})
+    return generate_modulo_product_form(modulo_spec(n, parts, t_indices, [1] * alpha))
+
+
+def _variant_ii_congruences(p, q, alpha, ms, big_m, k_idx) -> tuple[CongruenceCheck, ...]:
+    """The residue congruences behind the q^M scaling of variant ii."""
+    # (label, scale, the scale it must match, modulus, factor size)
+    rows = [
+        ("q^M * E_p == E_p (mod p)", q**big_m, 1, p, p),
+        ("p^(alpha+k) * E_q == p^alpha * E_q (mod q)", p ** (alpha + k_idx), p**alpha, q, q),
+    ]
+    rows += [
+        (f"q^(M-M_{j}) * p^{j} * E_p == p^{j} * E_p (mod p^{j + 1})",
+         q ** (big_m - ms[j - 1]) * p**j, p**j, p ** (j + 1), p)
+        for j in range(1, alpha)
+    ]
+    return tuple(
+        CongruenceCheck(label, tuple(a * e for e in range(r)), tuple(b * e for e in range(r)), m)
+        for label, a, b, m, r in rows
     )
 
 
-def _variant_ii(p, q, alpha, ms, big_m, k_idx, zshifts):
-    n = p**alpha * q
+def _staged_tile(n, mult, stages, zshifts, note="", congruences=()) -> PaqResult:
+    """The one path from a shape to its PaqResult.
 
-    # nested shape (gcd 1); its own kernel certificate is checked on
-    # generation below
-    parts_orig = [DigitSet(n, _range_set(p)), _scaled(n, p ** (alpha * (big_m + 1) + k_idx), q)]
-    parts_orig += [_scaled(n, p ** (alpha * ms[j - 1] + j), p) for j in range(1, alpha)]
-    t_orig: set[int] = set()
-    t_orig |= _scaled_prime_indices(p, 1)
-    t_orig |= _scaled_prime_indices(q, p ** (alpha * (big_m + 1) + k_idx))
-    for j in range(1, alpha):
-        t_orig |= _scaled_prime_indices(p, p ** (alpha * ms[j - 1] + j))
-    spec_orig = modulo_spec(n, parts_orig, sorted(t_orig), [1] * alpha)
-    d_orig = generate_modulo_product_form(spec_orig)
-
-    mult = q**big_m
-
-    # Multiplied first-order shape.  Multiplying the nested digits by q^M
-    # turns each p-power factor into N^(fixed shift) times a residue-level
-    # factor; the cumulative stage scales below absorb the N powers.
-    staged = [
-        (
-            1 + big_m,
-            _scaled(n, p ** (alpha + k_idx), q),
-            _scaled(n, 1, q),
-        )
-    ]
-    for j in range(1, alpha):
-        staged.append(
-            (
-                j + 1 + ms[j - 1],
-                _scaled(n, q ** (big_m - ms[j - 1]) * p**j, p),
-                _scaled(n, p ** (alpha - j - 1) * q, p),
-            )
-        )
-    staged.sort(key=lambda item: item[0])
-    merged: list[tuple[int, DigitSet, DigitSet]] = []
-    for exp, part, spec_l in staged:
-        if merged and merged[-1][0] == exp:
-            prev_exp, prev_part, prev_l = merged.pop()
-            part = DigitSet(n, direct_sum_digits(prev_part.digits, part.digits))
-            spec_l = DigitSet(n, direct_sum_digits(prev_l.digits, spec_l.digits))
-            exp = prev_exp
-        merged.append((exp, part, spec_l))
-    parts = [_scaled(n, mult, p)] + [part for _, part, _ in merged]
-    spectra = [_scaled(n, p ** (alpha - 1) * q, p)] + [l for _, _, l in merged]
-    exps = [exp for exp, _, _ in merged]
-    new_ells = [exps[0]] + [b - a for a, b in zip(exps, exps[1:])]
-
+    Each stage (exponent, factor set, spectrum) puts its factor set at
+    N^exponent, level 0 at exponent 0.  Stages at one exponent merge by
+    direct sum, and the gaps between the exponents become the stage
+    scales.  The factor sets must be a complete residue system mod N;
+    their expansion is certified against its kernel polynomial and,
+    divided by ``mult``, is the tile digit set.  A form that fails
+    validation raises.
+    """
+    exps, parts, spectra = [], [], []
+    for exp, group in itertools.groupby(sorted(stages, key=lambda st: st[0]), key=lambda st: st[0]):
+        group = list(group)
+        exps.append(exp)
+        parts.append(DigitSet(n, direct_sum_digits(*[part.digits for _, part, _ in group])))
+        spectra.append(DigitSet(n, direct_sum_digits(*[spec.digits for _, _, spec in group])))
     total = direct_sum_digits(*[part.digits for part in parts])
     if sorted({x % n for x in total}) != list(range(n)):
         raise NotCompleteResidues(
-            f"multiplied factor sets are not a complete residue system mod {n} "
-            f"(multiplier exponent {big_m})"
+            f"multiplied factor sets are not a complete residue system mod {n}{note}"
         )
 
-    t_first = sorted(d for d in _divisors(n) if d > 1)
-    spec_first = modulo_spec(n, parts, t_first, new_ells, zshifts)
-    generated = generate_modulo_product_form(spec_first)
+    t_indices = [d for d in _divisors(n) if d > 1]
+    spec = modulo_spec(n, parts, t_indices, [b - a for a, b in zip(exps, exps[1:])], zshifts)
+    generated = generate_modulo_product_form(spec)
     if any(x % mult for x in generated.digits):
         raise AssertionError("generated digits must be divisible by the multiplier")
-    digits = DigitSet(n, tuple(x // mult for x in generated.digits))
-    if not (zshifts or ()) and digits.digits != d_orig.digits:
-        raise AssertionError("multiplied first-order expansion must match the nested shape")
-
-    form, report = modulo_to_k_stage(spec_first, spectra=spectra)
+    form, report = modulo_to_k_stage(spec, spectra)
     if not report.ok:
         raise ValidationFailure(report)
-
-    congruences = [
-        CongruenceCheck(
-            "q^M * E_p == E_p (mod p)",
-            tuple(q**big_m * e for e in range(p)),
-            tuple(range(p)),
-            p,
-        ),
-        CongruenceCheck(
-            "p^(alpha+k) * E_q == p^alpha * E_q (mod q)",
-            tuple(p ** (alpha + k_idx) * e for e in range(q)),
-            tuple(p**alpha * e for e in range(q)),
-            q,
-        ),
-    ]
-    for j in range(1, alpha):
-        congruences.append(
-            CongruenceCheck(
-                f"q^(M-M_{j}) * p^{j} * E_p == p^{j} * E_p (mod p^{j + 1})",
-                tuple(q ** (big_m - ms[j - 1]) * p**j * e for e in range(p)),
-                tuple(p**j * e for e in range(p)),
-                p ** (j + 1),
-            )
-        )
-
-    return PaqResult(
-        multiplier=mult,
-        digits=digits,
-        form=form,
-        report=report,
-        generated=generated,
-        spec_generated=spec_first,
-        congruences=tuple(congruences),
-    )
+    digits = DigitSet(n, tuple(x // mult for x in generated.digits))
+    return PaqResult(multiplier=mult, digits=digits, form=form, report=report, generated=generated,
+                     spec_generated=spec, congruences=congruences)
 
 
 # ---------------------------------------------------------------------------

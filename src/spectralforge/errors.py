@@ -83,12 +83,6 @@ class KernelDivisibilityFailure(SpectralForgeError):
     """Internal assertion: the kernel polynomial must divide the mask."""
 
 
-class SpectrumUnavailable(SpectralForgeError):
-    def __init__(self, stage, reason=""):
-        self.stage = stage
-        super().__init__(f"no spectrum available for factor {stage}: {reason}")
-
-
 class TDivisibleByBeta(SpectralForgeError):
     """Four-digit construction rejected: the 2-adic shift lands on r = 0."""
 

@@ -49,22 +49,10 @@ TWO_PI = 2.0 * math.pi
 # Masks and truncated transforms.
 
 
-def mask_value(digits: DigitSet | Sequence[int], xi, prec: int | None = None):
+def mask_value(digits: DigitSet | Sequence[int], xi):
     """M_D(xi) = (1/|D|) * sum of e(-d*xi); a numpy array for an array xi,
-    else a Python complex.
-
-    ``prec`` switches to mpmath with that many decimal digits (scalar only),
-    used by the cross-check oracles.
-    """
+    else a Python complex."""
     ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
-    if prec is not None:
-        import mpmath
-
-        with mpmath.workdps(prec):
-            total = mpmath.mpc(0)
-            for d in ds:
-                total += mpmath.e ** (-2j * mpmath.pi * d * mpmath.mpf(xi))
-            return total / len(ds)
     x = np.asarray(xi, dtype=float)
     acc = np.zeros(x.shape, dtype=complex)
     for d in ds:

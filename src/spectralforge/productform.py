@@ -399,6 +399,12 @@ def _short(seq) -> str:
 # with 12^4 = 20,736 in 13 s, and (2,3,3,ii) with 24^4 = 331,776 in 121 s.
 DIGIT_LIMIT = 1 << 15
 
+# Largest base N^k k_stage_to_one_stage may build.  Its cost grows with k
+# even when every set holds one digit: on a 2-core x86 container such a
+# base-2 form takes 0.45 s as a whole process at k = 256, 1.4 s at k = 512
+# and 5.1 s at k = 1000, and base 10^300 at k = 256 runs past 30 s.
+BASE_LIMIT = 1 << 256
+
 
 def _normalized_levels(form: KStageForm, k: int):
     """Rewrite so every stage scale is exactly one power of N.
@@ -432,7 +438,8 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     spectra are direct sums of the scaled level spectra N^(k-1-m) * L_i.
     The result is validated exactly; the error names the failing aggregate
     (A-triple, B-triple, or product).  A result of more than DIGIT_LIMIT
-    digits raises PointLimitExceeded before any work.
+    digits, or over a base above BASE_LIMIT, raises PointLimitExceeded
+    before any work.
     """
     total = sum(form.ells)
     k = total if k_target is None else k_target
@@ -445,6 +452,11 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     if width ** min(k, DIGIT_LIMIT.bit_length()) > DIGIT_LIMIT:
         raise PointLimitExceeded(
             f"the one-stage form would hold {width}^{k} digits, above DIGIT_LIMIT = {DIGIT_LIMIT}"
+        )
+    if form.base ** min(k, BASE_LIMIT.bit_length()) > BASE_LIMIT:
+        raise PointLimitExceeded(
+            f"the one-stage base would be {form.base}^{k}, "
+            f"above BASE_LIMIT = 2^{BASE_LIMIT.bit_length() - 1}"
         )
     norm = _normalized_levels(form, k)
     n = norm.base

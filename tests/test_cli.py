@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
-from spectralforge import measure, productform
+from spectralforge import cm_tiling, measure, productform
 from spectralforge.cli import (
     FIXTURES,
     digitset_from_json,
@@ -329,8 +330,18 @@ def _over_limit_inputs(tmp_path):
     # 24 digits per stage over 5 levels; classify-paq emits this form
     paq = _write(tmp_path, "paq.json", k_stage_to_json(paq_type_generator(2, 3, 3, "ii", (1, 2)).form))
     small = _write(tmp_path, "k.json", k_stage_to_json(paq_type_generator(2, 3, 2, "i").form))
+    # every set holds one digit, so DIGIT_LIMIT passes at any k
+    single = _write(tmp_path, "one.json", {
+        "base": 2, "ells": [1], "E0": ["0"], "layers": [{"constant": ["0"]}], "Ls": [["0"], ["0"]]
+    })
     points = f"POINT_LIMIT = {measure.POINT_LIMIT}"
     digits = f"DIGIT_LIMIT = {productform.DIGIT_LIMIT}"
+    base = "BASE_LIMIT = 2^256"
+    tiles = f"PAQ_LIMIT = {cm_tiling.PAQ_LIMIT}"
+
+    def classify(p, q, alpha, variant):
+        return ["classify-paq", "--p", str(p), "--q", str(q), "--alpha", str(alpha), "--variant", variant]
+
     return [
         ("lemma42-p-10", ["check-lemma42", "--form", spec, "--p", "10"], "4^10 points", points),
         ("lemma42-p-huge", ["check-lemma42", "--form", spec, "--p", str(10**9)], f"4^{10**9} points", points),
@@ -338,6 +349,10 @@ def _over_limit_inputs(tmp_path):
         ("jp-levels-huge", ["verify-jp", "--form", spec, "--levels", str(10**9)], f"2 * 4^{10**9} points", points),
         ("reduce-paq-ii-1-2", ["reduce-kstage", "--spec", paq], "24^5 digits", digits),
         ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
+        ("reduce-one-digit-k-1000", ["reduce-kstage", "--spec", single, "--k", "1000"], "2^1000", base),
+        ("paq-i-alpha-huge", classify(2, 3, 10**6, "i"), f"2^{10**6} * 3 digits", tiles),
+        ("paq-iii-alpha-huge", classify(2, 3, 10**6, "iii"), f"2^{10**6} * 3 digits", tiles),
+        ("paq-just-above", classify(2, 2053, 1, "i"), "2^1 * 2053 digits", tiles),
     ]
 
 
@@ -345,11 +360,14 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
+    rows = _over_limit_inputs(tmp_path)  # builds its forms before the patches
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat", no_work)
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat_rational", no_work)
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
     monkeypatch.setattr(productform, "_normalized_levels", no_work)
-    for name, argv, size, limit in _over_limit_inputs(tmp_path):
+    monkeypatch.setattr(cm_tiling, "_scaled", no_work)
+    monkeypatch.setattr(cm_tiling, "generate_modulo_product_form", no_work)
+    for name, argv, size, limit in rows:
         t0 = time.perf_counter()
         code = _run(argv)
         took = time.perf_counter() - t0
@@ -365,6 +383,9 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     # and so do the benchmark's and acceptance 6's reductions (Z_72 at k = 2)
     # and the invalid N = 12 form of the tier-1 tests (12^4 digits)
     assert 72**2 < 12**4 <= productform.DIGIT_LIMIT
+    assert (12**4) ** 16 <= productform.BASE_LIMIT
+    # and the classify-paq shapes of the benchmark and the tests (N <= 50)
+    assert 64 * 50 <= cm_tiling.PAQ_LIMIT
 
 
 def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):
@@ -421,6 +442,27 @@ def test_parser_reuse_matches_fresh_processes(tmp_path):
     assert json.loads(proc.stdout) == fresh
     assert [code for code, _, _ in fresh] == [2, 0]
     assert fresh[0][2].startswith("usage: spectralforge check-tile")
+
+
+def test_closed_stdout_ends_quietly_with_the_exit_code():
+    """A reader that leaves early, as `| head -3` does, costs no traceback:
+    the child writes its report to a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectralforge.cli",
+             "classify-paq", "--p", "2", "--q", "3", "--alpha", "3", "--variant", "i"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "generated 24 digits, multiplier 1\n"
+    assert proc.returncode == 0
 
 
 def test_malformed_form_subprocess_has_no_traceback(tmp_path):

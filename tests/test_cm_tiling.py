@@ -26,7 +26,6 @@ from spectralforge.errors import (
     NotCompleteResidues,
     OverlapError,
     SearchLimitReached,
-    SpectrumUnavailable,
 )
 from spectralforge.hadamard import check_triple
 from spectralforge.productform import expand_k_stage, validate_k_stage
@@ -190,7 +189,8 @@ def test_generate_modulo_product_form_examples():
 
     # {0,4} (+) {0,1} is direct, but 4 + 4*0 == 0 + 4*1 once stage 1 is scaled
     clash = modulo_spec(4, [(0, 4), (0, 1)], [2], [1])
-    for build in (generate_modulo_product_form, modulo_to_k_stage):
+    spectra = [DigitSet(4, (0,)), DigitSet(4, (0,))]  # not reached: the expansion fails first
+    for build in (generate_modulo_product_form, lambda spec: modulo_to_k_stage(spec, spectra)):
         with pytest.raises(OverlapError) as err:
             build(clash)
         assert (err.value.digit, err.value.first, err.value.second, err.value.stage) == (4, (0, 1), (4, 0), 1)
@@ -217,17 +217,16 @@ def test_modulo_form_with_zero_shifts_equals_direct_expansion():
         assert got == want
 
 
-def test_modulo_to_k_stage_with_default_spectra():
+def test_modulo_to_k_stage_with_given_spectra():
     spec2 = modulo_spec(4, [(0, 1), (0, 2)], [2, 4], [1], {(1, 1, 2): 1})
-    form, report = modulo_to_k_stage(spec2)
+    spectra = [DigitSet(4, (0, 2)), DigitSet(4, (0, 1))]
+    form, report = modulo_to_k_stage(spec2, spectra)
     assert report.ok
     assert expand_k_stage(form).digits == (0, 1, 8, 25)
     # stage layer is parent-keyed
     assert not isinstance(form.layers[0], DigitSet)
-
-    bad = modulo_spec(24, [(0, 1, 16, 17), (0, 2)], [2], [1])
-    with pytest.raises(SpectrumUnavailable):
-        modulo_to_k_stage(bad)
+    with pytest.raises(ValueError):
+        modulo_to_k_stage(spec2, spectra[:1])
 
 
 def test_kernel_divisibility_certificate_all_variants():
@@ -245,13 +244,14 @@ def test_kernel_divisibility_certificate_all_variants():
 
 def test_four_digit_set_as_modulo_form_matches_construction():
     """The scaled four-digit set realized as a modulo product-form: the
-    default tiling spectra reproduce the dedicated construction's spectra
-    exactly, and the expansion is 3 times the original digits."""
+    explicit tiling spectra of its factor sets reproduce the dedicated
+    construction's spectra exactly, and the expansion is 3 times the
+    original digits."""
     from spectralforge.productform import build_four_digit_form
 
     spec = modulo_spec(24, [(0, 3), (0, 2)], [2, 4, 6], [1])
     assert generate_modulo_product_form(spec).digits == (0, 3, 48, 51)
-    form, report = modulo_to_k_stage(spec)
+    form, report = modulo_to_k_stage(spec, [cm_profile(part, 24).tiling_spectrum for part in spec.parts])
     assert report.ok
     assert expand_k_stage(form).digits == tuple(3 * x for x in (0, 1, 16, 17))
     mult, built = build_four_digit_form(24, 1, 4, 1, 1)
@@ -286,6 +286,34 @@ def test_kernel_certificate_wider_prime_range():
         res = paq_type_generator(p, q, alpha, variant)
         assert res.report.ok
         assert len(res.digits) == p**alpha * q
+
+
+def test_one_staged_builder_beyond_the_acceptance_shapes():
+    """alpha = 1, the pairs (2,5), (5,2) and (3,5), and variant-ii shift
+    exponents whose stages merge: every result is validated, its form
+    expands to the generated set, which is the multiplier times N tile
+    digits, and its factor sets are a complete residue system mod N.  (The
+    digits themselves are not: stage j puts its factor set at N^j.)"""
+    shapes = [
+        (p, q, alpha, variant, None)
+        for p, q in ((2, 3), (2, 5), (5, 2), (3, 5))
+        for alpha in (1, 2)
+        for variant in ("i", "ii", "iii")
+        if alpha > 1 or variant != "ii"
+    ]
+    merging = [(2, 3, 3, "ii", (2, 1)), (2, 5, 3, "ii", (1, 0))]
+    for p, q, alpha, variant, ms in shapes + merging:
+        res = paq_type_generator(p, q, alpha, variant, m_values=ms)
+        n = p**alpha * q
+        assert res.report.ok, (p, q, alpha, variant, ms)
+        assert expand_k_stage(res.form) == res.generated
+        assert res.generated.digits == tuple(res.multiplier * x for x in res.digits.digits)
+        assert len(res.digits) == n
+        parts = [part.digits for part in res.spec_generated.parts]
+        assert sorted(x % n for x in direct_sum_digits(*parts)) == list(range(n))
+        if (p, q, alpha, variant, ms) in merging:
+            # two p-power factors share an exponent: alpha factor sets after level 0 become alpha - 1
+            assert res.spec_generated.stages == alpha - 1
 
 
 def test_variant_ii_congruences_and_multiplier():

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,7 +57,8 @@ def test_mask_value_examples():
     assert abs(mask_value(DigitSet(4, (0, 2)), 0.25)) < 1e-15
     # high-precision summation oracle
     v = mask_value(DigitSet(4, (0, 1, 8, 9)), 0.25)
-    hp = mask_value(DigitSet(4, (0, 1, 8, 9)), 0.25, prec=50)
+    with mpmath.workdps(50):
+        hp = sum(mpmath.e ** (-2j * mpmath.pi * d * mpmath.mpf(0.25)) for d in (0, 1, 8, 9)) / 4
     assert abs(v - complex(hp)) < 1e-13
     # product structure of the mask of {0,1,8,9}: (1+e(-x))(1+e(-8x))/4
     x = 0.3173
