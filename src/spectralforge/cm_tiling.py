@@ -250,6 +250,12 @@ def _checked_witness(residues: Sequence[int], complement: Sequence[int], n: int)
     return DigitSet(max(n, 2), tuple(complement))
 
 
+# Largest N check_tile_zn decides: a tile's complement witness holds N/|A|
+# residues.  A whole check-tile process on {0, 1} takes 0.44 s at N = 2^18
+# and 0.95 s at N = 2^20 on a 2-core x86 container.
+TILE_BASE_LIMIT = 1 << 20
+
+
 def check_tile_zn(a: DigitSet, n: int) -> TileVerdict:
     """Does A tile Z_N?  A theorem decides wherever one applies; the
     exhaustive search runs only where the theory is silent.
@@ -279,7 +285,12 @@ def check_tile_zn(a: DigitSet, n: int) -> TileVerdict:
       over all prime powers.
     * Otherwise no theorem applies, and ``tile_complement`` decides.  A
       search that reaches SEARCH_STATE_CAP gives tiles None.
+
+    N above TILE_BASE_LIMIT raises PointLimitExceeded before any work.
     """
+    if n > TILE_BASE_LIMIT:
+        limit = f"TILE_BASE_LIMIT = 2^{TILE_BASE_LIMIT.bit_length() - 1}"
+        raise PointLimitExceeded(f"a tiling of Z_{n} is above {limit}")
     dup = _duplicate_residue(a.digits, n)
     if dup:
         return TileVerdict(
@@ -454,6 +465,15 @@ class PaqResult:
 # more per digit, as variant ii at p = 2, q = 1021, N = 4,084 takes 6.5 s.
 PAQ_LIMIT = 1 << 12
 
+# Largest scale N^e of variant ii's top stage, e = max over j of j + 1 + M_j.
+# The shift exponents M_j set it, and the cost grows with it: whole
+# processes on a 2-core x86 container at p = 2, q = 3, alpha = 2 take 0.31 s
+# at M = 1, 0.35 s at M = 33 (the largest under the limit), 0.81 s at
+# M = 200 and 13.5 s at M = 800; at p = 2, q = 1021 they take 7.3 s at
+# M = 1 and 20 s at M = 8.  Every shape under PAQ_LIMIT passes at the
+# default M_j = 1, the largest being (2, 3, 10) at 3,072^11 < 2^128.
+PAQ_SCALE_LIMIT = 1 << 128
+
 
 def paq_type_generator(
     p: int,
@@ -477,10 +497,11 @@ def paq_type_generator(
     three.  Spectra attached per level make every stage an exactly verified
     Hadamard triple; the form validation re-checks all products.  For
     variant ii the defining residue congruences of the q^M scaling are
-    checked exactly and returned.  N above PAQ_LIMIT raises
-    PointLimitExceeded before any work.
+    checked exactly and returned.  N above PAQ_LIMIT, or a variant ii top
+    stage above PAQ_SCALE_LIMIT, raises PointLimitExceeded before any work,
+    the primality test included.
     """
-    if not (is_prime(p) and is_prime(q)) or p == q:
+    if min(p, q) < 2 or p == q:
         raise InvalidVariantParams("p, q must be distinct primes")
     if alpha < 1:
         raise InvalidVariantParams("alpha must be >= 1")
@@ -503,6 +524,16 @@ def paq_type_generator(
             f"the tile digit set would hold {p}^{alpha} * {q} digits, above PAQ_LIMIT = {PAQ_LIMIT}"
         )
     n = p**alpha * q
+    ms = list(m_values) if m_values is not None else [1] * (alpha - 1)
+    if variant == "ii":
+        top = max(j + 1 + m for j, m in enumerate(ms, start=1))
+        if n ** min(top, PAQ_SCALE_LIMIT.bit_length()) > PAQ_SCALE_LIMIT:
+            raise PointLimitExceeded(
+                f"variant ii's top stage would sit at {n}^{top}, "
+                f"above PAQ_SCALE_LIMIT = 2^{PAQ_SCALE_LIMIT.bit_length() - 1}"
+            )
+    if not (is_prime(p) and is_prime(q)):
+        raise InvalidVariantParams("p, q must be distinct primes")
 
     def stage(exp: int, s: int, r: int, t: int):  # s*E_r at N^exp, with spectrum t*E_r
         return exp, _scaled(n, s, r), _scaled(n, t, r)
@@ -516,7 +547,6 @@ def paq_type_generator(
         stages += [stage(j + 1, p**j * q, p, p ** (alpha - j - 1)) for j in range(alpha)]
         return _staged_tile(n, 1, stages, zshifts)
 
-    ms = list(m_values) if m_values is not None else [1] * (alpha - 1)
     big_m = max(ms)
     k_idx = max(j for j in range(1, alpha) if ms[j - 1] == big_m)
     nested = _variant_ii_nested(p, q, alpha, ms, big_m, k_idx)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .digitsets import DigitSet
-from .errors import CoverageFailure, EmptyDigitSet
+from .errors import CoverageFailure, EmptyDigitSet, PointLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -211,12 +211,23 @@ def exact_quotient(g: MaskPolynomial, f: MaskPolynomial) -> MaskPolynomial:
 # Cyclotomic polynomials.
 
 
+# Largest trial divisor of factorize.  Every n below FACTOR_LIMIT^2 = 2^40
+# is factored in full; so is any n whose cofactor drops below that bound
+# once its small primes are divided out.  A full run of trial divisions
+# takes about 0.1 s on a 2-core x86 container.
+FACTOR_LIMIT = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization ((p, a), ...) of n, primes increasing; () for n < 2."""
+    """Prime factorization ((p, a), ...) of n, primes increasing; () for n < 2.
+
+    A cofactor with no prime factor up to FACTOR_LIMIT that is still too
+    large to be proven prime raises PointLimitExceeded.
+    """
     out = []
     m, p = n, 2
-    while p * p <= m:
+    while p * p <= m and p <= FACTOR_LIMIT:
         if m % p == 0:
             a = 0
             while m % p == 0:
@@ -224,6 +235,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 a += 1
             out.append((p, a))
         p += 1 if p == 2 else 2
+    if p * p <= m:
+        raise PointLimitExceeded(
+            f"factorizing {n} leaves the cofactor {m}, which has no prime factor up to "
+            f"FACTOR_LIMIT = 2^{FACTOR_LIMIT.bit_length() - 1} and is not proven prime"
+        )
     if m > 1:
         out.append((m, 1))
     return tuple(out)

@@ -14,7 +14,7 @@ one convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence, Union
 
 from .digitsets import (
@@ -130,44 +130,61 @@ def expand_one_stage(form: OneStageForm) -> DigitSet:
     return DigitSet(form.base, tuple(digits))
 
 
-def validate_one_stage(form: OneStageForm) -> ValidationReport:
-    """Exact pass/fail per defining condition, with witnesses."""
-    n = form.base
-    checks: list[CheckResult] = []
+def _triple_row(name: str, n: int, d: DigitSet, l: DigitSet) -> CheckResult:
+    """The row for one exact check_triple call."""
+    rep = check_triple(n, d, l)
+    return CheckResult(name, rep is None, str(rep or ""))
 
-    rep = check_triple(n, form.a_set, form.l1)
-    checks.append(CheckResult("A-triple (N, A, L1)", rep is None, str(rep or "")))
 
-    sizes = {len(b) for _, b in form.b_sets}
-    checks.append(
-        CheckResult(
-            "B-cardinality |B_s| all equal",
-            len(sizes) == 1,
-            "" if len(sizes) == 1 else f"sizes {sorted(sizes)}",
-        )
-    )
+def _product_rows(n: int, rows) -> list[CheckResult]:
+    """One row per (name, parts, spectrum parts), in order, for the triple
+    (N, (+) parts, (+) spectrum parts).  Each distinct (parts, spectrum
+    parts) pair is decided once, and each spectrum sum built once.  A
+    repeated sum fails the row with its OverlapError, the digit sum's first.
+    """
+    spectrum_sums: dict = {}
+    decided: dict = {}
+    for name, parts, spectra in rows:
+        if (parts, spectra) not in decided:
+            if spectra not in spectrum_sums:
+                spectrum_sums[spectra] = _direct_sum(n, spectra)
+            s, ls = _direct_sum(n, parts), spectrum_sums[spectra]
+            bad = next((x for x in (s, ls) if isinstance(x, OverlapError)), None)
+            row = _triple_row(name, n, s, ls) if bad is None else CheckResult(name, False, str(bad))
+            decided[parts, spectra] = row
+    return [replace(decided[parts, spectra], name=name) for name, parts, spectra in rows]
 
-    for a, b_set in form.b_sets:
-        rep = check_triple(n, b_set, form.l2)
-        checks.append(CheckResult(f"B-triple (N, B[{a}], L2)", rep is None, str(rep or "")))
 
+def _direct_sum(n: int, parts) -> DigitSet | OverlapError:
     try:
-        l_sum = DigitSet(n, direct_sum_digits(form.l1.digits, form.l2.digits))
-        checks.append(CheckResult("L1 (+) L2 direct", True))
+        return DigitSet(n, direct_sum_digits(*parts))
     except OverlapError as exc:
-        checks.append(CheckResult("L1 (+) L2 direct", False, str(exc)))
-        return ValidationReport(tuple(checks))
+        return exc
 
-    for a, b_set in form.b_sets:
-        try:
-            ab = DigitSet(n, direct_sum_digits(form.a_set.digits, b_set.digits))
-        except OverlapError as exc:
-            checks.append(CheckResult(f"product-triple (N, A(+)B[{a}], L1(+)L2)", False, str(exc)))
-            continue
-        rep = check_triple(n, ab, l_sum)
-        checks.append(
-            CheckResult(f"product-triple (N, A(+)B[{a}], L1(+)L2)", rep is None, str(rep or ""))
-        )
+
+def validate_one_stage(form: OneStageForm) -> ValidationReport:
+    """Exact pass/fail per defining condition, with witnesses.
+
+    One B-triple row and one product row (N, A (+) B[a], L1 (+) L2) per
+    digit a.  A product depends on the set B[a] alone, so each distinct
+    B-set is decided once and its verdict repeated on the rows that share it.
+    """
+    n = form.base
+    checks = [_triple_row("A-triple (N, A, L1)", n, form.a_set, form.l1)]
+    sizes = sorted({len(b) for _, b in form.b_sets})
+    detail = "" if len(sizes) == 1 else f"sizes {sizes}"
+    checks.append(CheckResult("B-cardinality |B_s| all equal", not detail, detail))
+    checks += [_triple_row(f"B-triple (N, B[{a}], L2)", n, b_set, form.l2) for a, b_set in form.b_sets]
+
+    spectra = (form.l1.digits, form.l2.digits)
+    l_sum = _direct_sum(n, spectra)
+    if isinstance(l_sum, OverlapError):
+        checks.append(CheckResult("L1 (+) L2 direct", False, str(l_sum)))
+        return ValidationReport(tuple(checks))
+    checks.append(CheckResult("L1 (+) L2 direct", True))
+    rows = [(f"product-triple (N, A(+)B[{a}], L1(+)L2)", (form.a_set.digits, b.digits), spectra)
+            for a, b in form.b_sets]
+    checks += _product_rows(n, rows)
 
     try:
         expand_one_stage(form)
@@ -321,13 +338,11 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
     """Exact check of every per-level triple and every prefix/suffix product.
 
     Products are checked along every realizable path through the layer
-    tree; identical digit-set products are verified once.
+    tree.  Each layer set used at a stage is checked once, and each
+    distinct product (digit parts with their spectra) is decided once.
     """
     n = form.base
-    checks: list[CheckResult] = []
-
-    rep = check_triple(n, form.e0, form.spectra[0])
-    checks.append(CheckResult("level-0 triple (N, E0, L0)", rep is None, str(rep or "")))
+    checks = [_triple_row("level-0 triple (N, E0, L0)", n, form.e0, form.spectra[0])]
 
     stages = _k_stages(form)
     try:
@@ -347,42 +362,25 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
         for d in sorted(paths):
             part = lookup(d)
             extended[d] = paths[d] + (part.digits,)
-            if part.digits in seen_sets:
-                continue
-            seen_sets.add(part.digits)
-            rep = check_triple(n, part, form.spectra[j])
-            checks.append(
-                CheckResult(f"stage-{j} triple (N, E_{j}({d}), L_{j})", rep is None, str(rep or ""))
-            )
+            if part.digits not in seen_sets:
+                seen_sets.add(part.digits)
+                name = f"stage-{j} triple (N, E_{j}({d}), L_{j})"
+                checks.append(_triple_row(name, n, part, form.spectra[j]))
         paths = {x: extended[d] for x, (d, _) in _stage_witnesses(level, stage).items()}
     used = set(paths.values())
 
-    def _check_product(tag: str, parts: list[tuple[int, ...]], spectra: list[DigitSet]):
-        try:
-            s = DigitSet(n, direct_sum_digits(*parts))
-            ls = DigitSet(n, direct_sum_digits(*[sp.digits for sp in spectra]))
-        except OverlapError as exc:
-            checks.append(CheckResult(tag, False, str(exc)))
-            return
-        rep = check_triple(n, s, ls)
-        checks.append(CheckResult(tag, rep is None, str(rep or "")))
-
+    rows = []
+    spectra = tuple(sp.digits for sp in form.spectra)
     for m in range(1, form.stages + 1):
-        prefix_sets = {seq[:m] for seq in used}
-        for seq in sorted(prefix_sets):
-            _check_product(
-                f"prefix-{m} product {_short(seq)}",
-                [form.e0.digits, *seq],
-                list(form.spectra[: m + 1]),
-            )
-        suffix_sets = {seq[m - 1 :] for seq in used}
-        for seq in sorted(suffix_sets):
-            _check_product(
-                f"suffix-{m} product {_short(seq)}",
-                list(seq),
-                list(form.spectra[m:]),
-            )
-
+        rows += [
+            (f"prefix-{m} product {_short(seq)}", (form.e0.digits, *seq), spectra[: m + 1])
+            for seq in sorted({seq[:m] for seq in used})
+        ]
+        rows += [
+            (f"suffix-{m} product {_short(seq)}", seq, spectra[m:])
+            for seq in sorted({seq[m - 1 :] for seq in used})
+        ]
+    checks += _product_rows(n, rows)
     return ValidationReport(tuple(checks))
 
 
@@ -481,11 +479,10 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     # as their B, so the A-triple failure is reported alone
     dup = _duplicate_residue(a_digits, big)
     if dup is not None:
-        rep = check_triple(big, a_set, l1)
         raise ValidationFailure(
             ValidationReport(
                 (
-                    CheckResult("A-triple (N, A, L1)", False, str(rep)),
+                    _triple_row("A-triple (N, A, L1)", big, a_set, l1),
                     CheckResult(
                         "B-extraction", False, f"new A digits {dup[0]} == {dup[1]} (mod {big})"
                     ),

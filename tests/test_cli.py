@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from spectralforge import cm_tiling, measure, productform
+from spectralforge import cm_tiling, hadamard, measure, productform
 from spectralforge.cli import (
     FIXTURES,
     digitset_from_json,
@@ -334,13 +334,21 @@ def _over_limit_inputs(tmp_path):
     single = _write(tmp_path, "one.json", {
         "base": 2, "ells": [1], "E0": ["0"], "layers": [{"constant": ["0"]}], "Ls": [["0"], ["0"]]
     })
+    d01 = _write(tmp_path, "d01.json", {"digits": ["0", "1"]})
+    l05 = _write(tmp_path, "l05.json", {"digits": ["0", "5"]})
     points = f"POINT_LIMIT = {measure.POINT_LIMIT}"
     digits = f"DIGIT_LIMIT = {productform.DIGIT_LIMIT}"
     base = "BASE_LIMIT = 2^256"
     tiles = f"PAQ_LIMIT = {cm_tiling.PAQ_LIMIT}"
+    scale = "PAQ_SCALE_LIMIT = 2^128"
+    trial = "FACTOR_LIMIT = 2^20"
+    search = f"SEARCH_BASE_LIMIT = {hadamard.SEARCH_BASE_LIMIT}"
+    tiling = "TILE_BASE_LIMIT = 2^20"
+    mersenne = str(2**61 - 1)
 
-    def classify(p, q, alpha, variant):
-        return ["classify-paq", "--p", str(p), "--q", str(q), "--alpha", str(alpha), "--variant", variant]
+    def classify(p, q, alpha, variant, *params):
+        argv = ["classify-paq", "--p", str(p), "--q", str(q), "--alpha", str(alpha), "--variant", variant]
+        return argv + (["--params", *map(str, params)] if params else [])
 
     return [
         ("lemma42-p-10", ["check-lemma42", "--form", spec, "--p", "10"], "4^10 points", points),
@@ -353,6 +361,15 @@ def _over_limit_inputs(tmp_path):
         ("paq-i-alpha-huge", classify(2, 3, 10**6, "i"), f"2^{10**6} * 3 digits", tiles),
         ("paq-iii-alpha-huge", classify(2, 3, 10**6, "iii"), f"2^{10**6} * 3 digits", tiles),
         ("paq-just-above", classify(2, 2053, 1, "i"), "2^1 * 2053 digits", tiles),
+        ("paq-prime-huge", classify(mersenne, 3, 1, "i"), f"{mersenne}^1 * 3 digits", tiles),
+        ("paq-ii-shift-huge", classify(2, 3, 2, "ii", 10**9), f"12^{10**9 + 2}", scale),
+        ("paq-ii-shift-just-above", classify(2, 3, 2, "ii", 34), "12^36", scale),
+        ("hadamard-base-mersenne", ["check-hadamard", "--base", mersenne, "--digits", d01, "--spectrum", l05],
+         mersenne, trial),
+        ("t1t2-base-mersenne", ["check-t1t2", "--base", mersenne, "--digits", d01], mersenne, trial),
+        ("find-spectrum-base-10^6", ["find-spectrum", "--base", str(10**6), "--digits", d01], "Z_1000000", search),
+        ("tile-base-10^12", ["check-tile", "--base", str(10**12), "--digits", d01], f"Z_{10**12}", tiling),
+        ("tile-base-2^70", ["check-tile", "--base", str(2**70), "--digits", d01], f"Z_{2**70}", tiling),
     ]
 
 
@@ -367,6 +384,9 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(productform, "_normalized_levels", no_work)
     monkeypatch.setattr(cm_tiling, "_scaled", no_work)
     monkeypatch.setattr(cm_tiling, "generate_modulo_product_form", no_work)
+    monkeypatch.setattr(cm_tiling, "is_prime", no_work)
+    monkeypatch.setattr(cm_tiling, "_duplicate_residue", no_work)
+    monkeypatch.setattr(hadamard, "zero_set", no_work)
     for name, argv, size, limit in rows:
         t0 = time.perf_counter()
         code = _run(argv)
@@ -384,8 +404,13 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     # and the invalid N = 12 form of the tier-1 tests (12^4 digits)
     assert 72**2 < 12**4 <= productform.DIGIT_LIMIT
     assert (12**4) ** 16 <= productform.BASE_LIMIT
-    # and the classify-paq shapes of the benchmark and the tests (N <= 50)
+    # and the classify-paq shapes of the benchmark and the tests (N <= 50,
+    # with a variant ii top stage at most N^5)
     assert 64 * 50 <= cm_tiling.PAQ_LIMIT
+    assert 50**5 <= cm_tiling.PAQ_SCALE_LIMIT
+    # and the benchmark's find-spectrum (N <= 60) and check-tile (N < 4,000) jobs
+    assert 60 <= hadamard.SEARCH_BASE_LIMIT
+    assert 4000 <= cm_tiling.TILE_BASE_LIMIT
 
 
 def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):

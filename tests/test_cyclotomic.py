@@ -22,7 +22,7 @@ from spectralforge.cyclotomic import (
     vanishing_sum_test,
 )
 from spectralforge.digitsets import DigitSet
-from spectralforge.errors import CoverageFailure
+from spectralforge.errors import CoverageFailure, PointLimitExceeded
 
 
 # --- independent oracle: naive dense polynomials -------------------------
@@ -307,3 +307,18 @@ def test_mask_polynomial_basics():
         MaskPolynomial.from_digits(())
     with pytest.raises(ValueError):
         MaskPolynomial.from_digits((-1, 0))
+
+
+def test_factorize_proves_cofactors_up_to_the_trial_limit():
+    """Trial division stops at FACTOR_LIMIT = 2^20: a prime below 2^40 is
+    proven, also times a small prime; a cofactor past 2^40 with no factor
+    up to the limit is refused, naming it."""
+    assert cyclotomic.FACTOR_LIMIT == 1 << 20
+    prime = 2**40 - 87
+    assert cyclotomic.factorize(prime) == ((prime, 1),)
+    assert cyclotomic.factorize(6 * prime) == ((2, 1), (3, 1), (prime, 1))
+    assert cyclotomic.factorize(2**70) == ((2, 70),)
+    mersenne = 2**61 - 1
+    for n in (mersenne, 4 * mersenne):
+        with pytest.raises(PointLimitExceeded, match=f"cofactor {mersenne}, .* FACTOR_LIMIT = 2\\^20"):
+            cyclotomic.factorize(n)

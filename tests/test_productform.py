@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spectralforge import cyclotomic
+from spectralforge import cyclotomic, productform
 from spectralforge.digitsets import DigitSet, direct_sum_digits, stacked_digits
 from spectralforge.errors import (
     InvalidVariantParams,
@@ -66,6 +66,88 @@ def test_validate_one_stage():
     assert any("B-triple" in c.name for c in rep.checks if not c.ok)
     triv = one_stage_form(5, 1, (0,), {0: DigitSet(5, (0,))}, (0,), (0,))
     assert validate_one_stage(triv).ok
+
+
+def test_one_stage_decides_each_distinct_b_set_once(monkeypatch):
+    """Six digits share three B-sets, one of which collides with A: two
+    product checks are made, and the rows equal a per-digit check."""
+    b_sets = {0: (0, 2), 1: (0, 6), 4: (0, 2), 5: (0, 1), 8: (0, 6), 9: (0, 2)}
+    b_map = {a: DigitSet(4, b) for a, b in b_sets.items()}
+    form = one_stage_form(4, 1, sorted(b_sets), b_map, (0, 2, 5), (0, 1))
+    l_sum = DigitSet(4, direct_sum_digits(form.l1.digits, form.l2.digits))
+    expected, products = [], set()
+    for a, b in form.b_sets:
+        name = f"product-triple (N, A(+)B[{a}], L1(+)L2)"
+        try:
+            ab = DigitSet(4, direct_sum_digits(form.a_set.digits, b.digits))
+        except OverlapError as exc:
+            expected.append(f"[FAIL] {name} -- {exc}")
+            continue
+        products.add(ab.digits)
+        rep = check_triple(4, ab, l_sum)
+        expected.append(f"[ok] {name}" if rep is None else f"[FAIL] {name} -- {rep}")
+    calls = []
+
+    def counted(n, d, l):
+        calls.append(d.digits)
+        return check_triple(n, d, l)
+
+    monkeypatch.setattr(productform, "check_triple", counted)
+    rows = [str(c) for c in validate_one_stage(form).checks if c.name.startswith("product-triple")]
+    assert rows == expected
+    assert len(products) == 2
+    assert sum(d in products for d in calls) == 2
+
+
+def test_failing_one_stage_product_rows():
+    """A form whose every other triple holds but whose products fail, and a
+    product whose digit sum repeats a digit: the exact report lines."""
+    f = one_stage_form(6, 1, (0, 1), {0: DigitSet(6, (0, 3)), 1: DigitSet(6, (0, 3))}, (0, 3), (0, 1))
+    assert str(validate_one_stage(f)).splitlines() == [
+        "[ok] A-triple (N, A, L1)",
+        "[ok] B-cardinality |B_s| all equal",
+        "[ok] B-triple (N, B[0], L2)",
+        "[ok] B-triple (N, B[1], L2)",
+        "[ok] L1 (+) L2 direct",
+        "[FAIL] product-triple (N, A(+)B[0], L1(+)L2) -- orthogonality failure in spectrum pair: pair (0, 4)",
+        "[FAIL] product-triple (N, A(+)B[1], L1(+)L2) -- orthogonality failure in spectrum pair: pair (0, 4)",
+        "[ok] expansion collision-free",
+    ]
+    f = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 1)), 1: DigitSet(4, (0, 2))}, (0, 2), (0, 1))
+    assert [str(c) for c in validate_one_stage(f).checks if c.name.startswith("product")] == [
+        "[FAIL] product-triple (N, A(+)B[0], L1(+)L2) -- digit collision: 1 produced by (0, 1) and (1, 0)",
+        "[ok] product-triple (N, A(+)B[1], L1(+)L2)",
+    ]
+
+
+def test_failing_k_stage_product_rows():
+    """A repeated digit sum, a repeated spectrum sum and an orthogonality
+    failure in the prefix and suffix products: the exact report lines."""
+    digits = k_stage_form(4, (1,), (0, 1), [DigitSet(4, (0, 1))], [(0, 2), (0, 2)])
+    assert str(validate_k_stage(digits)).splitlines() == [
+        "[ok] level-0 triple (N, E0, L0)",
+        "[ok] expansion collision-free",
+        "[ok] stage-1 triple (N, E_1(0), L_1)",
+        "[FAIL] prefix-1 product [2] -- digit collision: 1 produced by (0, 1) and (1, 0)",
+        "[ok] suffix-1 product [2]",
+    ]
+    # the digits {0, 4} (+) {0, 12} are direct; the spectra {0, 9} (+) {0, 9} are not
+    spectra = k_stage_form(8, (1,), (0, 4), [DigitSet(8, (0, 12))], [(0, 9), (0, 9)])
+    assert str(validate_k_stage(spectra)).splitlines() == [
+        "[ok] level-0 triple (N, E0, L0)",
+        "[ok] expansion collision-free",
+        "[ok] stage-1 triple (N, E_1(0), L_1)",
+        "[FAIL] prefix-1 product [2] -- digit collision: 9 produced by (0, 9) and (9, 0)",
+        "[ok] suffix-1 product [2]",
+    ]
+    orthogonal = k_stage_form(6, (1,), (0, 1), [DigitSet(6, (0, 3))], [(0, 3), (0, 1)])
+    assert str(validate_k_stage(orthogonal)).splitlines() == [
+        "[ok] level-0 triple (N, E0, L0)",
+        "[ok] expansion collision-free",
+        "[ok] stage-1 triple (N, E_1(0), L_1)",
+        "[FAIL] prefix-1 product [2] -- orthogonality failure in spectrum pair: pair (0, 4)",
+        "[ok] suffix-1 product [2]",
+    ]
 
 
 def reduce_r_to_1(f):
