@@ -338,6 +338,7 @@ def cmd_verify_jp(args) -> Outcome:
     form = load_form(args.form)
     if not isinstance(form, OneStageForm):
         raise InputError("verify-jp expects a one-stage form")
+    measure.check_frame_sum_size(form, args.levels, args.grid, candidate=True)
     scale = args.scale
     try:
         cand = measure.build_spectrum(
@@ -388,9 +389,8 @@ def cmd_check_lemma42(args) -> Outcome:
     form = load_form(args.form)
     if not isinstance(form, OneStageForm):
         raise InputError("check-lemma42 expects a one-stage form")
+    measure.check_frame_sum_size(form, args.p, args.grid)
     worst = 0.0
-    # largest p first: an aggregate over measure.POINT_LIMIT is refused
-    # before any level is checked
     for p in range(args.p, 0, -1):
         try:
             dev = measure.finite_level_identity_check(form, p, measure.chebyshev_grid(args.grid))

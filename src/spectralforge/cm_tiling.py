@@ -359,7 +359,8 @@ def modulo_spec(base, parts, t_indices, ells, zshifts=None) -> ModuloProductForm
 def spec_kernels(spec: ModuloProductFormSpec) -> tuple[KernelData, ...]:
     """Kernel data for every level; validates coverage and index divisibility."""
     e_all = direct_sum_digits(*[p.digits for p in spec.parts])
-    mask = MaskPolynomial.from_digits(tuple(x - min(e_all) for x in e_all))
+    low = min(e_all)
+    mask = MaskPolynomial.from_digits(tuple(x - low for x in e_all))
     for d in spec.t_indices:
         if not has_cyclotomic_factor(mask, d):
             raise ValueError(f"Phi_{d} does not divide the mask of the full direct sum")

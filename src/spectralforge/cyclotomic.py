@@ -6,7 +6,13 @@ but only a handful of terms.  Every decision (vanishing sums, cyclotomic
 divisibility with multiplicity, kernel divisibility, factorization) is
 exact integer arithmetic with no floating-point step: each comes down to
 whether an integer combination of n-th roots of unity vanishes, decided
-by one tensor-basis reduction (``_vanishes``).
+by one test (``_vanishes``) that works one prime power of n at a time.
+With n = p^a * m and p not dividing m, Q(zeta_n) is Q(zeta_m)(zeta_(p^a))
+and zeta_(p^a) keeps its minimal polynomial Phi_p(x^(p^(a-1))) over
+Q(zeta_m); so a sum vanishes iff, grouped by exponent mod p^a, its groups
+agree in p-tuples along each class mod p^(a-1), each comparison being a
+smaller sum over Z_m.  The test stops at the first part that cannot
+vanish, and its cost follows the number of terms, never p.
 
 Phi_d denotes the d-th cyclotomic polynomial, the minimal polynomial of
 exp(2*pi*i/d) over the rationals.
@@ -157,8 +163,7 @@ def _divmod_dense(num: list[int], den: list[int]) -> tuple[list[int], list[int]]
         if r != 0:
             return None
         quot[i - dn] = q
-        for j, d in enumerate(den):
-            num[i - dn + j] -= q * d
+        num[i - dn : i + 1] = [a - q * d for a, d in zip(num[i - dn : i + 1], den)]
     while num and num[-1] == 0:
         num.pop()
     while quot and quot[-1] == 0:
@@ -253,8 +258,10 @@ def _radical(n: int) -> int:
 def cyclotomic_poly(d: int) -> MaskPolynomial:
     """Exact coefficients of Phi_d.
 
-    Squarefree indices go through the recursive division
-    x^d - 1 = prod over e | d of Phi_e; other indices use
+    Squarefree indices d > 1 use the Moebius form
+    Phi_d(x) = prod over e | d of (1 - x^e)^mu(d/e), as a power series cut
+    at degree phi(d): each factor 1 - x^e or its inverse 1 + x^e + x^2e + ...
+    costs one pass over phi(d) + 1 coefficients.  Other indices use
     Phi_d(x) = Phi_rad(d)(x^(d/rad)).
     """
     if d < 1:
@@ -264,11 +271,18 @@ def cyclotomic_poly(d: int) -> MaskPolynomial:
     rad = _radical(d)
     if rad != d:
         return cyclotomic_poly(rad).compose_power(d // rad)
-    poly = MaskPolynomial(((0, -1), (d, 1)))  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            poly = exact_quotient(poly, cyclotomic_poly(e))
-    return poly
+    primes = [p for p, _ in factorize(d)]
+    coeffs = [1] + [0] * euler_phi(d)
+    for mask in range(1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+        e = d // math.prod(chosen)  # mu(d/e) = (-1)^len(chosen)
+        if len(chosen) % 2:  # divide by 1 - x^e
+            for i in range(e, len(coeffs)):
+                coeffs[i] += coeffs[i - e]
+        else:  # multiply by 1 - x^e
+            for i in range(len(coeffs) - 1, e - 1, -1):
+                coeffs[i] -= coeffs[i - e]
+    return MaskPolynomial.from_dense(coeffs)
 
 
 def euler_phi(n: int) -> int:
@@ -309,40 +323,66 @@ _ORDER_MEMO_SIZE = 1024
 
 
 def _vanishes(counts: dict[int, int], n: int) -> bool:
-    """Exact test: sum of counts[r] * zeta_n^r == 0.
+    """Exact test: sum of counts[r] * zeta_n^r == 0, decided prime by prime.
 
-    Writes the value in the tensor power basis of Q(zeta_n) as the tensor
-    product over prime powers p^a of Q(zeta_{p^a}), keyed by the CRT
-    coordinates (r mod p^a, ...).  Along each axis the only relation is
-    that the p coordinates u + v*p^(a-1), v < p, sum against
-    1 + eta + ... + eta^(p-1) = 0, so moving each top coordinate
-    (v = p - 1) onto the other p - 1 expresses the value in an actual
-    basis; it vanishes iff every resulting coefficient is zero.  The dict
-    holds only nonzero terms and Python ints, so the cost follows the
-    number of terms, not n, and nothing overflows.
+    Write n = p^a * m with p the largest prime factor, so p does not
+    divide m.  By the CRT, zeta_n^r may be replaced by
+    zeta_(p^a)^(r mod p^a) * zeta_m^(r mod m): that is r -> zeta_n^(k*r)
+    for a unit k, a Galois conjugate, which vanishes iff the sum does.
+    Grouping the terms by u = r mod p^a writes the sum as
+    sum over u of zeta_(p^a)^u * X_u, each X_u = sum of c * zeta_m^(r mod m)
+    in Q(zeta_m).  Q(zeta_(p^a)) and Q(zeta_m) are linearly disjoint, so
+    zeta_(p^a) keeps its minimal polynomial Phi_(p^a)(x) = Phi_p(x^(p^(a-1)))
+    over Q(zeta_m), and the sum vanishes iff Phi_(p^a) divides
+    sum of X_u * x^u.  The multiples of degree below p^a are
+    g(x) * Phi_p(x^(p^(a-1))) with deg g < p^(a-1): one relation per class
+    u0 mod p^(a-1), whose p groups u0 + v*p^(a-1), v < p, must hold equal
+    values.  A class with an empty group needs each of its groups to
+    vanish alone; a full class needs each X_v - X_w to vanish, w its
+    group with fewest terms.  Each of these is a sum over Z_m, decided the
+    same way on the next prime; at m = 1 it is an integer.  The first
+    part that cannot vanish decides, and a single nonzero term never
+    vanishes.  Only full classes loop over their p groups, so the cost
+    follows the number of terms, never n or p, and Python ints never
+    overflow.
     """
-    fac = factorize(n)
-    moduli = [p**a for p, a in fac]
-    tensor: dict[tuple[int, ...], int] = {}
+    reduced: dict[int, int] = {}
     for r, c in counts.items():
-        key = tuple(r % m for m in moduli)
-        tensor[key] = tensor.get(key, 0) + c
-    for axis, (p, a) in enumerate(fac):
-        sub = p ** (a - 1)
-        top = (p - 1) * sub
-        reduced: dict[tuple[int, ...], int] = {}
-        for key, c in tensor.items():
-            if not c:
-                continue
-            u = key[axis]
-            if u < top:
-                reduced[key] = reduced.get(key, 0) + c
-                continue
-            for v in range(p - 1):
-                moved = key[:axis] + (u - top + v * sub,) + key[axis + 1 :]
-                reduced[moved] = reduced.get(moved, 0) - c
-        tensor = reduced
-    return not any(tensor.values())
+        reduced[r % n] = reduced.get(r % n, 0) + c
+    return _vanishes_over(reduced, n, factorize(n))
+
+
+def _vanishes_over(counts: dict[int, int], n: int, fac: tuple[tuple[int, int], ...]) -> bool:
+    """``_vanishes`` on distinct residues mod n = product of ``fac``."""
+    terms = [(r, c) for r, c in counts.items() if c]
+    if len(terms) < 2:
+        return not terms
+    (p, a), rest = fac[-1], fac[:-1]
+    q = p**a
+    sub, m = q // p, n // q
+    groups: dict[int, dict[int, int]] = {}
+    for r, c in terms:
+        group = groups.setdefault(r % q, {})
+        group[r % m] = group.get(r % m, 0) + c
+    classes: dict[int, list[dict[int, int]]] = {}
+    for u, group in groups.items():
+        classes.setdefault(u % sub, []).append(group)
+    for members in classes.values():
+        if len(members) < p:
+            parts = members
+        else:
+            pivot = min(members, key=len)
+            parts = (_minus(group, pivot) for group in members if group is not pivot)
+        if not all(_vanishes_over(part, m, rest) for part in parts):
+            return False
+    return True
+
+
+def _minus(group: dict[int, int], pivot: dict[int, int]) -> dict[int, int]:
+    """group - pivot, in place."""
+    for w, c in pivot.items():
+        group[w] = group.get(w, 0) - c
+    return group
 
 
 def has_cyclotomic_factor(poly: MaskPolynomial, d: int, multiplicity: int = 1) -> bool:
@@ -351,7 +391,7 @@ def has_cyclotomic_factor(poly: MaskPolynomial, d: int, multiplicity: int = 1) -
     Phi_d is irreducible, so this holds iff zeta_d is a root of poly of
     multiplicity >= m, i.e. iff (x d/dx)^j poly = sum of c * e^j * x^e
     vanishes at zeta_d for every j < m.  Each value is decided by the
-    tensor-basis test, which reads exponents mod d itself, so no fold or
+    prime-by-prime test, which reads exponents mod d itself, so no fold or
     division is needed whatever the degree.
     """
     return all(
@@ -367,7 +407,7 @@ def vanishing_sum_test(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:
     conjugate sigma_u(D(zeta_m)); sigma_u is a field automorphism, so the
     sum vanishes iff D(zeta_m) = sum of zeta_m^(d mod m) does.  The verdict
     depends on (D, m) alone and is decided once per pair by the
-    tensor-basis test, in a bounded memo keyed on the full digit tuple.
+    prime-by-prime test, in a bounded memo keyed on the full digit tuple.
     t = 0 (mod n) gives m = 1, where the sum is |D|; an empty D vanishes.
     ``vanishing_by_division`` is the direct divisibility form, kept as the
     independent oracle.
@@ -484,7 +524,8 @@ def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
 
 @dataclass(frozen=True)
 class KernelData:
-    """K^(j) together with both computations of its modulus.
+    """The cyclotomic factorization of K^(j) and both computations of its
+    modulus.
 
     ``n_j`` is the defining value: the lcm of the cyclotomic indices of
     K^(j).  ``n_j_scaled`` is the alternative expression m_j * N^(l_1+..+l_j);
@@ -493,11 +534,19 @@ class KernelData:
     specs), and ``n_j`` always divides ``n_j_scaled``.
     """
 
-    poly: MaskPolynomial
     n_j: int
     n_j_scaled: int
     m_j: int
     cyclotomic_indices: tuple[tuple[int, int], ...]  # factorization of K^(j)
+
+    @property
+    def poly(self) -> MaskPolynomial:
+        """K^(j) itself, the product of Phi_e^m over ``cyclotomic_indices``;
+        multiplied out only here, since no decision reads it."""
+        out = MaskPolynomial.one()
+        for e, m in self.cyclotomic_indices:
+            out = out * cyclotomic_poly(e) ** m
+        return out
 
 
 def kernel_polynomial(
@@ -510,10 +559,12 @@ def kernel_polynomial(
     """K^(j)(x) = prod over i <= j, d in S_i of Phi_d(x^(N^(l_1+...+l_i))).
 
     S_i collects the indices d in the target set (d > 1) whose Phi_d divides
-    the mask of factor i.  n_j is computed two independent ways: as the lcm
-    of the cyclotomic indices of K^(j) (obtained structurally, without
-    factoring), and as m_j * N^(l_1+...+l_j); both must agree.  When j is
-    the top level the union of the S_i must cover the whole target set.
+    the mask of factor i.  K^(j) is kept as its cyclotomic indices (obtained
+    structurally, without factoring or multiplying); ``KernelData.poly``
+    multiplies it out on demand.  n_j is computed two independent ways: as
+    the lcm of those indices, and as m_j * N^(l_1+...+l_j); both must agree.
+    When j is the top level the union of the S_i must cover the whole
+    target set.
     """
     k = len(e_parts) - 1
     if not 0 <= j <= k:
@@ -533,12 +584,10 @@ def kernel_polynomial(
         raise CoverageFailure(
             f"factor index sets cover {sorted(covered)} but target is {sorted(t_set)}"
         )
-    poly = MaskPolynomial.one()
     indices: dict[int, int] = {}
     for i in range(j + 1):
         scale = n ** sum(ells[:i])
         for d in s_sets[i]:
-            poly = poly * cyclotomic_poly(d).compose_power(scale)
             for e, m in compose_cyclotomic_indices(d, scale).items():
                 indices[e] = indices.get(e, 0) + m
     n_j_structural = math.lcm(*(e for e in indices if e > 1))
@@ -550,7 +599,6 @@ def kernel_polynomial(
             f"({n_j_structural} vs {n_j_scaled})"
         )
     return KernelData(
-        poly=poly,
         n_j=n_j_structural,
         n_j_scaled=n_j_scaled,
         m_j=m_j,

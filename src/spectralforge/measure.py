@@ -266,14 +266,38 @@ def rational_grid(base: int) -> list[Fraction]:
 # of |T|: on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42 --p 8 takes
 # 2.4 s and --p 9 18 s, verify-jp --levels 8 4 s and --levels 9 15 s.
 POINT_LIMIT = 1 << 17
+# Most (point, sample) pairs a frame-sum run may evaluate: the top-level
+# points times the --grid samples of verify-jp or check-lemma42.  On
+# fd24-1-4-1-1 (2-core x86) verify-jp --levels 5 takes 1.8 s at --grid 256,
+# 6.1 s at --grid 512 (2^20 pairs) and 17 s at --grid 1024; check-lemma42
+# takes 0.5 s at --p 7 and 2.6 s at --p 8 with its 64 samples.  The limit
+# does not bound verify-jp on few points and many samples: its exact sample
+# rows share one common denominator, so --levels 1 --grid 4096 (2^15
+# pairs) takes 13 s.
+SAMPLE_LIMIT = 1 << 20
 
 
-def _refuse_above_point_limit(what: str, t: int, exp: int, factor: int = 1) -> None:
-    """Raise PointLimitExceeded if factor * t^exp points exceed POINT_LIMIT;
-    the power is capped first, so a huge exp costs nothing."""
-    if factor * t ** min(exp, POINT_LIMIT.bit_length()) > POINT_LIMIT:
-        size = f"{factor} * {t}^{exp}" if factor > 1 else f"{t}^{exp}"
+def check_frame_sum_size(
+    form: OneStageForm, level: int, samples: int = 1, candidate: bool = False
+) -> None:
+    """Raise PointLimitExceeded, before any work, when the level-``level``
+    point set of ``form`` holds more than POINT_LIMIT points, or more than
+    SAMPLE_LIMIT (point, sample) pairs with ``samples`` samples.  The set is
+    the aggregate of |T|^level points, T the anchored spectrum, or with
+    ``candidate`` the built spectrum's top level of |L2| * |T|^level.  The
+    power is capped first, so a huge level costs nothing."""
+    t = len(_anchored_spectrum(form))
+    factor = len(form.l2) if candidate else 1
+    points = factor * t ** min(level, POINT_LIMIT.bit_length())
+    what = f"the level-{level} {'candidate' if candidate else 'aggregate'}"
+    size = f"{factor} * {t}^{level}" if factor > 1 else f"{t}^{level}"
+    if points > POINT_LIMIT:
         raise PointLimitExceeded(f"{what} would hold {size} points, above POINT_LIMIT = {POINT_LIMIT}")
+    if points * samples > SAMPLE_LIMIT:
+        raise PointLimitExceeded(
+            f"{what} would hold {size} points for {samples} samples, "
+            f"above SAMPLE_LIMIT = {SAMPLE_LIMIT} pairs"
+        )
 
 
 def _anchored_spectrum(form: OneStageForm) -> tuple[int, ...]:
@@ -296,7 +320,8 @@ def finite_level_identity_check(
     level-p spectrum aggregate, the weighted truncated-transform sum over
     the aggregate must equal the averaged squared masks of the B-sets at
     the base point, for every s.  Returns max |LHS - RHS|.  An aggregate of
-    more than POINT_LIMIT points raises PointLimitExceeded before any work.
+    more than POINT_LIMIT points, or of more than SAMPLE_LIMIT pairs with
+    the samples, raises PointLimitExceeded before any work.
     The samples are the kernel's float rows, the aggregate its exact columns,
     and M_B((xi + gamma)/N^p) the transform of the depth-1 measure (N^p, B).
     """
@@ -304,9 +329,9 @@ def finite_level_identity_check(
         raise ValueError("identity check needs a form with r = 1")
     if not is_normalized(form):
         raise ValueError("identity check needs a normalized form (0 in B_s, gcd 1)")
+    check_frame_sum_size(form, p, len(xi_samples))
     n = form.base
     anchored = _anchored_spectrum(form)
-    _refuse_above_point_limit(f"the level-{p} aggregate", len(anchored), p)
     d_set = expand_one_stage(form)
     gamma = stacked_digits(anchored, n, p)
     if tilde_shifts is not None:
@@ -395,9 +420,9 @@ def build_spectrum(
         raise ValueError("spectrum construction needs a normalized form")
     if levels < 0:
         raise ValueError("levels must be >= 0")
+    check_frame_sum_size(form, levels, candidate=True)
     n = form.base
     anchored = _anchored_spectrum(form)
-    _refuse_above_point_limit(f"the level-{levels} candidate", len(anchored), levels, len(form.l2))
     d_set = expand_one_stage(form)
     b_list = form.b_list()
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))

@@ -61,6 +61,21 @@ def test_check_hadamard_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_hadamard_on_a_large_prime_base_is_fast(tmp_path, capsys):
+    """The prime base 10^12 + 39 with the digit -1 mod it: the vanishing
+    test sees both digits in one class of fewer than p groups and stops
+    there, so the cost does not follow p."""
+    base = 10**12 + 39
+    d = _write(tmp_path, "d.json", {"digits": ["0", str(base - 1)]})
+    l = _write(tmp_path, "l.json", {"digits": ["0", "1"]})
+    t0 = time.perf_counter()
+    code = _run(["check-hadamard", "--base", str(base), "--digits", d, "--spectrum", l])
+    took = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["failure"]["kind"] == "OrthogonalityFailure"
+    assert took < 2.0, took
+
+
 def test_find_spectrum_exit_codes(tmp_path, capsys):
     d24 = _write(tmp_path, "d24.json", {"base": 24, "digits": ["0", "1", "16", "17"]})
     assert _run(["find-spectrum", "--base", "24", "--digits", d24]) == 1
@@ -337,6 +352,7 @@ def _over_limit_inputs(tmp_path):
     d01 = _write(tmp_path, "d01.json", {"digits": ["0", "1"]})
     l05 = _write(tmp_path, "l05.json", {"digits": ["0", "5"]})
     points = f"POINT_LIMIT = {measure.POINT_LIMIT}"
+    samples = f"SAMPLE_LIMIT = {measure.SAMPLE_LIMIT} pairs"
     digits = f"DIGIT_LIMIT = {productform.DIGIT_LIMIT}"
     base = "BASE_LIMIT = 2^256"
     tiles = f"PAQ_LIMIT = {cm_tiling.PAQ_LIMIT}"
@@ -355,6 +371,15 @@ def _over_limit_inputs(tmp_path):
         ("lemma42-p-huge", ["check-lemma42", "--form", spec, "--p", str(10**9)], f"4^{10**9} points", points),
         ("jp-levels-9", ["verify-jp", "--form", spec, "--levels", "9"], "2 * 4^9 points", points),
         ("jp-levels-huge", ["verify-jp", "--form", spec, "--levels", str(10**9)], f"2 * 4^{10**9} points", points),
+        ("lemma42-p-8", ["check-lemma42", "--form", spec, "--p", "8"], "4^8 points for 64 samples", samples),
+        ("lemma42-grid-2^70", ["check-lemma42", "--form", spec, "--grid", str(2**70)],
+         f"4^2 points for {2**70} samples", samples),
+        ("jp-grid-1024", ["verify-jp", "--form", spec, "--levels", "5", "--grid", "1024"],
+         "2 * 4^5 points for 1024 samples", samples),
+        ("jp-grid-2^20", ["verify-jp", "--form", spec, "--grid", str(2**20)], f"2 * 4^4 points for {2**20} samples",
+         samples),
+        ("jp-grid-2^70", ["verify-jp", "--form", spec, "--grid", str(2**70)], f"2 * 4^4 points for {2**70} samples",
+         samples),
         ("reduce-paq-ii-1-2", ["reduce-kstage", "--spec", paq], "24^5 digits", digits),
         ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
         ("reduce-one-digit-k-1000", ["reduce-kstage", "--spec", single, "--k", "1000"], "2^1000", base),
@@ -398,8 +423,10 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
         assert f" {size}" in error["message"], name
         assert limit in error["message"], name
         assert took < 1.0, (name, took)
-    # the frame-sums benchmark inputs (--p 3, --levels 5) stay far below
+    # the frame-sums benchmark inputs (--p 3 with 64 samples, --levels 5
+    # with --grid 8) stay far below
     assert 64 * 2 * 4**5 <= measure.POINT_LIMIT
+    assert 4**3 * 64 <= measure.SAMPLE_LIMIT and 2 * 4**5 * 8 <= measure.SAMPLE_LIMIT
     # and so do the benchmark's and acceptance 6's reductions (Z_72 at k = 2)
     # and the invalid N = 12 form of the tier-1 tests (12^4 digits)
     assert 72**2 < 12**4 <= productform.DIGIT_LIMIT

@@ -19,7 +19,14 @@ from spectralforge.cm_tiling import (
     spec_kernels,
     tile_complement,
 )
-from spectralforge.cyclotomic import MaskPolynomial, divides, euler_phi, factorize
+from spectralforge.cyclotomic import (
+    MaskPolynomial,
+    cyclotomic_poly,
+    divides,
+    euler_phi,
+    factorize,
+    has_cyclotomic_factor,
+)
 from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import (
     InvalidVariantParams,
@@ -240,6 +247,23 @@ def test_kernel_divisibility_certificate_all_variants():
             assert res.report.ok
             n = p**alpha * q
             assert len(res.digits) == n
+
+
+def test_kernel_poly_equals_the_eagerly_composed_product():
+    """KernelData.poly multiplies out the cyclotomic indices; on the
+    acceptance-7 shapes it equals the product K^(j) of the
+    Phi_d(x^(N^(l_1+..+l_i))) over i <= j and d in S_i, at every level."""
+    for (p, q, alpha) in ((2, 3, 2), (2, 3, 3), (3, 2, 2)):
+        for variant in ("i", "ii", "iii"):
+            spec = paq_type_generator(p, q, alpha, variant).spec_generated
+            masks = [MaskPolynomial.from_digits(part.digits) for part in spec.parts]
+            s_sets = [[d for d in spec.t_indices if d > 1 and has_cyclotomic_factor(mask, d)] for mask in masks]
+            eager = MaskPolynomial.one()
+            for j, kernel in enumerate(spec_kernels(spec)):
+                scale = spec.base ** sum(spec.ells[:j])
+                for d in s_sets[j]:
+                    eager = eager * cyclotomic_poly(d).compose_power(scale)
+                assert kernel.poly == eager, (p, q, alpha, variant, j)
 
 
 def test_four_digit_set_as_modulo_form_matches_construction():

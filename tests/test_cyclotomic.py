@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import mpmath
 import pytest
@@ -163,7 +164,7 @@ def test_vanishing_sum_against_division_route():
                     t,
                     n,
                 )
-    # Phi_d^m | P by the same tensor-basis test against exact division, on
+    # Phi_d^m | P by the same prime-by-prime test against exact division, on
     # 0/1 masks, signed polynomials and products with known repeated factors
     polys = [MaskPolynomial.from_digits((0, 2, 6, 8))]
     for _ in range(8):
@@ -205,6 +206,73 @@ def test_order_memo_matches_division():
             vanishing += got
     assert vanishing > 1000
     assert cyclotomic._vanishes_at_order.cache_info().hits > 0
+
+
+def _polygon_sum(n, rng, top):
+    """A signed sum of rotated regular p-gons {rot + v*n/p : v < p}, p | n,
+    as {residue mod n: coefficient}; it vanishes at zeta_n.  Without
+    ``top``, p is never the largest prime factor of n; with it, the first
+    p-gon is one."""
+    primes = [p for p, _ in cyclotomic.factorize(n)]
+    counts = {}
+    for k in range(rng.randrange(1, 5)):
+        p = primes[-1] if top and not k else rng.choice(primes[: None if top else -1])
+        rot, c = rng.randrange(n), rng.choice((1, 2, -1, -3))
+        for v in range(p):
+            r = (rot + v * (n // p)) % n
+            counts[r] = counts.get(r, 0) + c
+    return {r: c for r, c in counts.items() if c}
+
+
+def _top_branches(counts, n):
+    """Which branches the first prime step of the exact test takes: the
+    terms grouped mod p^a (p the largest prime of n), and the groups of each
+    class mod p^(a-1) counted; (some class has fewer than p, some has p)."""
+    p, a = cyclotomic.factorize(n)[-1]
+    occupied = Counter(u % p ** (a - 1) for u in {r % p**a for r in counts})
+    return any(k < p for k in occupied.values()), any(k == p for k in occupied.values())
+
+
+def test_prime_by_prime_branches_against_division():
+    """Signed sums of rotated regular p-gons at n = 210, 360, 2310 vanish;
+    each copy with one term added does not.  vanishing_sum_test (signs as
+    half turns, n being even) agrees with division by Phi_n, and
+    has_cyclotomic_factor with exact division by Phi_n^m for m = 1..3 (each
+    factor 1 + x^(n/2) adds one to the multiplicity).  Every n and both
+    kinds take the fewer-than-p branch and the all-p branch."""
+    rng = random.Random(64)
+    for n, count, factors in ((210, 8, 2), (360, 6, 2), (2310, 2, 0)):
+        phi_powers = [cyclotomic_poly(n) ** m for m in range(1, factors + 2)]
+        seen = {True: set(), False: set()}
+        for i in range(count):
+            vanishing = _polygon_sum(n, rng, top=i % 2 == 0)
+            perturbed = dict(vanishing)
+            r = rng.randrange(n)
+            perturbed[r] = perturbed.get(r, 0) + 1
+            for counts, want in ((vanishing, True), (perturbed, False)):
+                counts = {r: c for r, c in counts.items() if c}
+                seen[want].update(b for b, hit in zip(("fewer", "all"), _top_branches(counts, n)) if hit)
+                digits = [r if c > 0 else r + n // 2 for r, c in counts.items() for _ in range(abs(c))]
+                t = rng.choice((1, 13, 17, 19, 23))  # a unit mod n
+                assert vanishing_sum_test(digits, t, n) == want == vanishing_by_division(digits, t, n)
+                poly = MaskPolynomial(tuple(counts.items()))
+                for k in range(factors + 1):
+                    for m, phi_m in enumerate(phi_powers, 1):
+                        got = has_cyclotomic_factor(poly, n, m)
+                        assert got == divides(phi_m, poly) == (m <= k + want), (n, counts, k, m)
+                    poly = poly * MaskPolynomial(((0, 1), (n // 2, 1)))
+        assert seen == {True: {"fewer", "all"}, False: {"fewer", "all"}}, n
+    # the empty sum vanishes; a single term never does; 1 + zeta_(p^a),
+    # p^a the power of the smallest prime, the one decided last, vanishes
+    # only for p^a = 2
+    for n in (210, 360, 2310):
+        p, a = cyclotomic.factorize(n)[0]
+        assert vanishing_sum_test((0, n // p**a), 1, n) == (p**a == 2)
+        assert vanishing_sum_test((), 1, n) and vanishing_by_division((), 1, n)
+        assert has_cyclotomic_factor(MaskPolynomial.zero(), n, 3)
+        for r in (0, 1, n - 1, 5 * n + 3):
+            assert not vanishing_sum_test((r,), 1, n) and not vanishing_by_division((r,), 1, n)
+            assert not has_cyclotomic_factor(MaskPolynomial(((r, 2),)), n)
 
 
 def test_order_memo_stays_bounded():
@@ -263,6 +331,18 @@ def test_candidate_indices_match_totient_bound():
     phi = [0] + [euler_phi(d) for d in range(1, 2 * 150 * 150 + 2)]
     for m in range(1, 151):
         assert _candidate_indices(m) == [d for d in range(1, 2 * m * m + 2) if phi[d] <= m], m
+
+
+def test_cyclotomic_poly_divisor_products():
+    """x^n - 1 is the product of Phi_d over d | n, which fixes every Phi_d
+    in turn; here against the Moebius construction, for n <= 240 and for
+    n = 2310 (five primes)."""
+    for n in [*range(1, 241), 2310]:
+        prod = MaskPolynomial.one()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * cyclotomic_poly(d)
+        assert prod == MaskPolynomial(((0, -1), (n, 1))), n
 
 
 def test_compose_cyclotomic_indices():
