@@ -22,7 +22,7 @@ from typing import Any, Sequence
 from . import cm_tiling, measure
 from .cyclotomic import cyclotomic_factorization, MaskPolynomial
 from .digitsets import DigitSet
-from .errors import InputError, InvalidVariantParams, SpectralForgeError
+from .errors import InputError, InvalidVariantParams, PointLimitExceeded, SpectralForgeError
 from .hadamard import check_triple, find_spectra
 from .productform import (
     KStageForm,
@@ -155,10 +155,13 @@ _BUILD_ERRORS = (SpectralForgeError, LookupError, TypeError, ValueError, Attribu
 
 
 def _load(path: str, what: str, build):
-    """build(obj) on the JSON in ``path``; a failure to build is an input error."""
+    """build(obj) on the JSON in ``path``; a failure to build is an input
+    error, except a size above a named limit, which stays PointLimitExceeded."""
     obj = load_json(path)
     try:
         return build(obj)
+    except PointLimitExceeded:
+        raise
     except _BUILD_ERRORS as exc:
         raise InputError(f"{path}: bad {what}: {exc}") from exc
 

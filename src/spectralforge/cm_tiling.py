@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import (
@@ -32,6 +31,7 @@ from .cyclotomic import (
     factorize,
     has_cyclotomic_factor,
     kernel_polynomial,
+    vanishing_sum_test,
 )
 from .digitsets import DigitSet, _expand_layers, direct_sum_digits
 from .errors import (
@@ -59,11 +59,6 @@ def is_prime(n: int) -> bool:
     return factorize(n) == ((n, 1),)
 
 
-def _prime_power_base(s: int) -> int | None:
-    f = factorize(s)
-    return f[0][0] if len(f) == 1 else None
-
-
 # ---------------------------------------------------------------------------
 # Profiles.
 
@@ -80,40 +75,33 @@ class CMProfile:
 
 def cm_profile(a: DigitSet, n: int) -> CMProfile:
     """Divisibility profile of A mod N with the explicit spectrum when both
-    conditions hold.  The spectrum is certified through verify_triple before
-    being emitted; emission without certification is a bug, not an option.
+    conditions hold.  The prime powers s | N are read from the
+    factorization of N, and each "Phi_s divides the mask" question, T2's
+    products included, is asked of ``vanishing_sum_test``: Phi_s divides
+    the mask of the residues iff the sum of zeta_s^r over them vanishes.
+    The spectrum is certified through verify_triple before being emitted;
+    emission without certification is a bug, not an option.
     """
     residues = tuple(sorted({d % n for d in a.digits}))
-    mask = MaskPolynomial.from_digits(residues)
-    s_indices = tuple(
-        s
-        for s in _divisors(n)
-        if s > 1 and _prime_power_base(s) is not None and has_cyclotomic_factor(mask, s)
-    )
-    expected = 1
-    for s in s_indices:
-        expected *= _prime_power_base(s)
-    t1 = mask.evaluate_int(1) == expected
+    by_prime: dict[int, list[int]] = {}  # prime -> its powers s in S_A, increasing
+    for p, k in factorize(n):
+        powers = [p**e for e in range(1, k + 1) if vanishing_sum_test(residues, n // p**e, n)]
+        if powers:
+            by_prime[p] = powers
+    s_indices = tuple(sorted(s for powers in by_prime.values() for s in powers))
+    expected = math.prod(p ** len(powers) for p, powers in by_prime.items())
+    t1 = len(residues) == expected
     t1_detail = f"|A mod N| = {len(residues)} vs product {expected}"
 
-    t2 = True
-    t2_detail = ""
-    by_prime: dict[int, list[int]] = {}
-    for s in s_indices:
-        by_prime.setdefault(_prime_power_base(s), []).append(s)
-    primes = sorted(by_prime)
-    for r in range(2, len(primes) + 1):
-        for chosen in itertools.combinations(primes, r):
-            for combo in itertools.product(*[by_prime[p] for p in chosen]):
-                idx = math.prod(combo)
-                if not has_cyclotomic_factor(mask, idx):
-                    t2 = False
-                    t2_detail = f"Phi_{idx} (from {combo}) does not divide the mask"
-                    break
-            if not t2:
-                break
-        if not t2:
-            break
+    combos = (
+        combo
+        for r in range(2, len(by_prime) + 1)
+        for chosen in itertools.combinations(by_prime.values(), r)
+        for combo in itertools.product(*chosen)
+    )
+    failed = next((c for c in combos if not vanishing_sum_test(residues, n // math.prod(c), n)), None)
+    t2 = failed is None
+    t2_detail = "" if t2 else f"Phi_{math.prod(failed)} (from {failed}) does not divide the mask"
 
     spectrum = None
     if t1 and t2:
@@ -133,10 +121,10 @@ def explicit_tiling_spectrum(s_indices: Sequence[int], n: int) -> DigitSet:
     """{sum over s of eps_s * N/s : 0 <= eps_s < prime of s}."""
     ranges = []
     for s in s_indices:
-        p = _prime_power_base(s)
-        if p is None or n % s:
+        fac = factorize(s)
+        if len(fac) != 1 or n % s:
             raise ValueError(f"{s} is not a prime power dividing {n}")
-        ranges.append([e * (n // s) for e in range(p)])
+        ranges.append([e * (n // s) for e in range(fac[0][0])])
     digits = direct_sum_digits(*ranges) if ranges else (0,)
     return DigitSet(max(n, 2), digits)
 
@@ -355,19 +343,18 @@ def modulo_spec(base, parts, t_indices, ells, zshifts=None) -> ModuloProductForm
     return ModuloProductFormSpec(base, fixed, tuple(t_indices), tuple(ells), zs)
 
 
-@lru_cache(maxsize=None)
 def spec_kernels(spec: ModuloProductFormSpec) -> tuple[KernelData, ...]:
-    """Kernel data for every level; validates coverage and index divisibility."""
+    """Kernel data for every level, from one ``kernel_polynomial`` pass.
+
+    Validates coverage, and that every target Phi_d divides the mask of
+    the full direct sum: ``vanishing_sum_test`` decides it on the digits as
+    they stand, since a shift only multiplies the sum by a root of unity.
+    """
     e_all = direct_sum_digits(*[p.digits for p in spec.parts])
-    low = min(e_all)
-    mask = MaskPolynomial.from_digits(tuple(x - low for x in e_all))
     for d in spec.t_indices:
-        if not has_cyclotomic_factor(mask, d):
+        if d < 2 or not vanishing_sum_test(e_all, 1, d):
             raise ValueError(f"Phi_{d} does not divide the mask of the full direct sum")
-    return tuple(
-        kernel_polynomial(list(spec.parts), spec.t_indices, list(spec.ells), spec.base, j)
-        for j in range(spec.stages + 1)
-    )
+    return kernel_polynomial(spec.parts, spec.t_indices, spec.ells, spec.base)
 
 
 def _modulo_stages(spec: ModuloProductFormSpec, kernels: Sequence[KernelData]):

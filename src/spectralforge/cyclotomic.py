@@ -122,9 +122,6 @@ class MaskPolynomial:
             raise ValueError("power substitution needs s >= 1")
         return MaskPolynomial(tuple((e * s, c) for e, c in self.terms))
 
-    def evaluate_int(self, x: int) -> int:
-        return sum(c * x**e for e, c in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -554,53 +551,41 @@ def kernel_polynomial(
     t_indices: Iterable[int],
     ells: Sequence[int],
     n: int,
-    j: int,
-) -> KernelData:
-    """K^(j)(x) = prod over i <= j, d in S_i of Phi_d(x^(N^(l_1+...+l_i))).
+) -> tuple[KernelData, ...]:
+    """K^(0), ..., K^(k) from one pass, where
+    K^(j)(x) = prod over i <= j, d in S_i of Phi_d(x^(N^(l_1+...+l_i))).
 
-    S_i collects the indices d in the target set (d > 1) whose Phi_d divides
-    the mask of factor i.  K^(j) is kept as its cyclotomic indices (obtained
-    structurally, without factoring or multiplying); ``KernelData.poly``
-    multiplies it out on demand.  n_j is computed two independent ways: as
-    the lcm of those indices, and as m_j * N^(l_1+...+l_j); both must agree.
-    When j is the top level the union of the S_i must cover the whole
-    target set.
+    S_i collects the indices d > 1 of the target set with Phi_d dividing the
+    mask of factor i, each decided once by ``vanishing_sum_test`` (Phi_d
+    divides the mask of E iff the sum of zeta_d^e over E vanishes); their
+    union must cover the target set.  K^(j) extends K^(j-1) by level j's
+    indices, kept as cyclotomic indices (obtained structurally, without
+    factoring or multiplying); ``KernelData.poly`` multiplies one out on
+    demand.  n_j, the lcm of those indices, must divide the independently
+    computed m_j * N^(l_1+...+l_j).
     """
-    k = len(e_parts) - 1
-    if not 0 <= j <= k:
-        raise ValueError(f"level j={j} out of range 0..{k}")
-    if len(ells) != k:
+    if len(ells) != len(e_parts) - 1:
         raise ValueError("need one scale exponent per stage")
     t_set = {int(d) for d in t_indices}
-    masks = []
-    for part in e_parts:
-        digits = part.digits if isinstance(part, DigitSet) else tuple(part)
-        masks.append(MaskPolynomial.from_digits(digits))
-    s_sets = []
-    for mask in masks:
-        s_sets.append(tuple(sorted(d for d in t_set if d > 1 and has_cyclotomic_factor(mask, d))))
-    covered = set().union(*map(set, s_sets)) if s_sets else set()
-    if j == k and covered != t_set:
+    s_sets = [
+        sorted(d for d in t_set if d > 1 and vanishing_sum_test(part, 1, d)) for part in e_parts
+    ]
+    covered = set().union(*s_sets)
+    if covered != t_set:
         raise CoverageFailure(
             f"factor index sets cover {sorted(covered)} but target is {sorted(t_set)}"
         )
+    levels = []
     indices: dict[int, int] = {}
-    for i in range(j + 1):
-        scale = n ** sum(ells[:i])
-        for d in s_sets[i]:
+    m_j = 1
+    for j, s_set in enumerate(s_sets):
+        scale = n ** sum(ells[:j])
+        for d in s_set:
             for e, m in compose_cyclotomic_indices(d, scale).items():
                 indices[e] = indices.get(e, 0) + m
-    n_j_structural = math.lcm(*(e for e in indices if e > 1))
-    m_j = math.lcm(*(d for i in range(j + 1) for d in s_sets[i]))
-    n_j_scaled = m_j * n ** sum(ells[:j])
-    if n_j_scaled % n_j_structural:
-        raise AssertionError(
-            "kernel index lcm must divide m_j * N^L "
-            f"({n_j_structural} vs {n_j_scaled})"
-        )
-    return KernelData(
-        n_j=n_j_structural,
-        n_j_scaled=n_j_scaled,
-        m_j=m_j,
-        cyclotomic_indices=tuple(sorted(indices.items())),
-    )
+        n_j = math.lcm(*(e for e in indices if e > 1))
+        m_j = math.lcm(m_j, *s_set)
+        if m_j * scale % n_j:
+            raise AssertionError(f"kernel index lcm must divide m_j * N^L ({n_j} vs {m_j * scale})")
+        levels.append(KernelData(n_j, m_j * scale, m_j, tuple(sorted(indices.items()))))
+    return tuple(levels)

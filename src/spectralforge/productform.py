@@ -52,6 +52,25 @@ def as_layer(spec: LayerSpec | Mapping[int, DigitSet]) -> LayerSpec:
     return tuple(sorted(spec))
 
 
+# Largest scale a form may have: N^r of a one-stage form, N^(l_1+..+l_k)
+# of a staged one (both sized when the form is built, before anything is
+# expanded; at r = 10^30 validate-form ran past 10 s), and the base N^k
+# k_stage_to_one_stage builds.  The cost of a reduction grows with k even
+# when every set holds one digit: on a 2-core x86 container such a base-2
+# form takes 0.45 s as a whole process at k = 256, 1.4 s at k = 512 and
+# 5.1 s at k = 1000, and base 10^300 at k = 256 runs past 30 s.
+BASE_LIMIT = 1 << 256
+
+
+def _refuse_large_scale(what: str, base: int, power: int) -> None:
+    """Raise PointLimitExceeded if base^power is above BASE_LIMIT; the
+    power is capped first, so a huge one costs nothing."""
+    if base ** min(power, BASE_LIMIT.bit_length()) > BASE_LIMIT:
+        raise PointLimitExceeded(
+            f"{what} would be {base}^{power}, above BASE_LIMIT = 2^{BASE_LIMIT.bit_length() - 1}"
+        )
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -78,7 +97,8 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class OneStageForm:
-    """Digits expand to the union of a + N^r * B_a over a in A."""
+    """Digits expand to the union of a + N^r * B_a over a in A.  N^r above
+    BASE_LIMIT raises PointLimitExceeded."""
 
     base: int
     r: int
@@ -90,6 +110,7 @@ class OneStageForm:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("scale exponent r must be >= 0")
+        _refuse_large_scale("the scale N^r", self.base, self.r)
         keys = tuple(k for k, _ in self.b_sets)
         if sorted(keys) != sorted(self.a_set.digits):
             raise ValueError("B-sets must be keyed exactly by the digits of A")
@@ -225,7 +246,8 @@ def translate_and_gcd_normalize(
         shifts[a] = bmin
         key = a + scale * bmin
         if key in moved:
-            # possible only at r = 0, where translations can merge branches
+            # two branches can land on one key at any r: at r = 1, N = 2,
+            # A = {0, 2}, B_0 = {1, 3} and B_2 = {0, 2} both give 2
             raise OverlapError(key, a, bmin)
         moved[key] = DigitSet(n, tuple(b - bmin for b in b_set.digits))
     level0 = set()
@@ -236,14 +258,8 @@ def translate_and_gcd_normalize(
         g = math.gcd(g, x)
     if g == 0:
         g = 1
+    # each key x is in level0 (its shifted B holds 0), so g divides it
     if g > 1:
-        for x in list(moved):
-            if x % g:
-                raise ValidationFailure(
-                    ValidationReport(
-                        (CheckResult("gcd divides all shifted a-digits", False, f"digit {x}, g={g}"),)
-                    )
-                )
         moved = {
             a // g: DigitSet(n, tuple(b // g for b in b_set.digits))
             for a, b_set in moved.items()
@@ -274,7 +290,8 @@ def is_normalized(form: OneStageForm) -> bool:
 class KStageForm:
     """Layered digit set: stage j adds N^(l_1+...+l_j) * E_j(parent).
 
-    ``spectra`` lists L_0..L_k, one per level including level 0.
+    ``spectra`` lists L_0..L_k, one per level including level 0.  A top
+    scale N^(l_1+...+l_k) above BASE_LIMIT raises PointLimitExceeded.
     """
 
     base: int
@@ -290,6 +307,7 @@ class KStageForm:
             raise ValueError("need a spectrum for level 0 and for every stage")
         if any(e < 1 for e in self.ells):
             raise ValueError("stage scales must be positive")
+        _refuse_large_scale("the top stage scale N^(l_1+..+l_k)", self.base, sum(self.ells))
 
     @property
     def stages(self) -> int:
@@ -397,12 +415,6 @@ def _short(seq) -> str:
 # with 12^4 = 20,736 in 13 s, and (2,3,3,ii) with 24^4 = 331,776 in 121 s.
 DIGIT_LIMIT = 1 << 15
 
-# Largest base N^k k_stage_to_one_stage may build.  Its cost grows with k
-# even when every set holds one digit: on a 2-core x86 container such a
-# base-2 form takes 0.45 s as a whole process at k = 256, 1.4 s at k = 512
-# and 5.1 s at k = 1000, and base 10^300 at k = 256 runs past 30 s.
-BASE_LIMIT = 1 << 256
-
 
 def _normalized_levels(form: KStageForm, k: int):
     """Rewrite so every stage scale is exactly one power of N.
@@ -451,11 +463,7 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
         raise PointLimitExceeded(
             f"the one-stage form would hold {width}^{k} digits, above DIGIT_LIMIT = {DIGIT_LIMIT}"
         )
-    if form.base ** min(k, BASE_LIMIT.bit_length()) > BASE_LIMIT:
-        raise PointLimitExceeded(
-            f"the one-stage base would be {form.base}^{k}, "
-            f"above BASE_LIMIT = 2^{BASE_LIMIT.bit_length() - 1}"
-        )
+    _refuse_large_scale("the one-stage base", form.base, k)
     norm = _normalized_levels(form, k)
     n = norm.base
     big = n**k

@@ -337,9 +337,9 @@ def test_malformed_input_is_a_json_input_error(tmp_path, capsys):
 
 
 def _over_limit_inputs(tmp_path):
-    """(name, argv, size, limit) rows whose point or digit sets exceed a
-    module limit: each must end with exit 1 and a JSON error report naming
-    the size and the limit."""
+    """(name, argv, size, limit) rows whose point sets, digit sets or scales
+    exceed a module limit: each must end with exit 1 and a JSON error report
+    naming the size and the limit."""
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)  # |L1 (+) L2| = 4, |L2| = 2
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
     # 24 digits per stage over 5 levels; classify-paq emits this form
@@ -348,6 +348,11 @@ def _over_limit_inputs(tmp_path):
     # every set holds one digit, so DIGIT_LIMIT passes at any k
     single = _write(tmp_path, "one.json", {
         "base": 2, "ells": [1], "E0": ["0"], "layers": [{"constant": ["0"]}], "Ls": [["0"], ["0"]]
+    })
+    huge = str(10**30)
+    far = _write(tmp_path, "far.json", {**one_stage_to_json(f83), "r": huge})
+    far_staged = _write(tmp_path, "far-staged.json", {
+        "base": 2, "ells": [huge], "E0": ["0"], "layers": [{"constant": ["0"]}], "Ls": [["0"], ["0"]]
     })
     d01 = _write(tmp_path, "d01.json", {"digits": ["0", "1"]})
     l05 = _write(tmp_path, "l05.json", {"digits": ["0", "5"]})
@@ -383,6 +388,11 @@ def _over_limit_inputs(tmp_path):
         ("reduce-paq-ii-1-2", ["reduce-kstage", "--spec", paq], "24^5 digits", digits),
         ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
         ("reduce-one-digit-k-1000", ["reduce-kstage", "--spec", single, "--k", "1000"], "2^1000", base),
+        ("validate-one-stage-r-10^30", ["validate-form", "--spec", far], f"24^{huge}", base),
+        ("gen-one-stage-r-10^30", ["gen-product-form", "--spec", far], f"24^{huge}", base),
+        ("weakly-periodic-r-10^30", ["weakly-periodic", "--form", far], f"24^{huge}", base),
+        ("validate-staged-ell-10^30", ["validate-form", "--spec", far_staged], f"2^{huge}", base),
+        ("gen-staged-ell-10^30", ["gen-product-form", "--spec", far_staged], f"2^{huge}", base),
         ("paq-i-alpha-huge", classify(2, 3, 10**6, "i"), f"2^{10**6} * 3 digits", tiles),
         ("paq-iii-alpha-huge", classify(2, 3, 10**6, "iii"), f"2^{10**6} * 3 digits", tiles),
         ("paq-just-above", classify(2, 2053, 1, "i"), "2^1 * 2053 digits", tiles),
@@ -407,6 +417,7 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat_rational", no_work)
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
     monkeypatch.setattr(productform, "_normalized_levels", no_work)
+    monkeypatch.setattr(productform, "_expand_layers", no_work)
     monkeypatch.setattr(cm_tiling, "_scaled", no_work)
     monkeypatch.setattr(cm_tiling, "generate_modulo_product_form", no_work)
     monkeypatch.setattr(cm_tiling, "is_prime", no_work)

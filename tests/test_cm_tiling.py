@@ -26,6 +26,7 @@ from spectralforge.cyclotomic import (
     euler_phi,
     factorize,
     has_cyclotomic_factor,
+    vanishing_by_division,
 )
 from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import (
@@ -53,6 +54,64 @@ def test_cm_profile_examples():
     p0 = cm_profile(DigitSet(7, (0,)), 7)
     assert p0.s_indices == () and p0.t1 and p0.t2
     assert p0.tiling_spectrum.digits == (0,)
+
+    # negative and congruent digits count once per residue mod N
+    p30 = cm_profile(DigitSet(30, (-30, 0, 10, -10, 15, 25, 65)), 30)
+    assert p30.s_indices == (2, 3) and p30.t1 and p30.t2
+    assert p30.t1_detail == "|A mod N| = 6 vs product 6"
+    assert p30.tiling_spectrum.digits == (0, 10, 15, 20, 25, 35)
+
+    p90 = cm_profile(UNDECIDED90, 90)
+    assert p90.s_indices == (2, 3, 5) and p90.t1 and not p90.t2
+    assert p90.t2_detail == "Phi_15 (from (3, 5)) does not divide the mask"
+
+
+def _profile_by_division(digits, n):
+    """(S_A, T1, T2, T1 detail, T2 detail) of the residues of ``digits``
+    mod N, each "Phi_s divides the mask" decided by exact division."""
+    residues = sorted({d % n for d in digits})
+    prime = {s: factorize(s)[0][0] for s in _divisors(n) if len(factorize(s)) == 1}
+    s_indices = tuple(s for s in sorted(prime) if vanishing_by_division(residues, 1, s))
+    expected = math.prod(prime[s] for s in s_indices)
+    by_prime = {}
+    for s in s_indices:
+        by_prime.setdefault(prime[s], []).append(s)
+    t2_detail = ""
+    for r in range(2, len(by_prime) + 1):
+        for chosen in itertools.combinations(sorted(by_prime), r):
+            for combo in itertools.product(*(by_prime[p] for p in chosen)):
+                if not t2_detail and not vanishing_by_division(residues, 1, math.prod(combo)):
+                    t2_detail = f"Phi_{math.prod(combo)} (from {combo}) does not divide the mask"
+    t1_detail = f"|A mod N| = {len(residues)} vs product {expected}"
+    return s_indices, len(residues) == expected, not t2_detail, t1_detail, t2_detail
+
+
+def test_cm_profile_against_division_sweep():
+    """1,200 seeded sets over N <= 400, three-prime N included, with
+    negative and congruent digits: half random, half sums of factor sets
+    s*{0..p-1} (p a prime of N below 12, s random or N/p^e) moved by
+    multiples of N, so that T1 and T2 each hold and fail.  The profile
+    equals the one decided by exact division."""
+    rng = random.Random(19)
+    bases = [30, 60, 105, 210, 330, 390] + [rng.randrange(2, 401) for _ in range(54)]
+    seen = set()
+    for n in bases:
+        primes = [p for p, _ in factorize(n) if p < 12]
+        for trial in range(20):
+            if trial % 2 or not primes:
+                digits = {rng.randrange(-2 * n, 3 * n) for _ in range(rng.randrange(1, 13))}
+            else:
+                digits = [0]
+                for _ in range(rng.randrange(1, 4)):
+                    p = rng.choice(primes)
+                    s = rng.choice([rng.randrange(1, n), n // p ** rng.randrange(1, 4)])
+                    digits = [x + e * s for x in digits for e in range(p)]
+                digits = {x + n * rng.randrange(-2, 3) for x in digits}
+            prof = cm_profile(DigitSet(max(n, 2), tuple(digits)), n)
+            got = (prof.s_indices, prof.t1, prof.t2, prof.t1_detail, prof.t2_detail)
+            assert got == _profile_by_division(digits, n), (n, sorted(digits))
+            seen.add((prof.t1, prof.t2))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_cm_profile_84_pair():

@@ -364,20 +364,18 @@ def test_compose_cyclotomic_indices():
 
 
 def test_kernel_polynomial_examples():
-    kd = kernel_polynomial([(0, 1), (0, 2)], [2, 4], [1], 4, 1)
+    kd0, kd = kernel_polynomial([(0, 1), (0, 2)], [2, 4], [1], 4)
     assert kd.poly == cyclotomic_poly(2) * cyclotomic_poly(16)
     assert kd.n_j == 16 and kd.m_j == 4
     assert kd.n_j == kd.m_j * 4  # the scaled identity, cross-checked
-    kd0 = kernel_polynomial([(0, 1), (0, 2)], [2, 4], [1], 4, 0)
     assert kd0.poly == cyclotomic_poly(2) and kd0.n_j == 2
 
     with pytest.raises(CoverageFailure):
-        kernel_polynomial([(0, 1), (0, 1)], [2, 4], [1], 4, 1)
+        kernel_polynomial([(0, 1), (0, 1)], [2, 4], [1], 4)
 
 
 def test_mask_polynomial_basics():
     p = MaskPolynomial.from_digits((0, 2, 5))
-    assert p.evaluate_int(1) == 3
     assert (p * MaskPolynomial.one()) == p
     assert (p * MaskPolynomial.zero()).is_zero
     assert p.compose_power(3).degree == 15
