@@ -324,10 +324,7 @@ def cmd_factor_mask(args) -> Outcome:
     d = load_digitset(args.digits, args.base)
     low = d.digits[0]
     mask = MaskPolynomial.from_digits(tuple(x - low for x in d.digits))
-    try:
-        fac = cyclotomic_factorization(mask)
-    except ValueError as exc:  # the degree limit of the index search
-        raise InputError(str(exc)) from exc
+    fac = cyclotomic_factorization(mask)
     fields = {
         "factors": [[idx, mult] for idx, mult in fac.factors],
         "residual": dict((str(e), c) for e, c in fac.residual.terms),

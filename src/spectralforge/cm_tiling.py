@@ -40,9 +40,9 @@ from .errors import (
     KernelDivisibilityFailure,
     NotCompleteResidues,
     OverlapError,
-    PointLimitExceeded,
     SearchLimitReached,
     ValidationFailure,
+    refuse_above,
 )
 from .hadamard import _duplicate_residue, verify_triple
 from .productform import KStageForm, ValidationReport, as_layer, validate_k_stage
@@ -276,9 +276,7 @@ def check_tile_zn(a: DigitSet, n: int) -> TileVerdict:
 
     N above TILE_BASE_LIMIT raises PointLimitExceeded before any work.
     """
-    if n > TILE_BASE_LIMIT:
-        limit = f"TILE_BASE_LIMIT = 2^{TILE_BASE_LIMIT.bit_length() - 1}"
-        raise PointLimitExceeded(f"a tiling of Z_{n} is above {limit}")
+    refuse_above("TILE_BASE_LIMIT", TILE_BASE_LIMIT, f"a tiling of Z_{n}", n)
     dup = _duplicate_residue(a.digits, n)
     if dup:
         return TileVerdict(
@@ -506,20 +504,12 @@ def paq_type_generator(
             )
         if any(m < 0 for m in m_values or ()):
             raise InvalidVariantParams("variant ii needs alpha-1 shift exponents >= 0")
-    # the power is capped first, so a huge alpha costs nothing
-    if p ** min(alpha, PAQ_LIMIT.bit_length()) * q > PAQ_LIMIT:
-        raise PointLimitExceeded(
-            f"the tile digit set would hold {p}^{alpha} * {q} digits, above PAQ_LIMIT = {PAQ_LIMIT}"
-        )
+    refuse_above("PAQ_LIMIT", PAQ_LIMIT, f"the tile digit set would hold {p}^{alpha} * {q} digits", p, alpha, q)
     n = p**alpha * q
     ms = list(m_values) if m_values is not None else [1] * (alpha - 1)
     if variant == "ii":
         top = max(j + 1 + m for j, m in enumerate(ms, start=1))
-        if n ** min(top, PAQ_SCALE_LIMIT.bit_length()) > PAQ_SCALE_LIMIT:
-            raise PointLimitExceeded(
-                f"variant ii's top stage would sit at {n}^{top}, "
-                f"above PAQ_SCALE_LIMIT = 2^{PAQ_SCALE_LIMIT.bit_length() - 1}"
-            )
+        refuse_above("PAQ_SCALE_LIMIT", PAQ_SCALE_LIMIT, f"variant ii's top stage would sit at {n}^{top}", n, top)
     if not (is_prime(p) and is_prime(q)):
         raise InvalidVariantParams("p, q must be distinct primes")
 

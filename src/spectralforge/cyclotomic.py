@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .digitsets import DigitSet
-from .errors import CoverageFailure, EmptyDigitSet, PointLimitExceeded
+from .errors import CoverageFailure, EmptyDigitSet, PointLimitExceeded, refuse_above
 
 
 @dataclass(frozen=True)
@@ -486,20 +486,27 @@ def _candidate_indices(max_phi: int) -> list[int]:
     return sorted(found)
 
 
+# Largest degree cyclotomic_factorization takes: it tests every index d with
+# phi(d) up to the degree, so its cost grows with the degree, which a digit
+# set's mask can make as large as it likes.  In process on a 2-core x86
+# container {0, 1, 10000} factors in 0.24 s and {0, 1, 40000} in 0.96 s.
+FACTOR_DEGREE_LIMIT = 10_000
+
+
 def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
     """Split off every cyclotomic factor Phi_d (with multiplicity).
 
     The Phi_d are pairwise coprime, so the factors' degrees add up to at
     most deg poly.  Each multiplicity is decided on the sparse input by the
     exact test ``has_cyclotomic_factor``, within what is left of that
-    budget; one exact division per factor then gives the residual.
+    budget; one exact division per factor then gives the residual.  A
+    degree above FACTOR_DEGREE_LIMIT raises PointLimitExceeded before any
+    work.
     """
     if poly.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if poly.degree > 10_000:
-        raise ValueError(
-            f"degree {poly.degree} is above the limit 10,000 of the complete index search"
-        )
+    what = f"the complete index search would run to degree {poly.degree}"
+    refuse_above("FACTOR_DEGREE_LIMIT", FACTOR_DEGREE_LIMIT, what, poly.degree)
     budget = poly.degree
     found: list[tuple[int, int]] = []
     for d in _candidate_indices(poly.degree):

@@ -90,11 +90,7 @@ def gcd_normalize(d: DigitSet) -> tuple[DigitSet, int]:
     """
     if not d.is_canonical:
         raise ValueError("gcd_normalize expects a canonical digit set (min 0)")
-    g = 0
-    for x in d.digits:
-        g = math.gcd(g, x)
-    if g == 0:
-        g = 1
+    g = math.gcd(*d.digits) or 1
     if g == 1:
         return d, 1
     return DigitSet(d.base, tuple(x // g for x in d.digits), offset=d.offset), g

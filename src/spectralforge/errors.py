@@ -125,3 +125,15 @@ class SearchLimitReached(SpectralForgeError):
 
 class PointLimitExceeded(SpectralForgeError):
     """A point set would be larger than its module limit allows."""
+
+
+def refuse_above(name: str, limit: int, what: str, base: int, power: int = 1, factor: int = 1) -> None:
+    """Raise PointLimitExceeded("<what>, above <name> = <limit>") when
+    factor * base^power is above ``limit``; a power-of-two limit prints as
+    2^k.  The power is capped at limit.bit_length() first, so a huge one
+    costs nothing.  The cap is sound for base >= 0 and factor >= 0: past it
+    a base of at least 2 gives at least 2^bit_length > limit either way, and
+    a base of 0 or 1 gives the same value at every positive power."""
+    if factor * base ** min(power, limit.bit_length()) > limit:
+        shown = f"2^{limit.bit_length() - 1}" if limit & (limit - 1) == 0 else str(limit)
+        raise PointLimitExceeded(f"{what}, above {name} = {shown}")

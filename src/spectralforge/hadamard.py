@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .cyclotomic import vanishing_sum_test
 from .digitsets import DigitSet
-from .errors import HadamardFailure, PointLimitExceeded
+from .errors import HadamardFailure, refuse_above
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     clique can hold |D| vertices.  N above SEARCH_BASE_LIMIT raises
     PointLimitExceeded before any work.
     """
-    if n > SEARCH_BASE_LIMIT:
-        raise PointLimitExceeded(f"a search over Z_{n} is above SEARCH_BASE_LIMIT = {SEARCH_BASE_LIMIT}")
+    refuse_above("SEARCH_BASE_LIMIT", SEARCH_BASE_LIMIT, f"a search over Z_{n}", n)
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     if _duplicate_residue(d.digits, n) is not None:

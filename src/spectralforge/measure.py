@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .digitsets import DigitSet, direct_sum_digits, stacked_digits
-from .errors import PointLimitExceeded, ShiftSearchFailure, TailBoundUnavailable
+from .errors import ShiftSearchFailure, TailBoundUnavailable, refuse_above
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
 TWO_PI = 2.0 * math.pi
@@ -267,13 +267,12 @@ def rational_grid(base: int) -> list[Fraction]:
 # 2.4 s and --p 9 18 s, verify-jp --levels 8 4 s and --levels 9 15 s.
 POINT_LIMIT = 1 << 17
 # Most (point, sample) pairs a frame-sum run may evaluate: the top-level
-# points times the --grid samples of verify-jp or check-lemma42.  On
-# fd24-1-4-1-1 (2-core x86) verify-jp --levels 5 takes 1.8 s at --grid 256,
-# 6.1 s at --grid 512 (2^20 pairs) and 17 s at --grid 1024; check-lemma42
-# takes 0.5 s at --p 7 and 2.6 s at --p 8 with its 64 samples.  The limit
-# does not bound verify-jp on few points and many samples: its exact sample
-# rows share one common denominator, so --levels 1 --grid 4096 (2^15
-# pairs) takes 13 s.
+# points times the --grid samples of verify-jp or check-lemma42.  In
+# process on fd24-1-4-1-1 with --scale 3 (2-core x86), verify-jp takes
+# 0.8 s at --levels 5 --grid 512 (2^20 pairs) and 0.2 s at --levels 1
+# --grid 4096; at --levels 0 --grid 2^19 (2^20 pairs) it takes 13 s, 8 s
+# of it printing the 2^19 report rows.  check-lemma42 takes 0.5 s at --p 7
+# and 2.6 s at --p 8 with its 64 samples.
 SAMPLE_LIMIT = 1 << 20
 
 
@@ -288,16 +287,10 @@ def check_frame_sum_size(
     power is capped first, so a huge level costs nothing."""
     t = len(_anchored_spectrum(form))
     factor = len(form.l2) if candidate else 1
-    points = factor * t ** min(level, POINT_LIMIT.bit_length())
-    what = f"the level-{level} {'candidate' if candidate else 'aggregate'}"
     size = f"{factor} * {t}^{level}" if factor > 1 else f"{t}^{level}"
-    if points > POINT_LIMIT:
-        raise PointLimitExceeded(f"{what} would hold {size} points, above POINT_LIMIT = {POINT_LIMIT}")
-    if points * samples > SAMPLE_LIMIT:
-        raise PointLimitExceeded(
-            f"{what} would hold {size} points for {samples} samples, "
-            f"above SAMPLE_LIMIT = {SAMPLE_LIMIT} pairs"
-        )
+    what = f"the level-{level} {'candidate' if candidate else 'aggregate'} would hold {size} points"
+    refuse_above("POINT_LIMIT", POINT_LIMIT, what, t, level, factor)
+    refuse_above("SAMPLE_LIMIT", SAMPLE_LIMIT, f"{what} for {samples} samples", t, level, factor * samples)
 
 
 def _anchored_spectrum(form: OneStageForm) -> tuple[int, ...]:
@@ -496,7 +489,9 @@ def jp_sum(
     """
     cols = _RationalSide(list(points))
     cols = cols[np.unique(cols.nums, return_index=True)[1]]
-    xs = [Fraction(x).limit_denominator(10**12) if not isinstance(x, Fraction) else x for x in xi_samples]
+    # a float is taken at its exact dyadic value, so the rows' common
+    # denominator is the largest power of two, whatever their number
+    xs = [Fraction(x) for x in xi_samples]
     # int / int rounds once, to the double nearest the exact height
     height = cols.bound / cols.den + 2.0
     trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))

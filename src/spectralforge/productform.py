@@ -24,7 +24,7 @@ from .digitsets import (
     direct_sum_digits,
     stacked_digits,
 )
-from .errors import OverlapError, PointLimitExceeded, ValidationFailure
+from .errors import OverlapError, ValidationFailure, refuse_above
 from .hadamard import _duplicate_residue, check_triple
 
 LayerSpec = Union[DigitSet, tuple[tuple[int, DigitSet], ...]]
@@ -60,15 +60,6 @@ def as_layer(spec: LayerSpec | Mapping[int, DigitSet]) -> LayerSpec:
 # form takes 0.45 s as a whole process at k = 256, 1.4 s at k = 512 and
 # 5.1 s at k = 1000, and base 10^300 at k = 256 runs past 30 s.
 BASE_LIMIT = 1 << 256
-
-
-def _refuse_large_scale(what: str, base: int, power: int) -> None:
-    """Raise PointLimitExceeded if base^power is above BASE_LIMIT; the
-    power is capped first, so a huge one costs nothing."""
-    if base ** min(power, BASE_LIMIT.bit_length()) > BASE_LIMIT:
-        raise PointLimitExceeded(
-            f"{what} would be {base}^{power}, above BASE_LIMIT = 2^{BASE_LIMIT.bit_length() - 1}"
-        )
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ class OneStageForm:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("scale exponent r must be >= 0")
-        _refuse_large_scale("the scale N^r", self.base, self.r)
+        refuse_above("BASE_LIMIT", BASE_LIMIT, f"the scale N^r would be {self.base}^{self.r}", self.base, self.r)
         keys = tuple(k for k, _ in self.b_sets)
         if sorted(keys) != sorted(self.a_set.digits):
             raise ValueError("B-sets must be keyed exactly by the digits of A")
@@ -240,6 +231,7 @@ def translate_and_gcd_normalize(
     n, r = form.base, form.r
     scale = n**r
     shifts: dict[int, int] = {}
+    owner: dict[int, int] = {}  # each key with the digit a whose branch made it
     moved: dict[int, DigitSet] = {}
     for a, b_set in form.b_sets:
         bmin = b_set.digits[0]
@@ -248,17 +240,11 @@ def translate_and_gcd_normalize(
         if key in moved:
             # two branches can land on one key at any r: at r = 1, N = 2,
             # A = {0, 2}, B_0 = {1, 3} and B_2 = {0, 2} both give 2
-            raise OverlapError(key, a, bmin)
+            raise OverlapError(key, owner[key], a)
+        owner[key] = a
         moved[key] = DigitSet(n, tuple(b - bmin for b in b_set.digits))
-    level0 = set()
-    for a, b_set in moved.items():
-        level0.update(a + b for b in b_set.digits)
-    g = 0
-    for x in level0:
-        g = math.gcd(g, x)
-    if g == 0:
-        g = 1
-    # each key x is in level0 (its shifted B holds 0), so g divides it
+    g = math.gcd(*(x + b for x, b_set in moved.items() for b in b_set.digits)) or 1
+    # each key x is in the level-0 set (its shifted B holds 0), so g divides it
     if g > 1:
         moved = {
             a // g: DigitSet(n, tuple(b // g for b in b_set.digits))
@@ -275,11 +261,7 @@ def is_normalized(form: OneStageForm) -> bool:
     """0 in every B_s and gcd of the level-0 set equal to 1."""
     if any(b.digits[0] != 0 for _, b in form.b_sets):
         return False
-    g = 0
-    for a, b_set in form.b_sets:
-        for b in b_set.digits:
-            g = math.gcd(g, a + b)
-    return g in (0, 1)
+    return math.gcd(*(a + b for a, b_set in form.b_sets for b in b_set.digits)) in (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +289,9 @@ class KStageForm:
             raise ValueError("need a spectrum for level 0 and for every stage")
         if any(e < 1 for e in self.ells):
             raise ValueError("stage scales must be positive")
-        _refuse_large_scale("the top stage scale N^(l_1+..+l_k)", self.base, sum(self.ells))
+        top = sum(self.ells)
+        what = f"the top stage scale N^(l_1+..+l_k) would be {self.base}^{top}"
+        refuse_above("BASE_LIMIT", BASE_LIMIT, what, self.base, top)
 
     @property
     def stages(self) -> int:
@@ -458,12 +442,8 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     width = len(form.e0) * math.prod(
         len(l) if isinstance(l, DigitSet) else max((len(b) for _, b in l), default=0) for l in form.layers
     )
-    # the power is capped first, so a huge k costs nothing
-    if width ** min(k, DIGIT_LIMIT.bit_length()) > DIGIT_LIMIT:
-        raise PointLimitExceeded(
-            f"the one-stage form would hold {width}^{k} digits, above DIGIT_LIMIT = {DIGIT_LIMIT}"
-        )
-    _refuse_large_scale("the one-stage base", form.base, k)
+    refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the one-stage form would hold {width}^{k} digits", width, k)
+    refuse_above("BASE_LIMIT", BASE_LIMIT, f"the one-stage base would be {form.base}^{k}", form.base, k)
     norm = _normalized_levels(form, k)
     n = norm.base
     big = n**k

@@ -1,12 +1,14 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from spectralforge import cm_tiling, hadamard, measure, productform
+from spectralforge import cm_tiling, cyclotomic, hadamard, measure, productform
 from spectralforge.cli import (
     FIXTURES,
     digitset_from_json,
@@ -146,6 +148,20 @@ def test_verify_jp_deterministic(tmp_path, capsys):
     assert report["bessel_and_monotone"] is True
 
 
+def test_verify_jp_many_samples_stay_fast(tmp_path, capsys):
+    """Float samples enter exactly, as dyadic fractions, so 4,096 sample
+    rows share one power-of-two denominator, not one that grows with the
+    grid."""
+    mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    t0 = time.perf_counter()
+    code = _run(["verify-jp", "--form", spec, "--levels", "1", "--grid", "4096", "--scale", "3"])
+    took = time.perf_counter() - t0
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 2 * 4096
+    assert took < 2.0, took
+
+
 def test_weakly_periodic_deterministic(tmp_path, capsys):
     mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
@@ -236,7 +252,6 @@ def test_bad_common_options_are_input_errors(tmp_path, capsys):
         ["check-t1t2", "--base", "1", "--digits", d],
         ["find-spectrum", "--base", "-3", "--digits", d],
         ["factor-mask", "--base", "0", "--digits", d],
-        ["factor-mask", "--digits", _write(tmp_path, "big.json", {"base": 2, "digits": ["0", "20001"]})],
     ):
         assert _run(argv) == 2, argv
     capsys.readouterr()
@@ -356,14 +371,16 @@ def _over_limit_inputs(tmp_path):
     })
     d01 = _write(tmp_path, "d01.json", {"digits": ["0", "1"]})
     l05 = _write(tmp_path, "l05.json", {"digits": ["0", "5"]})
-    points = f"POINT_LIMIT = {measure.POINT_LIMIT}"
-    samples = f"SAMPLE_LIMIT = {measure.SAMPLE_LIMIT} pairs"
-    digits = f"DIGIT_LIMIT = {productform.DIGIT_LIMIT}"
+    d20001 = _write(tmp_path, "d20001.json", {"base": 2, "digits": ["0", "20001"]})
+    points = "POINT_LIMIT = 2^17"
+    samples = "SAMPLE_LIMIT = 2^20"
+    digits = "DIGIT_LIMIT = 2^15"
     base = "BASE_LIMIT = 2^256"
-    tiles = f"PAQ_LIMIT = {cm_tiling.PAQ_LIMIT}"
+    tiles = "PAQ_LIMIT = 2^12"
     scale = "PAQ_SCALE_LIMIT = 2^128"
     trial = "FACTOR_LIMIT = 2^20"
-    search = f"SEARCH_BASE_LIMIT = {hadamard.SEARCH_BASE_LIMIT}"
+    degree = "FACTOR_DEGREE_LIMIT = 10000"
+    search = "SEARCH_BASE_LIMIT = 2^11"
     tiling = "TILE_BASE_LIMIT = 2^20"
     mersenne = str(2**61 - 1)
 
@@ -402,6 +419,7 @@ def _over_limit_inputs(tmp_path):
         ("hadamard-base-mersenne", ["check-hadamard", "--base", mersenne, "--digits", d01, "--spectrum", l05],
          mersenne, trial),
         ("t1t2-base-mersenne", ["check-t1t2", "--base", mersenne, "--digits", d01], mersenne, trial),
+        ("factor-mask-degree-20001", ["factor-mask", "--digits", d20001], "degree 20001", degree),
         ("find-spectrum-base-10^6", ["find-spectrum", "--base", str(10**6), "--digits", d01], "Z_1000000", search),
         ("tile-base-10^12", ["check-tile", "--base", str(10**12), "--digits", d01], f"Z_{10**12}", tiling),
         ("tile-base-2^70", ["check-tile", "--base", str(2**70), "--digits", d01], f"Z_{2**70}", tiling),
@@ -423,6 +441,7 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(cm_tiling, "is_prime", no_work)
     monkeypatch.setattr(cm_tiling, "_duplicate_residue", no_work)
     monkeypatch.setattr(hadamard, "zero_set", no_work)
+    monkeypatch.setattr(cyclotomic, "_candidate_indices", no_work)
     for name, argv, size, limit in rows:
         t0 = time.perf_counter()
         code = _run(argv)
@@ -449,6 +468,21 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     # and the benchmark's find-spectrum (N <= 60) and check-tile (N < 4,000) jobs
     assert 60 <= hadamard.SEARCH_BASE_LIMIT
     assert 4000 <= cm_tiling.TILE_BASE_LIMIT
+
+
+def test_every_named_limit_has_an_over_limit_row(tmp_path):
+    """Each public module-level *_LIMIT of the package, read from its source
+    with ``ast``, is the limit named by some row of _over_limit_inputs."""
+    named = {limit.split(" = ")[0] for *_, limit in _over_limit_inputs(tmp_path)}
+    limits = set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "spectralforge").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            limits.update(
+                t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_LIMIT") and not t.id.startswith("_")
+            )
+    assert "FACTOR_DEGREE_LIMIT" in limits
+    assert limits - named == set()
 
 
 def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):

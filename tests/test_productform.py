@@ -289,6 +289,15 @@ def test_translate_and_gcd_normalize():
         translate_and_gcd_normalize(f_collide)
 
 
+def test_translate_collision_names_both_digits():
+    """At r = 1, N = 2, the branches a = 0 (B_0 = {1, 3}) and a = 2
+    (B_2 = {0, 2}) both move to the key 2; the witness names those two a."""
+    f = one_stage_form(2, 1, (0, 2), {0: DigitSet(2, (1, 3)), 2: DigitSet(2, (0, 2))}, (0,), (0,))
+    with pytest.raises(OverlapError) as err:
+        translate_and_gcd_normalize(f)
+    assert (err.value.digit, err.value.first, err.value.second) == (2, 0, 2)
+
+
 def test_k_stage_expand_examples():
     ks = k_stage_form(
         4, (1,), (0, 1), [{0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 6))}], [(0, 2), (0, 1)]
