@@ -22,7 +22,7 @@ from typing import Any, Sequence
 from . import cm_tiling, measure
 from .cyclotomic import cyclotomic_factorization, MaskPolynomial
 from .digitsets import DigitSet
-from .errors import InputError, InvalidVariantParams, PointLimitExceeded, SpectralForgeError
+from .errors import InputError, InvalidVariantParams, PointLimitExceeded, SpectralForgeError, refuse_above
 from .hadamard import check_triple, find_spectra
 from .productform import (
     KStageForm,
@@ -334,11 +334,21 @@ def cmd_factor_mask(args) -> Outcome:
     return True, fields, "\n".join(lines)
 
 
+# Most rows a verify-jp report may hold: one per level 0..levels and sample.
+# In process on fd24-1-4-1-1 with --scale 3 (2-core x86), 2^14 rows take
+# 0.4 s and print 2.6 MB; --levels 0 --grid 2^19 took 13 s and printed 83 MB.
+JP_ROW_LIMIT = 1 << 14
+
+
 def cmd_verify_jp(args) -> Outcome:
     form = load_form(args.form)
     if not isinstance(form, OneStageForm):
         raise InputError("verify-jp expects a one-stage form")
     measure.check_frame_sum_size(form, args.levels, args.grid, candidate=True)
+    refuse_above(
+        "JP_ROW_LIMIT", JP_ROW_LIMIT, f"the report would hold {args.levels + 1} * {args.grid} rows",
+        args.levels + 1, factor=args.grid,
+    )
     scale = args.scale
     try:
         cand = measure.build_spectrum(
@@ -405,6 +415,7 @@ def cmd_weakly_periodic(args) -> Outcome:
     form = load_form(args.form)
     if not isinstance(form, OneStageForm):
         raise InputError("weakly-periodic expects a one-stage form")
+    measure.check_scan_size(form, args.window, args.resolution)
     rep = measure.weakly_periodic_check(
         form, integer_window=args.window, resolution=args.resolution
     )

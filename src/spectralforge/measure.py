@@ -270,9 +270,8 @@ POINT_LIMIT = 1 << 17
 # points times the --grid samples of verify-jp or check-lemma42.  In
 # process on fd24-1-4-1-1 with --scale 3 (2-core x86), verify-jp takes
 # 0.8 s at --levels 5 --grid 512 (2^20 pairs) and 0.2 s at --levels 1
-# --grid 4096; at --levels 0 --grid 2^19 (2^20 pairs) it takes 13 s, 8 s
-# of it printing the 2^19 report rows.  check-lemma42 takes 0.5 s at --p 7
-# and 2.6 s at --p 8 with its 64 samples.
+# --grid 4096 (cli.JP_ROW_LIMIT caps its report rows).  check-lemma42 takes
+# 0.5 s at --p 7 and 2.6 s at --p 8 with its 64 samples.
 SAMPLE_LIMIT = 1 << 20
 
 
@@ -511,6 +510,36 @@ FLAG_THRESHOLD = 1e-3
 # rest of the window goes only to points that can still matter.  With 2, two
 # points of each frame-sums form get the rest.
 _NEAR_WINDOW = 2
+
+
+# Most points the scan grid may hold: the N^2 rational points t / N^2 and
+# the --resolution Chebyshev points.  Every point gets the near window.  In
+# process (2-core x86) fd24-1-4-1-1 takes 1.0 s at N^2 + resolution = 2^18,
+# and a base-500 form 1.1 s at 500^2 + 4,096.  The base-1,728 one-stage form
+# that reduce-kstage emits for (2,3,2,ii) took 5.4 s to build the 1728^2
+# Fractions of its grid alone.
+SCAN_POINT_LIMIT = 1 << 18
+# Largest --window, in shifts each way.  The far window goes only to points
+# that can still be the minimum or flagged, which grow with the grid: with
+# both limits reached, the B = {0, N} form of base 6 flags 271 points and
+# takes 3.4 s, fd24-1-4-1-1 1.0 s.  A window of 2^16 took 2.1 s on that
+# B = {0, N} form at --resolution 4,096 alone.  The two limits bound the
+# grid and the window one at a time, not the far scan's work, which is
+# their product over the points that reach it: a form that flags most of
+# its grid could take up to 2^18 points x 8,193 shifts.
+SCAN_WINDOW_LIMIT = 1 << 12
+
+
+def check_scan_size(form: OneStageForm, integer_window: int, resolution: int) -> None:
+    """Raise PointLimitExceeded, before any work, when the weakly-periodic
+    scan of ``form`` would hold more than SCAN_POINT_LIMIT grid points or
+    more than SCAN_WINDOW_LIMIT shifts each way.  The far scan's work, the
+    points that reach it times the window, has no limit of its own."""
+    n = form.base
+    what = f"the scan grid would hold {n}^2 + {resolution} points"
+    refuse_above("SCAN_POINT_LIMIT", SCAN_POINT_LIMIT, what, n * n + resolution)
+    what = f"the scan window would hold {integer_window} shifts each way"
+    refuse_above("SCAN_WINDOW_LIMIT", SCAN_WINDOW_LIMIT, what, integer_window)
 
 
 @dataclass(frozen=True)

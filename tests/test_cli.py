@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spectralforge import cm_tiling, cyclotomic, hadamard, measure, productform
+from spectralforge import cli, cm_tiling, cyclotomic, hadamard, measure, productform
 from spectralforge.cli import (
     FIXTURES,
     digitset_from_json,
@@ -372,6 +372,9 @@ def _over_limit_inputs(tmp_path):
     d01 = _write(tmp_path, "d01.json", {"digits": ["0", "1"]})
     l05 = _write(tmp_path, "l05.json", {"digits": ["0", "5"]})
     d20001 = _write(tmp_path, "d20001.json", {"base": 2, "digits": ["0", "20001"]})
+    # the base alone sets the scan grid; the base-1,728 form that reduce-kstage
+    # emits for (2,3,2,ii) has the same 1728^2 rational points
+    wide = _write(tmp_path, "wide.json", {**one_stage_to_json(f83), "base": 1728})
     points = "POINT_LIMIT = 2^17"
     samples = "SAMPLE_LIMIT = 2^20"
     digits = "DIGIT_LIMIT = 2^15"
@@ -382,6 +385,9 @@ def _over_limit_inputs(tmp_path):
     degree = "FACTOR_DEGREE_LIMIT = 10000"
     search = "SEARCH_BASE_LIMIT = 2^11"
     tiling = "TILE_BASE_LIMIT = 2^20"
+    rows = "JP_ROW_LIMIT = 2^14"
+    grid = "SCAN_POINT_LIMIT = 2^18"
+    window = "SCAN_WINDOW_LIMIT = 2^12"
     mersenne = str(2**61 - 1)
 
     def classify(p, q, alpha, variant, *params):
@@ -402,6 +408,17 @@ def _over_limit_inputs(tmp_path):
          samples),
         ("jp-grid-2^70", ["verify-jp", "--form", spec, "--grid", str(2**70)], f"2 * 4^4 points for {2**70} samples",
          samples),
+        ("jp-rows-2^19", ["verify-jp", "--form", spec, "--levels", "0", "--grid", str(2**19)],
+         f"1 * {2**19} rows", rows),
+        ("jp-rows-just-above", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "8193"], "2 * 8193 rows",
+         rows),
+        ("weakly-periodic-base-1728", ["weakly-periodic", "--form", wide], "1728^2 + 4096 points", grid),
+        ("weakly-periodic-resolution-2^40", ["weakly-periodic", "--form", spec, "--resolution", str(2**40)],
+         f"24^2 + {2**40} points", grid),
+        ("weakly-periodic-window-2^40", ["weakly-periodic", "--form", spec, "--window", str(2**40)],
+         f"{2**40} shifts", window),
+        ("weakly-periodic-window-just-above", ["weakly-periodic", "--form", spec, "--window", "4097"],
+         "4097 shifts", window),
         ("reduce-paq-ii-1-2", ["reduce-kstage", "--spec", paq], "24^5 digits", digits),
         ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
         ("reduce-one-digit-k-1000", ["reduce-kstage", "--spec", single, "--k", "1000"], "2^1000", base),
@@ -434,6 +451,8 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat", no_work)
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat_rational", no_work)
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
+    monkeypatch.setattr(measure, "chebyshev_grid", no_work)
+    monkeypatch.setattr(measure, "rational_grid", no_work)
     monkeypatch.setattr(productform, "_normalized_levels", no_work)
     monkeypatch.setattr(productform, "_expand_layers", no_work)
     monkeypatch.setattr(cm_tiling, "_scaled", no_work)
@@ -457,6 +476,10 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     # with --grid 8) stay far below
     assert 64 * 2 * 4**5 <= measure.POINT_LIMIT
     assert 4**3 * 64 <= measure.SAMPLE_LIMIT and 2 * 4**5 * 8 <= measure.SAMPLE_LIMIT
+    # with (5 + 1) * 8 report rows; weakly-periodic runs at N <= 48 with
+    # --resolution 4,096 and --window 64
+    assert 64 * 6 * 8 <= cli.JP_ROW_LIMIT
+    assert 32 * (48**2 + 4096) <= measure.SCAN_POINT_LIMIT and 64 * 64 <= measure.SCAN_WINDOW_LIMIT
     # and so do the benchmark's and acceptance 6's reductions (Z_72 at k = 2)
     # and the invalid N = 12 form of the tier-1 tests (12^4 digits)
     assert 72**2 < 12**4 <= productform.DIGIT_LIMIT

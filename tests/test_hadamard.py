@@ -6,10 +6,12 @@ import sys
 import mpmath
 import pytest
 
-from spectralforge.cyclotomic import vanishing_by_division
+from spectralforge import hadamard
+from spectralforge.cyclotomic import vanishing_by_division, vanishing_sum_test
 from spectralforge.digitsets import DigitSet
 from spectralforge.errors import HadamardFailure
 from spectralforge.hadamard import (
+    FailureReport,
     check_triple,
     find_spectra,
     verify_triple,
@@ -193,3 +195,119 @@ def test_zero_set_symmetry():
         assert all((n - t) % n in zs for t in zs)
         for t in list(zs)[:5]:
             assert vanishing_by_division(digits, t, n)
+
+
+def _brute_differences(ls, n):
+    return sorted({(b - a) % n for a, b in itertools.combinations(ls, 2)})
+
+
+def _reference_check_triple(n, d, l):
+    """check_triple as a plain walk over the pairs (i, j), i < j."""
+    if len(d) != len(l):
+        return FailureReport("CardinalityMismatch", witness=(len(d), len(l)))
+    for which, digits in (("digits", d.digits), ("spectrum", l.digits)):
+        for a, b in itertools.combinations(digits, 2):
+            if (a - b) % n == 0:
+                return FailureReport("DuplicateResidue", which, (a, b, n))
+    if len(d) == n:
+        return None
+    for a, b in itertools.combinations(l.digits, 2):
+        if not vanishing_sum_test(d, b - a, n):
+            return FailureReport("OrthogonalityFailure", "spectrum pair", (a, b))
+    return None
+
+
+def _lifted(rng, n, digits):
+    """The same residues mod n, each moved by a random multiple of n."""
+    return tuple(x + n * rng.randrange(-2, 3) for x in digits)
+
+
+def _moved(rng, n, digit_set):
+    """A copy with one digit moved by a nonzero amount below n."""
+    while True:
+        digits = list(digit_set.digits)
+        digits[rng.randrange(len(digits))] += rng.choice([k for k in range(-n + 1, n) if k])
+        if len(set(digits)) == len(digits):
+            return DigitSet(n, tuple(digits))
+
+
+def _oracle_triples(count, seed):
+    """Valid triples (N, D, L) from find_spectra with digits lifted off
+    [0, N), half of them with D an arithmetic progression of step N / |D|,
+    so that many reach the mask route; each followed by a copy with one
+    digit of L (or, a third of the time, of D) moved."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 2 * count:
+        n = rng.randrange(4, 49)
+        if rng.random() < 0.5:
+            size = rng.choice([k for k in range(2, n) if n % k == 0] or [2])
+            unit = rng.choice([u for u in range(1, size + 1) if math.gcd(u, size) == 1])
+            digits = tuple(n // size * (j * unit % size) for j in range(size))
+        else:
+            digits = tuple(rng.sample(range(n), rng.choice([k for k in (2, 3, 4, 6) if k < n])))
+        spectra = find_spectra(n, DigitSet(n, tuple(sorted(digits))), limit=8)
+        if not spectra:
+            continue
+        d = DigitSet(n, _lifted(rng, n, digits))
+        l = DigitSet(n, _lifted(rng, n, rng.choice(spectra).digits))
+        out.append((n, d, l))
+        out.append((n, _moved(rng, n, d), l) if rng.random() < 1 / 3 else (n, d, _moved(rng, n, l)))
+    return out
+
+
+def _record_routes(monkeypatch, taken):
+    """Append the name of each difference route check_triple takes."""
+    for name in ("_differences_by_mask", "_differences_by_set"):
+        real = getattr(hadamard, name)
+        monkeypatch.setattr(hadamard, name, lambda ls, m, name=name, real=real: taken.append(name) or real(ls, m))
+
+
+def test_check_triple_matches_the_pair_walk_on_random_triples(monkeypatch):
+    """The same report, kind, which and witness, as a walk over every pair,
+    on valid triples and on copies with one digit moved, on both routes."""
+    taken = []
+    _record_routes(monkeypatch, taken)
+    routes = {"_differences_by_mask": [0, 0], "_differences_by_set": [0, 0]}
+    for n, d, l in _oracle_triples(150, seed=21):
+        taken.clear()
+        got = check_triple(n, d, l)
+        assert got == _reference_check_triple(n, d, l), (n, d.digits, l.digits)
+        for route in taken:
+            routes[route][got is None] += 1
+    # orthogonality failures and successes on each route
+    assert min(min(counts) for counts in routes.values()) >= 10, routes
+
+
+def test_ordered_differences_match_brute_force_on_both_routes():
+    """Both routes give the ascending set of (b - a) % n over the pairs
+    a before b, also for digits below 0 or at least n, and for residues
+    that repeat (difference 0)."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(2, 200)
+        ls = sorted(rng.sample(range(-3 * n, 3 * n), rng.randrange(1, min(6 * n, 40) + 1)))
+        want = _brute_differences(ls, n)
+        assert hadamard._differences_by_mask(ls, n) == want, (n, ls)
+        assert hadamard._differences_by_set(ls, n) == want, (n, ls)
+        assert hadamard._ordered_differences(ls, n) == want, (n, ls)
+
+
+@pytest.mark.parametrize(
+    "n, d, l, route",
+    [
+        # 2 * 48 <= 12^2: the differences come from the mask
+        (48, tuple(range(0, 48, 4)), (0, 1, 2, 6, 10, 27, 29, 32, 40, 43, 45, 47), "_differences_by_mask"),
+        # the Z_72 tiling pair: 2 * 72 > 6^2, so from the set
+        (72, (0, 8, 16, 18, 26, 34), (0, 18, 24, 42, 48, 66), "_differences_by_set"),
+    ],
+)
+def test_check_triple_tests_each_distinct_difference_once(monkeypatch, n, d, l, route):
+    calls, routes = [], []
+    real_test = hadamard.vanishing_sum_test
+    monkeypatch.setattr(hadamard, "vanishing_sum_test", lambda d_set, t, m: calls.append(t) or real_test(d_set, t, m))
+    _record_routes(monkeypatch, routes)
+    assert check_triple(n, DigitSet(n, d), DigitSet(n, l)) is None
+    assert routes == [route]
+    assert calls == _brute_differences(l, n)
+    assert len(calls) > len(l)
