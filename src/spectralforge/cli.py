@@ -335,8 +335,9 @@ def cmd_factor_mask(args) -> Outcome:
 
 
 # Most rows a verify-jp report may hold: one per level 0..levels and sample.
-# In process on fd24-1-4-1-1 with --scale 3 (2-core x86), 2^14 rows take
-# 0.4 s and print 2.6 MB; --levels 0 --grid 2^19 took 13 s and printed 83 MB.
+# In process on fd24-1-4-1-1 with --scale 3 (2-core x86), 2^14 rows
+# (--levels 1 --grid 8192) take 0.4 s and print 2.6 MB; --levels 0 --grid
+# 2^19 took 13 s and printed 83 MB before this limit.
 JP_ROW_LIMIT = 1 << 14
 
 
@@ -365,14 +366,9 @@ def cmd_verify_jp(args) -> Outcome:
         form.base,
         tuple(x * scale.denominator // scale.numerator for x in d_form.digits),
     )
-    xi = [0.0] + measure.chebyshev_grid(args.grid - 1)[: args.grid - 1]
-    rows_by_level = []
-    ok = True
-    for k in range(0, args.levels + 1):
-        rows = measure.jp_sum(d_interest, form.base, cand.points(k), xi)
-        for r in rows:
-            ok = ok and r.q_t <= 1 + args.tolerance
-        rows_by_level.append(rows)
+    xi = [0.0] + measure.chebyshev_grid(args.grid - 1)
+    rows_by_level = measure.jp_levels(d_interest, form.base, cand, xi)
+    ok = all(r.q_t <= 1 + args.tolerance for rows in rows_by_level for r in rows)
     for prev, nxt in zip(rows_by_level, rows_by_level[1:]):
         for a, b in zip(prev, nxt):
             ok = ok and b.q_t >= a.q_t - 1e-12

@@ -12,10 +12,14 @@ each level takes one exponential per (digit, entry) on each side.  Exact
 points (spectrum points, aggregates, samples) enter it through _RationalSide
 alone, as integer numerators over one common denominator, whose phase
 d*v/N^j mod 1 is reduced in integer arithmetic, so points at height 1e8
-lose nothing; a side of floats uses the float phase.  The kernel works in
-tiles of at most _TILE_PAIRS pairs, so its memory does not grow, and each
-pair's value depends on that pair alone: the weakly-periodic scan gives its
-far shifts only to the points still in contention, bit for bit.  The scalar
+lose nothing; a side of floats uses the float phase.  A candidate's points
+come as such integers from SpectrumCandidate.numerators, with no Fraction
+per point.  The kernel works in tiles of at most _TILE_PAIRS pairs, so its
+memory does not grow, and each pair's value depends on that pair alone: the
+weakly-periodic scan gives its far shifts only to the points still in
+contention, bit for bit, and the running product after j factors is the
+depth-j transform, so jp_levels reads every level of a candidate from one
+pass over the top level, each at its own depth.  The scalar
 exact-phase ``mu_hat_rational`` serves the shift search of build_spectrum,
 which stops at its first accepted shift; the float ``mu_hat`` is the tests'
 reference.
@@ -139,13 +143,18 @@ _INT64_LIMIT = 2**63
 
 class _RationalSide:
     """Exact rationals, as integer numerators over one common denominator:
-    the one place where exact points become integers for the kernel."""
+    the one form in which exact points reach the kernel."""
 
-    def __init__(self, values: Sequence[Fraction | int]):
-        self.den = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (self.den // v.denominator) for v in values]
+    def __init__(self, den: int, nums: Sequence[int]):
+        self.den = den
         self.bound = max(map(abs, nums), default=0)
         self.nums = np.array(nums, dtype=np.int64 if self.bound < _INT64_LIMIT else object)
+
+    @classmethod
+    def of(cls, values: Sequence[Fraction | int]) -> _RationalSide:
+        """The values over the lcm of their denominators."""
+        den = math.lcm(*(v.denominator for v in values))
+        return cls(den, [v.numerator * (den // v.denominator) for v in values])
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -200,16 +209,20 @@ def _tiles(n_rows: int, n_cols: int):
             yield slice(r0, min(r0 + rows, n_rows)), slice(c0, min(c0 + cols, n_cols))
 
 
-def _split_phase_abs(m: TruncatedMeasure, rows, cols):
-    """Yields (row slice, column slice, |m.mu_hat(a + b)|) over the tiles of
-    rows x cols, rows outermost."""
+def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ()):
+    """Yields (row slice, column slice, |mu_hat(a + b)|) over the tiles of
+    rows x cols, rows outermost, with mu_hat the transform of m truncated at
+    each depth of ``stops`` in turn (increasing; by default m.depth alone).
+    The kernel is elementwise, so the running product after j factors is
+    the depth-j transform bit for bit."""
+    stops = tuple(stops) or (m.depth,)
     ds = m.digits.digits
     for rs, cs in _tiles(len(rows), len(cols)):
         shape = (rs.stop - rs.start, cs.stop - cs.start)
         prod = np.ones(shape, dtype=complex)
         level = np.empty(shape, dtype=complex)
         term = np.empty(shape, dtype=complex)
-        for j in range(1, m.depth + 1):
+        for j in range(1, stops[-1] + 1):
             for i, d in enumerate(ds):
                 out = term if i else level
                 np.multiply.outer(rows.units(m.base, j, d, rs), cols.units(m.base, j, d, cs), out=out)
@@ -219,27 +232,46 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols):
             # cost of numpy's complex division
             level.view(float)[...] /= len(ds)
             prod *= level
-        yield rs, cs, np.abs(prod)
+            if j in stops:
+                yield rs, cs, np.abs(prod)
 
 
 # Most squared products _row_sums holds while a band of rows is open.
 _ROW_BAND = 1 << 19
 
 
-def _row_sums(measures: Sequence[TruncatedMeasure], rows, cols) -> list[float]:
-    """For each row a, the math.fsum over the columns b of the product over
-    the measures m of |m.mu_hat(a + b)|^2.  The kernels' tiles are read side
-    by side, for bands of at most _ROW_BAND products (a row at the least)."""
-    band = max(1, _ROW_BAND // max(len(cols), 1))
-    sq = np.empty((min(band, len(rows)), len(cols)))
-    sums: list[float] = []
+def _row_sums(
+    measures: Sequence[TruncatedMeasure], rows, cols, levels: Sequence[tuple[int, int]] = ()
+) -> list[list[float]]:
+    """For each level (depth, n), and for each row a, the math.fsum over the
+    first n columns b of the product over the measures m of
+    |m.mu_hat(a + b)|^2, the first measure truncated at that depth; by
+    default one level, the first measure's own depth over every column.
+
+    One kernel pass per measure: the first yields each depth in turn, and
+    the kernels' tiles are read side by side, for bands of at most
+    _ROW_BAND products (a row at the least) over one array per depth."""
+    first, *rest = measures
+    levels = tuple(levels) or ((first.depth, len(cols)),)
+    stops = sorted({depth for depth, _ in levels})
+    widths = [max(n for depth, n in levels if depth == stop) for stop in stops]
+    band = max(1, _ROW_BAND // max(sum(widths), 1))
+    sq = [np.empty((min(band, len(rows)), w)) for w in widths]
+    sums: list[list[float]] = [[] for _ in levels]
     for r0 in range(0, len(rows), band):
         part = rows[r0 : r0 + band]
-        for (rs, cs, mag), *others in zip(*(_split_phase_abs(m, part, cols) for m in measures)):
-            block = np.square(mag, out=sq[rs, cs])
-            for _, _, other in others:
-                block *= np.square(other)
-        sums += [math.fsum(row.tolist()) for row in sq[: len(part)]]
+        kernels = [_split_phase_abs(m, part, cols) for m in rest]
+        for i, (rs, cs, mag) in enumerate(_split_phase_abs(first, part, cols, stops)):
+            if i % len(stops) == 0:
+                others = [next(kernel)[2] for kernel in kernels]
+            buf = sq[i % len(stops)]
+            width = min(cs.stop, buf.shape[1]) - cs.start
+            if width > 0:
+                block = np.square(mag[:, :width], out=buf[rs, cs.start : cs.start + width])
+                for other in others:
+                    block *= np.square(other[:, :width])
+        for (depth, n), out in zip(levels, sums):
+            out += [math.fsum(row.tolist()) for row in sq[stops.index(depth)][: len(part), :n]]
     return sums
 
 
@@ -264,13 +296,15 @@ def rational_grid(base: int) -> list[Fraction]:
 # Most points a level-p aggregate (|T|^p) or a built spectrum's top level
 # (|L2| * |T|^levels) may hold, T the anchored spectrum.  Both grow as powers
 # of |T|: on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42 --p 8 takes
-# 2.4 s and --p 9 18 s, verify-jp --levels 8 4 s and --levels 9 15 s.
+# 2.4 s and --p 9 18 s, verify-jp --levels 8 --scale 3 1.6 s and --levels 9
+# 12 s (this limit lifted).
 POINT_LIMIT = 1 << 17
 # Most (point, sample) pairs a frame-sum run may evaluate: the top-level
 # points times the --grid samples of verify-jp or check-lemma42.  In
 # process on fd24-1-4-1-1 with --scale 3 (2-core x86), verify-jp takes
-# 0.8 s at --levels 5 --grid 512 (2^20 pairs) and 0.2 s at --levels 1
-# --grid 4096 (cli.JP_ROW_LIMIT caps its report rows).  check-lemma42 takes
+# 0.7 s at --levels 5 --grid 512 (2^20 pairs, all six levels from one kernel
+# pass) and 0.16 s at --levels 1 --grid 4096 (cli.JP_ROW_LIMIT caps its
+# report rows).  check-lemma42 takes
 # 0.5 s at --p 7 and 2.6 s at --p 8 with its 64 samples.
 SAMPLE_LIMIT = 1 << 20
 
@@ -331,13 +365,13 @@ def finite_level_identity_check(
             raise ValueError("one shift per aggregate element")
         gamma = tuple(g + n**p * s for g, s in zip(gamma, tilde_shifts))
     xs = _FloatSide(np.array([float(xi) for xi in xi_samples]))
-    aggregate = _RationalSide(gamma)
+    aggregate = _RationalSide(1, gamma)
     trunc = TruncatedMeasure(n, d_set, p)
     b_list = form.b_list()
     rhs = _b_energy(b_list, lambda b: mask_value(b, xs.values))
     worst = 0.0
     for b in dict.fromkeys(b_list):  # equal B-sets give equal sums
-        lhs = _row_sums([trunc, TruncatedMeasure(n**p, b, 1)], xs, aggregate)
+        (lhs,) = _row_sums([trunc, TruncatedMeasure(n**p, b, 1)], xs, aggregate)
         worst = max(worst, float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0)))
     return worst
 
@@ -367,14 +401,26 @@ class SpectrumCandidate:
             return (0,)
         return self.levels[k - 1]
 
-    def points(self, k: int | None = None) -> list[Fraction]:
-        """The distinct points in increasing order: the integers
-        s.num * (l2 + N*lam) over s.den * N, one Fraction per point."""
-        n, s = self.base, self.scale
+    def numerators(self) -> tuple[int, list[int], list[int]]:
+        """(den, nums, counts): the distinct points of the top level as the
+        integers nums over their reduced common denominator den, each under
+        the first level that holds it, so that level k is nums[:counts[k]].
+        The points are s.num * (l2 + N*lam) over s.den * N."""
+        n, num, den = self.base, self.scale.numerator, self.scale.denominator * self.base
         l2 = [fs.numerator * (n // fs.denominator) for fs in self.frac_shifts]
-        nums = sorted({s.numerator * (x + n * lam) for lam in self.lambdas(k) for x in l2})
-        den = s.denominator * n
-        return [Fraction(x, den) for x in nums]
+        first: dict[int, None] = {}
+        counts = []
+        for k in range(len(self.levels) + 1):
+            first.update(dict.fromkeys(num * (x + n * lam) for lam in self.lambdas(k) for x in l2))
+            counts.append(len(first))
+        g = math.gcd(den, *first)
+        return den // g, [x // g for x in first], counts
+
+    def points(self, k: int | None = None) -> list[Fraction]:
+        """The distinct points of level k (by default the top level) in
+        increasing order, one Fraction per point."""
+        den, nums, counts = self.numerators()
+        return [Fraction(x, den) for x in sorted(nums[: counts[len(self.levels) if k is None else k]])]
 
 
 def _shift_ratio(trunc: TruncatedMeasure, num: int, den: int, target: float) -> float:
@@ -486,17 +532,47 @@ def jp_sum(
     Each distinct point counts once.  The truncation depth is the smallest
     whose tail sum at the largest point height is below 1e-14.
     """
-    cols = _RationalSide(list(points))
+    cols = _RationalSide.of(list(points))
     cols = cols[np.unique(cols.nums, return_index=True)[1]]
+    return _frame_sums(digits, base, cols, [len(cols)], xi_samples)[0]
+
+
+def jp_levels(
+    digits: DigitSet,
+    base: int,
+    cand: SpectrumCandidate,
+    xi_samples: Sequence[float | Fraction],
+) -> list[list[JPRow]]:
+    """jp_sum(digits, base, cand.points(k), xi_samples) for every level k =
+    0, ..., len(cand.levels), from one kernel pass over the top level.
+
+    The points reach the kernel as integers over the top level's reduced
+    denominator (SpectrumCandidate.numerators), so every level is a prefix
+    of the columns, and the kernel yields each level's own depth as it
+    passes it.  With an integer scale s every level has the top level's
+    denominator, since each numerator over N, s * (l2 + N*lam), is s * l2
+    mod N; so while d * |num| stays below 2^63 each unit, and so each row,
+    equals jp_sum's bit for bit.  A fractional scale, or points past that
+    height, may move a Q_T by an ulp.
+    """
+    den, nums, counts = cand.numerators()
+    return _frame_sums(digits, base, _RationalSide(den, nums), counts, xi_samples)
+
+
+def _frame_sums(
+    digits: DigitSet, base: int, cols: _RationalSide, counts: Sequence[int], xi_samples
+) -> list[list[JPRow]]:
+    """The JPRows over the first n columns, for each n in counts, each
+    truncated at the depth for its own largest point height."""
     # a float is taken at its exact dyadic value, so the rows' common
     # denominator is the largest power of two, whatever their number
     xs = [Fraction(x) for x in xi_samples]
     # int / int rounds once, to the double nearest the exact height
-    height = cols.bound / cols.den + 2.0
-    trunc = TruncatedMeasure(base, digits, auto_depth(base, digits, height))
-
-    totals = _row_sums([trunc], _RationalSide(xs), cols)
-    return [JPRow(float(x), len(cols), q_t) for x, q_t in zip(xs, totals)]
+    heights = [int(abs(cols.nums[:n]).max(initial=0)) / cols.den + 2.0 for n in counts]
+    depths = [auto_depth(base, digits, h) for h in heights]
+    trunc = TruncatedMeasure(base, digits, max(depths))
+    totals = _row_sums([trunc], _RationalSide.of(xs), cols, list(zip(depths, counts)))
+    return [[JPRow(float(x), n, q_t) for x, q_t in zip(xs, qs)] for n, qs in zip(counts, totals)]
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +675,7 @@ def weakly_periodic_check(
     xs = grid[keep]
 
     # nearest shifts first, so the near window is a prefix
-    shifts = _RationalSide(sorted(range(-integer_window, integer_window + 1), key=abs))
+    shifts = _RationalSide(1, sorted(range(-integer_window, integer_window + 1), key=abs))
     near = 2 * min(integer_window, _NEAR_WINDOW) + 1
     running = _window_max(trunc, shifts[:near], xs)
     # best first, in batches that double: one point at a time when two

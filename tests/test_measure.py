@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 from spectralforge.digitsets import DigitSet
 from spectralforge.errors import TailBoundUnavailable
-from spectralforge import measure
+from spectralforge import cli, measure
 from spectralforge.measure import (
     FLAG_THRESHOLD,
     MEMBERSHIP_THRESHOLD,
@@ -18,6 +19,7 @@ from spectralforge.measure import (
     build_spectrum,
     chebyshev_grid,
     finite_level_identity_check,
+    jp_levels,
     jp_sum,
     mask_value,
     mask_value_rational,
@@ -315,6 +317,53 @@ def test_jp_sum_one_sample_and_no_points():
     assert jp_sum(digits, 4, [Fraction(1)], []) == []
 
 
+def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(cli.one_stage_to_json(form)))
+    argv = ["verify-jp", "--form", str(path), "--levels", str(levels), "--grid", str(grid), "--scale", str(scale)]
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
+    """verify-jp reads every level from one kernel pass over the top level;
+    each report row equals jp_sum over that level's points, bit for bit.
+    The frame-sums forms at their benchmark scales, then the test suite's
+    verify-jp forms, one with two bands of sample rows (200 x 2,730)."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    f8 = cli.one_stage_from_json({"base": 8, "r": 1, "A": ["0", "4"], "Bs": {"0": ["0", "23"], "4": ["0", "23"]},
+                                  "L1": ["0", "3"], "L2": ["0", "4"]})
+    cases = [(scale, form, 5, 8) for scale, form in _frame_sums_scaled_forms()]
+    cases += [(1, f8, 3, 8), (3, f83, 2, 3), (3, f83, 1, 4096), (3, f83, 5, 200), (1, _form14(), 5, 8)]
+    for scale, form, levels, grid in cases:
+        report = _verify_jp_report(tmp_path, capsys, form, scale, levels, grid)
+        cand = build_spectrum(form, levels=levels, scale=Fraction(scale))
+        digits = DigitSet(form.base, tuple(x // scale for x in expand_one_stage(form).digits))
+        xi = [0.0] + chebyshev_grid(grid - 1)
+        for k in range(levels + 1):
+            want = [row.q_t for row in jp_sum(digits, form.base, cand.points(k), xi)]
+            assert [row["Q_T"] for row in report["rows"] if row["level"] == k] == want, (form.base, scale, k)
+
+
+def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
+    """--levels 5 reads its six levels from one pass over the 2,048 top-level
+    points, each at its own depth, not from six passes."""
+    calls = []
+    kernel = measure._split_phase_abs
+
+    def counted(m, rows, cols, stops=()):
+        calls.append((len(rows), len(cols), tuple(stops), m.depth))
+        return kernel(m, rows, cols, stops)
+
+    monkeypatch.setattr(measure, "_split_phase_abs", counted)
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    report = _verify_jp_report(tmp_path, capsys, f83, 3, 5, 8)
+    assert len(report["rows"]) == 6 * 8
+    [(rows, cols, stops, depth)] = calls
+    assert (rows, cols) == (8, 2048)
+    assert list(stops) == sorted(set(stops)) and len(stops) > 1 and stops[-1] == depth
+
+
 def _scanned_points(form, integer_window, resolution):
     """(truncated measure, kept grid points, excluded count) of a scan."""
     n = form.base
@@ -351,17 +400,22 @@ def test_weakly_periodic_memory_is_tiled():
     tens of MB.  The scan gives the far shifts to few points, so the second
     case runs the full window over 64 points: 2.56 M pairs, 123 MB untiled.
     The third sums 24 samples over a level-7 aggregate of 16,384 points:
-    393,216 pairs for each of two kernels, 18.9 MB each untiled."""
+    393,216 pairs for each of two kernels, 18.9 MB each untiled.  The fourth
+    reads the six levels of a candidate (2,730 columns in all) for 512
+    samples: holding every level's squares at once would take 11.2 MB."""
     form = _normalized_plain()
     d_set = expand_one_stage(form)
     trunc = TruncatedMeasure(4, d_set, auto_depth(4, d_set, 20002.0, 1e-12))
-    shifts = measure._RationalSide(range(-20000, 20001))
+    shifts = measure._RationalSide(1, range(-20000, 20001))
     xs = np.array(chebyshev_grid(64))
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    cand = build_spectrum(f83, levels=5, scale=Fraction(3))
+    d83 = DigitSet(24, (0, 1, 16, 17))
     for scan in (
         lambda: weakly_periodic_check(form, integer_window=20000, resolution=64).positive,
         lambda: measure._window_max(trunc, shifts, xs).min() > 0,
         lambda: finite_level_identity_check(f83, 7, chebyshev_grid(24)) < 1e-13,
+        lambda: all(r.q_t <= 1 + 1e-9 for rows in jp_levels(d83, 24, cand, chebyshev_grid(512)) for r in rows),
     ):
         tracemalloc.start()
         try:
@@ -377,7 +431,7 @@ def _full_window_report(form, integer_window, resolution):
     """The report of a scan that gives every point every shift."""
     trunc, xs, excluded = _scanned_points(form, integer_window, resolution)
     running = np.zeros_like(xs)
-    shifts = measure._RationalSide(range(-integer_window, integer_window + 1))
+    shifts = measure._RationalSide(1, range(-integer_window, integer_window + 1))
     for _, cs, mag in measure._split_phase_abs(trunc, shifts, measure._FloatSide(xs)):
         np.maximum(running[cs], mag.max(axis=0), out=running[cs])
     lowest = float(running.min())
@@ -389,16 +443,22 @@ def _full_window_report(form, integer_window, resolution):
     )
 
 
-def _frame_sums_forms():
+def _frame_sums_scaled_forms():
+    """(scale, form) of the frame-sums benchmark: each four-digit form at
+    its multiplier (1, 3 or 5), the base-4 forms at 1."""
     forms = [
-        build_four_digit_form(*args)[1]
+        build_four_digit_form(*args)
         for args in ((24, 1, 4, 1, 1), (24, 3, 5, 1, 3), (40, 1, 4, 1, 1), (12, 1, 3, 1, 1),
                      (48, 1, 5, 1, 1), (48, 5, 6, 3, 1), (20, 1, 3, 1, 1))
     ]
     return forms + [
-        one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, b1)}, (0, 2), (0, 1))
+        (1, one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, b1)}, (0, 2), (0, 1)))
         for b1 in ((0, 6), (0, 2))
     ]
+
+
+def _frame_sums_forms():
+    return [form for _, form in _frame_sums_scaled_forms()]
 
 
 def _flagged_forms():
