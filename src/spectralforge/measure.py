@@ -171,7 +171,7 @@ class _RationalSide:
         before its final rounding."""
         m = self.den * base**j
         x = self.nums[part]
-        if max(abs(d), 1) * self.bound < _INT64_LIMIT:
+        if max(abs(d), 1) * max(self.bound, 1) < _INT64_LIMIT:
             prod = d * x
             # past int64, |d*num| < m: the phase is already reduced, up to
             # a sign the period absorbs

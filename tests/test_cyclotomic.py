@@ -326,6 +326,115 @@ def test_factorization_tests_only_the_sparse_input(monkeypatch):
     assert sizes and max(sizes) <= 2
 
 
+def _mann_rejects(poly, d):
+    """The residue criterion from its definition: with k terms, s(d) is d
+    over its primes p <= k, and it rejects d when some exponent is alone
+    in its class mod s(d)."""
+    k = len(poly.terms)
+    s = d // math.prod(p for p, _ in cyclotomic.factorize(d) if p <= k)
+    classes = Counter(e % s for e, _ in poly.terms)
+    return 1 in classes.values()
+
+
+def _small_polynomials(rng):
+    """0/1 masks, signed sparse polynomials, and both times a few Phi_e,
+    all of degree below 60."""
+    for _ in range(60):
+        digits = {0} | {rng.randrange(1, 24) for _ in range(rng.randrange(1, 8))}
+        yield MaskPolynomial.from_digits(digits)
+        signed = {rng.randrange(24): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randrange(1, 8))}
+        yield MaskPolynomial(tuple(signed.items()))
+    for _ in range(40):
+        base = MaskPolynomial.from_digits({0} | {rng.randrange(1, 12) for _ in range(3)})
+        signed = MaskPolynomial(((0, rng.choice((-1, 1))), (rng.randrange(1, 12), rng.choice((-2, 1)))))
+        for poly in (base, signed):
+            for _ in range(rng.randrange(1, 3)):
+                poly = poly * cyclotomic_poly(rng.randrange(2, 25))
+            yield poly
+
+
+def test_mann_criterion_never_rejects_a_cyclotomic_factor():
+    """Whenever the residue criterion rejects d <= 120, Phi_d does not
+    divide the polynomial; the factorization's own s(d) and verdict agree
+    with the definition."""
+    rng = random.Random(23)
+    rejected = divisible = 0
+    for poly in _small_polynomials(rng):
+        exponents = [e for e, _ in poly.terms]
+        primorial = math.prod(cyclotomic._primes_upto(len(exponents)))
+        for d in range(1, 121):
+            rejects = _mann_rejects(poly, d)
+            s = d // math.gcd(d, primorial)
+            assert cyclotomic._shares_every_residue(exponents, s) is not rejects, (poly, d)
+            if rejects:
+                rejected += 1
+                assert not has_cyclotomic_factor(poly, d), (poly, d)
+            else:
+                divisible += has_cyclotomic_factor(poly, d)
+    assert rejected > 10_000 and divisible > 200
+
+
+def _unfiltered_factorization(poly):
+    """Every candidate index through the exact test, with no pre-screen."""
+    budget, found = poly.degree, []
+    for d in _candidate_indices(poly.degree):
+        mult = 0
+        while (mult + 1) * euler_phi(d) <= budget and has_cyclotomic_factor(poly, d, mult + 1):
+            mult += 1
+        if mult:
+            found.append((d, mult))
+            budget -= mult * euler_phi(d)
+    residual = poly
+    for d, mult in found:
+        residual = exact_quotient(residual, cyclotomic_poly(d) ** mult)
+    return tuple(found), residual
+
+
+def test_filtered_factorization_matches_the_unfiltered_search():
+    """Sparse 0/1 masks, tile-structured masks A + m*B, signed sparse
+    polynomials and products of Phi_d^m with dense signed cofactors: the
+    factorization equals the search that tests every candidate exactly."""
+    rng = random.Random(5)
+    polys = []
+    for _ in range(25):
+        top = rng.randrange(2, 160)
+        polys.append(MaskPolynomial.from_digits({0, top} | {rng.randrange(top) for _ in range(8)}))
+        a, b, scale = rng.randrange(2, 5), rng.randrange(2, 4), rng.choice((1, 2, 3, 5))
+        m = rng.randrange(a, 3 * a + 1)
+        block = {0} | {rng.randrange(1, 3 * a) for _ in range(a)}
+        polys.append(MaskPolynomial.from_digits({(x + m * y) * scale for x in block for y in range(b)}))
+        signed = {rng.randrange(top): rng.choice((-3, -1, 1, 2)) for _ in range(rng.randrange(1, 9))}
+        polys.append(MaskPolynomial(tuple({**signed, top: 1}.items())))
+        dense = MaskPolynomial.from_dense([rng.randrange(-3, 4) for _ in range(rng.randrange(1, 10))] + [1])
+        for _ in range(rng.randrange(1, 4)):
+            dense = dense * cyclotomic_poly(rng.randrange(1, 40)) ** rng.randrange(1, 3)
+        polys.append(dense)
+    factored = 0
+    for poly in polys:
+        fac = cyclotomic_factorization(poly)
+        assert (fac.factors, fac.residual) == _unfiltered_factorization(poly), poly
+        factored += bool(fac.factors)
+    assert factored > 30
+
+
+def test_sparse_mask_makes_few_exact_tests(monkeypatch):
+    """A 10-term mask of degree 1,000 has 1,941 candidate indices; the
+    residue criterion leaves a few dozen of them to the exact test."""
+    calls = []
+    test = cyclotomic.has_cyclotomic_factor
+
+    def counted(poly, d, multiplicity=1):
+        calls.append(d)
+        return test(poly, d, multiplicity)
+
+    monkeypatch.setattr(cyclotomic, "has_cyclotomic_factor", counted)
+    rng = random.Random(3)
+    mask = MaskPolynomial.from_digits({0, 1000, *rng.sample(range(1, 1000), 8)})
+    assert len(mask.terms) == 10 and len(_candidate_indices(1000)) == 1941
+    cyclotomic_factorization(mask)
+    assert 0 < len(calls) <= 60
+
+
 def test_candidate_indices_match_totient_bound():
     # phi(d) >= sqrt(d/2) makes d <= 2*m^2 + 1 a complete range to compare with
     phi = [0] + [euler_phi(d) for d in range(1, 2 * 150 * 150 + 2)]

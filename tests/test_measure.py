@@ -317,6 +317,15 @@ def test_jp_sum_one_sample_and_no_points():
     assert jp_sum(digits, 4, [Fraction(1)], []) == []
 
 
+def test_jp_sum_point_zero_with_a_digit_past_int64():
+    """Every point 0 gives the exact side the bound 0; a digit of 2^70 must
+    still take the Python-int route, not overflow int64."""
+    digits = DigitSet(4, (0, 2**70))
+    rows = jp_sum(digits, 4, [Fraction(0)], [0.3])
+    assert len(rows) == 1 and rows[0].count == 1 and 0.0 <= rows[0].q_t <= 1.0
+    _assert_jp_matches_reference(digits, 4, [Fraction(0)], [Fraction(3, 10)])
+
+
 def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
     path = tmp_path / "form.json"
     path.write_text(json.dumps(cli.one_stage_to_json(form)))

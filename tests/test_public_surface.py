@@ -10,9 +10,14 @@ tests do not count, since a name that only its own test calls reaches no
 user.  The check goes by name alone: a member whose name some other
 reached attribute shares passes it (``DigitSet.residues``, say, would pass
 through ``ResidueClassSet.residues``).
+
+The exact layer is also imported on its own, to check that it loads
+without numpy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,3 +97,16 @@ def unreached() -> list[str]:
 
 def test_every_public_name_is_reached():
     assert unreached() == []
+
+
+def test_exact_layer_never_imports_numpy():
+    """The package promises an integer-only exact layer: importing its five
+    modules in a fresh interpreter leaves numpy unloaded."""
+    modules = ("digitsets", "cyclotomic", "hadamard", "productform", "cm_tiling")
+    code = "; ".join(
+        [f"import spectralforge.{m}" for m in modules] + ["import sys", "print('numpy' in sys.modules)"]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
