@@ -406,14 +406,24 @@ def vanishing_sum_test(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:
     sum vanishes iff D(zeta_m) = sum of zeta_m^(d mod m) does.  The verdict
     depends on (D, m) alone and is decided once per pair by the
     prime-by-prime test, in a bounded memo keyed on the full digit tuple.
-    t = 0 (mod n) gives m = 1, where the sum is |D|; an empty D vanishes.
-    ``vanishing_by_division`` is the direct divisibility form, kept as the
-    independent oracle.
+    A DigitSet also keeps its verdicts by m (at most _ORDER_MEMO_SIZE of
+    them) in ``order_verdicts``, so a repeated question about it costs
+    O(1), not a hash of its digits.  t = 0 (mod n) gives m = 1, where the
+    sum is |D|; an empty D vanishes.  ``vanishing_by_division`` is the
+    direct divisibility form, kept as the independent oracle.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    digits = d_set.digits if isinstance(d_set, DigitSet) else tuple(d_set)
-    return _vanishes_at_order(digits, n // math.gcd(t, n))
+    m = n // math.gcd(t, n)
+    if not isinstance(d_set, DigitSet):
+        return _vanishes_at_order(tuple(d_set), m)
+    verdicts = d_set.order_verdicts
+    verdict = verdicts.get(m)
+    if verdict is None:
+        verdict = _vanishes_at_order(d_set.digits, m)
+        if len(verdicts) < _ORDER_MEMO_SIZE:
+            verdicts[m] = verdict
+    return verdict
 
 
 @lru_cache(maxsize=_ORDER_MEMO_SIZE)

@@ -32,7 +32,10 @@ class DigitSet:
 
     ``offset`` is bookkeeping only: ``canonicalize`` stores there the
     translation that was subtracted, so results computed for the canonical
-    set can be reported for the original one.
+    set can be reported for the original one.  ``order_verdicts``, not a
+    field, maps a root order m to whether the sum of zeta_m^d over the
+    digits vanishes; ``cyclotomic.vanishing_sum_test`` fills it, so a
+    repeated question costs no hash of the digits.
     """
 
     base: int
@@ -48,6 +51,7 @@ class DigitSet:
         if len(set(ordered)) != len(ordered):
             raise ValueError("digits must be pairwise distinct (multisets rejected)")
         object.__setattr__(self, "digits", ordered)
+        object.__setattr__(self, "order_verdicts", {})
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.digits)

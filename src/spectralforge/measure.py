@@ -8,7 +8,9 @@ multiplicative tail bound.
 The finite-level identity, the frame sums and the weakly-periodic scan all
 run on one split-phase kernel: the transform at every sum a + b of a row
 list and a column list, from e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j), so
-each level takes one exponential per (digit, entry) on each side.  Exact
+each level takes, on each side, one cos/sin pass over the phases of every
+nonzero digit and entry (_unit_roots, which mask_value shares); the zero
+digit's unit is exactly 1 and costs nothing.  Exact
 points (spectrum points, aggregates, samples) enter it through _RationalSide
 alone, as integer numerators over one common denominator, whose phase
 d*v/N^j mod 1 is reduced in integer arithmetic, so points at height 1e8
@@ -53,6 +55,17 @@ TWO_PI = 2.0 * math.pi
 # Masks and truncated transforms.
 
 
+def _unit_roots(theta: np.ndarray) -> np.ndarray:
+    """e^(i*theta) as cos(theta) + i*sin(theta), elementwise.  Equal to
+    np.exp(-2j*np.pi*phase) for theta = (-2*np.pi)*phase (the product of a
+    complex with a zero real part and a float keeps theta the same double),
+    without the cost of the complex exponential."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def mask_value(digits: DigitSet | Sequence[int], xi):
     """M_D(xi) = (1/|D|) * sum of e(-d*xi); a numpy array for an array xi,
     else a Python complex."""
@@ -60,7 +73,7 @@ def mask_value(digits: DigitSet | Sequence[int], xi):
     x = np.asarray(xi, dtype=float)
     acc = np.zeros(x.shape, dtype=complex)
     for d in ds:
-        acc += np.exp(-2j * np.pi * float(d) * x)
+        acc += _unit_roots((-2 * np.pi * float(d)) * x)
     acc /= len(ds)
     return acc if isinstance(xi, np.ndarray) else complex(acc)
 
@@ -166,19 +179,23 @@ class _RationalSide:
         sub.nums = self.nums[part]
         return sub
 
-    def units(self, base: int, j: int, d: int, part: slice) -> np.ndarray:
-        """e(-d*v/N^j) with the phase (d*num mod den*N^j)/(den*N^j) exact
-        before its final rounding."""
+    def units(self, base: int, j: int, ds: Sequence[int], part: slice) -> np.ndarray:
+        """e(-d*v/N^j), one row per digit d of ds (nonzero) and one column
+        per entry v in part, with the phase (d*num mod den*N^j)/(den*N^j)
+        exact before its final rounding."""
         m = self.den * base**j
         x = self.nums[part]
-        if max(abs(d), 1) * max(self.bound, 1) < _INT64_LIMIT:
-            prod = d * x
+        if max(map(abs, ds)) * max(self.bound, 1) < _INT64_LIMIT:
+            prod = np.multiply.outer(np.array(ds, dtype=np.int64), x)
             # past int64, |d*num| < m: the phase is already reduced, up to
             # a sign the period absorbs
             phase = (prod % m) / m if m < _INT64_LIMIT else prod / float(m)
+        elif len(ds) > 1:
+            # each digit on the route it takes alone
+            return np.concatenate([self.units(base, j, (d,), part) for d in ds])
         else:
-            phase = np.array([(d * v) % m / m for v in x.tolist()], dtype=float)
-        return np.exp(-2j * np.pi * phase)
+            phase = np.array([[(ds[0] * v) % m / m for v in x.tolist()]], dtype=float)
+        return _unit_roots((-2 * np.pi) * phase)
 
 
 class _FloatSide:
@@ -193,8 +210,11 @@ class _FloatSide:
     def __getitem__(self, part: slice) -> _FloatSide:
         return _FloatSide(self.values[part])
 
-    def units(self, base: int, j: int, d: int, part: slice) -> np.ndarray:
-        return np.exp(-2j * np.pi * float(d) * (self.values[part] / float(base) ** j))
+    def units(self, base: int, j: int, ds: Sequence[int], part: slice) -> np.ndarray:
+        """e(-d*x/N^j), one row per digit d of ds and one column per entry
+        x in part."""
+        scaled = self.values[part] / float(base) ** j
+        return _unit_roots(np.multiply.outer((-2 * np.pi) * np.array(ds, dtype=float), scaled))
 
 
 def _tiles(n_rows: int, n_cols: int):
@@ -217,15 +237,24 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
     the depth-j transform bit for bit."""
     stops = tuple(stops) or (m.depth,)
     ds = m.digits.digits
+    nonzero = [d for d in ds if d]
     for rs, cs in _tiles(len(rows), len(cols)):
         shape = (rs.stop - rs.start, cs.stop - cs.start)
         prod = np.ones(shape, dtype=complex)
         level = np.empty(shape, dtype=complex)
         term = np.empty(shape, dtype=complex)
         for j in range(1, stops[-1] + 1):
+            if nonzero:
+                units = zip(rows.units(m.base, j, nonzero, rs), cols.units(m.base, j, nonzero, cs))
             for i, d in enumerate(ds):
-                out = term if i else level
-                np.multiply.outer(rows.units(m.base, j, d, rs), cols.units(m.base, j, d, cs), out=out)
+                if d == 0:
+                    # e(0) is exactly 1 on both sides, and so is its product
+                    if i:
+                        level.real += 1.0
+                    else:
+                        level.fill(1.0)
+                    continue
+                np.multiply.outer(*next(units), out=term if i else level)
                 if i:
                     level += term
             # the parts one by one: what complex / int gives, without the
@@ -284,10 +313,11 @@ def chebyshev_grid(count: int) -> list[float]:
     return [0.5 * (1.0 + math.cos(math.pi * (2 * i + 1) / (2 * count))) for i in range(count)]
 
 
-def rational_grid(base: int) -> list[Fraction]:
-    """All t/base^2 with 0 <= t < base^2; mask zeros live at such points."""
+def rational_grid(base: int) -> list[float]:
+    """All t/base^2 with 0 <= t < base^2, each the double nearest it (int /
+    int rounds once); mask zeros live at such points."""
     den = base * base
-    return [Fraction(t, den) for t in range(den)]
+    return [t / den for t in range(den)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +325,17 @@ def rational_grid(base: int) -> list[Fraction]:
 
 # Most points a level-p aggregate (|T|^p) or a built spectrum's top level
 # (|L2| * |T|^levels) may hold, T the anchored spectrum.  Both grow as powers
-# of |T|: on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42 --p 8 takes
-# 2.4 s and --p 9 18 s, verify-jp --levels 8 --scale 3 1.6 s and --levels 9
-# 12 s (this limit lifted).
+# of |T|: in process on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42
+# --p 8 takes 1.7 s and --p 9 14 s, verify-jp --levels 8 --scale 3 1.3 s
+# and --levels 9 9.1 s (this limit and SAMPLE_LIMIT lifted).
 POINT_LIMIT = 1 << 17
 # Most (point, sample) pairs a frame-sum run may evaluate: the top-level
 # points times the --grid samples of verify-jp or check-lemma42.  In
 # process on fd24-1-4-1-1 with --scale 3 (2-core x86), verify-jp takes
-# 0.7 s at --levels 5 --grid 512 (2^20 pairs, all six levels from one kernel
-# pass) and 0.16 s at --levels 1 --grid 4096 (cli.JP_ROW_LIMIT caps its
-# report rows).  check-lemma42 takes
-# 0.5 s at --p 7 and 2.6 s at --p 8 with its 64 samples.
+# 0.56 s at --levels 5 --grid 512 (2^20 pairs, all six levels from one
+# kernel pass) and 0.20 s at --levels 1 --grid 4096 (cli.JP_ROW_LIMIT caps
+# its report rows).  check-lemma42 takes 0.40 s at --p 7 and, this limit
+# lifted, 1.7 s at --p 8 with its 64 samples.
 SAMPLE_LIMIT = 1 << 20
 
 
@@ -590,16 +620,17 @@ _NEAR_WINDOW = 2
 
 # Most points the scan grid may hold: the N^2 rational points t / N^2 and
 # the --resolution Chebyshev points.  Every point gets the near window.  In
-# process (2-core x86) fd24-1-4-1-1 takes 1.0 s at N^2 + resolution = 2^18,
-# and a base-500 form 1.1 s at 500^2 + 4,096.  The base-1,728 one-stage form
-# that reduce-kstage emits for (2,3,2,ii) took 5.4 s to build the 1728^2
-# Fractions of its grid alone.
+# process (2-core x86) fd24-1-4-1-1 takes 0.78 s at N^2 + resolution = 2^18,
+# and the base-500 four-digit form (500, 1, 1, 1, 1) 0.44 s at 500^2 +
+# 4,096.  The base-1,728 one-stage form that reduce-kstage emits for
+# (2,3,2,ii) would scan 1728^2 points, over 11 times this limit; building
+# them took 5.3 s as Fractions, and takes 0.3 s as floats.
 SCAN_POINT_LIMIT = 1 << 18
 # Largest --window, in shifts each way.  The far window goes only to points
 # that can still be the minimum or flagged, which grow with the grid: with
 # both limits reached, the B = {0, N} form of base 6 flags 271 points and
-# takes 3.4 s, fd24-1-4-1-1 1.0 s.  A window of 2^16 took 2.1 s on that
-# B = {0, N} form at --resolution 4,096 alone.  The two limits bound the
+# takes 2.4 s, fd24-1-4-1-1 0.83 s.  A window of 2^16 takes 1.6 s on that
+# B = {0, N} form at --resolution 4,096 alone (this limit lifted).  The two limits bound the
 # grid and the window one at a time, not the far scan's work, which is
 # their product over the points that reach it: a form that flags most of
 # its grid could take up to 2^18 points x 8,193 shifts.
@@ -665,7 +696,7 @@ def weakly_periodic_check(
     n = form.base
     d_set = expand_one_stage(form)
     b_list = form.b_list()
-    grid = np.array(sorted(set(chebyshev_grid(resolution)) | {float(f) for f in rational_grid(n)}))
+    grid = np.array(sorted(set(chebyshev_grid(resolution)) | set(rational_grid(n))))
     depth = auto_depth(n, d_set, integer_window + 2.0, 1e-12)
     trunc = TruncatedMeasure(n, d_set, depth)
 

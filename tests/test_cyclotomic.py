@@ -283,6 +283,24 @@ def test_order_memo_stays_bounded():
     assert info.maxsize == size and info.currsize <= size
 
 
+def test_digit_set_answers_repeated_orders_from_its_own_verdicts():
+    """A DigitSet's second question about a root order never reaches the
+    memo keyed on the digit tuple, gives the tuple's verdict, and its table
+    stays bounded like the memo."""
+    d = DigitSet(72, (0, 4, 8, 9, 13, 17, 36, 40, 44, 45, 49, 53))
+    cyclotomic._vanishes_at_order.cache_clear()
+    first = [vanishing_sum_test(d, t, 72) for t in range(-72, 144)]
+    cold = cyclotomic._vanishes_at_order.cache_info()
+    assert cold.hits == 0 and cold.misses == len(d.order_verdicts) == 12  # the divisors of 72
+    assert [vanishing_sum_test(d, t, 72) for t in range(-72, 144)] == first
+    assert cyclotomic._vanishes_at_order.cache_info() == cold
+    assert first == [vanishing_sum_test(d.digits, t, 72) for t in range(-72, 144)]
+    size = cyclotomic._ORDER_MEMO_SIZE
+    pair = DigitSet(2, (0, 1))
+    assert [vanishing_sum_test(pair, 1, n) for n in range(2, size + 50)] == [n == 2 for n in range(2, size + 50)]
+    assert len(pair.order_verdicts) == size
+
+
 def test_factorization_examples_and_roundtrip():
     fac = cyclotomic_factorization(MaskPolynomial.from_digits((0, 1, 16, 17)))
     assert dict(fac.factors) == {2: 1, 32: 1}

@@ -326,6 +326,73 @@ def test_jp_sum_point_zero_with_a_digit_past_int64():
     _assert_jp_matches_reference(digits, 4, [Fraction(0)], [Fraction(3, 10)])
 
 
+def test_unit_roots_equal_complex_exponential():
+    """cos/sin of theta give, element for element, the complex exponentials
+    the kernel's two sides and mask_value used to take."""
+    rng = np.random.default_rng(24)
+    size = 1 << 17
+    phase = np.where(rng.random(size) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-13, 11, size)
+    assert np.array_equal(measure._unit_roots((-2 * np.pi) * phase), np.exp(-2j * np.pi * phase))
+    x = np.where(rng.random(size) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-13, 6, size)
+    for d in (-7, -1, 1, 3, 12345):
+        old = np.exp(-2j * np.pi * float(d) * x)
+        assert np.array_equal(measure._unit_roots((-2 * np.pi * float(d)) * x), old)
+
+
+def _old_split_phase_abs(m, rows, cols, stops=()):
+    """The kernel before the zero digit was skipped: one complex
+    exponential per digit, side, level and entry, digit by digit."""
+
+    def units(side, j, d, part):
+        if isinstance(side, measure._FloatSide):
+            return np.exp(-2j * np.pi * float(d) * (side.values[part] / float(m.base) ** j))
+        mod = side.den * m.base**j
+        x = side.nums[part]
+        if max(abs(d), 1) * max(side.bound, 1) < 2**63:
+            prod = d * x
+            phase = (prod % mod) / mod if mod < 2**63 else prod / float(mod)
+        else:
+            phase = np.array([(d * v) % mod / mod for v in x.tolist()], dtype=float)
+        return np.exp(-2j * np.pi * phase)
+
+    stops = tuple(stops) or (m.depth,)
+    ds = m.digits.digits
+    for rs, cs in measure._tiles(len(rows), len(cols)):
+        prod = np.ones((rs.stop - rs.start, cs.stop - cs.start), dtype=complex)
+        for j in range(1, stops[-1] + 1):
+            level = np.multiply.outer(units(rows, j, ds[0], rs), units(cols, j, ds[0], cs))
+            for d in ds[1:]:
+                level += np.multiply.outer(units(rows, j, d, rs), units(cols, j, d, cs))
+            level.view(float)[...] /= len(ds)
+            prod *= level
+            if j in stops:
+                yield rs, cs, np.abs(prod)
+
+
+def test_split_phase_kernel_equals_per_digit_exponentials():
+    """Skipping the zero digit and taking each side's units of all digits
+    in one cos/sin pass leave every magnitude bit for bit."""
+    rng = random.Random(24)
+    samples = measure._FloatSide(np.array([rng.uniform(-3, 3) for _ in range(97)]))
+    exact = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(113)])
+    shifts = measure._RationalSide(1, range(-40, 41))
+    assert len(samples) * len(exact) > measure._TILE_PAIRS
+    # the last set sends 5 and -2^61 by different routes; past depth 13,
+    # den * 24^j leaves int64 too
+    digit_sets = [(0, 1, 8, 9), (-3, 0, 2, 5), (1, 2, 7, 10), (0,), (-(2**61), 0, 5)]
+    sides = [(samples, exact), (exact, samples), (shifts, samples), (exact, exact[:40])]
+    for digits in digit_sets:
+        m = TruncatedMeasure(24, DigitSet(24, digits), 15 if digits[0] < -5 else 6)
+        for rows, cols in sides:
+            for stops in ((), (1, 3), (2, 5, 6), (13, 14)):
+                new = list(measure._split_phase_abs(m, rows, cols, stops))
+                old = list(_old_split_phase_abs(m, rows, cols, stops))
+                assert len(new) == len(old) > 0
+                for (rs, cs, mag), (rs0, cs0, mag0) in zip(new, old):
+                    assert (rs, cs) == (rs0, cs0)
+                    assert (mag == mag0).all(), (digits, stops)
+
+
 def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
     path = tmp_path / "form.json"
     path.write_text(json.dumps(cli.one_stage_to_json(form)))
@@ -541,6 +608,8 @@ def test_weakly_periodic_zero_never_member():
 def test_rational_grid_contains_mask_zeros():
     grid = rational_grid(4)
     assert Fraction(1, 4) in grid and len(grid) == 16
+    for n in (7, 48, 250):
+        assert rational_grid(n) == [float(Fraction(t, n * n)) for t in range(n * n)]
 
 
 def test_two_branch_candidate_monotone_toward_split_targets():
