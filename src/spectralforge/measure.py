@@ -18,13 +18,13 @@ lose nothing; a side of floats uses the float phase.  A candidate's points
 come as such integers from SpectrumCandidate.numerators, with no Fraction
 per point.  The kernel works in tiles of at most _TILE_PAIRS pairs, so its
 memory does not grow, and each pair's value depends on that pair alone: the
-weakly-periodic scan gives its far shifts only to the points still in
-contention, bit for bit, and the running product after j factors is the
-depth-j transform, so jp_levels reads every level of a candidate from one
-pass over the top level, each at its own depth.  The scalar
-exact-phase ``mu_hat_rational`` serves the shift search of build_spectrum,
-which stops at its first accepted shift; the float ``mu_hat`` is the tests'
-reference.
+weakly-periodic scan gives every grid point the shift 0 and climbs a ladder
+of longer shift prefixes only with the points still in contention, bit for
+bit, and the running product after j factors is the depth-j transform, so
+jp_levels reads every level of a candidate from one pass over the top
+level, each at its own depth.  The scalar exact-phase ``mu_hat_rational``
+serves the shift search of build_spectrum, which stops at its first
+accepted shift; the float ``mu_hat`` is the tests' reference.
 
 Every truncation depth comes from the tail bound (auto_depth).
 
@@ -90,8 +90,10 @@ def mask_value_rational(digits: DigitSet | Sequence[int], num: int, den: int):
 
 def _b_energy(b_list: Sequence[DigitSet], mask) -> float | np.ndarray:
     """(1/|b_list|) * sum over B of |mask(B)|^2, mask(B) being M_B at a point
-    or an array of points: the averaged B-mask energy."""
-    return sum(abs(mask(b)) ** 2 for b in b_list) / len(b_list)
+    or an array of points: the averaged B-mask energy.  mask runs once per
+    distinct B, and the sum still goes over b_list in its order."""
+    energy = {b: abs(mask(b)) ** 2 for b in dict.fromkeys(b_list)}
+    return sum(energy[b] for b in b_list) / len(b_list)
 
 
 def digit_mass(digits: DigitSet | Sequence[int]) -> float:
@@ -309,15 +311,24 @@ def _row_sums(
 
 
 def chebyshev_grid(count: int) -> list[float]:
-    """Chebyshev points mapped to [0, 1]."""
-    return [0.5 * (1.0 + math.cos(math.pi * (2 * i + 1) / (2 * count))) for i in range(count)]
+    """Chebyshev points mapped to [0, 1]: 0.5 * (1 + cos(pi * (2i + 1) /
+    (2 * count))) for 0 <= i < count."""
+    return (0.5 * (1.0 + np.cos(math.pi * (2 * np.arange(count) + 1) / (2 * count)))).tolist()
 
 
 def rational_grid(base: int) -> list[float]:
-    """All t/base^2 with 0 <= t < base^2, each the double nearest it (int /
-    int rounds once); mask zeros live at such points."""
+    """All t/base^2 with 0 <= t < base^2, each the double nearest it (an
+    exact int over an exact int, rounded once); mask zeros live at such
+    points."""
     den = base * base
-    return [t / den for t in range(den)]
+    return (np.arange(den) / den).tolist()
+
+
+def _scan_grid(base: int, resolution: int) -> np.ndarray:
+    """The weakly-periodic grid: the Chebyshev and rational points, sorted,
+    each value once (as sorted(set(...)) gives them)."""
+    grid = np.sort(np.concatenate((chebyshev_grid(resolution), rational_grid(base))))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -612,36 +623,33 @@ def _frame_sums(
 # scanned region; a windowed maximum below FLAG_THRESHOLD flags its point.
 MEMBERSHIP_THRESHOLD = 1e-6
 FLAG_THRESHOLD = 1e-3
-# Every kept point is scanned over the shifts |k| <= _NEAR_WINDOW first; the
-# rest of the window goes only to points that can still matter.  With 2, two
-# points of each frame-sums form get the rest.
-_NEAR_WINDOW = 2
-
 
 # Most points the scan grid may hold: the N^2 rational points t / N^2 and
-# the --resolution Chebyshev points.  Every point gets the near window.  In
-# process (2-core x86) fd24-1-4-1-1 takes 0.78 s at N^2 + resolution = 2^18,
-# and the base-500 four-digit form (500, 1, 1, 1, 1) 0.44 s at 500^2 +
-# 4,096.  The base-1,728 one-stage form that reduce-kstage emits for
-# (2,3,2,ii) would scan 1728^2 points, over 11 times this limit; building
-# them took 5.3 s as Fractions, and takes 0.3 s as floats.
+# the --resolution Chebyshev points.  Every point gets shift 0.  In process
+# (2-core x86) fd24-1-4-1-1 takes 0.22 s at N^2 + resolution = 2^18, and the
+# base-500 four-digit form (500, 1, 1, 1, 1) 0.19 s at 500^2 + 4,096.  The
+# base-1,728 one-stage form that reduce-kstage emits for (2,3,2,ii) would
+# scan 1728^2 points, over 11 times this limit; building its grid takes
+# 0.35 s.
 SCAN_POINT_LIMIT = 1 << 18
-# Largest --window, in shifts each way.  The far window goes only to points
-# that can still be the minimum or flagged, which grow with the grid: with
-# both limits reached, the B = {0, N} form of base 6 flags 271 points and
-# takes 2.4 s, fd24-1-4-1-1 0.83 s.  A window of 2^16 takes 1.6 s on that
-# B = {0, N} form at --resolution 4,096 alone (this limit lifted).  The two limits bound the
-# grid and the window one at a time, not the far scan's work, which is
-# their product over the points that reach it: a form that flags most of
-# its grid could take up to 2^18 points x 8,193 shifts.
+# Largest --window, in shifts each way.  The whole window goes only to
+# points that can still be the minimum or flagged, which grow with the
+# grid: with both limits reached, the B = {0, N} form of base 6 flags 271
+# points and takes 1.5 s, fd24-1-4-1-1 0.28 s.  A window of 2^16 takes
+# 1.6 s on that B = {0, N} form at --resolution 4,096 alone (this limit
+# lifted).  The two limits bound the grid and the window one at a time,
+# not the work of the whole window, which is their product over the points
+# that reach it: a form that flags most of its grid could take up to 2^18
+# points x 8,193 shifts.
 SCAN_WINDOW_LIMIT = 1 << 12
 
 
 def check_scan_size(form: OneStageForm, integer_window: int, resolution: int) -> None:
     """Raise PointLimitExceeded, before any work, when the weakly-periodic
     scan of ``form`` would hold more than SCAN_POINT_LIMIT grid points or
-    more than SCAN_WINDOW_LIMIT shifts each way.  The far scan's work, the
-    points that reach it times the window, has no limit of its own."""
+    more than SCAN_WINDOW_LIMIT shifts each way.  The work of the whole
+    window, the points that reach it times the window, has no limit of its
+    own."""
     n = form.base
     what = f"the scan grid would hold {n}^2 + {resolution} points"
     refuse_above("SCAN_POINT_LIMIT", SCAN_POINT_LIMIT, what, n * n + resolution)
@@ -683,20 +691,24 @@ def weakly_periodic_check(
     within a relative 1e-9 of it.  A healthy form reports a clearly
     positive value; near-zero points are listed for re-examination.
 
-    The scan is best first.  Every point gets the near window |k| <=
-    _NEAR_WINDOW, whose maximum is a lower bound on its full maximum.  In
-    increasing order of that bound, points get the rest of the window until
-    the bound exceeds both the relative 1e-9 band of the smallest full
-    maximum found so far and FLAG_THRESHOLD.  No point past that can be the
-    minimum, the reported xi or flagged, and the kernel is elementwise per
-    (shift, point) pair, so the report equals that of the full scan bit for
-    bit.  On the frame-sums forms two points of 4,200 to 6,400 need the
-    far shifts.
+    The scan is best first.  The shifts, ordered by |k|, climb a ladder of
+    prefixes: 1 shift, then 5 (|k| <= 2), then the whole window.  Every
+    point gets shift 0 in one kernel pass, and the maximum over the shifts
+    a point has had is a lower bound on its full maximum.  Then the point
+    with the lowest bound below the top rung picks the rung that moves
+    next, and that rung's points climb one rung in increasing order of
+    their bound, in batches that double for each rung alone (1, 1, 2, 4,
+    ...), while the bound is at most the relative 1e-9 band of the smallest
+    full maximum found so far or FLAG_THRESHOLD.  No point left below the
+    top can be the minimum, the reported xi or flagged, and the kernel is
+    elementwise per (shift, point) pair, so the report equals that of the
+    full scan bit for bit.  On the seven four-digit frame-sums forms shift
+    0 leaves two points of 4,200 to 6,400 for the other shifts.
     """
     n = form.base
     d_set = expand_one_stage(form)
     b_list = form.b_list()
-    grid = np.array(sorted(set(chebyshev_grid(resolution)) | set(rational_grid(n))))
+    grid = _scan_grid(n, resolution)
     depth = auto_depth(n, d_set, integer_window + 2.0, 1e-12)
     trunc = TruncatedMeasure(n, d_set, depth)
 
@@ -705,22 +717,38 @@ def weakly_periodic_check(
     excluded = int(np.sum(~keep))
     xs = grid[keep]
 
-    # nearest shifts first, so the near window is a prefix
+    # nearest shifts first, so that every rung is a prefix of the window
     shifts = _RationalSide(1, sorted(range(-integer_window, integer_window + 1), key=abs))
-    near = 2 * min(integer_window, _NEAR_WINDOW) + 1
-    running = _window_max(trunc, shifts[:near], xs)
-    # best first, in batches that double: one point at a time when two
-    # points matter, full tiles when thousands are flagged
-    order = np.argsort(running, kind="stable")
-    best, done = math.inf, 0
-    while done < len(order):
-        batch = order[done : 2 * done + 1]
-        batch = batch[running[batch] <= max(best * (1 + 1e-9), FLAG_THRESHOLD)]
-        if not batch.size:
+    rungs = sorted({min(size, len(shifts)) for size in (1, 5, len(shifts))})
+    running = _window_max(trunc, shifts[:1], xs)
+    # queues[r]: the points whose bound covers the first rungs[r] shifts, in
+    # increasing order of that bound; the last queue stays empty, since a
+    # point on the top rung has its full maximum
+    queues = [np.argsort(running, kind="stable")] + [np.empty(0, dtype=np.intp)] * (len(rungs) - 1)
+    moved = [0] * len(rungs)
+    best = math.inf
+    while True:
+        limit = max(best * (1 + 1e-9), FLAG_THRESHOLD)
+        heads = [(running[queue[0]], r) for r, queue in enumerate(queues[:-1]) if queue.size]
+        if not heads:
             break
-        running[batch] = np.maximum(running[batch], _window_max(trunc, shifts[near:], xs[batch]))
-        best = min(best, running[batch].min())
-        done += len(batch)
+        # the lowest bound picks the rung; its points move up in batches
+        # that double for each rung alone: one point at a time when two
+        # points matter, full tiles when thousands are flagged
+        bound, r = min(heads)
+        if bound > limit:
+            break
+        batch = queues[r][: max(moved[r], 1)]
+        batch = batch[running[batch] <= limit]
+        queues[r] = queues[r][len(batch) :]
+        moved[r] += len(batch)
+        window = shifts[rungs[r] : rungs[r + 1]]
+        running[batch] = np.maximum(running[batch], _window_max(trunc, window, xs[batch]))
+        if r + 2 == len(rungs):
+            best = min(best, running[batch].min())
+        else:
+            queue = np.concatenate((queues[r + 1], batch))
+            queues[r + 1] = queue[np.argsort(running[queue], kind="stable")]
     lowest = float(running.min())
     # mirror points xi and 1 - xi agree to rounding, so the reported point
     # is the smallest xi within a relative 1e-9 of the minimum

@@ -26,9 +26,11 @@ from spectralforge.measure import (
     rational_grid,
     weakly_periodic_check,
 )
+from spectralforge.cm_tiling import paq_type_generator
 from spectralforge.productform import (
     build_four_digit_form,
     expand_one_stage,
+    k_stage_to_one_stage,
     one_stage_form,
     translate_and_gcd_normalize,
 )
@@ -546,27 +548,59 @@ def _flagged_forms():
 
 
 def test_weakly_periodic_best_first_equals_full_window_scan(monkeypatch):
-    """Bit for bit: the near window only orders the points, and every value
-    the report reads is the same kernel value as in the full scan.  At a
-    flag threshold of 0.2, two points of fd24-3-5-1-3 at window 12 have
-    near maxima below it and full maxima above."""
-    near = measure._NEAR_WINDOW
+    """Bit for bit: the shift ladder only orders the points, and every
+    value the report reads is the same kernel value as in the full scan.
+    The windows give one rung (0), two (1 and 2) and three (3 and 12).  At
+    a flag threshold of 0.2, two points of fd24-3-5-1-3 at window 12 have
+    lower bounds below it and full maxima above."""
     cases = [(f, res) for f, res in zip(_frame_sums_forms(), (64, 96, 128, 160, 192, 224, 256, 64, 128))]
     cases += [(f, 128) for f in _flagged_forms()]
     for threshold in (FLAG_THRESHOLD, 0.2):
         monkeypatch.setattr(measure, "FLAG_THRESHOLD", threshold)
         flagged = 0
         for form, resolution in cases:
-            for window in (0, 1, near, near + 1, 12):
+            for window in (0, 1, 2, 3, 12):
                 rep = weakly_periodic_check(form, integer_window=window, resolution=resolution)
                 assert rep == _full_window_report(form, window, resolution), (form, window, threshold)
                 flagged += len(rep.flagged)
         assert flagged > 0
 
 
-def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
-    """fd24-1-4-1-1 keeps 4,668 points; only the candidates for the minimum
-    get the shifts past the near window."""
+def test_weakly_periodic_ladder_equals_full_maximum_on_random_tables(monkeypatch):
+    """The ladder's bookkeeping alone: random (shift, point) tables stand in
+    for the kernel, and every report equals the one read off the whole
+    table.  Each point's values spread over decades under its own scale,
+    so far shifts often raise a maximum; in half the tables points fall on
+    both sides of FLAG_THRESHOLD, in the other half all lie above it, so
+    the minimum alone stops the ladder.  Tenths of a decade make ties, and
+    a relative 1e-12 on some values puts them inside the 1e-9 band of the
+    minimum without equalling it."""
+    rng = np.random.default_rng(7)
+    form = _form23()
+    for window in (0, 1, 2, 3, 5, 12):
+        _, xs, excluded = _scanned_points(form, window, 16)
+        for low, spread in [(-4, 3), (-1, 2)] * 10:
+            logs = rng.uniform(low, 0, len(xs)) + rng.uniform(-spread, 0, (2 * window + 1, len(xs)))
+            table = 10 ** (np.round(logs * 10) / 10) * (1 + 1e-12 * rng.integers(0, 2, logs.shape))
+
+            def fake(m, shifts, points):
+                cols = np.searchsorted(xs, points)
+                return table[np.ix_(np.asarray(shifts.nums) + window, cols)].max(axis=0, initial=0.0)
+
+            monkeypatch.setattr(measure, "_window_max", fake)
+            full = table.max(axis=0)
+            lowest = float(full.min())
+            want = measure.WeaklyPeriodicReport(
+                min_max=lowest,
+                argmin_xi=float(xs[np.argmax(full <= lowest * (1 + 1e-9))]),
+                flagged=tuple(float(x) for x in xs[full < FLAG_THRESHOLD]),
+                excluded=excluded,
+            )
+            assert weakly_periodic_check(form, integer_window=window, resolution=16) == want, window
+
+
+def _counted_kernel(monkeypatch):
+    """The (rows, columns) of every kernel call made from now on."""
     calls = []
     kernel = measure._split_phase_abs
 
@@ -575,13 +609,60 @@ def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
         return kernel(m, rows, cols)
 
     monkeypatch.setattr(measure, "_split_phase_abs", counted)
+    return calls
+
+
+def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
+    """fd24-1-4-1-1 keeps 4,668 points, and all of them get shift 0 in one
+    call; only the candidates for the minimum climb to the shifts 1 <= |k|
+    <= 2 and then to the rest of the window."""
+    calls = _counted_kernel(monkeypatch)
     _, form = build_four_digit_form(24, 1, 4, 1, 1)
     rep = weakly_periodic_check(form, integer_window=64)
-    near = 2 * measure._NEAR_WINDOW + 1
-    assert calls[0] == (near, 4668)
-    far_points = sum(cols for rows, cols in calls[1:] if rows == 129 - near)
+    assert calls[0] == (1, 4668)
+    assert all(rows in (4, 124) for rows, _ in calls[1:]), calls
+    far_points = sum(cols for rows, cols in calls[1:] if rows == 124)
     assert 1 <= far_points <= 4, calls
     assert rep.min_max > FLAG_THRESHOLD
+
+
+def _near_window_far_points(form, integer_window, resolution):
+    """How many points reach the shifts |k| > 2 in a scan that gives every
+    point the shifts |k| <= 2 first, then the rest of the window in
+    increasing order of that bound, in batches that double."""
+    trunc, xs, _ = _scanned_points(form, integer_window, resolution)
+    shifts = measure._RationalSide(1, sorted(range(-integer_window, integer_window + 1), key=abs))
+    running = measure._window_max(trunc, shifts[:5], xs)
+    order = np.argsort(running, kind="stable")
+    best, done = math.inf, 0
+    while done < len(order):
+        batch = order[done : 2 * done + 1]
+        batch = batch[running[batch] <= max(best * (1 + 1e-9), FLAG_THRESHOLD)]
+        if not batch.size:
+            break
+        running[batch] = np.maximum(running[batch], measure._window_max(trunc, shifts[5:], xs[batch]))
+        best = min(best, running[batch].min())
+        done += len(batch)
+    return done
+
+
+def test_weakly_periodic_ladder_on_a_reduced_form(monkeypatch):
+    """The N = 144 one-stage form that reduce-kstage gives for classify-paq
+    (2, 3, 2, i) has 144 digits and flags many points; the ladder's report
+    equals the full-window scan's.  On the two B = {0, N} forms the full
+    window reaches no more points than a scan that gives every point the
+    shifts |k| <= 2 first."""
+    form = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
+    assert form.base == 144 and len(expand_one_stage(form)) == 144
+    rep = weakly_periodic_check(form, integer_window=3, resolution=16)
+    assert len(rep.flagged) >= 10
+    assert rep == _full_window_report(form, 3, 16)
+    calls = _counted_kernel(monkeypatch)
+    for form in _flagged_forms():
+        calls.clear()
+        rep = weakly_periodic_check(form, integer_window=64, resolution=4096)
+        far_points = sum(cols for rows, cols in calls[1:] if rows == 124)
+        assert len(rep.flagged) <= far_points <= _near_window_far_points(form, 64, 4096)
 
 
 def test_weakly_periodic_examples():
@@ -603,6 +684,43 @@ def test_weakly_periodic_zero_never_member():
     # xi = 0 has mask energy 1, so it is always in the scanned region
     rep = weakly_periodic_check(_form23(), integer_window=8, resolution=64)
     assert rep.min_max > 0
+
+
+def test_chebyshev_grid_equals_the_math_cos_points():
+    for count in (0, 1, 7, 63, 64, 4096):
+        want = [0.5 * (1.0 + math.cos(math.pi * (2 * i + 1) / (2 * count))) for i in range(count)]
+        assert chebyshev_grid(count) == want, count
+
+
+def test_scan_grid_is_the_sorted_union_of_both_grids():
+    for n in (2, 4, 6, 24, 48, 500):
+        for resolution in (1, 64, 4096):
+            want = sorted(set(chebyshev_grid(resolution)) | set(rational_grid(n)))
+            assert measure._scan_grid(n, resolution).tolist() == want, (n, resolution)
+
+
+def test_b_energy_evaluates_each_distinct_b_set_once(monkeypatch):
+    """A reduced form repeats one B-set 12 times: the mask runs once, and
+    the energies equal a sum over every B in b_list order."""
+    form = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
+    b_list = form.b_list()
+    xs = np.array(chebyshev_grid(64))
+    want = sum(np.abs(mask_value(b, xs)) ** 2 for b in b_list) / len(b_list)
+    calls = []
+
+    def counted(digits, xi):
+        calls.append(digits)
+        return mask_value(digits, xi)
+
+    monkeypatch.setattr(measure, "mask_value", counted)
+    got = measure._b_energy(b_list, lambda b: measure.mask_value(b, xs))
+    assert len(b_list) == 12 and len(calls) == len(set(b_list)) == 1
+    assert np.array_equal(got, want)
+    mixed = b_list[:3] + [DigitSet(144, (0, 1)), b_list[0], DigitSet(144, (0, 1))]
+    calls.clear()
+    got = measure._b_energy(mixed, lambda b: measure.mask_value(b, xs))
+    assert len(calls) == 2
+    assert np.array_equal(got, sum(np.abs(mask_value(b, xs)) ** 2 for b in mixed) / len(mixed))
 
 
 def test_rational_grid_contains_mask_zeros():
