@@ -70,11 +70,9 @@ def digitset_to_json(d: DigitSet) -> dict:
 
 
 def digitset_from_json(obj, base: int | None = None) -> DigitSet:
-    if isinstance(obj, dict):
-        b = _int(obj.get("base", base or 0))
-        return DigitSet(b, _digits_from_json(obj["digits"]))
-    # bare digit lists fall back to base 2 for base-free commands
-    return DigitSet(base if base is not None else 2, _digits_from_json(obj))
+    if not isinstance(obj, dict):
+        raise InputError("expected an object")
+    return DigitSet(_int(obj.get("base", base or 0)), _digits_from_json(obj["digits"]))
 
 
 def one_stage_to_json(f: OneStageForm) -> dict:
@@ -176,6 +174,13 @@ def load_form(path: str) -> OneStageForm | KStageForm:
     return _load(path, "form", _form_from_json)
 
 
+def _one_stage(path: str, command: str) -> OneStageForm:
+    form = load_form(path)
+    if not isinstance(form, OneStageForm):
+        raise InputError(f"{command} expects a one-stage form")
+    return form
+
+
 def load_digitset(path: str, base: int | None) -> DigitSet:
     return _load(path, "digit set", lambda obj: digitset_from_json(obj, base))
 
@@ -191,10 +196,6 @@ def emit(report: dict, output: str | None):
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text, flush=True)
-
-
-def note(msg: str):
-    print(msg, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +343,13 @@ JP_ROW_LIMIT = 1 << 14
 
 
 def cmd_verify_jp(args) -> Outcome:
-    form = load_form(args.form)
-    if not isinstance(form, OneStageForm):
-        raise InputError("verify-jp expects a one-stage form")
+    form = _one_stage(args.form, args.command)
     measure.check_frame_sum_size(form, args.levels, args.grid, candidate=True)
     refuse_above(
         "JP_ROW_LIMIT", JP_ROW_LIMIT, f"the report would hold {args.levels + 1} * {args.grid} rows",
         args.levels + 1, factor=args.grid,
     )
     scale = args.scale
-    try:
-        cand = measure.build_spectrum(
-            form, levels=args.levels, search_window=args.window, scale=scale
-        )
-    except ValueError as exc:  # a form that is not normalized
-        raise InputError(str(exc)) from exc
     # candidate points scale by s, so they target the measure whose digits
     # are the expansion divided by s
     d_form = expand_one_stage(form)
@@ -366,6 +359,12 @@ def cmd_verify_jp(args) -> Outcome:
         form.base,
         tuple(x * scale.denominator // scale.numerator for x in d_form.digits),
     )
+    try:
+        cand = measure.build_spectrum(
+            form, levels=args.levels, search_window=args.window, scale=scale
+        )
+    except ValueError as exc:  # a form that is not normalized
+        raise InputError(str(exc)) from exc
     xi = [0.0] + measure.chebyshev_grid(args.grid - 1)
     rows_by_level = measure.jp_levels(d_interest, form.base, cand, xi)
     ok = all(r.q_t <= 1 + args.tolerance for rows in rows_by_level for r in rows)
@@ -392,14 +391,13 @@ def cmd_verify_jp(args) -> Outcome:
 
 
 def cmd_check_lemma42(args) -> Outcome:
-    form = load_form(args.form)
-    if not isinstance(form, OneStageForm):
-        raise InputError("check-lemma42 expects a one-stage form")
+    form = _one_stage(args.form, args.command)
     measure.check_frame_sum_size(form, args.p, args.grid)
+    xi = measure.chebyshev_grid(args.grid)
     worst = 0.0
     for p in range(args.p, 0, -1):
         try:
-            dev = measure.finite_level_identity_check(form, p, measure.chebyshev_grid(args.grid))
+            dev = measure.finite_level_identity_check(form, p, xi)
         except ValueError as exc:  # a form that is not normalized
             raise InputError(str(exc)) from exc
         worst = max(worst, dev)
@@ -408,10 +406,7 @@ def cmd_check_lemma42(args) -> Outcome:
 
 
 def cmd_weakly_periodic(args) -> Outcome:
-    form = load_form(args.form)
-    if not isinstance(form, OneStageForm):
-        raise InputError("weakly-periodic expects a one-stage form")
-    measure.check_scan_size(form, args.window, args.resolution)
+    form = _one_stage(args.form, args.command)
     rep = measure.weakly_periodic_check(
         form, integer_window=args.window, resolution=args.resolution
     )
@@ -750,7 +745,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:  # stdout closed early, as by `| head`: end quietly
         with open(os.devnull, "w") as devnull:  # so the flush at exit does not raise again
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-    note(summary)
+    print(summary, file=sys.stderr)
     return code
 
 

@@ -436,13 +436,12 @@ def _vanishes_at_order(digits: tuple[int, ...], m: int) -> bool:
     return _vanishes(counts, m)
 
 
-def vanishing_by_division(d_set: DigitSet | Iterable[int], t: int, n: int) -> bool:
+def vanishing_by_division(d_set: Iterable[int], t: int, n: int) -> bool:
     """Same decision via exact polynomial division by Phi_n (slow, exact)."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    digits = d_set.digits if isinstance(d_set, DigitSet) else tuple(d_set)
     acc: dict[int, int] = {}
-    for d in digits:
+    for d in d_set:
         r = (d * t) % n
         acc[r] = acc.get(r, 0) + 1
     folded = MaskPolynomial(tuple(acc.items()))

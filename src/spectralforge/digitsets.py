@@ -59,9 +59,6 @@ class DigitSet:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.digits)
-
     @property
     def is_canonical(self) -> bool:
         return self.digits[0] == 0
@@ -116,9 +113,6 @@ class ResidueClassSet:
         if len(set(ordered)) != len(ordered):
             raise ValueError("residues must be pairwise distinct")
         object.__setattr__(self, "residues", ordered)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.residues)
 
     def __len__(self) -> int:
         return len(self.residues)

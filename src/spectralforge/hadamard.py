@@ -60,7 +60,6 @@ def _duplicate_residue(digits: Sequence[int], n: int):
         if r in seen:
             return seen[r], d
         seen[r] = d
-    return None
 
 
 # The mask route costs |L| shifts of N-bit ints and a scan of N characters,

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digitsets import DigitSet, direct_sum_digits, stacked_digits
+from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
 from .errors import ShiftSearchFailure, TailBoundUnavailable, refuse_above
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
@@ -66,10 +66,10 @@ def _unit_roots(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def mask_value(digits: DigitSet | Sequence[int], xi):
+def mask_value(digits: Iterable[int], xi):
     """M_D(xi) = (1/|D|) * sum of e(-d*xi); a numpy array for an array xi,
     else a Python complex."""
-    ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
+    ds = tuple(digits)
     x = np.asarray(xi, dtype=float)
     acc = np.zeros(x.shape, dtype=complex)
     for d in ds:
@@ -78,9 +78,9 @@ def mask_value(digits: DigitSet | Sequence[int], xi):
     return acc if isinstance(xi, np.ndarray) else complex(acc)
 
 
-def mask_value_rational(digits: DigitSet | Sequence[int], num: int, den: int):
+def mask_value_rational(digits: Iterable[int], num: int, den: int):
     """M_D at the rational num/den with exact integer phase reduction."""
-    ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
+    ds = tuple(digits)
     total = 0j
     for d in ds:
         ph = (d * num) % den
@@ -96,8 +96,8 @@ def _b_energy(b_list: Sequence[DigitSet], mask) -> float | np.ndarray:
     return sum(energy[b] for b in b_list) / len(b_list)
 
 
-def digit_mass(digits: DigitSet | Sequence[int]) -> float:
-    ds = digits.digits if isinstance(digits, DigitSet) else tuple(digits)
+def digit_mass(digits: Iterable[int]) -> float:
+    ds = tuple(digits)
     return TWO_PI * sum(abs(d) for d in ds) / len(ds)
 
 
@@ -375,6 +375,13 @@ def _anchored_spectrum(form: OneStageForm) -> tuple[int, ...]:
     return tuple(sorted((x - low) % n for x in l_sum))
 
 
+def _require_normalized(form: OneStageForm) -> None:
+    """The identity check and the spectrum construction need r = 1 and a
+    normalized form; ValueError otherwise."""
+    if form.r != 1 or not is_normalized(form):
+        raise ValueError("the form must have r = 1 and be normalized (0 in every B_s, gcd 1)")
+
+
 def finite_level_identity_check(
     form: OneStageForm,
     p: int,
@@ -392,10 +399,7 @@ def finite_level_identity_check(
     The samples are the kernel's float rows, the aggregate its exact columns,
     and M_B((xi + gamma)/N^p) the transform of the depth-1 measure (N^p, B).
     """
-    if form.r != 1:
-        raise ValueError("identity check needs a form with r = 1")
-    if not is_normalized(form):
-        raise ValueError("identity check needs a normalized form (0 in B_s, gcd 1)")
+    _require_normalized(form)
     check_frame_sum_size(form, p, len(xi_samples))
     n = form.base
     anchored = _anchored_spectrum(form)
@@ -464,11 +468,6 @@ class SpectrumCandidate:
         return [Fraction(x, den) for x in sorted(nums[: counts[len(self.levels) if k is None else k]])]
 
 
-def _shift_ratio(trunc: TruncatedMeasure, num: int, den: int, target: float) -> float:
-    val = abs(trunc.mu_hat_rational(num, den)) ** 2
-    return val / (target + 1e-300)
-
-
 # build_spectrum accepts a shift once the transform magnitude clears this
 # share of the averaged B-mask energy.
 SHIFT_RATIO_THRESHOLD = 1e-4
@@ -493,10 +492,7 @@ def build_spectrum(
     same shifts.  A top level of more than POINT_LIMIT points raises
     PointLimitExceeded before the search.
     """
-    if form.r != 1:
-        raise ValueError("spectrum construction needs a form with r = 1")
-    if not is_normalized(form):
-        raise ValueError("spectrum construction needs a normalized form")
+    _require_normalized(form)
     if levels < 0:
         raise ValueError("levels must be >= 0")
     check_frame_sum_size(form, levels, candidate=True)
@@ -518,7 +514,7 @@ def build_spectrum(
         accepted = None
         best = 0.0
         for k in _spiral(search_window):
-            ratio = _shift_ratio(trunc, g + k * n, n, target)
+            ratio = abs(trunc.mu_hat_rational(g + k * n, n)) ** 2 / (target + 1e-300)
             best = max(best, ratio)
             if ratio >= SHIFT_RATIO_THRESHOLD:
                 accepted = k
@@ -527,6 +523,9 @@ def build_spectrum(
             raise ShiftSearchFailure(g, search_window, best)
         shifts.append((g, accepted))
     tilde = [g + n * k for g, k in shifts]
+    # level q adds N^(q-1) * tilde to level q - 1; the elements of tilde are
+    # distinct mod N, so no sum repeats
+    stacked = _expand_layers((0,), [(None, n**j, lambda d: tilde) for j in range(levels)])
 
     frac = tuple(sorted({Fraction(x, n) for x in form.l2.digits}))
     return SpectrumCandidate(
@@ -534,7 +533,7 @@ def build_spectrum(
         scale=scale,
         frac_shifts=frac,
         shifts=tuple(shifts),
-        levels=tuple(stacked_digits(tilde, n, q) for q in range(1, levels + 1)),
+        levels=tuple(map(tuple, stacked[1:])),
     )
 
 
@@ -703,8 +702,11 @@ def weakly_periodic_check(
     top can be the minimum, the reported xi or flagged, and the kernel is
     elementwise per (shift, point) pair, so the report equals that of the
     full scan bit for bit.  On the seven four-digit frame-sums forms shift
-    0 leaves two points of 4,200 to 6,400 for the other shifts.
+    0 leaves two points of 4,200 to 6,400 for the other shifts.  A grid or
+    window above SCAN_POINT_LIMIT or SCAN_WINDOW_LIMIT raises
+    PointLimitExceeded before any work.
     """
+    check_scan_size(form, integer_window, resolution)
     n = form.base
     d_set = expand_one_stage(form)
     b_list = form.b_list()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Union
 
 from .digitsets import (
     DigitSet,
@@ -44,12 +44,10 @@ def layer_lookup(layer: LayerSpec) -> Callable[[int], DigitSet]:
     return lookup
 
 
-def as_layer(spec: LayerSpec | Mapping[int, DigitSet]) -> LayerSpec:
-    if isinstance(spec, DigitSet):
-        return spec
-    if isinstance(spec, Mapping):
-        return tuple(sorted(spec.items()))
-    return tuple(sorted(spec))
+def as_layer(spec: DigitSet | Mapping[int, DigitSet]) -> LayerSpec:
+    """A constant layer as it is; a map keyed by the parent digit as its
+    sorted (parent, set) pairs."""
+    return spec if isinstance(spec, DigitSet) else tuple(sorted(spec.items()))
 
 
 # Largest scale a form may have: N^r of a one-stage form, N^(l_1+..+l_k)
@@ -115,23 +113,13 @@ class OneStageForm:
         return [b for _, b in self.b_sets]
 
 
-def one_stage_form(
-    base: int,
-    r: int,
-    a_digits,
-    b_map: Mapping[int, DigitSet] | Sequence[DigitSet],
-    l1,
-    l2,
-) -> OneStageForm:
-    """Convenience constructor; a positional b_map pairs with sorted(A)."""
+def one_stage_form(base: int, r: int, a_digits, b_map: Mapping[int, DigitSet], l1, l2) -> OneStageForm:
+    """Convenience constructor: A, L1 and L2 as digit sets or sequences,
+    the B-sets keyed by the digit a."""
     a_set = a_digits if isinstance(a_digits, DigitSet) else DigitSet(base, tuple(a_digits))
-    if isinstance(b_map, Mapping):
-        pairs = tuple(sorted(b_map.items()))
-    else:
-        pairs = tuple(zip(a_set.digits, b_map))
     l1 = l1 if isinstance(l1, DigitSet) else DigitSet(base, tuple(l1))
     l2 = l2 if isinstance(l2, DigitSet) else DigitSet(base, tuple(l2))
-    return OneStageForm(base, r, a_set, pairs, l1, l2)
+    return OneStageForm(base, r, a_set, tuple(b_map.items()), l1, l2)
 
 
 def expand_one_stage(form: OneStageForm) -> DigitSet:

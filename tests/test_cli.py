@@ -21,7 +21,16 @@ from spectralforge.cli import (
 )
 from spectralforge.cm_tiling import paq_type_generator
 from spectralforge.digitsets import DigitSet
-from spectralforge.productform import build_four_digit_form, expand_k_stage, expand_one_stage
+from spectralforge.productform import (
+    build_four_digit_form,
+    expand_k_stage,
+    expand_one_stage,
+    k_stage_to_one_stage,
+)
+
+# The environment of a child interpreter: the package from this checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def _write(tmp_path, name, obj):
@@ -271,6 +280,7 @@ def test_run_all_fixtures_subprocess():
         capture_output=True,
         text=True,
         timeout=60,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
@@ -549,7 +559,8 @@ def test_parser_reuse_matches_fresh_processes(tmp_path):
     fresh = []
     for argv in calls:
         proc = subprocess.run(
-            [sys.executable, "-m", "spectralforge.cli", *argv], capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "spectralforge.cli", *argv], capture_output=True, text=True, timeout=60,
+            env=CHILD_ENV,
         )
         fresh.append([proc.returncode, proc.stdout, proc.stderr])
     proc = subprocess.run(
@@ -558,6 +569,7 @@ def test_parser_reuse_matches_fresh_processes(tmp_path):
         text=True,
         timeout=60,
         check=True,
+        env=CHILD_ENV,
     )
     assert json.loads(proc.stdout) == fresh
     assert [code for code, _, _ in fresh] == [2, 0]
@@ -577,6 +589,7 @@ def test_closed_stdout_ends_quietly_with_the_exit_code():
             stderr=subprocess.PIPE,
             text=True,
             timeout=60,
+            env=CHILD_ENV,
         )
     finally:
         os.close(write_end)
@@ -594,7 +607,82 @@ def test_malformed_form_subprocess_has_no_traceback(tmp_path):
         capture_output=True,
         text=True,
         timeout=60,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "InputError"
     assert "Traceback" not in proc.stderr
+
+
+def test_gen_product_form_expands_both_kinds(tmp_path, capsys):
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    staged = paq_type_generator(2, 3, 2, "i").form
+    for form, expand, to_json in ((f83, expand_one_stage, one_stage_to_json),
+                                  (staged, expand_k_stage, k_stage_to_json)):
+        spec = _write(tmp_path, "form.json", to_json(form))
+        assert _run(["gen-product-form", "--spec", spec]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["digits"] == digitset_to_json(expand(form))
+        assert report["count"] == len(expand(form))
+
+
+def test_zshift_form_with_keyed_layers_reduces(tmp_path, capsys):
+    """classify-paq --zshifts emits parent-keyed "map" layers; reduce-kstage
+    reads them back and gives the reduction of the generated form."""
+    zshifts = _write(tmp_path, "zshifts.json", [{"stage": 1, "parent": 0, "e": 0, "z": 1}])
+    argv = ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2", "--variant", "i", "--zshifts", zshifts]
+    assert _run(argv) == 0
+    form = json.loads(capsys.readouterr().out)["form"]
+    assert any("map" in layer for layer in form["layers"])
+    spec = _write(tmp_path, "staged.json", form)
+    assert _run(["reduce-kstage", "--spec", spec]) == 0
+    one = json.loads(capsys.readouterr().out)["one_stage"]
+    direct = paq_type_generator(2, 3, 2, "i", zshifts={(1, 0, 0): 1}).form
+    assert one == one_stage_to_json(k_stage_to_one_stage(direct))
+
+
+def test_validate_form_reports_a_staged_collision(tmp_path, capsys):
+    """E0 = {0, 4} and the layer {0, 1} at scale 4 both give 4."""
+    spec = _write(tmp_path, "collide.json", {
+        "base": 4, "ells": [1], "E0": ["0", "4"], "layers": [{"constant": ["0", "1"]}], "Ls": [["0", "2"], ["0", "1"]],
+    })
+    assert _run(["validate-form", "--spec", spec]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[-1]["name"] == "expansion collision-free" and checks[-1]["ok"] is False
+    assert "4" in checks[-1]["detail"]
+
+
+def test_numeric_commands_refuse_staged_and_unnormalized_forms(tmp_path, capsys):
+    staged = _write(tmp_path, "staged.json", k_stage_to_json(paq_type_generator(2, 3, 2, "i").form))
+    for command in ("verify-jp", "check-lemma42", "weakly-periodic"):
+        assert _run([command, "--form", staged]) == 2, command
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "InputError", "message": f"{command} expects a one-stage form"}
+    # B_0 = {2, 4} holds no 0
+    unnormalized = _write(tmp_path, "plain.json", {
+        "base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["2", "4"], "1": ["0", "6"]}, "L1": ["0", "2"], "L2": ["0", "1"],
+    })
+    for command in ("verify-jp", "check-lemma42"):
+        assert _run([command, "--form", unnormalized]) == 2, command
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InputError" and "normalized" in error["message"], command
+
+
+def test_verify_jp_checks_the_scale_before_the_shift_search(tmp_path, capsys):
+    """The shift search fails on this form at --window 0 (gamma = 3), but
+    the scale 5 divides no expansion digit, and that input error comes first."""
+    spec = _write(tmp_path, "f.json", {
+        "base": 4, "r": 1, "A": ["0", "6"], "Bs": {"0": ["0", "9"], "6": ["0", "11"]}, "L1": ["0", "1"], "L2": ["0", "2"],
+    })
+    assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1", "--scale", "5"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "InputError", "message": "expansion digits are not divisible by the scale 5"}
+    assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShiftSearchFailure"
+
+
+def test_a_digit_set_file_must_be_an_object(tmp_path, capsys):
+    bare = _write(tmp_path, "bare.json", ["0", "2"])
+    assert _run(["check-tile", "--base", "4", "--digits", bare]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "InputError", "message": f"{bare}: bad digit set: expected an object"}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spectralforge.digitsets import DigitSet
-from spectralforge.errors import TailBoundUnavailable
+from spectralforge.errors import PointLimitExceeded, TailBoundUnavailable
 from spectralforge import cli, measure
 from spectralforge.measure import (
     FLAG_THRESHOLD,
@@ -473,14 +473,16 @@ def test_weakly_periodic_matches_per_shift_oracle():
         assert rep.flagged == flagged and rep.excluded == excluded
 
 
-def test_weakly_periodic_memory_is_tiled():
+def test_weakly_periodic_memory_is_tiled(monkeypatch):
     """40,001 shifts: holding every shift's unit table at once would take
-    tens of MB.  The scan gives the far shifts to few points, so the second
+    tens of MB (SCAN_WINDOW_LIMIT is lifted to allow the window).  The scan
+    gives the far shifts to few points, so the second
     case runs the full window over 64 points: 2.56 M pairs, 123 MB untiled.
     The third sums 24 samples over a level-7 aggregate of 16,384 points:
     393,216 pairs for each of two kernels, 18.9 MB each untiled.  The fourth
     reads the six levels of a candidate (2,730 columns in all) for 512
     samples: holding every level's squares at once would take 11.2 MB."""
+    monkeypatch.setattr(measure, "SCAN_WINDOW_LIMIT", 20000)
     form = _normalized_plain()
     d_set = expand_one_stage(form)
     trunc = TruncatedMeasure(4, d_set, auto_depth(4, d_set, 20002.0, 1e-12))
@@ -760,3 +762,17 @@ def test_shift_threshold_above_true_constant_fails_loudly(monkeypatch):
     with pytest.raises(ShiftSearchFailure) as err:
         build_spectrum(f14, levels=2)
     assert err.value.best_ratio > 0  # a best candidate is reported, not hidden
+
+
+def test_weakly_periodic_check_refuses_an_over_limit_scan_itself(monkeypatch):
+    """A library caller gets the CLI's PointLimitExceeded, before any work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(measure, "_split_phase_abs", no_work)
+    monkeypatch.setattr(measure, "chebyshev_grid", no_work)
+    form = _form14()
+    with pytest.raises(PointLimitExceeded, match="SCAN_WINDOW_LIMIT"):
+        weakly_periodic_check(form, integer_window=measure.SCAN_WINDOW_LIMIT + 1)
+    with pytest.raises(PointLimitExceeded, match="SCAN_POINT_LIMIT"):
+        weakly_periodic_check(form, resolution=measure.SCAN_POINT_LIMIT)
