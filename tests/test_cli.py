@@ -306,8 +306,18 @@ def _malformed_inputs(tmp_path):
         "base": 4, "ells": [1], "E0": ["0", "1"], "layers": [{"map": {"0": ["0", "2"]}}],
         "Ls": [["0", "2"], ["0", "1"]],
     })
+    # B_0 = {2, 4} holds no 0
+    unnormalized = _write(tmp_path, "unnormalized.json", {
+        "base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["2", "4"], "1": ["0", "6"]}, "L1": ["0", "2"], "L2": ["0", "1"],
+    })
     return [
         ("list-Bs", ["validate-form", "--spec", bs_list]),
+        ("digits-bare-list", ["check-tile", "--base", "4", "--digits", _write(tmp_path, "bare.json", ["0", "2"])]),
+        ("jp-staged", ["verify-jp", "--form", staged_path]),
+        ("lemma42-staged", ["check-lemma42", "--form", staged_path]),
+        ("periodic-staged", ["weakly-periodic", "--form", staged_path]),
+        ("jp-unnormalized", ["verify-jp", "--form", unnormalized]),
+        ("lemma42-unnormalized", ["check-lemma42", "--form", unnormalized]),
         ("string-layer", ["validate-form", "--spec", str_layer]),
         ("layer-no-parent", ["validate-form", "--spec", no_parent]),
         ("layer-no-parent-reduce", ["reduce-kstage", "--spec", no_parent]),
@@ -652,25 +662,10 @@ def test_validate_form_reports_a_staged_collision(tmp_path, capsys):
     assert "4" in checks[-1]["detail"]
 
 
-def test_numeric_commands_refuse_staged_and_unnormalized_forms(tmp_path, capsys):
-    staged = _write(tmp_path, "staged.json", k_stage_to_json(paq_type_generator(2, 3, 2, "i").form))
-    for command in ("verify-jp", "check-lemma42", "weakly-periodic"):
-        assert _run([command, "--form", staged]) == 2, command
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error == {"type": "InputError", "message": f"{command} expects a one-stage form"}
-    # B_0 = {2, 4} holds no 0
-    unnormalized = _write(tmp_path, "plain.json", {
-        "base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["2", "4"], "1": ["0", "6"]}, "L1": ["0", "2"], "L2": ["0", "1"],
-    })
-    for command in ("verify-jp", "check-lemma42"):
-        assert _run([command, "--form", unnormalized]) == 2, command
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error["type"] == "InputError" and "normalized" in error["message"], command
-
-
 def test_verify_jp_checks_the_scale_before_the_shift_search(tmp_path, capsys):
-    """The shift search fails on this form at --window 0 (gamma = 3), but
-    the scale 5 divides no expansion digit, and that input error comes first."""
+    """The shift search fails on this form at --window 0 (gamma = 3), and
+    the scale 5 does not divide the expansion digit 6: the input error
+    comes first."""
     spec = _write(tmp_path, "f.json", {
         "base": 4, "r": 1, "A": ["0", "6"], "Bs": {"0": ["0", "9"], "6": ["0", "11"]}, "L1": ["0", "1"], "L2": ["0", "2"],
     })
@@ -679,10 +674,3 @@ def test_verify_jp_checks_the_scale_before_the_shift_search(tmp_path, capsys):
     assert error == {"type": "InputError", "message": "expansion digits are not divisible by the scale 5"}
     assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShiftSearchFailure"
-
-
-def test_a_digit_set_file_must_be_an_object(tmp_path, capsys):
-    bare = _write(tmp_path, "bare.json", ["0", "2"])
-    assert _run(["check-tile", "--base", "4", "--digits", bare]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"type": "InputError", "message": f"{bare}: bad digit set: expected an object"}
