@@ -43,6 +43,8 @@ def _inputs() -> dict:
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     b4 = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 6))}, (0, 2), (0, 1))
     unequal = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 1, 2))}, (0, 2), (0, 1))
+    # the weakly-periodic scan flags xi = 1/2 on this form
+    b6 = one_stage_form(6, 1, (0, 2), {0: DigitSet(6, (0, 6)), 2: DigitSet(6, (0, 6))}, (0, 1), (0, 1))
     return {
         "d4.json": _digits(4, (0, 2)),
         "l4.json": _digits(4, (0, 1)),
@@ -53,6 +55,7 @@ def _inputs() -> dict:
         "f83.json": one_stage_to_json(f83),
         "b4.json": one_stage_to_json(b4),
         "unequal.json": one_stage_to_json(unequal),
+        "b6.json": one_stage_to_json(b6),
         "k.json": k_stage_to_json(paq_type_generator(2, 3, 2, "i").form),
         "zshifts.json": [{"stage": 1, "parent": 0, "e": 0, "z": 1}],
         "broken.json": '{"base": 4, "digits": [',
@@ -98,14 +101,19 @@ JOBS = [
     ["reduce-kstage", "--spec", "k.json", "--k", "1"],
     ["verify-jp", "--form", "k.json"],
     ["verify-jp", "--form", "f83.json", "--scale", "0"],
+    ["verify-jp", "--form", "f83.json", "--scale", "5"],
     ["weakly-periodic", "--form", "k.json"],
     # float reports
     ["verify-jp", "--form", "f83.json", "--levels", "3", "--grid", "4", "--scale", "3"],
     ["verify-jp", "--form", "b4.json", "--levels", "3", "--grid", "4"],
+    ["verify-jp", "--form", "b4.json", "--levels", "2", "--grid", "4", "--scale", "1/2"],
     ["check-lemma42", "--form", "f83.json", "--p", "2", "--grid", "16"],
     ["check-lemma42", "--form", "b4.json", "--p", "2", "--grid", "16"],
+    ["check-lemma42", "--form", "f83.json", "--p", "3"],
+    ["check-lemma42", "--form", "b4.json", "--p", "3"],
     ["weakly-periodic", "--form", "f83.json", "--resolution", "256", "--window", "8"],
     ["weakly-periodic", "--form", "b4.json", "--resolution", "256", "--window", "8"],
+    ["weakly-periodic", "--form", "b6.json", "--resolution", "256", "--window", "8"],
 ]
 
 
