@@ -382,42 +382,34 @@ def _require_normalized(form: OneStageForm) -> None:
         raise ValueError("the form must have r = 1 and be normalized (0 in every B_s, gcd 1)")
 
 
-def finite_level_identity_check(
-    form: OneStageForm,
-    p: int,
-    xi_samples: Sequence[float],
-    tilde_shifts: Sequence[int] | None = None,
-) -> float:
-    """Max deviation in the depth-p averaged mask identity.
+def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence[float]) -> float:
+    """Max deviation in the averaged mask identity over the depths 1..p.
 
-    For a normalized one-stage form and any lattice-shift variant of the
-    level-p spectrum aggregate, the weighted truncated-transform sum over
-    the aggregate must equal the averaged squared masks of the B-sets at
-    the base point, for every s.  Returns max |LHS - RHS|.  An aggregate of
-    more than POINT_LIMIT points, or of more than SAMPLE_LIMIT pairs with
-    the samples, raises PointLimitExceeded before any work.
+    For a normalized one-stage form, the weighted truncated-transform sum
+    over the depth-q spectrum aggregate must equal the averaged squared
+    masks of the B-sets at the base point, for every sample and every q.
+    Returns the largest |LHS - RHS|.  The form is expanded, and the samples
+    and their B-energy taken, once for all depths.  An aggregate of more
+    than POINT_LIMIT points, or of more than SAMPLE_LIMIT pairs with the
+    samples, raises PointLimitExceeded before any work.
     The samples are the kernel's float rows, the aggregate its exact columns,
-    and M_B((xi + gamma)/N^p) the transform of the depth-1 measure (N^p, B).
+    and M_B((xi + gamma)/N^q) the transform of the depth-1 measure (N^q, B).
     """
     _require_normalized(form)
     check_frame_sum_size(form, p, len(xi_samples))
     n = form.base
     anchored = _anchored_spectrum(form)
     d_set = expand_one_stage(form)
-    gamma = stacked_digits(anchored, n, p)
-    if tilde_shifts is not None:
-        if len(tilde_shifts) != len(gamma):
-            raise ValueError("one shift per aggregate element")
-        gamma = tuple(g + n**p * s for g, s in zip(gamma, tilde_shifts))
-    xs = _FloatSide(np.array([float(xi) for xi in xi_samples]))
-    aggregate = _RationalSide(1, gamma)
-    trunc = TruncatedMeasure(n, d_set, p)
     b_list = form.b_list()
+    xs = _FloatSide(np.array([float(xi) for xi in xi_samples]))
     rhs = _b_energy(b_list, lambda b: mask_value(b, xs.values))
     worst = 0.0
-    for b in dict.fromkeys(b_list):  # equal B-sets give equal sums
-        (lhs,) = _row_sums([trunc, TruncatedMeasure(n**p, b, 1)], xs, aggregate)
-        worst = max(worst, float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0)))
+    for q in range(1, p + 1):
+        aggregate = _RationalSide(1, stacked_digits(anchored, n, q))
+        trunc = TruncatedMeasure(n, d_set, q)
+        for b in dict.fromkeys(b_list):  # equal B-sets give equal sums
+            (lhs,) = _row_sums([trunc, TruncatedMeasure(n**q, b, 1)], xs, aggregate)
+            worst = max(worst, float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0)))
     return worst
 
 
@@ -434,6 +426,7 @@ class SpectrumCandidate:
     """
 
     base: int
+    digits: DigitSet  # D/s, the expansion over the scale: the measure the points target
     scale: Fraction
     frac_shifts: tuple[Fraction, ...]
     shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift), shared by every level
@@ -489,8 +482,10 @@ def build_spectrum(
     window is too small or the form genuinely fails equi-positivity there;
     the failure is reported, never papered over.  Level q is the direct
     sum of N^j times the shifted elements for j < q; every level uses the
-    same shifts.  A top level of more than POINT_LIMIT points raises
-    PointLimitExceeded before the search.
+    same shifts.  The candidate carries the digits D/s of the measure its
+    points target.  A top level of more than POINT_LIMIT points raises
+    PointLimitExceeded, and a scale that does not divide the expansion
+    ValueError, before the search.
     """
     _require_normalized(form)
     if levels < 0:
@@ -499,6 +494,10 @@ def build_spectrum(
     n = form.base
     anchored = _anchored_spectrum(form)
     d_set = expand_one_stage(form)
+    num, den = scale.numerator, scale.denominator
+    if any(x * den % num for x in d_set.digits):
+        raise ValueError(f"expansion digits are not divisible by the scale {scale}")
+    digits = DigitSet(n, tuple(x * den // num for x in d_set.digits))
     b_list = form.b_list()
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
 
@@ -530,6 +529,7 @@ def build_spectrum(
     frac = tuple(sorted({Fraction(x, n) for x in form.l2.digits}))
     return SpectrumCandidate(
         base=n,
+        digits=digits,
         scale=scale,
         frac_shifts=frac,
         shifts=tuple(shifts),
@@ -577,14 +577,10 @@ def jp_sum(
     return _frame_sums(digits, base, cols, [len(cols)], xi_samples)[0]
 
 
-def jp_levels(
-    digits: DigitSet,
-    base: int,
-    cand: SpectrumCandidate,
-    xi_samples: Sequence[float | Fraction],
-) -> list[list[JPRow]]:
-    """jp_sum(digits, base, cand.points(k), xi_samples) for every level k =
-    0, ..., len(cand.levels), from one kernel pass over the top level.
+def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -> list[list[JPRow]]:
+    """jp_sum(cand.digits, cand.base, cand.points(k), xi_samples) for every
+    level k = 0, ..., len(cand.levels), from one kernel pass over the top
+    level: the frame sums of the measure the candidate targets.
 
     The points reach the kernel as integers over the top level's reduced
     denominator (SpectrumCandidate.numerators), so every level is a prefix
@@ -596,7 +592,7 @@ def jp_levels(
     height, may move a Q_T by an ulp.
     """
     den, nums, counts = cand.numerators()
-    return _frame_sums(digits, base, _RationalSide(den, nums), counts, xi_samples)
+    return _frame_sums(cand.digits, cand.base, _RationalSide(den, nums), counts, xi_samples)
 
 
 def _frame_sums(
@@ -663,10 +659,6 @@ class WeaklyPeriodicReport:
     flagged: tuple[float, ...]
     excluded: int
 
-    @property
-    def positive(self) -> bool:
-        return self.min_max > 0.0
-
 
 def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: np.ndarray) -> np.ndarray:
     """max over the shifts k of |m.mu_hat(x + k)| for each x, 0 with no shifts."""
@@ -687,8 +679,9 @@ def weakly_periodic_check(
     Over points xi with averaged B-mask energy above the membership
     threshold, computes max over |k| <= window of |mu_hat(xi + k)| and
     reports the minimum of those maxima, with the smallest xi that comes
-    within a relative 1e-9 of it.  A healthy form reports a clearly
-    positive value; near-zero points are listed for re-examination.
+    within a relative 1e-9 of it, and flags the points whose maximum is
+    below FLAG_THRESHOLD; a healthy form flags none.  x = 0 is always kept
+    (B-energy 1, maximum 1), so with no flag the minimum is >= FLAG_THRESHOLD.
 
     The scan is best first.  The shifts, ordered by |k|, climb a ladder of
     prefixes: 1 shift, then 5 (|k| <= 2), then the whole window.  Every
