@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import copy
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -49,6 +50,7 @@ from .errors import ShiftSearchFailure, TailBoundUnavailable, refuse_above
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
 TWO_PI = 2.0 * math.pi
+_DOUBLE_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +99,31 @@ def _b_energy(b_list: Sequence[DigitSet], mask) -> float | np.ndarray:
 
 
 def digit_mass(digits: Iterable[int]) -> float:
+    """2*pi times the mean |d|; inf past the largest double."""
     ds = tuple(digits)
-    return TWO_PI * sum(abs(d) for d in ds) / len(ds)
+    total = sum(abs(d) for d in ds)
+    return TWO_PI * total / len(ds) if total <= _DOUBLE_MAX else math.inf
 
 
 def auto_depth(base: int, digits, xi_max: float, target: float = 1e-14) -> int:
-    """Smallest depth p whose tail sum at height xi_max is below target."""
-    if not math.isfinite(xi_max):
-        raise TailBoundUnavailable(f"no depth bounds the tail at height {xi_max}")
-    p = 1
-    while TruncatedMeasure(base, digits, p).tail_sum(xi_max) >= target:
-        p += 1
-    return p
+    """Smallest depth p whose tail sum at height xi_max is below target.
+    TailBoundUnavailable when no depth whose weight N^p * (N - 1) a double
+    holds is deep enough, as for an infinite height or digit mass."""
+    if math.isfinite(digit_mass(digits) * xi_max):
+        p = 1
+        while base**p * (base - 1) <= _DOUBLE_MAX:
+            if TruncatedMeasure(base, digits, p).tail_sum(xi_max) < target:
+                return p
+            p += 1
+    raise TailBoundUnavailable(f"no depth within the range of a double bounds the tail at height {xi_max}")
+
+
+def _require_doubles(digit_sets: Iterable[DigitSet]) -> None:
+    """Raise TailBoundUnavailable, before any work, when a digit is beyond
+    the largest double, where its float phases, masks and tail bound end."""
+    top = max(abs(d) for ds in digit_sets for d in ds.digits)
+    if top > _DOUBLE_MAX:
+        raise TailBoundUnavailable(f"a digit of {top.bit_length()} bits is beyond the range of a double")
 
 
 @dataclass(frozen=True)
@@ -401,6 +416,7 @@ def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence
     anchored = _anchored_spectrum(form)
     d_set = expand_one_stage(form)
     b_list = form.b_list()
+    _require_doubles([d_set, *b_list])
     xs = _FloatSide(np.array([float(xi) for xi in xi_samples]))
     rhs = _b_energy(b_list, lambda b: mask_value(b, xs.values))
     worst = 0.0
@@ -498,6 +514,7 @@ def build_spectrum(
     if any(x * den % num for x in d_set.digits):
         raise ValueError(f"expansion digits are not divisible by the scale {scale}")
     digits = DigitSet(n, tuple(x * den // num for x in d_set.digits))
+    _require_doubles([d_set, digits])
     b_list = form.b_list()
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
 
@@ -703,6 +720,7 @@ def weakly_periodic_check(
     n = form.base
     d_set = expand_one_stage(form)
     b_list = form.b_list()
+    _require_doubles([d_set, *b_list])
     grid = _scan_grid(n, resolution)
     depth = auto_depth(n, d_set, integer_window + 2.0, 1e-12)
     trunc = TruncatedMeasure(n, d_set, depth)

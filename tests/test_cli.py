@@ -674,3 +674,54 @@ def test_verify_jp_checks_the_scale_before_the_shift_search(tmp_path, capsys):
     assert error == {"type": "InputError", "message": "expansion digits are not divisible by the scale 5"}
     assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShiftSearchFailure"
+
+
+def test_digits_past_a_double_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    """A digit that no double holds, or a tail that no depth within the
+    doubles bounds, ends in TailBoundUnavailable (exit 1) before any mask or
+    kernel runs, not in an OverflowError inside them."""
+    form = {"base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "6"]},
+            "L1": ["0", "2"], "L2": ["0", "1"]}
+    spec = _write(tmp_path, "f.json", form)
+    far = _write(tmp_path, "far.json", {**form, "Bs": {"0": ["0", "2"], "1": ["0", str(4 * 10**300)]}})
+    past = _write(tmp_path, "past.json", {**form, "Bs": {"0": ["0", "2"], "1": ["0", str(6 * 10**320)]}})
+    rows = [
+        ("jp-scale-1/10^320", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "2", "--scale", f"1/{10**320}"]),
+        ("periodic-digit-4e300", ["weakly-periodic", "--form", far, "--resolution", "16", "--window", "2"]),
+        ("lemma42-digit-6e320", ["check-lemma42", "--form", past, "--p", "1", "--grid", "4"]),
+        ("periodic-digit-6e320", ["weakly-periodic", "--form", past, "--resolution", "16", "--window", "2"]),
+    ]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for name in ("mask_value", "mask_value_rational", "_split_phase_abs"):
+        monkeypatch.setattr(measure, name, no_work)
+    for name, argv in rows:
+        assert _run(argv) == 1, name
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "TailBoundUnavailable", name
+
+
+def test_each_numeric_job_expands_its_form_once(tmp_path, capsys, monkeypatch):
+    """verify-jp, check-lemma42 (every depth) and weakly-periodic each expand
+    the form once, inside the one library call that needs it."""
+    calls = []
+    expand = productform.expand_one_stage
+
+    def counted(form):
+        calls.append(form)
+        return expand(form)
+
+    for module in (cli, measure):
+        monkeypatch.setattr(module, "expand_one_stage", counted)
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    for argv in (
+        ["verify-jp", "--form", spec, "--levels", "5", "--grid", "8", "--scale", "3"],
+        ["check-lemma42", "--form", spec, "--p", "3"],
+        ["weakly-periodic", "--form", spec],
+    ):
+        calls.clear()
+        assert _run(argv) == 0, argv
+        capsys.readouterr()
+        assert len(calls) == 1, argv
