@@ -26,7 +26,12 @@ level, each at its own depth.  The scalar exact-phase ``mu_hat_rational``
 serves the shift search of build_spectrum, which stops at its first
 accepted shift; the float ``mu_hat`` is the tests' reference.
 
-Every truncation depth comes from the tail bound (auto_depth).
+Each numeric command takes what it needs from here, and the form is
+expanded once: build_spectrum, whose candidate carries the digits D/s its
+points target, then jp_levels; finite_level_identity_check over the depths
+1..p; weakly_periodic_check.  Every truncation depth comes from the tail
+bound (auto_depth), and a digit or a tail past the doubles raises
+TailBoundUnavailable before any work.
 
 Sums over candidate points are accumulated with math.fsum, and the digit sums
 with elementwise numpy operations in digit order, so repeated runs give
