@@ -124,8 +124,7 @@ def auto_depth(base: int, digits, xi_max: float, target: float = 1e-14) -> int:
 
 
 def _require_doubles(digit_sets: Iterable[DigitSet]) -> None:
-    """Raise TailBoundUnavailable, before any work, when a digit is beyond
-    the largest double, where its float phases, masks and tail bound end."""
+    """TailBoundUnavailable, before any work, for a digit past the largest double."""
     top = max(abs(d) for ds in digit_sets for d in ds.digits)
     if top > _DOUBLE_MAX:
         raise TailBoundUnavailable(f"a digit of {top.bit_length()} bits is beyond the range of a double")
@@ -521,7 +520,8 @@ def build_spectrum(
     digits = DigitSet(n, tuple(x * den // num for x in d_set.digits))
     _require_doubles([d_set, digits])
     b_list = form.b_list()
-    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
+    # a window past the doubles has no tail bound: auto_depth refuses the largest double
+    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, min(search_window, _DOUBLE_MAX) + 2.0))
 
     shifts: list[tuple[int, int]] = []
     for g in anchored if levels else ():  # level 0 needs no shifts
@@ -625,8 +625,9 @@ def _frame_sums(
     # a float is taken at its exact dyadic value, so the rows' common
     # denominator is the largest power of two, whatever their number
     xs = [Fraction(x) for x in xi_samples]
-    # int / int rounds once, to the double nearest the exact height
-    heights = [int(abs(cols.nums[:n]).max(initial=0)) / cols.den + 2.0 for n in counts]
+    # each height rounded once, or past the doubles the largest, which auto_depth refuses
+    tops = [Fraction(int(abs(cols.nums[:n]).max(initial=0)), cols.den) for n in counts]
+    heights = [float(min(top, _DOUBLE_MAX)) + 2.0 for top in tops]
     depths = [auto_depth(base, digits, h) for h in heights]
     trunc = TruncatedMeasure(base, digits, max(depths))
     totals = _row_sums([trunc], _RationalSide.of(xs), cols, list(zip(depths, counts)))

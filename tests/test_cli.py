@@ -678,24 +678,30 @@ def test_verify_jp_checks_the_scale_before_the_shift_search(tmp_path, capsys):
 
 def test_digits_past_a_double_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
     """A digit that no double holds, or a tail that no depth within the
-    doubles bounds, ends in TailBoundUnavailable (exit 1) before any mask or
-    kernel runs, not in an OverflowError inside them."""
+    doubles bounds (huge digits, a huge shift window, candidate points past
+    the doubles), ends in TailBoundUnavailable (exit 1) before a float mask
+    or the kernel runs, not in an OverflowError inside them."""
     form = {"base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "6"]},
             "L1": ["0", "2"], "L2": ["0", "1"]}
     spec = _write(tmp_path, "f.json", form)
     far = _write(tmp_path, "far.json", {**form, "Bs": {"0": ["0", "2"], "1": ["0", str(4 * 10**300)]}})
     past = _write(tmp_path, "past.json", {**form, "Bs": {"0": ["0", "2"], "1": ["0", str(6 * 10**320)]}})
+    # base 2^255: the level-5 candidate reaches 2^1275
+    wide = _write(tmp_path, "wide.json", {**form, "base": str(2**255), "Bs": {"0": ["0", "2"], "1": ["0", "2"]},
+                                          "L1": ["0", str(2**253)], "L2": ["0", str(2**254)]})
     rows = [
         ("jp-scale-1/10^320", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "2", "--scale", f"1/{10**320}"]),
         ("periodic-digit-4e300", ["weakly-periodic", "--form", far, "--resolution", "16", "--window", "2"]),
         ("lemma42-digit-6e320", ["check-lemma42", "--form", past, "--p", "1", "--grid", "4"]),
         ("periodic-digit-6e320", ["weakly-periodic", "--form", past, "--resolution", "16", "--window", "2"]),
+        ("jp-window-10^400", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "2", "--window", str(10**400)]),
+        ("jp-points-2^1275", ["verify-jp", "--form", wide, "--levels", "5", "--grid", "2"]),
     ]
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 
-    for name in ("mask_value", "mask_value_rational", "_split_phase_abs"):
+    for name in ("mask_value", "_split_phase_abs"):
         monkeypatch.setattr(measure, name, no_work)
     for name, argv in rows:
         assert _run(argv) == 1, name
