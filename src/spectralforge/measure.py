@@ -124,10 +124,10 @@ def auto_depth(base: int, digits, xi_max: float, target: float = 1e-14) -> int:
 
 
 def _require_doubles(digit_sets: Iterable[DigitSet]) -> None:
-    """TailBoundUnavailable, before any work, for a digit past the largest double."""
+    """TailBoundUnavailable, before any work, for a digit d whose phase 2*pi*d no double holds."""
     top = max(abs(d) for ds in digit_sets for d in ds.digits)
-    if top > _DOUBLE_MAX:
-        raise TailBoundUnavailable(f"a digit of {top.bit_length()} bits is beyond the range of a double")
+    if top > _DOUBLE_MAX / TWO_PI:
+        raise TailBoundUnavailable(f"a digit of {top.bit_length()} bits puts its phase past the range of a double")
 
 
 @dataclass(frozen=True)
