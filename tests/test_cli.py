@@ -677,10 +677,10 @@ def test_verify_jp_checks_the_scale_before_the_shift_search(tmp_path, capsys):
 
 
 def test_digits_past_a_double_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
-    """A digit that no double holds, or a tail that no depth within the
-    doubles bounds (huge digits, a huge shift window, candidate points past
-    the doubles), ends in TailBoundUnavailable (exit 1) before a float mask
-    or the kernel runs, not in an OverflowError inside them."""
+    """A digit d whose phase 2*pi*d no double holds, or a tail that no depth
+    within the doubles bounds (huge digits, a huge shift window, candidate
+    points past the doubles), ends in TailBoundUnavailable (exit 1) before a
+    float mask or the kernel runs, not in an OverflowError inside them."""
     form = {"base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "6"]},
             "L1": ["0", "2"], "L2": ["0", "1"]}
     spec = _write(tmp_path, "f.json", form)
