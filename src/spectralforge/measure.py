@@ -8,16 +8,18 @@ multiplicative tail bound.
 The finite-level identity, the frame sums and the weakly-periodic scan all
 run on one split-phase kernel: the transform at every sum a + b of a row
 list and a column list, from e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j), so
-each level takes, on each side, one cos/sin pass over the phases of every
-nonzero digit and entry (_unit_roots, which mask_value shares); the zero
-digit's unit is exactly 1 and costs nothing.  Exact
+each block of levels takes, on each side, one cos/sin pass over the phases
+of every level, nonzero digit and entry (_unit_roots, which mask_value
+shares); the zero digit's unit is exactly 1 and costs nothing.  Exact
 points (spectrum points, aggregates, samples) enter it through _RationalSide
 alone, as integer numerators over one common denominator, whose phase
 d*v/N^j mod 1 is reduced in integer arithmetic, so points at height 1e8
 lose nothing; a side of floats uses the float phase.  A candidate's points
 come as such integers from SpectrumCandidate.numerators, with no Fraction
-per point.  The kernel works in tiles of at most _TILE_PAIRS pairs, so its
-memory does not grow, and each pair's value depends on that pair alone: the
+per point.  The kernel works in tiles of at most _TILE_PAIRS (level, row,
+column) entries, so its memory does not grow, while a call of few pairs
+takes all of its levels in one block; each pair's value depends on that
+pair alone: the
 weakly-periodic scan gives every grid point the shift 0 and climbs a ladder
 of longer shift prefixes only with the points still in contention, bit for
 bit, and the running product after j factors is the depth-j transform, so
@@ -169,8 +171,9 @@ class TruncatedMeasure:
 # ---------------------------------------------------------------------------
 # Split-phase kernel: the truncated transform at every sum row + column.
 
-# Most (row, column) pairs in one tile; a tile's three complex work arrays
-# take 48 bytes per pair.
+# Most (level, row, column) entries in one tile: a tile of r x c pairs takes
+# max(1, _TILE_PAIRS // (r*c)) levels at a time.  Its two complex work
+# arrays take 16 bytes per entry and its running product 16 per pair.
 _TILE_PAIRS = 1 << 13
 _INT64_LIMIT = 2**63
 
@@ -200,22 +203,30 @@ class _RationalSide:
         sub.nums = self.nums[part]
         return sub
 
-    def units(self, base: int, j: int, ds: Sequence[int], part: slice) -> np.ndarray:
-        """e(-d*v/N^j), one row per digit d of ds (nonzero) and one column
-        per entry v in part, with the phase (d*num mod den*N^j)/(den*N^j)
-        exact before its final rounding."""
-        m = self.den * base**j
+    def units(self, base: int, js: range, ds: Sequence[int], part: slice) -> np.ndarray:
+        """e(-d*v/N^j), one (digit, entry) plane per level j of js, with one
+        row per digit d of ds (nonzero) and one column per entry v in part,
+        and the phase (d*num mod den*N^j)/(den*N^j) exact before its final
+        rounding."""
+        mods = [self.den * base**j for j in js]
         x = self.nums[part]
         if max(map(abs, ds)) * max(self.bound, 1) < _INT64_LIMIT:
             prod = np.multiply.outer(np.array(ds, dtype=np.int64), x)
-            # past int64, |d*num| < m: the phase is already reduced, up to
-            # a sign the period absorbs
-            phase = (prod % m) / m if m < _INT64_LIMIT else prod / float(m)
+            phase = np.empty((len(mods), *prod.shape))
+            # the moduli grow with j, so those within int64 come first
+            small = sum(m < _INT64_LIMIT for m in mods)
+            if small:
+                m = np.array(mods[:small], dtype=np.int64)[:, None, None]
+                np.divide(prod % m, m, out=phase[:small])
+            if small < len(mods):
+                # past int64, |d*num| < m: the phase is already reduced, up
+                # to a sign the period absorbs
+                np.divide(prod, np.array(mods[small:], dtype=float)[:, None, None], out=phase[small:])
         elif len(ds) > 1:
             # each digit on the route it takes alone
-            return np.concatenate([self.units(base, j, (d,), part) for d in ds])
+            return np.concatenate([self.units(base, js, (d,), part) for d in ds], axis=1)
         else:
-            phase = np.array([[(ds[0] * v) % m / m for v in x.tolist()]], dtype=float)
+            phase = np.array([[[(ds[0] * v) % m / m for v in x.tolist()]] for m in mods], dtype=float)
         return _unit_roots((-2 * np.pi) * phase)
 
 
@@ -231,11 +242,12 @@ class _FloatSide:
     def __getitem__(self, part: slice) -> _FloatSide:
         return _FloatSide(self.values[part])
 
-    def units(self, base: int, j: int, ds: Sequence[int], part: slice) -> np.ndarray:
-        """e(-d*x/N^j), one row per digit d of ds and one column per entry
-        x in part."""
-        scaled = self.values[part] / float(base) ** j
-        return _unit_roots(np.multiply.outer((-2 * np.pi) * np.array(ds, dtype=float), scaled))
+    def units(self, base: int, js: range, ds: Sequence[int], part: slice) -> np.ndarray:
+        """e(-d*x/N^j), one (digit, entry) plane per level j of js, with one
+        row per digit d of ds and one column per entry x in part."""
+        scaled = self.values[part] / np.array([float(base) ** j for j in js])[:, None]
+        coef = (-2 * np.pi) * np.array(ds, dtype=float)
+        return _unit_roots(coef[:, None] * scaled[:, None, :])
 
 
 def _tiles(n_rows: int, n_cols: int):
@@ -254,36 +266,51 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
     """Yields (row slice, column slice, |mu_hat(a + b)|) over the tiles of
     rows x cols, rows outermost, with mu_hat the transform of m truncated at
     each depth of ``stops`` in turn (increasing; by default m.depth alone).
-    The kernel is elementwise, so the running product after j factors is
-    the depth-j transform bit for bit."""
+
+    A tile is a block of levels x a row slice x a column slice of at most
+    _TILE_PAIRS (level, row, column) entries: a tile of r x c pairs takes
+    max(1, _TILE_PAIRS // (r*c)) levels at a time, each side's units of a
+    block from one call.  A full tile takes one level per block; a few
+    shifts against a few points take every level in one.  The kernel is
+    elementwise and the running product takes the levels one by one, so
+    after j factors it is the depth-j transform bit for bit."""
     stops = tuple(stops) or (m.depth,)
     ds = m.digits.digits
     nonzero = [d for d in ds if d]
     for rs, cs in _tiles(len(rows), len(cols)):
         shape = (rs.stop - rs.start, cs.stop - cs.start)
+        block = min(stops[-1], max(1, _TILE_PAIRS // (shape[0] * shape[1])))
         prod = np.ones(shape, dtype=complex)
-        level = np.empty(shape, dtype=complex)
-        term = np.empty(shape, dtype=complex)
-        for j in range(1, stops[-1] + 1):
+        level = np.empty((block, *shape), dtype=complex)
+        term = np.empty((block, *shape), dtype=complex)
+        for j0 in range(1, stops[-1] + 1, block):
+            js = range(j0, min(j0 + block, stops[-1] + 1))
+            lv, tv = level[: len(js)], term[: len(js)]
             if nonzero:
-                units = zip(rows.units(m.base, j, nonzero, rs), cols.units(m.base, j, nonzero, cs))
+                # one (level, entry) plane per digit on each side
+                units = zip(
+                    rows.units(m.base, js, nonzero, rs).swapaxes(0, 1),
+                    cols.units(m.base, js, nonzero, cs).swapaxes(0, 1),
+                )
             for i, d in enumerate(ds):
                 if d == 0:
                     # e(0) is exactly 1 on both sides, and so is its product
                     if i:
-                        level.real += 1.0
+                        lv.real += 1.0
                     else:
-                        level.fill(1.0)
+                        lv.fill(1.0)
                     continue
-                np.multiply.outer(*next(units), out=term if i else level)
+                row_units, col_units = next(units)
+                np.multiply(row_units[:, :, None], col_units[:, None, :], out=tv if i else lv)
                 if i:
-                    level += term
+                    lv += tv
             # the parts one by one: what complex / int gives, without the
             # cost of numpy's complex division
-            level.view(float)[...] /= len(ds)
-            prod *= level
-            if j in stops:
-                yield rs, cs, np.abs(prod)
+            lv.view(float)[...] /= len(ds)
+            for t, j in enumerate(js):
+                prod *= lv[t]
+                if j in stops:
+                    yield rs, cs, np.abs(prod)
 
 
 # Most squared products _row_sums holds while a band of rows is open.

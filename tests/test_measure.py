@@ -362,20 +362,27 @@ def _old_split_phase_abs(m, rows, cols, stops=()):
 
 def test_split_phase_kernel_equals_per_digit_exponentials():
     """Skipping the zero digit and taking each side's units of all digits
-    in one cos/sin pass leave every magnitude bit for bit."""
+    and of a block of levels in one cos/sin pass leave every magnitude bit
+    for bit.  The large sides take one level per block, bar their partial
+    tiles; the ladder's small calls (4 shifts x 1 sample, 124 x 2) take
+    every level to depth 26 in one block, with the stops inside it."""
     rng = random.Random(24)
     samples = measure._FloatSide(np.array([rng.uniform(-3, 3) for _ in range(97)]))
     exact = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(113)])
     shifts = measure._RationalSide(1, range(-40, 41))
+    ladder = measure._RationalSide(1, sorted(range(-64, 65), key=abs))
     assert len(samples) * len(exact) > measure._TILE_PAIRS
-    # the last set sends 5 and -2^61 by different routes; past depth 13,
-    # den * 24^j leaves int64 too
+    assert 124 * 2 * 26 <= measure._TILE_PAIRS
+    # the last set sends 5 and -2^61 by different routes, on the small
+    # sides too, inside a block of levels; past depth 13, den * 24^j leaves
+    # int64 too
     digit_sets = [(0, 1, 8, 9), (-3, 0, 2, 5), (1, 2, 7, 10), (0,), (-(2**61), 0, 5)]
     sides = [(samples, exact), (exact, samples), (shifts, samples), (exact, exact[:40])]
+    sides += [(ladder[:4], samples[:1]), (ladder[5:], samples[:2]), (ladder[1:5], exact[:1])]
     for digits in digit_sets:
         m = TruncatedMeasure(24, DigitSet(24, digits), 15 if digits[0] < -5 else 6)
         for rows, cols in sides:
-            for stops in ((), (1, 3), (2, 5, 6), (13, 14)):
+            for stops in ((), (1, 3), (2, 5, 6), (13, 14), (3, 17, 26), (26,)):
                 new = list(measure._split_phase_abs(m, rows, cols, stops))
                 old = list(_old_split_phase_abs(m, rows, cols, stops))
                 assert len(new) == len(old) > 0
@@ -614,6 +621,28 @@ def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
     far_points = sum(cols for rows, cols in calls[1:] if rows == 124)
     assert 1 <= far_points <= 4, calls
     assert rep.min_max > FLAG_THRESHOLD
+
+
+def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
+    """fd24-1-4-1-1 makes five kernel calls.  The shift-0 pass, a tile of 1
+    x 4,668 pairs, takes one level per block; each ladder call, 4 or 124
+    shifts x 1 point, takes all of its levels in one block, so its shift
+    side makes one units call, not one per level."""
+    calls = _counted_kernel(monkeypatch)
+    served = []  # the kernel call each units call of the shift side serves
+    units = measure._RationalSide.units
+
+    def counted(side, *args):
+        served.append(len(calls))
+        return units(side, *args)
+
+    monkeypatch.setattr(measure._RationalSide, "units", counted)
+    _, form = build_four_digit_form(24, 1, 4, 1, 1)
+    weakly_periodic_check(form, integer_window=64)
+    depth = auto_depth(form.base, expand_one_stage(form), 66.0, 1e-12)
+    assert calls == [(1, 4668), (4, 1), (4, 1), (124, 1), (124, 1)]
+    assert depth > 1
+    assert [served.count(k) for k in range(1, 6)] == [depth, 1, 1, 1, 1]
 
 
 def _near_window_far_points(form, integer_window, resolution):
