@@ -313,6 +313,11 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
                     yield rs, cs, np.abs(prod)
 
 
+def _abs_at(m: TruncatedMeasure, rows) -> np.ndarray:
+    """|m.mu_hat(a)| for each row a: the kernel against the one column 0."""
+    return np.concatenate([mag[:, 0] for _, _, mag in _split_phase_abs(m, rows, _RationalSide(1, [0]))])
+
+
 # Most squared products _row_sums holds while a band of rows is open.
 _ROW_BAND = 1 << 19
 
@@ -438,8 +443,11 @@ def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence
     and their B-energy taken, once for all depths.  An aggregate of more
     than POINT_LIMIT points, or of more than SAMPLE_LIMIT pairs with the
     samples, raises PointLimitExceeded before any work.
-    The samples are the kernel's float rows, the aggregate its exact columns,
-    and M_B((xi + gamma)/N^q) the transform of the depth-1 measure (N^q, B).
+    The samples are the kernel's rows at their exact dyadic values, as in
+    the frame sums, and the aggregate its exact columns; M_B(xi) is the
+    transform of the depth-1 measure (1, B) and M_B((xi + gamma)/N^q) that
+    of (N^q, B), so every phase is reduced in integers and a digit past
+    10^8 loses nothing.
     """
     _require_normalized(form)
     check_frame_sum_size(form, p, len(xi_samples))
@@ -448,8 +456,8 @@ def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence
     d_set = expand_one_stage(form)
     b_list = form.b_list()
     _require_doubles([d_set, *b_list])
-    xs = _FloatSide(np.array([float(xi) for xi in xi_samples]))
-    rhs = _b_energy(b_list, lambda b: mask_value(b, xs.values))
+    xs = _RationalSide.of([Fraction(float(xi)) for xi in xi_samples])
+    rhs = _b_energy(b_list, lambda b: _abs_at(TruncatedMeasure(1, b, 1), xs))
     worst = 0.0
     for q in range(1, p + 1):
         aggregate = _RationalSide(1, stacked_digits(anchored, n, q))
