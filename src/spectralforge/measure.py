@@ -19,14 +19,13 @@ come as such integers from SpectrumCandidate.numerators, with no Fraction
 per point.  The kernel works in tiles of at most _TILE_PAIRS (level, row,
 column) entries, so its memory does not grow, while a call of few pairs
 takes all of its levels in one block; each pair's value depends on that
-pair alone: the
-weakly-periodic scan gives every grid point the shift 0 and climbs a ladder
-of longer shift prefixes only with the points still in contention, bit for
-bit, and the running product after j factors is the depth-j transform, so
-jp_levels reads every level of a candidate from one pass over the top
-level, each at its own depth.  The scalar exact-phase ``mu_hat_rational``
-serves the shift search of build_spectrum, which stops at its first
-accepted shift; the float ``mu_hat`` is the tests' reference.
+pair alone: the weakly-periodic scan gives every grid point the shift 0 and
+climbs a ladder of longer shift prefixes only with the points still in
+contention, bit for bit, and the running product after j factors is the
+depth-j transform, so jp_levels reads every level of a candidate from one
+pass over the top level, each at its own depth.  The scalar exact-phase
+``mu_hat_rational`` serves the shift search of build_spectrum, which stops
+at its first accepted shift; the float ``mu_hat`` is the tests' reference.
 
 Each numeric command takes what it needs from here, and the form is
 expanded once: build_spectrum, whose candidate carries the digits D/s its
@@ -679,8 +678,9 @@ FLAG_THRESHOLD = 1e-3
 
 # Most points the scan grid may hold: the N^2 rational points t / N^2 and
 # the --resolution Chebyshev points.  Every point gets shift 0.  In process
-# (2-core x86) fd24-1-4-1-1 takes 0.22 s at N^2 + resolution = 2^18, and the
-# base-500 four-digit form (500, 1, 1, 1, 1) 0.19 s at 500^2 + 4,096.  The
+# (2-core x86, medians of 7 runs) fd24-1-4-1-1 takes 0.25 s at N^2 +
+# resolution = 2^18, and the base-500 four-digit form (500, 1, 1, 1, 1)
+# 0.25 s at 500^2 + 4,096.  The
 # base-1,728 one-stage form that reduce-kstage emits for (2,3,2,ii) would
 # scan 1728^2 points, over 11 times this limit; building its grid takes
 # 0.35 s.
@@ -688,9 +688,9 @@ SCAN_POINT_LIMIT = 1 << 18
 # Largest --window, in shifts each way.  The whole window goes only to
 # points that can still be the minimum or flagged, which grow with the
 # grid: with both limits reached, the B = {0, N} form of base 6 flags 271
-# points and takes 1.5 s, fd24-1-4-1-1 0.28 s.  A window of 2^16 takes
-# 1.6 s on that B = {0, N} form at --resolution 4,096 alone (this limit
-# lifted).  The two limits bound the grid and the window one at a time,
+# points and takes 1.6 s, fd24-1-4-1-1 0.28 s (medians of 7 runs).  A
+# window of 2^16 takes 1.9 s on that B = {0, N} form at --resolution
+# 4,096 alone (this limit lifted).  The two limits bound the grid and the window one at a time,
 # not the work of the whole window, which is their product over the points
 # that reach it: a form that flags most of its grid could take up to 2^18
 # points x 8,193 shifts.

@@ -1,0 +1,45 @@
+"""The summary of tools/paired_bench.py on fixed numbers; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("paired_bench", ROOT / "tools" / "paired_bench.py")
+paired_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(paired_bench)
+
+OTHER = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+
+def test_quartiles_interpolate_between_sorted_values():
+    assert paired_bench.quartiles(OTHER[::-1]) == pytest.approx((1.225, 1.45, 1.675))
+    assert paired_bench.quartiles([0.3]) == (0.3, 0.3, 0.3)
+
+
+def test_gain_needs_nine_tenths_of_ten_pairs_and_a_gap_past_the_iqr():
+    # the other side's IQR is 0.45: a gap of 0.5 clears it, 0.4 does not
+    s = paired_bench.summary(OTHER, [x - 0.5 for x in OTHER], "lower")
+    assert (s["wins"], s["pairs"], s["gain"]) == (10, 10, True)
+    assert s["here"] == pytest.approx((0.725, 0.95, 1.175))
+    assert not paired_bench.summary(OTHER, [x - 0.4 for x in OTHER], "lower")["gain"]
+    # a large gap with 8 wins of 10, the other two pairs a loss and a tie
+    here = [x - 1.0 for x in OTHER[:8]] + [OTHER[8] + 0.1, OTHER[9]]
+    s = paired_bench.summary(OTHER, here, "lower")
+    assert (s["wins"], s["gain"]) == (8, False)
+    # 9 wins and a tie are enough
+    s = paired_bench.summary(OTHER, here[:8] + [OTHER[8] - 1.0, OTHER[9]], "lower")
+    assert (s["wins"], s["gain"]) == (9, True)
+
+
+def test_fewer_than_ten_pairs_claim_no_gain():
+    s = paired_bench.summary(OTHER[:9], [x - 1.0 for x in OTHER[:9]], "lower")
+    assert (s["wins"], s["gain"]) == (9, False)
+
+
+def test_higher_is_better_reverses_wins_and_gap():
+    s = paired_bench.summary(OTHER, [x + 0.5 for x in OTHER], "higher")
+    assert (s["wins"], s["gain"]) == (10, True)
+    s = paired_bench.summary(OTHER, [x - 0.5 for x in OTHER], "higher")
+    assert (s["wins"], s["gain"]) == (0, False)
