@@ -131,7 +131,8 @@ def test_finite_level_identity_is_accurate():
 def test_finite_level_identity_holds_for_digits_past_1e8():
     """N = 4, A = {0, 1}, B_1 = {0, 2 + 4*10^e}: the samples enter at their
     exact dyadic values and the B-energy from exact phases too.  Float
-    phases read 1.9e-7, 6.1e-4 and 0.32 at e = 8, 12 and 15."""
+    phases of the samples give 1.9e-7, 6.1e-4 and 0.32 at e = 8, 12 and
+    15."""
     for e in (8, 12, 15):
         b1 = DigitSet(4, (0, 2 + 4 * 10**e))
         form = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: b1}, (0, 2), (0, 1))
