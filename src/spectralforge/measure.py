@@ -18,9 +18,11 @@ lose nothing; a side of floats uses the float phase.  A candidate's points
 come as such integers from SpectrumCandidate.numerators, with no Fraction
 per point.  The kernel works in tiles of at most _TILE_PAIRS (level, row,
 column) entries, so its memory does not grow, while a call of few pairs
-takes all of its levels in one block; each pair's value depends on that
-pair alone: the weakly-periodic scan gives every grid point the shift 0 and
-climbs a ladder of longer shift prefixes only with the points still in
+takes all of its levels in one block.  Each pair's value depends on that
+pair alone, bar a call of one row and one column (numpy rounds a
+one-element in-place complex product in its own way): the weakly-periodic
+scan gives every grid point the shift 0 and climbs a ladder of longer
+shift prefixes, each of two or more shifts, only with the points still in
 contention, bit for bit, and the running product after j factors is the
 depth-j transform, so jp_levels reads every level of a candidate from one
 pass over the top level, each at its own depth.  The scalar exact-phase
