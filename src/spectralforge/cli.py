@@ -337,8 +337,8 @@ def cmd_factor_mask(args) -> Outcome:
 
 # Most rows a verify-jp report may hold: one per level 0..levels and sample.
 # In process on fd24-1-4-1-1 with --scale 3 (2-core x86), 2^14 rows
-# (--levels 1 --grid 8192) take 0.29 s and print 2.6 MB; --levels 0 --grid
-# 2^19 takes 13 s and prints 83 MB with this limit lifted.
+# (--levels 1 --grid 8192) take 0.25 s and print 2.6 MB; --levels 0 --grid
+# 2^19 takes 11 s and prints 83 MB with this limit lifted.
 JP_ROW_LIMIT = 1 << 14
 
 

@@ -14,7 +14,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -62,6 +64,16 @@ class DigitSet:
     @property
     def is_canonical(self) -> bool:
         return self.digits[0] == 0
+
+    @cached_property
+    def deviation_bound(self) -> float:
+        """An upper bound on the population standard deviation sigma of the
+        digits, taken once per set: (isqrt(V) + 1) / |D| from the exact
+        integer V = |D| * sum d^2 - (sum d)^2 = |D|^2 * sigma^2, rounded
+        once to a double; inf past the largest double."""
+        n = len(self.digits)
+        root = math.isqrt(n * sum(d * d for d in self.digits) - sum(self.digits) ** 2) + 1
+        return root / n if root <= sys.float_info.max else math.inf
 
     def shifted(self, c: int) -> "DigitSet":
         return DigitSet(self.base, tuple(d + c for d in self.digits))

@@ -2,8 +2,13 @@
 
 mu = mu_{N,D} is the infinite convolution of the uniform atomic measures on
 D/N^j, so its Fourier transform is the infinite product of digit masks
-M_D(xi/N^j).  Everything here works with truncated products plus a rigorous
-multiplicative tail bound.
+M_D(xi/N^j).  Everything here works with truncated products and reads only
+their magnitudes, under a one-sided, second-order tail bound: at depth p and
+height |xi| <= x, |mu_hat(xi)|^2 lies between (1 - S) times the truncated
+value and the truncated value itself, S = (2*pi*sigma*x/N^p)^2 / (N^2 - 1)
+with sigma an upper bound on the population standard deviation of D
+(TruncatedMeasure.tail_sum).  So a truncated frame sum bounds the true one
+from above, within a relative S.
 
 The finite-level identity, the frame sums and the weakly-periodic scan all
 run on one split-phase kernel: the transform at every sum a + b of a row
@@ -19,22 +24,23 @@ come as such integers from SpectrumCandidate.numerators, with no Fraction
 per point.  The kernel works in tiles of at most _TILE_PAIRS (level, row,
 column) entries, so its memory does not grow, while a call of few pairs
 takes all of its levels in one block.  Each pair's value depends on that
-pair alone, bar a call of one row and one column (numpy rounds a
-one-element in-place complex product in its own way): the weakly-periodic
-scan gives every grid point the shift 0 and climbs a ladder of longer
-shift prefixes, each of two or more shifts, only with the points still in
-contention, bit for bit, and the running product after j factors is the
-depth-j transform, so jp_levels reads every level of a candidate from one
-pass over the top level, each at its own depth.  The scalar exact-phase
+pair alone, whatever the shape of the call (the running product is taken
+out of place, which numpy rounds alike for every length): the
+weakly-periodic scan gives every grid point the shift 0 and climbs a ladder
+of longer shift prefixes only with the points still in contention, bit for
+bit, and the running product after j factors is the depth-j transform, so
+jp_levels reads every level of a candidate from one pass over the top
+level, each at its own depth.  The scalar exact-phase
 ``mu_hat_rational`` serves the shift search of build_spectrum, which stops
 at its first accepted shift; the float ``mu_hat`` is the tests' reference.
 
 Each numeric command takes what it needs from here, and the form is
 expanded once: build_spectrum, whose candidate carries the digits D/s its
 points target, then jp_levels; finite_level_identity_check over the depths
-1..p; weakly_periodic_check.  Every truncation depth comes from the tail
-bound (auto_depth), and a digit or a tail past the doubles raises
-TailBoundUnavailable before any work.
+1..p, each at its own depth q, which the identity fixes;
+weakly_periodic_check.  Every other truncation depth is the smallest whose
+tail bound is below its target (auto_depth), and a digit or a tail past the
+doubles raises TailBoundUnavailable before any work.
 
 Sums over candidate points are accumulated with math.fsum, and the digit sums
 with elementwise numpy operations in digit order, so repeated runs give
@@ -106,20 +112,16 @@ def _b_energy(b_list: Sequence[DigitSet], mask) -> float | np.ndarray:
     return sum(energy[b] for b in b_list) / len(b_list)
 
 
-def digit_mass(digits: Iterable[int]) -> float:
-    """2*pi times the mean |d|; inf past the largest double."""
-    ds = tuple(digits)
-    total = sum(abs(d) for d in ds)
-    return TWO_PI * total / len(ds) if total <= _DOUBLE_MAX else math.inf
-
-
-def auto_depth(base: int, digits, xi_max: float, target: float = 1e-14) -> int:
-    """Smallest depth p whose tail sum at height xi_max is below target.
-    TailBoundUnavailable when no depth whose weight N^p * (N - 1) a double
-    holds is deep enough, as for an infinite height or digit mass."""
-    if math.isfinite(digit_mass(digits) * xi_max):
+def auto_depth(base: int, digits: DigitSet, xi_max: float, target: float = 1e-14) -> int:
+    """Smallest depth p whose tail sum at height xi_max is below target, so
+    that each |mu_hat(xi)|^2 with |xi| <= xi_max is at most its depth-p
+    truncation and above (1 - target) times it.  The digits' spread
+    (DigitSet.deviation_bound) is taken once.  TailBoundUnavailable, before any work, for an infinite
+    height or spread, and when no depth whose N^p a double holds is deep
+    enough."""
+    if math.isfinite(digits.deviation_bound * xi_max):
         p = 1
-        while base**p * (base - 1) <= _DOUBLE_MAX:
+        while base**p <= _DOUBLE_MAX:
             if TruncatedMeasure(base, digits, p).tail_sum(xi_max) < target:
                 return p
             p += 1
@@ -165,8 +167,16 @@ class TruncatedMeasure:
         return acc
 
     def tail_sum(self, xi_max: float) -> float:
-        """S with the infinite tail multiplier inside [1-S, exp(S)]."""
-        return digit_mass(self.digits) * xi_max / (self.base**self.depth * (self.base - 1))
+        """S = (2*pi*sigma*xi_max/N^p)^2 / (N^2 - 1), p the depth and sigma
+        the digits' deviation_bound, so that for |xi| <= xi_max the dropped
+        factors prod_{j>p} |M_D(xi/N^j)|^2 lie in [1 - S, 1]: each
+        |mu_hat(xi)|^2 is at most its truncation and at least (1 - S)
+        times it.  From 1 - cos(t) <= t^2/2, |M_D(y)|^2 >= 1 - (2*pi*
+        sigma_D*y)^2, and the sum of those losses over y = xi/N^j, j > p,
+        is S.  The bound is second order in xi/N^p and, like sigma_D,
+        does not move when the digits are translated."""
+        r = TWO_PI * self.digits.deviation_bound * xi_max / self.base**self.depth
+        return r * r / (self.base**2 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +291,7 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
     for rs, cs in _tiles(len(rows), len(cols)):
         shape = (rs.stop - rs.start, cs.stop - cs.start)
         block = min(stops[-1], max(1, _TILE_PAIRS // (shape[0] * shape[1])))
-        prod = np.ones(shape, dtype=complex)
+        prod, spare = np.ones(shape, dtype=complex), np.empty(shape, dtype=complex)
         level = np.empty((block, *shape), dtype=complex)
         term = np.empty((block, *shape), dtype=complex)
         for j0 in range(1, stops[-1] + 1, block):
@@ -309,7 +319,9 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
             # cost of numpy's complex division
             lv.view(float)[...] /= len(ds)
             for t, j in enumerate(js):
-                prod *= lv[t]
+                # out of place: numpy rounds an in-place product of one
+                # element by its own formula, so a 1 x 1 tile would differ
+                prod, spare = np.multiply(prod, lv[t], out=spare), prod
                 if j in stops:
                     yield rs, cs, np.abs(prod)
 
@@ -389,16 +401,16 @@ def _scan_grid(base: int, resolution: int) -> np.ndarray:
 # Most points a level-p aggregate (|T|^p) or a built spectrum's top level
 # (|L2| * |T|^levels) may hold, T the anchored spectrum.  Both grow as powers
 # of |T|: in process on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42
-# --p 8 takes 1.7 s and --p 9 14 s, verify-jp --levels 8 --scale 3 1.3 s
-# and --levels 9 9.1 s (this limit and SAMPLE_LIMIT lifted).
+# --p 8 takes 1.9 s and --p 9 12 s, verify-jp --levels 8 --scale 3 0.83 s
+# and --levels 9 7.7 s (this limit and SAMPLE_LIMIT lifted).
 POINT_LIMIT = 1 << 17
 # Most (point, sample) pairs a frame-sum run may evaluate: the top-level
 # points times the --grid samples of verify-jp or check-lemma42.  In
 # process on fd24-1-4-1-1 with --scale 3 (2-core x86), verify-jp takes
-# 0.56 s at --levels 5 --grid 512 (2^20 pairs, all six levels from one
-# kernel pass) and 0.20 s at --levels 1 --grid 4096 (cli.JP_ROW_LIMIT caps
-# its report rows).  check-lemma42 takes 0.40 s at --p 7 and, this limit
-# lifted, 1.7 s at --p 8 with its 64 samples.
+# 0.43 s at --levels 5 --grid 512 (2^20 pairs, all six levels from one
+# kernel pass) and 0.13 s at --levels 1 --grid 4096 (cli.JP_ROW_LIMIT caps
+# its report rows).  check-lemma42 takes 0.35 s at --p 7 and, this limit
+# lifted, 1.9 s at --p 8 with its 64 samples.
 SAMPLE_LIMIT = 1 << 20
 
 
@@ -680,9 +692,9 @@ FLAG_THRESHOLD = 1e-3
 
 # Most points the scan grid may hold: the N^2 rational points t / N^2 and
 # the --resolution Chebyshev points.  Every point gets shift 0.  In process
-# (2-core x86, medians of 7 runs) fd24-1-4-1-1 takes 0.25 s at N^2 +
+# (2-core x86, medians of 7 runs) fd24-1-4-1-1 takes 0.18 s at N^2 +
 # resolution = 2^18, and the base-500 four-digit form (500, 1, 1, 1, 1)
-# 0.25 s at 500^2 + 4,096.  The
+# 0.16 s at 500^2 + 4,096.  The
 # base-1,728 one-stage form that reduce-kstage emits for (2,3,2,ii) would
 # scan 1728^2 points, over 11 times this limit; building its grid takes
 # 0.35 s.
@@ -690,8 +702,8 @@ SCAN_POINT_LIMIT = 1 << 18
 # Largest --window, in shifts each way.  The whole window goes only to
 # points that can still be the minimum or flagged, which grow with the
 # grid: with both limits reached, the B = {0, N} form of base 6 flags 271
-# points and takes 1.6 s, fd24-1-4-1-1 0.28 s (medians of 7 runs).  A
-# window of 2^16 takes 1.9 s on that B = {0, N} form at --resolution
+# points and takes 1.3 s, fd24-1-4-1-1 0.22 s (medians of 7 runs).  A
+# window of 2^16 takes 1.2 s on that B = {0, N} form at --resolution
 # 4,096 alone (this limit lifted).  The two limits bound the grid and the window one at a time,
 # not the work of the whole window, which is their product over the points
 # that reach it: a form that flags most of its grid could take up to 2^18

@@ -110,6 +110,57 @@ def test_auto_depth_rejects_infinite_height():
         auto_depth(4, DigitSet(4, (0, 2)), math.inf)
 
 
+def _mp_abs2(base, digits, xi, depth):
+    """|mu_hat(xi)|^2 truncated at ``depth``, in mpmath at the working precision."""
+    acc = mpmath.mpf(1)
+    for j in range(1, depth + 1):
+        y = xi / mpmath.mpf(base) ** j
+        c = mpmath.fsum(mpmath.cos(2 * mpmath.pi * d * y) for d in digits)
+        s = mpmath.fsum(mpmath.sin(2 * mpmath.pi * d * y) for d in digits)
+        acc *= (c * c + s * s) / len(digits) ** 2
+    return acc
+
+
+def test_auto_depth_bounds_the_magnitude_from_one_side():
+    """At p = auto_depth, 40 more factors keep each |mu_hat|^2 in
+    [(1 - S) |mu_hat_p|^2, |mu_hat_p|^2] with S the tail sum (1 - S taken in
+    mpmath: in floats it rounds past the tight cases), and p - 1 fails the
+    bound, over random bases, digits, heights and targets.  The bound is
+    tight: some case loses more than 0.99 S."""
+    rng = random.Random(42)
+    tightest = 0.0
+    with mpmath.workdps(50):
+        for _ in range(100):
+            base = rng.randrange(2, 31)
+            spread = int(10 ** rng.uniform(0, 4))
+            digits = DigitSet(base, tuple(rng.sample(range(-spread - 3, spread + 4), rng.randrange(2, 7))))
+            height = 10 ** rng.uniform(-1, 8)
+            target = 10 ** rng.uniform(-15, -2)
+            p = auto_depth(base, digits, height, target)
+            s = TruncatedMeasure(base, digits, p).tail_sum(height)
+            assert s < target
+            assert p == 1 or TruncatedMeasure(base, digits, p - 1).tail_sum(height) >= target
+            for xi in (height, rng.uniform(-height, height)):
+                x = mpmath.mpf(xi)
+                trunc = _mp_abs2(base, digits.digits, x, p)
+                deeper = trunc * _mp_abs2(base, digits.digits, x / mpmath.mpf(base) ** p, 40)
+                assert (1 - mpmath.mpf(s)) * trunc <= deeper <= trunc * (1 + mpmath.mpf(10) ** -40), (
+                    base, digits, height, target, xi)
+                if trunc > 1e-30:
+                    tightest = max(tightest, float((1 - deeper / trunc) / s))
+    assert tightest > 0.99
+
+
+def test_tail_bound_ignores_translation_and_refuses_an_infinite_spread():
+    """S depends on the digits' spread alone, so a translated digit set
+    truncates at the same depth; a spread past the doubles has no bound."""
+    digits = DigitSet(24, (0, 1, 16, 17))
+    assert auto_depth(24, digits.shifted(10**9), 1e4) == auto_depth(24, digits, 1e4)
+    assert DigitSet(4, (5,)).deviation_bound == 1.0
+    with pytest.raises(TailBoundUnavailable):
+        auto_depth(4, DigitSet(4, (0, 2**1100)), 1.0)
+
+
 def test_finite_level_identity_examples():
     for f in (_form14(), _form23()):
         for p in (1, 2, 3):
@@ -299,12 +350,13 @@ def test_jp_sum_matches_pointwise_oracle_on_scaled_candidates():
 def test_jp_sum_matches_pointwise_oracle_at_height_1e8():
     """den * N^j leaves int64 here, for the points (den 72) and the samples.
 
-    Near t * 24^6 (about 1.9e8 * t) the transform is about |mu_hat(t)|, not
-    small, so float phases would show: their first factor is off by about 1e-8.
+    Near t * 24^7 (about 4.6e9 * t) the transform is about |mu_hat(t)|, not
+    small, so float phases would show: their first factor is off by up to
+    2e-6.
     """
     digits = DigitSet(24, (0, 1, 16, 17))
-    points = [s * (24**6 * t + Fraction(k, 72)) for s in (1, -1) for t in (1, 2) for k in range(0, 72, 9)]
-    assert 72 * 24 ** auto_depth(24, digits, 4e8) > 2**63
+    points = [s * (24**7 * t + Fraction(k, 72)) for s in (1, -1) for t in (1, 2) for k in range(0, 72, 9)]
+    assert 72 * 24 ** auto_depth(24, digits, 1e10) > 2**63
     _assert_jp_matches_reference(digits, 24, points, [0.0, 0.37, Fraction(5, 9)])
     # a common denominator whose numerators leave int64 on their own
     points = [24**6 + Fraction(k, 10**12 + 39) for k in range(0, 10**12, 10**11)]
@@ -400,6 +452,28 @@ def test_split_phase_kernel_equals_per_digit_exponentials():
                 for (rs, cs, mag), (rs0, cs0, mag0) in zip(new, old):
                     assert (rs, cs) == (rs0, cs0)
                     assert (mag == mag0).all(), (digits, stops)
+
+
+def test_kernel_pair_value_does_not_depend_on_the_call_shape():
+    """Each pair of a 5 x 4 call equals the same pair computed alone (a
+    1 x 1 call) and in its 5 x 1 column, bit for bit, over 30 random
+    measures.  numpy rounds an in-place complex product of one element by
+    its own formula: with the running product taken in place, 326 of these
+    600 one-pair values differed by an ulp from the 5 x 4 call's."""
+    rng = random.Random(30)
+    for _ in range(30):
+        base = rng.randrange(2, 25)
+        digits = DigitSet(base, tuple(rng.sample(range(-200000, 200000), rng.randrange(2, 6))))
+        m = TruncatedMeasure(base, digits, rng.randrange(1, 19))
+        rows = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(5)])
+        cols = measure._RationalSide.of([Fraction(rng.randrange(-10**4, 10**4), 7) for _ in range(4)])
+        ((_, _, full),) = measure._split_phase_abs(m, rows, cols)
+        for c in range(4):
+            ((_, _, column),) = measure._split_phase_abs(m, rows, cols[c : c + 1])
+            assert column[:, 0].tolist() == full[:, c].tolist(), (base, digits, m.depth, c)
+            for r in range(5):
+                ((_, _, alone),) = measure._split_phase_abs(m, rows[r : r + 1], cols[c : c + 1])
+                assert alone[0, 0] == full[r, c], (base, digits, m.depth, r, c)
 
 
 def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
