@@ -8,8 +8,10 @@ seed, ``bench/worker.py generate`` writes the job list and its inputs once,
 into a temporary directory; then ``bench/worker.py pass`` runs that list once
 with each checkout's ``src`` first on PYTHONPATH.  A job differs when its
 exit code (``rc``), its report digest (``digest``) or its report check
-(``wrong``) differs.  Every such job is printed, and the exit code is 1 if
-there is one, else 0.  The defaults are the three workloads at seed 1.
+(``wrong``) differs.  Every such job is printed, each differing field as
+the other checkout's value -> this checkout's, so a run from a change
+against its parent reads parent -> change.  The exit code is 1 if there is
+such a job, else 0.  The defaults are the three workloads at seed 1.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ def _jobs(checkout: Path, job_list: str, result: Path) -> list[dict]:
     return json.loads(result.read_text(encoding="utf-8"))["jobs"]
 
 
+def job_line(label: str, there: dict, here: dict) -> str | None:
+    """The line for one job, each differing field as ``there`` (the other
+    checkout's pass) -> ``here`` (this checkout's); None when none differs."""
+    moved = [f"{key} {there.get(key)!r} -> {here.get(key)!r}" for key in COMPARED if there.get(key) != here.get(key)]
+    return f"{label} job {here['id']} ({here['kind']}): " + "; ".join(moved) if moved else None
+
+
 def differences(other: Path, workload: str, seed: int) -> list[str]:
     """One line per job of the (workload, seed) list whose rc, digest or
     wrong differs between this checkout and ``other``."""
@@ -51,12 +60,8 @@ def differences(other: Path, workload: str, seed: int) -> list[str]:
         there = _jobs(other, job_list, work / "other.json")
     if [j["id"] for j in here] != [j["id"] for j in there]:
         return [f"{workload} seed {seed}: the two passes ran different jobs"]
-    lines = []
-    for a, b in zip(here, there):
-        moved = [f"{key} {a.get(key)!r} -> {b.get(key)!r}" for key in COMPARED if a.get(key) != b.get(key)]
-        if moved:
-            lines.append(f"{workload} seed {seed} job {a['id']} ({a['kind']}): " + "; ".join(moved))
-    return lines
+    lines = (job_line(f"{workload} seed {seed}", t, h) for t, h in zip(there, here))
+    return [line for line in lines if line]
 
 
 def main(argv: list[str] | None = None) -> int:
