@@ -15,51 +15,61 @@ run on one split-phase kernel: the transform at every sum a + b of a row
 list and a column list, from e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j), so
 each block of levels takes, on each side, one cos/sin pass over the phases
 of every level, nonzero digit and entry (_unit_roots, which mask_value
-shares); the zero digit's unit is exactly 1 and costs nothing.  Exact
-points (spectrum points, aggregates, samples) enter it through _RationalSide
-alone, as integer numerators over one common denominator, whose phase
-d*v/N^j mod 1 is reduced in integer arithmetic, so points at height 1e8
-lose nothing; a side of floats uses the float phase.  A candidate's points
-come as such integers from SpectrumCandidate.numerators, with no Fraction
-per point.  The kernel works in tiles of at most _TILE_PAIRS (level, row,
-column) entries, so its memory does not grow, while a call of few pairs
-takes all of its levels in one block.  Each pair's value depends on that
-pair alone, whatever the shape of the call (the running product is taken
-out of place, which numpy rounds alike for every length): the
-weakly-periodic scan gives every grid point the shift 0 and climbs a ladder
-of longer shift prefixes only with the points still in contention, bit for
-bit, and the running product after j factors is the depth-j transform, so
-jp_levels reads every level of a candidate from one pass over the top
-level, each at its own depth.  The scalar exact-phase
+shares); the zero digit's unit is exactly 1 and costs nothing.  A measure
+carries direct-sum factors of its digits, and each level multiplies one
+mask per factor, built from that factor's own units: a form whose B-sets
+are one set B has D = A (+) N^r*B and M_D(y) = M_A(y) * M_B(N^r*y)
+(form_measure), so a level costs the sum over the factors F of |F| - 1
+nonzero units and pair products, 2 instead of 3 on a four-digit form.
+Exact points (spectrum points, aggregates, samples) enter it through
+_RationalSide alone, as integer numerators over one common denominator,
+whose phase d*v/N^j mod 1 is reduced in integer arithmetic, so points at
+height 1e8 lose nothing; a side of floats uses the float phase.  A
+candidate's points come as such integers from SpectrumCandidate.numerators,
+with no Fraction per point.  The kernel works in tiles of at most
+_TILE_PAIRS (level, row, column) entries, so its memory does not grow,
+while a call of few pairs takes all of its levels in one block.  Each
+pair's value depends on that pair alone, whatever the shape of the call
+(the running product is taken out of place, which numpy rounds alike for
+every length), and the running product after j levels is the depth-j
+transform.  So jp_levels reads every level of a candidate from one pass
+over the top level, each at its own depth, and the weakly-periodic scan
+reports bit for bit what a scan of every shift at every point would.  That
+scan gives every grid point a lower bound on its shift-0 value from a
+shallow depth q, whose tail sum at height 1 is at most 1/4, and climbs a
+ladder (the exact shift 0 at the scan's depth, then longer shift prefixes)
+only with the points still in contention.  The scalar exact-phase
 ``mu_hat_rational`` serves the shift search of build_spectrum, which stops
 at its first accepted shift; the float ``mu_hat`` is the tests' reference.
 
-Each numeric command takes what it needs from here, and the form is
-expanded once: build_spectrum, whose candidate carries the digits D/s its
-points target, then jp_levels; finite_level_identity_check over the depths
-1..p, each at its own depth q, which the identity fixes;
-weakly_periodic_check.  Every other truncation depth is the smallest whose
-tail bound is below its target (auto_depth), and a digit or a tail past the
-doubles raises TailBoundUnavailable before any work.
+Each numeric command takes what it needs from here, and builds its measure,
+expanding the form, once (form_measure): build_spectrum, whose candidate
+carries the digits D/s its points target and their factors, then
+jp_levels; finite_level_identity_check over the depths 1..p, each at its
+own depth q, which the identity fixes; weakly_periodic_check.  Every other
+truncation depth is the smallest whose tail bound is below its target
+(auto_depth), and a digit or a tail past the doubles raises
+TailBoundUnavailable before any work.
 
 Sums over candidate points are accumulated with math.fsum, and the digit sums
-with elementwise numpy operations in digit order, so repeated runs give
-identical results.
+with elementwise numpy operations in digit order (a leading zero digit's
+term second), so repeated runs give identical results.
 """
 
 from __future__ import annotations
 
 import cmath
 import copy
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
+from .digitsets import DigitSet, direct_sum_digits, stacked_digits
 from .errors import ShiftSearchFailure, TailBoundUnavailable, refuse_above
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
@@ -137,15 +147,25 @@ def _require_doubles(digit_sets: Iterable[DigitSet]) -> None:
 
 @dataclass(frozen=True)
 class TruncatedMeasure:
-    """First ``depth`` convolution factors of the self-similar measure."""
+    """First ``depth`` convolution factors of the self-similar measure.
+
+    ``factors`` are digit sets whose direct sum is ``digits``, so that the
+    mask M_D is the product of their masks; the kernel multiplies one mask
+    per factor.  By default the digits alone; factors whose sums are not
+    the digits, each once, raise ValueError."""
 
     base: int
     digits: DigitSet
     depth: int
+    factors: tuple[DigitSet, ...] = ()
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if not self.factors:
+            object.__setattr__(self, "factors", (self.digits,))
+        elif sorted(map(sum, itertools.product(*(f.digits for f in self.factors)))) != list(self.digits.digits):
+            raise ValueError("the factors' direct sum must be the digits")
 
     def mu_hat(self, xi):
         """Truncated transform, an array for an array xi, else a Python
@@ -179,12 +199,27 @@ class TruncatedMeasure:
         return r * r / (self.base**2 - 1)
 
 
+def form_measure(form: OneStageForm) -> TruncatedMeasure:
+    """The depth-1 measure of the form's expansion D, the union of a + N^r*B_a,
+    with the direct-sum factors its kernel multiplies: A and N^r*B when every
+    B_a is one set B and |A|, |B| >= 2, since then M_D(y) = M_A(y) *
+    M_B(N^r*y); else D alone.  Every numeric command builds its measure
+    here, so it expands the form once."""
+    d_set = expand_one_stage(form)
+    b, *others = dict.fromkeys(form.b_list())
+    if others or len(form.a_set) < 2 or len(b) < 2:
+        return TruncatedMeasure(form.base, d_set, 1)
+    stage = DigitSet(form.base, tuple(form.base**form.r * x for x in b.digits))
+    return TruncatedMeasure(form.base, d_set, 1, (form.a_set, stage))
+
+
 # ---------------------------------------------------------------------------
 # Split-phase kernel: the truncated transform at every sum row + column.
 
 # Most (level, row, column) entries in one tile: a tile of r x c pairs takes
-# max(1, _TILE_PAIRS // (r*c)) levels at a time.  Its two complex work
-# arrays take 16 bytes per entry and its running product 16 per pair.
+# max(1, _TILE_PAIRS // (r*c)) levels at a time.  Its complex work arrays,
+# one per factor and a scratch one unless every factor has one nonzero
+# digit, take 16 bytes per entry each, and its running product 16 per pair.
 _TILE_PAIRS = 1 << 13
 _INT64_LIMIT = 2**63
 
@@ -282,46 +317,68 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
     _TILE_PAIRS (level, row, column) entries: a tile of r x c pairs takes
     max(1, _TILE_PAIRS // (r*c)) levels at a time, each side's units of a
     block from one call.  A full tile takes one level per block; a few
-    shifts against a few points take every level in one.  The kernel is
-    elementwise and the running product takes the levels one by one, so
-    after j factors it is the depth-j transform bit for bit."""
+    shifts against a few points take every level in one.  Each level is
+    one mask per factor of m, from that factor's own units, so it costs
+    the sum over the factors F of |F| - 1 nonzero units and pair products.
+    The kernel is elementwise and the running product takes the levels one
+    by one, factor by factor, so after j levels it is the depth-j transform
+    bit for bit."""
     stops = tuple(stops) or (m.depth,)
-    ds = m.digits.digits
-    nonzero = [d for d in ds if d]
+    # a power of two |F| has an exact weight 1/|F|: weighing each row unit
+    # by it weighs every term, and so the sum, as dividing the sum would,
+    # bit for bit; other sizes keep weight 1 and divide the sum.  A leading
+    # zero digit's term goes second, so the first product writes the mask
+    # with no fill: t + 1 is 1 + t, up to the sign of a zero part, which no
+    # magnitude sees.
+    plans = []
+    for f in m.factors:
+        ds = f.digits
+        weight = 1.0 / len(ds) if len(ds) & (len(ds) - 1) == 0 else 1.0
+        plans.append(((ds[1], 0, *ds[2:]) if ds[0] == 0 and len(ds) > 1 else ds, weight))
+    nonzero = [d for order, _ in plans for d in order if d]
+    weights = np.array([weight for order, weight in plans for d in order if d])[:, None]
+    summed = any(sum(map(bool, order)) > 1 for order, _ in plans)
     for rs, cs in _tiles(len(rows), len(cols)):
         shape = (rs.stop - rs.start, cs.stop - cs.start)
         block = min(stops[-1], max(1, _TILE_PAIRS // (shape[0] * shape[1])))
+        # the last tile's arrays go first, so that one tile's are held at a time
+        prod = spare = masks = term = None
         prod, spare = np.ones(shape, dtype=complex), np.empty(shape, dtype=complex)
-        level = np.empty((block, *shape), dtype=complex)
-        term = np.empty((block, *shape), dtype=complex)
+        masks = np.empty((len(plans), block, *shape), dtype=complex)
+        # scratch for the terms after a factor's first, needed only when
+        # some factor has two nonzero digits or more
+        term = np.empty((block, *shape), dtype=complex) if summed else None
         for j0 in range(1, stops[-1] + 1, block):
             js = range(j0, min(j0 + block, stops[-1] + 1))
-            lv, tv = level[: len(js)], term[: len(js)]
+            tv = term[: len(js)] if summed else None
             if nonzero:
-                # one (level, entry) plane per digit on each side
-                units = zip(
-                    rows.units(m.base, js, nonzero, rs).swapaxes(0, 1),
-                    cols.units(m.base, js, nonzero, cs).swapaxes(0, 1),
-                )
-            for i, d in enumerate(ds):
-                if d == 0:
-                    # e(0) is exactly 1 on both sides, and so is its product
+                # one (level, entry) plane per digit on each side, factor by factor
+                row_units = rows.units(m.base, js, nonzero, rs)
+                row_units *= weights
+                units = zip(row_units.swapaxes(0, 1), cols.units(m.base, js, nonzero, cs).swapaxes(0, 1))
+            for (order, weight), mask in zip(plans, masks):
+                lv = mask[: len(js)]
+                for i, d in enumerate(order):
+                    if d == 0:
+                        # e(0) is exactly 1 on both sides, and so is its product
+                        if i:
+                            lv.real += weight
+                        else:
+                            lv.fill(weight)
+                        continue
+                    ru, cu = next(units)
+                    np.multiply(ru[:, :, None], cu[:, None, :], out=tv if i else lv)
                     if i:
-                        lv.real += 1.0
-                    else:
-                        lv.fill(1.0)
-                    continue
-                row_units, col_units = next(units)
-                np.multiply(row_units[:, :, None], col_units[:, None, :], out=tv if i else lv)
-                if i:
-                    lv += tv
-            # the parts one by one: what complex / int gives, without the
-            # cost of numpy's complex division
-            lv.view(float)[...] /= len(ds)
+                        lv += tv
+                if weight == 1.0 and len(order) > 1:
+                    # the parts one by one: what complex / int gives, without
+                    # the cost of numpy's complex division
+                    lv.view(float)[...] /= len(order)
             for t, j in enumerate(js):
-                # out of place: numpy rounds an in-place product of one
-                # element by its own formula, so a 1 x 1 tile would differ
-                prod, spare = np.multiply(prod, lv[t], out=spare), prod
+                for mask in masks:
+                    # out of place: numpy rounds an in-place product of one
+                    # element by its own formula, so a 1 x 1 tile would differ
+                    prod, spare = np.multiply(prod, mask[t], out=spare), prod
                 if j in stops:
                     yield rs, cs, np.abs(prod)
 
@@ -401,16 +458,16 @@ def _scan_grid(base: int, resolution: int) -> np.ndarray:
 # Most points a level-p aggregate (|T|^p) or a built spectrum's top level
 # (|L2| * |T|^levels) may hold, T the anchored spectrum.  Both grow as powers
 # of |T|: in process on fd24-1-4-1-1 (|T| = 4; 2-core x86) check-lemma42
-# --p 8 takes 1.9 s and --p 9 12 s, verify-jp --levels 8 --scale 3 0.83 s
-# and --levels 9 7.7 s (this limit and SAMPLE_LIMIT lifted).
+# --p 8 takes 1.5 s and --p 9 9.8 s, verify-jp --levels 8 --scale 3 0.75 s
+# and --levels 9 4.0 s (this limit and SAMPLE_LIMIT lifted).
 POINT_LIMIT = 1 << 17
 # Most (point, sample) pairs a frame-sum run may evaluate: the top-level
 # points times the --grid samples of verify-jp or check-lemma42.  In
 # process on fd24-1-4-1-1 with --scale 3 (2-core x86), verify-jp takes
-# 0.43 s at --levels 5 --grid 512 (2^20 pairs, all six levels from one
-# kernel pass) and 0.13 s at --levels 1 --grid 4096 (cli.JP_ROW_LIMIT caps
-# its report rows).  check-lemma42 takes 0.35 s at --p 7 and, this limit
-# lifted, 1.9 s at --p 8 with its 64 samples.
+# 0.26 s at --levels 5 --grid 512 (2^20 pairs, all six levels from one
+# kernel pass) and 0.11 s at --levels 1 --grid 4096 (cli.JP_ROW_LIMIT caps
+# its report rows).  check-lemma42 takes 0.31 s at --p 7 and, this limit
+# lifted, 1.5 s at --p 8 with its 64 samples.
 SAMPLE_LIMIT = 1 << 20
 
 
@@ -466,15 +523,15 @@ def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence
     check_frame_sum_size(form, p, len(xi_samples))
     n = form.base
     anchored = _anchored_spectrum(form)
-    d_set = expand_one_stage(form)
+    m = form_measure(form)
     b_list = form.b_list()
-    _require_doubles([d_set, *b_list])
+    _require_doubles([m.digits, *m.factors, *b_list])
     xs = _RationalSide.of([Fraction(float(xi)) for xi in xi_samples])
     rhs = _b_energy(b_list, lambda b: _abs_at(TruncatedMeasure(1, b, 1), xs))
     worst = 0.0
     for q in range(1, p + 1):
         aggregate = _RationalSide(1, stacked_digits(anchored, n, q))
-        trunc = TruncatedMeasure(n, d_set, q)
+        trunc = replace(m, depth=q)
         for b in dict.fromkeys(b_list):  # equal B-sets give equal sums
             (lhs,) = _row_sums([trunc, TruncatedMeasure(n**q, b, 1)], xs, aggregate)
             worst = max(worst, float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0)))
@@ -490,11 +547,13 @@ class SpectrumCandidate:
     """scale * ((1/N) L2 + Lambda) with Lambda built level by level.
 
     ``levels[k - 1]`` is the direct sum T + N*T + ... + N^(k-1)*T of the
-    shifted elements T; the levels are nested and each contains 0.
+    shifted elements T: level k - 1 followed by its new points, so the
+    levels are nested as prefixes and each starts with 0.
     """
 
     base: int
     digits: DigitSet  # D/s, the expansion over the scale: the measure the points target
+    factors: tuple[DigitSet, ...]  # the direct-sum factors of D/s its kernel multiplies
     scale: Fraction
     frac_shifts: tuple[Fraction, ...]
     shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift), shared by every level
@@ -511,14 +570,17 @@ class SpectrumCandidate:
         """(den, nums, counts): the distinct points of the top level as the
         integers nums over their reduced common denominator den, each under
         the first level that holds it, so that level k is nums[:counts[k]].
-        The points are s.num * (l2 + N*lam) over s.den * N."""
+        The points are s.num * (l2 + N*lam) over s.den * N, each formed
+        once: a level adds the points of the lambdas past its predecessor."""
         n, num, den = self.base, self.scale.numerator, self.scale.denominator * self.base
         l2 = [fs.numerator * (n // fs.denominator) for fs in self.frac_shifts]
         first: dict[int, None] = {}
         counts = []
-        for k in range(len(self.levels) + 1):
-            first.update(dict.fromkeys(num * (x + n * lam) for lam in self.lambdas(k) for x in l2))
+        done = 0
+        for level in map(self.lambdas, range(len(self.levels) + 1)):
+            first.update(dict.fromkeys([num * (x + n * lam) for lam in level[done:] for x in l2]))
             counts.append(len(first))
+            done = len(level)
         g = math.gcd(den, *first)
         return den // g, [x // g for x in first], counts
 
@@ -561,12 +623,14 @@ def build_spectrum(
     check_frame_sum_size(form, levels, candidate=True)
     n = form.base
     anchored = _anchored_spectrum(form)
-    d_set = expand_one_stage(form)
+    whole = form_measure(form)
+    d_set = whole.digits
     num, den = scale.numerator, scale.denominator
     if any(x * den % num for x in d_set.digits):
         raise ValueError(f"expansion digits are not divisible by the scale {scale}")
-    digits = DigitSet(n, tuple(x * den // num for x in d_set.digits))
-    _require_doubles([d_set, digits])
+    # 0 in every B_a puts A, and so N^r*B, inside D: each factor over s is integral too
+    digits, *factors = [DigitSet(n, tuple(x * den // num for x in f.digits)) for f in (d_set, *whole.factors)]
+    _require_doubles([d_set, digits, *factors])
     b_list = form.b_list()
     # a window past the doubles has no tail bound: auto_depth refuses the largest double
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, min(search_window, _DOUBLE_MAX) + 2.0))
@@ -592,18 +656,25 @@ def build_spectrum(
             raise ShiftSearchFailure(g, search_window, best)
         shifts.append((g, accepted))
     tilde = [g + n * k for g, k in shifts]
-    # level q adds N^(q-1) * tilde to level q - 1; the elements of tilde are
-    # distinct mod N, so no sum repeats
-    stacked = _expand_layers((0,), [(None, n**j, lambda d: tilde) for j in range(levels)])
+    if len(set(tilde)) < len(tilde):
+        direct_sum_digits((0,), tilde)  # raises the OverlapError that names the repeat
+    # level q is level q - 1 followed by its sums with N^(q-1) * t for the
+    # nonzero t of tilde; the elements of tilde are distinct mod N, so no
+    # sum repeats
+    stacked = [(0,)]
+    for j in range(levels):
+        step = n**j
+        stacked.append(stacked[-1] + tuple([lam + step * t for t in tilde if t for lam in stacked[-1]]))
 
     frac = tuple(sorted({Fraction(x, n) for x in form.l2.digits}))
     return SpectrumCandidate(
         base=n,
         digits=digits,
+        factors=tuple(factors),
         scale=scale,
         frac_shifts=frac,
         shifts=tuple(shifts),
-        levels=tuple(map(tuple, stacked[1:])),
+        levels=tuple(stacked[1:]),
     )
 
 
@@ -635,22 +706,26 @@ def jp_sum(
     base: int,
     points: Iterable[Fraction],
     xi_samples: Sequence[float | Fraction],
+    factors: Sequence[DigitSet] = (),
 ) -> list[JPRow]:
     """Partial sums Q_T(xi) = sum over the points of |mu_hat(xi + point)|^2,
     with exact rational evaluation throughout.
 
     Each distinct point counts once.  The truncation depth is the smallest
-    whose tail sum at the largest point height is below 1e-14.
+    whose tail sum at the largest point height is below 1e-14.  The kernel
+    multiplies the masks of ``factors``, direct-sum factors of the digits
+    (TruncatedMeasure.factors), by default the digits alone.
     """
     cols = _RationalSide.of(list(points))
     cols = cols[np.unique(cols.nums, return_index=True)[1]]
-    return _frame_sums(digits, base, cols, [len(cols)], xi_samples)[0]
+    return _frame_sums(TruncatedMeasure(base, digits, 1, tuple(factors)), cols, [len(cols)], xi_samples)[0]
 
 
 def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -> list[list[JPRow]]:
-    """jp_sum(cand.digits, cand.base, cand.points(k), xi_samples) for every
-    level k = 0, ..., len(cand.levels), from one kernel pass over the top
-    level: the frame sums of the measure the candidate targets.
+    """jp_sum(cand.digits, cand.base, cand.points(k), xi_samples,
+    cand.factors) for every level k = 0, ..., len(cand.levels), from one
+    kernel pass over the top level: the frame sums of the measure the
+    candidate targets.
 
     The points reach the kernel as integers over the top level's reduced
     denominator (SpectrumCandidate.numerators), so every level is a prefix
@@ -662,23 +737,21 @@ def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -
     height, may move a Q_T by an ulp.
     """
     den, nums, counts = cand.numerators()
-    return _frame_sums(cand.digits, cand.base, _RationalSide(den, nums), counts, xi_samples)
+    m = TruncatedMeasure(cand.base, cand.digits, 1, cand.factors)
+    return _frame_sums(m, _RationalSide(den, nums), counts, xi_samples)
 
 
-def _frame_sums(
-    digits: DigitSet, base: int, cols: _RationalSide, counts: Sequence[int], xi_samples
-) -> list[list[JPRow]]:
-    """The JPRows over the first n columns, for each n in counts, each
-    truncated at the depth for its own largest point height."""
+def _frame_sums(m: TruncatedMeasure, cols: _RationalSide, counts: Sequence[int], xi_samples) -> list[list[JPRow]]:
+    """The JPRows of m's transform over the first n columns, for each n in
+    counts, each truncated at the depth for its own largest point height."""
     # a float is taken at its exact dyadic value, so the rows' common
     # denominator is the largest power of two, whatever their number
     xs = [Fraction(x) for x in xi_samples]
     # each height rounded once, or past the doubles the largest, which auto_depth refuses
     tops = [Fraction(int(abs(cols.nums[:n]).max(initial=0)), cols.den) for n in counts]
     heights = [float(min(top, _DOUBLE_MAX)) + 2.0 for top in tops]
-    depths = [auto_depth(base, digits, h) for h in heights]
-    trunc = TruncatedMeasure(base, digits, max(depths))
-    totals = _row_sums([trunc], _RationalSide.of(xs), cols, list(zip(depths, counts)))
+    depths = [auto_depth(m.base, m.digits, h) for h in heights]
+    totals = _row_sums([replace(m, depth=max(depths))], _RationalSide.of(xs), cols, list(zip(depths, counts)))
     return [[JPRow(float(x), n, q_t) for x, q_t in zip(xs, qs)] for n, qs in zip(counts, totals)]
 
 
@@ -691,10 +764,10 @@ MEMBERSHIP_THRESHOLD = 1e-6
 FLAG_THRESHOLD = 1e-3
 
 # Most points the scan grid may hold: the N^2 rational points t / N^2 and
-# the --resolution Chebyshev points.  Every point gets shift 0.  In process
-# (2-core x86, medians of 7 runs) fd24-1-4-1-1 takes 0.18 s at N^2 +
-# resolution = 2^18, and the base-500 four-digit form (500, 1, 1, 1, 1)
-# 0.16 s at 500^2 + 4,096.  The
+# the --resolution Chebyshev points.  Every point gets a lower bound on
+# shift 0 from a shallow depth.  In process (2-core x86, medians of 7 runs)
+# fd24-1-4-1-1 takes 0.07 s at N^2 + resolution = 2^18, and the base-500
+# four-digit form (500, 1, 1, 1, 1) 0.12 s at 500^2 + 4,096.  The
 # base-1,728 one-stage form that reduce-kstage emits for (2,3,2,ii) would
 # scan 1728^2 points, over 11 times this limit; building its grid takes
 # 0.35 s.
@@ -702,9 +775,9 @@ SCAN_POINT_LIMIT = 1 << 18
 # Largest --window, in shifts each way.  The whole window goes only to
 # points that can still be the minimum or flagged, which grow with the
 # grid: with both limits reached, the B = {0, N} form of base 6 flags 271
-# points and takes 1.3 s, fd24-1-4-1-1 0.22 s (medians of 7 runs).  A
-# window of 2^16 takes 1.2 s on that B = {0, N} form at --resolution
-# 4,096 alone (this limit lifted).  The two limits bound the grid and the window one at a time,
+# points and takes 0.72 s, fd24-1-4-1-1 0.07 s (medians of 7 runs).  A
+# window of 2^16 takes 0.81 s on that B = {0, N} form at --resolution
+# 4,096 alone (this limit lifted; median of 3).  The two limits bound the grid and the window one at a time,
 # not the work of the whole window, which is their product over the points
 # that reach it: a form that flags most of its grid could take up to 2^18
 # points x 8,193 shifts.
@@ -740,6 +813,28 @@ def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: np.ndarray) -> n
     return out
 
 
+# The scan's bulk pass runs at the smallest depth q whose tail sum at height
+# 1 is at most _SHALLOW_TAIL, below the scan's own depth, and keeps that
+# bound less a relative _SHALLOW_MARGIN, far above the kernel's rounding.
+_SHALLOW_TAIL = 0.25
+_SHALLOW_MARGIN = 1e-9
+
+
+def _shallow_rung(m: TruncatedMeasure) -> tuple[TruncatedMeasure, float] | None:
+    """(m at depth q, c) for the smallest q < m.depth whose tail sum S at
+    height 1 is at most _SHALLOW_TAIL, with c = sqrt(1 - S) * (1 -
+    _SHALLOW_MARGIN); None when no q qualifies.  For x in [0, 1) the
+    levels q + 1, ..., m.depth multiply |mu_hat| by at least sqrt(1 - S)
+    (tail_sum bounds every tail, and a finite tail of factors of modulus at
+    most 1 only lies higher), so c * |mu_hat_q(x)| is below |mu_hat(x)|
+    at m's depth."""
+    for q in range(1, m.depth):
+        tail = TruncatedMeasure(m.base, m.digits, q).tail_sum(1.0)
+        if tail <= _SHALLOW_TAIL:
+            return replace(m, depth=q), math.sqrt(1.0 - tail) * (1.0 - _SHALLOW_MARGIN)
+    return None
+
+
 def weakly_periodic_check(
     form: OneStageForm,
     integer_window: int = 64,
@@ -755,10 +850,14 @@ def weakly_periodic_check(
     below FLAG_THRESHOLD; a healthy form flags none.  x = 0 is always kept
     (B-energy 1, maximum 1), so with no flag the minimum is >= FLAG_THRESHOLD.
 
-    The scan is best first.  The shifts, ordered by |k|, climb a ladder of
-    prefixes: 1 shift, then 5 (|k| <= 2), then the whole window.  Every
-    point gets shift 0 in one kernel pass, and the maximum over the shifts
-    a point has had is a lower bound on its full maximum.  Then the point
+    The scan is best first.  Every point first gets, in one kernel pass, a
+    lower bound on its shift-0 value |mu_hat(x)| at the scan's depth p:
+    c * |mu_hat_q(x)| at the smallest depth q whose tail sum S at height 1
+    is at most 1/4, with c = sqrt(1 - S) less a relative 1e-9 (grid points
+    lie in [0, 1); _shallow_rung).  From that rung the shifts, ordered by
+    |k|, climb a ladder of prefixes: 1 shift (shift 0 at depth p), then 5
+    (|k| <= 2), then the whole window, and the maximum over the shifts a
+    point has had is a lower bound on its full maximum.  Then the point
     with the lowest bound below the top rung picks the rung that moves
     next, and that rung's points climb one rung in increasing order of
     their bound, in batches that double for each rung alone (1, 1, 2, 4,
@@ -766,19 +865,20 @@ def weakly_periodic_check(
     full maximum found so far or FLAG_THRESHOLD.  No point left below the
     top can be the minimum, the reported xi or flagged, and the kernel is
     elementwise per (shift, point) pair, so the report equals that of the
-    full scan bit for bit.  On the seven four-digit frame-sums forms shift
-    0 leaves two points of 4,200 to 6,400 for the other shifts.  A grid or
-    window above SCAN_POINT_LIMIT or SCAN_WINDOW_LIMIT raises
-    PointLimitExceeded before any work.
+    full scan at depth p bit for bit.  On the seven four-digit frame-sums
+    forms the bulk pass runs at depth 1 or 2, where p is 6 to 8, and two
+    points of 4,200 to 6,400 climb from it, on to the other shifts.  With
+    no such q every point gets shift 0 at depth p.  A grid or window above
+    SCAN_POINT_LIMIT or SCAN_WINDOW_LIMIT raises PointLimitExceeded before
+    any work.
     """
     check_scan_size(form, integer_window, resolution)
     n = form.base
-    d_set = expand_one_stage(form)
+    m = form_measure(form)
     b_list = form.b_list()
-    _require_doubles([d_set, *b_list])
+    _require_doubles([m.digits, *m.factors, *b_list])
     grid = _scan_grid(n, resolution)
-    depth = auto_depth(n, d_set, integer_window + 2.0, 1e-12)
-    trunc = TruncatedMeasure(n, d_set, depth)
+    trunc = replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
 
     energy = _b_energy(b_list, lambda b: mask_value(b, grid))
     keep = energy > MEMBERSHIP_THRESHOLD
@@ -787,13 +887,21 @@ def weakly_periodic_check(
 
     # nearest shifts first, so that every rung is a prefix of the window
     shifts = _RationalSide(1, sorted(range(-integer_window, integer_window + 1), key=abs))
-    rungs = sorted({min(size, len(shifts)) for size in (1, 5, len(shifts))})
-    running = _window_max(trunc, shifts[:1], xs)
-    # queues[r]: the points whose bound covers the first rungs[r] shifts, in
-    # increasing order of that bound; the last queue stays empty, since a
-    # point on the top rung has its full maximum
-    queues = [np.argsort(running, kind="stable")] + [np.empty(0, dtype=np.intp)] * (len(rungs) - 1)
-    moved = [0] * len(rungs)
+    sizes = sorted({min(size, len(shifts)) for size in (1, 5, len(shifts))})
+    # climbs[r]: the shifts a point on rung r takes to reach rung r + 1
+    climbs = [shifts[a:b] for a, b in zip(sizes, sizes[1:])]
+    shallow, factor = _shallow_rung(trunc) or (None, 1.0)
+    running = _window_max(shallow or trunc, shifts[:1], xs)
+    if shallow:
+        # a certified lower bound on shift 0; climbing from it gives shift 0
+        # its value at the scan's depth, which lies above the bound
+        running *= factor
+        climbs.insert(0, shifts[:1])
+    # queues[r]: the points on rung r, in increasing order of their bound;
+    # the last queue stays empty, since a point on the top rung has its
+    # full maximum
+    queues = [np.argsort(running, kind="stable")] + [np.empty(0, dtype=np.intp)] * len(climbs)
+    moved = [0] * len(queues)
     best = math.inf
     while True:
         limit = max(best * (1 + 1e-9), FLAG_THRESHOLD)
@@ -810,9 +918,8 @@ def weakly_periodic_check(
         batch = batch[running[batch] <= limit]
         queues[r] = queues[r][len(batch) :]
         moved[r] += len(batch)
-        window = shifts[rungs[r] : rungs[r + 1]]
-        running[batch] = np.maximum(running[batch], _window_max(trunc, window, xs[batch]))
-        if r + 2 == len(rungs):
+        running[batch] = np.maximum(running[batch], _window_max(trunc, climbs[r], xs[batch]))
+        if r + 1 == len(climbs):
             best = min(best, running[batch].min())
         else:
             queue = np.concatenate((queues[r + 1], batch))

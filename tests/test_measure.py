@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spectralforge.digitsets import DigitSet
+from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import PointLimitExceeded, TailBoundUnavailable
 from spectralforge import cli, measure
 from spectralforge.measure import (
@@ -395,7 +396,9 @@ def test_unit_roots_equal_complex_exponential():
 
 def _old_split_phase_abs(m, rows, cols, stops=()):
     """The kernel before the zero digit was skipped: one complex
-    exponential per digit, side, level and entry, digit by digit."""
+    exponential per digit, side, level and entry, digit by digit, each
+    factor's mask its per-digit exponential sum over |F|, and the running
+    product taken factor by factor."""
 
     def units(side, j, d, part):
         if isinstance(side, measure._FloatSide):
@@ -410,15 +413,16 @@ def _old_split_phase_abs(m, rows, cols, stops=()):
         return np.exp(-2j * np.pi * phase)
 
     stops = tuple(stops) or (m.depth,)
-    ds = m.digits.digits
     for rs, cs in measure._tiles(len(rows), len(cols)):
         prod = np.ones((rs.stop - rs.start, cs.stop - cs.start), dtype=complex)
         for j in range(1, stops[-1] + 1):
-            level = np.multiply.outer(units(rows, j, ds[0], rs), units(cols, j, ds[0], cs))
-            for d in ds[1:]:
-                level += np.multiply.outer(units(rows, j, d, rs), units(cols, j, d, cs))
-            level.view(float)[...] /= len(ds)
-            prod *= level
+            for factor in m.factors:
+                ds = factor.digits
+                level = np.multiply.outer(units(rows, j, ds[0], rs), units(cols, j, ds[0], cs))
+                for d in ds[1:]:
+                    level += np.multiply.outer(units(rows, j, d, rs), units(cols, j, d, cs))
+                level.view(float)[...] /= len(ds)
+                prod = prod * level
             if j in stops:
                 yield rs, cs, np.abs(prod)
 
@@ -454,6 +458,54 @@ def test_split_phase_kernel_equals_per_digit_exponentials():
                     assert (mag == mag0).all(), (digits, stops)
 
 
+def test_factored_kernel_equals_the_product_of_per_factor_exponentials():
+    """A measure with direct-sum factors: every magnitude equals the
+    product over the factors of their per-digit exponential sums, each
+    over |F|, bit for bit, on the sides and stops of the unfactored test
+    above.  The factors take both kinds of size: a power of two |F|, whose
+    1/|F| weighs the row units, and |F| = 3, whose sum is divided; the
+    last measure sends -2^61 by the per-digit route."""
+    rng = random.Random(31)
+    samples = measure._FloatSide(np.array([rng.uniform(-3, 3) for _ in range(97)]))
+    exact = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(113)])
+    shifts = measure._RationalSide(1, range(-40, 41))
+    ladder = measure._RationalSide(1, sorted(range(-64, 65), key=abs))
+    factor_sets = [
+        ((0, 1), (0, 8)),
+        ((0, 3), (0, 24 * 5)),
+        ((-3, 0), (0, 40), (0, 480)),
+        ((0, 1, 2), (0, 24, 48)),
+        ((1, 2), (0, 24, 48, 72)),
+        ((0, 5), (0, -(2**61))),
+    ]
+    sides = [(samples, exact), (exact, samples), (shifts, samples), (exact, exact[:40])]
+    sides += [(ladder[:4], samples[:1]), (ladder[5:], samples[:2]), (ladder[1:5], exact[:1])]
+    for parts in factor_sets:
+        factors = tuple(DigitSet(24, part) for part in parts)
+        digits = DigitSet(24, direct_sum_digits(*parts))
+        m = TruncatedMeasure(24, digits, 15 if min(digits.digits) < -5 else 6, factors)
+        for rows, cols in sides:
+            for stops in ((), (1, 3), (2, 5, 6), (13, 14), (3, 17, 26), (26,)):
+                new = list(measure._split_phase_abs(m, rows, cols, stops))
+                old = list(_old_split_phase_abs(m, rows, cols, stops))
+                assert len(new) == len(old) > 0
+                for (rs, cs, mag), (rs0, cs0, mag0) in zip(new, old):
+                    assert (rs, cs) == (rs0, cs0)
+                    assert (mag == mag0).all(), (parts, stops)
+
+
+def test_truncated_measure_checks_its_factors():
+    """Factors whose sums are not the digits, each once, are refused: a
+    wrong sum, and a sum made twice."""
+    digits = DigitSet(4, (0, 1, 8, 9))
+    assert TruncatedMeasure(4, digits, 2).factors == (digits,)
+    TruncatedMeasure(4, digits, 2, (DigitSet(4, (0, 8)), DigitSet(4, (0, 1))))
+    with pytest.raises(ValueError):
+        TruncatedMeasure(4, digits, 2, (DigitSet(4, (0, 1)), DigitSet(4, (0, 9))))
+    with pytest.raises(ValueError):
+        TruncatedMeasure(4, digits, 2, (DigitSet(4, (0, 1)), DigitSet(4, (0, 1, 8))))
+
+
 def test_kernel_pair_value_does_not_depend_on_the_call_shape():
     """Each pair of a 5 x 4 call equals the same pair computed alone (a
     1 x 1 call) and in its 5 x 1 column, bit for bit, over 30 random
@@ -476,6 +528,29 @@ def test_kernel_pair_value_does_not_depend_on_the_call_shape():
                 assert alone[0, 0] == full[r, c], (base, digits, m.depth, r, c)
 
 
+def test_factored_pair_value_does_not_depend_on_the_call_shape():
+    """As above, on 30 random measures with two or three direct-sum
+    factors, A (+) M*B (+) M^2*C with A, B, C in [0, M) and each of sizes 1
+    to 4: each pair of a 5 x 4 call equals the same pair alone, bit for
+    bit."""
+    rng = random.Random(32)
+    for _ in range(30):
+        base, spread = rng.randrange(2, 25), rng.randrange(5, 4000)
+        parts = [
+            tuple(spread**i * x for x in rng.sample(range(spread), rng.randrange(1, 5)))
+            for i in range(rng.randrange(2, 4))
+        ]
+        factors = tuple(DigitSet(base, part) for part in parts)
+        m = TruncatedMeasure(base, DigitSet(base, direct_sum_digits(*parts)), rng.randrange(1, 19), factors)
+        rows = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(5)])
+        cols = measure._RationalSide.of([Fraction(rng.randrange(-10**4, 10**4), 7) for _ in range(4)])
+        ((_, _, full),) = measure._split_phase_abs(m, rows, cols)
+        for r in range(5):
+            for c in range(4):
+                ((_, _, alone),) = measure._split_phase_abs(m, rows[r : r + 1], cols[c : c + 1])
+                assert alone[0, 0] == full[r, c], (base, parts, m.depth, r, c)
+
+
 def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
     path = tmp_path / "form.json"
     path.write_text(json.dumps(cli.one_stage_to_json(form)))
@@ -486,9 +561,10 @@ def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
 
 def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
     """verify-jp reads every level from one kernel pass over the top level;
-    each report row equals jp_sum over that level's points, bit for bit.
-    The frame-sums forms at their benchmark scales, then the test suite's
-    verify-jp forms, one with two bands of sample rows (200 x 2,730)."""
+    each report row equals jp_sum over that level's points, with the
+    candidate's direct-sum factors, bit for bit.  The frame-sums forms at
+    their benchmark scales, then the test suite's verify-jp forms, one with
+    two bands of sample rows (200 x 2,730)."""
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     f8 = cli.one_stage_from_json({"base": 8, "r": 1, "A": ["0", "4"], "Bs": {"0": ["0", "23"], "4": ["0", "23"]},
                                   "L1": ["0", "3"], "L2": ["0", "4"]})
@@ -500,7 +576,7 @@ def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
         digits = DigitSet(form.base, tuple(x // scale for x in expand_one_stage(form).digits))
         xi = [0.0] + chebyshev_grid(grid - 1)
         for k in range(levels + 1):
-            want = [row.q_t for row in jp_sum(digits, form.base, cand.points(k), xi)]
+            want = [row.q_t for row in jp_sum(digits, form.base, cand.points(k), xi, cand.factors)]
             assert [row["Q_T"] for row in report["rows"] if row["level"] == k] == want, (form.base, scale, k)
 
 
@@ -524,12 +600,13 @@ def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
 
 
 def _scanned_points(form, integer_window, resolution):
-    """(truncated measure, kept grid points, excluded count) of a scan."""
+    """(truncated measure, kept grid points, excluded count) of a scan, the
+    measure with the form's direct-sum factors (measure.form_measure)."""
     n = form.base
-    d_set = expand_one_stage(form)
+    m = measure.form_measure(form)
     b_list = form.b_list()
     grid = np.array(sorted(set(chebyshev_grid(resolution)) | {float(f) for f in rational_grid(n)}))
-    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, integer_window + 2.0, 1e-12))
+    trunc = dataclasses.replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
     energy = sum(np.abs(mask_value(b, grid)) ** 2 for b in b_list) / len(b_list)
     keep = energy > MEMBERSHIP_THRESHOLD
     return trunc, grid[keep], int(np.sum(~keep))
@@ -695,24 +772,28 @@ def _counted_kernel(monkeypatch):
 
 
 def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
-    """fd24-1-4-1-1 keeps 4,668 points, and all of them get shift 0 in one
-    call; only the candidates for the minimum climb to the shifts 1 <= |k|
-    <= 2 and then to the rest of the window."""
+    """fd24-1-4-1-1 keeps 4,668 points, and all of them get a lower bound
+    on shift 0 in one call at the shallow depth; only the candidates for
+    the minimum get their exact shift 0 (one shift), then climb to the
+    shifts 1 <= |k| <= 2 and then to the rest of the window."""
     calls = _counted_kernel(monkeypatch)
     _, form = build_four_digit_form(24, 1, 4, 1, 1)
     rep = weakly_periodic_check(form, integer_window=64)
     assert calls[0] == (1, 4668)
-    assert all(rows in (4, 124) for rows, _ in calls[1:]), calls
+    assert all(rows in (1, 4, 124) for rows, _ in calls[1:]), calls
+    exact_points = sum(cols for rows, cols in calls[1:] if rows == 1)
     far_points = sum(cols for rows, cols in calls[1:] if rows == 124)
-    assert 1 <= far_points <= 4, calls
+    assert 1 <= far_points <= exact_points <= 4, calls
     assert rep.min_max > FLAG_THRESHOLD
 
 
 def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
-    """fd24-1-4-1-1 makes five kernel calls.  The shift-0 pass, a tile of 1
-    x 4,668 pairs, takes one level per block; each ladder call, 4 or 124
-    shifts x 1 point, takes all of its levels in one block, so its shift
-    side makes one units call, not one per level."""
+    """fd24-1-4-1-1 makes seven kernel calls.  The shift-0 pass, a tile of
+    1 x 4,668 pairs at the shallow depth, takes one level per block; each
+    ladder call, 1, 4 or 124 shifts x 1 point at the scan's depth, takes
+    all of its levels in one block, so its shift side makes one units
+    call, not one per level.  On fd24-3-5-1-3 the shallow depth is 2, and
+    its shift-0 pass takes two blocks."""
     calls = _counted_kernel(monkeypatch)
     served = []  # the kernel call each units call of the shift side serves
     units = measure._RationalSide.units
@@ -722,12 +803,17 @@ def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
         return units(side, *args)
 
     monkeypatch.setattr(measure._RationalSide, "units", counted)
-    _, form = build_four_digit_form(24, 1, 4, 1, 1)
-    weakly_periodic_check(form, integer_window=64)
-    depth = auto_depth(form.base, expand_one_stage(form), 66.0, 1e-12)
-    assert calls == [(1, 4668), (4, 1), (4, 1), (124, 1), (124, 1)]
-    assert depth > 1
-    assert [served.count(k) for k in range(1, 6)] == [depth, 1, 1, 1, 1]
+    for args, bulk, shallow_depth in (((24, 1, 4, 1, 1), 4668, 1), ((24, 3, 5, 1, 3), 4666, 2)):
+        calls.clear()
+        served.clear()
+        _, form = build_four_digit_form(*args)
+        weakly_periodic_check(form, integer_window=64)
+        m = measure.form_measure(form)
+        depth = auto_depth(form.base, m.digits, 66.0, 1e-12)
+        shallow, _ = measure._shallow_rung(dataclasses.replace(m, depth=depth))
+        assert calls == [(1, bulk), (1, 1), (4, 1), (1, 1), (4, 1), (124, 1), (124, 1)]
+        assert depth > shallow.depth == shallow_depth
+        assert [served.count(k) for k in range(1, 8)] == [shallow_depth, 1, 1, 1, 1, 1, 1]
 
 
 def _near_window_far_points(form, integer_window, resolution):
@@ -767,6 +853,92 @@ def test_weakly_periodic_ladder_on_a_reduced_form(monkeypatch):
         rep = weakly_periodic_check(form, integer_window=64, resolution=4096)
         far_points = sum(cols for rows, cols in calls[1:] if rows == 124)
         assert len(rep.flagged) <= far_points <= _near_window_far_points(form, 64, 4096)
+
+
+def test_shallow_rung_bounds_shift_zero_from_below():
+    """On the nine frame-sums forms and the two B = {0, N} forms, at the
+    scan's depth p for the default window: some q < p has tail sum at most
+    1/4 at height 1, and at 2,000 random x in [0, 1) and at every scan grid
+    point the kernel's |mu_hat_p(x)| lies above c * |mu_hat_q(x)|, c the
+    rung's factor, by more than a relative 1e-10.  Base 2 with D = {0, 1}
+    at depth 3 has no such q (S = 3.3 and 0.82 at q = 1, 2), and at depth
+    4 takes q = 3 (S = 0.21)."""
+    rng = np.random.default_rng(31)
+    zero = measure._RationalSide(1, [0])
+    for form in _frame_sums_forms() + _flagged_forms():
+        m = measure.form_measure(form)
+        trunc = dataclasses.replace(m, depth=auto_depth(form.base, m.digits, 66.0, 1e-12))
+        shallow, factor = measure._shallow_rung(trunc)
+        q = shallow.depth
+        assert q < trunc.depth and shallow.factors == m.factors
+        assert shallow.tail_sum(1.0) <= 0.25
+        assert q == 1 or dataclasses.replace(m, depth=q - 1).tail_sum(1.0) > 0.25
+        xs = np.concatenate((rng.random(2000), measure._scan_grid(form.base, 4096)))
+        exact = measure._window_max(trunc, zero, xs)
+        bound = factor * measure._window_max(shallow, zero, xs)
+        assert (bound * (1 + 1e-10) <= exact).all(), form
+    plain = TruncatedMeasure(2, DigitSet(2, (0, 1)), 3)
+    assert measure._shallow_rung(plain) is None
+    shallow, factor = measure._shallow_rung(dataclasses.replace(plain, depth=4))
+    assert shallow.depth == 3 and factor == math.sqrt(1 - shallow.tail_sum(1.0)) * (1 - 1e-9)
+
+
+def test_weakly_periodic_without_a_shallow_rung_scans_as_before(monkeypatch):
+    """With no depth below the scan's that qualifies (here the tail limit
+    set to 0), every point gets shift 0 at the scan's depth in one call,
+    the ladder starts from it, and the report equals the full-window
+    scan's."""
+    monkeypatch.setattr(measure, "_SHALLOW_TAIL", 0.0)
+    _, form = build_four_digit_form(24, 1, 4, 1, 1)
+    calls = _counted_kernel(monkeypatch)
+    rep = weakly_periodic_check(form, integer_window=64)
+    assert calls == [(1, 4668), (4, 1), (4, 1), (124, 1), (124, 1)]
+    assert rep == _full_window_report(form, 64, 4096)
+
+
+def test_form_measure_factors_exactly_the_one_b_forms():
+    """form_measure factors a form as A (+) N^r*B when every B_a is one set
+    B with |A|, |B| >= 2, and the direct sum of its factors is the
+    expansion; a candidate carries the factors of D/s, A/s and (N^r/s)*B."""
+    single_a = one_stage_form(4, 1, (0,), {0: DigitSet(4, (0, 2))}, (0, 2), (0, 1))
+    reduced = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
+    cases = [(f, True) for f in (_form23(), *_flagged_forms(), reduced)]
+    cases += [(f, False) for f in (_form14(), _normalized_plain(), single_a)]
+    cases += [(f, len({b for b in f.b_list()}) == 1) for f in _frame_sums_forms()]
+    assert sum(factored for _, factored in cases) == 10
+    for form, factored in cases:
+        m = measure.form_measure(form)
+        d_set = expand_one_stage(form)
+        assert m.digits == d_set and m.depth == 1
+        assert direct_sum_digits(*(f.digits for f in m.factors)) == d_set.digits
+        if factored:
+            (b,) = set(form.b_list())
+            scaled = tuple(form.base**form.r * x for x in b.digits)
+            assert m.factors == (form.a_set, DigitSet(form.base, scaled)), form
+        else:
+            assert m.factors == (d_set,), form
+    for scale, form in _frame_sums_scaled_forms():
+        cand = build_spectrum(form, levels=1, scale=Fraction(scale))
+        d_set = expand_one_stage(form)
+        assert cand.digits.digits == tuple(x // scale for x in d_set.digits)
+        assert direct_sum_digits(*(f.digits for f in cand.factors)) == cand.digits.digits
+        if len(set(form.b_list())) == 1:
+            (b,) = set(form.b_list())
+            assert cand.factors[0].digits == tuple(a // scale for a in form.a_set.digits)
+            assert cand.factors[1].digits == tuple(form.base**form.r // scale * x for x in b.digits)
+
+
+def test_candidate_levels_are_nested_prefixes():
+    """Each level of a candidate is the level before it followed by its new
+    points, so SpectrumCandidate.numerators forms each point once."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    cand = build_spectrum(f83, levels=4, scale=Fraction(3))
+    sizes = [len(cand.lambdas(k)) for k in range(5)]
+    assert sizes == [1, 4, 16, 64, 256]
+    for k in range(1, 5):
+        assert cand.lambdas(k)[: sizes[k - 1]] == cand.lambdas(k - 1)
+    den, nums, counts = cand.numerators()
+    assert counts == [2 * size for size in sizes] and len(set(nums)) == len(nums)
 
 
 def test_weakly_periodic_examples():
