@@ -201,16 +201,21 @@ class TruncatedMeasure:
 
 def form_measure(form: OneStageForm) -> TruncatedMeasure:
     """The depth-1 measure of the form's expansion D, the union of a + N^r*B_a,
-    with the direct-sum factors its kernel multiplies: A and N^r*B when every
-    B_a is one set B and |A|, |B| >= 2, since then M_D(y) = M_A(y) *
-    M_B(N^r*y); else D alone.  Every numeric command builds its measure
-    here, so it expands the form once."""
+    with the direct-sum factors its kernel multiplies: when every B_a is one
+    set B and |A|, |B| >= 2, D = A (+) N^r*B, so M_D(y) = M_A(y) *
+    M_B(N^r*y), and the factors are A + N^r*b and N^r*(B - b), b = min B;
+    else D alone.  The first factor lies inside D and the second holds
+    differences of D's digits, so no factor's digit passes the span of D,
+    however A and B are translated against each other.  Every numeric
+    command builds its measure here, so it expands the form once."""
     d_set = expand_one_stage(form)
     b, *others = dict.fromkeys(form.b_list())
     if others or len(form.a_set) < 2 or len(b) < 2:
         return TruncatedMeasure(form.base, d_set, 1)
-    stage = DigitSet(form.base, tuple(form.base**form.r * x for x in b.digits))
-    return TruncatedMeasure(form.base, d_set, 1, (form.a_set, stage))
+    step, low = form.base**form.r, min(b.digits)
+    first = DigitSet(form.base, tuple(a + step * low for a in form.a_set.digits))
+    stage = DigitSet(form.base, tuple(step * (x - low) for x in b.digits))
+    return TruncatedMeasure(form.base, d_set, 1, (first, stage))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +633,8 @@ def build_spectrum(
     num, den = scale.numerator, scale.denominator
     if any(x * den % num for x in d_set.digits):
         raise ValueError(f"expansion digits are not divisible by the scale {scale}")
-    # 0 in every B_a puts A, and so N^r*B, inside D: each factor over s is integral too
+    # one factor lies inside D and the other holds differences of D's
+    # digits: each factor over s is integral too
     digits, *factors = [DigitSet(n, tuple(x * den // num for x in f.digits)) for f in (d_set, *whole.factors)]
     _require_doubles([d_set, digits, *factors])
     b_list = form.b_list()
@@ -706,26 +712,24 @@ def jp_sum(
     base: int,
     points: Iterable[Fraction],
     xi_samples: Sequence[float | Fraction],
-    factors: Sequence[DigitSet] = (),
 ) -> list[JPRow]:
     """Partial sums Q_T(xi) = sum over the points of |mu_hat(xi + point)|^2,
     with exact rational evaluation throughout.
 
     Each distinct point counts once.  The truncation depth is the smallest
-    whose tail sum at the largest point height is below 1e-14.  The kernel
-    multiplies the masks of ``factors``, direct-sum factors of the digits
-    (TruncatedMeasure.factors), by default the digits alone.
+    whose tail sum at the largest point height is below 1e-14.
     """
     cols = _RationalSide.of(list(points))
     cols = cols[np.unique(cols.nums, return_index=True)[1]]
-    return _frame_sums(TruncatedMeasure(base, digits, 1, tuple(factors)), cols, [len(cols)], xi_samples)[0]
+    return _frame_sums(TruncatedMeasure(base, digits, 1), cols, [len(cols)], xi_samples)[0]
 
 
 def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -> list[list[JPRow]]:
-    """jp_sum(cand.digits, cand.base, cand.points(k), xi_samples,
-    cand.factors) for every level k = 0, ..., len(cand.levels), from one
-    kernel pass over the top level: the frame sums of the measure the
-    candidate targets.
+    """The frame sums jp_sum(cand.digits, cand.base, cand.points(k),
+    xi_samples) for every level k = 0, ..., len(cand.levels), from one
+    kernel pass over the top level that multiplies the masks of
+    cand.factors: the frame sums of the measure the candidate targets,
+    within the rounding that factoring moves.
 
     The points reach the kernel as integers over the top level's reduced
     denominator (SpectrumCandidate.numerators), so every level is a prefix
@@ -733,8 +737,9 @@ def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -
     passes it.  With an integer scale s every level has the top level's
     denominator, since each numerator over N, s * (l2 + N*lam), is s * l2
     mod N; so while d * |num| stays below 2^63 each unit, and so each row,
-    equals jp_sum's bit for bit.  A fractional scale, or points past that
-    height, may move a Q_T by an ulp.
+    equals bit for bit that of a pass over level k's points alone.  A
+    fractional scale, or points past that height, may move a Q_T by an
+    ulp.
     """
     den, nums, counts = cand.numerators()
     m = TruncatedMeasure(cand.base, cand.digits, 1, cand.factors)
@@ -814,25 +819,23 @@ def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: np.ndarray) -> n
 
 
 # The scan's bulk pass runs at the smallest depth q whose tail sum at height
-# 1 is at most _SHALLOW_TAIL, below the scan's own depth, and keeps that
-# bound less a relative _SHALLOW_MARGIN, far above the kernel's rounding.
+# 1 is at most _SHALLOW_TAIL, and keeps that bound less a relative
+# _SHALLOW_MARGIN, far above the kernel's rounding.
 _SHALLOW_TAIL = 0.25
 _SHALLOW_MARGIN = 1e-9
 
 
-def _shallow_rung(m: TruncatedMeasure) -> tuple[TruncatedMeasure, float] | None:
-    """(m at depth q, c) for the smallest q < m.depth whose tail sum S at
+def _shallow_rung(m: TruncatedMeasure) -> tuple[TruncatedMeasure, float]:
+    """(m at depth q, c) for the smallest q <= m.depth whose tail sum S at
     height 1 is at most _SHALLOW_TAIL, with c = sqrt(1 - S) * (1 -
-    _SHALLOW_MARGIN); None when no q qualifies.  For x in [0, 1) the
-    levels q + 1, ..., m.depth multiply |mu_hat| by at least sqrt(1 - S)
-    (tail_sum bounds every tail, and a finite tail of factors of modulus at
-    most 1 only lies higher), so c * |mu_hat_q(x)| is below |mu_hat(x)|
-    at m's depth."""
-    for q in range(1, m.depth):
-        tail = TruncatedMeasure(m.base, m.digits, q).tail_sum(1.0)
-        if tail <= _SHALLOW_TAIL:
-            return replace(m, depth=q), math.sqrt(1.0 - tail) * (1.0 - _SHALLOW_MARGIN)
-    return None
+    _SHALLOW_MARGIN).  For x in [0, 1) the levels q + 1, ..., m.depth
+    multiply |mu_hat| by at least sqrt(1 - S) (tail_sum bounds every tail,
+    and a finite tail of factors of modulus at most 1 only lies higher), so
+    c * |mu_hat_q(x)| is below |mu_hat(x)| at m's depth.  The scan's own
+    depth always qualifies, since its tail sum at height window + 2 is at
+    most 1e-12."""
+    shallow = next(s for s in (replace(m, depth=q) for q in range(1, m.depth + 1)) if s.tail_sum(1.0) <= _SHALLOW_TAIL)
+    return shallow, math.sqrt(1.0 - shallow.tail_sum(1.0)) * (1.0 - _SHALLOW_MARGIN)
 
 
 def weakly_periodic_check(
@@ -867,8 +870,10 @@ def weakly_periodic_check(
     elementwise per (shift, point) pair, so the report equals that of the
     full scan at depth p bit for bit.  On the seven four-digit frame-sums
     forms the bulk pass runs at depth 1 or 2, where p is 6 to 8, and two
-    points of 4,200 to 6,400 climb from it, on to the other shifts.  With
-    no such q every point gets shift 0 at depth p.  A grid or window above
+    points of 4,200 to 6,400 climb from it, on to the other shifts.  Within
+    the scan's limits q < p always: N <= 512 and p's tail sum at height
+    window + 2 >= 2 is at most 1e-12, so p >= 2 and depth p - 1 has S below
+    1e-7.  A grid or window above
     SCAN_POINT_LIMIT or SCAN_WINDOW_LIMIT raises PointLimitExceeded before
     any work.
     """
@@ -890,13 +895,12 @@ def weakly_periodic_check(
     sizes = sorted({min(size, len(shifts)) for size in (1, 5, len(shifts))})
     # climbs[r]: the shifts a point on rung r takes to reach rung r + 1
     climbs = [shifts[a:b] for a, b in zip(sizes, sizes[1:])]
-    shallow, factor = _shallow_rung(trunc) or (None, 1.0)
-    running = _window_max(shallow or trunc, shifts[:1], xs)
-    if shallow:
-        # a certified lower bound on shift 0; climbing from it gives shift 0
-        # its value at the scan's depth, which lies above the bound
-        running *= factor
-        climbs.insert(0, shifts[:1])
+    # a certified lower bound on shift 0; climbing from it gives shift 0 its
+    # value at the scan's depth, which lies above the bound
+    shallow, factor = _shallow_rung(trunc)
+    running = _window_max(shallow, shifts[:1], xs)
+    running *= factor
+    climbs.insert(0, shifts[:1])
     # queues[r]: the points on rung r, in increasing order of their bound;
     # the last queue stays empty, since a point on the top rung has its
     # full maximum

@@ -561,10 +561,11 @@ def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
 
 def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
     """verify-jp reads every level from one kernel pass over the top level;
-    each report row equals jp_sum over that level's points, with the
-    candidate's direct-sum factors, bit for bit.  The frame-sums forms at
-    their benchmark scales, then the test suite's verify-jp forms, one with
-    two bands of sample rows (200 x 2,730)."""
+    each report row equals, bit for bit, a pass over that level's points
+    alone with the candidate's direct-sum factors, and jp_sum's unfactored
+    row to within rounding.  The frame-sums forms at their benchmark scales,
+    then the test suite's verify-jp forms, one with two bands of sample rows
+    (200 x 2,730)."""
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     f8 = cli.one_stage_from_json({"base": 8, "r": 1, "A": ["0", "4"], "Bs": {"0": ["0", "23"], "4": ["0", "23"]},
                                   "L1": ["0", "3"], "L2": ["0", "4"]})
@@ -575,9 +576,14 @@ def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
         cand = build_spectrum(form, levels=levels, scale=Fraction(scale))
         digits = DigitSet(form.base, tuple(x // scale for x in expand_one_stage(form).digits))
         xi = [0.0] + chebyshev_grid(grid - 1)
+        m = TruncatedMeasure(form.base, digits, 1, cand.factors)
         for k in range(levels + 1):
-            want = [row.q_t for row in jp_sum(digits, form.base, cand.points(k), xi, cand.factors)]
-            assert [row["Q_T"] for row in report["rows"] if row["level"] == k] == want, (form.base, scale, k)
+            cols = measure._RationalSide.of(list(cand.points(k)))
+            want = [row.q_t for row in measure._frame_sums(m, cols, [len(cols)], xi)[0]]
+            got = [row["Q_T"] for row in report["rows"] if row["level"] == k]
+            assert got == want, (form.base, scale, k)
+            plain = [row.q_t for row in jp_sum(digits, form.base, cand.points(k), xi)]
+            assert np.allclose(got, plain, rtol=1e-14, atol=1e-15), (form.base, scale, k)
 
 
 def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
@@ -861,8 +867,8 @@ def test_shallow_rung_bounds_shift_zero_from_below():
     1/4 at height 1, and at 2,000 random x in [0, 1) and at every scan grid
     point the kernel's |mu_hat_p(x)| lies above c * |mu_hat_q(x)|, c the
     rung's factor, by more than a relative 1e-10.  Base 2 with D = {0, 1}
-    at depth 3 has no such q (S = 3.3 and 0.82 at q = 1, 2), and at depth
-    4 takes q = 3 (S = 0.21)."""
+    at depth 3 has no such q (S = 3.3 and 0.82 at q = 1, 2), so its rung is
+    depth 3 itself (S = 0.21), and at depth 4 it takes q = 3."""
     rng = np.random.default_rng(31)
     zero = measure._RationalSide(1, [0])
     for form in _frame_sums_forms() + _flagged_forms():
@@ -878,34 +884,48 @@ def test_shallow_rung_bounds_shift_zero_from_below():
         bound = factor * measure._window_max(shallow, zero, xs)
         assert (bound * (1 + 1e-10) <= exact).all(), form
     plain = TruncatedMeasure(2, DigitSet(2, (0, 1)), 3)
-    assert measure._shallow_rung(plain) is None
-    shallow, factor = measure._shallow_rung(dataclasses.replace(plain, depth=4))
-    assert shallow.depth == 3 and factor == math.sqrt(1 - shallow.tail_sum(1.0)) * (1 - 1e-9)
+    for depth in (3, 4):
+        shallow, factor = measure._shallow_rung(dataclasses.replace(plain, depth=depth))
+        assert shallow.depth == 3 and factor == math.sqrt(1 - shallow.tail_sum(1.0)) * (1 - 1e-9)
 
 
-def test_weakly_periodic_without_a_shallow_rung_scans_as_before(monkeypatch):
-    """With no depth below the scan's that qualifies (here the tail limit
-    set to 0), every point gets shift 0 at the scan's depth in one call,
-    the ladder starts from it, and the report equals the full-window
-    scan's."""
-    monkeypatch.setattr(measure, "_SHALLOW_TAIL", 0.0)
-    _, form = build_four_digit_form(24, 1, 4, 1, 1)
-    calls = _counted_kernel(monkeypatch)
-    rep = weakly_periodic_check(form, integer_window=64)
-    assert calls == [(1, 4668), (4, 1), (4, 1), (124, 1), (124, 1)]
-    assert rep == _full_window_report(form, 64, 4096)
+def _translated_flagged_form(k):
+    """The base-4 B = {0, N} form with A translated up by Y = 4k and B down
+    by k: A = {Y, Y + 1}, B = {-k, 4 - k}, so its expansion is still
+    {0, 1, 16, 17}.  Not normalized: 0 is not in B."""
+    y = 4 * k
+    b = DigitSet(4, (-k, 4 - k))
+    return one_stage_form(4, 1, (y, y + 1), {y: b, y + 1: b}, (0, 1), (0, 1))
+
+
+def test_weakly_periodic_on_opposing_translations_matches_the_unfactored_scan(monkeypatch):
+    """A and N*B translated against each other by Y = 4e12: the factors
+    stay within the expansion's span, so the scan reads what the
+    unfactored measure of D = {0, 1, 16, 17} reads.  Factors A and N*B
+    would put e(-Y*x/N^j) into the float side, which reads the mask zero
+    near 4e-6 in place of 1e-16."""
+    form = _translated_flagged_form(10**12)
+    m = measure.form_measure(form)
+    assert m.digits.digits == (0, 1, 16, 17)
+    assert [f.digits for f in m.factors] == [(0, 1), (0, 16)]
+    rep = weakly_periodic_check(form, integer_window=8, resolution=256)
+    monkeypatch.setattr(measure, "form_measure", lambda f: TruncatedMeasure(f.base, expand_one_stage(f), 1))
+    plain = weakly_periodic_check(form, integer_window=8, resolution=256)
+    assert (rep.flagged, rep.excluded, rep.argmin_xi) == (plain.flagged, plain.excluded, plain.argmin_xi)
+    assert len(rep.flagged) >= 1 and abs(rep.min_max - plain.min_max) <= 1e-15
 
 
 def test_form_measure_factors_exactly_the_one_b_forms():
-    """form_measure factors a form as A (+) N^r*B when every B_a is one set
-    B with |A|, |B| >= 2, and the direct sum of its factors is the
-    expansion; a candidate carries the factors of D/s, A/s and (N^r/s)*B."""
+    """form_measure factors a form as (A + N^r*b) (+) N^r*(B - b), b =
+    min B, when every B_a is one set B with |A|, |B| >= 2, and the direct
+    sum of its factors is the expansion; a candidate carries the factors of
+    D/s, A/s and (N^r/s)*B."""
     single_a = one_stage_form(4, 1, (0,), {0: DigitSet(4, (0, 2))}, (0, 2), (0, 1))
     reduced = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
-    cases = [(f, True) for f in (_form23(), *_flagged_forms(), reduced)]
+    cases = [(f, True) for f in (_form23(), *_flagged_forms(), reduced, _translated_flagged_form(10**12))]
     cases += [(f, False) for f in (_form14(), _normalized_plain(), single_a)]
     cases += [(f, len({b for b in f.b_list()}) == 1) for f in _frame_sums_forms()]
-    assert sum(factored for _, factored in cases) == 10
+    assert sum(factored for _, factored in cases) == 11
     for form, factored in cases:
         m = measure.form_measure(form)
         d_set = expand_one_stage(form)
@@ -913,8 +933,10 @@ def test_form_measure_factors_exactly_the_one_b_forms():
         assert direct_sum_digits(*(f.digits for f in m.factors)) == d_set.digits
         if factored:
             (b,) = set(form.b_list())
-            scaled = tuple(form.base**form.r * x for x in b.digits)
-            assert m.factors == (form.a_set, DigitSet(form.base, scaled)), form
+            step, low = form.base**form.r, min(b.digits)
+            first = tuple(a + step * low for a in form.a_set.digits)
+            scaled = tuple(step * (x - low) for x in b.digits)
+            assert m.factors == (DigitSet(form.base, first), DigitSet(form.base, scaled)), form
         else:
             assert m.factors == (d_set,), form
     for scale, form in _frame_sums_scaled_forms():

@@ -53,10 +53,10 @@ def test_job_line_gives_the_float_change_of_kept_reports():
 
 
 def test_pass_with_reports_keeps_each_report_text(tmp_path):
-    """The --floats pass writes each job's report next to the worker's own
-    result: every text hashes to the job's digest."""
-    same_reports._worker(same_reports.HERE, "generate", "frame-sums", "1", str(tmp_path))
-    jobs = same_reports._jobs(same_reports.HERE, str(tmp_path / "jobs.json"), tmp_path / "result.json", True)
+    """The pass writes each job's report next to the worker's own result:
+    every text hashes to the job's digest."""
+    same_reports._python(same_reports.HERE, str(same_reports.WORKER), "generate", "frame-sums", "1", str(tmp_path))
+    jobs = same_reports._jobs(same_reports.HERE, str(tmp_path / "jobs.json"), tmp_path / "result.json")
     assert len(jobs) == 27
     for job in jobs:
         assert hashlib.sha256(job["report"].encode()).hexdigest() == job["digest"], job["id"]

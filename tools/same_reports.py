@@ -1,21 +1,20 @@
 """Replay the benchmark's job lists on two checkouts and list the jobs whose
 reports differ.
 
-    python tools/same_reports.py OTHER_CHECKOUT [--workloads W ...] [--seeds S ...] [--floats]
+    python tools/same_reports.py OTHER_CHECKOUT [--workloads W ...] [--seeds S ...]
 
 This checkout is the one that holds this script.  For each workload and
 seed, ``bench/worker.py generate`` writes the job list and its inputs once,
-into a temporary directory; then ``bench/worker.py pass`` runs that list once
-with each checkout's ``src`` first on PYTHONPATH.  A job differs when its
-exit code (``rc``), its report digest (``digest``) or its report check
-(``wrong``) differs.  Every such job is printed, each differing field as
-the other checkout's value -> this checkout's, so a run from a change
-against its parent reads parent -> change.  With --floats, each pass
-also keeps its reports, and a differing job whose exit codes and non-float
-report fields agree gets the largest relative and absolute change among its
-float fields, so a move by rounding alone shows as such.  The exit code is
-1 if there is such a job, else 0.  The defaults are the three workloads at
-seed 1.
+into a temporary directory; then the worker's pass runs that list once with
+each checkout's ``src`` first on PYTHONPATH, and keeps each job's report.  A
+job differs when its exit code (``rc``), its report digest (``digest``) or
+its report check (``wrong``) differs.  Every such job is printed, each
+differing field as the other checkout's value -> this checkout's, so a run
+from a change against its parent reads parent -> change.  A differing job
+whose exit codes and non-float report fields agree also gets the largest
+relative and absolute change among its float fields, so a move by rounding
+alone shows as such.  The exit code is 1 if there is such a job, else 0.
+The defaults are the three workloads at seed 1.
 """
 
 from __future__ import annotations
@@ -53,19 +52,17 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 """
 
 
-def _worker(checkout: Path, *args: str) -> None:
-    """bench/worker.py, or with ``reports`` first the pass that keeps the
-    reports, with ``checkout``'s package first on the path."""
+def _python(checkout: Path, *args: str) -> None:
+    """Python with ``args``, with ``checkout``'s package first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
-    command = [str(WORKER), *args]
-    if args[0] == "reports":
-        command = ["-c", _PASS_WITH_REPORTS, str(WORKER.parent), *args[1:]]
-    subprocess.run([sys.executable, *command], env=env, stdout=subprocess.DEVNULL, check=True)
+    subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
 
 
-def _jobs(checkout: Path, job_list: str, result: Path, reports: bool) -> list[dict]:
-    _worker(checkout, "reports" if reports else "pass", job_list, str(result))
+def _jobs(checkout: Path, job_list: str, result: Path) -> list[dict]:
+    """The worker's results for the job list on ``checkout``, each with its
+    report text."""
+    _python(checkout, "-c", _PASS_WITH_REPORTS, str(WORKER.parent), job_list, str(result))
     return json.loads(result.read_text(encoding="utf-8"))["jobs"]
 
 
@@ -119,16 +116,15 @@ def job_line(label: str, there: dict, here: dict) -> str | None:
     return line
 
 
-def differences(other: Path, workload: str, seed: int, floats: bool = False) -> list[str]:
+def differences(other: Path, workload: str, seed: int) -> list[str]:
     """One line per job of the (workload, seed) list whose rc, digest or
-    wrong differs between this checkout and ``other``; with ``floats``,
-    each with its float changes (job_line)."""
+    wrong differs between this checkout and ``other`` (job_line)."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        _worker(HERE, "generate", workload, str(seed), str(work))
+        _python(HERE, str(WORKER), "generate", workload, str(seed), str(work))
         job_list = str(work / "jobs.json")
-        here = _jobs(HERE, job_list, work / "here.json", floats)
-        there = _jobs(other, job_list, work / "other.json", floats)
+        here = _jobs(HERE, job_list, work / "here.json")
+        there = _jobs(other, job_list, work / "other.json")
     if [j["id"] for j in here] != [j["id"] for j in there]:
         return [f"{workload} seed {seed}: the two passes ran different jobs"]
     lines = (job_line(f"{workload} seed {seed}", t, h) for t, h in zip(there, here))
@@ -140,12 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("other", type=Path, help="the checkout to compare with")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
-    parser.add_argument("--floats", action="store_true", help="print the float changes of each differing job")
     args = parser.parse_args(argv)
     other = args.other.resolve()
     if not (other / "src" / "spectralforge").is_dir():
         parser.error(f"no package source under {other / 'src'}")
-    lines = [line for w in args.workloads for s in args.seeds for line in differences(other, w, s, args.floats)]
+    lines = [line for w in args.workloads for s in args.seeds for line in differences(other, w, s)]
     for line in lines:
         print(line)
     runs = len(args.workloads) * len(args.seeds)
