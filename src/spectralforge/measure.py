@@ -10,21 +10,23 @@ with sigma an upper bound on the population standard deviation of D
 (TruncatedMeasure.tail_sum).  So a truncated frame sum bounds the true one
 from above, within a relative S.
 
-The finite-level identity, the frame sums and the weakly-periodic scan all
-run on one split-phase kernel: the transform at every sum a + b of a row
-list and a column list, from e(-d(a+b)/N^j) = e(-d*a/N^j) * e(-d*b/N^j), so
-each block of levels takes, on each side, one cos/sin pass over the phases
-of every level, nonzero digit and entry (_unit_roots, which mask_value
-shares); the zero digit's unit is exactly 1 and costs nothing.  A measure
+The finite-level identity, the shift search, the frame sums and the
+weakly-periodic scan all run on one split-phase kernel: the transform at
+every sum a + b of a row list and a column list, from e(-d(a+b)/N^j) =
+e(-d*a/N^j) * e(-d*b/N^j), so each block of levels takes, on each side,
+one cos/sin pass over the phases of every level, nonzero digit and entry
+(_unit_roots, which mask_value shares); the zero digit's unit is exactly 1
+and costs nothing.  A measure
 carries direct-sum factors of its digits, and each level multiplies one
 mask per factor, built from that factor's own units: a form whose B-sets
 are one set B has D = A (+) N^r*B and M_D(y) = M_A(y) * M_B(N^r*y)
 (form_measure), so a level costs the sum over the factors F of |F| - 1
 nonzero units and pair products, 2 instead of 3 on a four-digit form.
-Exact points (spectrum points, aggregates, samples) enter it through
-_RationalSide alone, as integer numerators over one common denominator,
-whose phase d*v/N^j mod 1 is reduced in integer arithmetic, so points at
-height 1e8 lose nothing; a side of floats uses the float phase.  A
+Exact points (spectrum points, shifted gammas, aggregates, samples) enter
+it through _RationalSide alone, as integer numerators over one common
+denominator, whose phase d*v/N^j mod 1 is reduced in integer arithmetic,
+so points at height 1e8 lose nothing; a side of floats uses the float
+phase.  A
 candidate's points come as such integers from SpectrumCandidate.numerators,
 with no Fraction per point.  The kernel works in tiles of at most
 _TILE_PAIRS (level, row, column) entries, so its memory does not grow,
@@ -38,9 +40,9 @@ reports bit for bit what a scan of every shift at every point would.  That
 scan gives every grid point a lower bound on its shift-0 value from a
 shallow depth q, whose tail sum at height 1 is at most 1/4, and climbs a
 ladder (the exact shift 0 at the scan's depth, then longer shift prefixes)
-only with the points still in contention.  The scalar exact-phase
-``mu_hat_rational`` serves the shift search of build_spectrum, which stops
-at its first accepted shift; the float ``mu_hat`` is the tests' reference.
+only with the points still in contention.  Every averaged B-mask energy
+(_b_energy) comes from the kernel too; mask_value, mask_value_rational and
+TruncatedMeasure's mu_hat and mu_hat_rational are the tests' oracles alone.
 
 Each numeric command takes what it needs from here, and builds its measure,
 expanding the form, once (form_measure): build_spectrum, whose candidate
@@ -112,14 +114,6 @@ def mask_value_rational(digits: Iterable[int], num: int, den: int):
         ph = (d * num) % den
         total += cmath.exp(-2j * math.pi * (ph / den))
     return total / len(ds)
-
-
-def _b_energy(b_list: Sequence[DigitSet], mask) -> float | np.ndarray:
-    """(1/|b_list|) * sum over B of |mask(B)|^2, mask(B) being M_B at a point
-    or an array of points: the averaged B-mask energy.  mask runs once per
-    distinct B, and the sum still goes over b_list in its order."""
-    energy = {b: abs(mask(b)) ** 2 for b in dict.fromkeys(b_list)}
-    return sum(energy[b] for b in b_list) / len(b_list)
 
 
 def auto_depth(base: int, digits: DigitSet, xi_max: float, target: float = 1e-14) -> int:
@@ -390,7 +384,16 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
 
 def _abs_at(m: TruncatedMeasure, rows) -> np.ndarray:
     """|m.mu_hat(a)| for each row a: the kernel against the one column 0."""
-    return np.concatenate([mag[:, 0] for _, _, mag in _split_phase_abs(m, rows, _RationalSide(1, [0]))])
+    return np.concatenate([np.zeros(0), *(mag[:, 0] for _, _, mag in _split_phase_abs(m, rows, _RationalSide(1, [0])))])
+
+
+def _b_energy(b_list: Sequence[DigitSet], points) -> np.ndarray:
+    """(1/|b_list|) * sum over B of |M_B(x)|^2 at each point x of the
+    kernel side ``points``: the averaged B-mask energy.  M_B is the
+    transform of the depth-1 measure (1, B), one kernel pass per distinct
+    B, and the sum still goes over b_list in its order."""
+    energy = {b: _abs_at(TruncatedMeasure(1, b, 1), points) ** 2 for b in dict.fromkeys(b_list)}
+    return sum(energy[b] for b in b_list) / len(b_list)
 
 
 # Most squared products _row_sums holds while a band of rows is open.
@@ -532,7 +535,7 @@ def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence
     b_list = form.b_list()
     _require_doubles([m.digits, *m.factors, *b_list])
     xs = _RationalSide.of([Fraction(float(xi)) for xi in xi_samples])
-    rhs = _b_energy(b_list, lambda b: _abs_at(TruncatedMeasure(1, b, 1), xs))
+    rhs = _b_energy(b_list, xs)
     worst = 0.0
     for q in range(1, p + 1):
         aggregate = _RationalSide(1, stacked_digits(anchored, n, q))
@@ -599,6 +602,14 @@ class SpectrumCandidate:
 # build_spectrum accepts a shift once the transform magnitude clears this
 # share of the averaged B-mask energy.
 SHIFT_RATIO_THRESHOLD = 1e-4
+# Largest --window of verify-jp, in shifts each way.  A search that finds no
+# shift tries the whole window, 2 * window + 1 kernel pairs per level, for
+# one gamma: on the form N = 4, A = {0, 1}, B_0 = B_1 = {0, 4}, L1 = {0, 1},
+# L2 = {0, 2}, whose gamma = 2 has no shift, --levels 1 --window 2^16 fails
+# in 0.34 s in process (depth 22; 2-core x86, median of 5) and in 0.7 s as a
+# whole process.  Like the scan's window limits it bounds the window, not
+# the work of the whole search, up to the window times |L1 (+) L2|.
+SHIFT_WINDOW_LIMIT = 1 << 16
 
 
 def build_spectrum(
@@ -612,20 +623,30 @@ def build_spectrum(
     Every element gamma of the anchored spectrum receives an integer shift
     k chosen as the first k in 0, 1, -1, 2, ... whose transform magnitude
     at gamma/N + k clears SHIFT_RATIO_THRESHOLD times the averaged B-mask
-    energy there.  gamma = 0 always keeps shift 0.  A window exhausted
+    energy there.  Both come from the kernel at exact phases: the energy
+    and shift 0 of every gamma in one call each, then, for a gamma that
+    shift 0 does not clear, the rest of the spiral in prefixes that double
+    (1, 2, 4, ...).  gamma = 0 always keeps shift 0.  A window exhausted
     without an acceptable shift raises ShiftSearchFailure: either the
     window is too small or the form genuinely fails equi-positivity there;
     the failure is reported, never papered over.  Level q is the direct
     sum of N^j times the shifted elements for j < q; every level uses the
     same shifts.  The candidate carries the digits D/s of the measure its
-    points target.  A top level of more than POINT_LIMIT points raises
-    PointLimitExceeded, and a scale that does not divide the expansion
-    ValueError, before the search.
+    points target.  Before the search, a top level of more than
+    POINT_LIMIT points or a window above SHIFT_WINDOW_LIMIT raises
+    PointLimitExceeded, a scale that does not divide the expansion
+    ValueError, and a window past the doubles, or a worst-case top-level
+    height whose frame sums no depth within the doubles bounds,
+    TailBoundUnavailable.
     """
     _require_normalized(form)
     if levels < 0:
         raise ValueError("levels must be >= 0")
     check_frame_sum_size(form, levels, candidate=True)
+    if search_window > _DOUBLE_MAX:
+        raise TailBoundUnavailable(f"a shift window of {search_window.bit_length()} bits is past the range of a double")
+    what = f"the shift search would try {search_window} shifts each way"
+    refuse_above("SHIFT_WINDOW_LIMIT", SHIFT_WINDOW_LIMIT, what, search_window)
     n = form.base
     anchored = _anchored_spectrum(form)
     whole = form_measure(form)
@@ -638,26 +659,36 @@ def build_spectrum(
     digits, *factors = [DigitSet(n, tuple(x * den // num for x in f.digits)) for f in (d_set, *whole.factors)]
     _require_doubles([d_set, digits, *factors])
     b_list = form.b_list()
-    # a window past the doubles has no tail bound: auto_depth refuses the largest double
-    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, min(search_window, _DOUBLE_MAX) + 2.0))
+    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
+    # each shifted element g + N*k is below N*(1 + window) in size (0 when
+    # L1 (+) L2 is one point), so each lam, a sum of N^j times them for j <
+    # levels, is below that times (N^levels - 1)/(N - 1): the frame sums'
+    # tail bound at the top level's worst-case height, s*(l2 + N*lam)/N, is
+    # refused before the search (a power of N >= 2 past max_exp is past the
+    # doubles already)
+    t_bound = n * (1 + search_window) if len(anchored) > 1 else 0
+    lam_bound = t_bound * (n ** min(levels, sys.float_info.max_exp) - 1) // (n - 1)
+    top = abs(scale) * (max(map(abs, form.l2.digits)) + n * lam_bound) / n
+    auto_depth(n, digits, float(min(top, _DOUBLE_MAX)) + 2.0)
 
     shifts: list[tuple[int, int]] = []
-    for g in anchored if levels else ():  # level 0 needs no shifts
-        if g == 0:
-            shifts.append((0, 0))
-            continue
-        target = _b_energy(b_list, lambda b: mask_value_rational(b, g, n))
-        if target < 1e-12:
-            shifts.append((g, 0))
-            continue
-        accepted = None
-        best = 0.0
-        for k in _spiral(search_window):
-            ratio = abs(trunc.mu_hat_rational(g + k * n, n)) ** 2 / (target + 1e-300)
-            best = max(best, ratio)
-            if ratio >= SHIFT_RATIO_THRESHOLD:
-                accepted = k
-                break
+    # the averaged B-mask energy and shift 0 at every gamma/N, each in one
+    # kernel call; level 0 needs no shifts
+    gammas = _RationalSide(n, anchored if levels else [])
+    targets = _b_energy(b_list, gammas)
+    zero = _abs_at(trunc, gammas) ** 2 / (targets + 1e-300)
+    for g, target, best in zip(anchored, targets.tolist(), zero.tolist()):
+        accepted = 0 if g == 0 or target < 1e-12 or best >= SHIFT_RATIO_THRESHOLD else None
+        start = 1
+        while accepted is None and start <= 2 * search_window:
+            # the rest of the spiral 0, 1, -1, 2, -2, ... in prefixes that
+            # double (1, 2, 4, ...)
+            ks = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(start, min(2 * start, 2 * search_window + 1))]
+            ratios = _abs_at(trunc, _RationalSide(n, [g + k * n for k in ks])) ** 2 / (target + 1e-300)
+            hits = np.flatnonzero(ratios >= SHIFT_RATIO_THRESHOLD)
+            accepted = ks[hits[0]] if hits.size else None
+            best = max(best, float(ratios.max()))
+            start += len(ks)
         if accepted is None:
             raise ShiftSearchFailure(g, search_window, best)
         shifts.append((g, accepted))
@@ -682,13 +713,6 @@ def build_spectrum(
         shifts=tuple(shifts),
         levels=tuple(stacked[1:]),
     )
-
-
-def _spiral(window: int):
-    yield 0
-    for k in range(1, window + 1):
-        yield k
-        yield -k
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +909,7 @@ def weakly_periodic_check(
     grid = _scan_grid(n, resolution)
     trunc = replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
 
-    energy = _b_energy(b_list, lambda b: mask_value(b, grid))
+    energy = _b_energy(b_list, _FloatSide(grid))
     keep = energy > MEMBERSHIP_THRESHOLD
     excluded = int(np.sum(~keep))
     xs = grid[keep]

@@ -408,6 +408,7 @@ def _over_limit_inputs(tmp_path):
     rows = "JP_ROW_LIMIT = 2^14"
     grid = "SCAN_POINT_LIMIT = 2^18"
     window = "SCAN_WINDOW_LIMIT = 2^12"
+    shifts = "SHIFT_WINDOW_LIMIT = 2^16"
     mersenne = str(2**61 - 1)
 
     def classify(p, q, alpha, variant, *params):
@@ -432,6 +433,8 @@ def _over_limit_inputs(tmp_path):
          f"1 * {2**19} rows", rows),
         ("jp-rows-just-above", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "8193"], "2 * 8193 rows",
          rows),
+        ("jp-window-2^40", ["verify-jp", "--form", spec, "--window", str(2**40)], f"{2**40} shifts", shifts),
+        ("jp-window-just-above", ["verify-jp", "--form", spec, "--window", "65537"], "65537 shifts", shifts),
         ("weakly-periodic-base-1728", ["weakly-periodic", "--form", wide], "1728^2 + 4096 points", grid),
         ("weakly-periodic-resolution-2^40", ["weakly-periodic", "--form", spec, "--resolution", str(2**40)],
          f"24^2 + {2**40} points", grid),
@@ -496,9 +499,9 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     # with --grid 8) stay far below
     assert 64 * 2 * 4**5 <= measure.POINT_LIMIT
     assert 4**3 * 64 <= measure.SAMPLE_LIMIT and 2 * 4**5 * 8 <= measure.SAMPLE_LIMIT
-    # with (5 + 1) * 8 report rows; weakly-periodic runs at N <= 48 with
-    # --resolution 4,096 and --window 64
-    assert 64 * 6 * 8 <= cli.JP_ROW_LIMIT
+    # with (5 + 1) * 8 report rows and the default --window 128;
+    # weakly-periodic runs at N <= 48 with --resolution 4,096 and --window 64
+    assert 64 * 6 * 8 <= cli.JP_ROW_LIMIT and 128 <= measure.SHIFT_WINDOW_LIMIT
     assert 32 * (48**2 + 4096) <= measure.SCAN_POINT_LIMIT and 64 * 64 <= measure.SCAN_WINDOW_LIMIT
     # and so do the benchmark's and acceptance 6's reductions (Z_72 at k = 2)
     # and the invalid N = 12 form of the tier-1 tests (12^4 digits)

@@ -168,6 +168,26 @@ def test_reports_equal_the_golden_file(tmp_path):
     assert mismatches == []
 
 
+def test_numeric_reports_reach_no_oracle(tmp_path, monkeypatch):
+    """mask_value, mask_value_rational, TruncatedMeasure.mu_hat and
+    TruncatedMeasure.mu_hat_rational are the tests' oracles alone: with
+    each patched to raise, the numeric jobs still give their golden
+    reports."""
+    from spectralforge import measure
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("a numeric command reached an oracle")
+
+    for name in ("mask_value", "mask_value_rational"):
+        monkeypatch.setattr(measure, name, oracle)
+    for name in ("mu_hat", "mu_hat_rational"):
+        monkeypatch.setattr(measure.TruncatedMeasure, name, oracle)
+    want = [row for row in json.loads(GOLDEN.read_text(encoding="utf-8"))["jobs"] if row["argv"][0] in FLOAT_COMMANDS]
+    got = [row for row in _run_jobs(tmp_path) if row["argv"][0] in FLOAT_COMMANDS]
+    assert want and [row["argv"] for row in got] == [row["argv"] for row in want]
+    assert [m for w, g in zip(want, got) for m in _same(w, g, " ".join(w["argv"]))] == []
+
+
 if __name__ == "__main__":
     import tempfile
 

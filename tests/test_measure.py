@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spectralforge.digitsets import DigitSet, direct_sum_digits
-from spectralforge.errors import PointLimitExceeded, TailBoundUnavailable
+from spectralforge.errors import OverlapError, PointLimitExceeded, ShiftSearchFailure, TailBoundUnavailable
 from spectralforge import cli, measure
 from spectralforge.measure import (
     FLAG_THRESHOLD,
@@ -31,6 +31,7 @@ from spectralforge.cm_tiling import paq_type_generator
 from spectralforge.productform import (
     build_four_digit_form,
     expand_one_stage,
+    is_normalized,
     k_stage_to_one_stage,
     one_stage_form,
     translate_and_gcd_normalize,
@@ -588,7 +589,8 @@ def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
 
 def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
     """--levels 5 reads its six levels from one pass over the 2,048 top-level
-    points, each at its own depth, not from six passes."""
+    points, each at its own depth, not from six passes; the shift search's
+    kernel calls come first."""
     calls = []
     kernel = measure._split_phase_abs
 
@@ -600,7 +602,9 @@ def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     report = _verify_jp_report(tmp_path, capsys, f83, 3, 5, 8)
     assert len(report["rows"]) == 6 * 8
-    [(rows, cols, stops, depth)] = calls
+    # before it, the shift search's calls: each against the one column 0
+    *search, (rows, cols, stops, depth) = calls
+    assert search and all(c == 1 for _, c, _, _ in search)
     assert (rows, cols) == (8, 2048)
     assert list(stops) == sorted(set(stops)) and len(stops) > 1 and stops[-1] == depth
 
@@ -778,28 +782,31 @@ def _counted_kernel(monkeypatch):
 
 
 def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
-    """fd24-1-4-1-1 keeps 4,668 points, and all of them get a lower bound
-    on shift 0 in one call at the shallow depth; only the candidates for
-    the minimum get their exact shift 0 (one shift), then climb to the
-    shifts 1 <= |k| <= 2 and then to the rest of the window."""
+    """fd24-1-4-1-1 keeps 4,668 of its 4,672 grid points (one B-energy call
+    over the grid), and all of them get a lower bound on shift 0 in one
+    call at the shallow depth; only the candidates for the minimum get
+    their exact shift 0 (one shift), then climb to the shifts 1 <= |k| <=
+    2 and then to the rest of the window."""
     calls = _counted_kernel(monkeypatch)
     _, form = build_four_digit_form(24, 1, 4, 1, 1)
     rep = weakly_periodic_check(form, integer_window=64)
-    assert calls[0] == (1, 4668)
-    assert all(rows in (1, 4, 124) for rows, _ in calls[1:]), calls
-    exact_points = sum(cols for rows, cols in calls[1:] if rows == 1)
-    far_points = sum(cols for rows, cols in calls[1:] if rows == 124)
+    assert calls[:2] == [(4672, 1), (1, 4668)]
+    assert all(rows in (1, 4, 124) for rows, _ in calls[2:]), calls
+    exact_points = sum(cols for rows, cols in calls[2:] if rows == 1)
+    far_points = sum(cols for rows, cols in calls[2:] if rows == 124)
     assert 1 <= far_points <= exact_points <= 4, calls
     assert rep.min_max > FLAG_THRESHOLD
 
 
 def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
-    """fd24-1-4-1-1 makes seven kernel calls.  The shift-0 pass, a tile of
-    1 x 4,668 pairs at the shallow depth, takes one level per block; each
+    """fd24-1-4-1-1 makes eight kernel calls.  First the B-energy, one
+    call per distinct B of 4,672 grid points x the column 0 at depth 1,
+    whose column side makes one units call.  The shift-0 pass, a tile of 1
+    x 4,668 pairs at the shallow depth, takes one level per block; each
     ladder call, 1, 4 or 124 shifts x 1 point at the scan's depth, takes
     all of its levels in one block, so its shift side makes one units
-    call, not one per level.  On fd24-3-5-1-3 the shallow depth is 2, and
-    its shift-0 pass takes two blocks."""
+    call, not one per level.  fd24-3-5-1-3 has two distinct B-sets, its
+    shallow depth is 2, and its shift-0 pass takes two blocks."""
     calls = _counted_kernel(monkeypatch)
     served = []  # the kernel call each units call of the shift side serves
     units = measure._RationalSide.units
@@ -809,7 +816,7 @@ def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
         return units(side, *args)
 
     monkeypatch.setattr(measure._RationalSide, "units", counted)
-    for args, bulk, shallow_depth in (((24, 1, 4, 1, 1), 4668, 1), ((24, 3, 5, 1, 3), 4666, 2)):
+    for args, energy, bulk, shallow_depth in (((24, 1, 4, 1, 1), 1, 4668, 1), ((24, 3, 5, 1, 3), 2, 4666, 2)):
         calls.clear()
         served.clear()
         _, form = build_four_digit_form(*args)
@@ -817,9 +824,10 @@ def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
         m = measure.form_measure(form)
         depth = auto_depth(form.base, m.digits, 66.0, 1e-12)
         shallow, _ = measure._shallow_rung(dataclasses.replace(m, depth=depth))
-        assert calls == [(1, bulk), (1, 1), (4, 1), (1, 1), (4, 1), (124, 1), (124, 1)]
+        ladder = [(1, bulk), (1, 1), (4, 1), (1, 1), (4, 1), (124, 1), (124, 1)]
+        assert calls == [(4672, 1)] * energy + ladder
         assert depth > shallow.depth == shallow_depth
-        assert [served.count(k) for k in range(1, 8)] == [shallow_depth, 1, 1, 1, 1, 1, 1]
+        assert [served.count(k) for k in range(1, len(calls) + 1)] == [1] * energy + [shallow_depth] + [1] * 6
 
 
 def _near_window_far_points(form, integer_window, resolution):
@@ -998,27 +1006,30 @@ def test_scan_grid_is_the_sorted_union_of_both_grids():
 
 
 def test_b_energy_evaluates_each_distinct_b_set_once(monkeypatch):
-    """A reduced form repeats one B-set 12 times: the mask runs once, and
-    the energies equal a sum over every B in b_list order."""
+    """A reduced form repeats one B-set 12 times: the kernel runs one pass
+    per distinct B, and the energies equal, bit for bit, a sum over every
+    B in b_list order of the kernel's |M_B|^2, and to within rounding the
+    oracles': mask_value on a side of floats, mask_value_rational on a
+    side of exact rationals."""
     form = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
     b_list = form.b_list()
-    xs = np.array(chebyshev_grid(64))
-    want = sum(np.abs(mask_value(b, xs)) ** 2 for b in b_list) / len(b_list)
-    calls = []
-
-    def counted(digits, xi):
-        calls.append(digits)
-        return mask_value(digits, xi)
-
-    monkeypatch.setattr(measure, "mask_value", counted)
-    got = measure._b_energy(b_list, lambda b: measure.mask_value(b, xs))
-    assert len(b_list) == 12 and len(calls) == len(set(b_list)) == 1
-    assert np.array_equal(got, want)
     mixed = b_list[:3] + [DigitSet(144, (0, 1)), b_list[0], DigitSet(144, (0, 1))]
-    calls.clear()
-    got = measure._b_energy(mixed, lambda b: measure.mask_value(b, xs))
-    assert len(calls) == 2
-    assert np.array_equal(got, sum(np.abs(mask_value(b, xs)) ** 2 for b in mixed) / len(mixed))
+    xs = np.array(chebyshev_grid(64))
+    exact = measure._RationalSide.of([Fraction(x) for x in xs.tolist()])
+    sides = [
+        (measure._FloatSide(xs), lambda b: np.abs(mask_value(b, xs))),
+        (exact, lambda b: np.array([abs(mask_value_rational(b, int(v), exact.den)) for v in exact.nums])),
+    ]
+    calls = _counted_kernel(monkeypatch)
+    for b_sets, passes in ((b_list, 1), (mixed, 2)):
+        for side, oracle in sides:
+            calls.clear()
+            got = measure._b_energy(b_sets, side)
+            assert len(calls) == passes == len(set(b_sets))
+            want = sum(measure._abs_at(TruncatedMeasure(1, b, 1), side) ** 2 for b in b_sets) / len(b_sets)
+            assert np.array_equal(got, want)
+            assert np.allclose(got, sum(oracle(b) ** 2 for b in b_sets) / len(b_sets), rtol=1e-14, atol=1e-15)
+    assert len(b_list) == 12
 
 
 def test_rational_grid_contains_mask_zeros():
@@ -1049,6 +1060,107 @@ def test_two_branch_candidate_monotone_toward_split_targets():
     assert prev_int > 0.3 * target_int
     assert prev_full > 0.35
 
+
+def _scalar_shifts(form, search_window=128):
+    """The shift search on the scalar exact-phase oracles: the B-energy of
+    each gamma from mask_value_rational, then the spiral 0, 1, -1, 2, ...
+    one shift at a time through TruncatedMeasure.mu_hat_rational, at the
+    depth and with the threshold of build_spectrum.  Returns the (gamma,
+    shift) pairs, or raises ShiftSearchFailure with the best ratio."""
+    n = form.base
+    d_set = expand_one_stage(form)
+    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
+    b_list = form.b_list()
+    shifts = []
+    for g in measure._anchored_spectrum(form):
+        target = sum(abs(mask_value_rational(b, g, n)) ** 2 for b in b_list) / len(b_list)
+        if g == 0 or target < 1e-12:
+            shifts.append((g, 0))
+            continue
+        best = 0.0
+        for k in [0, *(k for j in range(1, search_window + 1) for k in (j, -j))]:
+            ratio = abs(trunc.mu_hat_rational(g + k * n, n)) ** 2 / (target + 1e-300)
+            best = max(best, ratio)
+            if ratio >= measure.SHIFT_RATIO_THRESHOLD:
+                shifts.append((g, k))
+                break
+        else:
+            raise ShiftSearchFailure(g, search_window, best)
+    return tuple(shifts)
+
+
+def _random_normalized_forms(count, seed):
+    """Normalized one-stage forms N, A = {0, a}, B_0 = {0, b}, B_a = {0, b}
+    or {0, b'}, L1 = {0, l1}, L2 = {0, l2}, with N in 4..12, b and b' below
+    3N, and L1 (+) L2 distinct mod N; forms whose expansion collides are
+    skipped."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        n = rng.randrange(4, 13)
+        a, b, l1, l2 = rng.randrange(1, n), rng.randrange(1, 3 * n), rng.randrange(1, n), rng.randrange(1, n)
+        b_a = rng.choice([b, rng.randrange(1, 3 * n)])
+        form = one_stage_form(n, 1, (0, a), {0: DigitSet(n, (0, b)), a: DigitSet(n, (0, b_a))}, (0, l1), (0, l2))
+        if len({x % n for x in (0, l1, l2, l1 + l2)}) < 4 or not is_normalized(form):
+            continue
+        try:
+            expand_one_stage(form)
+        except OverlapError:
+            continue
+        forms.append(form)
+    return forms
+
+
+def _same_shift_search(form, scales=(1,), search_window=128):
+    """build_spectrum at each scale picks the scalar search's shift for
+    every gamma, or both fail at the same gamma with best ratios within a
+    relative 1e-12.  Returns the shifts, or None after a failure."""
+    try:
+        want = _scalar_shifts(form, search_window)
+    except ShiftSearchFailure as err:
+        for scale in scales:
+            with pytest.raises(ShiftSearchFailure) as got:
+                build_spectrum(form, levels=1, search_window=search_window, scale=Fraction(scale))
+            assert (got.value.gamma, got.value.window) == (err.gamma, err.window), form
+            assert math.isclose(got.value.best_ratio, err.best_ratio, rel_tol=1e-12), form
+        return None
+    for scale in scales:
+        got = build_spectrum(form, levels=1, search_window=search_window, scale=Fraction(scale))
+        assert got.shifts == want, (form, scale)
+    return want
+
+
+def test_kernel_shift_search_picks_the_scalar_oracles_shifts():
+    """build_spectrum's shift search runs on the kernel; the scalar
+    exact-phase oracles pick the same shift for every gamma.  The nine
+    frame-sums forms at scale 1 and at their benchmark scale, the reduced
+    (2,3,2,i) form, and seeded random normalized forms, some of which need
+    a nonzero shift or have none.  On the form with a zero class (N = 4,
+    B_a = {0, 4}) both searches fail at gamma = 2 at windows 0, 3 and
+    128."""
+    for scale, form in _frame_sums_scaled_forms():
+        assert _same_shift_search(form, {1, scale}) is not None
+    assert _same_shift_search(k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)) is not None
+    # 12 of these need a nonzero shift, and 1 has none in the window
+    outcomes = [_same_shift_search(form, search_window=16) for form in _random_normalized_forms(300, seed=6)]
+    assert sum(1 for shifts in outcomes if shifts and any(k for _, k in shifts)) >= 10
+    assert outcomes.count(None) >= 1
+    zero_class = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 4)), 1: DigitSet(4, (0, 4))}, (0, 1), (0, 2))
+    for window in (0, 3, 128):
+        assert _same_shift_search(zero_class, search_window=window) is None
+        with pytest.raises(ShiftSearchFailure, match="gamma=2 "):
+            build_spectrum(zero_class, levels=1, search_window=window)
+
+
+def test_worst_case_height_refusal_keeps_a_one_point_spectrum():
+    """build_spectrum refuses, before the search, a candidate whose
+    worst-case top height s*(max|L2| + (1 + window)*N^(levels + 2))/N no
+    depth within the doubles bounds (the CLI's rows past the doubles
+    test that); with L1 (+) L2 = {0} every lambda is 0, so 600 levels
+    stay at height 0 and are not refused."""
+    form = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 2))}, (0,), (0,))
+    cand = build_spectrum(form, levels=600)
+    assert cand.shifts == ((0, 0),) and cand.points() == [0]
 
 def test_shift_threshold_above_true_constant_fails_loudly(monkeypatch):
     from spectralforge.errors import ShiftSearchFailure

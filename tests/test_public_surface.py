@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spectralforge"
 
 # Reached only by the tests that compare the fast path against them.
-ORACLES = ("vanishing_by_division", "TruncatedMeasure.mu_hat")
+ORACLES = ("vanishing_by_division", "TruncatedMeasure.mu_hat", "TruncatedMeasure.mu_hat_rational")
 
 
 def _sources() -> list[Path]:
