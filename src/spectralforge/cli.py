@@ -356,7 +356,7 @@ def cmd_verify_jp(args) -> Outcome:
     xi = [0.0] + measure.chebyshev_grid(args.grid - 1)
     rows_by_level = measure.jp_levels(cand, xi)
     ok = all(r.q_t <= 1 + args.tolerance for rows in rows_by_level for r in rows) and all(
-        b.q_t >= a.q_t - 1e-12 for prev, nxt in zip(rows_by_level, rows_by_level[1:]) for a, b in zip(prev, nxt)
+        b.q_t >= a.q_t for prev, nxt in zip(rows_by_level, rows_by_level[1:]) for a, b in zip(prev, nxt)
     )
     fields = {
         "levels": args.levels,

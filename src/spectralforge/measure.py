@@ -33,10 +33,10 @@ _TILE_PAIRS (level, row, column) entries, so its memory does not grow,
 while a call of few pairs takes all of its levels in one block.  Each
 pair's value depends on that pair alone, whatever the shape of the call
 (the running product is taken out of place, which numpy rounds alike for
-every length), and the running product after j levels is the depth-j
-transform.  So jp_levels reads every level of a candidate from one pass
-over the top level, each at its own depth, and the weakly-periodic scan
-reports bit for bit what a scan of every shift at every point would.  That
+every length).  So jp_levels reads every level of a candidate from one
+pass over the top level, all at the top level's depth, each level a
+prefix of its columns, and the weakly-periodic scan reports bit for bit
+what a scan of every shift at every point would.  That
 scan gives every grid point a lower bound on its shift-0 value from a
 shallow depth q, whose tail sum at height 1 is at most 1/4, and climbs a
 ladder (the exact shift 0 at the scan's depth, then longer shift prefixes)
@@ -307,10 +307,10 @@ def _tiles(n_rows: int, n_cols: int):
             yield slice(r0, min(r0 + rows, n_rows)), slice(c0, min(c0 + cols, n_cols))
 
 
-def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ()):
+def _split_phase_abs(m: TruncatedMeasure, rows, cols):
     """Yields (row slice, column slice, |mu_hat(a + b)|) over the tiles of
     rows x cols, rows outermost, with mu_hat the transform of m truncated at
-    each depth of ``stops`` in turn (increasing; by default m.depth alone).
+    m.depth.
 
     A tile is a block of levels x a row slice x a column slice of at most
     _TILE_PAIRS (level, row, column) entries: a tile of r x c pairs takes
@@ -320,9 +320,8 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
     one mask per factor of m, from that factor's own units, so it costs
     the sum over the factors F of |F| - 1 nonzero units and pair products.
     The kernel is elementwise and the running product takes the levels one
-    by one, factor by factor, so after j levels it is the depth-j transform
-    bit for bit."""
-    stops = tuple(stops) or (m.depth,)
+    by one, factor by factor, so a pair's value does not depend on how the
+    levels are blocked."""
     # a power of two |F| has an exact weight 1/|F|: weighing each row unit
     # by it weighs every term, and so the sum, as dividing the sum would,
     # bit for bit; other sizes keep weight 1 and divide the sum.  A leading
@@ -339,7 +338,7 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
     summed = any(sum(map(bool, order)) > 1 for order, _ in plans)
     for rs, cs in _tiles(len(rows), len(cols)):
         shape = (rs.stop - rs.start, cs.stop - cs.start)
-        block = min(stops[-1], max(1, _TILE_PAIRS // (shape[0] * shape[1])))
+        block = min(m.depth, max(1, _TILE_PAIRS // (shape[0] * shape[1])))
         # the last tile's arrays go first, so that one tile's are held at a time
         prod = spare = masks = term = None
         prod, spare = np.ones(shape, dtype=complex), np.empty(shape, dtype=complex)
@@ -347,8 +346,8 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
         # scratch for the terms after a factor's first, needed only when
         # some factor has two nonzero digits or more
         term = np.empty((block, *shape), dtype=complex) if summed else None
-        for j0 in range(1, stops[-1] + 1, block):
-            js = range(j0, min(j0 + block, stops[-1] + 1))
+        for j0 in range(1, m.depth + 1, block):
+            js = range(j0, min(j0 + block, m.depth + 1))
             tv = term[: len(js)] if summed else None
             if nonzero:
                 # one (level, entry) plane per digit on each side, factor by factor
@@ -373,13 +372,12 @@ def _split_phase_abs(m: TruncatedMeasure, rows, cols, stops: Sequence[int] = ())
                     # the parts one by one: what complex / int gives, without
                     # the cost of numpy's complex division
                     lv.view(float)[...] /= len(order)
-            for t, j in enumerate(js):
+            for t in range(len(js)):
                 for mask in masks:
                     # out of place: numpy rounds an in-place product of one
                     # element by its own formula, so a 1 x 1 tile would differ
                     prod, spare = np.multiply(prod, mask[t], out=spare), prod
-                if j in stops:
-                    yield rs, cs, np.abs(prod)
+        yield rs, cs, np.abs(prod)
 
 
 def _abs_at(m: TruncatedMeasure, rows) -> np.ndarray:
@@ -400,38 +398,29 @@ def _b_energy(b_list: Sequence[DigitSet], points) -> np.ndarray:
 _ROW_BAND = 1 << 19
 
 
-def _row_sums(
-    measures: Sequence[TruncatedMeasure], rows, cols, levels: Sequence[tuple[int, int]] = ()
-) -> list[list[float]]:
-    """For each level (depth, n), and for each row a, the math.fsum over the
+def _row_sums(measures: Sequence[TruncatedMeasure], rows, cols, counts: Sequence[int] = ()) -> list[list[float]]:
+    """For each n in counts, and for each row a, the math.fsum over the
     first n columns b of the product over the measures m of
-    |m.mu_hat(a + b)|^2, the first measure truncated at that depth; by
-    default one level, the first measure's own depth over every column.
+    |m.mu_hat(a + b)|^2; by default one count, every column.
 
-    One kernel pass per measure: the first yields each depth in turn, and
-    the kernels' tiles are read side by side, for bands of at most
-    _ROW_BAND products (a row at the least) over one array per depth."""
-    first, *rest = measures
-    levels = tuple(levels) or ((first.depth, len(cols)),)
-    stops = sorted({depth for depth, _ in levels})
-    widths = [max(n for depth, n in levels if depth == stop) for stop in stops]
-    band = max(1, _ROW_BAND // max(sum(widths), 1))
-    sq = [np.empty((min(band, len(rows)), w)) for w in widths]
-    sums: list[list[float]] = [[] for _ in levels]
+    One kernel pass per measure over the first max(counts) columns, the
+    kernels' tiles read side by side, for bands of at most _ROW_BAND
+    products (a row at the least) over one array; each count sums a prefix
+    of its rows."""
+    counts = tuple(counts) or (len(cols),)
+    width = max(counts)
+    cols = cols[:width]
+    band = max(1, _ROW_BAND // max(width, 1))
+    sq = np.empty((min(band, len(rows)), width))
+    sums: list[list[float]] = [[] for _ in counts]
     for r0 in range(0, len(rows), band):
         part = rows[r0 : r0 + band]
-        kernels = [_split_phase_abs(m, part, cols) for m in rest]
-        for i, (rs, cs, mag) in enumerate(_split_phase_abs(first, part, cols, stops)):
-            if i % len(stops) == 0:
-                others = [next(kernel)[2] for kernel in kernels]
-            buf = sq[i % len(stops)]
-            width = min(cs.stop, buf.shape[1]) - cs.start
-            if width > 0:
-                block = np.square(mag[:, :width], out=buf[rs, cs.start : cs.start + width])
-                for other in others:
-                    block *= np.square(other[:, :width])
-        for (depth, n), out in zip(levels, sums):
-            out += [math.fsum(row.tolist()) for row in sq[stops.index(depth)][: len(part), :n]]
+        for (rs, cs, mag), *others in zip(*(_split_phase_abs(m, part, cols) for m in measures)):
+            block = np.square(mag, out=sq[rs, cs])
+            for _, _, other in others:
+                block *= np.square(other)
+        for n, out in zip(counts, sums):
+            out += [math.fsum(row.tolist()) for row in sq[: len(part), :n]]
     return sums
 
 
@@ -753,17 +742,22 @@ def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -
     xi_samples) for every level k = 0, ..., len(cand.levels), from one
     kernel pass over the top level that multiplies the masks of
     cand.factors: the frame sums of the measure the candidate targets,
-    within the rounding that factoring moves.
+    within the rounding that factoring moves.  Every level is truncated at
+    the top level's depth, which bounds each level's tail too, so a Q_T
+    moves from jp_sum's, at the level's own depth, by less than a relative
+    1e-14.
 
     The points reach the kernel as integers over the top level's reduced
     denominator (SpectrumCandidate.numerators), so every level is a prefix
-    of the columns, and the kernel yields each level's own depth as it
-    passes it.  With an integer scale s every level has the top level's
-    denominator, since each numerator over N, s * (l2 + N*lam), is s * l2
-    mod N; so while d * |num| stays below 2^63 each unit, and so each row,
-    equals bit for bit that of a pass over level k's points alone.  A
-    fractional scale, or points past that height, may move a Q_T by an
-    ulp.
+    of the columns, and its Q_T the math.fsum of a prefix of the next
+    level's squared terms: math.fsum is correctly rounded and the terms are
+    nonnegative, so each row is at least the same sample's row of the level
+    before it, exactly.  With an integer scale s every level has the top
+    level's denominator, since each numerator over N, s * (l2 + N*lam), is
+    s * l2 mod N; so while d * |num| stays below 2^63 each unit, and so
+    each row, equals bit for bit that of a pass over level k's points alone
+    at the top level's depth.  A fractional scale, or points past that
+    height, may move a Q_T by an ulp.
     """
     den, nums, counts = cand.numerators()
     m = TruncatedMeasure(cand.base, cand.digits, 1, cand.factors)
@@ -772,15 +766,15 @@ def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -
 
 def _frame_sums(m: TruncatedMeasure, cols: _RationalSide, counts: Sequence[int], xi_samples) -> list[list[JPRow]]:
     """The JPRows of m's transform over the first n columns, for each n in
-    counts, each truncated at the depth for its own largest point height."""
+    counts, all truncated at the depth for the largest point height of
+    cols."""
     # a float is taken at its exact dyadic value, so the rows' common
     # denominator is the largest power of two, whatever their number
     xs = [Fraction(x) for x in xi_samples]
-    # each height rounded once, or past the doubles the largest, which auto_depth refuses
-    tops = [Fraction(int(abs(cols.nums[:n]).max(initial=0)), cols.den) for n in counts]
-    heights = [float(min(top, _DOUBLE_MAX)) + 2.0 for top in tops]
-    depths = [auto_depth(m.base, m.digits, h) for h in heights]
-    totals = _row_sums([replace(m, depth=max(depths))], _RationalSide.of(xs), cols, list(zip(depths, counts)))
+    # the height rounded once, or past the doubles the largest, which auto_depth refuses
+    top = Fraction(int(abs(cols.nums).max(initial=0)), cols.den)
+    depth = auto_depth(m.base, m.digits, float(min(top, _DOUBLE_MAX)) + 2.0)
+    totals = _row_sums([replace(m, depth=depth)], _RationalSide.of(xs), cols, counts)
     return [[JPRow(float(x), n, q_t) for x, q_t in zip(xs, qs)] for n, qs in zip(counts, totals)]
 
 

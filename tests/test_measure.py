@@ -395,7 +395,7 @@ def test_unit_roots_equal_complex_exponential():
         assert np.array_equal(measure._unit_roots((-2 * np.pi * float(d)) * x), old)
 
 
-def _old_split_phase_abs(m, rows, cols, stops=()):
+def _old_split_phase_abs(m, rows, cols):
     """The kernel before the zero digit was skipped: one complex
     exponential per digit, side, level and entry, digit by digit, each
     factor's mask its per-digit exponential sum over |F|, and the running
@@ -413,10 +413,9 @@ def _old_split_phase_abs(m, rows, cols, stops=()):
             phase = np.array([(d * v) % mod / mod for v in x.tolist()], dtype=float)
         return np.exp(-2j * np.pi * phase)
 
-    stops = tuple(stops) or (m.depth,)
     for rs, cs in measure._tiles(len(rows), len(cols)):
         prod = np.ones((rs.stop - rs.start, cs.stop - cs.start), dtype=complex)
-        for j in range(1, stops[-1] + 1):
+        for j in range(1, m.depth + 1):
             for factor in m.factors:
                 ds = factor.digits
                 level = np.multiply.outer(units(rows, j, ds[0], rs), units(cols, j, ds[0], cs))
@@ -424,8 +423,7 @@ def _old_split_phase_abs(m, rows, cols, stops=()):
                     level += np.multiply.outer(units(rows, j, d, rs), units(cols, j, d, cs))
                 level.view(float)[...] /= len(ds)
                 prod = prod * level
-            if j in stops:
-                yield rs, cs, np.abs(prod)
+        yield rs, cs, np.abs(prod)
 
 
 def test_split_phase_kernel_equals_per_digit_exponentials():
@@ -433,7 +431,7 @@ def test_split_phase_kernel_equals_per_digit_exponentials():
     and of a block of levels in one cos/sin pass leave every magnitude bit
     for bit.  The large sides take one level per block, bar their partial
     tiles; the ladder's small calls (4 shifts x 1 sample, 124 x 2) take
-    every level to depth 26 in one block, with the stops inside it."""
+    every level to depth 26 in one block."""
     rng = random.Random(24)
     samples = measure._FloatSide(np.array([rng.uniform(-3, 3) for _ in range(97)]))
     exact = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(113)])
@@ -448,21 +446,22 @@ def test_split_phase_kernel_equals_per_digit_exponentials():
     sides = [(samples, exact), (exact, samples), (shifts, samples), (exact, exact[:40])]
     sides += [(ladder[:4], samples[:1]), (ladder[5:], samples[:2]), (ladder[1:5], exact[:1])]
     for digits in digit_sets:
-        m = TruncatedMeasure(24, DigitSet(24, digits), 15 if digits[0] < -5 else 6)
+        m = TruncatedMeasure(24, DigitSet(24, digits), 1)
         for rows, cols in sides:
-            for stops in ((), (1, 3), (2, 5, 6), (13, 14), (3, 17, 26), (26,)):
-                new = list(measure._split_phase_abs(m, rows, cols, stops))
-                old = list(_old_split_phase_abs(m, rows, cols, stops))
+            for depth in (1, 3, 5, 6, 13, 14, 17, 26):
+                md = dataclasses.replace(m, depth=depth)
+                new = list(measure._split_phase_abs(md, rows, cols))
+                old = list(_old_split_phase_abs(md, rows, cols))
                 assert len(new) == len(old) > 0
                 for (rs, cs, mag), (rs0, cs0, mag0) in zip(new, old):
                     assert (rs, cs) == (rs0, cs0)
-                    assert (mag == mag0).all(), (digits, stops)
+                    assert (mag == mag0).all(), (digits, depth)
 
 
 def test_factored_kernel_equals_the_product_of_per_factor_exponentials():
     """A measure with direct-sum factors: every magnitude equals the
     product over the factors of their per-digit exponential sums, each
-    over |F|, bit for bit, on the sides and stops of the unfactored test
+    over |F|, bit for bit, on the sides and depths of the unfactored test
     above.  The factors take both kinds of size: a power of two |F|, whose
     1/|F| weighs the row units, and |F| = 3, whose sum is divided; the
     last measure sends -2^61 by the per-digit route."""
@@ -484,15 +483,16 @@ def test_factored_kernel_equals_the_product_of_per_factor_exponentials():
     for parts in factor_sets:
         factors = tuple(DigitSet(24, part) for part in parts)
         digits = DigitSet(24, direct_sum_digits(*parts))
-        m = TruncatedMeasure(24, digits, 15 if min(digits.digits) < -5 else 6, factors)
+        m = TruncatedMeasure(24, digits, 1, factors)
         for rows, cols in sides:
-            for stops in ((), (1, 3), (2, 5, 6), (13, 14), (3, 17, 26), (26,)):
-                new = list(measure._split_phase_abs(m, rows, cols, stops))
-                old = list(_old_split_phase_abs(m, rows, cols, stops))
+            for depth in (1, 3, 5, 6, 13, 14, 17, 26):
+                md = dataclasses.replace(m, depth=depth)
+                new = list(measure._split_phase_abs(md, rows, cols))
+                old = list(_old_split_phase_abs(md, rows, cols))
                 assert len(new) == len(old) > 0
                 for (rs, cs, mag), (rs0, cs0, mag0) in zip(new, old):
                     assert (rs, cs) == (rs0, cs0)
-                    assert (mag == mag0).all(), (parts, stops)
+                    assert (mag == mag0).all(), (parts, depth)
 
 
 def test_truncated_measure_checks_its_factors():
@@ -561,12 +561,13 @@ def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
 
 
 def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
-    """verify-jp reads every level from one kernel pass over the top level;
-    each report row equals, bit for bit, a pass over that level's points
-    alone with the candidate's direct-sum factors, and jp_sum's unfactored
-    row to within rounding.  The frame-sums forms at their benchmark scales,
-    then the test suite's verify-jp forms, one with two bands of sample rows
-    (200 x 2,730)."""
+    """verify-jp reads every level from one kernel pass over the top level,
+    at the top level's depth; each report row equals, bit for bit, a pass at
+    that depth over that level's points alone with the candidate's
+    direct-sum factors, and jp_sum's unfactored row, at the level's own
+    depth, to within rounding and the tail bound.  The frame-sums forms at
+    their benchmark scales, then the test suite's verify-jp forms, one with
+    two bands of sample rows (200 x 2,730)."""
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     f8 = cli.one_stage_from_json({"base": 8, "r": 1, "A": ["0", "4"], "Bs": {"0": ["0", "23"], "4": ["0", "23"]},
                                   "L1": ["0", "3"], "L2": ["0", "4"]})
@@ -577,10 +578,11 @@ def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
         cand = build_spectrum(form, levels=levels, scale=Fraction(scale))
         digits = DigitSet(form.base, tuple(x // scale for x in expand_one_stage(form).digits))
         xi = [0.0] + chebyshev_grid(grid - 1)
-        m = TruncatedMeasure(form.base, digits, 1, cand.factors)
+        depth = auto_depth(form.base, digits, float(max(map(abs, cand.points()))) + 2.0)
+        m = TruncatedMeasure(form.base, digits, depth, cand.factors)
+        rows = measure._RationalSide.of([Fraction(x) for x in xi])
         for k in range(levels + 1):
-            cols = measure._RationalSide.of(list(cand.points(k)))
-            want = [row.q_t for row in measure._frame_sums(m, cols, [len(cols)], xi)[0]]
+            (want,) = measure._row_sums([m], rows, measure._RationalSide.of(list(cand.points(k))))
             got = [row["Q_T"] for row in report["rows"] if row["level"] == k]
             assert got == want, (form.base, scale, k)
             plain = [row.q_t for row in jp_sum(digits, form.base, cand.points(k), xi)]
@@ -589,24 +591,43 @@ def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
 
 def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
     """--levels 5 reads its six levels from one pass over the 2,048 top-level
-    points, each at its own depth, not from six passes; the shift search's
-    kernel calls come first."""
+    points, at the top level's depth, not from six passes; the shift
+    search's kernel calls come first."""
     calls = []
     kernel = measure._split_phase_abs
 
-    def counted(m, rows, cols, stops=()):
-        calls.append((len(rows), len(cols), tuple(stops), m.depth))
-        return kernel(m, rows, cols, stops)
+    def counted(m, rows, cols):
+        calls.append((len(rows), len(cols), m.depth))
+        return kernel(m, rows, cols)
 
     monkeypatch.setattr(measure, "_split_phase_abs", counted)
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     report = _verify_jp_report(tmp_path, capsys, f83, 3, 5, 8)
     assert len(report["rows"]) == 6 * 8
     # before it, the shift search's calls: each against the one column 0
-    *search, (rows, cols, stops, depth) = calls
-    assert search and all(c == 1 for _, c, _, _ in search)
-    assert (rows, cols) == (8, 2048)
-    assert list(stops) == sorted(set(stops)) and len(stops) > 1 and stops[-1] == depth
+    *search, last = calls
+    assert search and all(c == 1 for _, c, _ in search)
+    cand = build_spectrum(f83, levels=5, scale=Fraction(3))
+    top = float(max(map(abs, cand.points()))) + 2.0
+    assert last == (8, 2048, auto_depth(24, cand.digits, top))
+
+
+def test_jp_levels_rows_never_decrease():
+    """Every level is truncated at the top level's depth, so each row is the
+    math.fsum of a prefix of the next level's squared terms and, fsum being
+    correctly rounded, never above it: verify-jp's monotone check needs no
+    slack.  The frame-sums forms at scale 1 and at their benchmark scale,
+    every top level 0 to 5, 32 samples (7,680 pairs of rows)."""
+    xi = [0.0] + chebyshev_grid(31)
+    pairs = 0
+    for bench_scale, form in _frame_sums_scaled_forms():
+        for scale in {1, bench_scale}:
+            for levels in range(6):
+                rows = jp_levels(build_spectrum(form, levels=levels, scale=Fraction(scale)), xi)
+                for lower, upper in zip(rows, rows[1:]):
+                    assert all(b.q_t >= a.q_t for a, b in zip(lower, upper)), (form.base, scale, levels)
+                    pairs += len(lower)
+    assert pairs == 7680
 
 
 def _scanned_points(form, integer_window, resolution):
