@@ -38,11 +38,12 @@ pass over the top level, all at the top level's depth, each level a
 prefix of its columns, and the weakly-periodic scan reports bit for bit
 what a scan of every shift at every point would.  That
 scan gives every grid point a lower bound on its shift-0 value from a
-shallow depth q, whose tail sum at height 1 is at most 1/4, and climbs a
-ladder (the exact shift 0 at the scan's depth, then longer shift prefixes)
-only with the points still in contention.  Every averaged B-mask energy
-(_b_energy) comes from the kernel too; mask_value, mask_value_rational and
-TruncatedMeasure's mu_hat and mu_hat_rational are the tests' oracles alone.
+shallow depth q, whose tail sum at height 1 is at most 1/4, and climbs
+from it twice (the near shifts |k| <= 2 at the scan's depth, then the
+rest of the window) only with the points still in contention.  Every
+averaged B-mask energy (_b_energy) comes from the kernel too; mask_value,
+mask_value_rational and TruncatedMeasure's mu_hat and mu_hat_rational are
+the tests' oracles alone.
 
 Each numeric command takes what it needs from here, and builds its measure,
 expanding the form, once (form_measure): build_spectrum, whose candidate
@@ -403,15 +404,12 @@ def _row_sums(measures: Sequence[TruncatedMeasure], rows, cols, counts: Sequence
     first n columns b of the product over the measures m of
     |m.mu_hat(a + b)|^2; by default one count, every column.
 
-    One kernel pass per measure over the first max(counts) columns, the
-    kernels' tiles read side by side, for bands of at most _ROW_BAND
-    products (a row at the least) over one array; each count sums a prefix
-    of its rows."""
+    One kernel pass per measure over every column, the kernels' tiles read
+    side by side, for bands of at most _ROW_BAND products (a row at the
+    least) over one array; each count sums a prefix of its rows."""
     counts = tuple(counts) or (len(cols),)
-    width = max(counts)
-    cols = cols[:width]
-    band = max(1, _ROW_BAND // max(width, 1))
-    sq = np.empty((min(band, len(rows)), width))
+    band = max(1, _ROW_BAND // max(len(cols), 1))
+    sq = np.empty((min(band, len(rows)), len(cols)))
     sums: list[list[float]] = [[] for _ in counts]
     for r0 in range(0, len(rows), band):
         part = rows[r0 : r0 + band]
@@ -876,19 +874,21 @@ def weakly_periodic_check(
     c * |mu_hat_q(x)| at the smallest depth q whose tail sum S at height 1
     is at most 1/4, with c = sqrt(1 - S) less a relative 1e-9 (grid points
     lie in [0, 1); _shallow_rung).  From that rung the shifts, ordered by
-    |k|, climb a ladder of prefixes: 1 shift (shift 0 at depth p), then 5
-    (|k| <= 2), then the whole window, and the maximum over the shifts a
-    point has had is a lower bound on its full maximum.  Then the point
-    with the lowest bound below the top rung picks the rung that moves
-    next, and that rung's points climb one rung in increasing order of
-    their bound, in batches that double for each rung alone (1, 1, 2, 4,
-    ...), while the bound is at most the relative 1e-9 band of the smallest
-    full maximum found so far or FLAG_THRESHOLD.  No point left below the
-    top can be the minimum, the reported xi or flagged, and the kernel is
-    elementwise per (shift, point) pair, so the report equals that of the
-    full scan at depth p bit for bit.  On the seven four-digit frame-sums
-    forms the bulk pass runs at depth 1 or 2, where p is 6 to 8, and two
-    points of 4,200 to 6,400 climb from it, on to the other shifts.  Within
+    |k|, climb twice at depth p: the near shifts |k| <= 2 (shift 0
+    among them), then the rest of the window, the second climb dropped
+    when the window is 2 or less; the maximum over the shifts a point has
+    had is a lower bound on its full maximum.  Then the point with the
+    lowest bound below the top rung picks the rung that moves next, and
+    that rung's points climb one rung in increasing order of their bound,
+    in batches that double for each rung alone (1, 1, 2, 4, ...), while
+    the bound is at most the relative 1e-9 band of the smallest full
+    maximum found so far or FLAG_THRESHOLD: only the points whose bound
+    can still reach that band climb.  No point left below the top can be
+    the minimum, the reported xi or flagged, and the kernel is elementwise
+    per (shift, point) pair, so the report equals that of the full scan at
+    depth p bit for bit.  On the seven four-digit frame-sums forms the
+    bulk pass runs at depth 1 or 2, where p is 6 to 8, and two points of
+    4,200 to 6,400 climb from it, on to the other shifts.  Within
     the scan's limits q < p always: N <= 512 and p's tail sum at height
     window + 2 >= 2 is at most 1e-12, so p >= 2 and depth p - 1 has S below
     1e-7.  A grid or window above
@@ -908,17 +908,15 @@ def weakly_periodic_check(
     excluded = int(np.sum(~keep))
     xs = grid[keep]
 
-    # nearest shifts first, so that every rung is a prefix of the window
+    # nearest shifts first: climbs[r] takes a point from rung r to rung r +
+    # 1, the near shifts |k| <= 2 and then the rest of the window
     shifts = _RationalSide(1, sorted(range(-integer_window, integer_window + 1), key=abs))
-    sizes = sorted({min(size, len(shifts)) for size in (1, 5, len(shifts))})
-    # climbs[r]: the shifts a point on rung r takes to reach rung r + 1
-    climbs = [shifts[a:b] for a, b in zip(sizes, sizes[1:])]
-    # a certified lower bound on shift 0; climbing from it gives shift 0 its
-    # value at the scan's depth, which lies above the bound
+    climbs = [c for c in (shifts[:5], shifts[5:]) if len(c)]
+    # rung 0, a certified lower bound on shift 0; the near climb gives shift
+    # 0 its value at the scan's depth, which lies above the bound
     shallow, factor = _shallow_rung(trunc)
     running = _window_max(shallow, shifts[:1], xs)
     running *= factor
-    climbs.insert(0, shifts[:1])
     # queues[r]: the points on rung r, in increasing order of their bound;
     # the last queue stays empty, since a point on the top rung has its
     # full maximum

@@ -805,26 +805,26 @@ def _counted_kernel(monkeypatch):
 def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
     """fd24-1-4-1-1 keeps 4,668 of its 4,672 grid points (one B-energy call
     over the grid), and all of them get a lower bound on shift 0 in one
-    call at the shallow depth; only the candidates for the minimum get
-    their exact shift 0 (one shift), then climb to the shifts 1 <= |k| <=
-    2 and then to the rest of the window."""
+    call at the shallow depth; only the candidates for the minimum climb
+    to the shifts |k| <= 2 at the scan's depth, shift 0 among them, and
+    then to the rest of the window."""
     calls = _counted_kernel(monkeypatch)
     _, form = build_four_digit_form(24, 1, 4, 1, 1)
     rep = weakly_periodic_check(form, integer_window=64)
     assert calls[:2] == [(4672, 1), (1, 4668)]
-    assert all(rows in (1, 4, 124) for rows, _ in calls[2:]), calls
-    exact_points = sum(cols for rows, cols in calls[2:] if rows == 1)
+    assert all(rows in (5, 124) for rows, _ in calls[2:]), calls
+    near_points = sum(cols for rows, cols in calls[2:] if rows == 5)
     far_points = sum(cols for rows, cols in calls[2:] if rows == 124)
-    assert 1 <= far_points <= exact_points <= 4, calls
+    assert 1 <= far_points <= near_points <= 4, calls
     assert rep.min_max > FLAG_THRESHOLD
 
 
 def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
-    """fd24-1-4-1-1 makes eight kernel calls.  First the B-energy, one
+    """fd24-1-4-1-1 makes six kernel calls.  First the B-energy, one
     call per distinct B of 4,672 grid points x the column 0 at depth 1,
     whose column side makes one units call.  The shift-0 pass, a tile of 1
     x 4,668 pairs at the shallow depth, takes one level per block; each
-    ladder call, 1, 4 or 124 shifts x 1 point at the scan's depth, takes
+    ladder call, 5 or 124 shifts x 1 point at the scan's depth, takes
     all of its levels in one block, so its shift side makes one units
     call, not one per level.  fd24-3-5-1-3 has two distinct B-sets, its
     shallow depth is 2, and its shift-0 pass takes two blocks."""
@@ -845,10 +845,10 @@ def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
         m = measure.form_measure(form)
         depth = auto_depth(form.base, m.digits, 66.0, 1e-12)
         shallow, _ = measure._shallow_rung(dataclasses.replace(m, depth=depth))
-        ladder = [(1, bulk), (1, 1), (4, 1), (1, 1), (4, 1), (124, 1), (124, 1)]
+        ladder = [(1, bulk), (5, 1), (5, 1), (124, 1), (124, 1)]
         assert calls == [(4672, 1)] * energy + ladder
         assert depth > shallow.depth == shallow_depth
-        assert [served.count(k) for k in range(1, len(calls) + 1)] == [1] * energy + [shallow_depth] + [1] * 6
+        assert [served.count(k) for k in range(1, len(calls) + 1)] == [1] * energy + [shallow_depth] + [1] * 4
 
 
 def _near_window_far_points(form, integer_window, resolution):
@@ -1175,10 +1175,11 @@ def test_kernel_shift_search_picks_the_scalar_oracles_shifts():
 
 def test_worst_case_height_refusal_keeps_a_one_point_spectrum():
     """build_spectrum refuses, before the search, a candidate whose
-    worst-case top height s*(max|L2| + (1 + window)*N^(levels + 2))/N no
-    depth within the doubles bounds (the CLI's rows past the doubles
-    test that); with L1 (+) L2 = {0} every lambda is 0, so 600 levels
-    stay at height 0 and are not refused."""
+    worst-case top height s*(max|L2| + N*lam_max)/N, with lam_max =
+    N*(1 + window)*(N^levels - 1)/(N - 1), no depth within the doubles
+    bounds (the CLI's rows past the doubles test that); with L1 (+) L2 =
+    {0} every lambda is 0, so 600 levels stay at height 0 and are not
+    refused."""
     form = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 2))}, (0,), (0,))
     cand = build_spectrum(form, levels=600)
     assert cand.shifts == ((0, 0),) and cand.points() == [0]

@@ -1,6 +1,8 @@
-"""The summary of tools/paired_bench.py on fixed numbers; no benchmark runs."""
+"""The summary and the run environment of tools/paired_bench.py, on fixed
+values; no benchmark runs."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,11 @@ def test_higher_is_better_reverses_wins_and_gap():
     assert (s["wins"], s["gain"]) == (10, True)
     s = paired_bench.summary(OTHER, [x - 0.5 for x in OTHER], "higher")
     assert (s["wins"], s["gain"]) == (0, False)
+
+
+def test_bench_env_drops_only_the_no_bytecode_switch(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PAIRED_BENCH_KEPT", "kept")
+    env = paired_bench.bench_env()
+    assert "PYTHONDONTWRITEBYTECODE" not in env and env["PAIRED_BENCH_KEPT"] == "kept"
+    assert env == {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}

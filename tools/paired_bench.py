@@ -4,10 +4,15 @@ end-to-end metric.
     python tools/paired_bench.py OTHER_CHECKOUT --workload W --pairs N [--first-seed S]
 
 This checkout, the one that holds this script, is the change; OTHER_CHECKOUT
-is what it is compared with, as a rule its parent commit.  Pair i (from 1)
-runs ``bench/run.py --workload W --seed S+i-1 --seconds 25 --trace 0`` in
-each checkout, from its own directory and on its own ``src``: the other
-checkout first in odd pairs, this one first in even pairs.  Every run's
+is what it is compared with, as a rule its parent commit.  Compare two
+``git archive`` copies, each of a commit, never a working tree: stale
+``__pycache__`` files and uncommitted edits load differently from a fresh
+copy of the same code.  Pair i (from 1) runs ``bench/run.py --workload W
+--seed S+i-1 --seconds 25 --trace 0`` in each checkout, from its own
+directory and on its own ``src``: the other checkout first in odd pairs,
+this one first in even pairs.  Each run's environment lacks
+PYTHONDONTWRITEBYTECODE, so the run's untimed probe writes its checkout's
+bytecode and both sides load from it alike.  Every run's
 metrics are printed as it ends, then, per metric, the q1 / median / q3 of
 each side, the pairs this checkout wins (ties count for neither) and
 whether a gain may be claimed: at least ten pairs, wins in at least nine
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -49,10 +55,15 @@ def summary(other: list[float], here: list[float], better: str) -> dict:
     return {"other": q_other, "here": q_here, "wins": wins, "pairs": len(other), "gain": gain}
 
 
+def bench_env() -> dict[str, str]:
+    """This process's environment without PYTHONDONTWRITEBYTECODE."""
+    return {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+
+
 def bench(checkout: Path, workload: str, seed: int) -> dict[str, float]:
     """The end-to-end metrics of one untraced benchmark run in ``checkout``."""
     argv = ["bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True, text=True, env=bench_env())
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: bench/run.py seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
