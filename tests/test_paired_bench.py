@@ -49,7 +49,6 @@ def test_higher_is_better_reverses_wins_and_gap():
 
 def test_bench_env_drops_only_the_no_bytecode_switch(monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    monkeypatch.setenv("PAIRED_BENCH_KEPT", "kept")
     env = paired_bench.bench_env()
-    assert "PYTHONDONTWRITEBYTECODE" not in env and env["PAIRED_BENCH_KEPT"] == "kept"
+    assert "PYTHONDONTWRITEBYTECODE" not in env
     assert env == {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
