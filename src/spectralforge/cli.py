@@ -351,7 +351,7 @@ def cmd_verify_jp(args) -> Outcome:
     )
     try:
         cand = measure.build_spectrum(form, levels=args.levels, search_window=args.window, scale=args.scale)
-    except ValueError as exc:  # a form that is not normalized, or a scale that does not divide it
+    except ValueError as exc:  # a form that is not normalized
         raise InputError(str(exc)) from exc
     xi = [0.0] + measure.chebyshev_grid(args.grid - 1)
     rows_by_level = measure.jp_levels(cand, xi)

@@ -47,8 +47,8 @@ the tests' oracles alone.
 
 Each numeric command takes what it needs from here, and builds its measure,
 expanding the form, once (form_measure): build_spectrum, whose candidate
-carries the digits D/s its points target and their factors, then
-jp_levels; finite_level_identity_check over the depths 1..p, each at its
+carries that measure, then jp_levels, which reads the scale s as x -> x/s;
+finite_level_identity_check over the depths 1..p, each at its
 own depth q, which the identity fixes; weakly_periodic_check.  Every other
 truncation depth is the smallest whose tail bound is below its target
 (auto_depth), and a digit or a tail past the doubles raises
@@ -547,8 +547,7 @@ class SpectrumCandidate:
     """
 
     base: int
-    digits: DigitSet  # D/s, the expansion over the scale: the measure the points target
-    factors: tuple[DigitSet, ...]  # the direct-sum factors of D/s its kernel multiplies
+    measure: TruncatedMeasure  # form_measure(form): mu_{N,D}, unscaled (jp_levels)
     scale: Fraction
     frac_shifts: tuple[Fraction, ...]
     shifts: tuple[tuple[int, int], ...]  # (gamma, accepted integer shift), shared by every level
@@ -562,28 +561,28 @@ class SpectrumCandidate:
         return self.levels[k - 1]
 
     def numerators(self) -> tuple[int, list[int], list[int]]:
-        """(den, nums, counts): the distinct points of the top level as the
-        integers nums over their reduced common denominator den, each under
-        the first level that holds it, so that level k is nums[:counts[k]].
-        The points are s.num * (l2 + N*lam) over s.den * N, each formed
+        """(den, nums, counts): the distinct unscaled points of the top
+        level as the integers nums over their reduced common denominator
+        den, each under the first level that holds it, so that level k is
+        nums[:counts[k]].  The points are l2 + N*lam over N, each formed
         once: a level adds the points of the lambdas past its predecessor."""
-        n, num, den = self.base, self.scale.numerator, self.scale.denominator * self.base
+        n = self.base
         l2 = [fs.numerator * (n // fs.denominator) for fs in self.frac_shifts]
         first: dict[int, None] = {}
         counts = []
         done = 0
         for level in map(self.lambdas, range(len(self.levels) + 1)):
-            first.update(dict.fromkeys([num * (x + n * lam) for lam in level[done:] for x in l2]))
+            first.update(dict.fromkeys([x + n * lam for lam in level[done:] for x in l2]))
             counts.append(len(first))
             done = len(level)
-        g = math.gcd(den, *first)
-        return den // g, [x // g for x in first], counts
+        g = math.gcd(n, *first)
+        return n // g, [x // g for x in first], counts
 
     def points(self, k: int | None = None) -> list[Fraction]:
-        """The distinct points of level k (by default the top level) in
-        increasing order, one Fraction per point."""
+        """The distinct points of level k (by default the top level), times
+        the scale, in increasing order, one Fraction per point."""
         den, nums, counts = self.numerators()
-        return [Fraction(x, den) for x in sorted(nums[: counts[len(self.levels) if k is None else k]])]
+        return [self.scale * Fraction(x, den) for x in sorted(nums[: counts[len(self.levels) if k is None else k]])]
 
 
 # build_spectrum accepts a shift once the transform magnitude clears this
@@ -618,13 +617,11 @@ def build_spectrum(
     window is too small or the form genuinely fails equi-positivity there;
     the failure is reported, never papered over.  Level q is the direct
     sum of N^j times the shifted elements for j < q; every level uses the
-    same shifts.  The candidate carries the digits D/s of the measure its
-    points target.  Before the search, a top level of more than
-    POINT_LIMIT points or a window above SHIFT_WINDOW_LIMIT raises
-    PointLimitExceeded, a scale that does not divide the expansion
-    ValueError, and a window past the doubles, or a worst-case top-level
-    height whose frame sums no depth within the doubles bounds,
-    TailBoundUnavailable.
+    same shifts, which do not depend on the scale (jp_levels).  Before the
+    search, a top level of more than POINT_LIMIT points or a window above
+    SHIFT_WINDOW_LIMIT raises PointLimitExceeded, and a window past the
+    doubles, or a worst-case top-level height whose frame sums no depth
+    within the doubles bounds, TailBoundUnavailable.
     """
     _require_normalized(form)
     if levels < 0:
@@ -638,25 +635,18 @@ def build_spectrum(
     anchored = _anchored_spectrum(form)
     whole = form_measure(form)
     d_set = whole.digits
-    num, den = scale.numerator, scale.denominator
-    if any(x * den % num for x in d_set.digits):
-        raise ValueError(f"expansion digits are not divisible by the scale {scale}")
-    # one factor lies inside D and the other holds differences of D's
-    # digits: each factor over s is integral too
-    digits, *factors = [DigitSet(n, tuple(x * den // num for x in f.digits)) for f in (d_set, *whole.factors)]
-    _require_doubles([d_set, digits, *factors])
+    _require_doubles([d_set, *whole.factors])
     b_list = form.b_list()
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
     # each shifted element g + N*k is below N*(1 + window) in size (0 when
     # L1 (+) L2 is one point), so each lam, a sum of N^j times them for j <
     # levels, is below that times (N^levels - 1)/(N - 1): the frame sums'
-    # tail bound at the top level's worst-case height, s*(l2 + N*lam)/N, is
-    # refused before the search (a power of N >= 2 past max_exp is past the
-    # doubles already)
+    # tail bound at the top level's worst-case unscaled height, (l2 +
+    # N*lam)/N, is refused before the search (a power of N >= 2 past max_exp
+    # is past the doubles already)
     t_bound = n * (1 + search_window) if len(anchored) > 1 else 0
     lam_bound = t_bound * (n ** min(levels, sys.float_info.max_exp) - 1) // (n - 1)
-    top = abs(scale) * (max(map(abs, form.l2.digits)) + n * lam_bound) / n
-    auto_depth(n, digits, float(min(top, _DOUBLE_MAX)) + 2.0)
+    auto_depth(n, d_set, _frame_height(Fraction(max(map(abs, form.l2.digits)) + n * lam_bound, n), scale))
 
     shifts: list[tuple[int, int]] = []
     # the averaged B-mask energy and shift 0 at every gamma/N, each in one
@@ -693,8 +683,7 @@ def build_spectrum(
     frac = tuple(sorted({Fraction(x, n) for x in form.l2.digits}))
     return SpectrumCandidate(
         base=n,
-        digits=digits,
-        factors=tuple(factors),
+        measure=whole,
         scale=scale,
         frac_shifts=frac,
         shifts=tuple(shifts),
@@ -732,47 +721,50 @@ def jp_sum(
     """
     cols = _RationalSide.of(list(points))
     cols = cols[np.unique(cols.nums, return_index=True)[1]]
-    return _frame_sums(TruncatedMeasure(base, digits, 1), cols, [len(cols)], xi_samples)[0]
+    return _frame_sums(TruncatedMeasure(base, digits, 1), cols, [len(cols)], xi_samples, Fraction(1))[0]
 
 
 def jp_levels(cand: SpectrumCandidate, xi_samples: Sequence[float | Fraction]) -> list[list[JPRow]]:
-    """The frame sums jp_sum(cand.digits, cand.base, cand.points(k),
-    xi_samples) for every level k = 0, ..., len(cand.levels), from one
-    kernel pass over the top level that multiplies the masks of
-    cand.factors: the frame sums of the measure the candidate targets,
-    within the rounding that factoring moves.  Every level is truncated at
-    the top level's depth, which bounds each level's tail too, so a Q_T
-    moves from jp_sum's, at the level's own depth, by less than a relative
-    1e-14.
+    """The frame sums of mu_{N,D/s}, s = cand.scale, over cand.points(k)
+    for every level k = 0, ..., len(cand.levels), from one kernel pass over
+    the top level that multiplies the masks of cand.measure's factors.  The
+    transform of mu_{N,D/s} at x is that of mu_{N,D} at x/s, so the pass
+    takes the unscaled points against the exact samples xi/s, and each row
+    keeps its xi.  Every level is truncated at the top level's depth, which
+    bounds each level's tail too, so a Q_T moves from jp_sum's (for an
+    integral D/s), at the level's own depth, by less than a relative 1e-14.
 
     The points reach the kernel as integers over the top level's reduced
     denominator (SpectrumCandidate.numerators), so every level is a prefix
     of the columns, and its Q_T the math.fsum of a prefix of the next
     level's squared terms: math.fsum is correctly rounded and the terms are
     nonnegative, so each row is at least the same sample's row of the level
-    before it, exactly.  With an integer scale s every level has the top
-    level's denominator, since each numerator over N, s * (l2 + N*lam), is
-    s * l2 mod N; so while d * |num| stays below 2^63 each unit, and so
-    each row, equals bit for bit that of a pass over level k's points alone
-    at the top level's depth.  A fractional scale, or points past that
-    height, may move a Q_T by an ulp.
+    before it, exactly.  Every level has the top level's denominator, since
+    each holds every l2 and N*lam is 0 mod N; so while d * |num| stays below
+    2^63 each unit, and so each row, equals bit for bit that of a pass over
+    level k's points alone at the top level's depth, and past that within
+    an ulp.
     """
     den, nums, counts = cand.numerators()
-    m = TruncatedMeasure(cand.base, cand.digits, 1, cand.factors)
-    return _frame_sums(m, _RationalSide(den, nums), counts, xi_samples)
+    return _frame_sums(cand.measure, _RationalSide(den, nums), counts, xi_samples, cand.scale)
 
 
-def _frame_sums(m: TruncatedMeasure, cols: _RationalSide, counts: Sequence[int], xi_samples) -> list[list[JPRow]]:
-    """The JPRows of m's transform over the first n columns, for each n in
-    counts, all truncated at the depth for the largest point height of
-    cols."""
+def _frame_height(top: Fraction, scale: Fraction) -> float:
+    """top + 2/|scale|: the height for points up to top and samples in [0, 1]
+    over the scale, or past the doubles the largest, which auto_depth refuses."""
+    return float(min(top, _DOUBLE_MAX)) + float(min(2 / abs(scale), _DOUBLE_MAX))
+
+
+def _frame_sums(m: TruncatedMeasure, cols: _RationalSide, counts: Sequence[int], xi_samples, scale) -> list[list[JPRow]]:
+    """The JPRows of m's transform at xi/scale over the first n columns,
+    for each n in counts, all truncated at the depth for the largest point
+    height of cols; each row keeps its xi."""
     # a float is taken at its exact dyadic value, so the rows' common
-    # denominator is the largest power of two, whatever their number
+    # denominator is a power of two times s's numerator, whatever their number
     xs = [Fraction(x) for x in xi_samples]
-    # the height rounded once, or past the doubles the largest, which auto_depth refuses
     top = Fraction(int(abs(cols.nums).max(initial=0)), cols.den)
-    depth = auto_depth(m.base, m.digits, float(min(top, _DOUBLE_MAX)) + 2.0)
-    totals = _row_sums([replace(m, depth=depth)], _RationalSide.of(xs), cols, counts)
+    depth = auto_depth(m.base, m.digits, _frame_height(top, scale))
+    totals = _row_sums([replace(m, depth=depth)], _RationalSide.of([x / scale for x in xs]), cols, counts)
     return [[JPRow(float(x), n, q_t) for x, q_t in zip(xs, qs)] for n, qs in zip(counts, totals)]
 
 

@@ -665,18 +665,16 @@ def test_validate_form_reports_a_staged_collision(tmp_path, capsys):
     assert "4" in checks[-1]["detail"]
 
 
-def test_verify_jp_checks_the_scale_before_the_shift_search(tmp_path, capsys):
-    """The shift search fails on this form at --window 0 (gamma = 3), and
-    the scale 5 does not divide the expansion digit 6: the input error
-    comes first."""
+def test_verify_jp_scale_not_dividing_the_digits_reaches_the_shift_search(tmp_path, capsys):
+    """The scale 5 does not divide the expansion digit 6, and is valid: the
+    shift search, which does not depend on the scale, runs and fails on
+    this form at --window 0 (gamma = 3), at scale 5 as at scale 1."""
     spec = _write(tmp_path, "f.json", {
         "base": 4, "r": 1, "A": ["0", "6"], "Bs": {"0": ["0", "9"], "6": ["0", "11"]}, "L1": ["0", "1"], "L2": ["0", "2"],
     })
-    assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1", "--scale", "5"]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"type": "InputError", "message": "expansion digits are not divisible by the scale 5"}
-    assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1"]) == 1
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShiftSearchFailure"
+    for scale in ("5", "1"):
+        assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1", "--scale", scale]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShiftSearchFailure"
 
 
 def test_digits_past_a_double_are_refused_before_any_work(tmp_path, capsys, monkeypatch):

@@ -101,10 +101,10 @@ JOBS = [
     ["reduce-kstage", "--spec", "k.json", "--k", "1"],
     ["verify-jp", "--form", "k.json"],
     ["verify-jp", "--form", "f83.json", "--scale", "0"],
-    ["verify-jp", "--form", "f83.json", "--scale", "5"],
     ["weakly-periodic", "--form", "k.json"],
     # float reports
     ["verify-jp", "--form", "f83.json", "--levels", "3", "--grid", "4", "--scale", "3"],
+    ["verify-jp", "--form", "f83.json", "--scale", "5"],
     ["verify-jp", "--form", "b4.json", "--levels", "3", "--grid", "4"],
     ["verify-jp", "--form", "b4.json", "--levels", "2", "--grid", "4", "--scale", "1/2"],
     ["check-lemma42", "--form", "f83.json", "--p", "2", "--grid", "16"],

@@ -430,8 +430,9 @@ def test_split_phase_kernel_equals_per_digit_exponentials():
     """Skipping the zero digit and taking each side's units of all digits
     and of a block of levels in one cos/sin pass leave every magnitude bit
     for bit.  The large sides take one level per block, bar their partial
-    tiles; the ladder's small calls (4 shifts x 1 sample, 124 x 2) take
-    every level to depth 26 in one block."""
+    tiles; small calls of a few shifts against a sample or two, as the
+    scan's climbs and the shift search make (4 shifts x 1 sample, 124 x
+    2), take every level to depth 26 in one block."""
     rng = random.Random(24)
     samples = measure._FloatSide(np.array([rng.uniform(-3, 3) for _ in range(97)]))
     exact = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(113)])
@@ -562,37 +563,79 @@ def _verify_jp_report(tmp_path, capsys, form, scale, levels, grid):
 
 def test_verify_jp_rows_equal_jp_sum_per_level(tmp_path, capsys):
     """verify-jp reads every level from one kernel pass over the top level,
-    at the top level's depth; each report row equals, bit for bit, a pass at
-    that depth over that level's points alone with the candidate's
-    direct-sum factors, and jp_sum's unfactored row, at the level's own
-    depth, to within rounding and the tail bound.  The frame-sums forms at
-    their benchmark scales, then the test suite's verify-jp forms, one with
-    two bands of sample rows (200 x 2,730)."""
+    at the top level's depth, with the form's unscaled measure of D at the
+    samples xi/s; each report row equals, bit for bit, a pass at that depth
+    over that level's unscaled points alone with the form's direct-sum
+    factors, and jp_sum's unfactored row for D/s at the scaled points, at
+    the level's own depth, to within rounding and the tail bound.  The
+    frame-sums forms at their benchmark scales, then the test suite's
+    verify-jp forms, one with two bands of sample rows (200 x 2,730), and
+    f83 at the fractional scale 3/2, where every level still has the top
+    level's denominator."""
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     f8 = cli.one_stage_from_json({"base": 8, "r": 1, "A": ["0", "4"], "Bs": {"0": ["0", "23"], "4": ["0", "23"]},
                                   "L1": ["0", "3"], "L2": ["0", "4"]})
     cases = [(scale, form, 5, 8) for scale, form in _frame_sums_scaled_forms()]
     cases += [(1, f8, 3, 8), (3, f83, 2, 3), (3, f83, 1, 4096), (3, f83, 5, 200), (1, _form14(), 5, 8)]
+    cases += [(Fraction(3, 2), f83, 3, 8)]
     for scale, form, levels, grid in cases:
+        scale = Fraction(scale)
         report = _verify_jp_report(tmp_path, capsys, form, scale, levels, grid)
-        cand = build_spectrum(form, levels=levels, scale=Fraction(scale))
-        digits = DigitSet(form.base, tuple(x // scale for x in expand_one_stage(form).digits))
+        cand = build_spectrum(form, levels=levels, scale=scale)
+        m = measure.form_measure(form)
+        assert cand.measure == m
+        over_s = [x / scale for x in m.digits.digits]
+        assert all(x.denominator == 1 for x in over_s)
+        digits = DigitSet(form.base, tuple(map(int, over_s)))
         xi = [0.0] + chebyshev_grid(grid - 1)
-        depth = auto_depth(form.base, digits, float(max(map(abs, cand.points()))) + 2.0)
-        m = TruncatedMeasure(form.base, digits, depth, cand.factors)
-        rows = measure._RationalSide.of([Fraction(x) for x in xi])
+        top = max(map(abs, cand.points())) / scale
+        depth = auto_depth(form.base, m.digits, float(top) + float(2 / scale))
+        rows = measure._RationalSide.of([Fraction(x) / scale for x in xi])
         for k in range(levels + 1):
-            (want,) = measure._row_sums([m], rows, measure._RationalSide.of(list(cand.points(k))))
+            unscaled = measure._RationalSide.of([x / scale for x in cand.points(k)])
+            (want,) = measure._row_sums([dataclasses.replace(m, depth=depth)], rows, unscaled)
             got = [row["Q_T"] for row in report["rows"] if row["level"] == k]
             assert got == want, (form.base, scale, k)
             plain = [row.q_t for row in jp_sum(digits, form.base, cand.points(k), xi)]
             assert np.allclose(got, plain, rtol=1e-14, atol=1e-15), (form.base, scale, k)
 
 
+def test_verify_jp_at_scales_that_do_not_divide_the_digits(tmp_path, capsys):
+    """Any positive rational scale is valid: at 5 and 7/2, which divide no
+    nonzero digit of f83's D = {0, 3, 48, 51}, each report row is within
+    1e-14 of the frame sum of mu_{N,D/s} over the candidate's points, taken
+    in mpmath as a product of masks over the rational digits d/s, 16
+    levels deep (the dropped levels move it by far less than 1e-14)."""
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    assert expand_one_stage(f83).digits == (0, 3, 48, 51)
+    xi = [0.0] + chebyshev_grid(3)
+    with mpmath.workdps(30):
+        for scale in (Fraction(5), Fraction(7, 2)):
+            report = _verify_jp_report(tmp_path, capsys, f83, scale, 2, len(xi))
+            cand = build_spectrum(f83, levels=2, scale=scale)
+            digits = [mpmath.mpf(q.numerator) / q.denominator for q in (Fraction(d) / scale for d in (0, 3, 48, 51))]
+
+            def energy(x):
+                mu_hat = mpmath.mpf(1)
+                for j in range(1, 17):
+                    y = x / mpmath.mpf(24) ** j
+                    mu_hat *= mpmath.fsum(mpmath.expjpi(-2 * d * y) for d in digits) / len(digits)
+                return abs(mu_hat) ** 2
+
+            for k in range(3):
+                got = [row["Q_T"] for row in report["rows"] if row["level"] == k]
+                want = [
+                    mpmath.fsum(energy(mpmath.mpf(x) + mpmath.mpf(p.numerator) / p.denominator) for p in cand.points(k))
+                    for x in xi
+                ]
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14, (scale, k, got, want)
+            assert report["bessel_and_monotone"] is True
+
+
 def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
     """--levels 5 reads its six levels from one pass over the 2,048 top-level
-    points, at the top level's depth, not from six passes; the shift
-    search's kernel calls come first."""
+    points, at the depth of the unscaled top level's height plus 2/s, not
+    from six passes; the shift search's kernel calls come first."""
     calls = []
     kernel = measure._split_phase_abs
 
@@ -608,8 +651,8 @@ def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
     *search, last = calls
     assert search and all(c == 1 for _, c, _ in search)
     cand = build_spectrum(f83, levels=5, scale=Fraction(3))
-    top = float(max(map(abs, cand.points()))) + 2.0
-    assert last == (8, 2048, auto_depth(24, cand.digits, top))
+    top = float(max(map(abs, cand.points())) / 3) + float(Fraction(2, 3))
+    assert last == (8, 2048, auto_depth(24, expand_one_stage(f83), top))
 
 
 def test_jp_levels_rows_never_decrease():
@@ -740,9 +783,9 @@ def _flagged_forms():
 def test_weakly_periodic_best_first_equals_full_window_scan(monkeypatch):
     """Bit for bit: the shift ladder only orders the points, and every
     value the report reads is the same kernel value as in the full scan.
-    The windows give one rung (0), two (1 and 2) and three (3 and 12).  At
-    a flag threshold of 0.2, two points of fd24-3-5-1-3 at window 12 have
-    lower bounds below it and full maxima above."""
+    The windows give one climb from the shallow bound (0, 1 and 2) and two
+    (3 and 12).  At a flag threshold of 0.2, two points of fd24-3-5-1-3 at
+    window 12 have lower bounds below it and full maxima above."""
     cases = [(f, res) for f, res in zip(_frame_sums_forms(), (64, 96, 128, 160, 192, 224, 256, 64, 128))]
     cases += [(f, 128) for f in _flagged_forms()]
     for threshold in (FLAG_THRESHOLD, 0.2):
@@ -947,8 +990,7 @@ def test_weakly_periodic_on_opposing_translations_matches_the_unfactored_scan(mo
 def test_form_measure_factors_exactly_the_one_b_forms():
     """form_measure factors a form as (A + N^r*b) (+) N^r*(B - b), b =
     min B, when every B_a is one set B with |A|, |B| >= 2, and the direct
-    sum of its factors is the expansion; a candidate carries the factors of
-    D/s, A/s and (N^r/s)*B."""
+    sum of its factors is the expansion."""
     single_a = one_stage_form(4, 1, (0,), {0: DigitSet(4, (0, 2))}, (0, 2), (0, 1))
     reduced = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
     cases = [(f, True) for f in (_form23(), *_flagged_forms(), reduced, _translated_flagged_form(10**12))]
@@ -968,15 +1010,6 @@ def test_form_measure_factors_exactly_the_one_b_forms():
             assert m.factors == (DigitSet(form.base, first), DigitSet(form.base, scaled)), form
         else:
             assert m.factors == (d_set,), form
-    for scale, form in _frame_sums_scaled_forms():
-        cand = build_spectrum(form, levels=1, scale=Fraction(scale))
-        d_set = expand_one_stage(form)
-        assert cand.digits.digits == tuple(x // scale for x in d_set.digits)
-        assert direct_sum_digits(*(f.digits for f in cand.factors)) == cand.digits.digits
-        if len(set(form.b_list())) == 1:
-            (b,) = set(form.b_list())
-            assert cand.factors[0].digits == tuple(a // scale for a in form.a_set.digits)
-            assert cand.factors[1].digits == tuple(form.base**form.r // scale * x for x in b.digits)
 
 
 def test_candidate_levels_are_nested_prefixes():
