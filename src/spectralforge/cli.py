@@ -322,7 +322,7 @@ def cmd_classify_paq(args) -> Outcome:
 
 
 def cmd_factor_mask(args) -> Outcome:
-    d = load_digitset(args.digits, args.base)
+    d = load_digitset(args.digits, None)
     low = d.digits[0]
     mask = MaskPolynomial.from_digits(tuple(x - low for x in d.digits))
     fac = cyclotomic_factorization(mask)
@@ -340,6 +340,11 @@ def cmd_factor_mask(args) -> Outcome:
 # (--levels 1 --grid 8192) take 0.25 s and print 2.6 MB; --levels 0 --grid
 # 2^19 takes 11 s and prints 83 MB with this limit lifted.
 JP_ROW_LIMIT = 1 << 14
+# verify-jp passes when every Q_T is at most 1 + BESSEL_TOLERANCE (the
+# Bessel bound), check-lemma42 when the identity's largest deviation is
+# below IDENTITY_TOLERANCE.
+BESSEL_TOLERANCE = 1e-9
+IDENTITY_TOLERANCE = 1e-9
 
 
 def cmd_verify_jp(args) -> Outcome:
@@ -355,9 +360,9 @@ def cmd_verify_jp(args) -> Outcome:
         raise InputError(str(exc)) from exc
     xi = [0.0] + measure.chebyshev_grid(args.grid - 1)
     rows_by_level = measure.jp_levels(cand, xi)
-    ok = all(r.q_t <= 1 + args.tolerance for rows in rows_by_level for r in rows) and all(
-        b.q_t >= a.q_t for prev, nxt in zip(rows_by_level, rows_by_level[1:]) for a, b in zip(prev, nxt)
-    )
+    # each level's Q_T sums a prefix of the next level's nonnegative terms
+    # (jp_levels), so the growth is monotone by construction
+    ok = all(r.q_t <= 1 + BESSEL_TOLERANCE for rows in rows_by_level for r in rows)
     fields = {
         "levels": args.levels,
         "scale": str(args.scale),
@@ -385,7 +390,7 @@ def cmd_check_lemma42(args) -> Outcome:
     except ValueError as exc:  # a form that is not normalized
         raise InputError(str(exc)) from exc
     fields = {"max_p": args.p, "max_deviation": worst}
-    return worst < args.tolerance, fields, f"max deviation {worst:.3e}"
+    return worst < IDENTITY_TOLERANCE, fields, f"max deviation {worst:.3e}"
 
 
 def cmd_weakly_periodic(args) -> Outcome:
@@ -464,7 +469,7 @@ def _fx_paq_variants():
 def _fx_lemma42():
     f = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 6))}, (0, 2), (0, 1))
     dev = measure.finite_level_identity_check(f, 2, measure.chebyshev_grid(16))
-    return dev < 1e-9
+    return dev < IDENTITY_TOLERANCE
 
 
 FIXTURES = [
@@ -532,7 +537,8 @@ FIXTURES = [
 
 
 def cmd_run_all_fixtures(args) -> Outcome:
-    t0 = time.time()
+    """The report holds each fixture's verdict, the same bytes on every run;
+    its time goes to the summary on stderr."""
     results = []
     lines = []
     for f in FIXTURES:
@@ -543,15 +549,10 @@ def cmd_run_all_fixtures(args) -> Outcome:
             ok = False
             lines.append(f"{f['id']}: error {exc}")
         took = time.time() - start
-        results.append({"id": f["id"], "ok": ok, "seconds": round(took, 3)})
+        results.append({"id": f["id"], "ok": ok})
         lines.append(f"[{'PASS' if ok else 'FAIL'}] {f['id']} ({took:.2f}s)")
     all_ok = all(r["ok"] for r in results)
-    fields = {
-        "ok": all_ok,
-        "total_seconds": round(time.time() - t0, 3),
-        "results": results,
-    }
-    return all_ok, fields, "\n".join(lines)
+    return all_ok, {"ok": all_ok, "results": results}, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,6 @@ def _checked(convert, ok, what: str):
 _BASE = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_TOLERANCE = _checked(float, lambda v: v > 0, "a positive number")  # rejects nan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -652,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor-mask", help="cyclotomic factorization of a mask")
     p.add_argument("--digits", required=True)
-    p.add_argument("--base", type=_BASE, default=None)
     common(p)
     p.set_defaults(fn=cmd_factor_mask)
 
@@ -667,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=Fraction(1),
         help="rational scale, e.g. 3 or 1/2",
     )
-    p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_verify_jp)
 
@@ -675,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--p", type=_POSITIVE, default=2)
     p.add_argument("--grid", type=_POSITIVE, default=64)
-    p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
     common(p)
     p.set_defaults(fn=cmd_check_lemma42)
 

@@ -202,15 +202,20 @@ def form_measure(form: OneStageForm) -> TruncatedMeasure:
     else D alone.  The first factor lies inside D and the second holds
     differences of D's digits, so no factor's digit passes the span of D,
     however A and B are translated against each other.  Every numeric
-    command builds its measure here, so it expands the form once."""
+    command builds its measure here, so it expands the form once, and a
+    digit of D, of a factor or of a B-set whose phase no double holds
+    raises TailBoundUnavailable here, before any work."""
     d_set = expand_one_stage(form)
-    b, *others = dict.fromkeys(form.b_list())
+    b_sets = list(dict.fromkeys(form.b_list()))
+    b, *others = b_sets
     if others or len(form.a_set) < 2 or len(b) < 2:
-        return TruncatedMeasure(form.base, d_set, 1)
-    step, low = form.base**form.r, min(b.digits)
-    first = DigitSet(form.base, tuple(a + step * low for a in form.a_set.digits))
-    stage = DigitSet(form.base, tuple(step * (x - low) for x in b.digits))
-    return TruncatedMeasure(form.base, d_set, 1, (first, stage))
+        factors = ()
+    else:
+        step, low = form.base**form.r, min(b.digits)
+        first = DigitSet(form.base, tuple(a + step * low for a in form.a_set.digits))
+        factors = (first, DigitSet(form.base, tuple(step * (x - low) for x in b.digits)))
+    _require_doubles([d_set, *factors, *b_sets])
+    return TruncatedMeasure(form.base, d_set, 1, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +525,6 @@ def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence
     anchored = _anchored_spectrum(form)
     m = form_measure(form)
     b_list = form.b_list()
-    _require_doubles([m.digits, *m.factors, *b_list])
     xs = _RationalSide.of([Fraction(float(xi)) for xi in xi_samples])
     rhs = _b_energy(b_list, xs)
     worst = 0.0
@@ -619,23 +623,21 @@ def build_spectrum(
     sum of N^j times the shifted elements for j < q; every level uses the
     same shifts, which do not depend on the scale (jp_levels).  Before the
     search, a top level of more than POINT_LIMIT points or a window above
-    SHIFT_WINDOW_LIMIT raises PointLimitExceeded, and a window past the
-    doubles, or a worst-case top-level height whose frame sums no depth
-    within the doubles bounds, TailBoundUnavailable.
+    SHIFT_WINDOW_LIMIT (a window past the doubles among them) raises
+    PointLimitExceeded, and a digit past the doubles (form_measure), or a
+    worst-case top-level height whose frame sums no depth within the
+    doubles bounds, TailBoundUnavailable.
     """
     _require_normalized(form)
     if levels < 0:
         raise ValueError("levels must be >= 0")
     check_frame_sum_size(form, levels, candidate=True)
-    if search_window > _DOUBLE_MAX:
-        raise TailBoundUnavailable(f"a shift window of {search_window.bit_length()} bits is past the range of a double")
     what = f"the shift search would try {search_window} shifts each way"
     refuse_above("SHIFT_WINDOW_LIMIT", SHIFT_WINDOW_LIMIT, what, search_window)
     n = form.base
     anchored = _anchored_spectrum(form)
     whole = form_measure(form)
     d_set = whole.digits
-    _require_doubles([d_set, *whole.factors])
     b_list = form.b_list()
     trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
     # each shifted element g + N*k is below N*(1 + window) in size (0 when
@@ -891,7 +893,6 @@ def weakly_periodic_check(
     n = form.base
     m = form_measure(form)
     b_list = form.b_list()
-    _require_doubles([m.digits, *m.factors, *b_list])
     grid = _scan_grid(n, resolution)
     trunc = replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
 

@@ -473,10 +473,7 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
         over.setdefault(x % big, []).append(x)
     b_sets = tuple((a, DigitSet(big, tuple((x - a) // big for x in over[a % big]))) for a in a_digits)
 
-    out = OneStageForm(big, 1, a_set, b_sets, l1, l2)
-    report = validate_one_stage(out)
-    if not report.ok:
-        raise ValidationFailure(report)
+    out = require_valid_one_stage(OneStageForm(big, 1, a_set, b_sets, l1, l2))
     if expand_one_stage(out).digits != d_big:
         raise AssertionError("one-stage expansion must reproduce the stacked digits")
     return out

@@ -658,8 +658,8 @@ def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
 def test_jp_levels_rows_never_decrease():
     """Every level is truncated at the top level's depth, so each row is the
     math.fsum of a prefix of the next level's squared terms and, fsum being
-    correctly rounded, never above it: verify-jp's monotone check needs no
-    slack.  The frame-sums forms at scale 1 and at their benchmark scale,
+    correctly rounded, never above it: verify-jp's verdict needs no
+    monotone check.  The frame-sums forms at scale 1 and at their benchmark scale,
     every top level 0 to 5, 32 samples (7,680 pairs of rows)."""
     xi = [0.0] + chebyshev_grid(31)
     pairs = 0
