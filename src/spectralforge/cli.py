@@ -70,9 +70,14 @@ def digitset_to_json(d: DigitSet) -> dict:
 
 
 def digitset_from_json(obj, base: int | None = None) -> DigitSet:
+    """The digit set in ``obj``; with ``base`` given, a "base" other than it
+    is refused (ValueError), and an object with none takes it."""
     if not isinstance(obj, dict):
         raise InputError("expected an object")
-    return DigitSet(_int(obj.get("base", base or 0)), _digits_from_json(obj["digits"]))
+    own = _int(obj["base"]) if "base" in obj else base or 0
+    if base is not None and own != base:
+        raise ValueError(f"its base {own} is not --base {base}")
+    return DigitSet(own, _digits_from_json(obj["digits"]))
 
 
 def one_stage_to_json(f: OneStageForm) -> dict:

@@ -16,17 +16,17 @@ every sum a + b of a row list and a column list, from e(-d(a+b)/N^j) =
 e(-d*a/N^j) * e(-d*b/N^j), so each block of levels takes, on each side,
 one cos/sin pass over the phases of every level, nonzero digit and entry
 (_unit_roots, which mask_value shares); the zero digit's unit is exactly 1
-and costs nothing.  A measure
-carries direct-sum factors of its digits, and each level multiplies one
-mask per factor, built from that factor's own units: a form whose B-sets
-are one set B has D = A (+) N^r*B and M_D(y) = M_A(y) * M_B(N^r*y)
-(form_measure), so a level costs the sum over the factors F of |F| - 1
-nonzero units and pair products, 2 instead of 3 on a four-digit form.
-Exact points (spectrum points, shifted gammas, aggregates, samples) enter
-it through _RationalSide alone, as integer numerators over one common
-denominator, whose phase d*v/N^j mod 1 is reduced in integer arithmetic,
-so points at height 1e8 lose nothing; a side of floats uses the float
-phase.  A
+and costs nothing.  A measure carries direct-sum factors of its digits,
+and each level multiplies one mask per factor, built from that factor's
+own units: a form whose B-sets are one set B has D = A (+) N^r*B and
+M_D(y) = M_A(y) * M_B(N^r*y) (form_measure), so a level costs the sum
+over the factors F of |F| - 1 nonzero units and pair products, 2 instead
+of 3 on a four-digit form.
+Every point (spectrum points, shifted gammas, aggregates, samples, the
+scan grid) enters it through _RationalSide, as integer numerators over one
+common denominator, whose phase d*v/N^j mod 1 is reduced in integer
+arithmetic, so points at height 1e8 lose nothing.  The Chebyshev samples
+lie on the lattice 2^-SAMPLE_BITS, so their denominator stays small.  A
 candidate's points come as such integers from SpectrumCandidate.numerators,
 with no Fraction per point.  The kernel works in tiles of at most
 _TILE_PAIRS (level, row, column) entries, so its memory does not grow,
@@ -231,12 +231,16 @@ _INT64_LIMIT = 2**63
 
 class _RationalSide:
     """Exact rationals, as integer numerators over one common denominator:
-    the one form in which exact points reach the kernel."""
+    the one form in which points reach the kernel.  The numerators are
+    ints, or an int64 array, taken as it is."""
 
-    def __init__(self, den: int, nums: Sequence[int]):
+    def __init__(self, den: int, nums: Sequence[int] | np.ndarray):
         self.den = den
-        self.bound = max(map(abs, nums), default=0)
-        self.nums = np.array(nums, dtype=np.int64 if self.bound < _INT64_LIMIT else object)
+        if isinstance(nums, np.ndarray):
+            self.bound, self.nums = int(np.abs(nums).max(initial=0)), nums
+        else:
+            self.bound = max(map(abs, nums), default=0)
+            self.nums = np.array(nums, dtype=np.int64 if self.bound < _INT64_LIMIT else object)
 
     @classmethod
     def of(cls, values: Sequence[Fraction | int]) -> _RationalSide:
@@ -281,26 +285,6 @@ class _RationalSide:
         return _unit_roots((-2 * np.pi) * phase)
 
 
-class _FloatSide:
-    """Float entries, with the float phases of mask_value."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, part: slice) -> _FloatSide:
-        return _FloatSide(self.values[part])
-
-    def units(self, base: int, js: range, ds: Sequence[int], part: slice) -> np.ndarray:
-        """e(-d*x/N^j), one (digit, entry) plane per level j of js, with one
-        row per digit d of ds and one column per entry x in part."""
-        scaled = self.values[part] / np.array([float(base) ** j for j in js])[:, None]
-        coef = (-2 * np.pi) * np.array(ds, dtype=float)
-        return _unit_roots(coef[:, None] * scaled[:, None, :])
-
-
 def _tiles(n_rows: int, n_cols: int):
     """Row-major (row slice, column slice) blocks of at most _TILE_PAIRS
     pairs, near square unless one side is short."""
@@ -313,7 +297,7 @@ def _tiles(n_rows: int, n_cols: int):
             yield slice(r0, min(r0 + rows, n_rows)), slice(c0, min(c0 + cols, n_cols))
 
 
-def _split_phase_abs(m: TruncatedMeasure, rows, cols):
+def _split_phase_abs(m: TruncatedMeasure, rows: _RationalSide, cols: _RationalSide):
     """Yields (row slice, column slice, |mu_hat(a + b)|) over the tiles of
     rows x cols, rows outermost, with mu_hat the transform of m truncated at
     m.depth.
@@ -431,25 +415,33 @@ def _row_sums(measures: Sequence[TruncatedMeasure], rows, cols, counts: Sequence
 # Sampling grids.
 
 
+# Every Chebyshev point, sample or scan point, is a multiple of 2^-SAMPLE_BITS:
+# an exact double, whose units d * k take the int64 route for |d| < 2^33.
+SAMPLE_BITS = 30
+
+
+def _chebyshev_numerators(count: int) -> np.ndarray:
+    """k_i, the nearest integer to 2^SAMPLE_BITS * 0.5 * (1 + cos(pi * (2i +
+    1) / (2 * count))), for 0 <= i < count, as int64."""
+    points = 0.5 * (1.0 + np.cos(math.pi * (2 * np.arange(count) + 1) / (2 * count)))
+    return np.rint(np.ldexp(points, SAMPLE_BITS)).astype(np.int64)
+
+
 def chebyshev_grid(count: int) -> list[float]:
-    """Chebyshev points mapped to [0, 1]: 0.5 * (1 + cos(pi * (2i + 1) /
-    (2 * count))) for 0 <= i < count."""
-    return (0.5 * (1.0 + np.cos(math.pi * (2 * np.arange(count) + 1) / (2 * count)))).tolist()
+    """Chebyshev points mapped to [0, 1], each rounded to its nearest
+    multiple of 2^-SAMPLE_BITS, which a double holds exactly."""
+    return np.ldexp(_chebyshev_numerators(count), -SAMPLE_BITS).tolist()
 
 
-def rational_grid(base: int) -> list[float]:
-    """All t/base^2 with 0 <= t < base^2, each the double nearest it (an
-    exact int over an exact int, rounded once); mask zeros live at such
-    points."""
-    den = base * base
-    return (np.arange(den) / den).tolist()
-
-
-def _scan_grid(base: int, resolution: int) -> np.ndarray:
-    """The weakly-periodic grid: the Chebyshev and rational points, sorted,
-    each value once (as sorted(set(...)) gives them)."""
-    grid = np.sort(np.concatenate((chebyshev_grid(resolution), rational_grid(base))))
-    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+def _scan_grid(base: int, resolution: int) -> _RationalSide:
+    """The weakly-periodic grid, exactly: the Chebyshev points and every
+    t/N^2 with 0 <= t < N^2 (mask zeros lie at such points) over den =
+    lcm(2^SAMPLE_BITS, N^2), sorted, each once."""
+    square = base * base
+    den = math.lcm(1 << SAMPLE_BITS, square)
+    cheb = _chebyshev_numerators(resolution) * (den >> SAMPLE_BITS)
+    nums = np.sort(np.concatenate((cheb, np.arange(square, dtype=np.int64) * (den // square))))
+    return _RationalSide(den, nums[np.concatenate(([True], nums[1:] != nums[:-1]))])
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +777,7 @@ FLAG_THRESHOLD = 1e-3
 # four-digit form (500, 1, 1, 1, 1) 0.12 s at 500^2 + 4,096.  The
 # base-1,728 one-stage form that reduce-kstage emits for (2,3,2,ii) would
 # scan 1728^2 points, over 11 times this limit; building its grid takes
-# 0.35 s.
+# 0.06 s.
 SCAN_POINT_LIMIT = 1 << 18
 # Largest --window, in shifts each way.  The whole window goes only to
 # points that can still be the minimum or flagged, which grow with the
@@ -820,10 +812,10 @@ class WeaklyPeriodicReport:
     excluded: int
 
 
-def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: np.ndarray) -> np.ndarray:
+def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: _RationalSide) -> np.ndarray:
     """max over the shifts k of |m.mu_hat(x + k)| for each x, 0 with no shifts."""
-    out = np.zeros_like(xs)
-    for _, cs, mag in _split_phase_abs(m, shifts, _FloatSide(xs)):
+    out = np.zeros(len(xs))
+    for _, cs, mag in _split_phase_abs(m, shifts, xs):
         np.maximum(out[cs], mag.max(axis=0), out=out[cs])
     return out
 
@@ -862,6 +854,8 @@ def weakly_periodic_check(
     within a relative 1e-9 of it, and flags the points whose maximum is
     below FLAG_THRESHOLD; a healthy form flags none.  x = 0 is always kept
     (B-energy 1, maximum 1), so with no flag the minimum is >= FLAG_THRESHOLD.
+    The grid is exact (_scan_grid), each t/N^2 a point of it; the report's
+    floats are the doubles nearest its points.
 
     The scan is best first.  Every point first gets, in one kernel pass, a
     lower bound on its shift-0 value |mu_hat(x)| at the scan's depth p:
@@ -885,9 +879,8 @@ def weakly_periodic_check(
     4,200 to 6,400 climb from it, on to the other shifts.  Within
     the scan's limits q < p always: N <= 512 and p's tail sum at height
     window + 2 >= 2 is at most 1e-12, so p >= 2 and depth p - 1 has S below
-    1e-7.  A grid or window above
-    SCAN_POINT_LIMIT or SCAN_WINDOW_LIMIT raises PointLimitExceeded before
-    any work.
+    1e-7.  A grid or window above SCAN_POINT_LIMIT or SCAN_WINDOW_LIMIT
+    raises PointLimitExceeded before any work.
     """
     check_scan_size(form, integer_window, resolution)
     n = form.base
@@ -896,7 +889,7 @@ def weakly_periodic_check(
     grid = _scan_grid(n, resolution)
     trunc = replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
 
-    energy = _b_energy(b_list, _FloatSide(grid))
+    energy = _b_energy(b_list, grid)
     keep = energy > MEMBERSHIP_THRESHOLD
     excluded = int(np.sum(~keep))
     xs = grid[keep]
@@ -941,10 +934,10 @@ def weakly_periodic_check(
     # mirror points xi and 1 - xi agree to rounding, so the reported point
     # is the smallest xi within a relative 1e-9 of the minimum
     first = int(np.argmax(running <= lowest * (1 + 1e-9)))
-    flagged = tuple(float(x) for x in xs[running < FLAG_THRESHOLD])
+    values = xs.nums / xs.den  # each the double nearest its point: both are below 2^53
     return WeaklyPeriodicReport(
         min_max=lowest,
-        argmin_xi=float(xs[first]),
-        flagged=flagged,
+        argmin_xi=float(values[first]),
+        flagged=tuple(values[running < FLAG_THRESHOLD].tolist()),
         excluded=excluded,
     )

@@ -309,6 +309,7 @@ def _malformed_inputs(tmp_path):
                        {**staged, "layers": ["abc", *staged["layers"][1:]]})
     zshifts = _write(tmp_path, "zshifts.json", [{"stage": 1, "e": 0, "z": 1}])
     d = _write(tmp_path, "d.json", {"base": 4, "digits": ["0", "2"]})
+    d24 = _write(tmp_path, "d24.json", {"base": 24, "digits": ["0", "1", "16", "17"]})
     no_parent = _write(tmp_path, "no-parent.json", {
         "base": 4, "ells": [1], "E0": ["0", "1"], "layers": [{"map": {"0": ["0", "2"]}}],
         "Ls": [["0", "2"], ["0", "1"]],
@@ -341,6 +342,11 @@ def _malformed_inputs(tmp_path):
                          _write(tmp_path, "b1.json", {"base": 1, "digits": ["0", "1"]})]),
         ("file-no-digits", ["check-t1t2", "--base", "4", "--digits",
                             _write(tmp_path, "empty.json", {"base": 4, "digits": []})]),
+        # a file whose base is not --base, one row per command that reads one
+        ("base-mismatch-hadamard", ["check-hadamard", "--base", "24", "--digits", d24, "--spectrum", d]),
+        ("base-mismatch-find-spectrum", ["find-spectrum", "--base", "4", "--digits", d24]),
+        ("base-mismatch-t1t2", ["check-t1t2", "--base", "4", "--digits", d24]),
+        ("base-mismatch-tile", ["check-tile", "--base", "12", "--digits", d]),
         # counts that would empty or invert a check
         ("lemma42-p-0", ["check-lemma42", "--form", spec, "--p", "0"]),
         ("lemma42-grid-0", ["check-lemma42", "--form", spec, "--grid", "0"]),
@@ -483,7 +489,7 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(measure.TruncatedMeasure, "mu_hat_rational", no_work)
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
     monkeypatch.setattr(measure, "chebyshev_grid", no_work)
-    monkeypatch.setattr(measure, "rational_grid", no_work)
+    monkeypatch.setattr(measure, "_scan_grid", no_work)
     monkeypatch.setattr(productform, "_normalized_levels", no_work)
     monkeypatch.setattr(productform, "_expand_layers", no_work)
     monkeypatch.setattr(cm_tiling, "_scaled", no_work)

@@ -11,7 +11,9 @@ A change that moves a report regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and lists each changed job and its reason in CHANGES.md.
+which prints each job whose row it changes, with the largest absolute
+float move when only floats moved, and lists each changed job and its
+reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ def _inputs() -> dict:
     return {
         "d4.json": _digits(4, (0, 2)),
         "l4.json": _digits(4, (0, 1)),
+        "l24.json": _digits(24, (0, 1)),
         "d24.json": _digits(24, (0, 1, 16, 17)),
         "d12.json": _digits(12, (0, 1, 5)),
         "d10.json": _digits(10, (0, 3, 6)),
@@ -70,6 +73,7 @@ JOBS = [
     ["check-hadamard", "--base", "4", "--digits", "d4.json", "--spectrum", "l4.json"],
     ["check-hadamard", "--base", "4", "--digits", "l4.json", "--spectrum", "l4.json"],
     ["check-hadamard", "--base", "24", "--digits", "d24.json", "--spectrum", "l4.json"],
+    ["check-hadamard", "--base", "24", "--digits", "d24.json", "--spectrum", "l24.json"],
     ["find-spectrum", "--base", "4", "--digits", "d4.json"],
     ["find-spectrum", "--base", "24", "--digits", "d24.json"],
     ["find-spectrum", "--base", "12", "--digits", "d12.json", "--limit", "3"],
@@ -188,10 +192,38 @@ def test_numeric_reports_reach_no_oracle(tmp_path, monkeypatch):
     assert [m for w, g in zip(want, got) for m in _same(w, g, " ".join(w["argv"]))] == []
 
 
+def _change_line(old: dict | None, new: dict, float_change) -> str | None:
+    """How the row of one job moved from ``old`` to ``new``; None if it did
+    not.  ``float_change`` is tools/same_reports.py's."""
+    job = " ".join(new["argv"])
+    if old is None:
+        return f"{job}: new job"
+    if old == new:
+        return None
+    if old["code"] != new["code"]:
+        return f"{job}: exit code {old['code']} -> {new['code']}"
+    if "report" in old and "report" in new:
+        change = float_change(old["report"], new["report"])
+        return f"{job}: non-float fields differ" if change is None else f"{job}: floats moved by at most {change[1]:.2g}"
+    return f"{job}: stdout differs"
+
+
 if __name__ == "__main__":
+    import importlib.util
     import tempfile
 
+    spec = importlib.util.spec_from_file_location("same_reports", GOLDEN.parent.parent / "tools" / "same_reports.py")
+    same_reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_reports)
+    before = json.loads(GOLDEN.read_text(encoding="utf-8"))["jobs"] if GOLDEN.exists() else []
+    old_rows = {json.dumps(row["argv"]): row for row in before}
     with tempfile.TemporaryDirectory() as tmp:
         rows = _run_jobs(Path(tmp))
+    for row in rows:
+        line = _change_line(old_rows.pop(json.dumps(row["argv"]), None), row, same_reports.float_change)
+        if line:
+            print(line)
+    for row in old_rows.values():
+        print(f"{' '.join(row['argv'])}: job dropped")
     GOLDEN.write_text(json.dumps({"jobs": rows}, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(rows)} jobs to {GOLDEN}", file=sys.stderr)

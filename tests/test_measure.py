@@ -15,6 +15,7 @@ from spectralforge import cli, measure
 from spectralforge.measure import (
     FLAG_THRESHOLD,
     MEMBERSHIP_THRESHOLD,
+    SAMPLE_BITS,
     TruncatedMeasure,
     auto_depth,
     build_spectrum,
@@ -24,7 +25,6 @@ from spectralforge.measure import (
     jp_sum,
     mask_value,
     mask_value_rational,
-    rational_grid,
     weakly_periodic_check,
 )
 from spectralforge.cm_tiling import paq_type_generator
@@ -190,6 +190,30 @@ def test_finite_level_identity_holds_for_digits_past_1e8():
         b1 = DigitSet(4, (0, 2 + 4 * 10**e))
         form = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: b1}, (0, 2), (0, 1))
         assert finite_level_identity_check(form, 2, chebyshev_grid(64)) < 1e-14, e
+
+
+def test_lemma42_samples_keep_a_small_denominator(monkeypatch):
+    """fd24-601-4-1-1 has digits up to 1,851.  check-lemma42's samples reach
+    the kernel over a divisor of 2^SAMPLE_BITS, so every sample unit of
+    every measure it sums (the form's factors and each N^q-scaled B) takes
+    the int64 route; unrounded Chebyshev points had the denominator 2^54,
+    and a digit of 512 or more sent them down the per-entry route."""
+    _, form = build_four_digit_form(24, 601, 4, 1, 1)
+    assert max(measure.form_measure(form).digits.digits) == 1851
+    seen = []
+    row_sums = measure._row_sums
+
+    def kept(measures, rows, cols, counts=()):
+        seen.append((measures, rows))
+        return row_sums(measures, rows, cols, counts)
+
+    monkeypatch.setattr(measure, "_row_sums", kept)
+    assert finite_level_identity_check(form, 3, chebyshev_grid(64)) < 1e-13
+    assert len(seen) == 3
+    for measures, rows in seen:
+        assert (1 << SAMPLE_BITS) % rows.den == 0 and rows.bound < rows.den
+        top = max(abs(d) for m in measures for f in m.factors for d in f.digits)
+        assert top * rows.bound < 2**63, top
 
 
 def test_finite_level_identity_requires_normalized():
@@ -402,8 +426,6 @@ def _old_split_phase_abs(m, rows, cols):
     product taken factor by factor."""
 
     def units(side, j, d, part):
-        if isinstance(side, measure._FloatSide):
-            return np.exp(-2j * np.pi * float(d) * (side.values[part] / float(m.base) ** j))
         mod = side.den * m.base**j
         x = side.nums[part]
         if max(abs(d), 1) * max(side.bound, 1) < 2**63:
@@ -434,7 +456,7 @@ def test_split_phase_kernel_equals_per_digit_exponentials():
     scan's climbs and the shift search make (4 shifts x 1 sample, 124 x
     2), take every level to depth 26 in one block."""
     rng = random.Random(24)
-    samples = measure._FloatSide(np.array([rng.uniform(-3, 3) for _ in range(97)]))
+    samples = measure._RationalSide.of([Fraction(rng.uniform(-3, 3)) for _ in range(97)])
     exact = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(113)])
     shifts = measure._RationalSide(1, range(-40, 41))
     ladder = measure._RationalSide(1, sorted(range(-64, 65), key=abs))
@@ -467,7 +489,7 @@ def test_factored_kernel_equals_the_product_of_per_factor_exponentials():
     1/|F| weighs the row units, and |F| = 3, whose sum is divided; the
     last measure sends -2^61 by the per-digit route."""
     rng = random.Random(31)
-    samples = measure._FloatSide(np.array([rng.uniform(-3, 3) for _ in range(97)]))
+    samples = measure._RationalSide.of([Fraction(rng.uniform(-3, 3)) for _ in range(97)])
     exact = measure._RationalSide.of([Fraction(rng.randrange(-10**6, 10**6), 72) for _ in range(113)])
     shifts = measure._RationalSide(1, range(-40, 41))
     ladder = measure._RationalSide(1, sorted(range(-64, 65), key=abs))
@@ -675,20 +697,23 @@ def test_jp_levels_rows_never_decrease():
 
 def _scanned_points(form, integer_window, resolution):
     """(truncated measure, kept grid points, excluded count) of a scan, the
-    measure with the form's direct-sum factors (measure.form_measure)."""
+    measure with the form's direct-sum factors (measure.form_measure), the
+    points the exact grid's side, kept by mask_value's B-energy at the
+    doubles nearest them."""
     n = form.base
     m = measure.form_measure(form)
     b_list = form.b_list()
-    grid = np.array(sorted(set(chebyshev_grid(resolution)) | {float(f) for f in rational_grid(n)}))
+    grid = measure._scan_grid(n, resolution)
     trunc = dataclasses.replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
-    energy = sum(np.abs(mask_value(b, grid)) ** 2 for b in b_list) / len(b_list)
+    energy = sum(np.abs(mask_value(b, grid.nums / grid.den)) ** 2 for b in b_list) / len(b_list)
     keep = energy > MEMBERSHIP_THRESHOLD
     return trunc, grid[keep], int(np.sum(~keep))
 
 
 def _weakly_periodic_reference(form, integer_window, resolution):
     """(min_max, flagged, excluded) with one float transform per shift."""
-    trunc, xs, excluded = _scanned_points(form, integer_window, resolution)
+    trunc, side, excluded = _scanned_points(form, integer_window, resolution)
+    xs = side.nums / side.den
     running = np.zeros_like(xs)
     for k in range(-integer_window, integer_window + 1):
         running = np.maximum(running, np.abs(trunc.mu_hat(xs + float(k))))
@@ -719,7 +744,7 @@ def test_weakly_periodic_memory_is_tiled(monkeypatch):
     d_set = expand_one_stage(form)
     trunc = TruncatedMeasure(4, d_set, auto_depth(4, d_set, 20002.0, 1e-12))
     shifts = measure._RationalSide(1, range(-20000, 20001))
-    xs = np.array(chebyshev_grid(64))
+    xs = measure._RationalSide.of([Fraction(x) for x in chebyshev_grid(64)])
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     cand = build_spectrum(f83, levels=5, scale=Fraction(3))
     for scan in (
@@ -740,10 +765,11 @@ def test_weakly_periodic_memory_is_tiled(monkeypatch):
 
 def _full_window_report(form, integer_window, resolution):
     """The report of a scan that gives every point every shift."""
-    trunc, xs, excluded = _scanned_points(form, integer_window, resolution)
+    trunc, side, excluded = _scanned_points(form, integer_window, resolution)
+    xs = side.nums / side.den
     running = np.zeros_like(xs)
     shifts = measure._RationalSide(1, range(-integer_window, integer_window + 1))
-    for _, cs, mag in measure._split_phase_abs(trunc, shifts, measure._FloatSide(xs)):
+    for _, cs, mag in measure._split_phase_abs(trunc, shifts, side):
         np.maximum(running[cs], mag.max(axis=0), out=running[cs])
     lowest = float(running.min())
     return measure.WeaklyPeriodicReport(
@@ -811,13 +837,14 @@ def test_weakly_periodic_ladder_equals_full_maximum_on_random_tables(monkeypatch
     rng = np.random.default_rng(7)
     form = _form23()
     for window in (0, 1, 2, 3, 5, 12):
-        _, xs, excluded = _scanned_points(form, window, 16)
+        _, side, excluded = _scanned_points(form, window, 16)
+        xs = side.nums / side.den
         for low, spread in [(-4, 3), (-1, 2)] * 10:
             logs = rng.uniform(low, 0, len(xs)) + rng.uniform(-spread, 0, (2 * window + 1, len(xs)))
             table = 10 ** (np.round(logs * 10) / 10) * (1 + 1e-12 * rng.integers(0, 2, logs.shape))
 
             def fake(m, shifts, points):
-                cols = np.searchsorted(xs, points)
+                cols = np.searchsorted(side.nums, points.nums)
                 return table[np.ix_(np.asarray(shifts.nums) + window, cols)].max(axis=0, initial=0.0)
 
             monkeypatch.setattr(measure, "_window_max", fake)
@@ -870,13 +897,16 @@ def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
     ladder call, 5 or 124 shifts x 1 point at the scan's depth, takes
     all of its levels in one block, so its shift side makes one units
     call, not one per level.  fd24-3-5-1-3 has two distinct B-sets, its
-    shallow depth is 2, and its shift-0 pass takes two blocks."""
+    shallow depth is 2, and its shift-0 pass takes two blocks.  Only the
+    integer sides are counted, the shifts and the column 0 (denominator
+    1), not the grid's."""
     calls = _counted_kernel(monkeypatch)
     served = []  # the kernel call each units call of the shift side serves
     units = measure._RationalSide.units
 
     def counted(side, *args):
-        served.append(len(calls))
+        if side.den == 1:
+            served.append(len(calls))
         return units(side, *args)
 
     monkeypatch.setattr(measure._RationalSide, "units", counted)
@@ -951,10 +981,11 @@ def test_shallow_rung_bounds_shift_zero_from_below():
         assert q < trunc.depth and shallow.factors == m.factors
         assert shallow.tail_sum(1.0) <= 0.25
         assert q == 1 or dataclasses.replace(m, depth=q - 1).tail_sum(1.0) > 0.25
-        xs = np.concatenate((rng.random(2000), measure._scan_grid(form.base, 4096)))
-        exact = measure._window_max(trunc, zero, xs)
-        bound = factor * measure._window_max(shallow, zero, xs)
-        assert (bound * (1 + 1e-10) <= exact).all(), form
+        random_side = measure._RationalSide.of([Fraction(x) for x in rng.random(2000).tolist()])
+        for xs in (random_side, measure._scan_grid(form.base, 4096)):
+            exact = measure._window_max(trunc, zero, xs)
+            bound = factor * measure._window_max(shallow, zero, xs)
+            assert (bound * (1 + 1e-10) <= exact).all(), form
     plain = TruncatedMeasure(2, DigitSet(2, (0, 1)), 3)
     for depth in (3, 4):
         shallow, factor = measure._shallow_rung(dataclasses.replace(plain, depth=depth))
@@ -974,8 +1005,8 @@ def test_weakly_periodic_on_opposing_translations_matches_the_unfactored_scan(mo
     """A and N*B translated against each other by Y = 4e12: the factors
     stay within the expansion's span, so the scan reads what the
     unfactored measure of D = {0, 1, 16, 17} reads.  Factors A and N*B
-    would put e(-Y*x/N^j) into the float side, which reads the mask zero
-    near 4e-6 in place of 1e-16."""
+    would put e(-Y*x/N^j) into the kernel, which read the mask zero near
+    4e-6 in place of 1e-16 when the grid was a side of floats."""
     form = _translated_flagged_form(10**12)
     m = measure.form_measure(form)
     assert m.digits.digits == (0, 1, 16, 17)
@@ -1046,51 +1077,68 @@ def test_weakly_periodic_zero_never_member():
     assert rep.min_max > 0
 
 
-def test_chebyshev_grid_equals_the_math_cos_points():
-    for count in (0, 1, 7, 63, 64, 4096):
-        want = [0.5 * (1.0 + math.cos(math.pi * (2 * i + 1) / (2 * count))) for i in range(count)]
-        assert chebyshev_grid(count) == want, count
+def test_chebyshev_grid_lies_on_the_sample_lattice():
+    """Each point is a multiple of 2^-SAMPLE_BITS within half a lattice
+    step of the math.cos point, and the points are distinct."""
+    step = Fraction(1, 2**SAMPLE_BITS)
+    assert chebyshev_grid(0) == []
+    for count in (1, 7, 16, 64, 4096):
+        grid = chebyshev_grid(count)
+        for i, x in enumerate(grid):
+            exact = Fraction(x)
+            cos_point = Fraction(0.5 * (1.0 + math.cos(math.pi * (2 * i + 1) / (2 * count))))
+            assert (exact / step).denominator == 1, (count, i)
+            assert abs(exact - cos_point) <= step / 2, (count, i)
+        assert len(set(grid)) == count
 
 
 def test_scan_grid_is_the_sorted_union_of_both_grids():
+    """In integers over den = lcm(2^SAMPLE_BITS, N^2): the Chebyshev points
+    and every t/N^2, sorted, each once."""
     for n in (2, 4, 6, 24, 48, 500):
         for resolution in (1, 64, 4096):
-            want = sorted(set(chebyshev_grid(resolution)) | set(rational_grid(n)))
-            assert measure._scan_grid(n, resolution).tolist() == want, (n, resolution)
+            grid = measure._scan_grid(n, resolution)
+            den = math.lcm(2**SAMPLE_BITS, n * n)
+            cheb = {int(x * 2**SAMPLE_BITS) * (den >> SAMPLE_BITS) for x in chebyshev_grid(resolution)}
+            want = sorted(cheb | set(range(0, den, den // (n * n))))
+            assert grid.den == den and grid.bound == want[-1]
+            assert grid.nums.tolist() == want, (n, resolution)
 
 
 def test_b_energy_evaluates_each_distinct_b_set_once(monkeypatch):
     """A reduced form repeats one B-set 12 times: the kernel runs one pass
     per distinct B, and the energies equal, bit for bit, a sum over every
-    B in b_list order of the kernel's |M_B|^2, and to within rounding the
-    oracles': mask_value on a side of floats, mask_value_rational on a
-    side of exact rationals."""
+    B in b_list order of the kernel's |M_B|^2, and to within rounding
+    mask_value_rational's.  mask_value is no oracle here: its float phase
+    2*pi*d*x, up to 515 at these digits, is off by about 1e-14 before any
+    reduction, which the exact phases of the kernel do not share."""
     form = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
     b_list = form.b_list()
     mixed = b_list[:3] + [DigitSet(144, (0, 1)), b_list[0], DigitSet(144, (0, 1))]
-    xs = np.array(chebyshev_grid(64))
-    exact = measure._RationalSide.of([Fraction(x) for x in xs.tolist()])
-    sides = [
-        (measure._FloatSide(xs), lambda b: np.abs(mask_value(b, xs))),
-        (exact, lambda b: np.array([abs(mask_value_rational(b, int(v), exact.den)) for v in exact.nums])),
-    ]
+    side = measure._RationalSide.of([Fraction(x) for x in chebyshev_grid(64)])
+
+    def oracle(b):
+        return np.array([abs(mask_value_rational(b, int(v), side.den)) for v in side.nums])
+
     calls = _counted_kernel(monkeypatch)
     for b_sets, passes in ((b_list, 1), (mixed, 2)):
-        for side, oracle in sides:
-            calls.clear()
-            got = measure._b_energy(b_sets, side)
-            assert len(calls) == passes == len(set(b_sets))
-            want = sum(measure._abs_at(TruncatedMeasure(1, b, 1), side) ** 2 for b in b_sets) / len(b_sets)
-            assert np.array_equal(got, want)
-            assert np.allclose(got, sum(oracle(b) ** 2 for b in b_sets) / len(b_sets), rtol=1e-14, atol=1e-15)
+        calls.clear()
+        got = measure._b_energy(b_sets, side)
+        assert len(calls) == passes == len(set(b_sets))
+        want = sum(measure._abs_at(TruncatedMeasure(1, b, 1), side) ** 2 for b in b_sets) / len(b_sets)
+        assert np.array_equal(got, want)
+        assert np.allclose(got, sum(oracle(b) ** 2 for b in b_sets) / len(b_sets), rtol=1e-14, atol=1e-15)
     assert len(b_list) == 12
 
 
-def test_rational_grid_contains_mask_zeros():
-    grid = rational_grid(4)
-    assert Fraction(1, 4) in grid and len(grid) == 16
+def test_scan_grid_contains_mask_zeros():
+    """Every t/N^2, where mask zeros lie, is a grid point exactly."""
+    grid = measure._scan_grid(4, 16)
+    assert grid.den % 16 == 0 and grid.den // 4 in grid.nums.tolist()
     for n in (7, 48, 250):
-        assert rational_grid(n) == [float(Fraction(t, n * n)) for t in range(n * n)]
+        grid = measure._scan_grid(n, 64)
+        step = grid.den // (n * n)
+        assert set(range(0, grid.den, step)) <= set(grid.nums.tolist()), n
 
 
 def test_two_branch_candidate_monotone_toward_split_targets():
@@ -1233,7 +1281,7 @@ def test_weakly_periodic_check_refuses_an_over_limit_scan_itself(monkeypatch):
         raise AssertionError("work started before the size check")
 
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
-    monkeypatch.setattr(measure, "chebyshev_grid", no_work)
+    monkeypatch.setattr(measure, "_scan_grid", no_work)
     form = _form14()
     with pytest.raises(PointLimitExceeded, match="SCAN_WINDOW_LIMIT"):
         weakly_periodic_check(form, integer_window=measure.SCAN_WINDOW_LIMIT + 1)
