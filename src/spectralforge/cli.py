@@ -186,8 +186,20 @@ def _one_stage(path: str, command: str) -> OneStageForm:
     return form
 
 
-def load_digitset(path: str, base: int | None) -> DigitSet:
+def load_digitset(path: str, base: int) -> DigitSet:
     return _load(path, "digit set", lambda obj: digitset_from_json(obj, base))
+
+
+def _mask_from_json(obj) -> MaskPolynomial:
+    """The mask of a digit set's digits translated to min 0.  The
+    factorization reads no base, so the object may hold none; one it holds
+    must still make a digit set."""
+    if isinstance(obj, dict) and "base" not in obj:
+        digits = _digits_from_json(obj["digits"])
+    else:
+        digits = digitset_from_json(obj).digits
+    low = min(digits, default=0)
+    return MaskPolynomial.from_digits(sorted(x - low for x in digits))
 
 
 def _zshifts_from_json(raw) -> dict:
@@ -327,10 +339,7 @@ def cmd_classify_paq(args) -> Outcome:
 
 
 def cmd_factor_mask(args) -> Outcome:
-    d = load_digitset(args.digits, None)
-    low = d.digits[0]
-    mask = MaskPolynomial.from_digits(tuple(x - low for x in d.digits))
-    fac = cyclotomic_factorization(mask)
+    fac = cyclotomic_factorization(_load(args.digits, "digit set", _mask_from_json))
     fields = {
         "factors": [[idx, mult] for idx, mult in fac.factors],
         "residual": dict((str(e), c) for e, c in fac.residual.terms),
@@ -346,10 +355,11 @@ def cmd_factor_mask(args) -> Outcome:
 # 2^19 takes 11 s and prints 83 MB with this limit lifted.
 JP_ROW_LIMIT = 1 << 14
 # verify-jp passes when every Q_T is at most 1 + BESSEL_TOLERANCE (the
-# Bessel bound), check-lemma42 when the identity's largest deviation is
-# below IDENTITY_TOLERANCE.
+# Bessel bound), check-lemma42 when the identity's largest deviation over
+# its IDENTITY_SAMPLES Chebyshev points is below IDENTITY_TOLERANCE.
 BESSEL_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-9
+IDENTITY_SAMPLES = 64
 
 
 def cmd_verify_jp(args) -> Outcome:
@@ -360,7 +370,7 @@ def cmd_verify_jp(args) -> Outcome:
         args.levels + 1, factor=args.grid,
     )
     try:
-        cand = measure.build_spectrum(form, levels=args.levels, search_window=args.window, scale=args.scale)
+        cand = measure.build_spectrum(form, levels=args.levels, scale=args.scale)
     except ValueError as exc:  # a form that is not normalized
         raise InputError(str(exc)) from exc
     xi = [0.0] + measure.chebyshev_grid(args.grid - 1)
@@ -389,9 +399,10 @@ def cmd_verify_jp(args) -> Outcome:
 
 def cmd_check_lemma42(args) -> Outcome:
     form = _one_stage(args.form, args.command)
-    measure.check_frame_sum_size(form, args.p, args.grid)
+    # the library checks this too, but only once it has the samples
+    measure.check_frame_sum_size(form, args.p, IDENTITY_SAMPLES)
     try:
-        worst = measure.finite_level_identity_check(form, args.p, measure.chebyshev_grid(args.grid))
+        worst = measure.finite_level_identity_check(form, args.p, measure.chebyshev_grid(IDENTITY_SAMPLES))
     except ValueError as exc:  # a form that is not normalized
         raise InputError(str(exc)) from exc
     fields = {"max_p": args.p, "max_deviation": worst}
@@ -400,9 +411,7 @@ def cmd_check_lemma42(args) -> Outcome:
 
 def cmd_weakly_periodic(args) -> Outcome:
     form = _one_stage(args.form, args.command)
-    rep = measure.weakly_periodic_check(
-        form, integer_window=args.window, resolution=args.resolution
-    )
+    rep = measure.weakly_periodic_check(form)
     fields = {
         "min_max": rep.min_max,
         "argmin_xi": rep.argmin_xi,
@@ -664,7 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--levels", type=_COUNT, default=4)
     p.add_argument("--grid", type=_POSITIVE, default=8)
-    p.add_argument("--window", type=_COUNT, default=128)
     p.add_argument(
         "--scale",
         type=_checked(Fraction, lambda v: v > 0, "a positive rational"),
@@ -677,14 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-lemma42", help="finite-level averaged mask identity")
     p.add_argument("--form", required=True)
     p.add_argument("--p", type=_POSITIVE, default=2)
-    p.add_argument("--grid", type=_POSITIVE, default=64)
     common(p)
     p.set_defaults(fn=cmd_check_lemma42)
 
     p = sub.add_parser("weakly-periodic", help="scan for all-integer-translate zeros")
     p.add_argument("--form", required=True)
-    p.add_argument("--window", type=_COUNT, default=64)
-    p.add_argument("--resolution", type=_POSITIVE, default=4096)
     common(p)
     p.set_defaults(fn=cmd_weakly_periodic)
 

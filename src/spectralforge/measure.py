@@ -370,18 +370,25 @@ def _split_phase_abs(m: TruncatedMeasure, rows: _RationalSide, cols: _RationalSi
         yield rs, cs, np.abs(prod)
 
 
-def _abs_at(m: TruncatedMeasure, rows) -> np.ndarray:
-    """|m.mu_hat(a)| for each row a: the kernel against the one column 0."""
-    return np.concatenate([np.zeros(0), *(mag[:, 0] for _, _, mag in _split_phase_abs(m, rows, _RationalSide(1, [0])))])
+def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: _RationalSide) -> np.ndarray:
+    """max over the shifts k of |m.mu_hat(x + k)| for each x, 0 with no shifts."""
+    out = np.zeros(len(xs))
+    for _, cs, mag in _split_phase_abs(m, shifts, xs):
+        np.maximum(out[cs], mag.max(axis=0), out=out[cs])
+    return out
 
 
-def _b_energy(b_list: Sequence[DigitSet], points) -> np.ndarray:
+def _b_energy(b_list: Sequence[DigitSet], points: _RationalSide) -> np.ndarray:
     """(1/|b_list|) * sum over B of |M_B(x)|^2 at each point x of the
-    kernel side ``points``: the averaged B-mask energy.  M_B is the
-    transform of the depth-1 measure (1, B), one kernel pass per distinct
-    B, and the sum still goes over b_list in its order."""
-    energy = {b: _abs_at(TruncatedMeasure(1, b, 1), points) ** 2 for b in dict.fromkeys(b_list)}
-    return sum(energy[b] for b in b_list) / len(b_list)
+    kernel side ``points``: the averaged B-mask energy.  |M_B| does not
+    move when B is translated, so M_B is taken as the transform of the
+    depth-1 measure (1, B - min B), whose digits, and so phases, stay
+    small: one kernel pass per distinct translate, and the sum still goes
+    over b_list in its order."""
+    moved = [b.shifted(-b.digits[0]) for b in b_list]
+    zero = _RationalSide(1, [0])
+    energy = {b: _window_max(TruncatedMeasure(1, b, 1), zero, points) ** 2 for b in dict.fromkeys(moved)}
+    return sum(energy[b] for b in moved) / len(b_list)
 
 
 # Most squared products _row_sums holds while a band of rows is open.
@@ -433,13 +440,13 @@ def chebyshev_grid(count: int) -> list[float]:
     return np.ldexp(_chebyshev_numerators(count), -SAMPLE_BITS).tolist()
 
 
-def _scan_grid(base: int, resolution: int) -> _RationalSide:
-    """The weakly-periodic grid, exactly: the Chebyshev points and every
-    t/N^2 with 0 <= t < N^2 (mask zeros lie at such points) over den =
-    lcm(2^SAMPLE_BITS, N^2), sorted, each once."""
+def _scan_grid(base: int) -> _RationalSide:
+    """The weakly-periodic grid, exactly: the SCAN_RESOLUTION Chebyshev
+    points and every t/N^2 with 0 <= t < N^2 (mask zeros lie at such
+    points) over den = lcm(2^SAMPLE_BITS, N^2), sorted, each once."""
     square = base * base
     den = math.lcm(1 << SAMPLE_BITS, square)
-    cheb = _chebyshev_numerators(resolution) * (den >> SAMPLE_BITS)
+    cheb = _chebyshev_numerators(SCAN_RESOLUTION) * (den >> SAMPLE_BITS)
     nums = np.sort(np.concatenate((cheb, np.arange(square, dtype=np.int64) * (den // square))))
     return _RationalSide(den, nums[np.concatenate(([True], nums[1:] != nums[:-1]))])
 
@@ -584,22 +591,11 @@ class SpectrumCandidate:
 # build_spectrum accepts a shift once the transform magnitude clears this
 # share of the averaged B-mask energy.
 SHIFT_RATIO_THRESHOLD = 1e-4
-# Largest --window of verify-jp, in shifts each way.  A search that finds no
-# shift tries the whole window, 2 * window + 1 kernel pairs per level, for
-# one gamma: on the form N = 4, A = {0, 1}, B_0 = B_1 = {0, 4}, L1 = {0, 1},
-# L2 = {0, 2}, whose gamma = 2 has no shift, --levels 1 --window 2^16 fails
-# in 0.34 s in process (depth 22; 2-core x86, median of 5) and in 0.7 s as a
-# whole process.  Like the scan's window limits it bounds the window, not
-# the work of the whole search, up to the window times |L1 (+) L2|.
-SHIFT_WINDOW_LIMIT = 1 << 16
+# build_spectrum tries the shifts |k| <= SHIFT_WINDOW of each gamma.
+SHIFT_WINDOW = 128
 
 
-def build_spectrum(
-    form: OneStageForm,
-    levels: int,
-    search_window: int = 128,
-    scale: Fraction = Fraction(1),
-) -> SpectrumCandidate:
+def build_spectrum(form: OneStageForm, levels: int, scale: Fraction = Fraction(1)) -> SpectrumCandidate:
     """Greedy construction of the candidate spectrum for a normalized form.
 
     Every element gamma of the anchored spectrum receives an integer shift
@@ -608,14 +604,14 @@ def build_spectrum(
     energy there.  Both come from the kernel at exact phases: the energy
     and shift 0 of every gamma in one call each, then, for a gamma that
     shift 0 does not clear, the rest of the spiral in prefixes that double
-    (1, 2, 4, ...).  gamma = 0 always keeps shift 0.  A window exhausted
-    without an acceptable shift raises ShiftSearchFailure: either the
-    window is too small or the form genuinely fails equi-positivity there;
+    (1, 2, 4, ...).  gamma = 0 always keeps shift 0.  The window |k| <=
+    SHIFT_WINDOW exhausted without an acceptable shift raises
+    ShiftSearchFailure: either the window is too small or the form
+    genuinely fails equi-positivity there;
     the failure is reported, never papered over.  Level q is the direct
     sum of N^j times the shifted elements for j < q; every level uses the
     same shifts, which do not depend on the scale (jp_levels).  Before the
-    search, a top level of more than POINT_LIMIT points or a window above
-    SHIFT_WINDOW_LIMIT (a window past the doubles among them) raises
+    search, a top level of more than POINT_LIMIT points raises
     PointLimitExceeded, and a digit past the doubles (form_measure), or a
     worst-case top-level height whose frame sums no depth within the
     doubles bounds, TailBoundUnavailable.
@@ -624,44 +620,43 @@ def build_spectrum(
     if levels < 0:
         raise ValueError("levels must be >= 0")
     check_frame_sum_size(form, levels, candidate=True)
-    what = f"the shift search would try {search_window} shifts each way"
-    refuse_above("SHIFT_WINDOW_LIMIT", SHIFT_WINDOW_LIMIT, what, search_window)
     n = form.base
     anchored = _anchored_spectrum(form)
     whole = form_measure(form)
     d_set = whole.digits
     b_list = form.b_list()
-    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
+    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, SHIFT_WINDOW + 2.0))
     # each shifted element g + N*k is below N*(1 + window) in size (0 when
     # L1 (+) L2 is one point), so each lam, a sum of N^j times them for j <
     # levels, is below that times (N^levels - 1)/(N - 1): the frame sums'
     # tail bound at the top level's worst-case unscaled height, (l2 +
     # N*lam)/N, is refused before the search (a power of N >= 2 past max_exp
     # is past the doubles already)
-    t_bound = n * (1 + search_window) if len(anchored) > 1 else 0
+    t_bound = n * (1 + SHIFT_WINDOW) if len(anchored) > 1 else 0
     lam_bound = t_bound * (n ** min(levels, sys.float_info.max_exp) - 1) // (n - 1)
     auto_depth(n, d_set, _frame_height(Fraction(max(map(abs, form.l2.digits)) + n * lam_bound, n), scale))
 
     shifts: list[tuple[int, int]] = []
     # the averaged B-mask energy and shift 0 at every gamma/N, each in one
     # kernel call; level 0 needs no shifts
+    origin = _RationalSide(1, [0])
     gammas = _RationalSide(n, anchored if levels else [])
     targets = _b_energy(b_list, gammas)
-    zero = _abs_at(trunc, gammas) ** 2 / (targets + 1e-300)
+    zero = _window_max(trunc, origin, gammas) ** 2 / (targets + 1e-300)
     for g, target, best in zip(anchored, targets.tolist(), zero.tolist()):
         accepted = 0 if g == 0 or target < 1e-12 or best >= SHIFT_RATIO_THRESHOLD else None
         start = 1
-        while accepted is None and start <= 2 * search_window:
+        while accepted is None and start <= 2 * SHIFT_WINDOW:
             # the rest of the spiral 0, 1, -1, 2, -2, ... in prefixes that
             # double (1, 2, 4, ...)
-            ks = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(start, min(2 * start, 2 * search_window + 1))]
-            ratios = _abs_at(trunc, _RationalSide(n, [g + k * n for k in ks])) ** 2 / (target + 1e-300)
+            ks = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(start, min(2 * start, 2 * SHIFT_WINDOW + 1))]
+            ratios = _window_max(trunc, origin, _RationalSide(n, [g + k * n for k in ks])) ** 2 / (target + 1e-300)
             hits = np.flatnonzero(ratios >= SHIFT_RATIO_THRESHOLD)
             accepted = ks[hits[0]] if hits.size else None
             best = max(best, float(ratios.max()))
             start += len(ks)
         if accepted is None:
-            raise ShiftSearchFailure(g, search_window, best)
+            raise ShiftSearchFailure(g, SHIFT_WINDOW, best)
         shifts.append((g, accepted))
     tilde = [g + n * k for g, k in shifts]
     if len(set(tilde)) < len(tilde):
@@ -770,38 +765,20 @@ def _frame_sums(m: TruncatedMeasure, cols: _RationalSide, counts: Sequence[int],
 MEMBERSHIP_THRESHOLD = 1e-6
 FLAG_THRESHOLD = 1e-3
 
+# The scan's window of integer shifts, each way, and its count of Chebyshev
+# points.
+SCAN_WINDOW = 64
+SCAN_RESOLUTION = 4096
 # Most points the scan grid may hold: the N^2 rational points t / N^2 and
-# the --resolution Chebyshev points.  Every point gets a lower bound on
-# shift 0 from a shallow depth.  In process (2-core x86, medians of 7 runs)
-# fd24-1-4-1-1 takes 0.07 s at N^2 + resolution = 2^18, and the base-500
-# four-digit form (500, 1, 1, 1, 1) 0.12 s at 500^2 + 4,096.  The
-# base-1,728 one-stage form that reduce-kstage emits for (2,3,2,ii) would
-# scan 1728^2 points, over 11 times this limit; building its grid takes
-# 0.06 s.
+# the SCAN_RESOLUTION Chebyshev points.  Every point gets a lower bound on
+# shift 0 from a shallow depth, and only the points that can still be the
+# minimum or flagged climb to the rest of the window.  In process (2-core
+# x86, medians of 5 runs) the form N = 504, A = {0, 1}, B = {0, 504}, whose
+# grid of 504^2 + 4,096 points is just under this limit, flags 741 points
+# in 0.09 s; at N = 256 it flags 151 in 0.03 s.  The base-1,728 one-stage
+# form that reduce-kstage emits for (2,3,2,ii) would scan 1728^2 points,
+# over 11 times this limit; building its grid takes 0.06 s.
 SCAN_POINT_LIMIT = 1 << 18
-# Largest --window, in shifts each way.  The whole window goes only to
-# points that can still be the minimum or flagged, which grow with the
-# grid: with both limits reached, the B = {0, N} form of base 6 flags 271
-# points and takes 0.72 s, fd24-1-4-1-1 0.07 s (medians of 7 runs).  A
-# window of 2^16 takes 0.81 s on that B = {0, N} form at --resolution
-# 4,096 alone (this limit lifted; median of 3).  The two limits bound the grid and the window one at a time,
-# not the work of the whole window, which is their product over the points
-# that reach it: a form that flags most of its grid could take up to 2^18
-# points x 8,193 shifts.
-SCAN_WINDOW_LIMIT = 1 << 12
-
-
-def check_scan_size(form: OneStageForm, integer_window: int, resolution: int) -> None:
-    """Raise PointLimitExceeded, before any work, when the weakly-periodic
-    scan of ``form`` would hold more than SCAN_POINT_LIMIT grid points or
-    more than SCAN_WINDOW_LIMIT shifts each way.  The work of the whole
-    window, the points that reach it times the window, has no limit of its
-    own."""
-    n = form.base
-    what = f"the scan grid would hold {n}^2 + {resolution} points"
-    refuse_above("SCAN_POINT_LIMIT", SCAN_POINT_LIMIT, what, n * n + resolution)
-    what = f"the scan window would hold {integer_window} shifts each way"
-    refuse_above("SCAN_WINDOW_LIMIT", SCAN_WINDOW_LIMIT, what, integer_window)
 
 
 @dataclass(frozen=True)
@@ -810,14 +787,6 @@ class WeaklyPeriodicReport:
     argmin_xi: float
     flagged: tuple[float, ...]
     excluded: int
-
-
-def _window_max(m: TruncatedMeasure, shifts: _RationalSide, xs: _RationalSide) -> np.ndarray:
-    """max over the shifts k of |m.mu_hat(x + k)| for each x, 0 with no shifts."""
-    out = np.zeros(len(xs))
-    for _, cs, mag in _split_phase_abs(m, shifts, xs):
-        np.maximum(out[cs], mag.max(axis=0), out=out[cs])
-    return out
 
 
 # The scan's bulk pass runs at the smallest depth q whose tail sum at height
@@ -840,22 +809,19 @@ def _shallow_rung(m: TruncatedMeasure) -> tuple[TruncatedMeasure, float]:
     return shallow, math.sqrt(1.0 - shallow.tail_sum(1.0)) * (1.0 - _SHALLOW_MARGIN)
 
 
-def weakly_periodic_check(
-    form: OneStageForm,
-    integer_window: int = 64,
-    resolution: int = 4096,
-) -> WeaklyPeriodicReport:
+def weakly_periodic_check(form: OneStageForm) -> WeaklyPeriodicReport:
     """Scan for grid points whose whole integer translate class nearly kills
     the transform.
 
     Over points xi with averaged B-mask energy above the membership
-    threshold, computes max over |k| <= window of |mu_hat(xi + k)| and
+    threshold, computes max over |k| <= SCAN_WINDOW of |mu_hat(xi + k)| and
     reports the minimum of those maxima, with the smallest xi that comes
     within a relative 1e-9 of it, and flags the points whose maximum is
     below FLAG_THRESHOLD; a healthy form flags none.  x = 0 is always kept
     (B-energy 1, maximum 1), so with no flag the minimum is >= FLAG_THRESHOLD.
-    The grid is exact (_scan_grid), each t/N^2 a point of it; the report's
-    floats are the doubles nearest its points.
+    The grid is exact (_scan_grid, with SCAN_RESOLUTION Chebyshev points),
+    each t/N^2 a point of it; the report's floats are the doubles nearest
+    its points.
 
     The scan is best first.  Every point first gets, in one kernel pass, a
     lower bound on its shift-0 value |mu_hat(x)| at the scan's depth p:
@@ -863,13 +829,12 @@ def weakly_periodic_check(
     is at most 1/4, with c = sqrt(1 - S) less a relative 1e-9 (grid points
     lie in [0, 1); _shallow_rung).  From that rung the shifts, ordered by
     |k|, climb twice at depth p: the near shifts |k| <= 2 (shift 0
-    among them), then the rest of the window, the second climb dropped
-    when the window is 2 or less; the maximum over the shifts a point has
-    had is a lower bound on its full maximum.  Then the point with the
-    lowest bound below the top rung picks the rung that moves next, and
-    that rung's points climb one rung in increasing order of their bound,
-    in batches that double for each rung alone (1, 1, 2, 4, ...), while
-    the bound is at most the relative 1e-9 band of the smallest full
+    among them), then the rest of the window; the maximum over the shifts
+    a point has had is a lower bound on its full maximum.  Then the point
+    with the lowest bound below the top rung picks the rung that moves
+    next, and that rung's points climb one rung in increasing order of
+    their bound, in batches that double for each rung alone (1, 1, 2, 4,
+    ...), while the bound is at most the relative 1e-9 band of the smallest full
     maximum found so far or FLAG_THRESHOLD: only the points whose bound
     can still reach that band climb.  No point left below the top can be
     the minimum, the reported xi or flagged, and the kernel is elementwise
@@ -877,17 +842,18 @@ def weakly_periodic_check(
     depth p bit for bit.  On the seven four-digit frame-sums forms the
     bulk pass runs at depth 1 or 2, where p is 6 to 8, and two points of
     4,200 to 6,400 climb from it, on to the other shifts.  Within
-    the scan's limits q < p always: N <= 512 and p's tail sum at height
-    window + 2 >= 2 is at most 1e-12, so p >= 2 and depth p - 1 has S below
-    1e-7.  A grid or window above SCAN_POINT_LIMIT or SCAN_WINDOW_LIMIT
-    raises PointLimitExceeded before any work.
+    SCAN_POINT_LIMIT q < p always: N <= 512 and p's tail sum at height
+    SCAN_WINDOW + 2 is at most 1e-12, so p >= 2 and depth p - 1 has S
+    below 1e-7.  A grid above SCAN_POINT_LIMIT raises PointLimitExceeded
+    before any work.
     """
-    check_scan_size(form, integer_window, resolution)
     n = form.base
+    what = f"the scan grid would hold {n}^2 + {SCAN_RESOLUTION} points"
+    refuse_above("SCAN_POINT_LIMIT", SCAN_POINT_LIMIT, what, n * n + SCAN_RESOLUTION)
     m = form_measure(form)
     b_list = form.b_list()
-    grid = _scan_grid(n, resolution)
-    trunc = replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
+    grid = _scan_grid(n)
+    trunc = replace(m, depth=auto_depth(n, m.digits, SCAN_WINDOW + 2.0, 1e-12))
 
     energy = _b_energy(b_list, grid)
     keep = energy > MEMBERSHIP_THRESHOLD
@@ -896,8 +862,8 @@ def weakly_periodic_check(
 
     # nearest shifts first: climbs[r] takes a point from rung r to rung r +
     # 1, the near shifts |k| <= 2 and then the rest of the window
-    shifts = _RationalSide(1, sorted(range(-integer_window, integer_window + 1), key=abs))
-    climbs = [c for c in (shifts[:5], shifts[5:]) if len(c)]
+    shifts = _RationalSide(1, sorted(range(-SCAN_WINDOW, SCAN_WINDOW + 1), key=abs))
+    climbs = [shifts[:5], shifts[5:]]
     # rung 0, a certified lower bound on shift 0; the near climb gives shift
     # 0 its value at the scan's depth, which lies above the bound
     shallow, factor = _shallow_rung(trunc)

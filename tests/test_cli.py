@@ -116,11 +116,14 @@ def test_check_t1t2_reports(tmp_path, capsys):
 
 
 def test_factor_mask_output(tmp_path, capsys):
+    """The factorization reads no base, so a file with none is factored too."""
     d24 = _write(tmp_path, "d24.json", {"base": 24, "digits": ["0", "1", "16", "17"]})
-    code = _run(["factor-mask", "--digits", d24])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert out["factors"] == [[2, 1], [32, 1]] and out["residual"] == {"0": 1}
+    bare = _write(tmp_path, "no-base.json", {"digits": ["0", "1", "16", "17"]})
+    for path in (d24, bare):
+        code = _run(["factor-mask", "--digits", path])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0, path
+        assert out["factors"] == [[2, 1], [32, 1]] and out["residual"] == {"0": 1}, path
 
 
 def test_validate_and_reduce_roundtrip(tmp_path, capsys):
@@ -174,7 +177,7 @@ def test_verify_jp_many_samples_stay_fast(tmp_path, capsys):
 def test_weakly_periodic_deterministic(tmp_path, capsys):
     mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
-    argv = ["weakly-periodic", "--form", spec, "--resolution", "256", "--window", "16"]
+    argv = ["weakly-periodic", "--form", spec]
     assert _run(argv) == 0
     first = capsys.readouterr().out
     assert _run(argv) == 0
@@ -191,14 +194,14 @@ def test_check_lemma42_cli(tmp_path, capsys):
         "L2": ["0", "1"],
     }
     spec = _write(tmp_path, "f14.json", f)
-    assert _run(["check-lemma42", "--form", spec, "--p", "2", "--grid", "16"]) == 0
+    assert _run(["check-lemma42", "--form", spec, "--p", "2"]) == 0
     capsys.readouterr()
 
 
 def test_weakly_periodic_cli(tmp_path, capsys):
     mult, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     spec = _write(tmp_path, "f83.json", one_stage_to_json(f83))
-    assert _run(["weakly-periodic", "--form", spec, "--resolution", "128", "--window", "8"]) == 0
+    assert _run(["weakly-periodic", "--form", spec]) == 0
     capsys.readouterr()
 
 
@@ -254,7 +257,6 @@ def test_bad_common_options_are_input_errors(tmp_path, capsys):
     d04 = _write(tmp_path, "d04.json", {"base": 4, "digits": ["0", "4"]})
     for argv in (
         ["verify-jp", "--form", spec, "--levels", "1", "--grid", "0"],
-        ["check-lemma42", "--form", spec, "--grid", "0"],
         ["check-tile", "--base", "0", "--digits", d],
         ["check-hadamard", "--base", "0", "--digits", d, "--spectrum", l],
         ["find-spectrum", "--base", "4", "--digits", d04],
@@ -267,6 +269,35 @@ def test_bad_common_options_are_input_errors(tmp_path, capsys):
     ):
         assert _run(argv) == 2, argv
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "InputError", argv
+
+
+def test_each_command_takes_only_its_options():
+    """The options of every subcommand, --output among them and --help
+    not: 41 settable values.  The numeric probe's settings (the scan's
+    window and Chebyshev count, the shift search's window, check-lemma42's
+    samples) and the tolerances are module constants, not options."""
+    want = {
+        "check-hadamard": {"--base", "--digits", "--spectrum"},
+        "find-spectrum": {"--base", "--digits", "--limit"},
+        "validate-form": {"--spec"},
+        "gen-product-form": {"--spec"},
+        "reduce-kstage": {"--spec", "--k"},
+        "check-t1t2": {"--base", "--digits"},
+        "check-tile": {"--base", "--digits"},
+        "classify-paq": {"--p", "--q", "--alpha", "--variant", "--params", "--zshifts"},
+        "factor-mask": {"--digits"},
+        "verify-jp": {"--form", "--levels", "--grid", "--scale"},
+        "check-lemma42": {"--form", "--p"},
+        "weakly-periodic": {"--form"},
+        "run-all-fixtures": set(),
+    }
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    got = {
+        name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert got == {name: options | {"--output"} for name, options in want.items()}
+    assert sum(map(len, got.values())) == 41
 
 
 def test_fixture_corpus_shape():
@@ -349,13 +380,7 @@ def _malformed_inputs(tmp_path):
         ("base-mismatch-tile", ["check-tile", "--base", "12", "--digits", d]),
         # counts that would empty or invert a check
         ("lemma42-p-0", ["check-lemma42", "--form", spec, "--p", "0"]),
-        ("lemma42-grid-0", ["check-lemma42", "--form", spec, "--grid", "0"]),
-        ("resolution-0", ["weakly-periodic", "--form", spec, "--resolution", "0", "--window", "1"]),
-        ("periodic-window-negative", ["weakly-periodic", "--form", spec, "--window", "-1",
-                                      "--resolution", "16"]),
         ("jp-grid-0", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "0"]),
-        ("jp-window-negative", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "2",
-                                "--window", "-1"]),
         # generator parameters that name no tile
         ("paq-alpha-0", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "0", "--variant", "i"]),
         ("paq-p-equals-q", ["classify-paq", "--p", "2", "--q", "2", "--alpha", "1", "--variant", "i"]),
@@ -420,8 +445,6 @@ def _over_limit_inputs(tmp_path):
     tiling = "TILE_BASE_LIMIT = 2^20"
     rows = "JP_ROW_LIMIT = 2^14"
     grid = "SCAN_POINT_LIMIT = 2^18"
-    window = "SCAN_WINDOW_LIMIT = 2^12"
-    shifts = "SHIFT_WINDOW_LIMIT = 2^16"
     mersenne = str(2**61 - 1)
 
     def classify(p, q, alpha, variant, *params):
@@ -434,8 +457,6 @@ def _over_limit_inputs(tmp_path):
         ("jp-levels-9", ["verify-jp", "--form", spec, "--levels", "9"], "2 * 4^9 points", points),
         ("jp-levels-huge", ["verify-jp", "--form", spec, "--levels", str(10**9)], f"2 * 4^{10**9} points", points),
         ("lemma42-p-8", ["check-lemma42", "--form", spec, "--p", "8"], "4^8 points for 64 samples", samples),
-        ("lemma42-grid-2^70", ["check-lemma42", "--form", spec, "--grid", str(2**70)],
-         f"4^2 points for {2**70} samples", samples),
         ("jp-grid-1024", ["verify-jp", "--form", spec, "--levels", "5", "--grid", "1024"],
          "2 * 4^5 points for 1024 samples", samples),
         ("jp-grid-2^20", ["verify-jp", "--form", spec, "--grid", str(2**20)], f"2 * 4^4 points for {2**20} samples",
@@ -446,16 +467,7 @@ def _over_limit_inputs(tmp_path):
          f"1 * {2**19} rows", rows),
         ("jp-rows-just-above", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "8193"], "2 * 8193 rows",
          rows),
-        ("jp-window-2^40", ["verify-jp", "--form", spec, "--window", str(2**40)], f"{2**40} shifts", shifts),
-        ("jp-window-10^400", ["verify-jp", "--form", spec, "--window", str(10**400)], f"{10**400} shifts", shifts),
-        ("jp-window-just-above", ["verify-jp", "--form", spec, "--window", "65537"], "65537 shifts", shifts),
         ("weakly-periodic-base-1728", ["weakly-periodic", "--form", wide], "1728^2 + 4096 points", grid),
-        ("weakly-periodic-resolution-2^40", ["weakly-periodic", "--form", spec, "--resolution", str(2**40)],
-         f"24^2 + {2**40} points", grid),
-        ("weakly-periodic-window-2^40", ["weakly-periodic", "--form", spec, "--window", str(2**40)],
-         f"{2**40} shifts", window),
-        ("weakly-periodic-window-just-above", ["weakly-periodic", "--form", spec, "--window", "4097"],
-         "4097 shifts", window),
         ("reduce-paq-ii-1-2", ["reduce-kstage", "--spec", paq], "24^5 digits", digits),
         ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
         ("reduce-one-digit-k-1000", ["reduce-kstage", "--spec", single, "--k", "1000"], "2^1000", base),
@@ -513,10 +525,9 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     # with --grid 8) stay far below
     assert 64 * 2 * 4**5 <= measure.POINT_LIMIT
     assert 4**3 * 64 <= measure.SAMPLE_LIMIT and 2 * 4**5 * 8 <= measure.SAMPLE_LIMIT
-    # with (5 + 1) * 8 report rows and the default --window 128;
-    # weakly-periodic runs at N <= 48 with --resolution 4,096 and --window 64
-    assert 64 * 6 * 8 <= cli.JP_ROW_LIMIT and 128 <= measure.SHIFT_WINDOW_LIMIT
-    assert 32 * (48**2 + 4096) <= measure.SCAN_POINT_LIMIT and 64 * 64 <= measure.SCAN_WINDOW_LIMIT
+    # with (5 + 1) * 8 report rows; weakly-periodic runs at N <= 48
+    assert 64 * 6 * 8 <= cli.JP_ROW_LIMIT
+    assert 32 * (48**2 + measure.SCAN_RESOLUTION) <= measure.SCAN_POINT_LIMIT
     # and so do the benchmark's and acceptance 6's reductions (Z_72 at k = 2)
     # and the invalid N = 12 form of the tier-1 tests (12^4 digits)
     assert 72**2 < 12**4 <= productform.DIGIT_LIMIT
@@ -679,15 +690,16 @@ def test_validate_form_reports_a_staged_collision(tmp_path, capsys):
     assert "4" in checks[-1]["detail"]
 
 
-def test_verify_jp_scale_not_dividing_the_digits_reaches_the_shift_search(tmp_path, capsys):
+def test_verify_jp_scale_not_dividing_the_digits_reaches_the_shift_search(tmp_path, capsys, monkeypatch):
     """The scale 5 does not divide the expansion digit 6, and is valid: the
     shift search, which does not depend on the scale, runs and fails on
-    this form at --window 0 (gamma = 3), at scale 5 as at scale 1."""
+    this form at SHIFT_WINDOW 0 (gamma = 3), at scale 5 as at scale 1."""
+    monkeypatch.setattr(measure, "SHIFT_WINDOW", 0)
     spec = _write(tmp_path, "f.json", {
         "base": 4, "r": 1, "A": ["0", "6"], "Bs": {"0": ["0", "9"], "6": ["0", "11"]}, "L1": ["0", "1"], "L2": ["0", "2"],
     })
     for scale in ("5", "1"):
-        assert _run(["verify-jp", "--form", spec, "--window", "0", "--levels", "1", "--scale", scale]) == 1
+        assert _run(["verify-jp", "--form", spec, "--levels", "1", "--scale", scale]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ShiftSearchFailure"
 
 
@@ -695,8 +707,7 @@ def test_digits_past_a_double_are_refused_before_any_work(tmp_path, capsys, monk
     """A digit d whose phase 2*pi*d no double holds, or a tail that no depth
     within the doubles bounds (huge digits, candidate points past the
     doubles), ends in TailBoundUnavailable (exit 1) before a float mask or
-    the kernel runs, not in an OverflowError inside them.  A shift window
-    past the doubles is above SHIFT_WINDOW_LIMIT (_over_limit_inputs)."""
+    the kernel runs, not in an OverflowError inside them."""
     form = {"base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "6"]},
             "L1": ["0", "2"], "L2": ["0", "1"]}
     spec = _write(tmp_path, "f.json", form)
@@ -707,9 +718,9 @@ def test_digits_past_a_double_are_refused_before_any_work(tmp_path, capsys, monk
                                           "L1": ["0", str(2**253)], "L2": ["0", str(2**254)]})
     rows = [
         ("jp-scale-1/10^320", ["verify-jp", "--form", spec, "--levels", "1", "--grid", "2", "--scale", f"1/{10**320}"]),
-        ("periodic-digit-4e300", ["weakly-periodic", "--form", far, "--resolution", "16", "--window", "2"]),
-        ("lemma42-digit-6e320", ["check-lemma42", "--form", past, "--p", "1", "--grid", "4"]),
-        ("periodic-digit-6e320", ["weakly-periodic", "--form", past, "--resolution", "16", "--window", "2"]),
+        ("periodic-digit-4e300", ["weakly-periodic", "--form", far]),
+        ("lemma42-digit-6e320", ["check-lemma42", "--form", past, "--p", "1"]),
+        ("periodic-digit-6e320", ["weakly-periodic", "--form", past]),
         ("jp-points-2^1275", ["verify-jp", "--form", wide, "--levels", "5", "--grid", "2"]),
     ]
 

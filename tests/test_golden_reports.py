@@ -106,18 +106,23 @@ JOBS = [
     ["verify-jp", "--form", "k.json"],
     ["verify-jp", "--form", "f83.json", "--scale", "0"],
     ["weakly-periodic", "--form", "k.json"],
+    # options the numeric commands no longer take: their settings are constants
+    ["verify-jp", "--form", "f83.json", "--window", "128"],
+    ["check-lemma42", "--form", "f83.json", "--grid", "16"],
+    ["weakly-periodic", "--form", "f83.json", "--window", "8"],
+    ["weakly-periodic", "--form", "f83.json", "--resolution", "256"],
     # float reports
     ["verify-jp", "--form", "f83.json", "--levels", "3", "--grid", "4", "--scale", "3"],
     ["verify-jp", "--form", "f83.json", "--scale", "5"],
     ["verify-jp", "--form", "b4.json", "--levels", "3", "--grid", "4"],
     ["verify-jp", "--form", "b4.json", "--levels", "2", "--grid", "4", "--scale", "1/2"],
-    ["check-lemma42", "--form", "f83.json", "--p", "2", "--grid", "16"],
-    ["check-lemma42", "--form", "b4.json", "--p", "2", "--grid", "16"],
+    ["check-lemma42", "--form", "f83.json", "--p", "2"],
+    ["check-lemma42", "--form", "b4.json", "--p", "2"],
     ["check-lemma42", "--form", "f83.json", "--p", "3"],
     ["check-lemma42", "--form", "b4.json", "--p", "3"],
-    ["weakly-periodic", "--form", "f83.json", "--resolution", "256", "--window", "8"],
-    ["weakly-periodic", "--form", "b4.json", "--resolution", "256", "--window", "8"],
-    ["weakly-periodic", "--form", "b6.json", "--resolution", "256", "--window", "8"],
+    ["weakly-periodic", "--form", "f83.json"],
+    ["weakly-periodic", "--form", "b4.json"],
+    ["weakly-periodic", "--form", "b6.json"],
 ]
 
 

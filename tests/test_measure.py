@@ -669,9 +669,9 @@ def test_verify_jp_makes_one_kernel_pass(tmp_path, capsys, monkeypatch):
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     report = _verify_jp_report(tmp_path, capsys, f83, 3, 5, 8)
     assert len(report["rows"]) == 6 * 8
-    # before it, the shift search's calls: each against the one column 0
+    # before it, the shift search's calls: each of the one row 0
     *search, last = calls
-    assert search and all(c == 1 for _, c, _ in search)
+    assert search and all(r == 1 for r, _, _ in search)
     cand = build_spectrum(f83, levels=5, scale=Fraction(3))
     top = float(max(map(abs, cand.points())) / 3) + float(Fraction(2, 3))
     assert last == (8, 2048, auto_depth(24, expand_one_stage(f83), top))
@@ -695,51 +695,60 @@ def test_jp_levels_rows_never_decrease():
     assert pairs == 7680
 
 
-def _scanned_points(form, integer_window, resolution):
-    """(truncated measure, kept grid points, excluded count) of a scan, the
-    measure with the form's direct-sum factors (measure.form_measure), the
-    points the exact grid's side, kept by mask_value's B-energy at the
-    doubles nearest them."""
+def _scan_at(monkeypatch, window, resolution):
+    """Sets the scan's window and Chebyshev count for the rest of the test."""
+    monkeypatch.setattr(measure, "SCAN_WINDOW", window)
+    monkeypatch.setattr(measure, "SCAN_RESOLUTION", resolution)
+
+
+def _scanned_points(form):
+    """(truncated measure, kept grid points, excluded count) of a scan at
+    the module's SCAN_WINDOW and SCAN_RESOLUTION, the measure with the
+    form's direct-sum factors (measure.form_measure), the points the exact
+    grid's side, kept by mask_value's B-energy at the doubles nearest
+    them."""
     n = form.base
     m = measure.form_measure(form)
     b_list = form.b_list()
-    grid = measure._scan_grid(n, resolution)
-    trunc = dataclasses.replace(m, depth=auto_depth(n, m.digits, integer_window + 2.0, 1e-12))
+    grid = measure._scan_grid(n)
+    trunc = dataclasses.replace(m, depth=auto_depth(n, m.digits, measure.SCAN_WINDOW + 2.0, 1e-12))
     energy = sum(np.abs(mask_value(b, grid.nums / grid.den)) ** 2 for b in b_list) / len(b_list)
     keep = energy > MEMBERSHIP_THRESHOLD
     return trunc, grid[keep], int(np.sum(~keep))
 
 
-def _weakly_periodic_reference(form, integer_window, resolution):
+def _weakly_periodic_reference(form):
     """(min_max, flagged, excluded) with one float transform per shift."""
-    trunc, side, excluded = _scanned_points(form, integer_window, resolution)
+    trunc, side, excluded = _scanned_points(form)
     xs = side.nums / side.den
     running = np.zeros_like(xs)
-    for k in range(-integer_window, integer_window + 1):
+    for k in range(-measure.SCAN_WINDOW, measure.SCAN_WINDOW + 1):
         running = np.maximum(running, np.abs(trunc.mu_hat(xs + float(k))))
     flagged = tuple(float(x) for x in xs[running < FLAG_THRESHOLD])
     return float(running.min()), flagged, excluded
 
 
-def test_weakly_periodic_matches_per_shift_oracle():
+def test_weakly_periodic_matches_per_shift_oracle(monkeypatch):
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     for form, window in ((_form14(), 40), (f83, 12)):
-        rep = weakly_periodic_check(form, integer_window=window, resolution=64)
-        min_max, flagged, excluded = _weakly_periodic_reference(form, window, 64)
+        _scan_at(monkeypatch, window, 64)
+        rep = weakly_periodic_check(form)
+        min_max, flagged, excluded = _weakly_periodic_reference(form)
         assert abs(rep.min_max - min_max) <= 1e-14
         assert rep.flagged == flagged and rep.excluded == excluded
 
 
 def test_weakly_periodic_memory_is_tiled(monkeypatch):
     """40,001 shifts: holding every shift's unit table at once would take
-    tens of MB (SCAN_WINDOW_LIMIT is lifted to allow the window).  The scan
-    gives the far shifts to few points, so the second
+    tens of MB (the first case sets SCAN_WINDOW to 20,000 and
+    SCAN_RESOLUTION to 64).  The scan gives the far shifts to few points,
+    so the second
     case runs the full window over 64 points: 2.56 M pairs, 123 MB untiled.
     The third sums 24 samples over a level-7 aggregate of 16,384 points:
     393,216 pairs for each of two kernels, 18.9 MB each untiled.  The fourth
     reads the six levels of a candidate (2,730 columns in all) for 512
     samples: holding every level's squares at once would take 11.2 MB."""
-    monkeypatch.setattr(measure, "SCAN_WINDOW_LIMIT", 20000)
+    _scan_at(monkeypatch, 20000, 64)
     form = _normalized_plain()
     d_set = expand_one_stage(form)
     trunc = TruncatedMeasure(4, d_set, auto_depth(4, d_set, 20002.0, 1e-12))
@@ -748,7 +757,7 @@ def test_weakly_periodic_memory_is_tiled(monkeypatch):
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     cand = build_spectrum(f83, levels=5, scale=Fraction(3))
     for scan in (
-        lambda: not weakly_periodic_check(form, integer_window=20000, resolution=64).flagged,
+        lambda: not weakly_periodic_check(form).flagged,
         lambda: measure._window_max(trunc, shifts, xs).min() > 0,
         lambda: finite_level_identity_check(f83, 7, chebyshev_grid(24)) < 1e-13,
         lambda: all(r.q_t <= 1 + 1e-9 for rows in jp_levels(cand, chebyshev_grid(512)) for r in rows),
@@ -763,12 +772,12 @@ def test_weakly_periodic_memory_is_tiled(monkeypatch):
         assert peak < 8 * 2**20, peak
 
 
-def _full_window_report(form, integer_window, resolution):
+def _full_window_report(form):
     """The report of a scan that gives every point every shift."""
-    trunc, side, excluded = _scanned_points(form, integer_window, resolution)
+    trunc, side, excluded = _scanned_points(form)
     xs = side.nums / side.den
     running = np.zeros_like(xs)
-    shifts = measure._RationalSide(1, range(-integer_window, integer_window + 1))
+    shifts = measure._RationalSide(1, range(-measure.SCAN_WINDOW, measure.SCAN_WINDOW + 1))
     for _, cs, mag in measure._split_phase_abs(trunc, shifts, side):
         np.maximum(running[cs], mag.max(axis=0), out=running[cs])
     lowest = float(running.min())
@@ -809,9 +818,9 @@ def _flagged_forms():
 def test_weakly_periodic_best_first_equals_full_window_scan(monkeypatch):
     """Bit for bit: the shift ladder only orders the points, and every
     value the report reads is the same kernel value as in the full scan.
-    The windows give one climb from the shallow bound (0, 1 and 2) and two
-    (3 and 12).  At a flag threshold of 0.2, two points of fd24-3-5-1-3 at
-    window 12 have lower bounds below it and full maxima above."""
+    The windows 0, 1 and 2 leave the far climb empty, and 3 and 12 do not.
+    At a flag threshold of 0.2, two points of fd24-3-5-1-3 at window 12
+    have lower bounds below it and full maxima above."""
     cases = [(f, res) for f, res in zip(_frame_sums_forms(), (64, 96, 128, 160, 192, 224, 256, 64, 128))]
     cases += [(f, 128) for f in _flagged_forms()]
     for threshold in (FLAG_THRESHOLD, 0.2):
@@ -819,8 +828,9 @@ def test_weakly_periodic_best_first_equals_full_window_scan(monkeypatch):
         flagged = 0
         for form, resolution in cases:
             for window in (0, 1, 2, 3, 12):
-                rep = weakly_periodic_check(form, integer_window=window, resolution=resolution)
-                assert rep == _full_window_report(form, window, resolution), (form, window, threshold)
+                _scan_at(monkeypatch, window, resolution)
+                rep = weakly_periodic_check(form)
+                assert rep == _full_window_report(form), (form, window, threshold)
                 flagged += len(rep.flagged)
         assert flagged > 0
 
@@ -836,14 +846,18 @@ def test_weakly_periodic_ladder_equals_full_maximum_on_random_tables(monkeypatch
     minimum without equalling it."""
     rng = np.random.default_rng(7)
     form = _form23()
+    window_max = measure._window_max
     for window in (0, 1, 2, 3, 5, 12):
-        _, side, excluded = _scanned_points(form, window, 16)
+        _scan_at(monkeypatch, window, 16)
+        _, side, excluded = _scanned_points(form)
         xs = side.nums / side.den
         for low, spread in [(-4, 3), (-1, 2)] * 10:
             logs = rng.uniform(low, 0, len(xs)) + rng.uniform(-spread, 0, (2 * window + 1, len(xs)))
             table = 10 ** (np.round(logs * 10) / 10) * (1 + 1e-12 * rng.integers(0, 2, logs.shape))
 
             def fake(m, shifts, points):
+                if m.base == 1:  # a B-mask of the energy, not the scan's measure
+                    return window_max(m, shifts, points)
                 cols = np.searchsorted(side.nums, points.nums)
                 return table[np.ix_(np.asarray(shifts.nums) + window, cols)].max(axis=0, initial=0.0)
 
@@ -856,7 +870,7 @@ def test_weakly_periodic_ladder_equals_full_maximum_on_random_tables(monkeypatch
                 flagged=tuple(float(x) for x in xs[full < FLAG_THRESHOLD]),
                 excluded=excluded,
             )
-            assert weakly_periodic_check(form, integer_window=window, resolution=16) == want, window
+            assert weakly_periodic_check(form) == want, window
 
 
 def _counted_kernel(monkeypatch):
@@ -880,8 +894,8 @@ def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
     then to the rest of the window."""
     calls = _counted_kernel(monkeypatch)
     _, form = build_four_digit_form(24, 1, 4, 1, 1)
-    rep = weakly_periodic_check(form, integer_window=64)
-    assert calls[:2] == [(4672, 1), (1, 4668)]
+    rep = weakly_periodic_check(form)
+    assert calls[:2] == [(1, 4672), (1, 4668)]
     assert all(rows in (5, 124) for rows, _ in calls[2:]), calls
     near_points = sum(cols for rows, cols in calls[2:] if rows == 5)
     far_points = sum(cols for rows, cols in calls[2:] if rows == 124)
@@ -891,15 +905,15 @@ def test_weakly_periodic_far_window_reaches_few_points(monkeypatch):
 
 def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
     """fd24-1-4-1-1 makes six kernel calls.  First the B-energy, one
-    call per distinct B of 4,672 grid points x the column 0 at depth 1,
-    whose column side makes one units call.  The shift-0 pass, a tile of 1
+    call per distinct B of the row 0 x 4,672 grid points at depth 1,
+    whose row side makes one units call.  The shift-0 pass, a tile of 1
     x 4,668 pairs at the shallow depth, takes one level per block; each
     ladder call, 5 or 124 shifts x 1 point at the scan's depth, takes
     all of its levels in one block, so its shift side makes one units
     call, not one per level.  fd24-3-5-1-3 has two distinct B-sets, its
     shallow depth is 2, and its shift-0 pass takes two blocks.  Only the
-    integer sides are counted, the shifts and the column 0 (denominator
-    1), not the grid's."""
+    integer sides are counted, the shifts and the row 0 (denominator 1),
+    not the grid's."""
     calls = _counted_kernel(monkeypatch)
     served = []  # the kernel call each units call of the shift side serves
     units = measure._RationalSide.units
@@ -914,22 +928,22 @@ def test_small_ladder_calls_take_every_level_in_one_block(monkeypatch):
         calls.clear()
         served.clear()
         _, form = build_four_digit_form(*args)
-        weakly_periodic_check(form, integer_window=64)
+        weakly_periodic_check(form)
         m = measure.form_measure(form)
         depth = auto_depth(form.base, m.digits, 66.0, 1e-12)
         shallow, _ = measure._shallow_rung(dataclasses.replace(m, depth=depth))
         ladder = [(1, bulk), (5, 1), (5, 1), (124, 1), (124, 1)]
-        assert calls == [(4672, 1)] * energy + ladder
+        assert calls == [(1, 4672)] * energy + ladder
         assert depth > shallow.depth == shallow_depth
         assert [served.count(k) for k in range(1, len(calls) + 1)] == [1] * energy + [shallow_depth] + [1] * 4
 
 
-def _near_window_far_points(form, integer_window, resolution):
+def _near_window_far_points(form):
     """How many points reach the shifts |k| > 2 in a scan that gives every
     point the shifts |k| <= 2 first, then the rest of the window in
     increasing order of that bound, in batches that double."""
-    trunc, xs, _ = _scanned_points(form, integer_window, resolution)
-    shifts = measure._RationalSide(1, sorted(range(-integer_window, integer_window + 1), key=abs))
+    trunc, xs, _ = _scanned_points(form)
+    shifts = measure._RationalSide(1, sorted(range(-measure.SCAN_WINDOW, measure.SCAN_WINDOW + 1), key=abs))
     running = measure._window_max(trunc, shifts[:5], xs)
     order = np.argsort(running, kind="stable")
     best, done = math.inf, 0
@@ -952,15 +966,17 @@ def test_weakly_periodic_ladder_on_a_reduced_form(monkeypatch):
     shifts |k| <= 2 first."""
     form = k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)
     assert form.base == 144 and len(expand_one_stage(form)) == 144
-    rep = weakly_periodic_check(form, integer_window=3, resolution=16)
-    assert len(rep.flagged) >= 10
-    assert rep == _full_window_report(form, 3, 16)
+    with monkeypatch.context() as small:
+        _scan_at(small, 3, 16)
+        rep = weakly_periodic_check(form)
+        assert len(rep.flagged) >= 10
+        assert rep == _full_window_report(form)
     calls = _counted_kernel(monkeypatch)
     for form in _flagged_forms():
         calls.clear()
-        rep = weakly_periodic_check(form, integer_window=64, resolution=4096)
+        rep = weakly_periodic_check(form)
         far_points = sum(cols for rows, cols in calls[1:] if rows == 124)
-        assert len(rep.flagged) <= far_points <= _near_window_far_points(form, 64, 4096)
+        assert len(rep.flagged) <= far_points <= _near_window_far_points(form)
 
 
 def test_shallow_rung_bounds_shift_zero_from_below():
@@ -982,7 +998,7 @@ def test_shallow_rung_bounds_shift_zero_from_below():
         assert shallow.tail_sum(1.0) <= 0.25
         assert q == 1 or dataclasses.replace(m, depth=q - 1).tail_sum(1.0) > 0.25
         random_side = measure._RationalSide.of([Fraction(x) for x in rng.random(2000).tolist()])
-        for xs in (random_side, measure._scan_grid(form.base, 4096)):
+        for xs in (random_side, measure._scan_grid(form.base)):
             exact = measure._window_max(trunc, zero, xs)
             bound = factor * measure._window_max(shallow, zero, xs)
             assert (bound * (1 + 1e-10) <= exact).all(), form
@@ -1011,9 +1027,10 @@ def test_weakly_periodic_on_opposing_translations_matches_the_unfactored_scan(mo
     m = measure.form_measure(form)
     assert m.digits.digits == (0, 1, 16, 17)
     assert [f.digits for f in m.factors] == [(0, 1), (0, 16)]
-    rep = weakly_periodic_check(form, integer_window=8, resolution=256)
+    _scan_at(monkeypatch, 8, 256)
+    rep = weakly_periodic_check(form)
     monkeypatch.setattr(measure, "form_measure", lambda f: TruncatedMeasure(f.base, expand_one_stage(f), 1))
-    plain = weakly_periodic_check(form, integer_window=8, resolution=256)
+    plain = weakly_periodic_check(form)
     assert (rep.flagged, rep.excluded, rep.argmin_xi) == (plain.flagged, plain.excluded, plain.argmin_xi)
     assert len(rep.flagged) >= 1 and abs(rep.min_max - plain.min_max) <= 1e-15
 
@@ -1057,7 +1074,7 @@ def test_candidate_levels_are_nested_prefixes():
 
 
 def test_weakly_periodic_examples():
-    rep = weakly_periodic_check(_form14(), integer_window=64, resolution=4096)
+    rep = weakly_periodic_check(_form14())
     assert rep.min_max > 1e-3 and not rep.flagged
     # mask energy at excluded points is genuinely tiny: the grid skips them
     assert rep.excluded > 0
@@ -1071,9 +1088,10 @@ def test_weakly_periodic_argmin_is_the_smaller_mirror_point():
     assert rep.argmin_xi < 0.5
 
 
-def test_weakly_periodic_zero_never_member():
+def test_weakly_periodic_zero_never_member(monkeypatch):
     # xi = 0 has mask energy 1, so it is always in the scanned region
-    rep = weakly_periodic_check(_form23(), integer_window=8, resolution=64)
+    _scan_at(monkeypatch, 8, 64)
+    rep = weakly_periodic_check(_form23())
     assert rep.min_max > 0
 
 
@@ -1092,12 +1110,13 @@ def test_chebyshev_grid_lies_on_the_sample_lattice():
         assert len(set(grid)) == count
 
 
-def test_scan_grid_is_the_sorted_union_of_both_grids():
+def test_scan_grid_is_the_sorted_union_of_both_grids(monkeypatch):
     """In integers over den = lcm(2^SAMPLE_BITS, N^2): the Chebyshev points
     and every t/N^2, sorted, each once."""
     for n in (2, 4, 6, 24, 48, 500):
         for resolution in (1, 64, 4096):
-            grid = measure._scan_grid(n, resolution)
+            monkeypatch.setattr(measure, "SCAN_RESOLUTION", resolution)
+            grid = measure._scan_grid(n)
             den = math.lcm(2**SAMPLE_BITS, n * n)
             cheb = {int(x * 2**SAMPLE_BITS) * (den >> SAMPLE_BITS) for x in chebyshev_grid(resolution)}
             want = sorted(cheb | set(range(0, den, den // (n * n))))
@@ -1116,6 +1135,7 @@ def test_b_energy_evaluates_each_distinct_b_set_once(monkeypatch):
     b_list = form.b_list()
     mixed = b_list[:3] + [DigitSet(144, (0, 1)), b_list[0], DigitSet(144, (0, 1))]
     side = measure._RationalSide.of([Fraction(x) for x in chebyshev_grid(64)])
+    zero = measure._RationalSide(1, [0])
 
     def oracle(b):
         return np.array([abs(mask_value_rational(b, int(v), side.den)) for v in side.nums])
@@ -1125,18 +1145,44 @@ def test_b_energy_evaluates_each_distinct_b_set_once(monkeypatch):
         calls.clear()
         got = measure._b_energy(b_sets, side)
         assert len(calls) == passes == len(set(b_sets))
-        want = sum(measure._abs_at(TruncatedMeasure(1, b, 1), side) ** 2 for b in b_sets) / len(b_sets)
+        want = sum(measure._window_max(TruncatedMeasure(1, b, 1), zero, side) ** 2 for b in b_sets) / len(b_sets)
         assert np.array_equal(got, want)
         assert np.allclose(got, sum(oracle(b) ** 2 for b in b_sets) / len(b_sets), rtol=1e-14, atol=1e-15)
     assert len(b_list) == 12
 
 
+def test_b_energy_takes_each_b_set_from_zero(monkeypatch):
+    """|M_B| does not move when B is translated, so each B-set reaches the
+    kernel translated to min 0, and B-sets that are translates of each
+    other share one pass.  The form with B = {-1e12, 4 - 1e12} and its
+    translate with B = {0, 4}, of the same expansion and factors, give
+    equal reports."""
+    seen = []
+    kernel = measure._split_phase_abs
+
+    def counted(m, rows, cols):
+        if m.base == 1:  # a B-mask
+            seen.append(m.digits.digits)
+        return kernel(m, rows, cols)
+
+    monkeypatch.setattr(measure, "_split_phase_abs", counted)
+    far, near = _translated_flagged_form(10**12), _translated_flagged_form(0)
+    assert weakly_periodic_check(far) == weakly_periodic_check(near)
+    assert seen == [(0, 4), (0, 4)]
+    seen.clear()
+    b = DigitSet(4, (0, 2))
+    side = measure._RationalSide.of([Fraction(x) for x in chebyshev_grid(16)])
+    got = measure._b_energy([b.shifted(5), b, b.shifted(-3)], side)
+    assert seen == [(0, 2)]
+    assert np.array_equal(got, measure._b_energy([b, b, b], side))
+
+
 def test_scan_grid_contains_mask_zeros():
     """Every t/N^2, where mask zeros lie, is a grid point exactly."""
-    grid = measure._scan_grid(4, 16)
+    grid = measure._scan_grid(4)
     assert grid.den % 16 == 0 and grid.den // 4 in grid.nums.tolist()
     for n in (7, 48, 250):
-        grid = measure._scan_grid(n, 64)
+        grid = measure._scan_grid(n)
         step = grid.den // (n * n)
         assert set(range(0, grid.den, step)) <= set(grid.nums.tolist()), n
 
@@ -1163,15 +1209,16 @@ def test_two_branch_candidate_monotone_toward_split_targets():
     assert prev_full > 0.35
 
 
-def _scalar_shifts(form, search_window=128):
+def _scalar_shifts(form):
     """The shift search on the scalar exact-phase oracles: the B-energy of
     each gamma from mask_value_rational, then the spiral 0, 1, -1, 2, ...
     one shift at a time through TruncatedMeasure.mu_hat_rational, at the
-    depth and with the threshold of build_spectrum.  Returns the (gamma,
+    depth, window and threshold of build_spectrum.  Returns the (gamma,
     shift) pairs, or raises ShiftSearchFailure with the best ratio."""
+    window = measure.SHIFT_WINDOW
     n = form.base
     d_set = expand_one_stage(form)
-    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, search_window + 2.0))
+    trunc = TruncatedMeasure(n, d_set, auto_depth(n, d_set, window + 2.0))
     b_list = form.b_list()
     shifts = []
     for g in measure._anchored_spectrum(form):
@@ -1180,14 +1227,14 @@ def _scalar_shifts(form, search_window=128):
             shifts.append((g, 0))
             continue
         best = 0.0
-        for k in [0, *(k for j in range(1, search_window + 1) for k in (j, -j))]:
+        for k in [0, *(k for j in range(1, window + 1) for k in (j, -j))]:
             ratio = abs(trunc.mu_hat_rational(g + k * n, n)) ** 2 / (target + 1e-300)
             best = max(best, ratio)
             if ratio >= measure.SHIFT_RATIO_THRESHOLD:
                 shifts.append((g, k))
                 break
         else:
-            raise ShiftSearchFailure(g, search_window, best)
+            raise ShiftSearchFailure(g, window, best)
     return tuple(shifts)
 
 
@@ -1213,26 +1260,26 @@ def _random_normalized_forms(count, seed):
     return forms
 
 
-def _same_shift_search(form, scales=(1,), search_window=128):
+def _same_shift_search(form, scales=(1,)):
     """build_spectrum at each scale picks the scalar search's shift for
     every gamma, or both fail at the same gamma with best ratios within a
     relative 1e-12.  Returns the shifts, or None after a failure."""
     try:
-        want = _scalar_shifts(form, search_window)
+        want = _scalar_shifts(form)
     except ShiftSearchFailure as err:
         for scale in scales:
             with pytest.raises(ShiftSearchFailure) as got:
-                build_spectrum(form, levels=1, search_window=search_window, scale=Fraction(scale))
+                build_spectrum(form, levels=1, scale=Fraction(scale))
             assert (got.value.gamma, got.value.window) == (err.gamma, err.window), form
             assert math.isclose(got.value.best_ratio, err.best_ratio, rel_tol=1e-12), form
         return None
     for scale in scales:
-        got = build_spectrum(form, levels=1, search_window=search_window, scale=Fraction(scale))
+        got = build_spectrum(form, levels=1, scale=Fraction(scale))
         assert got.shifts == want, (form, scale)
     return want
 
 
-def test_kernel_shift_search_picks_the_scalar_oracles_shifts():
+def test_kernel_shift_search_picks_the_scalar_oracles_shifts(monkeypatch):
     """build_spectrum's shift search runs on the kernel; the scalar
     exact-phase oracles pick the same shift for every gamma.  The nine
     frame-sums forms at scale 1 and at their benchmark scale, the reduced
@@ -1243,15 +1290,17 @@ def test_kernel_shift_search_picks_the_scalar_oracles_shifts():
     for scale, form in _frame_sums_scaled_forms():
         assert _same_shift_search(form, {1, scale}) is not None
     assert _same_shift_search(k_stage_to_one_stage(paq_type_generator(2, 3, 2, "i").form)) is not None
-    # 12 of these need a nonzero shift, and 1 has none in the window
-    outcomes = [_same_shift_search(form, search_window=16) for form in _random_normalized_forms(300, seed=6)]
+    # 12 of these need a nonzero shift, and 1 has none in the window 16
+    monkeypatch.setattr(measure, "SHIFT_WINDOW", 16)
+    outcomes = [_same_shift_search(form) for form in _random_normalized_forms(300, seed=6)]
     assert sum(1 for shifts in outcomes if shifts and any(k for _, k in shifts)) >= 10
     assert outcomes.count(None) >= 1
     zero_class = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 4)), 1: DigitSet(4, (0, 4))}, (0, 1), (0, 2))
     for window in (0, 3, 128):
-        assert _same_shift_search(zero_class, search_window=window) is None
+        monkeypatch.setattr(measure, "SHIFT_WINDOW", window)
+        assert _same_shift_search(zero_class) is None
         with pytest.raises(ShiftSearchFailure, match="gamma=2 "):
-            build_spectrum(zero_class, levels=1, search_window=window)
+            build_spectrum(zero_class, levels=1)
 
 
 def test_worst_case_height_refusal_keeps_a_one_point_spectrum():
@@ -1282,8 +1331,6 @@ def test_weakly_periodic_check_refuses_an_over_limit_scan_itself(monkeypatch):
 
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
     monkeypatch.setattr(measure, "_scan_grid", no_work)
-    form = _form14()
-    with pytest.raises(PointLimitExceeded, match="SCAN_WINDOW_LIMIT"):
-        weakly_periodic_check(form, integer_window=measure.SCAN_WINDOW_LIMIT + 1)
+    monkeypatch.setattr(measure, "SCAN_RESOLUTION", measure.SCAN_POINT_LIMIT)
     with pytest.raises(PointLimitExceeded, match="SCAN_POINT_LIMIT"):
-        weakly_periodic_check(form, resolution=measure.SCAN_POINT_LIMIT)
+        weakly_periodic_check(_form14())
