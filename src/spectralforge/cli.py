@@ -80,6 +80,21 @@ def digitset_from_json(obj, base: int | None = None) -> DigitSet:
     return DigitSet(own, _digits_from_json(obj["digits"]))
 
 
+def _digit_set_map(raw: dict, base: int) -> dict[int, DigitSet]:
+    """{key: digit set} from a JSON map of digit lists, each distinct list
+    parsed once and its set shared.  Lists are keyed by their repr, not by
+    equality: 1 == 1.0 == True, but the parse accepts only the first."""
+    parsed: dict[str, DigitSet] = {}
+    out = {}
+    for k, v in raw.items():
+        key = _int(k)
+        text = repr(v)
+        if text not in parsed:
+            parsed[text] = DigitSet(base, _digits_from_json(v))
+        out[key] = parsed[text]
+    return out
+
+
 def one_stage_to_json(f: OneStageForm) -> dict:
     return {
         "base": f.base,
@@ -93,7 +108,7 @@ def one_stage_to_json(f: OneStageForm) -> dict:
 
 def one_stage_from_json(obj: dict) -> OneStageForm:
     base = _int(obj["base"])
-    b_map = {_int(k): DigitSet(base, _digits_from_json(v)) for k, v in obj["Bs"].items()}
+    b_map = _digit_set_map(obj["Bs"], base)
     return one_stage_form(
         base,
         _int(obj.get("r", 1)),
@@ -127,9 +142,7 @@ def k_stage_from_json(obj: dict) -> KStageForm:
         if "constant" in layer:
             layers.append(DigitSet(base, _digits_from_json(layer["constant"])))
         else:
-            layers.append(
-                {_int(k): DigitSet(base, _digits_from_json(v)) for k, v in layer["map"].items()}
-            )
+            layers.append(_digit_set_map(layer["map"], base))
     form = k_stage_form(
         base,
         [_int(e) for e in obj["ells"]],

@@ -34,10 +34,13 @@ class DigitSet:
 
     ``offset`` is bookkeeping only: ``canonicalize`` stores there the
     translation that was subtracted, so results computed for the canonical
-    set can be reported for the original one.  ``order_verdicts``, not a
-    field, maps a root order m to whether the sum of zeta_m^d over the
-    digits vanishes; ``cyclotomic.vanishing_sum_test`` fills it, so a
-    repeated question costs no hash of the digits.
+    set can be reported for the original one.  Two tables, not fields,
+    keep answers about the digits, so a repeated question costs no hash of
+    them: ``order_verdicts`` maps a root order m to whether the sum of
+    zeta_m^d over the digits vanishes (``cyclotomic.vanishing_sum_test``
+    fills it), and ``modulus_facts`` maps a modulus N to the duplicate
+    residues and ordered differences mod N (``hadamard.check_triple``
+    fills it).
     """
 
     base: int
@@ -54,6 +57,7 @@ class DigitSet:
             raise ValueError("digits must be pairwise distinct (multisets rejected)")
         object.__setattr__(self, "digits", ordered)
         object.__setattr__(self, "order_verdicts", {})
+        object.__setattr__(self, "modulus_facts", {})
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.digits)

@@ -8,11 +8,14 @@ J. Funct. Anal. 193 (2002)).  The orthogonality test is
 ``vanishing_sum_test``: pure integer arithmetic, never floating point.
 
 The verdict depends on the set of differences, not on the pairs, so
-``check_triple`` builds the distinct ordered differences (l_j - l_i) mod N,
-i < j, once per call and tests each once.  Where the pairs outnumber the
-residues it reads them off one N-bit mask, built by |L| shifts; elsewhere
-it collects them in a set.  Only a failure walks the pairs, to name the
-first failing one.
+``check_triple`` tests each distinct ordered difference (l_j - l_i) mod N,
+i < j, once.  It builds that difference set once per (L, N): where the
+pairs outnumber the residues it reads them off one N-bit mask, built by |L|
+shifts; elsewhere it collects them in a set.  The set, and the duplicate
+residues of D and of L, stay in the digit set's ``modulus_facts``, so a
+spectrum checked against many digit sets at one modulus (the B-triple rows
+of a product form) builds them once.  Only a failure walks the pairs, to
+name the first failing one.
 """
 
 from __future__ import annotations
@@ -105,22 +108,40 @@ def _ordered_differences(ls: Sequence[int], n: int) -> list[int]:
     return _differences_by_set(ls, n)
 
 
+# Moduli per digit set whose facts ``_facts`` keeps.  An entry holds up to
+# N differences, so a set met at more moduli recomputes the rest.
+_MODULUS_MEMO_SIZE = 64
+
+
+def _facts(s: DigitSet, n: int) -> list:
+    """[first duplicate pair mod n or None, ordered differences mod n or
+    None until a caller needs them] of s, kept in ``s.modulus_facts``."""
+    facts = s.modulus_facts.get(n)
+    if facts is None:
+        facts = [_duplicate_residue(s.digits, n), None]
+        if len(s.modulus_facts) < _MODULUS_MEMO_SIZE:
+            s.modulus_facts[n] = facts
+    return facts
+
+
 def check_triple(n: int, d: DigitSet, l: DigitSet) -> FailureReport | None:
     """None when (n, d, l) is a Hadamard triple, else the first failure.
 
     Orthogonality calls ``vanishing_sum_test`` once per distinct ordered
     difference (l_j - l_i) mod n, i < j, in ascending order; the differences
-    come from one N-bit mask when 2N <= |L|^2, else from a set.  On a success these are exactly the tests a walk over the
-    pairs would make.  At the first difference that does not vanish the
-    pairs are walked in order, reusing every verdict already decided, and
-    the first failing pair is the witness.
+    come from one N-bit mask when 2N <= |L|^2, else from a set, and are
+    built once per (l, n).  On a success these are exactly the tests a walk
+    over the pairs would make.  At the first difference that does not
+    vanish the pairs are walked in order, reusing every verdict already
+    decided, and the first failing pair is the witness.
     """
     if len(d) != len(l):
         return FailureReport("CardinalityMismatch", witness=(len(d), len(l)))
-    dup = _duplicate_residue(d.digits, n)
+    dup = _facts(d, n)[0]
     if dup is not None:
         return FailureReport("DuplicateResidue", "digits", (dup[0], dup[1], n))
-    dup = _duplicate_residue(l.digits, n)
+    spectrum = _facts(l, n)
+    dup = spectrum[0]
     if dup is not None:
         return FailureReport("DuplicateResidue", "spectrum", (dup[0], dup[1], n))
     if len(d) == n:
@@ -128,7 +149,9 @@ def check_triple(n: int, d: DigitSet, l: DigitSet) -> FailureReport | None:
         # full geometric sum, hence zero; no pair tests needed
         return None
     ls = l.digits
-    diffs = _ordered_differences(ls, n)
+    if spectrum[1] is None:
+        spectrum[1] = _ordered_differences(ls, n)
+    diffs = spectrum[1]
     for k, t in enumerate(diffs):
         if not vanishing_sum_test(d, t, n):
             break

@@ -87,7 +87,11 @@ class ValidationReport:
 @dataclass(frozen=True)
 class OneStageForm:
     """Digits expand to the union of a + N^r * B_a over a in A.  N^r above
-    BASE_LIMIT raises PointLimitExceeded."""
+    BASE_LIMIT raises PointLimitExceeded.
+
+    Equal B-sets (same base, digits and offset) become one DigitSet, so
+    the answers it keeps (``order_verdicts``, ``modulus_facts``) serve
+    every row that shares it."""
 
     base: int
     r: int
@@ -103,7 +107,9 @@ class OneStageForm:
         keys = tuple(k for k, _ in self.b_sets)
         if sorted(keys) != sorted(self.a_set.digits):
             raise ValueError("B-sets must be keyed exactly by the digits of A")
-        object.__setattr__(self, "b_sets", tuple(sorted(self.b_sets)))
+        shared: dict[tuple, DigitSet] = {}
+        b_sets = sorted((a, shared.setdefault((b.base, b.digits, b.offset), b)) for a, b in self.b_sets)
+        object.__setattr__(self, "b_sets", tuple(b_sets))
 
     @property
     def b_map(self) -> dict[int, DigitSet]:

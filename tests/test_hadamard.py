@@ -293,6 +293,40 @@ def test_ordered_differences_match_brute_force_on_both_routes():
         assert hadamard._ordered_differences(ls, n) == want, (n, ls)
 
 
+def _fresh(n, d, l):
+    """check_triple on new copies of d and l, whose tables are empty."""
+    return check_triple(n, DigitSet(d.base, d.digits), DigitSet(l.base, l.digits))
+
+
+def test_modulus_facts_are_kept_per_modulus():
+    """One L checked at three moduli, in every order: a DuplicateResidue at
+    2, a pass at 4 and an OrthogonalityFailure at 8, each as fresh sets
+    give it, and one entry per modulus."""
+    d = DigitSet(8, (0, 1))
+    want = {n: _fresh(n, d, DigitSet(8, (0, 2))) for n in (2, 4, 8)}
+    assert want[2] == FailureReport("DuplicateResidue", "spectrum", (0, 2, 2))
+    assert want[4] is None
+    assert want[8] == FailureReport("OrthogonalityFailure", "spectrum pair", (0, 2))
+    for order in itertools.permutations((2, 4, 8)):
+        l = DigitSet(8, (0, 2))
+        for n in order + order:
+            assert check_triple(n, d, l) == want[n], (order, n)
+        assert sorted(l.modulus_facts) == [2, 4, 8]
+
+
+def test_warm_tables_name_the_pair_a_cold_check_names():
+    """The oracle triples in order, so the moved copy of a triple that
+    keeps its L finds that L's tables filled: every report equals the one
+    fresh sets give, orthogonality failures among them."""
+    warm_failures = 0
+    for n, d, l in _oracle_triples(150, seed=22):
+        warm = n in l.modulus_facts
+        got = check_triple(n, d, l)
+        assert got == _fresh(n, d, l), (n, d.digits, l.digits)
+        warm_failures += warm and got is not None and got.kind == "OrthogonalityFailure"
+    assert warm_failures >= 10
+
+
 @pytest.mark.parametrize(
     "n, d, l, route",
     [

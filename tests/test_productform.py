@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spectralforge import cyclotomic, productform
+from spectralforge import cli, cm_tiling, cyclotomic, hadamard, productform
 from spectralforge.digitsets import DigitSet, direct_sum_digits, stacked_digits
 from spectralforge.errors import (
     InvalidVariantParams,
@@ -97,6 +97,50 @@ def test_one_stage_decides_each_distinct_b_set_once(monkeypatch):
     assert rows == expected
     assert len(products) == 2
     assert sum(d in products for d in calls) == 2
+
+
+def _z72_reduction():
+    """reduce-kstage --k 2 on the Z_72 tiling pair: 432 B rows over
+    N = 5,184, every one the same 12-digit set."""
+    parts = [DigitSet(72, (0, 8, 16, 18, 26, 34)), DigitSet(72, (0, 5, 6, 9, 12, 29, 33, 36, 42, 48, 53, 57))]
+    return k_stage_to_one_stage(cm_tiling.cm_regular_product_triple(72, parts), 2)
+
+
+def _one_object_per_b_set(form):
+    """The number of distinct B-sets, after checking that each has one object."""
+    objects = {id(b) for _, b in form.b_sets}
+    assert len(objects) == len({(b.base, b.digits, b.offset) for _, b in form.b_sets})
+    return len(objects)
+
+
+def test_equal_b_sets_share_one_digit_set():
+    """From JSON with repeated lists, from the Z_72 reduction and from
+    one_stage_form, a form holds one DigitSet per distinct B-set; equal
+    digits under different offsets stay apart."""
+    obj = {"base": 4, "r": 1, "A": [0, 1, 4, 5], "L1": ["0", "2"], "L2": ["0", "1"],
+           "Bs": {"0": ["0", "2"], "1": ["0", "6"], "4": ["0", "2"], "5": ["0", "6"]}}
+    assert _one_object_per_b_set(cli.one_stage_from_json(obj)) == 2
+    z72 = _z72_reduction()
+    assert len(z72.b_sets) == 432 and _one_object_per_b_set(z72) == 1
+    b_map = {a: DigitSet(4, (0, 2)) for a in (0, 1, 4)}
+    b_map[5] = DigitSet(4, (0, 2), offset=3)
+    form = one_stage_form(4, 1, (0, 1, 4, 5), b_map, (0, 2), (0, 1))
+    assert _one_object_per_b_set(form) == 2
+    assert [b.offset for _, b in form.b_sets] == [0, 0, 0, 3]
+
+
+def test_z72_validation_counts(monkeypatch):
+    """validate_one_stage on the Z_72 reduction, read back from JSON as
+    validate-form reads it: 10,996 vanishing tests (the bench's per-job
+    pin), and L2's difference set built once for its 432 B rows."""
+    form = cli.one_stage_from_json(cli.one_stage_to_json(_z72_reduction()))
+    vanishing, differences = [], []
+    real_test, real_diffs = hadamard.vanishing_sum_test, hadamard._ordered_differences
+    monkeypatch.setattr(hadamard, "vanishing_sum_test", lambda d, t, n: vanishing.append(t) or real_test(d, t, n))
+    monkeypatch.setattr(hadamard, "_ordered_differences", lambda ls, n: differences.append(ls) or real_diffs(ls, n))
+    assert validate_one_stage(form).ok
+    assert len(vanishing) == 10_996
+    assert differences.count(form.l2.digits) == 1
 
 
 def test_failing_one_stage_product_rows():
