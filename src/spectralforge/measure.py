@@ -271,18 +271,24 @@ class _RationalSide:
             # the moduli grow with j, so those within int64 come first
             small = sum(m < _INT64_LIMIT for m in mods)
             if small:
+                # the residues go straight into the phases, as doubles, and
+                # are divided there: int64 operands of np.divide are cast
+                # to double first, so the quotient is the same bit for bit
                 m = np.array(mods[:small], dtype=np.int64)[:, None, None]
-                np.divide(prod % m, m, out=phase[:small])
+                np.remainder(prod, m, out=phase[:small])
+                np.divide(phase[:small], m, out=phase[:small])
             if small < len(mods):
                 # past int64, |d*num| < m: the phase is already reduced, up
                 # to a sign the period absorbs
                 np.divide(prod, np.array(mods[small:], dtype=float)[:, None, None], out=phase[small:])
+            del prod  # not held beside the unit roots
         elif len(ds) > 1:
             # each digit on the route it takes alone
             return np.concatenate([self.units(base, js, (d,), part) for d in ds], axis=1)
         else:
             phase = np.array([[[(ds[0] * v) % m / m for v in x.tolist()]] for m in mods], dtype=float)
-        return _unit_roots((-2 * np.pi) * phase)
+        phase *= -2 * np.pi  # in place: the same doubles as (-2 * np.pi) * phase
+        return _unit_roots(phase)
 
 
 def _tiles(n_rows: int, n_cols: int):
