@@ -2,6 +2,7 @@
 values; no benchmark runs."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -52,3 +53,24 @@ def test_bench_env_drops_only_the_no_bytecode_switch(monkeypatch):
     env = paired_bench.bench_env()
     assert "PYTHONDONTWRITEBYTECODE" not in env
     assert env == {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+
+def _stdout(cpu, correct=True, failed=0):
+    """bench/run.py's output with the given CPU seconds per pass."""
+    summary = {"workload": "stage-reduce", "passes": len(cpu), "cpu_s_per_pass": cpu}
+    result = {"correct": correct, "failed": failed,
+              "metrics": {"wall_s": {"value": 0.1, "unit": "s"}, "setup_s": {"value": 0.2, "unit": "s"}}}
+    return "\n".join(["a line before", json.dumps(summary), json.dumps(result)]) + "\n"
+
+
+def test_run_values_read_the_metrics_and_the_median_cpu_per_pass():
+    assert paired_bench.run_values(_stdout([0.3, 0.1, 0.2])) == {"wall_s": 0.1, "setup_s": 0.2, "cpu_s_per_pass": 0.2}
+    assert paired_bench.run_values(_stdout([0.3, 0.1]))["cpu_s_per_pass"] == pytest.approx(0.2)
+    assert paired_bench.run_values(_stdout([0.1], correct=False)) is None
+    assert paired_bench.run_values(_stdout([0.1], failed=1)) is None
+    assert paired_bench.run_values(_stdout([0.1]).splitlines()[-1]) is None
+
+
+def test_cpu_line_is_marked_evidence_only():
+    line = paired_bench.cpu_line([0.3, 0.1, 0.2], [0.05, 0.15, 0.1])
+    assert line == "cpu_s_per_pass (evidence only, no gain rule): median 0.2000 -> 0.1000"

@@ -19,6 +19,9 @@ whether a gain may be claimed: at least ten pairs, wins in at least nine
 tenths of them, and a median better by more than the other side's
 interquartile range.
 The metrics and the direction that is better come from BENCHMARK.json.
+One more line gives each side's median CPU time per pass, from the summary
+line of ``bench/run.py`` (each run's median over its passes): evidence
+only, since the gain rule reads the BENCHMARK.json metrics alone.
 The exit code is 1 if a run fails or reads wrong reports, else 0.
 """
 
@@ -34,6 +37,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SECONDS = 25
+CPU = "cpu_s_per_pass"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -60,17 +64,38 @@ def bench_env() -> dict[str, str]:
     return {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
 
 
+def run_values(stdout: str) -> dict[str, float] | None:
+    """The end-to-end metrics of a run, read off its last two stdout lines
+    (the summary, then the result), and under CPU the median of the
+    summary's ``cpu_s_per_pass``; None when a line is missing or a job
+    failed or read wrong."""
+    lines = stdout.splitlines()[-2:]
+    if len(lines) < 2:
+        return None
+    summary, result = map(json.loads, lines)
+    if not result["correct"] or result["failed"]:
+        return None
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    values[CPU] = statistics.median(summary["cpu_s_per_pass"])
+    return values
+
+
+def cpu_line(other: list[float], here: list[float]) -> str:
+    """The median of each side's CPU seconds per pass, marked as evidence."""
+    return (f"{CPU} (evidence only, no gain rule): median {statistics.median(other):.4f} -> "
+            f"{statistics.median(here):.4f}")
+
+
 def bench(checkout: Path, workload: str, seed: int) -> dict[str, float]:
-    """The end-to-end metrics of one untraced benchmark run in ``checkout``."""
+    """``run_values`` of one untraced benchmark run in ``checkout``."""
     argv = ["bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True, text=True, env=bench_env())
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: bench/run.py seed {seed} exited {proc.returncode}: {proc.stderr.strip()}")
-    result = json.loads(lines[-1])
-    if not result["correct"] or result["failed"]:
-        raise RuntimeError(f"{checkout}: seed {seed} gave wrong or failed jobs: {proc.stderr.strip()}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    values = run_values(proc.stdout)
+    if values is None:
+        raise RuntimeError(f"{checkout}: seed {seed} gave no result, or wrong or failed jobs: {proc.stderr.strip()}")
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         spread = " / ".join(f"{v:.4f}" for v in s["other"]), " / ".join(f"{v:.4f}" for v in s["here"])
         print(f"{name} ({direction} is better): q1 / median / q3 {spread[0]} -> {spread[1]}; "
               f"this checkout wins {s['wins']}/{s['pairs']}; gain rule {'holds' if s['gain'] else 'does not hold'}")
+    print(cpu_line([r[CPU] for r in runs["other"]], [r[CPU] for r in runs["here"]]))
     return 0
 
 
