@@ -477,9 +477,10 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     over: dict[int, list[int]] = {}
     for x in d_big:
         over.setdefault(x % big, []).append(x)
-    b_sets = tuple((a, DigitSet(big, tuple((x - a) // big for x in over[a % big]))) for a in a_digits)
-
-    out = require_valid_one_stage(OneStageForm(big, 1, a_set, b_sets, l1, l2))
+    # a generator: the form keeps one DigitSet per distinct B-set, and no
+    # tuple here keeps the duplicates alive through the validation
+    b_sets = ((a, DigitSet(big, tuple((x - a) // big for x in over[a % big]))) for a in a_digits)
+    out = require_valid_one_stage(OneStageForm(big, 1, a_set, tuple(b_sets), l1, l2))
     if expand_one_stage(out).digits != d_big:
         raise AssertionError("one-stage expansion must reproduce the stacked digits")
     return out
