@@ -271,9 +271,9 @@ class _RationalSide:
             # the moduli grow with j, so those within int64 come first
             small = sum(m < _INT64_LIMIT for m in mods)
             if small:
-                # the residues go straight into the phases, as doubles, and
-                # are divided there: int64 operands of np.divide are cast
-                # to double first, so the quotient is the same bit for bit
+                # the residues go into the phases as doubles and are divided
+                # in place: np.divide casts int64 residues to double first,
+                # so the quotients are the same doubles
                 m = np.array(mods[:small], dtype=np.int64)[:, None, None]
                 np.remainder(prod, m, out=phase[:small])
                 np.divide(phase[:small], m, out=phase[:small])
