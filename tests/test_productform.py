@@ -120,6 +120,10 @@ def test_equal_b_sets_share_one_digit_set():
     obj = {"base": 4, "r": 1, "A": [0, 1, 4, 5], "L1": ["0", "2"], "L2": ["0", "1"],
            "Bs": {"0": ["0", "2"], "1": ["0", "6"], "4": ["0", "2"], "5": ["0", "6"]}}
     assert _one_object_per_b_set(cli.one_stage_from_json(obj)) == 2
+    # a list equal to a parsed one is not parsed for it: [true, 2] == [1, 2]
+    obj["Bs"] = {"0": [1, 2], "1": [True, 2], "4": ["0", "2"], "5": ["0", "6"]}
+    with pytest.raises(ValueError, match="expected an integer, got True"):
+        cli.one_stage_from_json(obj)
     z72 = _z72_reduction()
     assert len(z72.b_sets) == 432 and _one_object_per_b_set(z72) == 1
     b_map = {a: DigitSet(4, (0, 2)) for a in (0, 1, 4)}
