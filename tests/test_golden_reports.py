@@ -40,7 +40,7 @@ def _inputs() -> dict:
     from spectralforge.cli import k_stage_to_json, one_stage_to_json
     from spectralforge.cm_tiling import paq_type_generator
     from spectralforge.digitsets import DigitSet
-    from spectralforge.productform import build_four_digit_form, one_stage_form
+    from spectralforge.productform import build_four_digit_form, k_stage_form, one_stage_form
 
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     b4 = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 6))}, (0, 2), (0, 1))
@@ -60,6 +60,9 @@ def _inputs() -> dict:
         "unequal.json": one_stage_to_json(unequal),
         "b6.json": one_stage_to_json(b6),
         "k.json": k_stage_to_json(paq_type_generator(2, 3, 2, "i").form),
+        # a staged form with a keyed ("map") layer, and one whose prefix product fails
+        "kmap.json": k_stage_to_json(paq_type_generator(2, 3, 2, "i", zshifts={(1, 0, 0): 1}).form),
+        "kfail.json": k_stage_to_json(k_stage_form(6, (1,), (0, 1), [DigitSet(6, (0, 3))], [(0, 3), (0, 1)])),
         "zshifts.json": [{"stage": 1, "parent": 0, "e": 0, "z": 1}],
         "broken.json": '{"base": 4, "digits": [',
     }
@@ -81,6 +84,8 @@ JOBS = [
     ["validate-form", "--spec", "b4.json"],
     ["validate-form", "--spec", "unequal.json"],
     ["validate-form", "--spec", "k.json"],
+    ["validate-form", "--spec", "kmap.json"],
+    ["validate-form", "--spec", "kfail.json"],
     ["gen-product-form", "--spec", "f83.json"],
     ["gen-product-form", "--spec", "k.json"],
     ["reduce-kstage", "--spec", "k.json"],
