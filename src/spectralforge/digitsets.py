@@ -187,10 +187,10 @@ def _expand_layers(start: Iterable[int], stages) -> list[list[int]]:
     return levels
 
 
-def _stage_witnesses(current: Sequence[int], stage) -> dict[int, tuple[int, int]]:
-    """The witness map {x: (d, e)} of one ``_expand_layers`` stage over the
-    level ``current``; the first repeated x raises OverlapError naming its
-    two productions."""
+def _stage_witnesses(current: Sequence[int], stage) -> None:
+    """Walk one ``_expand_layers`` stage over the level ``current`` and
+    raise the OverlapError that names the first repeated x and its two
+    productions (d, e)."""
     label, scale, layer = stage
     seen: dict[int, tuple[int, int]] = {}
     for d in current:
@@ -199,4 +199,3 @@ def _stage_witnesses(current: Sequence[int], stage) -> dict[int, tuple[int, int]
             if x in seen:
                 raise OverlapError(x, seen[x], (d, e), stage=label)
             seen[x] = (d, e)
-    return seen

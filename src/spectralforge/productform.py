@@ -14,16 +14,10 @@ one convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .digitsets import (
-    DigitSet,
-    _expand_layers,
-    _stage_witnesses,
-    direct_sum_digits,
-    stacked_digits,
-)
+from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
 from .errors import OverlapError, ValidationFailure, refuse_above
 from .hadamard import _duplicate_residue, check_triple
 
@@ -142,30 +136,23 @@ def _triple_row(name: str, n: int, d: DigitSet, l: DigitSet) -> CheckResult:
     return CheckResult(name, rep is None, str(rep or ""))
 
 
-def _product_rows(n: int, rows) -> list[CheckResult]:
-    """One row per (name, parts, spectrum parts), in order, for the triple
-    (N, (+) parts, (+) spectrum parts).  Each distinct (parts, spectrum
-    parts) pair is decided once, and each spectrum sum built once.  A
-    repeated sum fails the row with its OverlapError, the digit sum's first.
-    """
-    spectrum_sums: dict = {}
-    decided: dict = {}
-    for name, parts, spectra in rows:
-        if (parts, spectra) not in decided:
-            if spectra not in spectrum_sums:
-                spectrum_sums[spectra] = _direct_sum(n, spectra)
-            s, ls = _direct_sum(n, parts), spectrum_sums[spectra]
-            bad = next((x for x in (s, ls) if isinstance(x, OverlapError)), None)
-            row = _triple_row(name, n, s, ls) if bad is None else CheckResult(name, False, str(bad))
-            decided[parts, spectra] = row
-    return [replace(decided[parts, spectra], name=name) for name, parts, spectra in rows]
-
-
 def _direct_sum(n: int, parts) -> DigitSet | OverlapError:
     try:
         return DigitSet(n, direct_sum_digits(*parts))
     except OverlapError as exc:
         return exc
+
+
+def _product_verdict(n: int, parts, l_sum: DigitSet | OverlapError) -> tuple[bool, str]:
+    """(ok, detail) of the triple (N, (+) parts, l_sum), where l_sum is a
+    spectrum sum or the OverlapError that building it raised.  A repeated
+    digit sum fails the row with its OverlapError, the digit sum's first."""
+    s = _direct_sum(n, parts)
+    bad = next((x for x in (s, l_sum) if isinstance(x, OverlapError)), None)
+    if bad is not None:
+        return False, str(bad)
+    rep = check_triple(n, s, l_sum)
+    return rep is None, str(rep or "")
 
 
 def validate_one_stage(form: OneStageForm) -> ValidationReport:
@@ -182,15 +169,13 @@ def validate_one_stage(form: OneStageForm) -> ValidationReport:
     checks.append(CheckResult("B-cardinality |B_s| all equal", not detail, detail))
     checks += [_triple_row(f"B-triple (N, B[{a}], L2)", n, b_set, form.l2) for a, b_set in form.b_sets]
 
-    spectra = (form.l1.digits, form.l2.digits)
-    l_sum = _direct_sum(n, spectra)
+    l_sum = _direct_sum(n, (form.l1.digits, form.l2.digits))
     if isinstance(l_sum, OverlapError):
         checks.append(CheckResult("L1 (+) L2 direct", False, str(l_sum)))
         return ValidationReport(tuple(checks))
     checks.append(CheckResult("L1 (+) L2 direct", True))
-    rows = [(f"product-triple (N, A(+)B[{a}], L1(+)L2)", (form.a_set.digits, b.digits), spectra)
-            for a, b in form.b_sets]
-    checks += _product_rows(n, rows)
+    verdicts = {b: _product_verdict(n, (form.a_set.digits, b.digits), l_sum) for b in dict.fromkeys(form.b_list())}
+    checks += [CheckResult(f"product-triple (N, A(+)B[{a}], L1(+)L2)", *verdicts[b]) for a, b in form.b_sets]
 
     try:
         expand_one_stage(form)
@@ -334,49 +319,46 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
     """Exact check of every per-level triple and every prefix/suffix product.
 
     Products are checked along every realizable path through the layer
-    tree.  Each layer set used at a stage is checked once, and each
-    distinct product (digit parts with their spectra) is decided once.
+    tree.  Each layer set used at a stage is checked once.  The prefix-m
+    products are one per distinct sequence of layer sets, and so are the
+    suffix-m ones, each decided against one spectrum sum built per m.
     """
     n = form.base
     checks = [_triple_row("level-0 triple (N, E0, L0)", n, form.e0, form.spectra[0])]
 
     stages = _k_stages(form)
     try:
-        levels = _expand_layers(form.e0.digits, stages)
+        _expand_layers(form.e0.digits, stages)
     except OverlapError as exc:
         checks.append(CheckResult("expansion collision-free", False, str(exc)))
         return ValidationReport(tuple(checks))
     checks.append(CheckResult("expansion collision-free", True))
 
-    # digit -> the layer sets on its path, E_1(d_0) ... E_j(d_(j-1))
+    # digit -> the layer sets on its path, E_1(d_0) ... E_j(d_(j-1)); the
+    # expansion is collision-free, so each digit has one path
     paths: dict[int, tuple[tuple[int, ...], ...]] = {d: () for d in form.e0.digits}
-    for j, (layer, level, stage) in enumerate(zip(form.layers, levels, stages), start=1):
-        # (i) each layer set used at stage j forms a triple with L_j
-        seen_sets = set()
-        extended = {}
+    for j, (layer, (_, scale, _)) in enumerate(zip(form.layers, stages), start=1):
         lookup = layer_lookup(layer)
+        firsts: dict[tuple[int, ...], tuple[int, DigitSet]] = {}
+        extended = {}
         for d in sorted(paths):
             part = lookup(d)
+            firsts.setdefault(part.digits, (d, part))
             extended[d] = paths[d] + (part.digits,)
-            if part.digits not in seen_sets:
-                seen_sets.add(part.digits)
-                name = f"stage-{j} triple (N, E_{j}({d}), L_{j})"
-                checks.append(_triple_row(name, n, part, form.spectra[j]))
-        paths = {x: extended[d] for x, (d, _) in _stage_witnesses(level, stage).items()}
+        # (i) each layer set used at stage j forms a triple with L_j
+        checks += [_triple_row(f"stage-{j} triple (N, E_{j}({d}), L_{j})", n, part, form.spectra[j])
+                   for d, part in firsts.values()]
+        paths = {d + scale * e: path for d, path in extended.items() for e in path[-1]}
     used = set(paths.values())
 
-    rows = []
-    spectra = tuple(sp.digits for sp in form.spectra)
+    e0, spectra = form.e0.digits, tuple(sp.digits for sp in form.spectra)
     for m in range(1, form.stages + 1):
-        rows += [
-            (f"prefix-{m} product {_short(seq)}", (form.e0.digits, *seq), spectra[: m + 1])
-            for seq in sorted({seq[:m] for seq in used})
-        ]
-        rows += [
-            (f"suffix-{m} product {_short(seq)}", seq, spectra[m:])
-            for seq in sorted({seq[m - 1 :] for seq in used})
-        ]
-    checks += _product_rows(n, rows)
+        l_sum = _direct_sum(n, spectra[: m + 1])
+        checks += [CheckResult(f"prefix-{m} product {_short(seq)}", *_product_verdict(n, (e0, *seq), l_sum))
+                   for seq in sorted({seq[:m] for seq in used})]
+        l_sum = _direct_sum(n, spectra[m:])
+        checks += [CheckResult(f"suffix-{m} product {_short(seq)}", *_product_verdict(n, seq, l_sum))
+                   for seq in sorted({seq[m - 1 :] for seq in used})]
     return ValidationReport(tuple(checks))
 
 
@@ -477,11 +459,14 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     over: dict[int, list[int]] = {}
     for x in d_big:
         over.setdefault(x % big, []).append(x)
+    # A's classes are distinct, so the union of the a + N^k * B_a is the
+    # stacked set exactly when the digits over those classes are all of it
+    covered = sum(len(over[a % big]) for a in a_digits)
     # a generator: the form keeps one DigitSet per distinct B-set, and no
     # tuple here keeps the duplicates alive through the validation
     b_sets = ((a, DigitSet(big, tuple((x - a) // big for x in over[a % big]))) for a in a_digits)
     out = require_valid_one_stage(OneStageForm(big, 1, a_set, tuple(b_sets), l1, l2))
-    if expand_one_stage(out).digits != d_big:
+    if covered != len(d_big):
         raise AssertionError("one-stage expansion must reproduce the stacked digits")
     return out
 

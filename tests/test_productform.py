@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spectralforge import cli, cm_tiling, cyclotomic, hadamard, productform
+from spectralforge import cli, cm_tiling, cyclotomic, digitsets, hadamard, productform
 from spectralforge.digitsets import DigitSet, direct_sum_digits, stacked_digits
 from spectralforge.errors import (
     InvalidVariantParams,
@@ -99,11 +99,16 @@ def test_one_stage_decides_each_distinct_b_set_once(monkeypatch):
     assert sum(d in products for d in calls) == 2
 
 
+def _z72_staged():
+    """The staged form of the Z_72 tiling pair."""
+    parts = [DigitSet(72, (0, 8, 16, 18, 26, 34)), DigitSet(72, (0, 5, 6, 9, 12, 29, 33, 36, 42, 48, 53, 57))]
+    return cm_tiling.cm_regular_product_triple(72, parts)
+
+
 def _z72_reduction():
     """reduce-kstage --k 2 on the Z_72 tiling pair: 432 B rows over
     N = 5,184, every one the same 12-digit set."""
-    parts = [DigitSet(72, (0, 8, 16, 18, 26, 34)), DigitSet(72, (0, 5, 6, 9, 12, 29, 33, 36, 42, 48, 53, 57))]
-    return k_stage_to_one_stage(cm_tiling.cm_regular_product_triple(72, parts), 2)
+    return k_stage_to_one_stage(_z72_staged(), 2)
 
 
 def _one_object_per_b_set(form):
@@ -145,6 +150,30 @@ def test_z72_validation_counts(monkeypatch):
     assert validate_one_stage(form).ok
     assert len(vanishing) == 10_996
     assert differences.count(form.l2.digits) == 1
+
+
+def test_z72_work_done_once(monkeypatch):
+    """On the Z_72 pair: the reduction expands its one-stage form once (for
+    the collision row), validate_one_stage builds L1 (+) L2 once, and
+    validate_k_stage on the valid staged form never walks a stage for its
+    witnesses."""
+    staged, form = _z72_staged(), _z72_reduction()
+    expansions, sums = [], []
+    real_expand, real_sum = productform.expand_one_stage, productform.direct_sum_digits
+    monkeypatch.setattr(productform, "expand_one_stage", lambda f: expansions.append(f) or real_expand(f))
+    monkeypatch.setattr(productform, "direct_sum_digits", lambda *parts: sums.append(parts) or real_sum(*parts))
+    assert k_stage_to_one_stage(staged, 2).b_sets == form.b_sets
+    assert len(expansions) == 1
+    sums.clear()
+    assert validate_one_stage(form).ok
+    assert sums.count((form.l1.digits, form.l2.digits)) == 1
+
+    def no_walk(*args):
+        raise AssertionError("validate_k_stage walked a stage for its witnesses")
+
+    assert not hasattr(productform, "_stage_witnesses")
+    monkeypatch.setattr(digitsets, "_stage_witnesses", no_walk)
+    assert validate_k_stage(staged).ok
 
 
 def test_failing_one_stage_product_rows():
