@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .cyclotomic import vanishing_sum_test
 from .digitsets import DigitSet
-from .errors import HadamardFailure, refuse_above
+from .errors import HadamardFailure, SearchLimitReached, refuse_above
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,13 @@ def zero_set(d: DigitSet, n: int) -> frozenset[int]:
 
 
 # Largest N find_spectra searches: it makes N vanishing tests and holds N
-# adjacency sets of N bits.  In process on a 2-core x86 container the
-# complete residue system mod 2,048 takes 0.8 s with limit 2, and
-# {0, N/4, N/2, 3N/4} takes 0.6 s at N = 2,048 and 2.5 s at N = 4,096.
+# adjacency sets of N bits, each one rotation of the zero-set mask.
 SEARCH_BASE_LIMIT = 1 << 11
+# Most spectra one search returns, whatever its limit; finding one more
+# raises SearchLimitReached.  {0, N/4, N/2, 3N/4} at N = 2,048 has 512^3
+# spectra.  In process on a 2-core x86 container its first spectrum takes
+# 2 ms and 2^14 of them 0.16 s.
+SPECTRA_CAP = 1 << 14
 
 
 def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet]:
@@ -199,7 +202,8 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     bound with a most-constrained vertex order; N here stays small enough
     that plain Python bitsets win.  The search keeps its own stack, since a
     clique can hold |D| vertices.  N above SEARCH_BASE_LIMIT raises
-    PointLimitExceeded before any work.
+    PointLimitExceeded before any work; a spectrum found past SPECTRA_CAP
+    raises SearchLimitReached.
     """
     refuse_above("SEARCH_BASE_LIMIT", SEARCH_BASE_LIMIT, f"a search over Z_{n}", n)
     if limit is not None and limit < 1:
@@ -212,15 +216,14 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     allowed = zero_set(d, n)
     if not allowed:
         return []
-    # Adjacency mask per vertex: v ~ w iff (v - w) % n in the zero set.
-    # The graph is vertex-transitive, so every vertex has the same degree
-    # and the interesting pruning is the remaining-candidate count.
-    adj = [0] * n
-    for v in range(n):
-        m = 0
-        for t in allowed:
-            m |= 1 << ((v + t) % n)
-        adj[v] = m
+    # Adjacency mask per vertex: v ~ w iff (v - w) % n in the zero set, so
+    # the mask of v is the zero-set mask rotated by v.  The graph is
+    # vertex-transitive, so every vertex has the same degree and the
+    # interesting pruning is the remaining-candidate count.
+    row = sum(1 << t for t in allowed)
+    full = (1 << n) - 1
+    adj = [((row << v) | (row >> (n - v))) & full for v in range(n)]
+    cap = SPECTRA_CAP
     results: list[DigitSet] = []
     # cands[i] holds the vertices still to try after clique[: i + 1]
     clique = [0]
@@ -238,6 +241,8 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
         # produced exactly once, in increasing vertex order.
         cands[-1] = cand ^ low
         if need == 1:
+            if len(results) == cap:
+                raise SearchLimitReached(f"search stopped at SPECTRA_CAP = {cap} spectra")
             results.append(DigitSet(max(n, 2), tuple(clique) + (v,)))
             if limit is not None and len(results) >= limit:
                 break

@@ -95,6 +95,22 @@ def test_find_spectrum_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_find_spectrum_without_limit_stops_at_the_cap(tmp_path):
+    """{0, 512, 1024, 1536} mod 2,048 has 512^3 spectra; without --limit the
+    whole process ends soon, exit 1, with one report naming the cap."""
+    d = _write(tmp_path, "d.json", {"base": 2048, "digits": ["0", "512", "1024", "1536"]})
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectralforge.cli", "find-spectrum", "--base", "2048", "--digits", d],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+    )
+    took = time.perf_counter() - t0
+    assert proc.returncode == 1
+    message = f"search stopped at SPECTRA_CAP = {hadamard.SPECTRA_CAP} spectra"
+    assert json.loads(proc.stdout)["error"] == {"type": "SearchLimitReached", "message": message}
+    assert took < 5.0, took
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"base": 4, "digits": [')

@@ -9,7 +9,7 @@ import pytest
 from spectralforge import hadamard
 from spectralforge.cyclotomic import vanishing_by_division, vanishing_sum_test
 from spectralforge.digitsets import DigitSet
-from spectralforge.errors import HadamardFailure
+from spectralforge.errors import HadamardFailure, SearchLimitReached
 from spectralforge.hadamard import (
     FailureReport,
     check_triple,
@@ -76,6 +76,25 @@ def test_find_spectra_limit():
     assert len(capped) == 2
     with pytest.raises(ValueError):
         find_spectra(8, DigitSet(8, (0, 4)), limit=0)
+
+
+def test_find_spectra_stops_at_its_cap(monkeypatch):
+    """{0, 512, 1024, 1536} mod 2,048 has 512^3 spectra: a search without a
+    limit, or with one past SPECTRA_CAP, stops at the cap; a limit at the
+    cap returns that many.  On a small set the cap is exact: at the count
+    of spectra the search returns them all, one below it raises."""
+    d = DigitSet(2048, (0, 512, 1024, 1536))
+    cap = hadamard.SPECTRA_CAP
+    for limit in (None, cap + 1):
+        with pytest.raises(SearchLimitReached, match=f"SPECTRA_CAP = {cap} spectra"):
+            find_spectra(2048, d, limit)
+    assert len(find_spectra(2048, d, cap)) == cap
+    monkeypatch.setattr(hadamard, "SPECTRA_CAP", 4)
+    assert len(find_spectra(8, DigitSet(8, (0, 4)))) == 4
+    monkeypatch.setattr(hadamard, "SPECTRA_CAP", 3)
+    with pytest.raises(SearchLimitReached, match="SPECTRA_CAP = 3 spectra"):
+        find_spectra(8, DigitSet(8, (0, 4)))
+    assert len(find_spectra(8, DigitSet(8, (0, 4)), limit=3)) == 3
 
 
 def test_find_spectra_complete_residue_system():
