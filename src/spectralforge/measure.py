@@ -609,8 +609,8 @@ def build_spectrum(form: OneStageForm, levels: int, scale: Fraction = Fraction(1
     at gamma/N + k clears SHIFT_RATIO_THRESHOLD times the averaged B-mask
     energy there.  Both come from the kernel at exact phases: the energy
     and shift 0 of every gamma in one call each, then, for a gamma that
-    shift 0 does not clear, the rest of the spiral in prefixes that double
-    (1, 2, 4, ...).  gamma = 0 always keeps shift 0.  The window |k| <=
+    shift 0 does not clear, the rest of the spiral in one more call.
+    gamma = 0 always keeps shift 0.  The window |k| <=
     SHIFT_WINDOW exhausted without an acceptable shift raises
     ShiftSearchFailure: either the window is too small or the form
     genuinely fails equi-positivity there;
@@ -649,18 +649,14 @@ def build_spectrum(form: OneStageForm, levels: int, scale: Fraction = Fraction(1
     gammas = _RationalSide(n, anchored if levels else [])
     targets = _b_energy(b_list, gammas)
     zero = _window_max(trunc, origin, gammas) ** 2 / (targets + 1e-300)
+    spiral = [k for i in range(1, SHIFT_WINDOW + 1) for k in (i, -i)]  # the rest of 0, 1, -1, 2, -2, ...
     for g, target, best in zip(anchored, targets.tolist(), zero.tolist()):
         accepted = 0 if g == 0 or target < 1e-12 or best >= SHIFT_RATIO_THRESHOLD else None
-        start = 1
-        while accepted is None and start <= 2 * SHIFT_WINDOW:
-            # the rest of the spiral 0, 1, -1, 2, -2, ... in prefixes that
-            # double (1, 2, 4, ...)
-            ks = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(start, min(2 * start, 2 * SHIFT_WINDOW + 1))]
-            ratios = _window_max(trunc, origin, _RationalSide(n, [g + k * n for k in ks])) ** 2 / (target + 1e-300)
+        if accepted is None and spiral:
+            ratios = _window_max(trunc, origin, _RationalSide(n, [g + k * n for k in spiral])) ** 2 / (target + 1e-300)
             hits = np.flatnonzero(ratios >= SHIFT_RATIO_THRESHOLD)
-            accepted = ks[hits[0]] if hits.size else None
+            accepted = spiral[hits[0]] if hits.size else None
             best = max(best, float(ratios.max()))
-            start += len(ks)
         if accepted is None:
             raise ShiftSearchFailure(g, SHIFT_WINDOW, best)
         shifts.append((g, accepted))
