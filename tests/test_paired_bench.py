@@ -74,3 +74,29 @@ def test_run_values_read_the_metrics_and_the_median_cpu_per_pass():
 def test_cpu_line_is_marked_evidence_only():
     line = paired_bench.cpu_line([0.3, 0.1, 0.2], [0.05, 0.15, 0.1])
     assert line == "cpu_s_per_pass (evidence only, no gain rule): median 0.2000 -> 0.1000"
+
+
+def test_a_side_with_a_git_entry_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """Either checkout holding .git (a working tree, not a git archive copy)
+    stops the run before any benchmark, with exit 2."""
+    here, other = tmp_path / "here", tmp_path / "other"
+    for side in (here, other):
+        (side / "bench").mkdir(parents=True)
+        (side / "bench" / "run.py").write_text("")
+    monkeypatch.setattr(paired_bench, "HERE", here)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(paired_bench, "bench", no_run)
+    for side in (other, here):
+        (side / ".git").mkdir()
+        with pytest.raises(SystemExit) as exit_:
+            paired_bench.main([str(other), "--workload", "stage-reduce", "--pairs", "1"])
+        assert exit_.value.code == 2
+        assert f"{side} holds .git" in capsys.readouterr().err
+        (side / ".git").rmdir()
+    # a .git file, as a worktree or submodule has, counts too
+    (other / ".git").write_text("gitdir: elsewhere\n")
+    with pytest.raises(SystemExit):
+        paired_bench.main([str(other), "--workload", "stage-reduce", "--pairs", "1"])

@@ -7,7 +7,8 @@ This checkout, the one that holds this script, is the change; OTHER_CHECKOUT
 is what it is compared with, as a rule its parent commit.  Compare two
 ``git archive`` copies, each of a commit, never a working tree: stale
 ``__pycache__`` files and uncommitted edits load differently from a fresh
-copy of the same code.  Pair i (from 1) runs ``bench/run.py --workload W
+copy of the same code, so either side that holds a ``.git`` entry is a
+usage error.  Pair i (from 1) runs ``bench/run.py --workload W
 --seed S+i-1 --seconds 25 --trace 0`` in each checkout, from its own
 directory and on its own ``src``: the other checkout first in odd pairs,
 this one first in even pairs.  Each run's environment lacks
@@ -108,6 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     other = args.other.resolve()
     if not (other / "bench" / "run.py").is_file():
         parser.error(f"no bench/run.py under {other}")
+    for side in (HERE, other):
+        if (side / ".git").exists():
+            parser.error(f"{side} holds .git: compare two git archive copies, not a working tree")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     better = {m["name"]: m["better"] for m in json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]}
