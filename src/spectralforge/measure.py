@@ -610,8 +610,8 @@ def build_spectrum(form: OneStageForm, levels: int, scale: Fraction = Fraction(1
     energy there.  Both come from the kernel at exact phases: the energy
     and shift 0 of every gamma in one call each, then, for a gamma that
     shift 0 does not clear, the rest of the spiral in one more call.
-    gamma = 0 always keeps shift 0.  The window |k| <=
-    SHIFT_WINDOW exhausted without an acceptable shift raises
+    gamma = 0 always keeps shift 0.  The window |k| <= SHIFT_WINDOW
+    exhausted without an acceptable shift raises
     ShiftSearchFailure: either the window is too small or the form
     genuinely fails equi-positivity there;
     the failure is reported, never papered over.  Level q is the direct
