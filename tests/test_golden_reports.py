@@ -64,6 +64,8 @@ def _inputs() -> dict:
         "kmap.json": k_stage_to_json(paq_type_generator(2, 3, 2, "i", zshifts={(1, 0, 0): 1}).form),
         "kfail.json": k_stage_to_json(k_stage_form(6, (1,), (0, 1), [DigitSet(6, (0, 3))], [(0, 3), (0, 1)])),
         "zshifts.json": [{"stage": 1, "parent": 0, "e": 0, "z": 1}],
+        # keys variant ii's stage-1 layer, so its nested shape is never compared
+        "zshifts_ii.json": [{"stage": 1, "parent": 2, "e": 27, "z": 1}],
         "broken.json": '{"base": 4, "digits": [',
     }
 
@@ -94,6 +96,7 @@ JOBS = [
     _paq(2, 3, 2, "iii"),
     _paq(3, 2, 2, "ii", "--params", "1"),
     _paq(2, 3, 2, "i", "--zshifts", "zshifts.json"),
+    _paq(3, 2, 2, "ii", "--zshifts", "zshifts_ii.json"),
     ["check-t1t2", "--base", "24", "--digits", "d24.json"],
     ["check-t1t2", "--base", "4", "--digits", "d4.json"],
     ["check-t1t2", "--base", "12", "--digits", "d12.json"],
