@@ -45,7 +45,7 @@ from .errors import (
     refuse_above,
 )
 from .hadamard import _duplicate_residue, verify_triple
-from .productform import KStageForm, ValidationReport, as_layer, validate_k_stage
+from .productform import KStageForm, ValidationReport, as_layer, expand_k_stage, validate_k_stage
 
 
 def _divisors(n: int) -> list[int]:
@@ -355,9 +355,13 @@ def spec_kernels(spec: ModuloProductFormSpec) -> tuple[KernelData, ...]:
     return kernel_polynomial(spec.parts, spec.t_indices, spec.ells, spec.base)
 
 
-def _modulo_stages(spec: ModuloProductFormSpec, kernels: Sequence[KernelData]):
-    """Stages (j, N^(l_1+..+l_j), E_j) for the layered expansion, where
-    E_j(d) = {e + m_j * z(j, d, e) : e in E_j}."""
+def _certified_levels(spec: ModuloProductFormSpec):
+    """The one derivation of a spec: its kernels, its stages
+    (j, N^(l_1+..+l_j), E_j) with E_j(d) = {e + m_j * z(j, d, e) : e in E_j},
+    and the sorted digits of every level from one layered expansion.  The
+    top kernel polynomial is certified to divide the mask of the top level
+    before the stages and levels are returned."""
+    kernels = spec_kernels(spec)
     stages = []
     total = 0
     for j in range(1, spec.stages + 1):
@@ -367,40 +371,36 @@ def _modulo_stages(spec: ModuloProductFormSpec, kernels: Sequence[KernelData]):
             return tuple(e + m_j * z.get((d, e), 0) for e in part)
 
         stages.append((j, spec.base**total, layer))
-    return stages
-
-
-def generate_modulo_product_form(spec: ModuloProductFormSpec) -> DigitSet:
-    """Iterate D_j = D_(j-1) + N^(l_1+..+l_j) * (E_j + m_j * z) and certify
-    that the top kernel polynomial divides the mask of the result."""
-    kernels = spec_kernels(spec)
-    digits = _expand_layers(spec.parts[0].digits, _modulo_stages(spec, kernels))[-1]
-    low = min(digits)
-    mask = MaskPolynomial.from_digits(tuple(x - low for x in digits))
+    levels = _expand_layers(spec.parts[0].digits, stages)
+    low = levels[-1][0]
+    mask = MaskPolynomial.from_digits(tuple(x - low for x in levels[-1]))
     # K^(k) is a product of pairwise coprime powers Phi_e^m, so it divides
     # the mask iff each of them does
-    top = kernels[spec.stages]
-    if not all(has_cyclotomic_factor(mask, e, m) for e, m in top.cyclotomic_indices):
+    if not all(has_cyclotomic_factor(mask, e, m) for e, m in kernels[spec.stages].cyclotomic_indices):
         raise KernelDivisibilityFailure(
             "kernel polynomial does not divide the generated mask; invalid spec or bug"
         )
-    return DigitSet(spec.base, tuple(digits))
+    return stages, levels
+
+
+def generate_modulo_product_form(spec: ModuloProductFormSpec) -> DigitSet:
+    """Iterate D_j = D_(j-1) + N^(l_1+..+l_j) * (E_j + m_j * z), certified
+    against the top kernel polynomial."""
+    return DigitSet(spec.base, tuple(_certified_levels(spec)[1][-1]))
 
 
 def modulo_to_k_stage(
     spec: ModuloProductFormSpec, spectra: Sequence[DigitSet]
 ) -> tuple[KStageForm, ValidationReport]:
-    """Parent-keyed layer tree E_j(d) = {e + m_j * z(d,e)} with one given
-    spectrum per factor set, validated exactly; failures are reported in the
-    returned report, never patched."""
-    kernels = spec_kernels(spec)
+    """Parent-keyed layer tree E_j(d) = {e + m_j * z(d,e)} of the certified
+    expansion, with one given spectrum per factor set, validated exactly;
+    failures are reported in the returned report, never patched."""
     if len(spectra) != len(spec.parts):
         raise ValueError("need one spectrum per factor set")
 
-    stages = _modulo_stages(spec, kernels)
-    parents = _expand_layers(spec.parts[0].digits, stages)[:-1]
+    stages, levels = _certified_levels(spec)
     layers: list = []
-    for (j, _, layer), level in zip(stages, parents):
+    for (j, _, layer), level in zip(stages, levels):
         this_layer = {d: DigitSet(spec.base, layer(d)) for d in level}
         constant = all(part.digits == spec.parts[j].digits for part in this_layer.values())
         layers.append(spec.parts[j] if constant else as_layer(this_layer))
@@ -527,7 +527,6 @@ def paq_type_generator(
 
     big_m = max(ms)
     k_idx = max(j for j in range(1, alpha) if ms[j - 1] == big_m)
-    nested = _variant_ii_nested(p, q, alpha, ms, big_m, k_idx)
     # Multiplying the nested digits by q^M turns each p-power factor into
     # N^(fixed shift) times a residue-level factor; the stage exponents
     # absorb the N powers.
@@ -539,7 +538,7 @@ def paq_type_generator(
     ]
     congruences = _variant_ii_congruences(p, q, alpha, ms, big_m, k_idx)
     res = _staged_tile(n, mult, stages, zshifts, f" (multiplier exponent {big_m})", congruences)
-    if not zshifts and res.digits.digits != nested.digits:
+    if not zshifts and res.digits.digits != _variant_ii_nested(p, q, alpha, ms, big_m, k_idx).digits:
         raise AssertionError("multiplied first-order expansion must match the nested shape")
     return res
 
@@ -599,10 +598,10 @@ def _staged_tile(n, mult, stages, zshifts, note="", congruences=()) -> PaqResult
 
     t_indices = [d for d in _divisors(n) if d > 1]
     spec = modulo_spec(n, parts, t_indices, [b - a for a, b in zip(exps, exps[1:])], zshifts)
-    generated = generate_modulo_product_form(spec)
+    form, report = modulo_to_k_stage(spec, spectra)
+    generated = expand_k_stage(form)
     if any(x % mult for x in generated.digits):
         raise AssertionError("generated digits must be divisible by the multiplier")
-    form, report = modulo_to_k_stage(spec, spectra)
     if not report.ok:
         raise ValidationFailure(report)
     digits = DigitSet(n, tuple(x // mult for x in generated.digits))

@@ -522,6 +522,7 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(productform, "_expand_layers", no_work)
     monkeypatch.setattr(cm_tiling, "_scaled", no_work)
     monkeypatch.setattr(cm_tiling, "generate_modulo_product_form", no_work)
+    monkeypatch.setattr(cm_tiling, "modulo_to_k_stage", no_work)
     monkeypatch.setattr(cm_tiling, "is_prime", no_work)
     monkeypatch.setattr(cm_tiling, "_duplicate_residue", no_work)
     monkeypatch.setattr(hadamard, "zero_set", no_work)

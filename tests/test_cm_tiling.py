@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from spectralforge import cm_tiling
 from spectralforge.cm_tiling import (
     CongruenceCheck,
     check_tile_zn,
@@ -476,6 +477,39 @@ def test_paq_zshifts_change_digits_but_keep_certificates():
     assert sorted(x % 12 for x in shifted.digits.digits) == sorted(
         x % 12 for x in base.digits.digits
     )
+
+
+def test_each_paq_spec_is_derived_once(monkeypatch):
+    """One kernel derivation per spec: the tile's spec, plus variant ii's
+    nested spec only when the nested shape is compared (no zshifts), and
+    one layered expansion of the tile's spec before its validation."""
+    calls = {"spec_kernels": 0, "nested": 0, "expand": 0}
+    at_validation = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def validate(form):
+        at_validation.append(calls["expand"])
+        return validate_k_stage(form)
+
+    monkeypatch.setattr(cm_tiling, "spec_kernels", counted("spec_kernels", cm_tiling.spec_kernels))
+    monkeypatch.setattr(cm_tiling, "_variant_ii_nested", counted("nested", cm_tiling._variant_ii_nested))
+    monkeypatch.setattr(cm_tiling, "_expand_layers", counted("expand", cm_tiling._expand_layers))
+    monkeypatch.setattr(cm_tiling, "validate_k_stage", validate)
+    cases = [
+        ((2, 3, 2, "i"), None, {"spec_kernels": 1, "nested": 0, "expand": 1}),
+        ((3, 2, 2, "ii"), None, {"spec_kernels": 2, "nested": 1, "expand": 2}),
+        ((3, 2, 2, "ii"), {(1, 2, 27): 1}, {"spec_kernels": 1, "nested": 0, "expand": 1}),
+    ]
+    for args, zshifts, want in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        at_validation.clear()
+        assert paq_type_generator(*args, zshifts=zshifts).report.ok
+        assert (calls, at_validation) == (want, [1]), (args, zshifts)
 
 
 def test_cm_regular_product_triple():
