@@ -238,8 +238,8 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
             continue
         low = cand & -cand
         v = low.bit_length() - 1
-        # cand ^ low holds only vertices above v, so each clique is
-        # produced exactly once, in increasing vertex order.
+        # cand ^ low holds only vertices above v, and v's subtree ends before
+        # the next candidate's: each clique comes once, in sorted order.
         cands[-1] = cand ^ low
         if need == 1:
             if len(results) == SPECTRA_CAP:
@@ -250,4 +250,4 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
             continue
         clique.append(v)
         cands.append((cand ^ low) & adj[v])
-    return sorted(results, key=lambda s: s.digits)
+    return results

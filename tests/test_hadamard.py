@@ -119,7 +119,9 @@ def test_find_spectra_needs_no_recursion():
 
 
 def test_find_spectra_against_bruteforce():
-    """Deterministic corpus at every base up to 30 versus full enumeration."""
+    """Deterministic corpus at every base up to 30 versus full enumeration:
+    the search returns the spectra in sorted order, and with a limit the
+    smallest ones."""
     rng = random.Random(404)
     for n in range(2, 31):
         cases = [(0, n - 1)] if n > 2 else [(0, 1)]
@@ -131,9 +133,11 @@ def test_find_spectra_against_bruteforce():
             cases.append(digits)
         for digits in cases:
             d = DigitSet(max(n, 2), digits)
-            got = sorted(s.digits for s in find_spectra(n, d))
+            got = [s.digits for s in find_spectra(n, d)]
             want = _oracle_spectra(n, digits)
             assert got == want, (n, digits)
+            for limit in (1, 2, 5):
+                assert [s.digits for s in find_spectra(n, d, limit)] == want[:limit], (n, digits, limit)
             for s in got:
                 assert check_triple(n, d, DigitSet(max(n, 2), s)) is None
 
