@@ -372,8 +372,8 @@ def _certified_levels(spec: ModuloProductFormSpec):
 
         stages.append((j, spec.base**total, layer))
     levels = _expand_layers(spec.parts[0].digits, stages)
-    low = levels[-1][0]
-    mask = MaskPolynomial.from_digits(tuple(x - low for x in levels[-1]))
+    top = levels[-1]
+    mask = MaskPolynomial.from_digits(tuple(x - top[0] for x in top))
     # K^(k) is a product of pairwise coprime powers Phi_e^m, so it divides
     # the mask iff each of them does
     if not all(has_cyclotomic_factor(mask, e, m) for e, m in kernels[spec.stages].cyclotomic_indices):
@@ -400,7 +400,7 @@ def modulo_to_k_stage(
 
     stages, levels = _certified_levels(spec)
     layers: list = []
-    for (j, _, layer), level in zip(stages, levels):
+    for (j, _, layer), level in zip(stages, levels[:-1]):
         this_layer = {d: DigitSet(spec.base, layer(d)) for d in level}
         constant = all(part.digits == spec.parts[j].digits for part in this_layer.values())
         layers.append(spec.parts[j] if constant else as_layer(this_layer))

@@ -81,7 +81,9 @@ def _well_formed() -> dict[str, list]:
 
 # What a mutation puts in place of a value: bools, floats, huge integers,
 # empty containers, strings that are no integer, and small edge integers.
-REPLACEMENTS = [True, False, None, 1.5, -0.0, 10**30, "1" * 40, "-" + "9" * 40, [], {}, "", "abc", "1/2", 0, -7, 1]
+REPLACEMENTS = [
+    True, False, None, 1.5, -0.0, 10**30, "1" * 40, "-" + "9" * 40, [], {}, "", "abc", "1/2", 0, -7, 1,
+]
 
 
 def _paths(obj, prefix=()):
@@ -158,10 +160,11 @@ def _argv(rng: random.Random, command: str, write, texts: dict[str, str]) -> lis
         return argv
     if command == "factor-mask":
         return [command, "--digits", write("digits")]
-    if command in ("validate-form", "gen-product-form", "reduce-kstage"):
-        if command != "reduce-kstage":
-            return [command, "--spec", write(rng.choice(("one-stage", "staged")))]
-        return [command, "--spec", write("staged")] + _pick(rng, "--k", [None, "2", "3"], ["1", "0", "-2", str(10**9)])
+    if command in ("validate-form", "gen-product-form"):
+        return [command, "--spec", write(rng.choice(("one-stage", "staged")))]
+    if command == "reduce-kstage":
+        argv = [command, "--spec", write("staged")]
+        return argv + _pick(rng, "--k", [None, "2", "3"], ["1", "0", "-2", str(10**9)])
     if command in ("verify-jp", "check-lemma42", "weakly-periodic"):
         argv = [command, "--form", write(_value(rng, ["one-stage"], ["staged"]))]
         if command == "verify-jp":
