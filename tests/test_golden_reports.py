@@ -63,6 +63,10 @@ def _inputs() -> dict:
         # a staged form with a keyed ("map") layer, and one whose prefix product fails
         "kmap.json": k_stage_to_json(paq_type_generator(2, 3, 2, "i", zshifts={(1, 0, 0): 1}).form),
         "kfail.json": k_stage_to_json(k_stage_form(6, (1,), (0, 1), [DigitSet(6, (0, 3))], [(0, 3), (0, 1)])),
+        # a staged form whose stage scales skip a power of N (ells [2, 1]), and
+        # a one-stage gapped form (ells [2]) whose expansion collides
+        "kii.json": k_stage_to_json(paq_type_generator(2, 3, 2, "ii").form),
+        "kclash.json": k_stage_to_json(k_stage_form(2, (2,), (0, 4), [DigitSet(2, (0, 1))], [(0, 1), (0, 1)])),
         "zshifts.json": [{"stage": 1, "parent": 0, "e": 0, "z": 1}],
         # keys variant ii's stage-1 layer, so its nested shape is never compared
         "zshifts_ii.json": [{"stage": 1, "parent": 2, "e": 27, "z": 1}],
@@ -92,6 +96,9 @@ JOBS = [
     ["gen-product-form", "--spec", "k.json"],
     ["reduce-kstage", "--spec", "k.json"],
     ["reduce-kstage", "--spec", "k.json", "--k", "3"],
+    ["reduce-kstage", "--spec", "kii.json"],
+    ["reduce-kstage", "--spec", "kii.json", "--k", "4"],
+    ["reduce-kstage", "--spec", "kclash.json"],
     _paq(2, 3, 2, "i"),
     _paq(2, 3, 2, "iii"),
     _paq(3, 2, 2, "ii", "--params", "1"),
