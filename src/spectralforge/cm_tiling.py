@@ -344,14 +344,14 @@ def modulo_spec(base, parts, t_indices, ells, zshifts=None) -> ModuloProductForm
 def spec_kernels(spec: ModuloProductFormSpec) -> tuple[KernelData, ...]:
     """Kernel data for every level, from one ``kernel_polynomial`` pass.
 
-    Validates coverage, and that every target Phi_d divides the mask of
-    the full direct sum: ``vanishing_sum_test`` decides it on the digits as
-    they stand, since a shift only multiplies the sum by a root of unity.
+    The factor sets must sum directly (else OverlapError).  The mask of a
+    direct sum is the product of its parts' masks, and the irreducible
+    Phi_d divides that product only by dividing one part's mask, so
+    ``kernel_polynomial``'s coverage check decides every target on the
+    parts alone: a target that no part covers, or one below 2, raises
+    CoverageFailure.
     """
-    e_all = direct_sum_digits(*[p.digits for p in spec.parts])
-    for d in spec.t_indices:
-        if d < 2 or not vanishing_sum_test(e_all, 1, d):
-            raise ValueError(f"Phi_{d} does not divide the mask of the full direct sum")
+    direct_sum_digits(*[p.digits for p in spec.parts])
     return kernel_polynomial(spec.parts, spec.t_indices, spec.ells, spec.base)
 
 

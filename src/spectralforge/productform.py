@@ -13,6 +13,8 @@ one convention.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -376,36 +378,17 @@ def _short(seq) -> str:
 DIGIT_LIMIT = 1 << 15
 
 
-def _normalized_levels(form: KStageForm, k: int):
-    """Rewrite so every stage scale is exactly one power of N.
-
-    Missing levels get the layer {0} with spectrum {0}; trailing {0} levels
-    may be appended to reach ``k`` levels, k at least sum(ells).
-    """
-    n = form.base
-    zero = DigitSet(n, (0,))
-    layers: list[LayerSpec] = []
-    spectra: list[DigitSet] = [form.spectra[0]]
-    marks = {sum(form.ells[: i + 1]): i for i in range(len(form.ells))}
-    for level in range(1, k + 1):
-        if level in marks:
-            i = marks[level]
-            layers.append(form.layers[i])
-            spectra.append(form.spectra[i + 1])
-        else:
-            layers.append(zero)
-            spectra.append(zero)
-    return KStageForm(n, (1,) * k, form.e0, tuple(layers), tuple(spectra))
-
-
 def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneStageForm:
     """Rebuild the k-stage digits as a one-stage form over base N^k.
 
-    With D^(j) the digits after stage j and D = D^(k), the stacked set
-    D + N*D + ... + N^(k-1)*D is A (+) N^k * B_a, where the new A is the
-    middle aggregate D^(k-1) + N*D^(k-2) + ... + N^(k-1)*D^(0) and each B_a
-    is read off the stacked digits congruent to a mod N^k.  The two lifted
-    spectra are direct sums of the scaled level spectra N^(k-1-m) * L_i.
+    With D^(j) the digits at scale N^j, the level of the last stage at or
+    below it (a power of N that no stage reaches holds the layer {0}), and
+    D = D^(k), the stacked set D + N*D + ... + N^(k-1)*D is A (+) N^k * B_a,
+    where the new A is the middle aggregate D^(k-1) + N*D^(k-2) + ... +
+    N^(k-1)*D^(0) and each B_a is read off the stacked digits congruent to
+    a mod N^k.  The two lifted spectra are direct sums of the scaled level
+    spectra N^(k-1-m) * L_i over the levels that carry a stage spectrum,
+    since the spectrum {0} of any other adds nothing.
     The result is validated exactly; the error names the failing aggregate
     (A-triple, B-triple, or product).  A result of more than DIGIT_LIMIT
     digits, or over a base above BASE_LIMIT, raises PointLimitExceeded
@@ -420,19 +403,19 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     )
     refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the one-stage form would hold {width}^{k} digits", width, k)
     refuse_above("BASE_LIMIT", BASE_LIMIT, f"the one-stage base would be {form.base}^{k}", form.base, k)
-    norm = _normalized_levels(form, k)
-    n = norm.base
-    big = n**k
-
+    n, big = form.base, form.base**k
+    marks = list(itertools.accumulate(form.ells))  # the power of N of each stage
+    spectra = dict(zip([0, *marks], form.spectra))
     # D^(j) for j = 0..k
-    stagewise = _expand_layers(norm.e0.digits, _k_stages(norm))
+    levels = _expand_layers(form.e0.digits, _k_stages(form))
+    stagewise = [levels[bisect.bisect_right(marks, j)] for j in range(k + 1)]
     a_digits = direct_sum_digits(*[[n**j * d for d in stagewise[k - 1 - j]] for j in range(k)])
     d_big = stacked_digits(stagewise[k], n, k)
 
     # L1 = sum over m < k of N^(k-1-m) * (L_0 (+) ... (+) L_m) and
     # L2 = sum over m < k of N^(k-1-m) * (L_(m+1) (+) ... (+) L_k)
     def lifted(pairs):
-        parts = [[n ** (k - 1 - m) * x for x in norm.spectra[i].digits] for m, i in pairs]
+        parts = [[n ** (k - 1 - m) * x for x in spectra[i].digits] for m, i in pairs if i in spectra]
         return DigitSet(big, direct_sum_digits(*parts))
 
     l1 = lifted((m, i) for m in range(k) for i in range(m + 1))

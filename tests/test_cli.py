@@ -25,6 +25,7 @@ from spectralforge.productform import (
     build_four_digit_form,
     expand_k_stage,
     expand_one_stage,
+    k_stage_form,
     k_stage_to_one_stage,
 )
 
@@ -518,7 +519,6 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(measure, "_split_phase_abs", no_work)
     monkeypatch.setattr(measure, "chebyshev_grid", no_work)
     monkeypatch.setattr(measure, "_scan_grid", no_work)
-    monkeypatch.setattr(productform, "_normalized_levels", no_work)
     monkeypatch.setattr(productform, "_expand_layers", no_work)
     monkeypatch.setattr(cm_tiling, "_scaled", no_work)
     monkeypatch.setattr(cm_tiling, "generate_modulo_product_form", no_work)
@@ -705,6 +705,19 @@ def test_validate_form_reports_a_staged_collision(tmp_path, capsys):
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks[-1]["name"] == "expansion collision-free" and checks[-1]["ok"] is False
     assert "4" in checks[-1]["detail"]
+
+
+def test_reduce_and_validate_name_the_same_collision_stage(tmp_path, capsys):
+    """E0 = {0, 4} and the one layer {0, 1}, at scale 2^2, both give 4: the
+    reduction and the validation name the form's own stage 1."""
+    form = k_stage_form(2, (2,), (0, 4), [DigitSet(2, (0, 1))], [(0, 1), (0, 1)])
+    spec = _write(tmp_path, "gapped.json", k_stage_to_json(form))
+    assert _run(["reduce-kstage", "--spec", spec]) == 1
+    reduced = json.loads(capsys.readouterr().out)["error"]
+    assert _run(["validate-form", "--spec", spec]) == 1
+    validated = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert reduced["type"] == "OverlapError" and validated["name"] == "expansion collision-free"
+    assert reduced["message"] == validated["detail"] == "digit collision at stage 1: 4 produced by (0, 1) and (4, 0)"
 
 
 def test_verify_jp_scale_not_dividing_the_digits_reaches_the_shift_search(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spectralforge import cm_tiling
+from spectralforge import cm_tiling, cyclotomic
 from spectralforge.cm_tiling import (
     CongruenceCheck,
     check_tile_zn,
@@ -31,6 +31,7 @@ from spectralforge.cyclotomic import (
 )
 from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import (
+    CoverageFailure,
     InvalidVariantParams,
     NotCompleteResidues,
     OverlapError,
@@ -510,6 +511,41 @@ def test_each_paq_spec_is_derived_once(monkeypatch):
         at_validation.clear()
         assert paq_type_generator(*args, zshifts=zshifts).report.ok
         assert (calls, at_validation) == (want, [1]), (args, zshifts)
+
+
+def test_spec_kernels_leaves_coverage_to_the_kernel():
+    """{0, 2} (+) {0, 1}: Phi_4 divides the first mask and Phi_2 the second.
+    Phi_3 divides neither, and nothing is Phi_1, so either target raises
+    CoverageFailure; parts that do not sum directly raise OverlapError
+    first."""
+    assert [kd.cyclotomic_indices for kd in spec_kernels(modulo_spec(4, [(0, 2), (0, 1)], (2, 4), (1,)))] == [
+        ((4, 1),), ((4, 1), (8, 1)),
+    ]
+    for targets in ((2, 3, 4), (1, 2, 4)):
+        with pytest.raises(CoverageFailure):
+            spec_kernels(modulo_spec(4, [(0, 2), (0, 1)], targets, (1,)))
+    with pytest.raises(OverlapError):
+        spec_kernels(modulo_spec(4, [(0, 1), (0, 1)], (3,), (1,)))
+
+
+def test_spec_kernels_tests_the_parts_not_their_sum(monkeypatch):
+    """No vanishing test on a classify-paq spec receives the N digits of
+    the full direct sum."""
+    seen = []
+
+    def recorded(fn):
+        def wrapper(d_set, t, n):
+            seen.append(tuple(d_set))
+            return fn(d_set, t, n)
+        return wrapper
+
+    spec = paq_type_generator(2, 3, 2, "i").spec_generated
+    full = direct_sum_digits(*[p.digits for p in spec.parts])
+    assert len(full) == 12
+    monkeypatch.setattr(cm_tiling, "vanishing_sum_test", recorded(cm_tiling.vanishing_sum_test))
+    monkeypatch.setattr(cyclotomic, "vanishing_sum_test", recorded(cyclotomic.vanishing_sum_test))
+    spec_kernels(spec)
+    assert seen and all(len(digits) < len(full) for digits in seen)
 
 
 def test_cm_regular_product_triple():

@@ -484,6 +484,46 @@ def test_k_stage_gap_scales_padded():
     assert expand_one_stage(one).digits == direct_sum_digits(d, [4 * x for x in d])
 
 
+def _written_out_reduction(form, k):
+    """A, the B_a keyed by a, L1 and L2 of the reduction over N^k, from the
+    definitions, with the layer and the spectrum {0} written out at every
+    power of N up to N^k that no stage reaches."""
+    n, big = form.base, form.base**k
+    zero = DigitSet(n, (0,))
+    stage_at = dict(zip(itertools.accumulate(form.ells, initial=0), range(form.stages + 1)))
+    layers = [form.layers[stage_at[i] - 1] if i in stage_at else zero for i in range(1, k + 1)]
+    spectra = [form.spectra[stage_at[i]] if i in stage_at else zero for i in range(k + 1)]
+    levels = [set(form.e0.digits)]
+    for i, layer in enumerate(layers, start=1):
+        lookup = productform.layer_lookup(layer)
+        levels.append({d + n**i * e for d in levels[-1] for e in lookup(d).digits})
+
+    def sums(sets):
+        return sorted({sum(xs) for xs in itertools.product(*sets)})
+
+    a = sums([{n**j * x for x in levels[k - 1 - j]} for j in range(k)])
+    stacked = sums([{n**j * x for x in levels[k]} for j in range(k)])
+    b = {x: tuple((y - x) // big for y in stacked if (y - x) % big == 0) for x in a}
+    l1 = sums([{n ** (k - 1 - m) * x for x in spectra[i].digits} for m in range(k) for i in range(m + 1)])
+    l2 = sums([{n ** (k - 1 - m) * x for x in spectra[i].digits} for m in range(k) for i in range(m + 1, k + 1)])
+    return tuple(a), b, tuple(l1), tuple(l2)
+
+
+def test_reduction_reads_staged_levels_at_their_own_scales():
+    """A gapped form (ells (2, 1), no stage at N^1) with a keyed stage-1
+    layer reduces, at its own k and one above, to the A, B_a, L1 and L2 of
+    the same form with its {0} levels written out."""
+    form = cm_tiling.paq_type_generator(2, 3, 2, "ii", zshifts={(1, 0, 0): 1}).form
+    assert form.ells == (2, 1) and not isinstance(form.layers[0], DigitSet)
+    for k in (3, 4):
+        one = k_stage_to_one_stage(form, k_target=k)
+        a, b, l1, l2 = _written_out_reduction(form, k)
+        assert (one.base, one.r) == (12**k, 1)
+        assert one.a_set.digits == a
+        assert {x: b_set.digits for x, b_set in one.b_sets} == b
+        assert (one.l1.digits, one.l2.digits) == (l1, l2)
+
+
 def test_build_four_digit_form():
     mult, form = build_four_digit_form(24, 1, 4, 1, 1)
     assert mult == 3
