@@ -67,6 +67,8 @@ def _inputs() -> dict:
         # a one-stage gapped form (ells [2]) whose expansion collides
         "kii.json": k_stage_to_json(paq_type_generator(2, 3, 2, "ii").form),
         "kclash.json": k_stage_to_json(k_stage_form(2, (2,), (0, 4), [DigitSet(2, (0, 1))], [(0, 1), (0, 1)])),
+        # a staged form with no stages (ells [])
+        "kzero.json": k_stage_to_json(k_stage_form(4, (), (0, 1), [], [(0, 2)])),
         "zshifts.json": [{"stage": 1, "parent": 0, "e": 0, "z": 1}],
         # keys variant ii's stage-1 layer, so its nested shape is never compared
         "zshifts_ii.json": [{"stage": 1, "parent": 2, "e": 27, "z": 1}],
@@ -99,6 +101,8 @@ JOBS = [
     ["reduce-kstage", "--spec", "kii.json"],
     ["reduce-kstage", "--spec", "kii.json", "--k", "4"],
     ["reduce-kstage", "--spec", "kclash.json"],
+    ["reduce-kstage", "--spec", "kzero.json"],
+    ["reduce-kstage", "--spec", "kzero.json", "--k", "0"],
     _paq(2, 3, 2, "i"),
     _paq(2, 3, 2, "iii"),
     _paq(3, 2, 2, "ii", "--params", "1"),
