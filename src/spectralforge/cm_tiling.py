@@ -574,7 +574,8 @@ def _variant_ii_congruences(p, q, alpha, ms, big_m, k_idx) -> tuple[CongruenceCh
 
 
 def _staged_tile(n, mult, stages, zshifts, note="", congruences=()) -> PaqResult:
-    """The one path from a shape to its PaqResult.
+    """The one staged builder: the p^alpha*q shapes and the CM product
+    triples all come through here.
 
     Each stage (exponent, factor set, spectrum) puts its factor set at
     N^exponent, level 0 at exponent 0.  Stages at one exponent merge by
@@ -618,9 +619,13 @@ def cm_regular_product_triple(n: int, parts: Sequence[DigitSet]) -> KStageForm:
 
     Requires the direct sum of the parts to be a complete residue system
     and every part, prefix sum, and suffix sum to carry the two tiling
-    conditions; the per-part spectra are the explicit tiling spectra.  The
-    assembled form is re-validated exactly; nothing rides on regularity
-    assumptions about the group.
+    conditions.  Part j, with its explicit tiling spectrum, is the stage at
+    N^j of ``_staged_tile``, which certifies the form against its kernel
+    polynomial and validates it exactly; nothing rides on regularity
+    assumptions about the group.  The certificate cannot refuse a
+    factorization: the parts' masks multiply to one that vanishes at every
+    zeta_d, d | N, d > 1, and Phi_d dividing part j's mask makes
+    Phi_d(x^(N^j)) divide the top mask.
     """
     fixed = [part if isinstance(part, DigitSet) else DigitSet(n, tuple(part)) for part in parts]
     try:
@@ -630,36 +635,16 @@ def cm_regular_product_triple(n: int, parts: Sequence[DigitSet]) -> KStageForm:
     if sorted({x % n for x in total}) != list(range(n)):
         raise NotCompleteResidues("direct sum of parts is not a complete residue system")
 
-    spectra = []
-    for idx, part in enumerate(fixed):
-        prof = cm_profile(part, n)
-        if not prof.t1:
-            raise CMConditionFailure(f"part {idx}", "size condition")
-        if not prof.t2:
-            raise CMConditionFailure(f"part {idx}", "product condition")
-        spectra.append(prof.tiling_spectrum)
-
     k = len(fixed) - 1
+    chunks = [(f"part {j}", [part]) for j, part in enumerate(fixed)]
     for m in range(1, k + 1):
-        for tag, chunk in (
-            (f"prefix 0..{m}", fixed[: m + 1]),
-            (f"suffix {m}..{k}", fixed[m:]),
-        ):
-            digits = DigitSet(n, direct_sum_digits(*[c.digits for c in chunk]))
-            prof = cm_profile(digits, n)
-            if not prof.t1:
-                raise CMConditionFailure(tag, "size condition")
-            if not prof.t2:
-                raise CMConditionFailure(tag, "product condition")
-
-    form = KStageForm(
-        base=n,
-        ells=(1,) * k,
-        e0=fixed[0],
-        layers=tuple(fixed[1:]),
-        spectra=tuple(spectra),
-    )
-    report = validate_k_stage(form)
-    if not report.ok:
-        raise ValidationFailure(report)
-    return form
+        chunks += [(f"prefix 0..{m}", fixed[: m + 1]), (f"suffix {m}..{k}", fixed[m:])]
+    spectra = []
+    for tag, chunk in chunks:
+        prof = cm_profile(DigitSet(n, direct_sum_digits(*[c.digits for c in chunk])), n)
+        if not prof.t1:
+            raise CMConditionFailure(tag, "size condition")
+        if not prof.t2:
+            raise CMConditionFailure(tag, "product condition")
+        spectra.append(prof.tiling_spectrum)
+    return _staged_tile(n, 1, [(j, part, spectra[j]) for j, part in enumerate(fixed)], None).form

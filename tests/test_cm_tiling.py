@@ -33,12 +33,14 @@ from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import (
     CoverageFailure,
     InvalidVariantParams,
+    KernelDivisibilityFailure,
     NotCompleteResidues,
     OverlapError,
     SearchLimitReached,
 )
 from spectralforge.hadamard import check_triple
-from spectralforge.productform import expand_k_stage, validate_k_stage
+from spectralforge.cli import k_stage_to_json
+from spectralforge.productform import KStageForm, expand_k_stage, validate_k_stage
 
 A84 = DigitSet(72, (0, 8, 16, 18, 26, 34))
 B84 = DigitSet(72, (0, 5, 6, 9, 12, 29, 33, 36, 42, 48, 53, 57))
@@ -553,6 +555,15 @@ def test_cm_regular_product_triple():
     assert validate_k_stage(form).ok
     assert expand_k_stage(form).digits == direct_sum_digits(A84.digits, [72 * b for b in B84.digits])
 
+    # the Z_72 pair under every unit, against the form assembled from the
+    # definitions: A at level 0, the constant layer B at N^1, and each
+    # part's explicit tiling spectrum
+    for u in (u for u in range(1, 72) if math.gcd(u, 72) == 1):
+        a, b = (DigitSet(72, tuple(u * x % 72 for x in s.digits)) for s in (A84, B84))
+        spectra = tuple(cm_profile(part, 72).tiling_spectrum for part in (a, b))
+        want = KStageForm(base=72, ells=(1,), e0=a, layers=(b,), spectra=spectra)
+        assert k_stage_to_json(cm_regular_product_triple(72, [a, b])) == k_stage_to_json(want)
+
     f2 = cm_regular_product_triple(4, [DigitSet(4, (0, 1)), DigitSet(4, (0, 2))])
     assert [s.digits for s in f2.spectra] == [(0, 2), (0, 1)]
 
@@ -563,6 +574,14 @@ def test_cm_regular_product_triple():
         cm_regular_product_triple(4, [DigitSet(4, (0, 1)), DigitSet(4, (0, 1))])
     with pytest.raises(NotCompleteResidues):
         cm_regular_product_triple(4, [DigitSet(4, (0, 1)), DigitSet(4, (0, 5))])
+
+
+def test_cm_regular_product_triple_is_certified(monkeypatch):
+    """The form is certified against its kernel polynomial: a refused
+    cyclotomic factor raises before any form is returned."""
+    monkeypatch.setattr(cm_tiling, "has_cyclotomic_factor", lambda *args: False)
+    with pytest.raises(KernelDivisibilityFailure):
+        cm_regular_product_triple(72, [A84, B84])
 
 
 def test_congruence_check_dataclass():
