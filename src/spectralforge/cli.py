@@ -651,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce-kstage", help="rewrite a staged form over base N^k")
     p.add_argument("--spec", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_POSITIVE, default=None)
     common(p)
     p.set_defaults(fn=cmd_reduce_kstage)
 

@@ -389,13 +389,17 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     a mod N^k.  The two lifted spectra are direct sums of the scaled level
     spectra N^(k-1-m) * L_i over the levels that carry a stage spectrum,
     since the spectrum {0} of any other adds nothing.
+    The target k defaults to the form's own stage count, sum(ells), or to 1
+    for a form with no stages; a k below either raises ValueError.
     The result is validated exactly; the error names the failing aggregate
     (A-triple, B-triple, or product).  A result of more than DIGIT_LIMIT
     digits, or over a base above BASE_LIMIT, raises PointLimitExceeded
     before any work.
     """
     total = sum(form.ells)
-    k = total if k_target is None else k_target
+    k = max(total, 1) if k_target is None else k_target
+    if k < 1:
+        raise ValueError(f"target stage count {k} below 1")
     if k < total:
         raise ValueError(f"target stage count {k} below intrinsic {total}")
     width = len(form.e0) * math.prod(

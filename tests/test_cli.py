@@ -362,6 +362,9 @@ def _malformed_inputs(tmp_path):
         "base": 4, "ells": [1], "E0": ["0", "1"], "layers": [{"map": {"0": ["0", "2"]}}],
         "Ls": [["0", "2"], ["0", "1"]],
     })
+    zero_stage = _write(tmp_path, "zero-stage.json", {
+        "base": 4, "ells": [], "E0": ["0", "1"], "layers": [], "Ls": [["0", "2"]],
+    })
     # B_0 = {2, 4} holds no 0
     unnormalized = _write(tmp_path, "unnormalized.json", {
         "base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["2", "4"], "1": ["0", "6"]}, "L1": ["0", "2"], "L2": ["0", "1"],
@@ -381,6 +384,7 @@ def _malformed_inputs(tmp_path):
         ("scale-0", ["verify-jp", "--form", spec, "--scale", "0"]),
         ("levels-negative", ["verify-jp", "--form", spec, "--levels", "-1"]),
         ("k-below-stages", ["reduce-kstage", "--spec", staged_path, "--k", "0"]),
+        ("k-0-zero-stage", ["reduce-kstage", "--spec", zero_stage, "--k", "0"]),
         ("zshift-no-parent", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2",
                               "--variant", "i", "--zshifts", zshifts]),
         ("output-missing-dir", ["check-hadamard", "--base", "4", "--digits", d, "--spectrum", d,

@@ -430,6 +430,19 @@ def test_k_stage_to_one_stage_identity_k1():
     assert one.a_set.digits == (0, 1)
 
 
+def test_k_stage_to_one_stage_with_no_stages():
+    """A form with no stages reduces at k = 1 to A = E0, every B_a = {0},
+    L1 = L0 and L2 = {0}; a k below 1 is refused."""
+    ks = k_stage_form(4, (), (0, 1), [], [(0, 2)])
+    one = k_stage_to_one_stage(ks)
+    assert one.base == 4 and one.r == 1
+    assert one.a_set.digits == (0, 1) and {b.digits for _, b in one.b_sets} == {(0,)}
+    assert one.l1.digits == (0, 2) and one.l2.digits == (0,)
+    assert validate_one_stage(one).ok
+    with pytest.raises(ValueError, match="target stage count 0 below 1"):
+        k_stage_to_one_stage(ks, 0)
+
+
 def test_k_stage_to_one_stage_roundtrip():
     """expand(one_stage) == D + N*D + ... + N^(k-1)*D for the staged D."""
     ks = k_stage_form(
