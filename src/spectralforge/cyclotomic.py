@@ -433,7 +433,7 @@ def _vanishes_at_order(digits: tuple[int, ...], m: int) -> bool:
     for d in digits:
         r = d % m
         counts[r] = counts.get(r, 0) + 1
-    return _vanishes(counts, m)
+    return _vanishes_over(counts, m, factorize(m))
 
 
 def vanishing_by_division(d_set: Iterable[int], t: int, n: int) -> bool:

@@ -279,12 +279,10 @@ def test_reduce_r_to_1_congruent_new_a_digits():
     ]
 
 
-def test_invalid_k_stage_form_decides_each_root_order_once(monkeypatch):
+def test_invalid_k_stage_form_decides_each_root_order_once():
     """Thousands of vanishing tests over base 20,736 reach few (digits,
-    root order) keys, and each is decided once."""
-    real = cyclotomic._vanishes
-    orders = []
-    monkeypatch.setattr(cyclotomic, "_vanishes", lambda counts, m: orders.append(m) or real(counts, m))
+    root order) keys, and each is decided once: a decision is a miss of
+    the memo."""
     cyclotomic._vanishes_at_order.cache_clear()
     ks = k_stage_form(
         12,
@@ -296,7 +294,7 @@ def test_invalid_k_stage_form_decides_each_root_order_once(monkeypatch):
     with pytest.raises(ValidationFailure) as err:
         k_stage_to_one_stage(ks)
     assert "L1 (+) L2 direct" in {c.name for c in err.value.report.checks if not c.ok}
-    assert 0 < len(orders) <= 100
+    assert 0 < cyclotomic._vanishes_at_order.cache_info().misses <= 100
 
 
 def _random_valid_one_stage(rng, r):
