@@ -5,6 +5,7 @@ import random
 import pytest
 
 from spectralforge import cm_tiling, cyclotomic
+from spectralforge.cli import k_stage_to_json
 from spectralforge.cm_tiling import (
     CongruenceCheck,
     check_tile_zn,
@@ -39,7 +40,6 @@ from spectralforge.errors import (
     SearchLimitReached,
 )
 from spectralforge.hadamard import check_triple
-from spectralforge.cli import k_stage_to_json
 from spectralforge.productform import KStageForm, expand_k_stage, validate_k_stage
 
 A84 = DigitSet(72, (0, 8, 16, 18, 26, 34))
