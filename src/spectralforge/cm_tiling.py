@@ -39,7 +39,6 @@ from .errors import (
     InvalidVariantParams,
     KernelDivisibilityFailure,
     NotCompleteResidues,
-    OverlapError,
     SearchLimitReached,
     ValidationFailure,
     refuse_above,
@@ -229,11 +228,19 @@ def cm_complement(s_indices: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple((x + y) % n for x in c for y in range(0, n, m))
 
 
+def _factors_zn(n: int, parts: Sequence[Sequence[int]]) -> bool:
+    """Z_N = A_0 (+) ... (+) A_k: N = |A_0|...|A_k| sums, one digit from each part, all distinct mod N."""
+    if math.prod(map(len, parts)) != n:
+        return False
+    sums = {0}
+    for part in parts:
+        sums = {(s + d) % n for s in sums for d in part}
+    return len(sums) == n
+
+
 def _checked_witness(residues: Sequence[int], complement: Sequence[int], n: int) -> DigitSet:
     """C as a witness, after counting that A (+) C == Z_N."""
-    if len(residues) * len(complement) != n or len(
-        {(x + y) % n for x in residues for y in complement}
-    ) != n:
+    if not _factors_zn(n, (residues, complement)):
         raise AssertionError(f"complement {sorted(complement)} does not tile Z_{n} with the set")
     return DigitSet(max(n, 2), tuple(complement))
 
@@ -580,8 +587,8 @@ def _staged_tile(n, mult, stages, zshifts, note="", congruences=()) -> PaqResult
     Each stage (exponent, factor set, spectrum) puts its factor set at
     N^exponent, level 0 at exponent 0.  Stages at one exponent merge by
     direct sum, and the gaps between the exponents become the stage
-    scales.  The factor sets must be a complete residue system mod N;
-    their expansion is certified against its kernel polynomial and,
+    scales.  The factor sets must factor Z_N (``_factors_zn``); their
+    expansion is certified against its kernel polynomial and,
     divided by ``mult``, is the tile digit set.  A form that fails
     validation raises.
     """
@@ -591,11 +598,8 @@ def _staged_tile(n, mult, stages, zshifts, note="", congruences=()) -> PaqResult
         exps.append(exp)
         parts.append(DigitSet(n, direct_sum_digits(*[part.digits for _, part, _ in group])))
         spectra.append(DigitSet(n, direct_sum_digits(*[spec.digits for _, _, spec in group])))
-    total = direct_sum_digits(*[part.digits for part in parts])
-    if sorted({x % n for x in total}) != list(range(n)):
-        raise NotCompleteResidues(
-            f"multiplied factor sets are not a complete residue system mod {n}{note}"
-        )
+    if not _factors_zn(n, [part.digits for part in parts]):
+        raise NotCompleteResidues(f"multiplied factor sets do not factor Z_{n}{note}")
 
     t_indices = [d for d in _divisors(n) if d > 1]
     spec = modulo_spec(n, parts, t_indices, [b - a for a, b in zip(exps, exps[1:])], zshifts)
@@ -617,27 +621,22 @@ def _staged_tile(n, mult, stages, zshifts, note="", congruences=()) -> PaqResult
 def cm_regular_product_triple(n: int, parts: Sequence[DigitSet]) -> KStageForm:
     """Constant-layer stage form from a factorization of Z_N.
 
-    Requires the direct sum of the parts to be a complete residue system
-    and every part, prefix sum, and suffix sum to carry the two tiling
-    conditions.  Part j, with its explicit tiling spectrum, is the stage at
-    N^j of ``_staged_tile``, which certifies the form against its kernel
-    polynomial and validates it exactly; nothing rides on regularity
-    assumptions about the group.  The certificate cannot refuse a
-    factorization: the parts' masks multiply to one that vanishes at every
-    zeta_d, d | N, d > 1, and Phi_d dividing part j's mask makes
-    Phi_d(x^(N^j)) divide the top mask.
+    Requires the parts to factor Z_N and every part, and the sums of parts
+    0..m and m..k for 0 < m < k, to carry the two tiling conditions (the
+    sum of all parts is Z_N, which carries both).  Part j, with its
+    explicit tiling spectrum, is the stage at N^j of ``_staged_tile``,
+    which certifies the form against its kernel polynomial and validates
+    it exactly.  The certificate cannot refuse a factorization: the parts'
+    masks multiply to one that vanishes at every zeta_d, d | N, d > 1, and
+    Phi_d dividing part j's mask makes Phi_d(x^(N^j)) divide the top mask.
     """
     fixed = [part if isinstance(part, DigitSet) else DigitSet(n, tuple(part)) for part in parts]
-    try:
-        total = direct_sum_digits(*[part.digits for part in fixed])
-    except OverlapError as exc:
-        raise NotCompleteResidues(f"parts do not sum directly: {exc}") from exc
-    if sorted({x % n for x in total}) != list(range(n)):
-        raise NotCompleteResidues("direct sum of parts is not a complete residue system")
+    if not _factors_zn(n, [part.digits for part in fixed]):
+        raise NotCompleteResidues(f"the parts do not factor Z_{n}")
 
     k = len(fixed) - 1
     chunks = [(f"part {j}", [part]) for j, part in enumerate(fixed)]
-    for m in range(1, k + 1):
+    for m in range(1, k):
         chunks += [(f"prefix 0..{m}", fixed[: m + 1]), (f"suffix {m}..{k}", fixed[m:])]
     spectra = []
     for tag, chunk in chunks:

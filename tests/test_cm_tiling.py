@@ -32,12 +32,14 @@ from spectralforge.cyclotomic import (
 )
 from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import (
+    CMConditionFailure,
     CoverageFailure,
     InvalidVariantParams,
     KernelDivisibilityFailure,
     NotCompleteResidues,
     OverlapError,
     SearchLimitReached,
+    ValidationFailure,
 )
 from spectralforge.hadamard import check_triple
 from spectralforge.productform import KStageForm, expand_k_stage, validate_k_stage
@@ -550,8 +552,14 @@ def test_spec_kernels_tests_the_parts_not_their_sum(monkeypatch):
     assert seen and all(len(digits) < len(full) for digits in seen)
 
 
-def test_cm_regular_product_triple():
+def test_cm_regular_product_triple(monkeypatch):
+    profiles = []
+    monkeypatch.setattr(cm_tiling, "cm_profile", lambda a, n: profiles.append(a) or cm_profile(a, n))
     form = cm_regular_product_triple(72, [A84, B84])
+    # one profile per part: the only prefix and suffix sums of two parts
+    # are Z_72 itself and the second part
+    assert profiles == [A84, B84]
+    monkeypatch.undo()
     assert validate_k_stage(form).ok
     assert expand_k_stage(form).digits == direct_sum_digits(A84.digits, [72 * b for b in B84.digits])
 
@@ -589,3 +597,65 @@ def test_congruence_check_dataclass():
     assert good.ok
     bad = CongruenceCheck("y", (0, 3), (0, 2), 4)
     assert not bad.ok
+
+
+# Twelve digits that cover every class mod 8, so a test of the set of their
+# residues passes them; 4 * 1 * 3 != 8, so they do not factor Z_8.
+OVERFULL8 = [DigitSet(8, (1, 3, 7, 13)), DigitSet(8, (10,)), DigitSet(8, (1, 6, 14))]
+
+
+def test_a_sum_of_more_than_n_digits_is_not_a_factorization():
+    assert {sum(c) % 8 for c in itertools.product(*OVERFULL8)} == set(range(8))
+    with pytest.raises(NotCompleteResidues):
+        cm_regular_product_triple(8, OVERFULL8)
+    stages = [(j, part, DigitSet(8, (0,))) for j, part in enumerate(OVERFULL8)]
+    with pytest.raises(NotCompleteResidues):
+        cm_tiling._staged_tile(8, 1, stages, None)
+
+
+def _reference_product_triple(n, parts):
+    """cm_regular_product_triple's outcome from the definitions: the parts
+    factor Z_N when their sums, one digit from each, are each residue mod
+    N exactly once; then every part, prefix sum and suffix sum is profiled
+    in order; then the constant-layer form with each part at N^j and its
+    tiling spectrum, unless the validator rejects it."""
+    if sorted(sum(c) % n for c in itertools.product(*parts)) != list(range(n)):
+        return "NotCompleteResidues"
+    k = len(parts) - 1
+    chunks = [(f"part {j}", parts[j : j + 1]) for j in range(k + 1)]
+    for m in range(1, k + 1):
+        chunks += [(f"prefix 0..{m}", parts[: m + 1]), (f"suffix {m}..{k}", parts[m:])]
+    for tag, chunk in chunks:
+        prof = cm_profile(DigitSet(n, direct_sum_digits(*[c.digits for c in chunk])), n)
+        if not (prof.t1 and prof.t2):
+            return ("CMConditionFailure", tag, "size condition" if not prof.t1 else "product condition")
+    spectra = tuple(cm_profile(part, n).tiling_spectrum for part in parts)
+    form = KStageForm(base=n, ells=(1,) * k, e0=parts[0], layers=tuple(parts[1:]), spectra=spectra)
+    return k_stage_to_json(form) if validate_k_stage(form).ok else "ValidationFailure"
+
+
+def test_cm_regular_product_triple_against_the_definitions():
+    """300 seeded part lists: N <= 24, one to three parts of one to four
+    digits in [0, 3N); every other draw takes part sizes that multiply to
+    N, so that some of them factor Z_N."""
+    rng = random.Random(47)
+    outcomes = []
+    for i in range(300):
+        n, count = rng.randint(2, 24), rng.randint(1, 3)
+        sizes = [f for f in itertools.product(range(1, 5), repeat=count) if math.prod(f) == n]
+        if i % 2 and sizes:
+            sizes = rng.choice(sizes)
+        else:
+            sizes = [rng.randint(1, 4) for _ in range(count)]
+        parts = [DigitSet(n, tuple(rng.sample(range(3 * n), size))) for size in sizes]
+        try:
+            got = k_stage_to_json(cm_regular_product_triple(n, parts))
+        except NotCompleteResidues:
+            got = "NotCompleteResidues"
+        except CMConditionFailure as exc:
+            got = ("CMConditionFailure", exc.which, exc.condition)
+        except ValidationFailure:
+            got = "ValidationFailure"
+        assert got == _reference_product_triple(n, parts), (n, [p.digits for p in parts])
+        outcomes.append(got)
+    assert sum(isinstance(got, dict) for got in outcomes) >= 5
