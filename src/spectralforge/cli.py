@@ -62,6 +62,10 @@ def _int(raw) -> int:
 
 
 def _digits_from_json(raw) -> tuple[int, ...]:
+    """A JSON list of integers; ValueError on anything else, so a string
+    or an object is never read as the sequence of its characters or keys."""
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a list of integers, got a {type(raw).__name__}")
     return tuple(_int(x) for x in raw)
 
 
@@ -145,7 +149,7 @@ def k_stage_from_json(obj: dict) -> KStageForm:
             layers.append(_digit_set_map(layer["map"], base))
     form = k_stage_form(
         base,
-        [_int(e) for e in obj["ells"]],
+        _digits_from_json(obj["ells"]),
         _digits_from_json(obj["E0"]),
         layers,
         [_digits_from_json(s) for s in obj["Ls"]],

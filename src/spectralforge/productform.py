@@ -55,6 +55,12 @@ def as_layer(spec: DigitSet | Mapping[int, DigitSet]) -> LayerSpec:
 # 5.1 s at k = 1000, and base 10^300 at k = 256 runs past 30 s.
 BASE_LIMIT = 1 << 256
 
+# Most digits a staged form may expand to (by its ``width``) and
+# k_stage_to_one_stage may build.  On a 2-core x86 container (2,3,3,iii)
+# with 24^3 = 13,824 digits reduces in 1.2 s, (2,3,2,i) at k = 4 with
+# 12^4 = 20,736 in 13 s, and (2,3,3,ii) with 24^4 = 331,776 in 121 s.
+DIGIT_LIMIT = 1 << 15
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -254,7 +260,8 @@ class KStageForm:
     """Layered digit set: stage j adds N^(l_1+...+l_j) * E_j(parent).
 
     ``spectra`` lists L_0..L_k, one per level including level 0.  A top
-    scale N^(l_1+...+l_k) above BASE_LIMIT raises PointLimitExceeded.
+    scale N^(l_1+...+l_k) above BASE_LIMIT, or a ``width`` above
+    DIGIT_LIMIT, raises PointLimitExceeded.
     """
 
     base: int
@@ -273,10 +280,20 @@ class KStageForm:
         top = sum(self.ells)
         what = f"the top stage scale N^(l_1+..+l_k) would be {self.base}^{top}"
         refuse_above("BASE_LIMIT", BASE_LIMIT, what, self.base, top)
+        width = self.width
+        refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the form would expand to up to {width} digits", width)
 
     @property
     def stages(self) -> int:
         return len(self.layers)
+
+    @property
+    def width(self) -> int:
+        """|E0| times the largest set of each layer: a bound on the digits
+        of the expansion."""
+        return len(self.e0) * math.prod(
+            len(l) if isinstance(l, DigitSet) else max((len(b) for _, b in l), default=0) for l in self.layers
+        )
 
 
 def k_stage_form(base, ells, e0, layers, spectra) -> KStageForm:
@@ -372,11 +389,6 @@ def _short(seq) -> str:
 # ---------------------------------------------------------------------------
 # Reduction of a k-stage form to a one-stage form over base N^k.
 
-# Most digits k_stage_to_one_stage may build.  On a 2-core x86 container
-# (2,3,3,iii) with 24^3 = 13,824 digits reduces in 1.2 s, (2,3,2,i) at k = 4
-# with 12^4 = 20,736 in 13 s, and (2,3,3,ii) with 24^4 = 331,776 in 121 s.
-DIGIT_LIMIT = 1 << 15
-
 
 def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneStageForm:
     """Rebuild the k-stage digits as a one-stage form over base N^k.
@@ -402,9 +414,7 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
         raise ValueError(f"target stage count {k} below 1")
     if k < total:
         raise ValueError(f"target stage count {k} below intrinsic {total}")
-    width = len(form.e0) * math.prod(
-        len(l) if isinstance(l, DigitSet) else max((len(b) for _, b in l), default=0) for l in form.layers
-    )
+    width = form.width
     refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the one-stage form would hold {width}^{k} digits", width, k)
     refuse_above("BASE_LIMIT", BASE_LIMIT, f"the one-stage base would be {form.base}^{k}", form.base, k)
     n, big = form.base, form.base**k

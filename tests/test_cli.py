@@ -365,6 +365,10 @@ def _malformed_inputs(tmp_path):
     zero_stage = _write(tmp_path, "zero-stage.json", {
         "base": 4, "ells": [], "E0": ["0", "1"], "layers": [], "Ls": [["0", "2"]],
     })
+    # a valid staged form: (4, {0, 2}, {0, 1}) at level 0, (4, {0, 1}, {0, 2}) at N^1
+    good_staged = {"base": 4, "ells": [1], "E0": ["0", "2"], "layers": [{"constant": ["0", "1"]}],
+                   "Ls": [["0", "1"], ["0", "2"]]}
+    l01 = _write(tmp_path, "l01.json", {"base": 4, "digits": ["0", "1"]})
     # B_0 = {2, 4} holds no 0
     unnormalized = _write(tmp_path, "unnormalized.json", {
         "base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["2", "4"], "1": ["0", "6"]}, "L1": ["0", "2"], "L2": ["0", "1"],
@@ -416,6 +420,15 @@ def _malformed_inputs(tmp_path):
                                 _write(tmp_path, "base-frac.json", {"base": 2.5, "digits": ["0", "1"]})]),
         ("digit-true", ["factor-mask", "--digits",
                         _write(tmp_path, "digit-true.json", {"base": 4, "digits": ["0", True]})]),
+        # a digit list that is not a JSON list, where reading its characters
+        # or keys as digits would pass
+        ("digits-string", ["check-hadamard", "--base", "4", "--spectrum", l01, "--digits",
+                           _write(tmp_path, "digits-str.json", {"base": 4, "digits": "02"})]),
+        ("digits-object", ["check-hadamard", "--base", "4", "--spectrum", l01, "--digits",
+                           _write(tmp_path, "digits-obj.json", {"base": 4, "digits": {"0": 1, "2": 5}})]),
+        ("ells-string", ["validate-form", "--spec", _write(tmp_path, "ells-str.json", {**good_staged, "ells": "1"})]),
+        ("Ls-string", ["validate-form", "--spec",
+                       _write(tmp_path, "ls-str.json", {**good_staged, "Ls": [["0", "1"], "02"]})]),
     ]
 
 
@@ -442,6 +455,11 @@ def _over_limit_inputs(tmp_path):
     # every set holds one digit, so DIGIT_LIMIT passes at any k
     single = _write(tmp_path, "one.json", {
         "base": 2, "ells": [1], "E0": ["0"], "layers": [{"constant": ["0"]}], "Ls": [["0"], ["0"]]
+    })
+    # 20 stages of {0, 1} over E0 = {0, 1}: a file under 1 KB that expands to 2^21 digits
+    deep = _write(tmp_path, "deep.json", {
+        "base": 2, "ells": [1] * 20, "E0": ["0", "1"], "layers": [{"constant": ["0", "1"]}] * 20,
+        "Ls": [["0"]] * 21,
     })
     huge = str(10**30)
     far = _write(tmp_path, "far.json", {**one_stage_to_json(f83), "r": huge})
@@ -491,6 +509,8 @@ def _over_limit_inputs(tmp_path):
         ("weakly-periodic-base-1728", ["weakly-periodic", "--form", wide], "1728^2 + 4096 points", grid),
         ("reduce-paq-ii-1-2", ["reduce-kstage", "--spec", paq], "24^5 digits", digits),
         ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
+        ("validate-staged-20-stages", ["validate-form", "--spec", deep], f"{2**21} digits", digits),
+        ("gen-staged-20-stages", ["gen-product-form", "--spec", deep], f"{2**21} digits", digits),
         ("reduce-one-digit-k-1000", ["reduce-kstage", "--spec", single, "--k", "1000"], "2^1000", base),
         ("validate-one-stage-r-10^30", ["validate-form", "--spec", far], f"24^{huge}", base),
         ("gen-one-stage-r-10^30", ["gen-product-form", "--spec", far], f"24^{huge}", base),
