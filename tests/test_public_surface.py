@@ -110,3 +110,19 @@ def test_exact_layer_never_imports_numpy():
         [sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_the_package():
+    """``import spectralforge.cli`` is what the benchmark's ``setup_s``
+    times: every top-level module it loads is in the standard library, or
+    is numpy or the package itself."""
+    code = (
+        "import sys; before = set(sys.modules); import spectralforge.cli; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True, text=True, check=True
+    )
+    loaded = ast.literal_eval(out.stdout)
+    assert "spectralforge" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m not in ("numpy", "spectralforge")] == []
