@@ -9,18 +9,20 @@ J. Funct. Anal. 193 (2002)).  The orthogonality test is
 
 The verdict depends on the set of differences, not on the pairs, so
 ``check_triple`` tests each distinct ordered difference (l_j - l_i) mod N,
-i < j, once.  It builds that difference set once per (L, N): where the
-pairs outnumber the residues it reads them off one N-bit mask, built by |L|
-shifts; elsewhere it collects them in a set.  The set, and the duplicate
-residues of D and of L, stay in the digit set's ``modulus_facts``, so a
-spectrum checked against many digit sets at one modulus (the B-triple rows
-of a product form) builds them once.  Only a failure walks the pairs, to
-name the first failing one.
+i < j, once.  Where the pairs outnumber the residues it reads that set off
+one N-bit mask, built by |L| shifts, and walks the pairs only when some
+difference fails, to name the first failing pair.  Elsewhere one walk over
+the pairs in order tests each new difference and stops at the first pair
+that fails; a walk that finds none keeps the differences it met.  The
+difference list, and the duplicate residues of D and of L, stay in the
+digit set's ``modulus_facts``, so a spectrum checked against many digit
+sets at one modulus (the B-triple rows of a product form) builds them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .cyclotomic import vanishing_sum_test
@@ -66,8 +68,9 @@ def _duplicate_residue(digits: Sequence[int], n: int):
 
 
 # The mask route costs |L| shifts of N-bit ints and a scan of N characters,
-# the set route |L|^2 / 2 Python steps and a sort.  Timed in process on a
-# 2-core x86 container, set time / mask time:
+# the pair walk |L|^2 / 2 Python steps and a sort.  Timed in process on a
+# 2-core x86 container, with a set of the differences and a sort standing in
+# for the walk, set time / mask time:
 # - random spectra, |L| = 16..512, whose differences fill most residues:
 #   0.64-0.82 at N = |L|^2 / 2, 0.79-1.17 at |L|^2 / 4, 1.05-1.88 at |L|^2 / 8;
 # - the stage-reduce spectra, with few distinct differences: 9.7 at (|L|, N)
@@ -95,19 +98,6 @@ def _differences_by_mask(ls: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _differences_by_set(ls: Sequence[int], n: int) -> list[int]:
-    """Ascending {(b - a) % n : a before b in ls}, from a set."""
-    return sorted({(b - a) % n for i, a in enumerate(ls) for b in ls[i + 1 :]})
-
-
-def _ordered_differences(ls: Sequence[int], n: int) -> list[int]:
-    """Ascending {(b - a) % n : a before b in ls}: by the mask when the
-    pairs outnumber the residues (2N <= |L|^2), else by the set."""
-    if 2 * n <= len(ls) ** 2:
-        return _differences_by_mask(ls, n)
-    return _differences_by_set(ls, n)
-
-
 # Moduli per digit set whose facts ``_facts`` keeps.  An entry holds up to
 # N differences, so a set met at more moduli recomputes the rest.
 _MODULUS_MEMO_SIZE = 64
@@ -128,12 +118,12 @@ def check_triple(n: int, d: DigitSet, l: DigitSet) -> FailureReport | None:
     """None when (n, d, l) is a Hadamard triple, else the first failure.
 
     Orthogonality calls ``vanishing_sum_test`` once per distinct ordered
-    difference (l_j - l_i) mod n, i < j, in ascending order; the differences
-    come from one N-bit mask when 2N <= |L|^2, else from a set, and are
-    built once per (l, n).  On a success these are exactly the tests a walk
-    over the pairs would make.  At the first difference that does not
-    vanish the pairs are walked in order, reusing every verdict already
-    decided, and the first failing pair is the witness.
+    difference (l_j - l_i) mod n, i < j.  When 2N <= |L|^2 the differences
+    come from one N-bit mask, ascending, and the pairs are walked only when
+    one of them fails; else the walk comes first.  The walk goes over the
+    pairs in order and tests each new difference; the first pair whose
+    difference does not vanish is the witness, and a walk that finds none
+    keeps the differences it met.  Either list is built once per (l, n).
     """
     if len(d) != len(l):
         return FailureReport("CardinalityMismatch", witness=(len(d), len(l)))
@@ -149,25 +139,19 @@ def check_triple(n: int, d: DigitSet, l: DigitSet) -> FailureReport | None:
         # full geometric sum, hence zero; no pair tests needed
         return None
     ls = l.digits
-    if spectrum[1] is None:
-        spectrum[1] = _ordered_differences(ls, n)
-    diffs = spectrum[1]
-    for k, t in enumerate(diffs):
-        if not vanishing_sum_test(d, t, n):
-            break
-    else:
+    if spectrum[1] is None and 2 * n <= len(ls) ** 2:
+        spectrum[1] = _differences_by_mask(ls, n)
+    if spectrum[1] is not None and all(vanishing_sum_test(d, t, n) for t in spectrum[1]):
         return None
-    decided = dict.fromkeys(diffs[:k], True)
-    decided[diffs[k]] = False
-    # some pair realizes diffs[k], so the walk ends at a failing pair
-    for i, a in enumerate(ls):
-        for b in ls[i + 1 :]:
-            t = (b - a) % n
-            ok = decided.get(t)
-            if ok is None:
-                ok = decided[t] = vanishing_sum_test(d, t, n)
-            if not ok:
+    seen: set[int] = set()
+    for a, b in combinations(ls, 2):
+        t = (b - a) % n
+        if t not in seen:
+            if not vanishing_sum_test(d, t, n):
                 return FailureReport("OrthogonalityFailure", "spectrum pair", (a, b))
+            seen.add(t)
+    spectrum[1] = sorted(seen)
+    return None
 
 
 def verify_triple(n: int, d: DigitSet, l: DigitSet) -> HadamardTriple:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import mpmath
 import pytest
@@ -279,41 +280,34 @@ def _oracle_triples(count, seed):
     return out
 
 
-def _record_routes(monkeypatch, taken):
-    """Append the name of each difference route check_triple takes."""
-    for name in ("_differences_by_mask", "_differences_by_set"):
-        real = getattr(hadamard, name)
-        monkeypatch.setattr(hadamard, name, lambda ls, m, name=name, real=real: taken.append(name) or real(ls, m))
+def _route(n, l):
+    """The route check_triple takes for the differences of l mod n."""
+    return "mask" if 2 * n <= len(l) ** 2 else "walk"
 
 
-def test_check_triple_matches_the_pair_walk_on_random_triples(monkeypatch):
+def test_check_triple_matches_the_pair_walk_on_random_triples():
     """The same report, kind, which and witness, as a walk over every pair,
     on valid triples and on copies with one digit moved, on both routes."""
-    taken = []
-    _record_routes(monkeypatch, taken)
-    routes = {"_differences_by_mask": [0, 0], "_differences_by_set": [0, 0]}
+    routes = {"mask": [0, 0], "walk": [0, 0]}
     for n, d, l in _oracle_triples(150, seed=21):
-        taken.clear()
         got = check_triple(n, d, l)
         assert got == _reference_check_triple(n, d, l), (n, d.digits, l.digits)
-        for route in taken:
-            routes[route][got is None] += 1
+        # the checks that reach the differences
+        reached = got.kind == "OrthogonalityFailure" if got else len(d) != n
+        routes[_route(n, l)][got is None] += reached
     # orthogonality failures and successes on each route
     assert min(min(counts) for counts in routes.values()) >= 10, routes
 
 
-def test_ordered_differences_match_brute_force_on_both_routes():
-    """Both routes give the ascending set of (b - a) % n over the pairs
-    a before b, also for digits below 0 or at least n, and for residues
-    that repeat (difference 0)."""
+def test_mask_differences_match_brute_force():
+    """The mask gives the ascending set of (b - a) % n over the pairs a
+    before b, also for digits below 0 or at least n, and for residues that
+    repeat (difference 0)."""
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randrange(2, 200)
         ls = sorted(rng.sample(range(-3 * n, 3 * n), rng.randrange(1, min(6 * n, 40) + 1)))
-        want = _brute_differences(ls, n)
-        assert hadamard._differences_by_mask(ls, n) == want, (n, ls)
-        assert hadamard._differences_by_set(ls, n) == want, (n, ls)
-        assert hadamard._ordered_differences(ls, n) == want, (n, ls)
+        assert hadamard._differences_by_mask(ls, n) == _brute_differences(ls, n), (n, ls)
 
 
 def _fresh(n, d, l):
@@ -350,21 +344,54 @@ def test_warm_tables_name_the_pair_a_cold_check_names():
     assert warm_failures >= 10
 
 
+def _sparse_pair(size, seed):
+    """Two seeded sets of ``size`` distinct digits below N = 10^12, where
+    2N > size^2, so their differences come from the walk."""
+    rng = random.Random(seed)
+    n = 10**12
+    return n, DigitSet(n, tuple(rng.sample(range(n), size))), DigitSet(n, tuple(rng.sample(range(n), size)))
+
+
+def test_a_failing_check_on_a_sparse_modulus_stops_at_its_witness():
+    """The walk ends at the first failing pair: it keeps no difference list
+    for l, and it names the pair a walk over every pair names; the
+    3,000-digit pair, 4.5 million differences, is decided in under 1 s."""
+    n, d, l = _sparse_pair(300, seed=3)
+    got = check_triple(n, d, l)
+    assert got is not None and got.kind == "OrthogonalityFailure"
+    assert got == _reference_check_triple(n, d, l)
+    assert l.modulus_facts[n][1] is None
+    n, d, l = _sparse_pair(3000, seed=4)
+    t0 = time.perf_counter()
+    got = check_triple(n, d, l)
+    took = time.perf_counter() - t0
+    first = next((a, b) for a, b in itertools.combinations(l.digits, 2) if not vanishing_sum_test(d, b - a, n))
+    assert got == FailureReport("OrthogonalityFailure", "spectrum pair", first)
+    assert took < 1.0, took
+
+
 @pytest.mark.parametrize(
     "n, d, l, route",
     [
-        # 2 * 48 <= 12^2: the differences come from the mask
-        (48, tuple(range(0, 48, 4)), (0, 1, 2, 6, 10, 27, 29, 32, 40, 43, 45, 47), "_differences_by_mask"),
-        # the Z_72 tiling pair: 2 * 72 > 6^2, so from the set
-        (72, (0, 8, 16, 18, 26, 34), (0, 18, 24, 42, 48, 66), "_differences_by_set"),
+        # 2 * 48 <= 12^2: the differences come from the mask, ascending
+        (48, tuple(range(0, 48, 4)), (0, 1, 2, 6, 10, 27, 29, 32, 40, 43, 45, 47), "mask"),
+        # the Z_72 tiling pair: 2 * 72 > 6^2, so from the walk, in pair order
+        (72, (0, 8, 16, 18, 26, 34), (0, 18, 24, 42, 48, 66), "walk"),
     ],
 )
 def test_check_triple_tests_each_distinct_difference_once(monkeypatch, n, d, l, route):
-    calls, routes = [], []
-    real_test = hadamard.vanishing_sum_test
+    calls, masks = [], []
+    real_test, real_mask = hadamard.vanishing_sum_test, hadamard._differences_by_mask
     monkeypatch.setattr(hadamard, "vanishing_sum_test", lambda d_set, t, m: calls.append(t) or real_test(d_set, t, m))
-    _record_routes(monkeypatch, routes)
-    assert check_triple(n, DigitSet(n, d), DigitSet(n, l)) is None
-    assert routes == [route]
-    assert calls == _brute_differences(l, n)
+    monkeypatch.setattr(hadamard, "_differences_by_mask", lambda ls, m: masks.append(ls) or real_mask(ls, m))
+    l_set = DigitSet(n, l)
+    assert check_triple(n, DigitSet(n, d), l_set) is None
+    assert _route(n, l) == route and len(masks) == (route == "mask")
+    want = _brute_differences(l, n)
+    assert (calls if route == "mask" else sorted(calls)) == want
     assert len(calls) > len(l)
+    # the list is kept: a second check against l makes the same tests in
+    # ascending order and builds nothing
+    calls.clear()
+    assert check_triple(n, DigitSet(n, d), l_set) is None
+    assert calls == want and len(masks) == (route == "mask")

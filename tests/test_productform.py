@@ -141,15 +141,17 @@ def test_equal_b_sets_share_one_digit_set():
 def test_z72_validation_counts(monkeypatch):
     """validate_one_stage on the Z_72 reduction, read back from JSON as
     validate-form reads it: 10,996 vanishing tests (the bench's per-job
-    pin), and L2's difference set built once for its 432 B rows."""
+    pin), and L2's pairs walked once for its 432 B rows (2N > |L2|^2 at
+    N = 5,184, so its differences come from the walk)."""
     form = cli.one_stage_from_json(cli.one_stage_to_json(_z72_reduction()))
-    vanishing, differences = [], []
-    real_test, real_diffs = hadamard.vanishing_sum_test, hadamard._ordered_differences
+    assert 2 * form.base > len(form.l2) ** 2
+    vanishing, walks = [], []
+    real_test, real_walk = hadamard.vanishing_sum_test, hadamard.combinations
     monkeypatch.setattr(hadamard, "vanishing_sum_test", lambda d, t, n: vanishing.append(t) or real_test(d, t, n))
-    monkeypatch.setattr(hadamard, "_ordered_differences", lambda ls, n: differences.append(ls) or real_diffs(ls, n))
+    monkeypatch.setattr(hadamard, "combinations", lambda ls, r: walks.append(ls) or real_walk(ls, r))
     assert validate_one_stage(form).ok
     assert len(vanishing) == 10_996
-    assert differences.count(form.l2.digits) == 1
+    assert walks.count(form.l2.digits) == 1
 
 
 def test_z72_work_done_once(monkeypatch):
