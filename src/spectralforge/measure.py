@@ -482,10 +482,11 @@ def check_frame_sum_size(
     """Raise PointLimitExceeded, before any work, when the level-``level``
     point set of ``form`` holds more than POINT_LIMIT points, or more than
     SAMPLE_LIMIT (point, sample) pairs with ``samples`` samples.  The set is
-    the aggregate of |T|^level points, T the anchored spectrum, or with
-    ``candidate`` the built spectrum's top level of |L2| * |T|^level.  The
-    power is capped first, so a huge level costs nothing."""
-    t = len(_anchored_spectrum(form))
+    the aggregate of |T|^level points, T the anchored spectrum of |L1| * |L2|
+    points, or with ``candidate`` the built spectrum's top level of
+    |L2| * |T|^level.  Both sizes are read off the form, and the power is
+    capped first, so a huge level costs nothing."""
+    t = len(form.l1) * len(form.l2)
     factor = len(form.l2) if candidate else 1
     size = f"{factor} * {t}^{level}" if factor > 1 else f"{t}^{level}"
     what = f"the level-{level} {'candidate' if candidate else 'aggregate'} would hold {size} points"

@@ -56,9 +56,11 @@ def as_layer(spec: DigitSet | Mapping[int, DigitSet]) -> LayerSpec:
 BASE_LIMIT = 1 << 256
 
 # Most digits a staged form may expand to (by its ``width``) and
-# k_stage_to_one_stage may build.  On a 2-core x86 container (2,3,3,iii)
-# with 24^3 = 13,824 digits reduces in 1.2 s, (2,3,2,i) at k = 4 with
-# 12^4 = 20,736 in 13 s, and (2,3,3,ii) with 24^4 = 331,776 in 121 s.
+# k_stage_to_one_stage may build, and most points a form's spectrum sum
+# (L1 (+) L2, or L_0 (+) .. (+) L_k) may hold.  On a 2-core x86 container
+# (2,3,3,iii) with 24^3 = 13,824 digits reduces in 1.2 s, (2,3,2,i) at
+# k = 4 with 12^4 = 20,736 in 13 s, and (2,3,3,ii) with 24^4 = 331,776 in
+# 121 s.
 DIGIT_LIMIT = 1 << 15
 
 
@@ -89,7 +91,7 @@ class ValidationReport:
 @dataclass(frozen=True)
 class OneStageForm:
     """Digits expand to the union of a + N^r * B_a over a in A.  N^r above
-    BASE_LIMIT raises PointLimitExceeded.
+    BASE_LIMIT, or |L1| * |L2| above DIGIT_LIMIT, raises PointLimitExceeded.
 
     Equal B-sets (same base, digits and offset) become one DigitSet, so
     the answers it keeps (``order_verdicts``, ``modulus_facts``) serve
@@ -106,6 +108,8 @@ class OneStageForm:
         if self.r < 0:
             raise ValueError("scale exponent r must be >= 0")
         refuse_above("BASE_LIMIT", BASE_LIMIT, f"the scale N^r would be {self.base}^{self.r}", self.base, self.r)
+        what = f"the spectrum sum L1 (+) L2 would hold {len(self.l1)} * {len(self.l2)} points"
+        refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, what, len(self.l1), factor=len(self.l2))
         keys = tuple(k for k, _ in self.b_sets)
         if sorted(keys) != sorted(self.a_set.digits):
             raise ValueError("B-sets must be keyed exactly by the digits of A")
@@ -261,7 +265,8 @@ class KStageForm:
 
     ``spectra`` lists L_0..L_k, one per level including level 0.  A top
     scale N^(l_1+...+l_k) above BASE_LIMIT, or a ``width`` above
-    DIGIT_LIMIT, raises PointLimitExceeded.
+    DIGIT_LIMIT (by its digits or by its spectra), raises
+    PointLimitExceeded.
     """
 
     base: int
@@ -280,20 +285,27 @@ class KStageForm:
         top = sum(self.ells)
         what = f"the top stage scale N^(l_1+..+l_k) would be {self.base}^{top}"
         refuse_above("BASE_LIMIT", BASE_LIMIT, what, self.base, top)
-        width = self.width
-        refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the form would expand to up to {width} digits", width)
+        digits, points = self._sizes()
+        refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the form would expand to up to {digits} digits", digits)
+        refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the spectrum sum L_0 (+) .. (+) L_k would hold {points} points", points)
 
     @property
     def stages(self) -> int:
         return len(self.layers)
 
-    @property
-    def width(self) -> int:
-        """|E0| times the largest set of each layer: a bound on the digits
-        of the expansion."""
-        return len(self.e0) * math.prod(
+    def _sizes(self) -> tuple[int, int]:
+        """|E0| times the largest set of each layer, a bound on the digits
+        of the expansion, and the product of the |L_i|, the points of the
+        spectrum sum."""
+        digits = len(self.e0) * math.prod(
             len(l) if isinstance(l, DigitSet) else max((len(b) for _, b in l), default=0) for l in self.layers
         )
+        return digits, math.prod(len(s) for s in self.spectra)
+
+    @property
+    def width(self) -> int:
+        """The larger of the two ``_sizes``; for a valid form they are equal."""
+        return max(self._sizes())
 
 
 def k_stage_form(base, ells, e0, layers, spectra) -> KStageForm:
@@ -405,8 +417,8 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     for a form with no stages; a k below either raises ValueError.
     The result is validated exactly; the error names the failing aggregate
     (A-triple, B-triple, or product).  A result of more than DIGIT_LIMIT
-    digits, or over a base above BASE_LIMIT, raises PointLimitExceeded
-    before any work.
+    digits or spectrum points (width^k), or over a base above BASE_LIMIT,
+    raises PointLimitExceeded before any work.
     """
     total = sum(form.ells)
     k = max(total, 1) if k_target is None else k_target
@@ -414,8 +426,10 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
         raise ValueError(f"target stage count {k} below 1")
     if k < total:
         raise ValueError(f"target stage count {k} below intrinsic {total}")
-    width = form.width
-    refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the one-stage form would hold {width}^{k} digits", width, k)
+    digits, points = form._sizes()
+    what = (f"the one-stage form would hold {digits}^{k} digits" if digits >= points
+            else f"the one-stage spectrum sum L1 (+) L2 would hold {points}^{k} points")
+    refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, what, form.width, k)
     refuse_above("BASE_LIMIT", BASE_LIMIT, f"the one-stage base would be {form.base}^{k}", form.base, k)
     n, big = form.base, form.base**k
     marks = list(itertools.accumulate(form.ells))  # the power of N of each stage

@@ -461,6 +461,22 @@ def _over_limit_inputs(tmp_path):
         "base": 2, "ells": [1] * 20, "E0": ["0", "1"], "layers": [{"constant": ["0", "1"]}] * 20,
         "Ls": [["0"]] * 21,
     })
+    # spectra of 2,000 digits over one-digit sets: 4,000,000 points in the
+    # spectrum sum (before they were sized, validate-form took 2 s and
+    # 450 MB on them on a 2-core x86 container)
+    wide_l = [[str(i) for i in range(2000)], [str(2000 * i) for i in range(2000)]]
+    wide_one = _write(tmp_path, "wide-one.json", {
+        "base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "2"]}, "L1": wide_l[0], "L2": wide_l[1]
+    })
+    wide_staged = _write(tmp_path, "wide-staged.json", {
+        "base": 2, "ells": [1], "E0": ["0"], "layers": [{"constant": ["0"]}], "Ls": wide_l
+    })
+    # four stages of {0} with L_i = {0, 10^(20 i)}: a file under 1 KB whose
+    # reduction lifts L1 (+) L2 to (2^5)^4 points
+    spread = _write(tmp_path, "spread.json", {
+        "base": 2, "ells": [1] * 4, "E0": ["0"], "layers": [{"constant": ["0"]}] * 4,
+        "Ls": [["0", str(10 ** (20 * i))] for i in range(5)],
+    })
     huge = str(10**30)
     far = _write(tmp_path, "far.json", {**one_stage_to_json(f83), "r": huge})
     far_staged = _write(tmp_path, "far-staged.json", {
@@ -511,6 +527,12 @@ def _over_limit_inputs(tmp_path):
         ("reduce-k-huge", ["reduce-kstage", "--spec", small, "--k", str(10**9)], f"12^{10**9} digits", digits),
         ("validate-staged-20-stages", ["validate-form", "--spec", deep], f"{2**21} digits", digits),
         ("gen-staged-20-stages", ["gen-product-form", "--spec", deep], f"{2**21} digits", digits),
+        ("validate-one-stage-spectra", ["validate-form", "--spec", wide_one], "2000 * 2000 points", digits),
+        ("jp-one-stage-spectra", ["verify-jp", "--form", wide_one], "2000 * 2000 points", digits),
+        ("lemma42-one-stage-spectra", ["check-lemma42", "--form", wide_one], "2000 * 2000 points", digits),
+        ("validate-staged-spectra", ["validate-form", "--spec", wide_staged], "4000000 points", digits),
+        ("reduce-staged-spectra", ["reduce-kstage", "--spec", wide_staged], "4000000 points", digits),
+        ("reduce-spread-spectra", ["reduce-kstage", "--spec", spread], "32^4 points", digits),
         ("reduce-one-digit-k-1000", ["reduce-kstage", "--spec", single, "--k", "1000"], "2^1000", base),
         ("validate-one-stage-r-10^30", ["validate-form", "--spec", far], f"24^{huge}", base),
         ("gen-one-stage-r-10^30", ["gen-product-form", "--spec", far], f"24^{huge}", base),

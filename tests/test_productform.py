@@ -281,10 +281,13 @@ def test_reduce_r_to_1_congruent_new_a_digits():
     ]
 
 
-def test_invalid_k_stage_form_decides_each_root_order_once():
+def test_invalid_k_stage_form_decides_each_root_order_once(monkeypatch):
     """Thousands of vanishing tests over base 20,736 reach few (digits,
     root order) keys, and each is decided once: a decision is a miss of
     the memo."""
+    # the spectra multiply to 24, above the 12 digits, and 24^4 points pass
+    # DIGIT_LIMIT; this test counts memo misses, not sizes
+    monkeypatch.setattr(productform, "DIGIT_LIMIT", 24**4)
     cyclotomic._vanishes_at_order.cache_clear()
     ks = k_stage_form(
         12,
