@@ -254,10 +254,7 @@ def cmd_check_hadamard(args) -> Outcome:
 
 def cmd_find_spectrum(args) -> Outcome:
     d = load_digitset(args.digits, args.base)
-    try:
-        found = find_spectra(args.base, d, limit=args.limit)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    found = find_spectra(args.base, d, limit=args.limit)
     fields = {
         "base": args.base,
         "count": len(found),
@@ -289,10 +286,7 @@ def cmd_reduce_kstage(args) -> Outcome:
     form = load_form(args.spec)
     if not isinstance(form, KStageForm):
         raise InputError("reduce-kstage expects a staged form (with 'ells')")
-    try:
-        one = k_stage_to_one_stage(form, k_target=args.k)
-    except ValueError as exc:  # --k below the form's own stage count
-        raise InputError(str(exc)) from exc
+    one = k_stage_to_one_stage(form, k_target=args.k)
     summary = f"reduced to a one-stage form over base {one.base}"
     return True, {"one_stage": one_stage_to_json(one)}, summary
 
@@ -386,10 +380,7 @@ def cmd_verify_jp(args) -> Outcome:
         "JP_ROW_LIMIT", JP_ROW_LIMIT, f"the report would hold {args.levels + 1} * {args.grid} rows",
         args.levels + 1, factor=args.grid,
     )
-    try:
-        cand = measure.build_spectrum(form, levels=args.levels, scale=args.scale)
-    except ValueError as exc:  # a form that is not normalized
-        raise InputError(str(exc)) from exc
+    cand = measure.build_spectrum(form, levels=args.levels, scale=args.scale)
     xi = [0.0] + measure.chebyshev_grid(args.grid - 1)
     rows_by_level = measure.jp_levels(cand, xi)
     # each level's Q_T sums a prefix of the next level's nonnegative terms
@@ -418,10 +409,7 @@ def cmd_check_lemma42(args) -> Outcome:
     form = _one_stage(args.form, args.command)
     # the library checks this too, but only once it has the samples
     measure.check_frame_sum_size(form, args.p, IDENTITY_SAMPLES)
-    try:
-        worst = measure.finite_level_identity_check(form, args.p, measure.chebyshev_grid(IDENTITY_SAMPLES))
-    except ValueError as exc:  # a form that is not normalized
-        raise InputError(str(exc)) from exc
+    worst = measure.finite_level_identity_check(form, args.p, measure.chebyshev_grid(IDENTITY_SAMPLES))
     fields = {"max_p": args.p, "max_deviation": worst}
     return worst < IDENTITY_TOLERANCE, fields, f"max deviation {worst:.3e}"
 

@@ -12,8 +12,10 @@ class SpectralForgeError(Exception):
     """Base class for all library errors."""
 
 
-class InputError(SpectralForgeError):
-    """Malformed user input (bad JSON, missing field, unparsable digit)."""
+class InputError(SpectralForgeError, ValueError):
+    """Malformed user input (bad JSON, missing field, unparsable digit), or
+    an argument a library call refuses; also a ValueError, so callers that
+    catch ValueError catch it."""
 
 
 class EmptyInput(SpectralForgeError):

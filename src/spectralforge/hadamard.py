@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .cyclotomic import vanishing_sum_test
 from .digitsets import DigitSet
-from .errors import HadamardFailure, SearchLimitReached, refuse_above
+from .errors import HadamardFailure, InputError, SearchLimitReached, refuse_above
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,9 @@ def find_spectra(n: int, d: DigitSet, limit: int | None = None) -> list[DigitSet
     """
     refuse_above("SEARCH_BASE_LIMIT", SEARCH_BASE_LIMIT, f"a search over Z_{n}", n)
     if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1")
+        raise InputError("limit must be >= 1")
     if _duplicate_residue(d.digits, n) is not None:
-        raise ValueError("digit set must have distinct residues mod N")
+        raise InputError("digit set must have distinct residues mod N")
     size = len(d)
     if size == 1:
         return [DigitSet(max(n, 2), (0,))]

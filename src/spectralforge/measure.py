@@ -73,7 +73,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .digitsets import DigitSet, direct_sum_digits, stacked_digits
-from .errors import ShiftSearchFailure, TailBoundUnavailable, refuse_above
+from .errors import InputError, ShiftSearchFailure, TailBoundUnavailable, refuse_above
 from .productform import OneStageForm, expand_one_stage, is_normalized
 
 TWO_PI = 2.0 * math.pi
@@ -504,9 +504,9 @@ def _anchored_spectrum(form: OneStageForm) -> tuple[int, ...]:
 
 def _require_normalized(form: OneStageForm) -> None:
     """The identity check and the spectrum construction need r = 1 and a
-    normalized form; ValueError otherwise."""
+    normalized form; InputError (a ValueError) otherwise."""
     if form.r != 1 or not is_normalized(form):
-        raise ValueError("the form must have r = 1 and be normalized (0 in every B_s, gcd 1)")
+        raise InputError("the form must have r = 1 and be normalized (0 in every B_s, gcd 1)")
 
 
 def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence[float]) -> float:
@@ -625,7 +625,7 @@ def build_spectrum(form: OneStageForm, levels: int, scale: Fraction = Fraction(1
     """
     _require_normalized(form)
     if levels < 0:
-        raise ValueError("levels must be >= 0")
+        raise InputError("levels must be >= 0")
     check_frame_sum_size(form, levels, candidate=True)
     n = form.base
     anchored = _anchored_spectrum(form)

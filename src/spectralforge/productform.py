@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
-from .errors import OverlapError, ValidationFailure, refuse_above
+from .errors import InputError, OverlapError, ValidationFailure, refuse_above
 from .hadamard import _duplicate_residue, check_triple
 
 LayerSpec = Union[DigitSet, tuple[tuple[int, DigitSet], ...]]
@@ -414,7 +414,8 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     spectra N^(k-1-m) * L_i over the levels that carry a stage spectrum,
     since the spectrum {0} of any other adds nothing.
     The target k defaults to the form's own stage count, sum(ells), or to 1
-    for a form with no stages; a k below either raises ValueError.
+    for a form with no stages; a k below either raises InputError, a
+    ValueError.
     The result is validated exactly; the error names the failing aggregate
     (A-triple, B-triple, or product).  A result of more than DIGIT_LIMIT
     digits or spectrum points (width^k), or over a base above BASE_LIMIT,
@@ -423,9 +424,9 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     total = sum(form.ells)
     k = max(total, 1) if k_target is None else k_target
     if k < 1:
-        raise ValueError(f"target stage count {k} below 1")
+        raise InputError(f"target stage count {k} below 1")
     if k < total:
-        raise ValueError(f"target stage count {k} below intrinsic {total}")
+        raise InputError(f"target stage count {k} below intrinsic {total}")
     digits, points = form._sizes()
     what = (f"the one-stage form would hold {digits}^{k} digits" if digits >= points
             else f"the one-stage spectrum sum L1 (+) L2 would hold {points}^{k} points")

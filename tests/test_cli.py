@@ -637,6 +637,28 @@ def test_unexpected_exception_is_a_json_report(tmp_path, capsys, monkeypatch):
     assert json.loads(out_path.read_text()) == report
     assert "Traceback" not in captured.err
 
+    # a ValueError from inside a library call is a fault of the package, not
+    # bad input: exit 1 with its type and where it was raised; the arguments
+    # these calls refuse raise InputError themselves
+    def bad_value(*args, **kwargs):
+        raise ValueError("injected")
+
+    _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
+    form = _write(tmp_path, "f83.json", one_stage_to_json(f83))
+    staged = _write(tmp_path, "k.json", k_stage_to_json(paq_type_generator(2, 3, 2, "i").form))
+    for module, name, argv in [
+        (hadamard, "zero_set", ["find-spectrum", "--base", "4", "--digits", d]),
+        (productform, "stacked_digits", ["reduce-kstage", "--spec", staged]),
+        (measure, "form_measure", ["verify-jp", "--form", form]),
+        (measure, "form_measure", ["check-lemma42", "--form", form]),
+    ]:
+        monkeypatch.setattr(module, name, bad_value)
+        code = _run(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert json.loads(captured.out)["error"] == {"type": "ValueError", "message": "injected"}, argv
+        assert "(ValueError at " in captured.err and "Traceback" not in captured.err, argv
+
 
 _CALLS_IN_ONE_PROCESS = """
 import contextlib, io, json, sys
