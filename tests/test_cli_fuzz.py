@@ -54,6 +54,11 @@ def _well_formed() -> dict[str, list]:
     """Input kind -> well-formed JSON objects of that kind."""
     _, f83 = build_four_digit_form(24, 1, 4, 1, 1)
     b4 = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2)), 1: DigitSet(4, (0, 6))}, (0, 2), (0, 1))
+    rng = random.Random(600)
+    # spectrum sums just above DIGIT_LIMIT = 2^15: 182 * 182 and 32 * 32 * 33 points
+    ls = [[str(i) for i in range(size)] for size in (32, 33, 182)]
+    wide_one = {"base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "2"]}, "L1": ls[2], "L2": ls[2]}
+    wide_staged = {"base": 2, "ells": [1, 1], "E0": ["0"], "layers": [{"constant": ["0"]}] * 2, "Ls": [ls[0], ls[0], ls[1]]}
     return {
         "digits": [
             _digits(4, (0, 2)),
@@ -66,10 +71,14 @@ def _well_formed() -> dict[str, list]:
             {"digits": ["0", "1"]},
             {"digits": ["0", "2", "4"]},
         ],
-        "one-stage": [one_stage_to_json(f83), one_stage_to_json(b4)],
+        # sets of 600 digits at base 10^12, where 2N > |L|^2: check-hadamard
+        # on two of them walks the pairs
+        "sparse": [_digits(10**12, sorted(rng.sample(range(10**12), 600))) for _ in range(2)],
+        "one-stage": [one_stage_to_json(f83), one_stage_to_json(b4), wide_one],
         "staged": [
             k_stage_to_json(paq_type_generator(2, 3, 2, "i").form),
             k_stage_to_json(paq_type_generator(2, 3, 2, "i", zshifts={(1, 0, 0): 1}).form),
+            wide_staged,
         ],
         "zshifts": [
             [{"stage": 1, "parent": 0, "e": 0, "z": 1}],
@@ -151,10 +160,11 @@ def _argv(rng: random.Random, command: str, write, texts: dict[str, str]) -> lis
         return _value(rng, [own], BASES)
 
     if command in ("check-hadamard", "find-spectrum", "check-t1t2", "check-tile"):
-        digits = write("digits")
+        kind = "sparse" if command == "check-hadamard" and rng.random() < 0.5 else "digits"
+        digits = write(kind)
         argv = [command, "--base", base_for(digits), "--digits", digits]
         if command == "check-hadamard":
-            argv += ["--spectrum", write("digits")]
+            argv += ["--spectrum", write(kind)]
         if command == "find-spectrum":
             argv += _pick(rng, "--limit", [None, "1", "3"], ["0", "-1", str(10**9), "abc"])
         return argv
