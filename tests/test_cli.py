@@ -462,8 +462,8 @@ def _over_limit_inputs(tmp_path):
         "Ls": [["0"]] * 21,
     })
     # spectra of 2,000 digits over one-digit sets: 4,000,000 points in the
-    # spectrum sum (before they were sized, validate-form took 2 s and
-    # 450 MB on them on a 2-core x86 container)
+    # spectrum sum (unsized, validate-form takes 2 s and 450 MB on them on a
+    # 2-core x86 container)
     wide_l = [[str(i) for i in range(2000)], [str(2000 * i) for i in range(2000)]]
     wide_one = _write(tmp_path, "wide-one.json", {
         "base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "2"]}, "L1": wide_l[0], "L2": wide_l[1]
