@@ -453,9 +453,9 @@ class PaqResult:
 
 
 # Largest N = p^alpha * q that paq_type_generator builds.  Whole processes on
-# a 2-core x86 container: variant i with p = 2, q = 3 takes 1.3 s at
-# N = 3,072, 4.1 s at N = 6,144 and 12.9 s at N = 12,288; large primes cost
-# more per digit, as variant ii at p = 2, q = 1021, N = 4,084 takes 6.5 s.
+# a 2-core x86 container: variant i with p = 2, q = 3 takes 0.55 s at
+# N = 3,072 and, with this limit lifted, 0.96 s at N = 6,144 and 1.65 s at
+# N = 12,288; variant ii at p = 2, q = 1021, N = 4,084 takes 0.39 s.
 PAQ_LIMIT = 1 << 12
 
 # Largest scale N^e of variant ii's top stage, e = max over j of j + 1 + M_j.

@@ -243,10 +243,11 @@ class _RationalSide:
             self.nums = np.array(nums, dtype=np.int64 if self.bound < _INT64_LIMIT else object)
 
     @classmethod
-    def of(cls, values: Sequence[Fraction | int]) -> _RationalSide:
-        """The values over the lcm of their denominators."""
-        den = math.lcm(*(v.denominator for v in values))
-        return cls(den, [v.numerator * (den // v.denominator) for v in values])
+    def of(cls, values: Sequence[Fraction | int | float]) -> _RationalSide:
+        """The values, exactly, over the lcm of their denominators."""
+        ratios = [v.as_integer_ratio() for v in values]
+        den = math.lcm(*(d for _, d in ratios))
+        return cls(den, [a * (den // d) for a, d in ratios])
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -531,7 +532,7 @@ def finite_level_identity_check(form: OneStageForm, p: int, xi_samples: Sequence
     anchored = _anchored_spectrum(form)
     m = form_measure(form)
     b_list = form.b_list()
-    xs = _RationalSide.of([Fraction(float(xi)) for xi in xi_samples])
+    xs = _RationalSide.of([float(xi) for xi in xi_samples])
     rhs = _b_energy(b_list, xs)
     worst = 0.0
     for q in range(1, p + 1):

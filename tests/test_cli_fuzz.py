@@ -67,6 +67,9 @@ def _well_formed() -> dict[str, list]:
             _digits(24, (0, 1, 16, 17)),
             _digits(10, (0, 3, 6)),
             {"base": 2, "digits": [0, 3, 7, 12, 40]},
+            # a base with a prime above 2^20, which check-hadamard and
+            # check-t1t2 prove and find-spectrum and check-tile refuse
+            _digits((2**39 - 7) * 720720, (0, 1)),
             # no "base": the file takes the command's --base
             {"digits": ["0", "1"]},
             {"digits": ["0", "2", "4"]},
@@ -145,7 +148,7 @@ def _pick(rng: random.Random, option: str, usual: list, edges: list) -> list[str
     return [] if value is None else [option, value]
 
 
-BASES = ["2", "4", "12", "24", "1", "0", "-4", "abc", "4.0", "1/2", str(10**12), str(2**70), str(2**61 - 1)]
+BASES = ["2", "4", "12", "24", "1", "0", "-4", "abc", "4.0", "1/2", str(10**12), str(2**70), str(2**61 - 1), str((2**39 - 7) * 720720)]
 
 
 def _argv(rng: random.Random, command: str, write, texts: dict[str, str]) -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 
 import mpmath
@@ -527,3 +528,77 @@ def test_factorize_proves_cofactors_up_to_the_trial_limit():
     for n in (mersenne, 4 * mersenne):
         with pytest.raises(PointLimitExceeded, match=f"cofactor {mersenne}, .* FACTOR_LIMIT = 2\\^20"):
             cyclotomic.factorize(n)
+
+
+def _trial_division_reference(n):
+    """factorize as one trial-division loop over the whole number, dividing
+    out each prime and carrying on with the cofactor: the reference for the
+    cached form.  Refuses by raising ValueError with the cofactor it left."""
+    out = []
+    m, p = n, 2
+    while p * p <= m and p <= cyclotomic.FACTOR_LIMIT:
+        if m % p == 0:
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            out.append((p, a))
+        p += 1 if p == 2 else 2
+    if p * p <= m:
+        raise ValueError(m)
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+def test_factorize_against_one_trial_division_loop():
+    """Seeded sweep, cache cleared: the factorizations equal the reference
+    loop's on about 1,000 integers below 2^40 (log-uniform sizes), on
+    multiples of a large prime P = 2^39 - 7 by small divisors and on the
+    edge of the trial bound, and each refused number is refused naming the
+    reference's cofactor.  The reference proves P again for each multiple
+    (about 40 ms each), so it runs on six seeded divisors d of 720,720; for
+    all 240 of them P*d is checked against the reference on d, which every
+    prime of P*d below P comes from."""
+    cyclotomic.factorize.cache_clear()
+    rng = random.Random(49)
+    big = 2**39 - 7
+    below, above, next_up = 1048573, 1048583, 1048589  # primes about 2^20
+    numbers = [rng.randrange(1, 1 << rng.randrange(1, 41)) for _ in range(700)]
+    divisors = [d for d in range(1, 720721) if 720720 % d == 0]
+    numbers += [big * d for d in rng.sample(divisors, 6)]
+    numbers += [0, 1, 6 * (2**40 - 87), 2**70, below * above]
+    for n in numbers:
+        assert cyclotomic.factorize(n) == _trial_division_reference(n), n
+    for d in divisors:
+        assert cyclotomic.factorize(big * d) == _trial_division_reference(d) + ((big, 1),), d
+    mersenne = 2**61 - 1
+    for n in (mersenne, 720720 * mersenne, 12 * above * next_up):
+        with pytest.raises(ValueError) as refused:
+            _trial_division_reference(n)
+        cofactor = refused.value.args[0]
+        with pytest.raises(PointLimitExceeded, match=f"leaves the cofactor {cofactor}, "):
+            cyclotomic.factorize(n)
+
+
+def test_a_large_prime_is_proven_once_for_every_root_order():
+    """N = P * 720,720 with P = 2^39 - 7 meets 179 root orders N/gcd(t, N)
+    over t = 1..5039, each P times a divisor of 720,720; the spectrum-side
+    differences of L = {0..5039} reach exactly these.  With every cache
+    cleared, one vanishing_sum_test per order on D = (N/5040)*{0..5039}
+    proves P once: well under 2 s, where a trial division of each order in
+    full took 8.7 s.  Each sum is over the 5040-th roots of unity at t with
+    5040 not dividing t, so each vanishes."""
+    n = (2**39 - 7) * 720720
+    digits = tuple(range(0, n, n // 5040))
+    orders = {}
+    for t in range(1, 5040):
+        orders.setdefault(n // math.gcd(t, n), t)
+    assert len(orders) == 179
+    cyclotomic.factorize.cache_clear()
+    cyclotomic._vanishes_at_order.cache_clear()
+    t0 = time.perf_counter()
+    verdicts = [vanishing_sum_test(digits, t, n) for t in orders.values()]
+    took = time.perf_counter() - t0
+    assert all(verdicts)
+    assert took < 2.0, took
