@@ -225,29 +225,30 @@ FACTOR_LIMIT = 1 << 20
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p, a), ...) of n, primes increasing; () for n < 2.
 
-    The cofactor left by the smallest prime is factored through this
-    function's own cache, so each prime is proven once per process.  A
-    number with no prime factor up to FACTOR_LIMIT that is too large to be
-    proven prime raises PointLimitExceeded, naming it as the cofactor.
+    Once p passes the fourth root of a cofactor m < n, m holds at most three
+    primes and is factored through this function's own cache, so a large
+    prime is proven once per process and the calls nest at most four deep.
+    A cofactor with no prime factor up to FACTOR_LIMIT that is still too
+    large to be proven prime raises PointLimitExceeded.
     """
-    p = 2
-    while p * p <= n and p <= FACTOR_LIMIT:
-        if n % p == 0:
-            m, a = n // p, 1
+    out = []
+    m, p, stop = n, 2, FACTOR_LIMIT
+    while p * p <= m and p <= stop:
+        if m % p == 0:
+            a = 0
             while m % p == 0:
                 m, a = m // p, a + 1
-            return ((p, a),) + factorize(m)
+            out.append((p, a))
+            stop = min(stop, math.isqrt(math.isqrt(m)))
         p += 1 if p == 2 else 2
-    if p * p <= n:
+    if p * p > m:
+        return (*out, (m, 1)) if m > 1 else tuple(out)
+    if p > FACTOR_LIMIT:
         raise PointLimitExceeded(
-            f"factorizing {n} leaves the cofactor {n}, which has no prime factor up to "
+            f"factorizing {n} leaves the cofactor {m}, which has no prime factor up to "
             f"FACTOR_LIMIT = 2^{FACTOR_LIMIT.bit_length() - 1} and is not proven prime"
         )
-    return ((n, 1),) if n > 1 else ()
-
-
-def _radical(n: int) -> int:
-    return math.prod(p for p, _ in factorize(n))
+    return (*out, *factorize(m))
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +265,10 @@ def cyclotomic_poly(d: int) -> MaskPolynomial:
         raise ValueError("cyclotomic index must be >= 1")
     if d == 1:
         return MaskPolynomial(((0, -1), (1, 1)))
-    rad = _radical(d)
+    primes = [p for p, _ in factorize(d)]
+    rad = math.prod(primes)
     if rad != d:
         return cyclotomic_poly(rad).compose_power(d // rad)
-    primes = [p for p, _ in factorize(d)]
     coeffs = [1] + [0] * euler_phi(d)
     for mask in range(1 << len(primes)):
         chosen = [p for i, p in enumerate(primes) if mask >> i & 1]

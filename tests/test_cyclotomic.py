@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from collections import Counter
 
@@ -567,7 +568,7 @@ def test_factorize_against_one_trial_division_loop():
     numbers = [rng.randrange(1, 1 << rng.randrange(1, 41)) for _ in range(700)]
     divisors = [d for d in range(1, 720721) if 720720 % d == 0]
     numbers += [big * d for d in rng.sample(divisors, 6)]
-    numbers += [0, 1, 6 * (2**40 - 87), 2**70, below * above]
+    numbers += [0, 1, 6 * (2**40 - 87), 2**70, below * above, _primorial(1000)]
     for n in numbers:
         assert cyclotomic.factorize(n) == _trial_division_reference(n), n
     for d in divisors:
@@ -579,6 +580,36 @@ def test_factorize_against_one_trial_division_loop():
         cofactor = refused.value.args[0]
         with pytest.raises(PointLimitExceeded, match=f"leaves the cofactor {cofactor}, "):
             cyclotomic.factorize(n)
+
+
+def _primorial(count):
+    """The product of the first ``count`` primes."""
+    primes, p = [], 2
+    while len(primes) < count:
+        if all(p % q for q in primes if q * q <= p):
+            primes.append(p)
+        p += 1
+    return math.prod(primes)
+
+
+def test_factorize_nests_at_most_four_calls():
+    """A cofactor is handed to the cache only once it holds at most three
+    primes, so with the cache cleared, 1,000 distinct primes (a 3,393-digit
+    base, which check-hadamard takes) and the two large-prime shapes all
+    factor with 40 frames to spare."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    numbers = [_primorial(1000), (2**39 - 7) * 720720, 999983 * 1000003 * 1000033, 2 * 3**5 * 1048583]
+    cyclotomic.factorize.cache_clear()
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = [cyclotomic.factorize(n) for n in numbers]
+    finally:
+        sys.setrecursionlimit(old)
+    assert [math.prod(p**a for p, a in fac) for fac in got] == numbers
+    assert [len(fac) for fac in got] == [1000, 7, 3, 3]
 
 
 def test_a_large_prime_is_proven_once_for_every_root_order():
