@@ -613,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         "numerical spectrum verification",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices  # name -> subparser, for _parse
 
     def common(p):
         p.add_argument("--output", help="also write the JSON report here")
@@ -709,15 +710,32 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, on the parser built once per
+    process.  An argv that starts with a command name goes straight to that
+    command's subparser, which is all the full parse would run on it
+    besides matching the name; its leftovers get the full parse's error.
+    Any other argv (empty, an option first, an unknown name) takes the
+    full parse."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; print its JSON report, or an error report, and
     return 0 (pass), 1 (fail, or an error in the package) or 2 (bad input)."""
-    global _parser
     command = output = None
     try:
-        if _parser is None:
-            _parser = build_parser()
-        args = _parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         command = args.command
         if args.output:
             try:  # fail before the work, and without truncating an input file

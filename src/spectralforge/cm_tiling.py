@@ -28,6 +28,7 @@ from typing import Sequence
 from .cyclotomic import (
     KernelData,
     MaskPolynomial,
+    _divisors,
     factorize,
     has_cyclotomic_factor,
     kernel_polynomial,
@@ -45,13 +46,6 @@ from .errors import (
 )
 from .hadamard import _duplicate_residue, verify_triple
 from .productform import KStageForm, ValidationReport, as_layer, expand_k_stage, validate_k_stage
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, a in factorize(n):
-        out = [d * p**i for d in out for i in range(a + 1)]
-    return sorted(out)
 
 
 def is_prime(n: int) -> bool:

@@ -216,8 +216,9 @@ def exact_quotient(g: MaskPolynomial, f: MaskPolynomial) -> MaskPolynomial:
 
 # Largest trial divisor of factorize.  Every n below FACTOR_LIMIT^2 = 2^40
 # is factored in full; so is any n whose cofactor drops below that bound
-# once its small primes are divided out.  A full run of trial divisions
-# takes 0.05-0.12 s on a 2-core x86 container, once per distinct cofactor.
+# once its small primes are divided out, or is the square of one that does.
+# A full run of trial divisions takes 0.05-0.12 s on a 2-core x86
+# container, once per distinct cofactor.
 FACTOR_LIMIT = 1 << 20
 
 
@@ -229,7 +230,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     primes and is factored through this function's own cache, so a large
     prime is proven once per process and the calls nest at most four deep.
     A cofactor with no prime factor up to FACTOR_LIMIT that is still too
-    large to be proven prime raises PointLimitExceeded.
+    large to be proven prime raises PointLimitExceeded, unless it is the
+    square of a number that factors: its primes, all above FACTOR_LIMIT,
+    are then that number's with their exponents doubled.
     """
     out = []
     m, p, stop = n, 2, FACTOR_LIMIT
@@ -244,6 +247,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if p * p > m:
         return (*out, (m, 1)) if m > 1 else tuple(out)
     if p > FACTOR_LIMIT:
+        root = math.isqrt(m)
+        if root * root == m:
+            try:
+                return (*out, *((q, 2 * b) for q, b in factorize(root)))
+            except PointLimitExceeded:
+                pass
         raise PointLimitExceeded(
             f"factorizing {n} leaves the cofactor {m}, which has no prime factor up to "
             f"FACTOR_LIMIT = 2^{FACTOR_LIMIT.bit_length() - 1} and is not proven prime"
@@ -287,6 +296,13 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         out -= out // p
     return out
+
+
+def _divisors(n: int) -> list[int]:
+    out = [1]
+    for p, a in factorize(n):
+        out = [d * p**i for d in out for i in range(a + 1)]
+    return sorted(out)
 
 
 def compose_cyclotomic_indices(d: int, s: int) -> dict[int, int]:
@@ -350,28 +366,38 @@ def _vanishes(counts: dict[int, int], n: int) -> bool:
 
 
 def _vanishes_over(counts: dict[int, int], n: int, fac: tuple[tuple[int, int], ...]) -> bool:
-    """``_vanishes`` on distinct residues mod n = product of ``fac``."""
-    terms = [(r, c) for r, c in counts.items() if c]
-    if len(terms) < 2:
-        return not terms
-    (p, a), rest = fac[-1], fac[:-1]
-    q = p**a
-    sub, m = q // p, n // q
-    groups: dict[int, dict[int, int]] = {}
-    for r, c in terms:
-        group = groups.setdefault(r % q, {})
-        group[r % m] = group.get(r % m, 0) + c
-    classes: dict[int, list[dict[int, int]]] = {}
-    for u, group in groups.items():
-        classes.setdefault(u % sub, []).append(group)
-    for members in classes.values():
-        if len(members) < p:
-            parts = members
-        else:
-            pivot = min(members, key=len)
-            parts = (_minus(group, pivot) for group in members if group is not pivot)
-        if not all(_vanishes_over(part, m, rest) for part in parts):
-            return False
+    """``_vanishes`` on distinct residues mod n = product of ``fac``.
+
+    Each part still to decide waits on an explicit stack with its modulus
+    and the count of primes of ``fac`` left to it, so a modulus with a
+    thousand primes needs no thousand Python frames.  Every part must
+    vanish, so the order they are taken in does not move the verdict.
+    """
+    stack = [(counts, n, len(fac))]
+    while stack:
+        counts, n, left = stack.pop()
+        terms = [(r, c) for r, c in counts.items() if c]
+        if len(terms) < 2:
+            if terms:
+                return False
+            continue
+        p, a = fac[left - 1]
+        q = p**a
+        sub, m = q // p, n // q
+        groups: dict[int, dict[int, int]] = {}
+        for r, c in terms:
+            group = groups.setdefault(r % q, {})
+            group[r % m] = group.get(r % m, 0) + c
+        classes: dict[int, list[dict[int, int]]] = {}
+        for u, group in groups.items():
+            classes.setdefault(u % sub, []).append(group)
+        left -= 1
+        for members in classes.values():
+            if len(members) < p:
+                stack.extend((group, m, left) for group in members)
+            else:
+                pivot = min(members, key=len)
+                stack.extend((_minus(group, pivot), m, left) for group in members if group is not pivot)
     return True
 
 
@@ -480,38 +506,48 @@ def _primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if sieve[p]]
 
 
-def _candidate_indices(max_phi: int) -> list[int]:
-    """All d >= 1 with phi(d) <= max_phi, increasing ([1] at 0).  phi(d)
-    is the product of p^(a-1) * (p - 1) over p^a exactly dividing d, so each
-    such d is built once from powers of increasing primes p <= max_phi + 1."""
-    primes = _primes_upto(max_phi + 1)
-    found, stack = [1], [(1, 1, 0)]  # (d, phi(d), index of its next prime)
-    while stack:
-        d, phi, start = stack.pop()
-        for i in range(start, len(primes)):
-            p = primes[i]
-            d_p, phi_p = d * p, phi * (p - 1)
-            if phi_p > max_phi:
-                break  # and so for every larger prime
-            while phi_p <= max_phi:
-                found.append(d_p)
-                stack.append((d_p, phi_p, i + 1))
-                d_p, phi_p = d_p * p, phi_p * p
-    return sorted(found)
-
-
 def _shares_every_residue(exponents: Sequence[int], s: int) -> bool:
     """True iff each of the increasing exponents is congruent mod s to
     another one.  Once s passes the largest, each is alone in its class."""
     return s <= exponents[-1] and 1 not in Counter(e % s for e in exponents).values()
 
 
-# Largest degree cyclotomic_factorization takes: it walks every index d with
-# phi(d) up to the degree, so its cost grows with the degree, which a digit
-# set's mask can make as large as it likes.  In process on a 2-core x86
-# container {0, 1, 10000} factors in 0.05-0.07 s and {0, 1, 40000} in
-# 0.2-0.3 s.  A mask with a term at every exponent leaves most indices to
-# the exact test: {0, 1, ..., 800} takes 0.36 s.
+def _admissible_indices(exponents: Sequence[int], max_phi: int) -> list[int]:
+    """Every d with phi(d) <= max_phi whose s(d) passes the residue
+    criterion on the increasing exponents, increasing; the proof that this
+    is the whole set is in ``cyclotomic_factorization``."""
+    k = len(exponents)
+    small = _primes_upto(k)
+    moduli = {s for e in exponents[1:] for s in _divisors(e - exponents[0])}
+    found = []
+    for s in moduli:
+        own = math.prod(p for p, _ in factorize(s) if p <= k)
+        phi = euler_phi(s) * own  # the least phi(d) over d with s(d) = s
+        if phi > max_phi or not _shares_every_residue(exponents, s):
+            continue
+        others = [p for p in small if s % p]
+        stack = [(s * own, phi, 0)]  # (d, phi(d), index of its next prime in others)
+        while stack:
+            d, phi, start = stack.pop()
+            found.append(d)
+            for i in range(start, len(others)):
+                p = others[i]
+                if phi * (p - 1) > max_phi:
+                    break  # and so for every larger prime
+                stack.append((d * p, phi * (p - 1), i + 1))
+    return sorted(found)
+
+
+# Largest degree cyclotomic_factorization takes; a digit set's mask can make
+# the degree as large as it likes.  Its indices come from the divisors of
+# the exponent differences, so a sparse mask stays cheap at any degree: in
+# process on a 2-core x86 container {0, 1, 10000}, and {0, 1, 40000} with
+# the limit lifted, each factor in under 1 ms, where a walk over every index
+# with phi(d) up to the degree took 0.05-0.07 s and 0.2-0.3 s.  A mask with
+# a term at every exponent admits most of those indices, and its exact
+# tests and divisions grow with the degree: {0, 1, ..., 800} takes
+# 0.30-0.38 s.  Choosing its 1,568 indices costs 9-15 ms of that, about
+# 5 ms more than the walk did, a cost accepted for the sparse masks' gain.
 FACTOR_DEGREE_LIMIT = 10_000
 
 
@@ -525,15 +561,13 @@ def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
     degree above FACTOR_DEGREE_LIMIT raises PointLimitExceeded before any
     work.
 
-    Before the exact test, every index d that an integer criterion rules
-    out is discarded, so only the indices kept are factored for phi(d).
-    Let poly have k terms, P be the product of the primes up to k, and
-    s(d) = d / gcd(d, P), d with its primes up to k divided out once.  If
-    Phi_d | poly, every exponent e of poly is congruent mod s(d) to another
-    exponent; the verdict depends on s(d) alone and is taken once per
-    value.  Proof: reduce the exponents mod d.  If e shares its residue
-    with another exponent, that one will do.  Otherwise the residue of e
-    carries the nonzero coefficient of e in the vanishing sum over the
+    Only the indices d that an integer criterion admits reach the exact
+    test.  Let poly have k terms, P be the product of the primes up to k,
+    and s(d) = d / gcd(d, P), d with its primes up to k divided out once.
+    If Phi_d | poly, every exponent e of poly is congruent mod s(d) to
+    another exponent.  Proof: reduce the exponents mod d.  If e shares its
+    residue with another exponent, that one will do.  Otherwise the residue
+    of e carries the nonzero coefficient of e in the vanishing sum over the
     residues with nonzero coefficients.  That sum splits into minimal
     vanishing sub-sums, each with at least two terms, since one nonzero
     term never vanishes, and at most k.  By Mann's theorem (H. B. Mann,
@@ -543,24 +577,36 @@ def cyclotomic_factorization(poly: MaskPolynomial) -> CyclotomicFactorization:
     root of unity, P' the product of the primes up to k'.  P' divides P,
     so d | P * (e - e') for the exponent e' of another residue in the
     sub-sum of e, which is s(d) | e - e'.  The argument holds for integer
-    coefficients of any sign, and Phi_d^m | poly needs Phi_d | poly, so
-    the factors found are those of the search without the criterion.
+    coefficients of any sign, and Phi_d^m | poly needs Phi_d | poly.
+
+    The admitted d are built from their s(d), never by walking every d
+    with phi(d) <= deg poly.  The first exponent e0 needs a partner, so a
+    passing s(d) divides e - e0 for another exponent e: the divisors of
+    these differences are the only moduli s to try, each once.  Write
+    g(d) = gcd(d, P), a product of distinct primes up to k, so d = s(d) *
+    g(d), and every prime up to k that divides s(d) divides d and so g(d).
+    Conversely, for any s and any product g of distinct primes up to k that
+    holds every prime up to k dividing s, d = s * g has gcd(d, P) = g and
+    s(d) = s: d <-> (s(d), g(d)) is one to one.  Split g = g0 * h, g0 the
+    product of the primes up to k dividing s; then phi(s * g) =
+    phi(s) * g0 * phi(h), as each prime of g0 divides s and h is prime to
+    s * g0.  So phi(s) * g0 is the least phi(d) over the d with s(d) = s:
+    an s with phi(s) * g0 > deg poly has none and is dropped before the
+    residue test.  Each s that passes both is lifted to s * g0 * h for
+    every squarefree h made of primes up to k not dividing s with
+    phi(s) * g0 * phi(h) <= deg poly.  The lifted set is therefore exactly
+    {d : phi(d) <= deg poly, s(d) passes}, each d once, and the exact tests
+    run over it in increasing order, as a walk over every d with
+    phi(d) <= deg poly would with the criterion skipping the rest: the
+    factors, multiplicities, budget and residual are that walk's.
     """
     if poly.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     what = f"the complete index search would run to degree {poly.degree}"
     refuse_above("FACTOR_DEGREE_LIMIT", FACTOR_DEGREE_LIMIT, what, poly.degree)
-    exponents = [e for e, _ in poly.terms]
-    primorial = math.prod(_primes_upto(len(exponents)))
-    shared: dict[int, bool] = {}  # the criterion's verdict, by s(d)
     budget = poly.degree
     found: list[tuple[int, int]] = []
-    for d in _candidate_indices(poly.degree):
-        s = d // math.gcd(d, primorial)
-        if s not in shared:
-            shared[s] = _shares_every_residue(exponents, s)
-        if not shared[s]:
-            continue
+    for d in _admissible_indices([e for e, _ in poly.terms], poly.degree):
         phi_d, mult = euler_phi(d), 0
         while (mult + 1) * phi_d <= budget and has_cyclotomic_factor(poly, d, mult + 1):
             mult += 1

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from spectralforge.cli import (
 )
 from spectralforge.cm_tiling import paq_type_generator
 from spectralforge.digitsets import DigitSet
+from spectralforge.errors import InputError
 from spectralforge.productform import (
     build_four_digit_form,
     expand_k_stage,
@@ -86,6 +88,20 @@ def test_check_hadamard_on_a_large_prime_base_is_fast(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["failure"]["kind"] == "OrthogonalityFailure"
     assert took < 2.0, took
+
+
+def test_check_hadamard_on_a_base_of_a_thousand_primes(tmp_path, capsys):
+    """N the product of the first 1,000 primes, D = {0, N/2}, L = {0, 1}:
+    the vanishing test takes the primes of N one at a time, a thousand
+    deep, and ends in a verdict, not a RecursionError report."""
+    primes = cyclotomic._primes_upto(7919)
+    assert len(primes) == 1000
+    n = math.prod(primes)
+    d = _write(tmp_path, "d.json", {"digits": ["0", str(n // 2)]})
+    l = _write(tmp_path, "l.json", {"digits": ["0", "1"]})
+    code = _run(["check-hadamard", "--base", str(n), "--digits", d, "--spectrum", l])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["valid"], report.get("error")
 
 
 def test_find_spectrum_exit_codes(tmp_path, capsys):
@@ -572,7 +588,7 @@ def test_over_limit_point_sets_are_refused_before_any_work(tmp_path, capsys, mon
     monkeypatch.setattr(cm_tiling, "is_prime", no_work)
     monkeypatch.setattr(cm_tiling, "_duplicate_residue", no_work)
     monkeypatch.setattr(hadamard, "zero_set", no_work)
-    monkeypatch.setattr(cyclotomic, "_candidate_indices", no_work)
+    monkeypatch.setattr(cyclotomic, "_admissible_indices", no_work)
     for name, argv, size, limit in rows:
         t0 = time.perf_counter()
         code = _run(argv)
@@ -697,6 +713,47 @@ def test_parser_reuse_matches_fresh_processes(tmp_path):
     assert json.loads(proc.stdout) == fresh
     assert [code for code, _, _ in fresh] == [2, 0]
     assert fresh[0][2].startswith("usage: spectralforge check-tile")
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The namespace ``parse(argv)`` gives, or its usage error or exit, with
+    what it printed."""
+    try:
+        outcome = ("args", vars(parse(argv)))
+    except InputError as exc:
+        outcome = ("error", str(exc))
+    except SystemExit as exc:  # --help
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+def test_command_dispatch_parses_like_the_full_parser(capsys):
+    """main() hands an argv that starts with a command name to that
+    command's subparser.  Over every golden argv and the edge shapes, its
+    parse gives the namespace, the usage error and the printed text of a
+    fresh parser's parse_args."""
+    golden = json.loads((Path(__file__).resolve().parent / "golden_reports.json").read_text())
+    argvs = [job["argv"] for job in golden["jobs"]]
+    tile = ["check-tile", "--base", "4", "--digits", "d.json"]
+    argvs += [
+        [],
+        ["no-such-command"],
+        ["--output", "x", *tile],
+        [*tile, "--bogus"],
+        [*tile, "extra", "--bogus", "1"],
+        ["check-tile", "--base", "4"],
+        ["check-tile", "--base", "0", "--digits", "d.json"],
+        ["check-tile", "--base"],
+        ["check-tile", "--", "--base", "4"],
+        ["-h"],
+        ["check-tile", "-h"],
+    ]
+    routes = 0
+    for argv in argvs:
+        got = _parse_outcome(cli._parse, list(argv), capsys)
+        assert got == _parse_outcome(cli.build_parser().parse_args, argv, capsys), argv
+        routes += argv[:1] != [] and argv[0] in cli.build_parser().commands
+    assert routes == len(golden["jobs"]) + 7
 
 
 def test_closed_stdout_ends_quietly_with_the_exit_code():

@@ -6,7 +6,8 @@ The inputs are well-formed files of each kind the commands read (digit sets,
 one-stage and staged forms, zshift lists) and mutations of them: a missing
 key or entry, a bool, a float, a huge integer, an empty list or object, a
 string where a number goes, text that is not JSON.  Options take values at
-and past their edges.  Every call runs in process under an alarm whose
+and past their edges, and some argvs take the parser's other routes (no
+command, an option first, an unknown command, a leftover argument).  Every call runs in process under an alarm whose
 handler raises a BaseException, which ``main``'s ``except Exception`` cannot
 absorb, so a hang fails the test instead of becoming a report.
 """
@@ -70,6 +71,8 @@ def _well_formed() -> dict[str, list]:
             # a base with a prime above 2^20, which check-hadamard and
             # check-t1t2 prove and find-spectrum and check-tile refuse
             _digits((2**39 - 7) * 720720, (0, 1)),
+            # a sparse mask of degree 9,999, just below FACTOR_DEGREE_LIMIT
+            _digits(10**4, (0, 1, 9999)),
             # no "base": the file takes the command's --base
             {"digits": ["0", "1"]},
             {"digits": ["0", "2", "4"]},
@@ -199,6 +202,15 @@ def _argv(rng: random.Random, command: str, write, texts: dict[str, str]) -> lis
     return [command] + rng.choice([[], ["--base", "4"], ["extra"]])
 
 
+def _route(rng: random.Random, argv: list[str]) -> list[str]:
+    """Mostly ``argv`` as it is, else a shape that takes another route
+    through the parser: no argv, an option before the command, an unknown
+    command, or a leftover argument after a known one."""
+    if rng.random() < 0.9:
+        return argv
+    return rng.choice([[], ["--output", "x.json", *argv], ["no-" + argv[0], *argv[1:]], [*argv, "--bogus"], [*argv, "x"]])
+
+
 COMMANDS = [
     "check-hadamard", "find-spectrum", "validate-form", "gen-product-form", "reduce-kstage", "check-t1t2",
     "check-tile", "classify-paq", "factor-mask", "verify-jp", "check-lemma42", "weakly-periodic",
@@ -231,6 +243,7 @@ def test_every_call_ends_in_one_json_report(seed, tmp_path):
             argv = _argv(rng, command, write, texts)
             if rng.random() < 0.1:
                 argv += ["--output", str(tmp_path / rng.choice(["out.json", "missing/out.json"]))]
+            argv = _route(rng, argv)
             where = f"argv {argv} with inputs {texts}"
             out = io.StringIO()
             signal.alarm(CALL_SECONDS)

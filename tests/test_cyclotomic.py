@@ -18,7 +18,6 @@ from spectralforge.cyclotomic import (
     divmod_exact,
     euler_phi,
     exact_quotient,
-    _candidate_indices,
     has_cyclotomic_factor,
     kernel_polynomial,
     vanishing_by_division,
@@ -394,6 +393,28 @@ def test_mann_criterion_never_rejects_a_cyclotomic_factor():
     assert rejected > 10_000 and divisible > 200
 
 
+def _candidate_indices(max_phi):
+    """All d >= 1 with phi(d) <= max_phi, increasing ([1] at 0): the index
+    walk the factorization made before it built its indices from the
+    residue criterion, kept as the oracle.  phi(d) is the product of
+    p^(a-1) * (p - 1) over p^a exactly dividing d, so each such d is built
+    once from powers of increasing primes p <= max_phi + 1."""
+    primes = cyclotomic._primes_upto(max_phi + 1)
+    found, stack = [1], [(1, 1, 0)]  # (d, phi(d), index of its next prime)
+    while stack:
+        d, phi, start = stack.pop()
+        for i in range(start, len(primes)):
+            p = primes[i]
+            d_p, phi_p = d * p, phi * (p - 1)
+            if phi_p > max_phi:
+                break  # and so for every larger prime
+            while phi_p <= max_phi:
+                found.append(d_p)
+                stack.append((d_p, phi_p, i + 1))
+                d_p, phi_p = d_p * p, phi_p * p
+    return sorted(found)
+
+
 def _unfiltered_factorization(poly):
     """Every candidate index through the exact test, with no pre-screen."""
     budget, found = poly.degree, []
@@ -455,11 +476,38 @@ def test_sparse_mask_makes_few_exact_tests(monkeypatch):
     assert 0 < len(calls) <= 60
 
 
-def test_candidate_indices_match_totient_bound():
-    # phi(d) >= sqrt(d/2) makes d <= 2*m^2 + 1 a complete range to compare with
-    phi = [0] + [euler_phi(d) for d in range(1, 2 * 150 * 150 + 2)]
-    for m in range(1, 151):
-        assert _candidate_indices(m) == [d for d in range(1, 2 * m * m + 2) if phi[d] <= m], m
+def test_admissible_indices_are_the_indices_the_criterion_passes():
+    """Seeded sparse, dense and signed polynomials of degree up to 150: the
+    indices built from the divisors of the exponent differences are exactly
+    the d with phi(d) <= degree whose s(d) passes the residue criterion,
+    found by brute force over every d <= 2 * 150^2 + 1 (phi(d) >= sqrt(d/2)
+    leaves no d with phi(d) <= 150 above it).  The same range checks the
+    oracle index walk of the unfiltered search."""
+    top = 150
+    phi = [0] + [euler_phi(d) for d in range(1, 2 * top * top + 2)]
+    low = [d for d in range(1, len(phi)) if phi[d] <= top]
+    for m in (1, 2, 17, 60, top):
+        assert _candidate_indices(m) == [d for d in low if phi[d] <= m], m
+    rng = random.Random(31)
+    polys = []
+    for _ in range(30):
+        deg = rng.randrange(1, top + 1)
+        polys.append(MaskPolynomial.from_digits({0, deg} | {rng.randrange(deg) for _ in range(rng.randrange(0, 6))}))
+        polys.append(MaskPolynomial.from_dense([rng.randrange(-2, 3) for _ in range(deg)] + [rng.choice((-1, 1))]))
+        signed = {rng.randrange(deg): rng.choice((-3, -1, 1, 2)) for _ in range(rng.randrange(1, 8))}
+        polys.append(MaskPolynomial(tuple({**signed, deg: -2}.items())))
+    polys.append(MaskPolynomial.from_digits(range(top + 1)))
+    kept = 0
+    for poly in polys:
+        exponents = [e for e, _ in poly.terms]
+        primorial = math.prod(cyclotomic._primes_upto(len(exponents)))
+        want = [
+            d for d in low if phi[d] <= poly.degree
+            and cyclotomic._shares_every_residue(exponents, d // math.gcd(d, primorial))
+        ]
+        assert cyclotomic._admissible_indices(exponents, poly.degree) == want, poly
+        kept += len(want)
+    assert kept > 5_000
 
 
 def test_cyclotomic_poly_divisor_products():
@@ -579,6 +627,19 @@ def test_factorize_against_one_trial_division_loop():
             _trial_division_reference(n)
         cofactor = refused.value.args[0]
         with pytest.raises(PointLimitExceeded, match=f"leaves the cofactor {cofactor}, "):
+            cyclotomic.factorize(n)
+
+
+def test_a_square_cofactor_factors_through_its_root():
+    """4 * P^2 with P = 1,048,583, just above FACTOR_LIMIT: trial division
+    leaves the cofactor P^2, which is the square of a number that factors.
+    A refused non-square keeps its message, and so does a square whose
+    root is refused."""
+    p, q = 1048583, 1048589
+    assert cyclotomic.factorize(4 * p * p) == ((2, 2), (p, 2))
+    assert cyclotomic.factorize(3 * p**4) == ((3, 1), (p, 4))
+    for n, cofactor in ((12 * p * q, p * q), ((p * q) ** 2, (p * q) ** 2)):
+        with pytest.raises(PointLimitExceeded, match=f"leaves the cofactor {cofactor}, which has no prime factor"):
             cyclotomic.factorize(n)
 
 
