@@ -710,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, on the parser built once per
     process.  An argv that starts with a command name goes straight to that
     command's subparser, which is all the full parse would run on it
@@ -735,7 +735,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0 (pass), 1 (fail, or an error in the package) or 2 (bad input)."""
     command = output = None
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
         command = args.command
         if args.output:
             try:  # fail before the work, and without truncating an input file

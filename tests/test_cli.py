@@ -324,10 +324,9 @@ def test_each_command_takes_only_its_options():
         "weakly-periodic": {"--form"},
         "run-all-fixtures": set(),
     }
-    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
     got = {
         name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
-        for name, parser in sub.choices.items()
+        for name, parser in cli.build_parser().commands.items()
     }
     assert got == {name: options | {"--output"} for name, options in want.items()}
     assert sum(map(len, got.values())) == 41
