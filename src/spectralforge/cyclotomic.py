@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .digitsets import DigitSet
-from .errors import CoverageFailure, EmptyDigitSet, PointLimitExceeded, refuse_above
+from .errors import CoverageFailure, EmptyInput, PointLimitExceeded, refuse_above
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class MaskPolynomial:
     def from_digits(digits: Iterable[int]) -> "MaskPolynomial":
         ds = list(digits)
         if not ds:
-            raise EmptyDigitSet("cannot build a mask from an empty digit set")
+            raise EmptyInput("cannot build a mask from an empty digit set")
         if min(ds) < 0:
             raise ValueError("mask exponents must be non-negative; canonicalize first")
         if len(set(ds)) != len(ds):

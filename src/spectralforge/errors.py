@@ -26,10 +26,6 @@ class BaseTooSmall(SpectralForgeError):
     pass
 
 
-class EmptyDigitSet(SpectralForgeError):
-    pass
-
-
 class ModulusMismatch(SpectralForgeError):
     pass
 

@@ -16,7 +16,7 @@ the pairs in order tests each new difference and stops at the first pair
 that fails; a walk that finds none keeps the differences it met.  The
 difference list, and the duplicate residues of D and of L, stay in the
 digit set's ``modulus_facts``, so a spectrum checked against many digit
-sets at one modulus (the B-triple rows of a product form) builds them once.
+sets at one modulus (the stage rows of a keyed layer) builds them once.
 """
 
 from __future__ import annotations

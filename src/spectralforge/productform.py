@@ -3,8 +3,10 @@
 A one-stage form places two families of Hadamard triples at different
 scales: digits expand as the union of a_s + N^r * B_s.  A k-stage form
 iterates that layering, with each layer set allowed to depend on the digit
-it extends.  Validation re-derives every defining condition through the
-exact Hadamard checker; nothing is taken on faith from the constructors.
+it extends.  One validator decides both: a one-stage form is the staged
+form with one keyed layer.  It re-derives every defining condition
+through the exact Hadamard checker; nothing is taken on faith from the
+constructors.
 
 Layer maps are keyed by the parent digit (not by position) so that
 one-stage forms, whose B-sets are keyed by a_s, and k-stage layer trees use
@@ -136,16 +138,23 @@ def one_stage_form(base: int, r: int, a_digits, b_map: Mapping[int, DigitSet], l
 
 def expand_one_stage(form: OneStageForm) -> DigitSet:
     """Union of a + N^r * B_a; a digit collision is a hard error."""
+    return DigitSet(form.base, tuple(_expand_layers(form.a_set.digits, _one_stage(form))[-1]))
+
+
+def _one_stage(form: OneStageForm) -> list:
+    """The one ``_expand_layers`` stage of a one-stage form, unlabelled."""
     b_map = form.b_map
-    stage = (None, form.base**form.r, lambda a: b_map[a].digits)
-    digits = _expand_layers(form.a_set.digits, [stage])[-1]
-    return DigitSet(form.base, tuple(digits))
+    return [(None, form.base**form.r, lambda a: b_map[a].digits)]
 
 
 def _triple_row(name: str, n: int, d: DigitSet, l: DigitSet) -> CheckResult:
     """The row for one exact check_triple call."""
     rep = check_triple(n, d, l)
     return CheckResult(name, rep is None, str(rep or ""))
+
+
+def _level0_row(n: int, e0: DigitSet, l0: DigitSet) -> CheckResult:
+    return _triple_row("level-0 triple (N, E0, L0)", n, e0, l0)
 
 
 def _direct_sum(n: int, parts) -> DigitSet | OverlapError:
@@ -168,34 +177,9 @@ def _product_verdict(n: int, parts, l_sum: DigitSet | OverlapError) -> tuple[boo
 
 
 def validate_one_stage(form: OneStageForm) -> ValidationReport:
-    """Exact pass/fail per defining condition, with witnesses.
-
-    One B-triple row and one product row (N, A (+) B[a], L1 (+) L2) per
-    digit a.  A product depends on the set B[a] alone, so each distinct
-    B-set is decided once and its verdict repeated on the rows that share it.
-    """
-    n = form.base
-    checks = [_triple_row("A-triple (N, A, L1)", n, form.a_set, form.l1)]
-    sizes = sorted({len(b) for _, b in form.b_sets})
-    detail = "" if len(sizes) == 1 else f"sizes {sizes}"
-    checks.append(CheckResult("B-cardinality |B_s| all equal", not detail, detail))
-    checks += [_triple_row(f"B-triple (N, B[{a}], L2)", n, b_set, form.l2) for a, b_set in form.b_sets]
-
-    l_sum = _direct_sum(n, (form.l1.digits, form.l2.digits))
-    if isinstance(l_sum, OverlapError):
-        checks.append(CheckResult("L1 (+) L2 direct", False, str(l_sum)))
-        return ValidationReport(tuple(checks))
-    checks.append(CheckResult("L1 (+) L2 direct", True))
-    verdicts = {b: _product_verdict(n, (form.a_set.digits, b.digits), l_sum) for b in dict.fromkeys(form.b_list())}
-    checks += [CheckResult(f"product-triple (N, A(+)B[{a}], L1(+)L2)", *verdicts[b]) for a, b in form.b_sets]
-
-    try:
-        expand_one_stage(form)
-        checks.append(CheckResult("expansion collision-free", True))
-    except OverlapError as exc:
-        checks.append(CheckResult("expansion collision-free", False, str(exc)))
-
-    return ValidationReport(tuple(checks))
+    """``_validate`` of the one-stage form as the staged form it is: E0 = A,
+    the keyed layer {a: B_a} at scale N^r, and the spectra (L1, L2)."""
+    return _validate(form.base, form.a_set, _one_stage(form), (form.b_sets,), (form.l1, form.l2))
 
 
 def require_valid_one_stage(form: OneStageForm) -> OneStageForm:
@@ -347,19 +331,27 @@ def _k_stages(form: KStageForm) -> list:
 
 
 def validate_k_stage(form: KStageForm) -> ValidationReport:
-    """Exact check of every per-level triple and every prefix/suffix product.
+    """``_validate`` of the form over its own stages."""
+    return _validate(form.base, form.e0, _k_stages(form), form.layers, form.spectra)
 
+
+def _validate(n: int, e0: DigitSet, stages, layers, spectra) -> ValidationReport:
+    """Exact pass/fail per defining condition of a staged form, with witnesses.
+
+    ``stages`` are the form's ``_expand_layers`` stages, ``layers`` their
+    LayerSpecs, ``spectra`` L_0..L_k.  Rows: the level-0 triple, the
+    collision check of the expansion, then per stage j one triple row with
+    L_j for a constant layer and one per parent digit for a keyed layer.
     Products are checked along every realizable path through the layer
-    tree.  Each layer set used at a stage is checked once.  The prefix-m
-    products are one per distinct sequence of layer sets, and so are the
-    suffix-m ones, each decided against one spectrum sum built per m.
+    tree: one prefix-m row per distinct sequence of layer sets, for m =
+    1..k, and one suffix-m row for m < k, each decided against one spectrum
+    sum built per m.  The suffix-k product is the stage-k triple itself, so
+    it has no row.  A repeated spectrum sum fails the product rows with its
+    OverlapError.
     """
-    n = form.base
-    checks = [_triple_row("level-0 triple (N, E0, L0)", n, form.e0, form.spectra[0])]
-
-    stages = _k_stages(form)
+    checks = [_level0_row(n, e0, spectra[0])]
     try:
-        _expand_layers(form.e0.digits, stages)
+        _expand_layers(e0.digits, stages)
     except OverlapError as exc:
         checks.append(CheckResult("expansion collision-free", False, str(exc)))
         return ValidationReport(tuple(checks))
@@ -367,29 +359,30 @@ def validate_k_stage(form: KStageForm) -> ValidationReport:
 
     # digit -> the layer sets on its path, E_1(d_0) ... E_j(d_(j-1)); the
     # expansion is collision-free, so each digit has one path
-    paths: dict[int, tuple[tuple[int, ...], ...]] = {d: () for d in form.e0.digits}
-    for j, (layer, (_, scale, _)) in enumerate(zip(form.layers, stages), start=1):
+    paths: dict[int, tuple[tuple[int, ...], ...]] = {d: () for d in e0.digits}
+    k = len(layers)
+    for j, (layer, (_, scale, _)) in enumerate(zip(layers, stages), start=1):
         lookup = layer_lookup(layer)
-        firsts: dict[tuple[int, ...], tuple[int, DigitSet]] = {}
-        extended = {}
-        for d in sorted(paths):
-            part = lookup(d)
-            firsts.setdefault(part.digits, (d, part))
-            extended[d] = paths[d] + (part.digits,)
-        # (i) each layer set used at stage j forms a triple with L_j
-        checks += [_triple_row(f"stage-{j} triple (N, E_{j}({d}), L_{j})", n, part, form.spectra[j])
-                   for d, part in firsts.values()]
-        paths = {d + scale * e: path for d, path in extended.items() for e in path[-1]}
+        parts = {d: lookup(d) for d in sorted(paths)}
+        if isinstance(layer, DigitSet):
+            checks.append(_triple_row(f"stage-{j} triple (N, E_{j}, L_{j})", n, layer, spectra[j]))
+        else:
+            checks += [_triple_row(f"stage-{j} triple (N, E_{j}({d}), L_{j})", n, part, spectra[j])
+                       for d, part in parts.items()]
+        extended = {d: paths[d] + (part.digits,) for d, part in parts.items()}
+        # the top level's paths are its parents': only the sequences are read
+        paths = extended if j == k else {d + scale * e: path for d, path in extended.items() for e in path[-1]}
     used = set(paths.values())
 
-    e0, spectra = form.e0.digits, tuple(sp.digits for sp in form.spectra)
-    for m in range(1, form.stages + 1):
-        l_sum = _direct_sum(n, spectra[: m + 1])
-        checks += [CheckResult(f"prefix-{m} product {_short(seq)}", *_product_verdict(n, (e0, *seq), l_sum))
+    ls = tuple(sp.digits for sp in spectra)
+    for m in range(1, k + 1):
+        l_sum = _direct_sum(n, ls[: m + 1])
+        checks += [CheckResult(f"prefix-{m} product {_short(seq)}", *_product_verdict(n, (e0.digits, *seq), l_sum))
                    for seq in sorted({seq[:m] for seq in used})]
-        l_sum = _direct_sum(n, spectra[m:])
-        checks += [CheckResult(f"suffix-{m} product {_short(seq)}", *_product_verdict(n, seq, l_sum))
-                   for seq in sorted({seq[m - 1 :] for seq in used})]
+        if m < k:
+            l_sum = _direct_sum(n, ls[m:])
+            checks += [CheckResult(f"suffix-{m} product {_short(seq)}", *_product_verdict(n, seq, l_sum))
+                       for seq in sorted({seq[m - 1 :] for seq in used})]
     return ValidationReport(tuple(checks))
 
 
@@ -416,8 +409,9 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     The target k defaults to the form's own stage count, sum(ells), or to 1
     for a form with no stages; a k below either raises InputError, a
     ValueError.
-    The result is validated exactly; the error names the failing aggregate
-    (A-triple, B-triple, or product).  A result of more than DIGIT_LIMIT
+    The result is validated exactly; a ValidationFailure's report names the
+    failing row: the level-0 triple of A, a stage-1 triple of some B_a, or
+    the product A (+) B_a.  A result of more than DIGIT_LIMIT
     digits or spectrum points (width^k), or over a base above BASE_LIMIT,
     raises PointLimitExceeded before any work.
     """
@@ -452,19 +446,11 @@ def k_stage_to_one_stage(form: KStageForm, k_target: int | None = None) -> OneSt
     a_set = DigitSet(big, a_digits)
 
     # two new A digits in one class mod N^k would each read the whole class
-    # as their B, so the A-triple failure is reported alone
+    # as their B, so the level-0 failure is reported alone
     dup = _duplicate_residue(a_digits, big)
     if dup is not None:
-        raise ValidationFailure(
-            ValidationReport(
-                (
-                    _triple_row("A-triple (N, A, L1)", big, a_set, l1),
-                    CheckResult(
-                        "B-extraction", False, f"new A digits {dup[0]} == {dup[1]} (mod {big})"
-                    ),
-                )
-            )
-        )
+        extraction = CheckResult("B-extraction", False, f"new A digits {dup[0]} == {dup[1]} (mod {big})")
+        raise ValidationFailure(ValidationReport((_level0_row(big, a_set, l1), extraction)))
 
     # every class of A has stacked digits over it: a digit of D^(i) extends
     # to D^(k) by layer digits at scales N^(i+1) and up

@@ -1,8 +1,10 @@
 """The bench tracer wraps functions by name; each name must still exist,
 and each function it times as a leaf must call no other wrapped function.
+The bench's Z_72 pin must equal the count tier-1 pins.
 
-``bench/tracer.py`` is read as text, never imported or edited, so this
-check stays fast and leaves the benchmark untouched.
+``bench/tracer.py`` and ``bench/test_bench.py`` are read as text, never
+imported or edited, so these checks stay fast and leave the benchmark
+untouched.
 """
 
 import ast
@@ -11,12 +13,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
+BENCH_TESTS = ROOT / "bench" / "test_bench.py"
+PRODUCTFORM_TESTS = ROOT / "tests" / "test_productform.py"
 
 
-def _assigned(name: str):
-    """The literal value bound to ``name`` in bench/tracer.py; a
+def _assigned(name: str, path: Path = TRACER):
+    """The literal value bound to ``name`` at the top of ``path``; a
     ``frozenset({...})`` call is read as its set."""
-    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
@@ -25,7 +29,7 @@ def _assigned(name: str):
             if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "frozenset":
                 value = value.args[0]
             return ast.literal_eval(value)
-    raise AssertionError(f"bench/tracer.py defines no {name}")
+    raise AssertionError(f"{path.relative_to(ROOT)} defines no {name}")
 
 
 def _targets() -> dict:
@@ -74,3 +78,20 @@ def test_traced_leaves_call_no_traced_function():
         }
         wrapped = sorted(traced[name] for name in called if name in traced)
         assert not wrapped, f"leaf {leaf} calls traced {wrapped}"
+
+
+def test_bench_z72_pin_equals_the_tier1_count():
+    """bench/test_bench.py::test_z72_vanishing_counts pins the vanishing
+    tests of its two Z_72 jobs, and their total; each job's count is
+    tests/test_productform.py's Z72_VANISHING_TESTS, so a change that moves
+    either count fails in tier-1."""
+    count = _assigned("Z72_VANISHING_TESTS", PRODUCTFORM_TESTS)
+    tree = ast.parse(BENCH_TESTS.read_text(encoding="utf-8"))
+    test = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "test_z72_vanishing_counts")
+    pins = {
+        ast.unparse(node.left): ast.literal_eval(node.comparators[0])
+        for node in ast.walk(test)
+        if isinstance(node, ast.Compare) and isinstance(node.comparators[0], (ast.List, ast.Constant))
+    }
+    total = "result['trace']['cyclotomic.vanishing_sum_test.calls']"
+    assert (pins["per_job"], pins[total]) == ([count, count], 2 * count)

@@ -556,9 +556,9 @@ def test_mask_polynomial_basics():
     assert (p * MaskPolynomial.one()) == p
     assert (p * MaskPolynomial.zero()).is_zero
     assert p.compose_power(3).degree == 15
-    from spectralforge.errors import EmptyDigitSet
+    from spectralforge.errors import EmptyInput
 
-    with pytest.raises(EmptyDigitSet):
+    with pytest.raises(EmptyInput, match="cannot build a mask from an empty digit set"):
         MaskPolynomial.from_digits(())
     with pytest.raises(ValueError):
         MaskPolynomial.from_digits((-1, 0))

@@ -63,23 +63,25 @@ def test_validate_one_stage():
     )
     rep = validate_one_stage(bad)
     assert not rep.ok
-    assert any("B-triple" in c.name for c in rep.checks if not c.ok)
+    assert "stage-1 triple (N, E_1(0), L_1)" in {c.name for c in rep.checks if not c.ok}
     triv = one_stage_form(5, 1, (0,), {0: DigitSet(5, (0,))}, (0,), (0,))
     assert validate_one_stage(triv).ok
 
 
 def test_one_stage_decides_each_distinct_b_set_once(monkeypatch):
-    """Six digits share three B-sets, one of which collides with A: two
-    product checks are made, and the rows equal a per-digit check."""
+    """Six digits share three B-sets, one of which collides with A in
+    A (+) B, though not in the expansion at r = 2: one
+    product row per distinct B-set, in the order of its digits, two of
+    them decided by check_triple, and the rows equal a check per set."""
     b_sets = {0: (0, 2), 1: (0, 6), 4: (0, 2), 5: (0, 1), 8: (0, 6), 9: (0, 2)}
     b_map = {a: DigitSet(4, b) for a, b in b_sets.items()}
-    form = one_stage_form(4, 1, sorted(b_sets), b_map, (0, 2, 5), (0, 1))
+    form = one_stage_form(4, 2, sorted(b_sets), b_map, (0, 2, 5), (0, 1))
     l_sum = DigitSet(4, direct_sum_digits(form.l1.digits, form.l2.digits))
     expected, products = [], set()
-    for a, b in form.b_sets:
-        name = f"product-triple (N, A(+)B[{a}], L1(+)L2)"
+    name = "prefix-1 product [2]"
+    for b in sorted({b.digits for _, b in form.b_sets}):
         try:
-            ab = DigitSet(4, direct_sum_digits(form.a_set.digits, b.digits))
+            ab = DigitSet(4, direct_sum_digits(form.a_set.digits, b))
         except OverlapError as exc:
             expected.append(f"[FAIL] {name} -- {exc}")
             continue
@@ -93,10 +95,15 @@ def test_one_stage_decides_each_distinct_b_set_once(monkeypatch):
         return check_triple(n, d, l)
 
     monkeypatch.setattr(productform, "check_triple", counted)
-    rows = [str(c) for c in validate_one_stage(form).checks if c.name.startswith("product-triple")]
+    rows = [str(c) for c in validate_one_stage(form).checks if c.name.startswith("prefix-1 product")]
     assert rows == expected
     assert len(products) == 2
     assert sum(d in products for d in calls) == 2
+
+
+# Exact vanishing tests of the Z_72 reduction and of its validation, each
+# the bench's per-job pin in bench/test_bench.py::test_z72_vanishing_counts
+Z72_VANISHING_TESTS = 10_996
 
 
 def _z72_staged():
@@ -139,35 +146,53 @@ def test_equal_b_sets_share_one_digit_set():
 
 
 def test_z72_validation_counts(monkeypatch):
-    """validate_one_stage on the Z_72 reduction, read back from JSON as
-    validate-form reads it: 10,996 vanishing tests (the bench's per-job
-    pin), and L2's pairs walked once for its 432 B rows (2N > |L2|^2 at
-    N = 5,184, so its differences come from the walk)."""
-    form = cli.one_stage_from_json(cli.one_stage_to_json(_z72_reduction()))
-    assert 2 * form.base > len(form.l2) ** 2
+    """The bench's two per-job pins, 10,996 vanishing tests each: the Z_72
+    reduction (k_stage_to_one_stage at k = 2, which validates its result),
+    and validate_one_stage on that reduction read back from JSON as
+    validate-form reads it.  Each walks L2's pairs once for its 432 stage-1
+    rows (2N > |L2|^2 at N = 5,184, so its differences come from the
+    walk)."""
+    staged = _z72_staged()  # built first: cm_regular_product_triple makes its own tests
     vanishing, walks = [], []
     real_test, real_walk = hadamard.vanishing_sum_test, hadamard.combinations
     monkeypatch.setattr(hadamard, "vanishing_sum_test", lambda d, t, n: vanishing.append(t) or real_test(d, t, n))
     monkeypatch.setattr(hadamard, "combinations", lambda ls, r: walks.append(ls) or real_walk(ls, r))
-    assert validate_one_stage(form).ok
-    assert len(vanishing) == 10_996
+    reduced = k_stage_to_one_stage(staged, 2)
+    assert 2 * reduced.base > len(reduced.l2) ** 2
+    assert len(vanishing) == Z72_VANISHING_TESTS
+    assert walks.count(reduced.l2.digits) == 1
+    form = cli.one_stage_from_json(cli.one_stage_to_json(reduced))
+    vanishing.clear()
+    walks.clear()
+    report = validate_one_stage(form)
+    assert report.ok and len(report.checks) == 435
+    assert len(vanishing) == Z72_VANISHING_TESTS
     assert walks.count(form.l2.digits) == 1
 
 
 def test_z72_work_done_once(monkeypatch):
-    """On the Z_72 pair: the reduction expands its one-stage form once (for
-    the collision row), validate_one_stage builds L1 (+) L2 once, and
+    """On the Z_72 pair: the reduction expands the staged form once (for its
+    levels) and its one-stage result once (for the collision row), both
+    through _expand_layers, and never calls expand_one_stage;
+    validate_one_stage expands once and builds L1 (+) L2 once; and
     validate_k_stage on the valid staged form never walks a stage for its
     witnesses."""
     staged, form = _z72_staged(), _z72_reduction()
     expansions, sums = [], []
-    real_expand, real_sum = productform.expand_one_stage, productform.direct_sum_digits
-    monkeypatch.setattr(productform, "expand_one_stage", lambda f: expansions.append(f) or real_expand(f))
+    real_expand, real_sum = productform._expand_layers, productform.direct_sum_digits
+    monkeypatch.setattr(productform, "_expand_layers", lambda start, st: expansions.append(st) or real_expand(start, st))
     monkeypatch.setattr(productform, "direct_sum_digits", lambda *parts: sums.append(parts) or real_sum(*parts))
+
+    def no_expand(f):
+        raise AssertionError("validation called expand_one_stage")
+
+    monkeypatch.setattr(productform, "expand_one_stage", no_expand)
     assert k_stage_to_one_stage(staged, 2).b_sets == form.b_sets
-    assert len(expansions) == 1
+    assert [[label for label, _, _ in st] for st in expansions] == [[1], [None]]
+    expansions.clear()
     sums.clear()
     assert validate_one_stage(form).ok
+    assert len(expansions) == 1
     assert sums.count((form.l1.digits, form.l2.digits)) == 1
 
     def no_walk(*args):
@@ -183,49 +208,45 @@ def test_failing_one_stage_product_rows():
     product whose digit sum repeats a digit: the exact report lines."""
     f = one_stage_form(6, 1, (0, 1), {0: DigitSet(6, (0, 3)), 1: DigitSet(6, (0, 3))}, (0, 3), (0, 1))
     assert str(validate_one_stage(f)).splitlines() == [
-        "[ok] A-triple (N, A, L1)",
-        "[ok] B-cardinality |B_s| all equal",
-        "[ok] B-triple (N, B[0], L2)",
-        "[ok] B-triple (N, B[1], L2)",
-        "[ok] L1 (+) L2 direct",
-        "[FAIL] product-triple (N, A(+)B[0], L1(+)L2) -- orthogonality failure in spectrum pair: pair (0, 4)",
-        "[FAIL] product-triple (N, A(+)B[1], L1(+)L2) -- orthogonality failure in spectrum pair: pair (0, 4)",
+        "[ok] level-0 triple (N, E0, L0)",
         "[ok] expansion collision-free",
+        "[ok] stage-1 triple (N, E_1(0), L_1)",
+        "[ok] stage-1 triple (N, E_1(1), L_1)",
+        "[FAIL] prefix-1 product [2] -- orthogonality failure in spectrum pair: pair (0, 4)",
     ]
+    # the product rows follow the B-sets' digits: B_0 = {0, 1}, then B_1 = {0, 2}
     f = one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 1)), 1: DigitSet(4, (0, 2))}, (0, 2), (0, 1))
-    assert [str(c) for c in validate_one_stage(f).checks if c.name.startswith("product")] == [
-        "[FAIL] product-triple (N, A(+)B[0], L1(+)L2) -- digit collision: 1 produced by (0, 1) and (1, 0)",
-        "[ok] product-triple (N, A(+)B[1], L1(+)L2)",
+    assert [str(c) for c in validate_one_stage(f).checks if c.name.startswith("prefix")] == [
+        "[FAIL] prefix-1 product [2] -- digit collision: 1 produced by (0, 1) and (1, 0)",
+        "[ok] prefix-1 product [2]",
     ]
 
 
 def test_failing_k_stage_product_rows():
     """A repeated digit sum, a repeated spectrum sum and an orthogonality
-    failure in the prefix and suffix products: the exact report lines."""
+    failure in the prefix product: the exact report lines.  At one stage
+    the suffix-1 product is the stage-1 triple, so it has no row."""
     digits = k_stage_form(4, (1,), (0, 1), [DigitSet(4, (0, 1))], [(0, 2), (0, 2)])
     assert str(validate_k_stage(digits)).splitlines() == [
         "[ok] level-0 triple (N, E0, L0)",
         "[ok] expansion collision-free",
-        "[ok] stage-1 triple (N, E_1(0), L_1)",
+        "[ok] stage-1 triple (N, E_1, L_1)",
         "[FAIL] prefix-1 product [2] -- digit collision: 1 produced by (0, 1) and (1, 0)",
-        "[ok] suffix-1 product [2]",
     ]
     # the digits {0, 4} (+) {0, 12} are direct; the spectra {0, 9} (+) {0, 9} are not
     spectra = k_stage_form(8, (1,), (0, 4), [DigitSet(8, (0, 12))], [(0, 9), (0, 9)])
     assert str(validate_k_stage(spectra)).splitlines() == [
         "[ok] level-0 triple (N, E0, L0)",
         "[ok] expansion collision-free",
-        "[ok] stage-1 triple (N, E_1(0), L_1)",
+        "[ok] stage-1 triple (N, E_1, L_1)",
         "[FAIL] prefix-1 product [2] -- digit collision: 9 produced by (0, 9) and (9, 0)",
-        "[ok] suffix-1 product [2]",
     ]
     orthogonal = k_stage_form(6, (1,), (0, 1), [DigitSet(6, (0, 3))], [(0, 3), (0, 1)])
     assert str(validate_k_stage(orthogonal)).splitlines() == [
         "[ok] level-0 triple (N, E0, L0)",
         "[ok] expansion collision-free",
-        "[ok] stage-1 triple (N, E_1(0), L_1)",
+        "[ok] stage-1 triple (N, E_1, L_1)",
         "[FAIL] prefix-1 product [2] -- orthogonality failure in spectrum pair: pair (0, 4)",
-        "[ok] suffix-1 product [2]",
     ]
 
 
@@ -270,13 +291,13 @@ def test_reduce_r_to_1_collision_names_two_sums():
 def test_reduce_r_to_1_congruent_new_a_digits():
     """The new A digits 0 + 4*3 = 12 and 0 + 4*11 = 44 agree mod 16: the
     reduction stops before reading B-sets off the stacked digits, so no
-    B-triple row reports a fault that the form does not have."""
+    stage-1 row reports a fault that the form does not have."""
     b_map = {0: DigitSet(4, (0, 2)), 3: DigitSet(4, (2, 3)), 11: DigitSet(4, (4, 6))}
     f = one_stage_form(4, 2, (0, 3, 11), b_map, (1, 2, 3), (1, 2))
     with pytest.raises(ValidationFailure) as err:
         reduce_r_to_1(f)
     assert [str(c) for c in err.value.report.checks] == [
-        "[FAIL] A-triple (N, A, L1) -- duplicate residue in digits: 12 == 44 (mod 16)",
+        "[FAIL] level-0 triple (N, E0, L0) -- duplicate residue in digits: 12 == 44 (mod 16)",
         "[FAIL] B-extraction -- new A digits 12 == 44 (mod 16)",
     ]
 
@@ -298,7 +319,9 @@ def test_invalid_k_stage_form_decides_each_root_order_once(monkeypatch):
     )
     with pytest.raises(ValidationFailure) as err:
         k_stage_to_one_stage(ks)
-    assert "L1 (+) L2 direct" in {c.name for c in err.value.report.checks if not c.ok}
+    # L1 (+) L2 repeats a point, which fails the product row with that collision
+    failing = {c.name: c.detail for c in err.value.report.checks if not c.ok}
+    assert failing["prefix-1 product [4]"].startswith("digit collision")
     assert 0 < cyclotomic._vanishes_at_order.cache_info().misses <= 100
 
 
@@ -605,3 +628,82 @@ def test_one_stage_spectra_found_by_search():
     got1 = [s.digits for s in find_spectra(4, DigitSet(4, (0, 1)))]
     got2 = [s.digits for s in find_spectra(4, DigitSet(4, (0, 2)))]
     assert (0, 2) in got1 and (0, 1) in got2
+
+
+def _valid_by_definition(f) -> bool:
+    """Whether the one-stage form f is valid, read off the definitions: the
+    triples (N, A, L1) and (N, B_a, L2) for each a, each A (+) B_a against
+    L1 (+) L2 (a repeated sum in either is invalid), and an expansion
+    whose sums a + N^r * b are all distinct."""
+    n = f.base
+    if check_triple(n, f.a_set, f.l1) is not None or any(check_triple(n, b, f.l2) for _, b in f.b_sets):
+        return False
+    l_sums = [x + y for x in f.l1.digits for y in f.l2.digits]
+    if len(set(l_sums)) != len(l_sums):
+        return False
+    for _, b in f.b_sets:
+        sums = [x + y for x in f.a_set.digits for y in b.digits]
+        if len(set(sums)) != len(sums) or check_triple(n, DigitSet(n, tuple(sums)), DigitSet(n, tuple(l_sums))):
+            return False
+    expansion = [a + n**f.r * y for a, b in f.b_sets for y in b.digits]
+    return len(set(expansion)) == len(expansion)
+
+
+def _spectrum(rng, n, d):
+    """Mostly a spectrum that find_spectra gives for d, lifted by multiples
+    of N; else |d| random points."""
+    if rng.random() < 0.8 and len({x % n for x in d}) == len(d):
+        found = find_spectra(n, DigitSet(n, d), limit=4)
+        if found:
+            return tuple(x + n * rng.randrange(2) for x in rng.choice(found).digits)
+    return tuple(rng.sample(range(2 * n), len(d)))
+
+
+def _random_one_stage(rng):
+    """A one-stage form over N in 3..12 at r in 0..2.  Half of them take
+    A, L1, L2 and distinct B-sets from ``_random_valid_one_stage``, one
+    B-set replaced by a random set a third of the time.  The others draw
+    A, the spectra (from ``_spectrum``) and B-sets from a pool of one to
+    three sets: a first set of distinct residues, and sets that mostly
+    lift its digits by multiples of N."""
+    r = rng.randrange(3)
+    if rng.random() < 0.5:
+        f = _random_valid_one_stage(rng, rng.randrange(1, 3))
+        b_map = f.b_map
+        if rng.random() < 1 / 3:
+            b_map[rng.choice(f.a_set.digits)] = DigitSet(f.base, tuple(rng.sample(range(2 * f.base), 2)))
+        return one_stage_form(f.base, r, f.a_set, b_map, f.l1, f.l2)
+    n = rng.randrange(3, 13)
+    first = tuple(rng.sample(range(n), rng.randrange(1, 4)))
+    pool = [first] + [tuple(x + n * rng.randrange(2) for x in first) if rng.random() < 0.8
+                      else tuple(rng.sample(range(2 * n), rng.randrange(1, 4))) for _ in range(rng.randrange(3))]
+    a = tuple(rng.sample(range(2 * n), rng.randrange(1, 4)))
+    b_map = {x: DigitSet(n, rng.choice(pool)) for x in a}
+    return one_stage_form(n, r, a, b_map, _spectrum(rng, n, a), _spectrum(rng, n, first))
+
+
+def test_merged_validator_matches_the_definitions():
+    """validate_one_stage against a reference read off the definitions on
+    seeded random one-stage forms; and a staged form whose keyed layers map
+    every parent to one set gets the verdict of the same form with those
+    sets as constant layers."""
+    rng = random.Random(26)
+    verdicts, staged = [], []
+    for _ in range(200):
+        f = _random_one_stage(rng)
+        ok = _valid_by_definition(f)
+        assert validate_one_stage(f).ok == ok, f
+        verdicts.append(ok)
+        if f.r == 0:
+            continue
+        n, (_, b) = f.base, f.b_sets[0]
+        t = DigitSet(n, tuple(rng.sample(range(2 * n), rng.randrange(1, 3))))
+        l3 = DigitSet(n, _spectrum(rng, n, t.digits))
+        const = KStageForm(n, (f.r, 1), f.a_set, (b, t), (f.l1, f.l2, l3))
+        level1 = {a + n**f.r * y for a in f.a_set.digits for y in b.digits}
+        keyed = KStageForm(n, (f.r, 1), f.a_set, (tuple((a, b) for a in f.a_set.digits),
+                                                  tuple((x, t) for x in sorted(level1))), (f.l1, f.l2, l3))
+        staged.append(validate_k_stage(const).ok)
+        assert validate_k_stage(keyed).ok == staged[-1], keyed
+    # both verdicts are common among the forms and among the staged forms
+    assert 40 <= sum(verdicts) <= 160 and 20 <= sum(staged) <= len(staged) - 20
