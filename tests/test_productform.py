@@ -636,14 +636,14 @@ def _valid_by_definition(f) -> bool:
     L1 (+) L2 (a repeated sum in either is invalid), and an expansion
     whose sums a + N^r * b are all distinct."""
     n = f.base
-    if check_triple(n, f.a_set, f.l1) is not None or any(check_triple(n, b, f.l2) for _, b in f.b_sets):
+    if any(check_triple(n, d, l) is not None for d, l in [(f.a_set, f.l1), *((b, f.l2) for _, b in f.b_sets)]):
         return False
     l_sums = [x + y for x in f.l1.digits for y in f.l2.digits]
     if len(set(l_sums)) != len(l_sums):
         return False
     for _, b in f.b_sets:
         sums = [x + y for x in f.a_set.digits for y in b.digits]
-        if len(set(sums)) != len(sums) or check_triple(n, DigitSet(n, tuple(sums)), DigitSet(n, tuple(l_sums))):
+        if len(set(sums)) != len(sums) or check_triple(n, DigitSet(n, tuple(sums)), DigitSet(n, tuple(l_sums))) is not None:
             return False
     expansion = [a + n**f.r * y for a, b in f.b_sets for y in b.digits]
     return len(set(expansion)) == len(expansion)
