@@ -28,7 +28,6 @@ from .productform import (
     KStageForm,
     OneStageForm,
     build_four_digit_form,
-    check_layer_keys,
     expand_k_stage,
     expand_one_stage,
     k_stage_form,
@@ -147,15 +146,13 @@ def k_stage_from_json(obj: dict) -> KStageForm:
             layers.append(DigitSet(base, _digits_from_json(layer["constant"])))
         else:
             layers.append(_digit_set_map(layer["map"], base))
-    form = k_stage_form(
+    return k_stage_form(
         base,
         _digits_from_json(obj["ells"]),
         _digits_from_json(obj["E0"]),
         layers,
         [_digits_from_json(s) for s in obj["Ls"]],
     )
-    check_layer_keys(form)
-    return form
 
 
 def load_json(path: str) -> Any:

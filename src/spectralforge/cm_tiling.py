@@ -37,6 +37,7 @@ from .cyclotomic import (
 from .digitsets import DigitSet, _expand_layers, direct_sum_digits
 from .errors import (
     CMConditionFailure,
+    InputError,
     InvalidVariantParams,
     KernelDivisibilityFailure,
     NotCompleteResidues,
@@ -45,7 +46,7 @@ from .errors import (
     refuse_above,
 )
 from .hadamard import _duplicate_residue, verify_triple
-from .productform import KStageForm, ValidationReport, as_layer, expand_k_stage, validate_k_stage
+from .productform import KStageForm, ValidationReport, expand_k_stage, validate_k_stage
 
 
 def is_prime(n: int) -> bool:
@@ -359,9 +360,10 @@ def spec_kernels(spec: ModuloProductFormSpec) -> tuple[KernelData, ...]:
 def _certified_levels(spec: ModuloProductFormSpec):
     """The one derivation of a spec: its kernels, its stages
     (j, N^(l_1+..+l_j), E_j) with E_j(d) = {e + m_j * z(j, d, e) : e in E_j},
-    and the sorted digits of every level from one layered expansion.  The
-    top kernel polynomial is certified to divide the mask of the top level
-    before the stages and levels are returned."""
+    and the sorted digits of every level from one layered expansion.  A
+    z(j, d, e) with j outside 1..k, e not in E_j or d no digit of level j - 1
+    is an InputError.  The top kernel polynomial is certified to divide the
+    mask of the top level before the stages and levels are returned."""
     kernels = spec_kernels(spec)
     stages = []
     total = 0
@@ -373,6 +375,9 @@ def _certified_levels(spec: ModuloProductFormSpec):
 
         stages.append((j, spec.base**total, layer))
     levels = _expand_layers(spec.parts[0].digits, stages)
+    for (j, d, e), _ in spec.zshifts:
+        if not (1 <= j <= spec.stages and e in spec.parts[j].digits and d in levels[j - 1]):
+            raise InputError(f"z-shift (stage {j}, parent {d}, e {e}) names no digit of the form")
     top = levels[-1]
     mask = MaskPolynomial.from_digits(tuple(x - top[0] for x in top))
     # K^(k) is a product of pairwise coprime powers Phi_e^m, so it divides
@@ -404,7 +409,7 @@ def modulo_to_k_stage(
     for (j, _, layer), level in zip(stages, levels[:-1]):
         this_layer = {d: DigitSet(spec.base, layer(d)) for d in level}
         constant = all(part.digits == spec.parts[j].digits for part in this_layer.values())
-        layers.append(spec.parts[j] if constant else as_layer(this_layer))
+        layers.append(spec.parts[j] if constant else this_layer)
     form = KStageForm(
         base=spec.base,
         ells=spec.ells,
@@ -539,7 +544,7 @@ def paq_type_generator(
     ]
     congruences = _variant_ii_congruences(p, q, alpha, ms, big_m, k_idx)
     res = _staged_tile(n, mult, stages, zshifts, f" (multiplier exponent {big_m})", congruences)
-    if not zshifts and res.digits.digits != _variant_ii_nested(p, q, alpha, ms, big_m, k_idx).digits:
+    if not any((zshifts or {}).values()) and res.digits.digits != _variant_ii_nested(p, q, alpha, ms, big_m, k_idx).digits:
         raise AssertionError("multiplied first-order expansion must match the nested shape")
     return res
 

@@ -19,7 +19,8 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from .digitsets import DigitSet, _expand_layers, direct_sum_digits, stacked_digits
 from .errors import InputError, OverlapError, ValidationFailure, refuse_above
@@ -32,20 +33,30 @@ def layer_lookup(layer: LayerSpec) -> Callable[[int], DigitSet]:
     """parent -> layer set, read through one dict built per call."""
     if isinstance(layer, DigitSet):
         return lambda parent: layer
-    table = dict(layer)
-
-    def lookup(parent: int) -> DigitSet:
-        if parent not in table:
-            raise KeyError(f"layer has no entry for parent digit {parent}")
-        return table[parent]
-
-    return lookup
+    return dict(layer).__getitem__
 
 
-def as_layer(spec: DigitSet | Mapping[int, DigitSet]) -> LayerSpec:
-    """A constant layer as it is; a map keyed by the parent digit as its
-    sorted (parent, set) pairs."""
-    return spec if isinstance(spec, DigitSet) else tuple(sorted(spec.items()))
+def as_layer(spec: DigitSet | Mapping[int, DigitSet] | Iterable[tuple[int, DigitSet]]) -> LayerSpec:
+    """A constant layer as it is; a keyed layer, a map or (parent, set)
+    pairs, as its pairs sorted by parent, equal sets (same base, digits and
+    offset) made one DigitSet, so the answers it keeps (``order_verdicts``,
+    ``modulus_facts``) serve every parent that shares it."""
+    if isinstance(spec, DigitSet):
+        return spec
+    shared: dict[tuple, DigitSet] = {}
+    pairs = spec.items() if isinstance(spec, Mapping) else spec
+    return tuple(sorted(((d, shared.setdefault((s.base, s.digits, s.offset), s)) for d, s in pairs), key=itemgetter(0)))
+
+
+def _check_keys(layer: tuple[tuple[int, DigitSet], ...], parents: set[int], stage: int) -> None:
+    """Raise ValueError unless a keyed layer, sorted by parent, has one
+    entry per digit of the level it extends and no other, naming the stage
+    and the smallest digit at fault."""
+    keys, want = [d for d, _ in layer], sorted(parents)
+    if keys != want:
+        key, parent = next(pair for pair in itertools.zip_longest(keys, want, fillvalue=math.inf) if pair[0] != pair[1])
+        what = f"no entry for parent digit {parent}" if parent < key else f"an extra entry for {key}"
+        raise ValueError(f"stage-{stage} layer has {what}")
 
 
 # Largest scale a form may have: N^r of a one-stage form, N^(l_1+..+l_k)
@@ -95,9 +106,9 @@ class OneStageForm:
     """Digits expand to the union of a + N^r * B_a over a in A.  N^r above
     BASE_LIMIT, or |L1| * |L2| above DIGIT_LIMIT, raises PointLimitExceeded.
 
-    Equal B-sets (same base, digits and offset) become one DigitSet, so
-    the answers it keeps (``order_verdicts``, ``modulus_facts``) serve
-    every row that shares it."""
+    ``b_sets`` is stored as the keyed layer {a: B_a} that ``as_layer``
+    makes of it, keyed exactly by the digits of A (else ValueError, as for
+    a staged form's stage-1 layer)."""
 
     base: int
     r: int
@@ -112,16 +123,8 @@ class OneStageForm:
         refuse_above("BASE_LIMIT", BASE_LIMIT, f"the scale N^r would be {self.base}^{self.r}", self.base, self.r)
         what = f"the spectrum sum L1 (+) L2 would hold {len(self.l1)} * {len(self.l2)} points"
         refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, what, len(self.l1), factor=len(self.l2))
-        keys = tuple(k for k, _ in self.b_sets)
-        if sorted(keys) != sorted(self.a_set.digits):
-            raise ValueError("B-sets must be keyed exactly by the digits of A")
-        shared: dict[tuple, DigitSet] = {}
-        b_sets = sorted((a, shared.setdefault((b.base, b.digits, b.offset), b)) for a, b in self.b_sets)
-        object.__setattr__(self, "b_sets", tuple(b_sets))
-
-    @property
-    def b_map(self) -> dict[int, DigitSet]:
-        return dict(self.b_sets)
+        object.__setattr__(self, "b_sets", as_layer(self.b_sets))
+        _check_keys(self.b_sets, set(self.a_set.digits), 1)
 
     def b_list(self) -> list[DigitSet]:
         return [b for _, b in self.b_sets]
@@ -143,8 +146,7 @@ def expand_one_stage(form: OneStageForm) -> DigitSet:
 
 def _one_stage(form: OneStageForm) -> list:
     """The one ``_expand_layers`` stage of a one-stage form, unlabelled."""
-    b_map = form.b_map
-    return [(None, form.base**form.r, lambda a: b_map[a].digits)]
+    return [(None, form.base**form.r, lambda a, lookup=layer_lookup(form.b_sets): lookup(a).digits)]
 
 
 def _triple_row(name: str, n: int, d: DigitSet, l: DigitSet) -> CheckResult:
@@ -250,7 +252,8 @@ class KStageForm:
     ``spectra`` lists L_0..L_k, one per level including level 0.  A top
     scale N^(l_1+...+l_k) above BASE_LIMIT, or a ``width`` above
     DIGIT_LIMIT (by its digits or by its spectra), raises
-    PointLimitExceeded.
+    PointLimitExceeded.  Each layer is stored as ``as_layer`` makes it; a
+    keyed one must be keyed exactly by the digits of the level it extends.
     """
 
     base: int
@@ -266,12 +269,22 @@ class KStageForm:
             raise ValueError("need a spectrum for level 0 and for every stage")
         if any(e < 1 for e in self.ells):
             raise ValueError("stage scales must be positive")
+        object.__setattr__(self, "layers", tuple(as_layer(l) for l in self.layers))
         top = sum(self.ells)
         what = f"the top stage scale N^(l_1+..+l_k) would be {self.base}^{top}"
         refuse_above("BASE_LIMIT", BASE_LIMIT, what, self.base, top)
         digits, points = self._sizes()
         refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the form would expand to up to {digits} digits", digits)
         refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, f"the spectrum sum L_0 (+) .. (+) L_k would hold {points} points", points)
+        last_keyed = max((j for j, l in enumerate(self.layers, 1) if not isinstance(l, DigitSet)), default=0)
+        parents, scale = set(self.e0.digits), 1
+        for j, (ell, layer) in enumerate(zip(self.ells, self.layers[:last_keyed]), start=1):
+            if not isinstance(layer, DigitSet):
+                _check_keys(layer, parents, j)
+            if j < last_keyed:
+                scale *= self.base**ell
+                lookup = layer_lookup(layer)
+                parents = {d + scale * e for d in parents for e in lookup(d).digits}
 
     @property
     def stages(self) -> int:
@@ -294,26 +307,8 @@ class KStageForm:
 
 def k_stage_form(base, ells, e0, layers, spectra) -> KStageForm:
     e0 = e0 if isinstance(e0, DigitSet) else DigitSet(base, tuple(e0))
-    fixed = tuple(as_layer(l) for l in layers)
     specs = tuple(s if isinstance(s, DigitSet) else DigitSet(base, tuple(s)) for s in spectra)
-    return KStageForm(base, tuple(ells), e0, fixed, specs)
-
-
-def check_layer_keys(form: KStageForm) -> None:
-    """Raise ValueError if a keyed layer has no entry for a digit of the
-    level it extends, naming the stage and the smallest such digit."""
-    last_keyed = max((j for j, l in enumerate(form.layers, 1) if not isinstance(l, DigitSet)), default=0)
-    parents = set(form.e0.digits)
-    total = 0
-    for j, (ell, layer) in enumerate(zip(form.ells, form.layers[:last_keyed]), start=1):
-        if not isinstance(layer, DigitSet):
-            missing = parents.difference(key for key, _ in layer)
-            if missing:
-                raise ValueError(f"stage-{j} layer has no entry for parent digit {min(missing)}")
-        if j < last_keyed:
-            total += ell
-            lookup = layer_lookup(layer)
-            parents = {d + form.base**total * e for d in parents for e in lookup(d).digits}
+    return KStageForm(base, tuple(ells), e0, tuple(layers), specs)
 
 
 def expand_k_stage(form: KStageForm) -> DigitSet:

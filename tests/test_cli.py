@@ -406,6 +406,12 @@ def _malformed_inputs(tmp_path):
         ("k-0-zero-stage", ["reduce-kstage", "--spec", zero_stage, "--k", "0"]),
         ("zshift-no-parent", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2",
                               "--variant", "i", "--zshifts", zshifts]),
+        # z-shifts that name no digit of the form: a stage past k, and a
+        # parent and an e that are no digits of level 0 and of E_1
+        *[(f"zshift-names-no-digit-{i}", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2", "--variant", "i",
+                                          "--zshifts", _write(tmp_path, f"zshift-bad-{i}.json", [entry])])
+          for i, entry in enumerate([{"stage": 7, "parent": 0, "e": 0, "z": 1},
+                                     {"stage": 1, "parent": 5, "e": 999, "z": 1}])],
         ("output-missing-dir", ["check-hadamard", "--base", "4", "--digits", d, "--spectrum", d,
                                 "--output", str(tmp_path / "missing" / "report.json")]),
         ("usage-error", ["check-tile", "--base", "4"]),
@@ -817,6 +823,25 @@ def test_zshift_form_with_keyed_layers_reduces(tmp_path, capsys):
     one = json.loads(capsys.readouterr().out)["one_stage"]
     direct = paq_type_generator(2, 3, 2, "i", zshifts={(1, 0, 0): 1}).form
     assert one == one_stage_to_json(k_stage_to_one_stage(direct))
+
+
+def test_keyed_layer_key_faults_name_stage_and_digit(tmp_path, capsys):
+    """A "map" layer over E0 = {0, 1} without key 1, or with keys 0, 1 and
+    5, is refused by every command that reads a staged form, naming the
+    stage and the digit."""
+    def staged(keys):
+        return {"base": 4, "ells": [1], "E0": ["0", "1"], "layers": [{"map": {k: ["0", "2"] for k in keys}}],
+                "Ls": [["0", "2"], ["0", "1"]]}
+
+    files = {
+        "stage-1 layer has no entry for parent digit 1": _write(tmp_path, "no-parent.json", staged(["0"])),
+        "stage-1 layer has an extra entry for 5": _write(tmp_path, "extra-key.json", staged(["0", "1", "5"])),
+    }
+    for message, path in files.items():
+        for command in ("validate-form", "gen-product-form", "reduce-kstage"):
+            assert _run([command, "--spec", path]) == 2, (command, path)
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "InputError" and error["message"].endswith(message), (command, path)
 
 
 def test_validate_form_reports_a_staged_collision(tmp_path, capsys):

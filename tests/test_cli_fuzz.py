@@ -59,6 +59,7 @@ def _well_formed() -> dict[str, list]:
     # spectrum sums just above DIGIT_LIMIT = 2^15: 182 * 182 and 32 * 32 * 33 points
     ls = [[str(i) for i in range(size)] for size in (32, 33, 182)]
     wide_one = {"base": 4, "r": 1, "A": ["0", "1"], "Bs": {"0": ["0", "2"], "1": ["0", "2"]}, "L1": ls[2], "L2": ls[2]}
+    keyed = {"base": 4, "ells": [1], "E0": ["0", "1"], "Ls": [["0", "2"], ["0", "1"]]}
     wide_staged = {"base": 2, "ells": [1, 1], "E0": ["0"], "layers": [{"constant": ["0"]}] * 2, "Ls": [ls[0], ls[0], ls[1]]}
     return {
         "digits": [
@@ -85,6 +86,9 @@ def _well_formed() -> dict[str, list]:
             k_stage_to_json(paq_type_generator(2, 3, 2, "i").form),
             k_stage_to_json(paq_type_generator(2, 3, 2, "i", zshifts={(1, 0, 0): 1}).form),
             wide_staged,
+            # a keyed layer without key 1, and one with a key no digit of level 0
+            {**keyed, "layers": [{"map": {"0": ["0", "2"]}}]},
+            {**keyed, "layers": [{"map": {"0": ["0", "2"], "1": ["0", "2"], "5": ["0", "2"]}}]},
         ],
         "zshifts": [
             [{"stage": 1, "parent": 0, "e": 0, "z": 1}],

@@ -34,6 +34,7 @@ from spectralforge.digitsets import DigitSet, direct_sum_digits
 from spectralforge.errors import (
     CMConditionFailure,
     CoverageFailure,
+    InputError,
     InvalidVariantParams,
     KernelDivisibilityFailure,
     NotCompleteResidues,
@@ -484,9 +485,20 @@ def test_paq_zshifts_change_digits_but_keep_certificates():
     )
 
 
+def test_zshift_that_names_no_digit_is_refused():
+    """A z-shift names a stage 1..k, a digit e of E_stage and a parent digit
+    of level stage - 1; any other is an input error.  For (2,3,2,i) level 0
+    is {0, 1}, E_1 = {0, 2, 4}, E_2 = {0, 6} and level 1 is {0, 1, 24, 25,
+    48, 49}."""
+    assert paq_type_generator(2, 3, 2, "i", zshifts={(2, 49, 6): 1}).report.ok
+    for key in [(7, 0, 0), (0, 0, 0), (1, 5, 999), (1, 0, 1), (1, 2, 0), (2, 2, 6), (2, 1, 4)]:
+        with pytest.raises(InputError, match=rf"z-shift \(stage {key[0]}, parent {key[1]}, e {key[2]}\)"):
+            paq_type_generator(2, 3, 2, "i", zshifts={key: 1, (1, 0, 0): 1})
+
+
 def test_each_paq_spec_is_derived_once(monkeypatch):
     """One kernel derivation per spec: the tile's spec, plus variant ii's
-    nested spec only when the nested shape is compared (no zshifts), and
+    nested spec only when the nested shape is compared (no nonzero shift), and
     one layered expansion of the tile's spec before its validation."""
     calls = {"spec_kernels": 0, "nested": 0, "expand": 0}
     at_validation = []
@@ -509,6 +521,7 @@ def test_each_paq_spec_is_derived_once(monkeypatch):
         ((2, 3, 2, "i"), None, {"spec_kernels": 1, "nested": 0, "expand": 1}),
         ((3, 2, 2, "ii"), None, {"spec_kernels": 2, "nested": 1, "expand": 2}),
         ((3, 2, 2, "ii"), {(1, 2, 27): 1}, {"spec_kernels": 1, "nested": 0, "expand": 1}),
+        ((3, 2, 2, "ii"), {(1, 2, 27): 0}, {"spec_kernels": 2, "nested": 1, "expand": 2}),
     ]
     for args, zshifts, want in cases:
         calls.update(dict.fromkeys(calls, 0))

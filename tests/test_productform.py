@@ -14,8 +14,8 @@ from spectralforge.errors import (
 from spectralforge.hadamard import check_triple, find_spectra
 from spectralforge.productform import (
     KStageForm,
+    OneStageForm,
     build_four_digit_form,
-    check_layer_keys,
     expand_k_stage,
     expand_one_stage,
     k_stage_form,
@@ -355,10 +355,10 @@ def test_reduce_r_to_1_random_sweep():
         assert red.a_set.digits == stacked_digits(f.a_set.digits, n, r)
         assert red.l1.digits == stacked_digits(f.l1.digits, n, r)
         assert red.l2.digits == stacked_digits(f.l2.digits, n, r)
-        b_new = red.b_map
+        b_new = dict(red.b_sets)
         for combo in itertools.product(f.a_set.digits, repeat=r):
             a_new = sum(n**j * a for j, a in enumerate(combo))
-            parts = [[n**j * b for b in f.b_map[a].digits] for j, a in enumerate(combo)]
+            parts = [[n**j * b for b in dict(f.b_sets)[a].digits] for j, a in enumerate(combo)]
             assert b_new[a_new].digits == direct_sum_digits(*parts)
 
 
@@ -425,25 +425,124 @@ def test_k_stage_collision_reports_stage():
     assert err.value.stage == 1 and err.value.digit == 4
 
 
-def test_keyed_layer_without_parent_names_it():
-    ks = k_stage_form(4, (1,), (0, 1), [{0: DigitSet(4, (0, 2))}], [(0, 2), (0, 1)])
-    with pytest.raises(KeyError, match="layer has no entry for parent digit 1"):
-        expand_k_stage(ks)
-    with pytest.raises(KeyError, match="layer has no entry for parent digit 1"):
-        k_stage_to_one_stage(ks)
-
-
-def test_check_layer_keys_names_first_missing_parent():
-    ks = k_stage_form(4, (1,), (0, 1), [{0: DigitSet(4, (0, 2))}], [(0, 2), (0, 1)])
+def test_keyed_layer_is_keyed_exactly_by_its_level():
+    """A keyed layer that misses a digit of the level it extends, or has an
+    entry for another key or a second one for a digit, is refused when its
+    form is built, whatever builds it, naming the stage and the smallest
+    digit at fault."""
+    spectra = [(0, 2), (0, 1), (0, 2)]
     with pytest.raises(ValueError, match="stage-1 layer has no entry for parent digit 1"):
-        check_layer_keys(ks)
+        k_stage_form(4, (1,), (0, 1), [{0: DigitSet(4, (0, 2))}], spectra[:2])
     # stage 2 extends the level-1 digits {0, 1, 8, 9}
     layer2 = {d: DigitSet(4, (0, 1)) for d in (0, 1, 8)}
-    ks = k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], [(0, 2), (0, 1), (0, 2)])
     with pytest.raises(ValueError, match="stage-2 layer has no entry for parent digit 9"):
-        check_layer_keys(ks)
+        k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], spectra)
     layer2[9] = DigitSet(4, (0, 1))
-    check_layer_keys(k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], [(0, 2), (0, 1), (0, 2)]))
+    form = k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], spectra)
+    assert [d for d, _ in form.layers[1]] == [0, 1, 8, 9]
+    layer2[5] = DigitSet(4, (0, 1))
+    with pytest.raises(ValueError, match="stage-2 layer has an extra entry for 5"):
+        KStageForm(4, (1, 1), form.e0, (form.layers[0], tuple(layer2.items())), form.spectra)
+    with pytest.raises(ValueError, match="stage-1 layer has an extra entry for 0"):
+        KStageForm(4, (1,), form.e0, (((0, DigitSet(4, (0, 2))), (0, DigitSet(4, (0, 1))), (1, DigitSet(4, (0, 2)))),),
+                   form.spectra[:2])
+    b = DigitSet(4, (0, 2))
+    with pytest.raises(ValueError, match="stage-1 layer has no entry for parent digit 1"):
+        one_stage_form(4, 1, (0, 1), {0: b}, (0, 2), (0, 1))
+    with pytest.raises(ValueError, match="stage-1 layer has an extra entry for 0"):
+        OneStageForm(4, 1, DigitSet(4, (0, 1)), ((0, b), (1, b), (0, DigitSet(4, (0, 6)))), b, DigitSet(4, (0, 1)))
+
+
+def _key_fault(base, ells, e0, layers):
+    """(stage, digit) of the first keyed layer, a dict, that misses a digit
+    of the level it extends or has an entry for another key, the smallest
+    such digit; None if there is none.  The walk the JSON reader's key check
+    made over the levels as sets, extended to extra keys."""
+    last_keyed = max((j for j, l in enumerate(layers, 1) if not isinstance(l, DigitSet)), default=0)
+    parents = set(e0)
+    total = 0
+    for j, (ell, layer) in enumerate(zip(ells, layers[:last_keyed]), start=1):
+        if not isinstance(layer, DigitSet):
+            wrong = parents.symmetric_difference(layer)
+            if wrong:
+                return j, min(wrong)
+        if j < last_keyed:
+            total += ell
+            parents = {d + base**total * e for d in parents
+                       for e in (layer if isinstance(layer, DigitSet) else layer[d]).digits}
+    return None
+
+
+def _random_staged_parts(rng):
+    """(N, ells, E0, layers, spectra) of a staged form with N <= 12 and one
+    to three stages, each layer constant or keyed by the digits of its own
+    level, a keyed one drawing from one or two sets as fresh equal copies."""
+    n = rng.randrange(2, 13)
+    ells = [rng.randrange(1, 3) for _ in range(rng.randrange(1, 4))]
+
+    def digits():
+        return tuple(rng.sample(range(2 * n), rng.randrange(1, 3)))
+
+    e0 = digits()
+    parents, total, layers = set(e0), 0, []
+    for ell in ells:
+        if rng.random() < 0.3:
+            layer = DigitSet(n, digits())
+        else:
+            sets = [digits() for _ in range(rng.randrange(1, 3))]
+            layer = {d: DigitSet(n, rng.choice(sets)) for d in sorted(parents)}
+        layers.append(layer)
+        total += ell
+        parents = {d + n**total * e for d in parents
+                   for e in (layer if isinstance(layer, DigitSet) else layer[d]).digits}
+    return n, ells, e0, layers, [digits() for _ in range(len(ells) + 1)]
+
+
+def test_keyed_layers_are_checked_and_shared_at_construction():
+    """Seeded staged forms, built through k_stage_form or as KStageForm from
+    (parent, set) pairs in reverse order.  One keyed stage spoiled by a
+    dropped key or a key that is no digit of its level is refused with a
+    ValueError naming that stage and digit, as ``_key_fault`` finds them.
+    An unspoiled form constructs, holds one DigitSet per distinct set of a
+    keyed layer, and validates as the form read back from its JSON does."""
+    rng = random.Random(54)
+    refused, verdicts = 0, []
+    for _ in range(1500):
+        n, ells, e0, layers, spectra = _random_staged_parts(rng)
+        keyed = [j for j, l in enumerate(layers, 1) if not isinstance(l, DigitSet)]
+        if keyed and rng.random() < 0.5:
+            j = rng.choice(keyed)
+            layer = layers[j - 1]
+            if len(layer) > 1 and rng.random() < 0.5:
+                bad = rng.choice(sorted(layer))
+                del layer[bad]
+            else:
+                bad = rng.choice([x for x in range(-n, n**sum(ells[:j]) + 2 * n) if x not in layer])
+                layer[bad] = DigitSet(n, (0,))
+            assert _key_fault(n, ells, e0, layers) == (j, bad)
+        fault = _key_fault(n, ells, e0, layers)
+        if rng.random() < 0.5:
+            build = lambda: k_stage_form(n, ells, e0, layers, spectra)
+        else:
+            pairs = [l if isinstance(l, DigitSet) else tuple(reversed(l.items())) for l in layers]
+            build = lambda: KStageForm(n, tuple(ells), DigitSet(n, e0), tuple(pairs),
+                                       tuple(DigitSet(n, s) for s in spectra))
+        if fault is not None:
+            with pytest.raises(ValueError) as err:
+                build()
+            message = str(err.value)
+            assert message.startswith(f"stage-{fault[0]} layer has ") and message.endswith(f" {fault[1]}")
+            refused += 1
+            continue
+        form = build()
+        for layer in form.layers:
+            if not isinstance(layer, DigitSet):
+                assert len({id(b) for _, b in layer}) == len({b.digits for _, b in layer})
+        back = cli.k_stage_from_json(cli.k_stage_to_json(form))
+        assert back == form
+        verdicts.append(validate_k_stage(form).ok)
+        assert validate_k_stage(back).ok == verdicts[-1]
+    assert refused > 500 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_k_stage_to_one_stage_identity_k1():
@@ -669,7 +768,7 @@ def _random_one_stage(rng):
     r = rng.randrange(3)
     if rng.random() < 0.5:
         f = _random_valid_one_stage(rng, rng.randrange(1, 3))
-        b_map = f.b_map
+        b_map = dict(f.b_sets)
         if rng.random() < 1 / 3:
             b_map[rng.choice(f.a_set.digits)] = DigitSet(f.base, tuple(rng.sample(range(2 * f.base), 2)))
         return one_stage_form(f.base, r, f.a_set, b_map, f.l1, f.l2)
