@@ -375,8 +375,9 @@ def _certified_levels(spec: ModuloProductFormSpec):
 
         stages.append((j, spec.base**total, layer))
     levels = _expand_layers(spec.parts[0].digits, stages)
+    parents = [set(level) for level in levels[:-1]] if spec.zshifts else []
     for (j, d, e), _ in spec.zshifts:
-        if not (1 <= j <= spec.stages and e in spec.parts[j].digits and d in levels[j - 1]):
+        if not (1 <= j <= spec.stages and e in spec.parts[j].digits and d in parents[j - 1]):
             raise InputError(f"z-shift (stage {j}, parent {d}, e {e}) names no digit of the form")
     top = levels[-1]
     mask = MaskPolynomial.from_digits(tuple(x - top[0] for x in top))

@@ -54,6 +54,7 @@ def _check_keys(layer: tuple[tuple[int, DigitSet], ...], parents: set[int], stag
     and the smallest digit at fault."""
     keys, want = [d for d, _ in layer], sorted(parents)
     if keys != want:
+        # the first place the two sorted lists part holds the smallest digit at fault
         key, parent = next(pair for pair in itertools.zip_longest(keys, want, fillvalue=math.inf) if pair[0] != pair[1])
         what = f"no entry for parent digit {parent}" if parent < key else f"an extra entry for {key}"
         raise ValueError(f"stage-{stage} layer has {what}")

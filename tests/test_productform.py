@@ -456,8 +456,8 @@ def test_keyed_layer_is_keyed_exactly_by_its_level():
 def _key_fault(base, ells, e0, layers):
     """(stage, digit) of the first keyed layer, a dict, that misses a digit
     of the level it extends or has an entry for another key, the smallest
-    such digit; None if there is none.  The walk the JSON reader's key check
-    made over the levels as sets, extended to extra keys."""
+    such digit; None if there is none.  It walks the levels as sets from
+    the layers as given, apart from the form's own walk."""
     last_keyed = max((j for j, l in enumerate(layers, 1) if not isinstance(l, DigitSet)), default=0)
     parents = set(e0)
     total = 0
