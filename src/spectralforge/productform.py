@@ -48,11 +48,11 @@ def as_layer(spec: DigitSet | Mapping[int, DigitSet] | Iterable[tuple[int, Digit
     return tuple(sorted(((d, shared.setdefault((s.base, s.digits, s.offset), s)) for d, s in pairs), key=itemgetter(0)))
 
 
-def _check_keys(layer: tuple[tuple[int, DigitSet], ...], parents: set[int], stage: int) -> None:
+def _check_keys(layer: tuple[tuple[int, DigitSet], ...], want: list[int], stage: int) -> None:
     """Raise ValueError unless a keyed layer, sorted by parent, has one
-    entry per digit of the level it extends and no other, naming the stage
-    and the smallest digit at fault."""
-    keys, want = [d for d, _ in layer], sorted(parents)
+    entry per digit of the level it extends, the sorted ``want``, and no
+    other, naming the stage and the smallest digit at fault."""
+    keys = [d for d, _ in layer]
     if keys != want:
         # the first place the two sorted lists part holds the smallest digit at fault
         key, parent = next(pair for pair in itertools.zip_longest(keys, want, fillvalue=math.inf) if pair[0] != pair[1])
@@ -125,7 +125,7 @@ class OneStageForm:
         what = f"the spectrum sum L1 (+) L2 would hold {len(self.l1)} * {len(self.l2)} points"
         refuse_above("DIGIT_LIMIT", DIGIT_LIMIT, what, len(self.l1), factor=len(self.l2))
         object.__setattr__(self, "b_sets", as_layer(self.b_sets))
-        _check_keys(self.b_sets, set(self.a_set.digits), 1)
+        _check_keys(self.b_sets, list(self.a_set.digits), 1)
 
     def b_list(self) -> list[DigitSet]:
         return [b for _, b in self.b_sets]
@@ -281,7 +281,7 @@ class KStageForm:
         parents, scale = set(self.e0.digits), 1
         for j, (ell, layer) in enumerate(zip(self.ells, self.layers[:last_keyed]), start=1):
             if not isinstance(layer, DigitSet):
-                _check_keys(layer, parents, j)
+                _check_keys(layer, sorted(parents), j)
             if j < last_keyed:
                 scale *= self.base**ell
                 lookup = layer_lookup(layer)
