@@ -408,10 +408,10 @@ def _malformed_inputs(tmp_path):
                               "--variant", "i", "--zshifts", zshifts]),
         # z-shifts that name no digit of the form: a stage past k, and a
         # parent and an e that are no digits of level 0 and of E_1
-        *[(f"zshift-names-no-digit-{i}", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2", "--variant", "i",
-                                          "--zshifts", _write(tmp_path, f"zshift-bad-{i}.json", [entry])])
-          for i, entry in enumerate([{"stage": 7, "parent": 0, "e": 0, "z": 1},
-                                     {"stage": 1, "parent": 5, "e": 999, "z": 1}])],
+        ("zshift-stage-past-k", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2", "--variant", "i", "--zshifts",
+                                 _write(tmp_path, "zs-7.json", [{"stage": 7, "parent": 0, "e": 0, "z": 1}])]),
+        ("zshift-no-digit", ["classify-paq", "--p", "2", "--q", "3", "--alpha", "2", "--variant", "i", "--zshifts",
+                             _write(tmp_path, "zs-999.json", [{"stage": 1, "parent": 5, "e": 999, "z": 1}])]),
         ("output-missing-dir", ["check-hadamard", "--base", "4", "--digits", d, "--spectrum", d,
                                 "--output", str(tmp_path / "missing" / "report.json")]),
         ("usage-error", ["check-tile", "--base", "4"]),
