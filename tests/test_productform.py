@@ -425,21 +425,38 @@ def test_k_stage_collision_reports_stage():
     assert err.value.stage == 1 and err.value.digit == 4
 
 
-def test_keyed_layer_is_keyed_exactly_by_its_level():
-    """A keyed layer that misses a digit of the level it extends, or has an
-    entry for another key or a second one for a digit, is refused when its
-    form is built, whatever builds it, naming the stage and the smallest
-    digit at fault."""
-    spectra = [(0, 2), (0, 1), (0, 2)]
+def test_keyed_layer_without_parent_names_it():
+    """A keyed layer with no entry for a parent digit is refused when its form
+    is built, by the staged and the one-stage builder alike, so no expansion
+    or reduction ever meets the missing key."""
     with pytest.raises(ValueError, match="stage-1 layer has no entry for parent digit 1"):
-        k_stage_form(4, (1,), (0, 1), [{0: DigitSet(4, (0, 2))}], spectra[:2])
+        k_stage_form(4, (1,), (0, 1), [{0: DigitSet(4, (0, 2))}], [(0, 2), (0, 1)])
+    with pytest.raises(ValueError, match="stage-1 layer has no entry for parent digit 1"):
+        one_stage_form(4, 1, (0, 1), {0: DigitSet(4, (0, 2))}, (0, 2), (0, 1))
+
+
+def test_check_layer_keys_names_first_missing_parent():
+    """The refusal names the stage and the smallest digit of its level that the
+    layer misses; with that digit keyed the form builds, its layer in key order."""
+    spectra = [(0, 2), (0, 1), (0, 2)]
     # stage 2 extends the level-1 digits {0, 1, 8, 9}
     layer2 = {d: DigitSet(4, (0, 1)) for d in (0, 1, 8)}
     with pytest.raises(ValueError, match="stage-2 layer has no entry for parent digit 9"):
         k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], spectra)
-    layer2[9] = DigitSet(4, (0, 1))
+    del layer2[0]
+    with pytest.raises(ValueError, match="stage-2 layer has no entry for parent digit 0"):
+        k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], spectra)
+    layer2[0] = layer2[9] = DigitSet(4, (0, 1))
     form = k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], spectra)
     assert [d for d, _ in form.layers[1]] == [0, 1, 8, 9]
+
+
+def test_keyed_layer_is_keyed_exactly_by_its_level():
+    """A keyed layer that has an entry for a key that is no digit of the level
+    it extends, or a second one for a digit, is refused when its form is
+    built, whatever builds it, naming the stage and the digit at fault."""
+    layer2 = {d: DigitSet(4, (0, 1)) for d in (0, 1, 8, 9)}
+    form = k_stage_form(4, (1, 1), (0, 1), [DigitSet(4, (0, 2)), layer2], [(0, 2), (0, 1), (0, 2)])
     layer2[5] = DigitSet(4, (0, 1))
     with pytest.raises(ValueError, match="stage-2 layer has an extra entry for 5"):
         KStageForm(4, (1, 1), form.e0, (form.layers[0], tuple(layer2.items())), form.spectra)
@@ -447,11 +464,8 @@ def test_keyed_layer_is_keyed_exactly_by_its_level():
         KStageForm(4, (1,), form.e0, (((0, DigitSet(4, (0, 2))), (0, DigitSet(4, (0, 1))), (1, DigitSet(4, (0, 2)))),),
                    form.spectra[:2])
     b = DigitSet(4, (0, 2))
-    with pytest.raises(ValueError, match="stage-1 layer has no entry for parent digit 1"):
-        one_stage_form(4, 1, (0, 1), {0: b}, (0, 2), (0, 1))
     with pytest.raises(ValueError, match="stage-1 layer has an extra entry for 0"):
         OneStageForm(4, 1, DigitSet(4, (0, 1)), ((0, b), (1, b), (0, DigitSet(4, (0, 6)))), b, DigitSet(4, (0, 1)))
-
 
 def _key_fault(base, ells, e0, layers):
     """(stage, digit) of the first keyed layer, a dict, that misses a digit
